@@ -21,7 +21,7 @@
 ///     inside the quick budget.
 /// A scale section then probes 10-ary trees with pure O(1) dmodk
 /// routing and the lazy slab arenas — bytes/terminal, slab residency,
-/// spill bytes, and cycles/sec per tree, gated against a committed
+/// and cycles/sec per tree, gated against a committed
 /// budget — quick stops at 10^4 terminals, full climbs to the
 /// 10^6-terminal 10-ary 6-tree (serial only) and reruns the margin
 /// bisection on the 10-ary 5-tree.  A final recorder_overhead section
@@ -30,8 +30,7 @@
 /// bit-identical at every shard count.
 ///
 /// --quick runs the radix-32 ftree only; the full run adds radix 48 and
-/// the 10-ary 4-tree (10,000 terminals — its O(T^2) route cache honors
-/// NBCLOS_MMAP_CACHE for RAM-constrained hosts).  Traffic is a seeded
+/// the 10-ary 4-tree (10,000 terminals).  Traffic is a seeded
 /// random derangement on ftree fabrics (the pattern that separates
 /// guaranteed routings from colliding ones) and a shift permutation on
 /// the k-ary tree.  Results are seeded and bit-reproducible.
@@ -408,8 +407,6 @@ int main(int argc, char** argv) {
       json.member("bytes_per_terminal", bytes_per_terminal);
       json.member("resident_slots", stats.resident_slots);
       json.member("peak_slots", stats.peak_slots);
-      json.member("spill_bytes",
-                  static_cast<std::uint64_t>(stats.spill_bytes));
       json.member("within_budget", within);
       json.member("identity_checked", p.identity);
       json.member("identical_to_serial", same);

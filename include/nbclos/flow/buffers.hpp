@@ -18,12 +18,9 @@
 /// front, not the fabric size.
 ///
 /// Ring layout per slot follows the old scheme (slice = capacity
-/// rounded up to a power of two, wrap-around is a mask), but the slab
-/// and the slot records live in `FlatStore`s, so setting
-/// `NBCLOS_MMAP_CACHE` spills them to an unlinked temp file instead of
-/// OOMing (see util/mmap_arena.hpp).  Unbounded terminal NIC buffers
-/// keep growable power-of-two rings on the side, lazily allocated the
-/// same way.
+/// rounded up to a power of two, wrap-around is a mask).  Unbounded
+/// terminal NIC buffers keep growable power-of-two rings on the side,
+/// lazily allocated the same way.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +28,6 @@
 
 #include "nbclos/sim/packet.hpp"
 #include "nbclos/util/check.hpp"
-#include "nbclos/util/mmap_arena.hpp"
 
 namespace nbclos::flow {
 
@@ -60,18 +56,13 @@ struct ArenaStats {
   std::size_t packet_arena_bytes = 0;  ///< PacketPool::bytes()
   std::uint64_t resident_slots = 0;    ///< buffers currently bound to a slot
   std::uint64_t peak_slots = 0;        ///< high-water resident slots
-  std::size_t spill_bytes = 0;         ///< bytes in NBCLOS_MMAP_CACHE files
 };
 
 /// Slab of live packets, indexed by slot.  Flits reference their packet
 /// through a slot id instead of carrying 40-byte descriptors, and a slot
-/// is recycled the cycle its tail flit is ejected.  Backed by a
-/// FlatStore so packet descriptors spill with the flit arenas under
-/// NBCLOS_MMAP_CACHE.
+/// is recycled the cycle its tail flit is ejected.
 class PacketPool {
  public:
-  PacketPool() : packets_(FlatStore<sim::Packet>::from_env()) {}
-
   [[nodiscard]] std::uint32_t acquire(const sim::Packet& packet) {
     if (free_.empty()) {
       packets_.push_back(packet);
@@ -82,6 +73,7 @@ class PacketPool {
     }
     const std::uint32_t slot = free_.back();
     free_.pop_back();
+    NBCLOS_DEBUG_CHECK(slot < packets_.size(), "packet slot out of range");
     packets_[slot] = packet;
     if constexpr (kDebugChecksEnabled) {
       freed_[slot] = 0;
@@ -125,15 +117,12 @@ class PacketPool {
     return packets_.size();
   }
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return packets_.bytes() + free_.capacity() * sizeof(std::uint32_t) +
-           freed_.capacity();
-  }
-  [[nodiscard]] std::size_t spill_bytes() const noexcept {
-    return packets_.spill_bytes();
+    return packets_.capacity() * sizeof(sim::Packet) +
+           free_.capacity() * sizeof(std::uint32_t) + freed_.capacity();
   }
 
  private:
-  FlatStore<sim::Packet> packets_;
+  std::vector<sim::Packet> packets_;
   std::vector<std::uint32_t> free_;
   /// Double-release detector; only maintained when debug checks compile.
   std::vector<std::uint8_t> freed_;
@@ -174,11 +163,11 @@ class FlitBufferPool {
   // --- FIFO operations -------------------------------------------------
 
   void push(std::uint32_t b, FlitRef flit) {
-    BufferSlot& sl = slots_[ensure_slot(b)];
+    const std::uint32_t s = ensure_slot(b);
+    BufferSlot& sl = slot(s);
     if (b < switch_count_) {
       NBCLOS_ASSERT(sl.size < capacity_);  // flow-control protocol bound
-      ring_slab_[std::size_t{slot_of_[b]} * slice_ +
-                 ((sl.head + sl.size) & slice_mask_)] = flit;
+      ring_slab_[ring_index(s, (sl.head + sl.size) & slice_mask_)] = flit;
       ++switch_flits_total_;
       if (++sl.size > peak_switch_flits_) peak_switch_flits_ = sl.size;
       return;
@@ -199,13 +188,13 @@ class FlitBufferPool {
   }
 
   FlitRef pop(std::uint32_t b) {
-    const std::uint32_t s = slot_of_[b];
+    const std::uint32_t s = slot_id(b);
     NBCLOS_ASSERT(s != kNoSlot);
-    BufferSlot& sl = slots_[s];
+    BufferSlot& sl = slot(s);
     NBCLOS_ASSERT(sl.size > 0);
     FlitRef flit;
     if (b < switch_count_) {
-      flit = ring_slab_[std::size_t{s} * slice_ + sl.head];
+      flit = ring_slab_[ring_index(s, sl.head)];
       sl.head = (sl.head + 1) & slice_mask_;
       --switch_flits_total_;
     } else {
@@ -218,75 +207,72 @@ class FlitBufferPool {
   }
 
   [[nodiscard]] FlitRef front(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
+    const std::uint32_t s = slot_id(b);
     NBCLOS_ASSERT(s != kNoSlot);
-    const BufferSlot& sl = slots_[s];
+    const BufferSlot& sl = slot(s);
     NBCLOS_ASSERT(sl.size > 0);
-    if (b < switch_count_) {
-      return ring_slab_[std::size_t{s} * slice_ + sl.head];
-    }
+    if (b < switch_count_) return ring_slab_[ring_index(s, sl.head)];
     return nic_rings_[b - switch_count_][sl.head];
   }
 
   [[nodiscard]] std::uint32_t size(std::uint32_t b) const {
-    NBCLOS_DEBUG_CHECK(b < slot_of_.size(), "buffer id out of range");
-    const std::uint32_t s = slot_of_[b];
-    return s == kNoSlot ? 0 : slots_[s].size;
+    const std::uint32_t s = slot_id(b);
+    return s == kNoSlot ? 0 : slot(s).size;
   }
 
   // --- per-buffer side state (engine-owned semantics) ------------------
 
   [[nodiscard]] std::uint32_t out_alloc(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    return s == kNoSlot ? kNoBuffer : slots_[s].out_alloc;
+    const std::uint32_t s = slot_id(b);
+    return s == kNoSlot ? kNoBuffer : slot(s).out_alloc;
   }
   void set_out_alloc(std::uint32_t b, std::uint32_t value) {
-    if (value == kNoBuffer && slot_of_[b] == kNoSlot) return;
-    slots_[ensure_slot(b)].out_alloc = value;
+    if (value == kNoBuffer && slot_id(b) == kNoSlot) return;
+    slot(ensure_slot(b)).out_alloc = value;
   }
 
   [[nodiscard]] std::uint32_t claim(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    return s == kNoSlot ? kNoBuffer : slots_[s].claim;
+    const std::uint32_t s = slot_id(b);
+    return s == kNoSlot ? kNoBuffer : slot(s).claim;
   }
   void set_claim(std::uint32_t b, std::uint32_t value) {
-    if (value == kNoBuffer && slot_of_[b] == kNoSlot) return;
-    slots_[ensure_slot(b)].claim = value;
+    if (value == kNoBuffer && slot_id(b) == kNoSlot) return;
+    slot(ensure_slot(b)).claim = value;
   }
 
   [[nodiscard]] std::uint64_t blocked_since(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    if (s == kNoSlot || slots_[s].blocked_since_plus1 == 0) {
+    const std::uint32_t s = slot_id(b);
+    if (s == kNoSlot || slot(s).blocked_since_plus1 == 0) {
       return kNeverBlocked;
     }
-    return slots_[s].blocked_since_plus1 - 1;
+    return slot(s).blocked_since_plus1 - 1;
   }
   void set_blocked_since(std::uint32_t b, std::uint64_t cycle) {
-    slots_[ensure_slot(b)].blocked_since_plus1 = cycle + 1;
+    slot(ensure_slot(b)).blocked_since_plus1 = cycle + 1;
   }
   void clear_blocked_since(std::uint32_t b) {
-    const std::uint32_t s = slot_of_[b];
-    if (s != kNoSlot) slots_[s].blocked_since_plus1 = 0;
+    const std::uint32_t s = slot_id(b);
+    if (s != kNoSlot) slot(s).blocked_since_plus1 = 0;
   }
 
   // --- credit counters (driven by CreditLedger) ------------------------
 
   [[nodiscard]] std::uint32_t credits(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    return capacity_ - (s == kNoSlot ? 0 : slots_[s].credits_used);
+    const std::uint32_t s = slot_id(b);
+    return capacity_ - (s == kNoSlot ? 0 : slot(s).credits_used);
   }
   void consume_credit(std::uint32_t b) {
-    BufferSlot& sl = slots_[ensure_slot(b)];
+    BufferSlot& sl = slot(ensure_slot(b));
     NBCLOS_ASSERT(sl.credits_used < capacity_);
     ++sl.credits_used;
   }
   void note_pending_return(std::uint32_t b) {
-    ++slots_[ensure_slot(b)].pending_returns;
+    ++slot(ensure_slot(b)).pending_returns;
   }
   void apply_credit_return(std::uint32_t b) {
-    const std::uint32_t s = slot_of_[b];
+    const std::uint32_t s = slot_id(b);
     NBCLOS_ASSERT(s != kNoSlot);  // pending_returns pins the slot
-    BufferSlot& sl = slots_[s];
+    BufferSlot& sl = slot(s);
     NBCLOS_ASSERT(sl.credits_used > 0);
     NBCLOS_ASSERT(sl.pending_returns > 0);
     --sl.credits_used;
@@ -294,19 +280,19 @@ class FlitBufferPool {
     maybe_release(b);
   }
   [[nodiscard]] std::uint64_t pending_returns(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    return s == kNoSlot ? 0 : slots_[s].pending_returns;
+    const std::uint32_t s = slot_id(b);
+    return s == kNoSlot ? 0 : slot(s).pending_returns;
   }
 
   // --- on/off stop bits (driven by OnOffSignal) ------------------------
 
   [[nodiscard]] bool off_bit(std::uint32_t b) const {
-    const std::uint32_t s = slot_of_[b];
-    return s != kNoSlot && slots_[s].off != 0;
+    const std::uint32_t s = slot_id(b);
+    return s != kNoSlot && slot(s).off != 0;
   }
   /// Returns true when the buffer was not already queued dirty.
   [[nodiscard]] bool test_and_set_dirty(std::uint32_t b) {
-    BufferSlot& sl = slots_[ensure_slot(b)];
+    BufferSlot& sl = slot(ensure_slot(b));
     if (sl.in_dirty != 0) return false;
     sl.in_dirty = 1;
     return true;
@@ -314,9 +300,9 @@ class FlitBufferPool {
   /// Latch the stop bit from current occupancy, clear the dirty flag,
   /// and recycle the slot if that left it fully default.
   void latch_off_bit(std::uint32_t b, std::uint32_t threshold) {
-    const std::uint32_t s = slot_of_[b];
+    const std::uint32_t s = slot_id(b);
     NBCLOS_ASSERT(s != kNoSlot);  // in_dirty pins the slot
-    BufferSlot& sl = slots_[s];
+    BufferSlot& sl = slot(s);
     sl.off = sl.size >= threshold ? 1 : 0;
     sl.in_dirty = 0;
     maybe_release(b);
@@ -329,9 +315,9 @@ class FlitBufferPool {
   /// boundaries (after a pop completes its credit/claim bookkeeping);
   /// a missed call costs memory, never correctness.
   void maybe_release(std::uint32_t b) {
-    const std::uint32_t s = slot_of_[b];
+    const std::uint32_t s = slot_id(b);
     if (s == kNoSlot) return;
-    const BufferSlot& sl = slots_[s];
+    const BufferSlot& sl = slot(s);
     if (sl.size != 0 || sl.out_alloc != kNoBuffer || sl.claim != kNoBuffer ||
         sl.credits_used != 0 || sl.pending_returns != 0 ||
         sl.blocked_since_plus1 != 0 || sl.off != 0 || sl.in_dirty != 0) {
@@ -343,7 +329,7 @@ class FlitBufferPool {
   }
 
   [[nodiscard]] bool has_slot(std::uint32_t b) const {
-    return slot_of_[b] != kNoSlot;
+    return slot_id(b) != kNoSlot;
   }
 
   /// Visit every live buffer as fn(buffer_id, slot_id, slot) — ascending
@@ -354,14 +340,15 @@ class FlitBufferPool {
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-      const BufferSlot& sl = slots_[s];
-      if (slot_of_[sl.buffer] == s) fn(sl.buffer, s, sl);
+      const BufferSlot& sl = slot(s);
+      if (slot_id(sl.buffer) == s) fn(sl.buffer, s, sl);
     }
   }
 
   /// Slot id bound to `b`, or kNoSlot.  Audit paths use this to index
   /// slot-sized scratch arrays.
   [[nodiscard]] std::uint32_t slot_id(std::uint32_t b) const {
+    NBCLOS_DEBUG_CHECK(b < slot_of_.size(), "buffer id out of range");
     return slot_of_[b];
   }
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -395,29 +382,41 @@ class FlitBufferPool {
   }
   /// Resident bytes of the arrays (reported as an obs gauge).
   [[nodiscard]] std::size_t bytes() const noexcept;
-  /// Bytes living in NBCLOS_MMAP_CACHE-backed files rather than heap.
-  [[nodiscard]] std::size_t spill_bytes() const noexcept {
-    return slot_of_.spill_bytes() + slots_.spill_bytes() +
-           ring_slab_.spill_bytes();
-  }
 
  private:
   static constexpr std::uint32_t kNicRingInitialCapacity = 16;
 
+  [[nodiscard]] BufferSlot& slot(std::uint32_t s) {
+    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
+    return slots_[s];
+  }
+  [[nodiscard]] const BufferSlot& slot(std::uint32_t s) const {
+    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
+    return slots_[s];
+  }
+
+  /// ring_slab_ index of entry `pos` in switch slot `s`'s ring slice.
+  [[nodiscard]] std::size_t ring_index(std::uint32_t s,
+                                       std::uint32_t pos) const {
+    const std::size_t i = std::size_t{s} * slice_ + pos;
+    NBCLOS_DEBUG_CHECK(i < ring_slab_.size(), "ring slab index out of range");
+    return i;
+  }
+
   /// Slot bound to `b`, binding a recycled or fresh one on first touch.
   std::uint32_t ensure_slot(std::uint32_t b) {
-    std::uint32_t s = slot_of_[b];
+    std::uint32_t s = slot_id(b);
     if (s != kNoSlot) return s;
     if (!free_slots_.empty()) {
       s = free_slots_.back();
       free_slots_.pop_back();
-      slots_[s] = BufferSlot{};
+      slot(s) = BufferSlot{};
     } else {
       s = static_cast<std::uint32_t>(slots_.size());
       slots_.push_back(BufferSlot{});
       ring_slab_.resize(slots_.size() * slice_);
     }
-    slots_[s].buffer = b;
+    slot(s).buffer = b;
     slot_of_[b] = s;
     ++resident_slots_;
     return s;
@@ -429,11 +428,11 @@ class FlitBufferPool {
   std::uint32_t slice_mask_ = 0;  ///< slice - 1
   std::uint32_t resident_slots_ = 0;
   /// Dense id→slot map — the only O(buffer_count) array left.
-  FlatStore<std::uint32_t> slot_of_;
-  FlatStore<BufferSlot> slots_;
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<BufferSlot> slots_;
   /// Ring storage, slice_ entries per slot (switch slots use theirs;
   /// NIC slots leave them idle and use nic_rings_).
-  FlatStore<FlitRef> ring_slab_;
+  std::vector<FlitRef> ring_slab_;
   std::vector<std::uint32_t> free_slots_;
   /// Growable per-NIC rings, lazily sized on first push and retained
   /// across slot recycling.

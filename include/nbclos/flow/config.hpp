@@ -17,6 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+#include "nbclos/util/check.hpp"
 
 namespace nbclos::flow {
 
@@ -59,10 +62,6 @@ struct FlowConfig {
   /// Off by default — the legacy stream is part of the recorded golden
   /// results.
   bool counter_injection = false;
-  /// Pin ShardedFlowSim's workers to CPUs (node-major) so first-touch
-  /// arena allocation lands each shard's pages on its worker's NUMA
-  /// node.  No effect on the serial engine; failures are never fatal.
-  bool pin_shards = false;
   /// Arm the obs::FlightRecorder: sample engine-level time series
   /// (buffer occupancy, stall counters, blocked heads) every
   /// record_cadence cycles into fixed-budget rings.  Off by default and
@@ -78,6 +77,10 @@ struct FlowConfig {
   /// sim::SimConfig::kEffectivelyInfiniteQueueCapacity, measured in flits
   /// rather than packets because flow buffers hold flits.
   static constexpr std::uint32_t kEffectivelyInfiniteBufferFlits = 1024;
+
+  /// Most virtual channels per physical channel: the sharded engine's
+  /// per-channel VC stall masks are 32 bits wide.
+  static constexpr std::uint32_t kMaxVcs = 32;
 
   /// The documented single-flit / effectively-infinite-buffer reference
   /// configuration: with it, wormhole == VCT == store-and-forward and no
@@ -117,6 +120,35 @@ struct FlowConfig {
   /// (see DESIGN.md "flow-control engine" for the overshoot argument).
   [[nodiscard]] std::uint32_t onoff_off_threshold() const noexcept {
     return buffer_flits - head_reservation_flits();
+  }
+
+  /// The first rule this configuration breaks, or nullptr when both
+  /// flow engines can run it.  The CLI reports it as a usage error.
+  [[nodiscard]] const char* invalid_reason() const noexcept {
+    if (!(injection_rate >= 0.0 && injection_rate <= 1.0)) {
+      return "injection rate must be in [0, 1] flits/cycle";
+    }
+    if (packet_flits < 1) return "packets need at least one flit";
+    if (vcs < 1 || vcs > kMaxVcs) return "virtual channels must be in 1..32";
+    if (switching == Switching::kVirtualCutThrough &&
+        buffer_flits < packet_flits) {
+      return "virtual cut-through buffers a whole packet per FIFO: "
+             "buffer_flits must be >= packet_flits";
+    }
+    if (backpressure == Backpressure::kOnOff &&
+        buffer_flits < head_reservation_flits() + 1) {
+      return "on/off signaling needs one slot of slack beyond the head "
+             "reservation (see onoff_off_threshold)";
+    }
+    return nullptr;
+  }
+
+  /// Throws precondition_error naming invalid_reason(), if any.  Both
+  /// engine constructors call it.
+  void validate() const {
+    if (const char* reason = invalid_reason()) {
+      throw precondition_error(std::string("invalid flow config: ") + reason);
+    }
   }
 };
 

@@ -215,7 +215,7 @@ class FlowSim {
     return forensics_;
   }
 
-  /// Flit/packet arena accounting (slab residency, spill) — valid any
+  /// Flit/packet arena accounting (bytes, slab residency) — valid any
   /// time; benches and the CLI manifest read it after run().
   [[nodiscard]] ArenaStats arena_stats() const;
 

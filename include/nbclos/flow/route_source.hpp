@@ -42,7 +42,7 @@ class RouteSource {
 };
 
 /// The historical path: every pair's channel run materialized in a
-/// `ChannelRouteCache` (possibly mmap-spilled, see route_cache.hpp).
+/// `ChannelRouteCache`.
 class CacheRouteSource final : public RouteSource {
  public:
   explicit CacheRouteSource(

@@ -86,8 +86,7 @@ class ShardedFlowSim {
   /// Same contract as FlowSim plus the shard count; `degraded` seeds one
   /// PRIVATE DegradedView copy per shard (the same `fault_events`
   /// schedule is applied to every copy at the same cycles, so they never
-  /// diverge).  Injection always uses the counter-based RNG; pinning and
-  /// first-touch arena placement follow `FlowConfig::pin_shards`.
+  /// diverge).  Injection always uses the counter-based RNG.
   ShardedFlowSim(std::shared_ptr<const RouteSource> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  std::uint32_t shards,

@@ -32,13 +32,8 @@ struct RunInfo {
   std::uint32_t threads = 0;
   std::uint32_t hardware_concurrency = 0;
   /// Online NUMA nodes (parsed from /sys/devices/system/node by
-  /// current(); 1 where the hierarchy is absent).  Together with
-  /// pin_threads this fully describes the placement side of a sharded
-  /// run's telemetry configuration.
+  /// current(); 1 where the hierarchy is absent).
   std::uint32_t numa_nodes = 1;
-  /// Were the shard workers pinned node-major (SimConfig::pin_shards /
-  /// FlowConfig::pin_shards)?  Filled by the harness.
-  bool pin_threads = false;
   double wall_seconds = 0.0;
   /// Simulation shard count (0 = not a sharded run).
   std::uint32_t shards = 0;

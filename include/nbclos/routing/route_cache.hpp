@@ -34,7 +34,6 @@
 #include "nbclos/topology/fat_tree.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/check.hpp"
-#include "nbclos/util/mmap_arena.hpp"
 
 namespace nbclos {
 class SinglePathRouting;
@@ -111,11 +110,6 @@ class RouteCache {
 /// All terminal-pair channel runs of a Network routing, flattened with
 /// the same CSR layout, plus the dense next-hop lookup the packet
 /// simulator needs (replacing the old per-hop hash map).
-///
-/// Storage is a `U32Store`: heap-backed by default, or spilled to an
-/// unlinked mmap'd file when the `NBCLOS_MMAP_CACHE` environment
-/// variable names a backing directory (see util/mmap_arena.hpp) — route
-/// tables past ~10^5 terminals are O(T^2) and otherwise exceed RAM.
 class ChannelRouteCache {
  public:
   /// Route function over terminal *indices* (positions in
@@ -155,14 +149,9 @@ class ChannelRouteCache {
     return channels_.size();
   }
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return channels_.bytes() + offsets_.bytes() +
-           terminal_index_.capacity() * sizeof(std::uint32_t);
-  }
-
-  /// Whether the CSR arrays live in an mmap'd backing file (set by the
-  /// NBCLOS_MMAP_CACHE environment variable at construction).
-  [[nodiscard]] bool mmap_backed() const noexcept {
-    return channels_.file_backed();
+    return (channels_.capacity() + offsets_.capacity() +
+            terminal_index_.capacity()) *
+           sizeof(std::uint32_t);
   }
 
   static constexpr std::uint32_t kNotATerminal = UINT32_MAX;
@@ -179,8 +168,8 @@ class ChannelRouteCache {
   const Network* net_;
   std::uint32_t terminals_ = 0;
   std::vector<std::uint32_t> terminal_index_;  ///< vertex id -> terminal index
-  U32Store offsets_;                           ///< terminals^2 + 1, src-major
-  U32Store channels_;                          ///< all runs, back to back
+  std::vector<std::uint32_t> offsets_;         ///< terminals^2 + 1, src-major
+  std::vector<std::uint32_t> channels_;        ///< all runs, back to back
 };
 
 /// Per-shard CSR slice of a ChannelRouteCache: for every terminal pair,

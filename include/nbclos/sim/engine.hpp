@@ -57,11 +57,6 @@ struct SimConfig {
   /// bit-identically at any shard count.  Off by default — the legacy
   /// stream is part of the recorded golden results.
   bool counter_injection = false;
-  /// Pin each shard worker of a sharded engine to one CPU (node-major
-  /// order from sim::NumaTopology) so first-touch arena allocation lands
-  /// every shard's pages on its worker's NUMA node.  No effect on the
-  /// serial engines; pinning failures are recorded, never fatal.
-  bool pin_shards = false;
   /// Arm the flight recorder (obs::FlightRecorder): sample aggregate
   /// engine telemetry every record_cadence cycles into fixed-budget ring
   /// buffers (per shard in the sharded engine, merged bit-identically at

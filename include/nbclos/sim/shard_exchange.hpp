@@ -2,7 +2,7 @@
 /// \brief The shared shard-exchange layer: deterministic vertex
 ///        partitioning (ShardPlan), SPSC epoch mailboxes (MailboxGrid),
 ///        the barrier + failure latch (ShardSync), and libnuma-free NUMA
-///        placement helpers.
+///        node detection.
 ///
 /// Both sharded engines — `sim::ShardedSim` (packet granularity) and
 /// `flow::ShardedFlowSim` (flit granularity, credits) — run the same
@@ -25,12 +25,10 @@
 /// returns upstream — credit-return messages flow opposite to flits,
 /// feeding the upstream shard's CreditLedger).
 ///
-/// NUMA awareness is opt-in and degrades gracefully: `NumaTopology`
-/// parses /sys/devices/system/node (no libnuma dependency — the build
-/// containers don't ship it), `pin_current_thread` wraps
-/// `sched_setaffinity`, and engines allocate their per-shard arenas
-/// inside the worker threads (first touch), so with pinning enabled each
-/// arena's pages land on the worker's node.
+/// NUMA awareness degrades gracefully: `NumaTopology` parses
+/// /sys/devices/system/node (no libnuma dependency), and engines
+/// allocate their per-shard arenas inside the worker threads (first
+/// touch), so each arena's pages land on the node its worker runs on.
 #pragma once
 
 #include <atomic>
@@ -161,21 +159,14 @@ struct NumaTopology {
   std::uint32_t cpu_count = 1;
   std::uint32_t node_count = 1;
   std::vector<std::uint32_t> node_of_cpu;  ///< indexed by cpu id
-  /// CPU ids grouped node-major (node 0's cpus ascending, then node
-  /// 1's, ...) — the deterministic pinning order for shard workers.
-  std::vector<std::uint32_t> pin_order;
 
   [[nodiscard]] static NumaTopology detect();
 };
 
-/// Pin the calling thread to one CPU via sched_setaffinity.  Returns
-/// false (and leaves affinity unchanged) when unsupported or denied.
-bool pin_current_thread(std::uint32_t cpu);
-
 /// NUMA node the calling thread is currently executing on (0 when
 /// undeterminable) — recorded as the per-shard arena-residency gauge:
-/// with pinning + first-touch allocation, the node a worker runs on is
-/// the node its arena pages live on.
+/// with first-touch allocation, the node a worker ran on when it built
+/// its arena is the node the arena pages live on.
 [[nodiscard]] std::uint32_t current_numa_node(const NumaTopology& topo);
 
 }  // namespace nbclos::sim

@@ -59,10 +59,7 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
       rng_(config.seed),
       latency_hist_(config.warmup_cycles + config.measure_cycles),
       stall_hist_(config.warmup_cycles + config.measure_cycles) {
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_flits >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.vcs >= 1, "need at least one virtual channel");
+  config.validate();
   NBCLOS_REQUIRE(degraded == nullptr || &degraded->network() == net_,
                  "degraded view was built over a different network");
   NBCLOS_REQUIRE(fault_events_.empty() || degraded != nullptr,
@@ -73,11 +70,6 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
                      return a.cycle < b.cycle;
                    });
   head_reservation_ = config.head_reservation_flits();
-  if (config.switching == Switching::kVirtualCutThrough) {
-    NBCLOS_REQUIRE(config.buffer_flits >= config.packet_flits,
-                   "virtual cut-through buffers a whole packet per FIFO: "
-                   "buffer_flits must be >= packet_flits");
-  }
   packet_rate_ =
       config.injection_rate / static_cast<double>(config.packet_flits);
   terminal_vertices_ = net_->terminals();
@@ -120,10 +112,6 @@ FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
   if (config.backpressure == Backpressure::kCredit) {
     ledger_ = std::make_unique<CreditLedger>(pool_, config.credit_delay);
   } else {
-    NBCLOS_REQUIRE(
-        config.buffer_flits >= head_reservation_ + 1,
-        "on/off signaling needs one slot of slack beyond the head "
-        "reservation (see onoff_off_threshold)");
     onoff_ =
         std::make_unique<OnOffSignal>(pool_, config.onoff_off_threshold());
   }
@@ -730,7 +718,6 @@ ArenaStats FlowSim::arena_stats() const {
   stats.packet_arena_bytes = packets_.bytes();
   stats.resident_slots = pool_.resident_slots();
   stats.peak_slots = pool_.peak_slots();
-  stats.spill_bytes = pool_.spill_bytes() + packets_.spill_bytes();
   return stats;
 }
 

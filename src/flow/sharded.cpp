@@ -113,7 +113,6 @@ struct ShardedFlowSim::Shard {
   std::uint64_t stuck_total = 0;
   std::vector<std::uint32_t> stuck_buffers;  ///< 8 smallest occupied, global
   std::uint32_t numa_node = 0;
-  std::uint8_t pinned = 0;
 
   explicit Shard(std::uint64_t hist_max)
       : latency_hist(hist_max), stall_hist(hist_max) {}
@@ -141,23 +140,7 @@ ShardedFlowSim::ShardedFlowSim(
       config_(config),
       fault_events_(std::move(fault_events)),
       degraded_(degraded) {
-  NBCLOS_REQUIRE(config.injection_rate >= 0.0 && config.injection_rate <= 1.0,
-                 "injection rate must be in [0, 1] flits/cycle");
-  NBCLOS_REQUIRE(config.packet_flits >= 1, "packets need at least one flit");
-  NBCLOS_REQUIRE(config.vcs >= 1 && config.vcs <= 32,
-                 "sharded engine supports 1..32 virtual channels (stall "
-                 "masks are 32 bits wide)");
-  if (config.switching == Switching::kVirtualCutThrough) {
-    NBCLOS_REQUIRE(config.buffer_flits >= config.packet_flits,
-                   "virtual cut-through buffers a whole packet per FIFO: "
-                   "buffer_flits must be >= packet_flits");
-  }
-  if (config.backpressure == Backpressure::kOnOff) {
-    NBCLOS_REQUIRE(
-        config.buffer_flits >= config.head_reservation_flits() + 1,
-        "on/off signaling needs one slot of slack beyond the head "
-        "reservation (see onoff_off_threshold)");
-  }
+  config.validate();
   NBCLOS_REQUIRE(degraded == nullptr || &degraded->network() == net_,
                  "degraded view was built over a different network");
   NBCLOS_REQUIRE(fault_events_.empty() || degraded != nullptr,
@@ -849,14 +832,8 @@ bool ShardedFlowSim::local_credit_conservation_holds(Shard& sh) const {
 void ShardedFlowSim::run_shard(std::uint32_t s) {
   try {
     Shard& sh = *shards_[s];
-    if (config_.pin_shards && !numa_.pin_order.empty()) {
-      sh.pinned =
-          sim::pin_current_thread(numa_.pin_order[s % numa_.pin_order.size()])
-              ? 1
-              : 0;
-    }
     // First-touch: the arena is allocated here, on the worker's own
-    // thread (after pinning), so its pages land on this node.
+    // thread, so its pages land on the node the worker runs on.
     init_shard_arena(s);
     sh.numa_node = sim::current_numa_node(numa_);
     const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
@@ -894,13 +871,7 @@ FlowResult ShardedFlowSim::run() {
   for (std::uint32_t s = 1; s < plan_.shard_count; ++s) {
     workers.emplace_back([this, s] { run_shard(s); });
   }
-  // With pinning, shard 0 gets its own thread too — running it inline
-  // would permanently re-pin the caller's thread.
-  if (config_.pin_shards) {
-    workers.emplace_back([this] { run_shard(0); });
-  } else {
-    run_shard(0);
-  }
+  run_shard(0);
   for (auto& worker : workers) worker.join();
   sync_->rethrow_if_failed();
 
@@ -1133,10 +1104,8 @@ ArenaStats ShardedFlowSim::arena_stats() const noexcept {
       stats.flit_arena_bytes += sh.pool->bytes();
       stats.resident_slots += sh.pool->resident_slots();
       stats.peak_slots += sh.pool->peak_slots();
-      stats.spill_bytes += sh.pool->spill_bytes();
     }
     stats.packet_arena_bytes += sh.packets.bytes();
-    stats.spill_bytes += sh.packets.spill_bytes();
   }
   return stats;
 }

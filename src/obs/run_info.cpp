@@ -94,7 +94,6 @@ void RunInfo::write_json(JsonWriter& writer) const {
   writer.member("threads", threads);
   writer.member("hardware_concurrency", hardware_concurrency);
   writer.member("numa_nodes", numa_nodes);
-  writer.member("pin_threads", pin_threads);
   writer.member("wall_seconds", wall_seconds);
   writer.member("shards", shards);
   writer.member("peak_rss_kb", peak_rss_kb);

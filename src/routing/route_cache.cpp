@@ -62,11 +62,6 @@ void RouteCache::note_lookups(std::uint64_t n) {
 
 ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
     : net_(&net) {
-  // Optional mmap spill for tables that exceed RAM (NBCLOS_MMAP_CACHE).
-  if (const auto dir = U32Store::mmap_cache_dir()) {
-    offsets_ = U32Store(*dir);
-    channels_ = U32Store(*dir);
-  }
   const auto terminal_vertices = net.terminals();
   terminals_ = static_cast<std::uint32_t>(terminal_vertices.size());
   terminal_index_.assign(net.vertex_count(), kNotATerminal);

@@ -121,32 +121,10 @@ NumaTopology NumaTopology::detect() {
     ++nodes_seen;
   }
   topo.node_count = std::max<std::uint32_t>(nodes_seen, 1);
-
-  // Pin order: available cpus, node-major, cpu ids ascending within a
-  // node — shard s pins to pin_order[s % size], spreading consecutive
-  // shards across a node's cpus before spilling to the next node.
-  topo.pin_order = available;
-  std::stable_sort(topo.pin_order.begin(), topo.pin_order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return topo.node_of_cpu[a] < topo.node_of_cpu[b];
-                   });
 #else
   topo.node_of_cpu.assign(1, 0);
-  topo.pin_order.assign(1, 0);
 #endif
   return topo;
-}
-
-bool pin_current_thread(std::uint32_t cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % CPU_SETSIZE, &set);
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 std::uint32_t current_numa_node(const NumaTopology& topo) {

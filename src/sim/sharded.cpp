@@ -51,7 +51,6 @@ struct ShardedSim::Shard {
   std::optional<fault::DegradedView> degraded;
   std::size_t next_fault = 0;
   std::uint32_t numa_node = 0;  ///< node the worker ran (and touched) on
-  std::uint8_t pinned = 0;
 
   // Phase scratch.
   std::vector<Proposal> local_props;  ///< proposals targeting this shard
@@ -120,8 +119,8 @@ ShardedSim::ShardedSim(const Network& net, const ShardRouter& router,
 
   // Shard objects carry only metadata here; the heavy arena vectors are
   // allocated (and thus first-touched) inside each worker thread in
-  // run_shard, so with pinning enabled every arena's pages land on the
-  // worker's own NUMA node.
+  // run_shard, so every arena's pages land on the NUMA node its worker
+  // runs on.
   shards_.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>(total);
@@ -528,14 +527,8 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
 void ShardedSim::run_shard(std::uint32_t s) {
   try {
     Shard& sh = *shards_[s];
-    if (config_.pin_shards && !numa_.pin_order.empty()) {
-      sh.pinned =
-          pin_current_thread(numa_.pin_order[s % numa_.pin_order.size()])
-              ? 1
-              : 0;
-    }
     // First-touch: the arena vectors are allocated here, on the worker's
-    // own thread (after pinning), so their pages land on this node.
+    // own thread, so their pages land on the node the worker runs on.
     init_shard_arena(s);
     sh.numa_node = current_numa_node(numa_);
     const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
@@ -591,13 +584,7 @@ SimResult ShardedSim::run() {
   for (std::uint32_t s = 1; s < plan_.shard_count; ++s) {
     workers.emplace_back([this, s] { run_shard(s); });
   }
-  // With pinning, shard 0 gets its own thread too — running it inline
-  // would permanently re-pin the caller's thread.
-  if (config_.pin_shards) {
-    workers.emplace_back([this] { run_shard(0); });
-  } else {
-    run_shard(0);
-  }
+  run_shard(0);
   for (auto& worker : workers) worker.join();
   sync_->rethrow_if_failed();
 
@@ -757,8 +744,8 @@ void ShardedSim::flush_obs(double wall_seconds) {
     const Shard& sh = *shard;
     m.gauge("sim.sharded.shard." + std::to_string(sh.index) + ".depth_sum")
         .set(static_cast<std::int64_t>(sh.switch_depth_sum));
-    // Arena node residency: with pinning + first-touch this is the node
-    // the shard's arena pages live on.
+    // Arena node residency: with first-touch this is the node the
+    // shard's arena pages live on.
     m.gauge("sim.sharded.shard." + std::to_string(sh.index) + ".numa_node")
         .set(static_cast<std::int64_t>(sh.numa_node));
     // Sampled epoch-barrier wait: mean ns per sampled cycle, per shard.

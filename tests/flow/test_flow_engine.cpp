@@ -5,7 +5,6 @@
 ///        storage substrate (FlitBufferPool / CreditLedger / OnOffSignal).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -443,48 +442,6 @@ TEST(OnOffSignalUnit, LatchesFromOccupancyWithThreshold) {
 TEST(OnOffSignalUnit, RejectsZeroThreshold) {
   FlitBufferPool pool(1, 0, 4);
   EXPECT_THROW(OnOffSignal(pool, 0), precondition_error);
-}
-
-// --- mmap spill ----------------------------------------------------------
-
-TEST(MmapSpill, SpilledArenasAreBitIdenticalToHeap) {
-  // The same run, once on heap arenas and once with every FlatStore
-  // spilled to unlinked temp files: storage placement must be invisible
-  // to the simulation.  The env var is only read at pool construction,
-  // so scoping it around the engine is race-free in this serial test.
-  const FoldedClos ft(FtreeParams{2, 4, 3});
-  const Network net = build_network(ft);
-  const YuanNonblockingRouting yuan(ft);
-  const auto cache = make_cache(ft, net, yuan);
-  const auto traffic = sim::TrafficPattern::permutation(
-      shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
-  FlowConfig config;
-  config.injection_rate = 0.7;
-  config.warmup_cycles = 200;
-  config.measure_cycles = 800;
-  config.seed = 99;
-  config.counter_injection = true;
-
-  FlowSim heap_sim(cache, traffic, config);
-  const auto heap_result = heap_sim.run();
-  EXPECT_EQ(heap_sim.arena_stats().spill_bytes, 0U);
-
-  ASSERT_EQ(setenv("NBCLOS_MMAP_CACHE", "1", 1), 0);
-  FlowSim spill_sim(cache, traffic, config);
-  unsetenv("NBCLOS_MMAP_CACHE");
-  const auto spill_result = spill_sim.run();
-  EXPECT_GT(spill_sim.arena_stats().spill_bytes, 0U);
-
-  EXPECT_EQ(heap_result.accepted_throughput, spill_result.accepted_throughput);
-  EXPECT_EQ(heap_result.injected_packets, spill_result.injected_packets);
-  EXPECT_EQ(heap_result.delivered_packets, spill_result.delivered_packets);
-  EXPECT_EQ(heap_result.mean_latency, spill_result.mean_latency);
-  EXPECT_EQ(heap_result.p99_latency, spill_result.p99_latency);
-  EXPECT_EQ(heap_result.credit_stall_cycles, spill_result.credit_stall_cycles);
-  EXPECT_EQ(heap_result.vc_stall_cycles, spill_result.vc_stall_cycles);
-  EXPECT_EQ(heap_result.peak_buffer_flits, spill_result.peak_buffer_flits);
-  EXPECT_EQ(heap_result.peak_live_packets, spill_result.peak_live_packets);
-  EXPECT_EQ(heap_result.deadlocked, spill_result.deadlocked);
 }
 
 // --- pure route sources --------------------------------------------------

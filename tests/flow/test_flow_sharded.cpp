@@ -152,9 +152,14 @@ TEST_F(FlowSharded, BitIdenticalMultiVcUniformTraffic) {
   check_all_shard_counts(config);
 }
 
-TEST_F(FlowSharded, BitIdenticalWithPinning) {
+/// Both engines share one VC limit: 32, the width of the sharded
+/// engine's stall masks.
+TEST_F(FlowSharded, BothEnginesShareTheVcLimit) {
   FlowConfig config = base_config();
-  config.pin_shards = true;
+  config.vcs = 33;
+  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(ShardedFlowSim(cache, traffic, config, 2), precondition_error);
+  config.vcs = 32;
   check_all_shard_counts(config);
 }
 

@@ -257,7 +257,6 @@ def validate_flow_mt(doc):
         bpt = require(point, "bytes_per_terminal", (int, float))
         require(point, "resident_slots", int)
         require(point, "peak_slots", int)
-        require(point, "spill_bytes", int)
         if require(point, "deadlocked", bool):
             fail(f"scale {topo}: run deadlocked")
         if not require(point, "within_budget", bool) or bpt > budget:

@@ -368,6 +368,9 @@ int cmd_simulate(std::vector<std::string> args) {
   config.injection_rate = load;
   config.warmup_cycles = 2000;
   config.measure_cycles = 8000;
+  // The sharded engine's only mode; using it on the serial path too keeps
+  // the output independent of --shards.
+  config.counter_injection = true;
   config.record_timeseries = !g_timeseries_out.empty();
 
   // Sharded engine (or any k-ary run — its routing is already a pure
@@ -482,6 +485,11 @@ int cmd_flow_sim(std::vector<std::string> args) {
       throw std::invalid_argument("unknown flag: " + flag);
     }
   }
+  if (const char* reason = config.invalid_reason()) {
+    std::cerr << "nbclos flow-sim: " << reason << "\n";
+    return usage();
+  }
+  config.counter_injection = true;  // as in cmd_simulate
 
   std::unique_ptr<nbclos::FoldedClos> ft;
   const nbclos::Network net = [&] {
@@ -535,7 +543,6 @@ int cmd_flow_sim(std::vector<std::string> args) {
   nbclos::flow::DeadlockForensics forensics;
   nbclos::flow::ArenaStats arena{};
   if (shards.has_value()) {
-    config.counter_injection = true;  // the sharded engine's only mode
     nbclos::flow::ShardedFlowSim sim(routes, traffic, config, *shards);
     result = sim.run();
     stash_recorder(sim.recorder());
@@ -629,7 +636,6 @@ int cmd_flow_sim(std::vector<std::string> args) {
               static_cast<std::uint64_t>(arena.packet_arena_bytes));
     jw.member("resident_slab_slots", arena.resident_slots);
     jw.member("peak_slab_slots", arena.peak_slots);
-    jw.member("spill_bytes", static_cast<std::uint64_t>(arena.spill_bytes));
     jw.end_object();
     jw.key("manifest");
     auto manifest = nbclos::obs::RunInfo::current();
@@ -751,6 +757,7 @@ int cmd_load_sweep(std::vector<std::string> args) {
   nbclos::sim::SimConfig config;
   config.warmup_cycles = 2000;
   config.measure_cycles = 8000;
+  config.counter_injection = true;  // as in cmd_simulate
 
   std::vector<nbclos::sim::SimResult> results;
   std::string engine_note;
