@@ -69,22 +69,6 @@ double best_seconds(int reps, Fn&& fn) {
 
 constexpr int kTimingReps = 3;
 
-/// Flatten a single-path routing into the channel cache FlowSim drives.
-std::shared_ptr<const nbclos::routing::ChannelRouteCache> make_cache(
-    const nbclos::FoldedClos& ft, const nbclos::Network& net,
-    const nbclos::SinglePathRouting& routing) {
-  return std::make_shared<const nbclos::routing::ChannelRouteCache>(
-      net, [&](nbclos::SDPair sd) {
-        nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// Flatten the NONBLOCKINGADAPTIVE schedule for `pattern` into a channel
 /// cache: scheduled pairs take their adaptive path, everything else (no
 /// traffic under this pattern) falls back to the Theorem 3 route.
@@ -185,8 +169,8 @@ int main(int argc, char** argv) {
       std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
     };
     const std::vector<RoutingCase> routings = {
-        {"thm3", make_cache(ft, net, yuan)},
-        {"dmodk", make_cache(ft, net, dmodk)},
+        {"thm3", nbclos::routing::ChannelRouteCache::materialize(net, yuan)},
+        {"dmodk", nbclos::routing::ChannelRouteCache::materialize(net, dmodk)},
         {"adaptive", make_adaptive_cache(ft, net, yuan, pattern)},
     };
 

@@ -83,21 +83,6 @@ double best_seconds(int reps, Fn&& fn) {
 
 constexpr int kTimingReps = 3;
 
-std::shared_ptr<const routing::ChannelRouteCache> make_ftree_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// Every FlowResult field — the same contract the golden tests assert
 /// with EXPECT_EQ, restated as one predicate for the bench verdict.
 bool identical(const flow::FlowResult& a, const flow::FlowResult& b) {
@@ -182,7 +167,7 @@ int main(int argc, char** argv) {
     std::uint32_t terminals = 0;
     if (is_ftree) {
       yuan = std::make_unique<YuanNonblockingRouting>(*ftree);
-      cache = make_ftree_cache(*ftree, net, *yuan);
+      cache = routing::ChannelRouteCache::materialize(net, *yuan);
       terminals = ftree->leaf_count();
     } else {
       const KaryTreeRouter router(net, c.kary_k, c.kary_h);
@@ -339,9 +324,7 @@ int main(int argc, char** argv) {
       const auto terminals =
           static_cast<std::uint32_t>(net.terminals().size());
       const auto routes =
-          std::make_shared<const flow::PureRouteSource>(
-              net, std::make_shared<const sim::KaryDmodkRouter>(net, p.k,
-                                                                p.h));
+          std::make_shared<const sim::KaryDmodkRouter>(net, p.k, p.h);
       const auto traffic = sim::TrafficPattern::permutation(
           shift_permutation(terminals, 7), terminals);
       flow::FlowConfig config;
@@ -394,7 +377,7 @@ int main(int argc, char** argv) {
       json.member("terminals", terminals);
       json.member("channels",
                   static_cast<std::uint64_t>(net.channel_count()));
-      json.member("route_source", routes->label());
+      json.member("route_source", routes->name());
       json.member("route_bytes", static_cast<std::uint64_t>(routes->bytes()));
       json.member("seconds", secs);
       json.member("cycles_per_sec", total_cycles / secs);
@@ -423,8 +406,8 @@ int main(int argc, char** argv) {
       const Network net = build_kary_ntree(k, h);
       const auto terminals =
           static_cast<std::uint32_t>(net.terminals().size());
-      const auto routes = std::make_shared<const flow::PureRouteSource>(
-          net, std::make_shared<const sim::KaryDmodkRouter>(net, k, h));
+      const auto routes =
+          std::make_shared<const sim::KaryDmodkRouter>(net, k, h);
       const auto traffic = sim::TrafficPattern::permutation(
           shift_permutation(terminals, 7), terminals);
       analysis::BufferMarginConfig margin;
@@ -453,7 +436,7 @@ int main(int argc, char** argv) {
     const FoldedClos ftree(FtreeParams{4, 16, 16});
     const Network net = build_network(ftree);
     const YuanNonblockingRouting yuan(ftree);
-    const auto cache = make_ftree_cache(ftree, net, yuan);
+    const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
     const auto terminals = ftree.leaf_count();
     const auto traffic = sim::TrafficPattern::permutation(
         shift_permutation(terminals, 5), terminals);

@@ -15,7 +15,7 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   {
     const nbclos::MultiLevelFabric fabric(2, 3);
     const auto& net = fabric.network();
-    nbclos::sim::ExplicitPathOracle oracle(
-        net, [&fabric](nbclos::SDPair sd) { return fabric.route(sd); },
-        "multilevel");
+    const nbclos::routing::ChannelRouteCache cache(
+        net, [&fabric](nbclos::SDPair sd) { return fabric.route(sd); });
+    nbclos::sim::NextHopOracle oracle(cache);
     const auto pattern =
         nbclos::shift_permutation(fabric.port_count(), 7);
     const auto traffic = nbclos::sim::TrafficPattern::permutation(

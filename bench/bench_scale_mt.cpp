@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
       }
       return build_kary_ntree(c.kary_k, c.kary_h);
     }();
-    std::unique_ptr<ShardRouter> router;
+    std::unique_ptr<routing::NextHop> router;
     if (is_ftree) {
-      router = std::make_unique<FtreeDmodkRouter>(*ftree);
+      router = std::make_unique<FtreeDmodkRouter>(*ftree, net);
     } else {
       router = std::make_unique<KaryDmodkRouter>(net, c.kary_k, c.kary_h);
     }
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
       std::size_t arena_bytes = 0;
       for (int rep = 0; rep < c.reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        ShardedSim sim(net, *router, traffic, config, shards);
+        ShardedSim sim(*router, traffic, config, shards);
         result = sim.run();
         const double secs = seconds_since(t0);
         if (secs < best) best = secs;

@@ -64,12 +64,7 @@ struct BufferMarginResult {
 /// fully determined by its config, so the result is identical at any
 /// thread count.
 [[nodiscard]] BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const flow::RouteSource>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    ThreadPool* pool = nullptr);
-/// Route-cache convenience overload (wraps a CacheRouteSource).
-[[nodiscard]] BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     ThreadPool* pool = nullptr);
 
@@ -84,12 +79,7 @@ struct BufferMarginResult {
 /// radix 16 — where one probe is minutes, not seconds — the margin of a
 /// 12-point grid costs 4 probes.
 [[nodiscard]] BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const flow::RouteSource>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    std::uint32_t shards = 1);
-/// Route-cache convenience overload (wraps a CacheRouteSource).
-[[nodiscard]] BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     std::uint32_t shards = 1);
 

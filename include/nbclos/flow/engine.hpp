@@ -17,7 +17,7 @@
 ///     flit transmitted on c lands one cycle later in the downstream
 ///     FIFO its packet holds, or is ejected if dst(c) is a terminal;
 ///   * a head flit must first allocate a downstream (channel, VC):
-///     the route comes from the shared flow::RouteSource (a
+///     the route comes from the shared routing::NextHop (a
 ///     ChannelRouteCache table or a pure O(1) router), the
 ///     VC from a first-free scan starting at the packet's current VC,
 ///     and the VC is *claimed* until the tail flit arrives — packets
@@ -56,10 +56,9 @@
 #include "nbclos/flow/buffers.hpp"
 #include "nbclos/flow/config.hpp"
 #include "nbclos/flow/credits.hpp"
-#include "nbclos/flow/route_source.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/metrics.hpp"
-#include "nbclos/routing/route_cache.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/prng.hpp"
@@ -164,8 +163,11 @@ void finalize_forensics(DeadlockForensics& forensics);
 
 class FlowSim {
  public:
-  /// The cache pins the Network and the routing; it is shared read-only
-  /// across the sweep workers, so it arrives as a shared_ptr.
+  /// `routes` pins the Network and the routing; it is shared read-only
+  /// across the sweep workers, so it arrives as a shared_ptr.  A
+  /// `ChannelRouteCache` works at any size its O(T^2) table fits; a pure
+  /// router (e.g. `sim::KaryDmodkRouter`) builds no pair table, which is
+  /// the only way a 10^6-terminal run fits.
   ///
   /// Optional faults: `degraded` seeds a PRIVATE copy of the liveness
   /// mask (the caller's view is never mutated — unlike PacketSim) and
@@ -175,15 +177,7 @@ class FlowSim {
   /// flit whose route leads into a dead channel stalls as a credit
   /// block, and only injection onto a dead NIC uplink drops the packet
   /// (FlowResult::dropped_packets).
-  FlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
-          const sim::TrafficPattern& traffic, FlowConfig config,
-          const fault::DegradedView* degraded = nullptr,
-          std::vector<fault::FaultEvent> fault_events = {});
-
-  /// Same engine over any RouteSource — with a PureRouteSource this is
-  /// the only constructor that works at 10^6 terminals (no O(T^2) pair
-  /// table is ever built).
-  FlowSim(std::shared_ptr<const RouteSource> routes,
+  FlowSim(std::shared_ptr<const routing::NextHop> routes,
           const sim::TrafficPattern& traffic, FlowConfig config,
           const fault::DegradedView* degraded = nullptr,
           std::vector<fault::FaultEvent> fault_events = {});
@@ -274,7 +268,7 @@ class FlowSim {
   /// trip (the run loop has stopped; all state is final).
   void capture_forensics();
 
-  std::shared_ptr<const RouteSource> routes_;
+  std::shared_ptr<const routing::NextHop> routes_;
   const Network* net_;
   const sim::TrafficPattern* traffic_;
   FlowConfig config_;
@@ -383,13 +377,7 @@ class FlowSim {
 /// Each run is fully determined by its config, so the results are
 /// field-for-field identical at any thread count.
 [[nodiscard]] std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const FlowConfig& base,
-    const std::vector<double>& rates, ThreadPool* pool);
-
-/// RouteSource-generic sweep (the cache overload wraps and delegates).
-[[nodiscard]] std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const RouteSource>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const FlowConfig& base,
     const std::vector<double>& rates, ThreadPool* pool);
 

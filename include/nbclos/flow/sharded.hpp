@@ -49,7 +49,7 @@
 ///      miss deadlocks whose cycle spans the cut).
 ///
 /// Determinism contract: routing through the shared read-only
-/// `RouteSource` (a `ChannelRouteCache` table or a pure arithmetic
+/// `routing::NextHop` (a `ChannelRouteCache` table or a pure arithmetic
 /// router — both deterministic), counter-based injection, exact
 /// integer statistic merges, and per-executor ascending channel order
 /// (all cross-channel interaction within a cycle — claims, credit
@@ -68,7 +68,7 @@
 #include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/flow/config.hpp"
 #include "nbclos/flow/engine.hpp"
-#include "nbclos/routing/route_cache.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/sim/shard_exchange.hpp"
 #include "nbclos/sim/traffic.hpp"
 
@@ -87,13 +87,7 @@ class ShardedFlowSim {
   /// PRIVATE DegradedView copy per shard (the same `fault_events`
   /// schedule is applied to every copy at the same cycles, so they never
   /// diverge).  Injection always uses the counter-based RNG.
-  ShardedFlowSim(std::shared_ptr<const RouteSource> routes,
-                 const sim::TrafficPattern& traffic, FlowConfig config,
-                 std::uint32_t shards,
-                 const fault::DegradedView* degraded = nullptr,
-                 std::vector<fault::FaultEvent> fault_events = {});
-  /// Historical entry point: wrap the route cache in a CacheRouteSource.
-  ShardedFlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
+  ShardedFlowSim(std::shared_ptr<const routing::NextHop> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  std::uint32_t shards,
                  const fault::DegradedView* degraded = nullptr,
@@ -208,7 +202,7 @@ class ShardedFlowSim {
   /// have joined) into one global forensics report.
   void capture_forensics();
 
-  std::shared_ptr<const RouteSource> routes_;
+  std::shared_ptr<const routing::NextHop> routes_;
   const Network* net_;
   const sim::TrafficPattern* traffic_;
   FlowConfig config_;

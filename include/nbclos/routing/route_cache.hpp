@@ -10,8 +10,8 @@
 /// again.  Two caches cover the library's two path vocabularies:
 ///
 ///   * RouteCache        — ftree LinkId runs for FoldedClos routings;
-///   * ChannelRouteCache — Network channel runs with dense next-hop
-///                         lookup for the packet simulator.
+///   * ChannelRouteCache — Network channel runs behind the `NextHop`
+///                         interface every simulation engine replays.
 ///
 /// Both use the same memory layout: one contiguous `uint32_t` link array
 /// holding every pair's run back to back, plus a CSR offsets table
@@ -27,10 +27,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/check.hpp"
@@ -108,9 +110,10 @@ class RouteCache {
 };
 
 /// All terminal-pair channel runs of a Network routing, flattened with
-/// the same CSR layout, plus the dense next-hop lookup the packet
-/// simulator needs (replacing the old per-hop hash map).
-class ChannelRouteCache {
+/// the same CSR layout — the table-backed `NextHop` every engine can
+/// replay (the O(1) routers in sim/shard_router.hpp are the table-free
+/// ones).
+class ChannelRouteCache final : public NextHop {
  public:
   /// Route function over terminal *indices* (positions in
   /// net.terminals()) — the same signature as analysis'
@@ -122,7 +125,15 @@ class ChannelRouteCache {
   /// chaining) and flattens the channel runs.
   ChannelRouteCache(const Network& net, const RouteFn& route);
 
-  [[nodiscard]] const Network& network() const noexcept { return *net_; }
+  /// Snapshot a healthy ftree routing over `net` = build_network(ftree):
+  /// channel ids are LinkId values, so each pair's run is its link run.
+  /// Shared because every engine replays it read-only.
+  [[nodiscard]] static std::shared_ptr<const ChannelRouteCache> materialize(
+      const Network& net, const SinglePathRouting& routing);
+
+  [[nodiscard]] const Network& network() const noexcept override {
+    return *net_;
+  }
   [[nodiscard]] std::uint32_t terminal_count() const noexcept {
     return terminals_;
   }
@@ -137,90 +148,30 @@ class ChannelRouteCache {
     return {channels_.data() + begin, offsets_[pair + 1] - begin};
   }
 
-  /// The outgoing channel of the (src, dst) flow at `vertex` — a walk of
-  /// the pair's contiguous run (paths have <= 2·levels hops).  `src` and
-  /// `dst` are vertex ids of terminals, as carried by sim::Packet.
-  [[nodiscard]] std::uint32_t next_channel_from(std::uint32_t vertex,
-                                                std::uint32_t src,
-                                                std::uint32_t dst) const;
+  /// A walk of the pair's contiguous run (paths have <= 2·levels hops).
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
 
   /// Total (pair, hop) entries — what the old hash map counted.
   [[nodiscard]] std::size_t entry_count() const noexcept {
     return channels_.size();
   }
-  [[nodiscard]] std::size_t bytes() const noexcept {
+  [[nodiscard]] std::size_t bytes() const noexcept override {
     return (channels_.capacity() + offsets_.capacity() +
             terminal_index_.capacity()) *
            sizeof(std::uint32_t);
   }
-
-  static constexpr std::uint32_t kNotATerminal = UINT32_MAX;
-
-  /// Terminal index of a vertex (kNotATerminal for switches).  Exposed
-  /// for the per-shard views, which share this mapping.
-  [[nodiscard]] std::uint32_t terminal_index(std::uint32_t vertex) const {
-    NBCLOS_DEBUG_CHECK(vertex < terminal_index_.size(),
-                       "vertex id out of range");
-    return terminal_index_[vertex];
-  }
+  [[nodiscard]] std::string name() const override { return "route-cache"; }
 
  private:
+  static constexpr std::uint32_t kNotATerminal = UINT32_MAX;
+
   const Network* net_;
   std::uint32_t terminals_ = 0;
   std::vector<std::uint32_t> terminal_index_;  ///< vertex id -> terminal index
   std::vector<std::uint32_t> offsets_;         ///< terminals^2 + 1, src-major
   std::vector<std::uint32_t> channels_;        ///< all runs, back to back
-};
-
-/// Per-shard CSR slice of a ChannelRouteCache: for every terminal pair,
-/// only the path channels whose SOURCE vertex is owned by one shard of a
-/// contiguous vertex partition.  A shard worker resolving next hops for
-/// the vertices it owns touches exactly this view's arrays — a
-/// contiguous per-shard arena sized from (and reported like) the PR 5
-/// `route_cache.bytes` gauge, as `route_cache.shard.N.bytes`.
-class ShardRouteView {
- public:
-  /// \param vertex_begin contiguous partition boundaries over vertex ids
-  ///        (shard s owns [vertex_begin[s], vertex_begin[s+1])).
-  /// \param shard which slice to materialize.
-  ShardRouteView(const ChannelRouteCache& cache,
-                 std::span<const std::uint32_t> vertex_begin,
-                 std::uint32_t shard);
-
-  [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
-
-  /// Channel subrun of terminal-index pair (s, d) owned by this shard.
-  [[nodiscard]] std::span<const std::uint32_t> channels(std::uint32_t s,
-                                                        std::uint32_t d) const {
-    NBCLOS_DEBUG_CHECK(s < terminals_ && d < terminals_,
-                       "terminal pair out of range");
-    const std::size_t pair = std::size_t{s} * terminals_ + d;
-    const std::uint32_t begin = offsets_[pair];
-    return {channels_.data() + begin, offsets_[pair + 1] - begin};
-  }
-
-  /// Same contract as ChannelRouteCache::next_channel_from, restricted
-  /// to hops departing from this shard's vertices.  \pre `vertex` is
-  /// owned by this shard and lies on the pair's path.
-  [[nodiscard]] std::uint32_t next_channel_from(std::uint32_t vertex,
-                                                std::uint32_t src,
-                                                std::uint32_t dst) const;
-
-  [[nodiscard]] std::size_t entry_count() const noexcept {
-    return channels_.size();
-  }
-  [[nodiscard]] std::size_t bytes() const noexcept {
-    return channels_.capacity() * sizeof(std::uint32_t) +
-           offsets_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  const ChannelRouteCache* cache_;
-  const Network* net_;
-  std::uint32_t terminals_ = 0;
-  std::uint32_t shard_ = 0;
-  std::vector<std::uint32_t> offsets_;   ///< terminals^2 + 1, src-major
-  std::vector<std::uint32_t> channels_;  ///< owned subruns, back to back
 };
 
 }  // namespace nbclos::routing

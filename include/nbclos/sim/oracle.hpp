@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/routing/table.hpp"
 #include "nbclos/sim/packet.hpp"
 #include "nbclos/topology/network.hpp"
@@ -85,6 +86,29 @@ class FtreeOracle final : public RoutingOracle {
   // Accumulated locally (one plain increment on the hot path) and flushed
   // to the obs registry once, on destruction.
   std::uint64_t uplink_decisions_ = 0;
+};
+
+/// Runs any pure `routing::NextHop` — a `ChannelRouteCache` or an O(1)
+/// router — in PacketSim.  With the router a ShardedSim run uses, the
+/// two engines take identical paths (the cross-engine golden tests).
+class NextHopOracle final : public RoutingOracle {
+ public:
+  /// \param next_hop not owned; must outlive the oracle.
+  explicit NextHopOracle(const routing::NextHop& next_hop)
+      : next_hop_(&next_hop) {}
+
+  [[nodiscard]] std::string name() const override {
+    return next_hop_->name();
+  }
+  [[nodiscard]] std::uint32_t next_channel(const SimView& /*view*/,
+                                           std::uint32_t vertex,
+                                           const Packet& packet) override {
+    return next_hop_->next_channel_from(vertex, packet.src_terminal,
+                                        packet.dst_terminal);
+  }
+
+ private:
+  const routing::NextHop* next_hop_;
 };
 
 /// Oracle for the single crossbar from build_crossbar().

@@ -1,28 +1,26 @@
 /// \file shard_router.hpp
-/// \brief Pure (stateless, thread-safe) next-hop providers for the
-///        sharded simulation engine.
+/// \brief O(1) pure `routing::NextHop` routers: no per-pair state.
 ///
-/// `ShardedSim` consults the router concurrently from every shard
-/// worker, so the routing decision must be a pure function of
-/// (vertex, packet): no SimView, no internal RNG, no mutation.  That
-/// rules out the adaptive and random `RoutingOracle` policies by design
-/// — a distributed simulation can only be bit-identical to a serial one
-/// when per-hop decisions do not depend on global queue state.  Three
-/// routers cover the library's deterministic policies:
+/// Every sharded worker consults its router concurrently, so routing
+/// must be a pure function of (vertex, src, dst): no SimView, no
+/// internal RNG, no mutation.  That rules out the adaptive and random
+/// `RoutingOracle` policies by design — a distributed simulation can
+/// only be bit-identical to a serial one when per-hop decisions do not
+/// depend on global queue state.  Beside the table-backed
+/// `routing::ChannelRouteCache`, three arithmetic routers cover the
+/// library's deterministic policies without materializing any table
+/// (the per-pair cache is O(T^2) and cannot exist at 10^6 terminals):
 ///
-///   * `KaryDmodkRouter`  — O(1) digit arithmetic on `build_kary_ntree`
-///     networks, reproducing `KaryTreeRouter::route` paths without
-///     materializing any table (the per-pair `ChannelRouteCache` is
-///     O(T^2) and simply cannot exist at 10^6 terminals);
-///   * `FtreeDmodkRouter` — O(1) index arithmetic on `build_network`
-///     ftree fabrics (d-mod-k uplinks, forced descent);
-///   * `CachedShardRouter` — replays any deterministic single-path
-///     routing from a shared read-only `ChannelRouteCache`, optionally
-///     through per-shard CSR views for arena locality.
+///   * `KaryDmodkRouter`  — digit arithmetic on `build_kary_ntree`
+///     networks, reproducing `KaryTreeRouter::route` paths;
+///   * `FtreeDmodkRouter` — index arithmetic on `build_network` ftree
+///     fabrics (d-mod-k uplinks, forced descent);
+///   * `RecursiveShardRouter` — the recursive Theorem 3 rule on a
+///     `MultiLevelFabric`.
 ///
-/// `ShardRouterOracle` adapts any ShardRouter to the `RoutingOracle`
-/// interface so `PacketSim` can run the *identical* policy — that is how
-/// the golden tests prove `ShardedSim(k) == PacketSim` bit-for-bit.
+/// `sim::NextHopOracle` (oracle.hpp) runs any of them in `PacketSim` —
+/// that is how the golden tests prove `ShardedSim(k) == PacketSim`
+/// bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +28,10 @@
 #include <vector>
 
 #include "nbclos/core/multilevel.hpp"
-#include "nbclos/routing/route_cache.hpp"
-#include "nbclos/sim/oracle.hpp"
-#include "nbclos/sim/packet.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/topology/network.hpp"
 
 namespace nbclos::sim {
-
-/// Pure next-hop interface: must be const, deterministic, and safe to
-/// call from any number of threads concurrently.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Outgoing channel for `packet` at `vertex` (a terminal source or a
-  /// switch), or fault::kNoRoute when the policy has no next hop.
-  [[nodiscard]] virtual std::uint32_t next_channel(
-      std::uint32_t vertex, const Packet& packet) const = 0;
-};
 
 /// Destination-keyed up*/down* routing on `build_kary_ntree(k, h)`
 /// networks in O(1) per hop, with zero per-pair state.
@@ -63,20 +47,24 @@ class ShardRouter {
 /// destination's edge switch lies in its subtree, i.e. all digits >= its
 /// level agree.  The resulting paths are exactly
 /// `KaryTreeRouter::route`'s (verified by tests/sim/test_shard_router).
-class KaryDmodkRouter final : public ShardRouter {
+class KaryDmodkRouter final : public routing::NextHop {
  public:
   /// \param net must have been produced by build_kary_ntree(k, h); the
   ///        constructor checks the vertex/channel census.
   KaryDmodkRouter(const Network& net, std::uint32_t k, std::uint32_t h);
 
+  [[nodiscard]] const Network& network() const override { return *net_; }
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
+  [[nodiscard]] std::size_t bytes() const override { return 0; }
   [[nodiscard]] std::string name() const override { return "kary-dmodk"; }
-  [[nodiscard]] std::uint32_t next_channel(
-      std::uint32_t vertex, const Packet& packet) const override;
 
   [[nodiscard]] std::uint32_t k() const noexcept { return k_; }
   [[nodiscard]] std::uint32_t height() const noexcept { return h_; }
 
  private:
+  const Network* net_;
   std::uint32_t k_ = 0;
   std::uint32_t h_ = 0;
   std::uint32_t terminals_ = 0;      ///< k^h
@@ -89,17 +77,22 @@ class KaryDmodkRouter final : public ShardRouter {
 /// uplink at a bottom switch is `dst mod m`, descent is forced.  Same
 /// paths as FtreeOracle's kDModK policy, without its decision counter
 /// (which would be a data race across shards).
-class FtreeDmodkRouter final : public ShardRouter {
+class FtreeDmodkRouter final : public routing::NextHop {
  public:
-  explicit FtreeDmodkRouter(const FoldedClos& ftree)
-      : ftree_(&ftree), map_{ftree.params()} {}
+  /// \param net must have been produced by build_network(ftree); the
+  ///        constructor checks the vertex/channel census.
+  FtreeDmodkRouter(const FoldedClos& ftree, const Network& net);
 
+  [[nodiscard]] const Network& network() const override { return *net_; }
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
+  [[nodiscard]] std::size_t bytes() const override { return 0; }
   [[nodiscard]] std::string name() const override { return "ftree-dmodk"; }
-  [[nodiscard]] std::uint32_t next_channel(
-      std::uint32_t vertex, const Packet& packet) const override;
 
  private:
   const FoldedClos* ftree_;
+  const Network* net_;
   FtreeNetworkMap map_;
 };
 
@@ -111,67 +104,25 @@ class FtreeDmodkRouter final : public ShardRouter {
 /// materialized `ChannelRouteCache`, needs no O(T^2) table.  The leaf
 /// index space of the fabric IS its terminal vertex id space (leaves are
 /// vertices 0..P-1), so packets address it directly.
-class RecursiveShardRouter final : public ShardRouter {
+class RecursiveShardRouter final : public routing::NextHop {
  public:
   /// \param fabric must outlive the router; its network must be the one
   ///        the simulation runs on.
   explicit RecursiveShardRouter(const MultiLevelFabric& fabric);
 
+  [[nodiscard]] const Network& network() const override { return *net_; }
+  /// fault::kNoRoute for a self pair or a vertex off the pair's path.
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
+  [[nodiscard]] std::size_t bytes() const override { return 0; }
   [[nodiscard]] std::string name() const override {
     return "multilevel-thm3";
   }
-  [[nodiscard]] std::uint32_t next_channel(
-      std::uint32_t vertex, const Packet& packet) const override;
 
  private:
   const MultiLevelFabric* fabric_;
   const Network* net_;
-};
-
-/// Replays a deterministic routing from a shared `ChannelRouteCache`.
-/// With per-shard views attached (see `attach_views`), each lookup is
-/// answered from the CSR slice owned by the vertex's shard — the arrays
-/// a worker touches are the ones sized for (and reported by) its
-/// `route_cache.shard.N.bytes` gauge.
-class CachedShardRouter final : public ShardRouter {
- public:
-  explicit CachedShardRouter(const routing::ChannelRouteCache& cache)
-      : cache_(&cache) {}
-
-  /// Build per-shard CSR views over the vertex partition
-  /// (`vertex_begin` has shard_count+1 entries).  Lookups for a vertex
-  /// then go through the view of the shard owning that vertex.
-  void attach_views(std::span<const std::uint32_t> vertex_begin);
-
-  [[nodiscard]] std::string name() const override { return "cached"; }
-  [[nodiscard]] std::uint32_t next_channel(
-      std::uint32_t vertex, const Packet& packet) const override;
-
-  [[nodiscard]] const std::vector<routing::ShardRouteView>& views() const {
-    return views_;
-  }
-
- private:
-  const routing::ChannelRouteCache* cache_;
-  std::vector<routing::ShardRouteView> views_;
-  std::vector<std::uint32_t> vertex_begin_;  ///< partition, when views exist
-};
-
-/// RoutingOracle adapter: lets PacketSim run the exact policy a
-/// ShardedSim run uses, for golden cross-engine comparisons.
-class ShardRouterOracle final : public RoutingOracle {
- public:
-  explicit ShardRouterOracle(const ShardRouter& router) : router_(&router) {}
-
-  [[nodiscard]] std::string name() const override { return router_->name(); }
-  [[nodiscard]] std::uint32_t next_channel(const SimView& /*view*/,
-                                           std::uint32_t vertex,
-                                           const Packet& packet) override {
-    return router_->next_channel(vertex, packet);
-  }
-
- private:
-  const ShardRouter* router_;
 };
 
 }  // namespace nbclos::sim

@@ -14,7 +14,7 @@
 /// `std::barrier` epochs (the Graphite phase-exchange idiom):
 ///
 ///   A. faults + arrivals: deliver terminal-bound packets, route the
-///      rest (pure `ShardRouter` — no shared state), and emit an
+///      rest (pure `routing::NextHop` — no shared state), and emit an
 ///      admission *proposal* per candidate to the owner of the chosen
 ///      next channel: a local list when the owner is this shard, else a
 ///      per-(src, dst)-shard SPSC mailbox;
@@ -41,8 +41,8 @@
 /// merged statistics use exact integer arithmetic (replayed in cycle
 /// order where PacketSim streams doubles), a run is **bit-identical at
 /// any shard count** and bit-identical to `PacketSim` run with
-/// `SimConfig::counter_injection` and the same `ShardRouter` (via
-/// `ShardRouterOracle`).  The golden tests in tests/sim/test_sharded.cpp
+/// `SimConfig::counter_injection` and the same `NextHop` (via
+/// `NextHopOracle`).  The golden tests in tests/sim/test_sharded.cpp
 /// assert every `SimResult` field with EXPECT_EQ.
 #pragma once
 
@@ -54,7 +54,7 @@
 #include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_exchange.hpp"
-#include "nbclos/sim/shard_router.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/stats.hpp"
@@ -73,14 +73,14 @@ class ShardedSim {
     std::uint64_t remaining_packets = 0;
   };
 
-  /// All references must outlive the simulator.  Unlike PacketSim the
-  /// router must be pure (see shard_router.hpp) and `degraded` is taken
+  /// All references must outlive the simulator; the network is the
+  /// router's.  Unlike PacketSim the router must be pure (see
+  /// next_hop.hpp) and `degraded` is taken
   /// by const reference: every shard keeps a private copy and applies
   /// the same `fault_events` schedule at the same cycles, so the copies
   /// never diverge.  Injection always uses the counter-based RNG.
-  ShardedSim(const Network& net, const ShardRouter& router,
-             const TrafficPattern& traffic, SimConfig config,
-             std::uint32_t shards,
+  ShardedSim(const routing::NextHop& router, const TrafficPattern& traffic,
+             SimConfig config, std::uint32_t shards,
              const fault::DegradedView* degraded = nullptr,
              std::vector<fault::FaultEvent> fault_events = {});
   ~ShardedSim();
@@ -145,7 +145,7 @@ class ShardedSim {
   void sample_recorder(Shard& sh, std::uint64_t now);
 
   const Network* net_;
-  const ShardRouter* router_;
+  const routing::NextHop* router_;
   const TrafficPattern* traffic_;
   SimConfig config_;
   std::vector<fault::FaultEvent> fault_events_;  ///< sorted by cycle
@@ -180,9 +180,9 @@ class ShardedSim {
 /// (private degraded copies per shard), so results are independent of
 /// probe order and identical at any shard count.
 [[nodiscard]] std::vector<SimResult> load_sweep_sharded(
-    const Network& net, const ShardRouter& router,
-    const TrafficPattern& traffic, const SimConfig& base,
-    const std::vector<double>& rates, std::uint32_t shards,
+    const routing::NextHop& router, const TrafficPattern& traffic,
+    const SimConfig& base, const std::vector<double>& rates,
+    std::uint32_t shards,
     const fault::DegradedView* degraded = nullptr,
     const std::vector<fault::FaultEvent>& fault_events = {});
 

@@ -27,7 +27,7 @@ std::uint32_t min_feasible_depth(const flow::FlowConfig& base) {
 }  // namespace
 
 BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const flow::RouteSource>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     ThreadPool* pool) {
   NBCLOS_REQUIRE(!config.buffer_sizes.empty(),
@@ -84,7 +84,7 @@ BufferMarginResult buffer_margin_sweep(
 }
 
 BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const flow::RouteSource>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
     std::uint32_t shards) {
   NBCLOS_REQUIRE(!config.buffer_sizes.empty(),
@@ -159,26 +159,6 @@ BufferMarginResult buffer_margin_bisect(
   result.points.reserve(probed.size());
   for (auto& [index, point] : probed) result.points.push_back(point);
   return result;
-}
-
-BufferMarginResult buffer_margin_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    ThreadPool* pool) {
-  return buffer_margin_sweep(
-      std::static_pointer_cast<const flow::RouteSource>(
-          std::make_shared<const flow::CacheRouteSource>(routes)),
-      traffic, config, pool);
-}
-
-BufferMarginResult buffer_margin_bisect(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const BufferMarginConfig& config,
-    std::uint32_t shards) {
-  return buffer_margin_bisect(
-      std::static_pointer_cast<const flow::RouteSource>(
-          std::make_shared<const flow::CacheRouteSource>(routes)),
-      traffic, config, shards);
 }
 
 }  // namespace nbclos::analysis

@@ -28,15 +28,7 @@ constexpr std::uint64_t kStallHistCap = 1u << 20;
 
 }  // namespace
 
-FlowSim::FlowSim(std::shared_ptr<const routing::ChannelRouteCache> routes,
-                 const sim::TrafficPattern& traffic, FlowConfig config,
-                 const fault::DegradedView* degraded,
-                 std::vector<fault::FaultEvent> fault_events)
-    : FlowSim(std::static_pointer_cast<const RouteSource>(
-                  std::make_shared<const CacheRouteSource>(std::move(routes))),
-              traffic, config, degraded, std::move(fault_events)) {}
-
-FlowSim::FlowSim(std::shared_ptr<const RouteSource> routes,
+FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
                  const sim::TrafficPattern& traffic, FlowConfig config,
                  const fault::DegradedView* degraded,
                  std::vector<fault::FaultEvent> fault_events)
@@ -722,7 +714,7 @@ ArenaStats FlowSim::arena_stats() const {
 }
 
 std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const RouteSource>& routes,
+    const std::shared_ptr<const routing::NextHop>& routes,
     const sim::TrafficPattern& traffic, const FlowConfig& base,
     const std::vector<double>& rates, ThreadPool* pool) {
   std::vector<FlowResult> results(rates.size());
@@ -740,16 +732,6 @@ std::vector<FlowResult> flow_load_sweep(
     for (std::size_t i = 0; i < rates.size(); ++i) run_at(i);
   }
   return results;
-}
-
-std::vector<FlowResult> flow_load_sweep(
-    const std::shared_ptr<const routing::ChannelRouteCache>& routes,
-    const sim::TrafficPattern& traffic, const FlowConfig& base,
-    const std::vector<double>& rates, ThreadPool* pool) {
-  return flow_load_sweep(
-      std::static_pointer_cast<const RouteSource>(
-          std::make_shared<const CacheRouteSource>(routes)),
-      traffic, base, rates, pool);
 }
 
 }  // namespace nbclos::flow

@@ -119,18 +119,7 @@ struct ShardedFlowSim::Shard {
 };
 
 ShardedFlowSim::ShardedFlowSim(
-    std::shared_ptr<const routing::ChannelRouteCache> routes,
-    const sim::TrafficPattern& traffic, FlowConfig config,
-    std::uint32_t shards, const fault::DegradedView* degraded,
-    std::vector<fault::FaultEvent> fault_events)
-    : ShardedFlowSim(std::static_pointer_cast<const RouteSource>(
-                         std::make_shared<const CacheRouteSource>(
-                             std::move(routes))),
-                     traffic, config, shards, degraded,
-                     std::move(fault_events)) {}
-
-ShardedFlowSim::ShardedFlowSim(
-    std::shared_ptr<const RouteSource> routes,
+    std::shared_ptr<const routing::NextHop> routes,
     const sim::TrafficPattern& traffic, FlowConfig config,
     std::uint32_t shards, const fault::DegradedView* degraded,
     std::vector<fault::FaultEvent> fault_events)

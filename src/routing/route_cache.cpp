@@ -105,6 +105,18 @@ ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
   registry.gauge("route_cache.bytes").add(static_cast<std::int64_t>(bytes()));
 }
 
+std::shared_ptr<const ChannelRouteCache> ChannelRouteCache::materialize(
+    const Network& net, const SinglePathRouting& routing) {
+  const FoldedClos& ftree = routing.ftree();
+  return std::make_shared<const ChannelRouteCache>(net, [&](SDPair sd) {
+    LinkId run[FoldedClos::kMaxPathLinks];
+    const auto count = ftree.links_into(routing.route(sd), run);
+    std::vector<std::uint32_t> channels(count);
+    for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
+    return channels;
+  });
+}
+
 std::uint32_t ChannelRouteCache::next_channel_from(std::uint32_t vertex,
                                                    std::uint32_t src,
                                                    std::uint32_t dst) const {
@@ -118,50 +130,6 @@ std::uint32_t ChannelRouteCache::next_channel_from(std::uint32_t vertex,
     if (net_->channel_src(c) == vertex) return c;
   }
   NBCLOS_REQUIRE(false, "no next hop recorded for packet at this vertex");
-  return UINT32_MAX;  // unreachable
-}
-
-ShardRouteView::ShardRouteView(const ChannelRouteCache& cache,
-                               std::span<const std::uint32_t> vertex_begin,
-                               std::uint32_t shard)
-    : cache_(&cache), net_(&cache.network()),
-      terminals_(cache.terminal_count()), shard_(shard) {
-  NBCLOS_REQUIRE(vertex_begin.size() >= 2 && shard + 2 <= vertex_begin.size(),
-                 "shard outside the vertex partition");
-  const std::uint32_t lo = vertex_begin[shard];
-  const std::uint32_t hi = vertex_begin[shard + 1];
-  NBCLOS_REQUIRE(lo <= hi && hi <= net_->vertex_count(),
-                 "vertex partition boundaries out of range");
-  const std::uint64_t pairs = std::uint64_t{terminals_} * terminals_;
-  offsets_.reserve(pairs + 1);
-  offsets_.push_back(0);
-  for (std::uint32_t s = 0; s < terminals_; ++s) {
-    for (std::uint32_t d = 0; d < terminals_; ++d) {
-      for (const auto c : cache.channels(s, d)) {
-        const auto src_vertex = net_->channel_src(c);
-        if (src_vertex >= lo && src_vertex < hi) channels_.push_back(c);
-      }
-      offsets_.push_back(static_cast<std::uint32_t>(channels_.size()));
-    }
-  }
-  channels_.shrink_to_fit();
-  obs::metrics()
-      .gauge("route_cache.shard." + std::to_string(shard) + ".bytes")
-      .set(static_cast<std::int64_t>(bytes()));
-}
-
-std::uint32_t ShardRouteView::next_channel_from(std::uint32_t vertex,
-                                                std::uint32_t src,
-                                                std::uint32_t dst) const {
-  const auto s = cache_->terminal_index(src);
-  const auto d = cache_->terminal_index(dst);
-  NBCLOS_REQUIRE(s != ChannelRouteCache::kNotATerminal &&
-                     d != ChannelRouteCache::kNotATerminal,
-                 "packet endpoints are not terminals");
-  for (const auto c : channels(s, d)) {
-    if (net_->channel_src(c) == vertex) return c;
-  }
-  NBCLOS_REQUIRE(false, "no next hop owned by this shard at this vertex");
   return UINT32_MAX;  // unreachable
 }
 

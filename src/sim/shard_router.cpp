@@ -7,7 +7,7 @@ namespace nbclos::sim {
 
 KaryDmodkRouter::KaryDmodkRouter(const Network& net, std::uint32_t k,
                                  std::uint32_t h)
-    : k_(k), h_(h) {
+    : net_(&net), k_(k), h_(h) {
   NBCLOS_REQUIRE(k >= 2 && h >= 1, "k-ary n-tree needs k >= 2, h >= 1");
   std::uint64_t terminals = 1;
   powk_.reserve(h);
@@ -33,12 +33,12 @@ KaryDmodkRouter::KaryDmodkRouter(const Network& net, std::uint32_t k,
                  "mismatch");
 }
 
-std::uint32_t KaryDmodkRouter::next_channel(std::uint32_t vertex,
-                                            const Packet& packet) const {
+std::uint32_t KaryDmodkRouter::next_channel_from(std::uint32_t vertex,
+                                                 std::uint32_t /*src*/,
+                                                 std::uint32_t dst) const {
   // Terminal source: the only output is its uplink, channel 2*vertex.
   if (vertex < terminals_) return 2 * vertex;
 
-  const std::uint32_t dst = packet.dst_terminal;
   const std::uint32_t wd = dst / k_;  // destination edge-switch position
   const std::uint32_t idx = vertex - terminals_;
   const std::uint32_t level = idx / per_level_;
@@ -69,19 +69,33 @@ std::uint32_t KaryDmodkRouter::next_channel(std::uint32_t vertex,
   return inter_base_ + 2 * ((level * per_level_ + w) * k_ + d);
 }
 
-std::uint32_t FtreeDmodkRouter::next_channel(std::uint32_t vertex,
-                                             const Packet& packet) const {
+FtreeDmodkRouter::FtreeDmodkRouter(const FoldedClos& ftree, const Network& net)
+    : ftree_(&ftree), net_(&net), map_{ftree.params()} {
+  // The index arithmetic assumes build_network's numbering (channel id
+  // == LinkId value); verify the census so a mismatch fails up front.
+  NBCLOS_REQUIRE(net.finalized(), "network must be finalized");
+  NBCLOS_REQUIRE(net.vertex_count() ==
+                     std::uint64_t{ftree.leaf_count()} + ftree.r() + ftree.m(),
+                 "network is not build_network(ftree): vertex count mismatch");
+  NBCLOS_REQUIRE(net.channel_count() == ftree.link_count(),
+                 "network is not build_network(ftree): channel count "
+                 "mismatch");
+}
+
+std::uint32_t FtreeDmodkRouter::next_channel_from(std::uint32_t vertex,
+                                                  std::uint32_t /*src*/,
+                                                  std::uint32_t dst) const {
   const auto& ft = *ftree_;
-  const LeafId dst{packet.dst_terminal};
+  const LeafId leaf{dst};
   if (map_.is_terminal(vertex)) {
     return ft.leaf_up_link(LeafId{vertex}).value;
   }
   if (map_.is_top(vertex)) {
-    return ft.down_link(map_.top_of(vertex), ft.switch_of(dst)).value;
+    return ft.down_link(map_.top_of(vertex), ft.switch_of(leaf)).value;
   }
   const BottomId here = map_.bottom_of(vertex);
-  if (ft.switch_of(dst) == here) return ft.leaf_down_link(dst).value;
-  return ft.up_link(here, TopId{dst.value % ft.m()}).value;
+  if (ft.switch_of(leaf) == here) return ft.leaf_down_link(leaf).value;
+  return ft.up_link(here, TopId{dst % ft.m()}).value;
 }
 
 RecursiveShardRouter::RecursiveShardRouter(const MultiLevelFabric& fabric)
@@ -89,51 +103,16 @@ RecursiveShardRouter::RecursiveShardRouter(const MultiLevelFabric& fabric)
   NBCLOS_REQUIRE(net_->finalized(), "fabric network must be finalized");
 }
 
-std::uint32_t RecursiveShardRouter::next_channel(std::uint32_t vertex,
-                                                 const Packet& packet) const {
-  if (packet.src_terminal == packet.dst_terminal) return fault::kNoRoute;
+std::uint32_t RecursiveShardRouter::next_channel_from(std::uint32_t vertex,
+                                                      std::uint32_t src,
+                                                      std::uint32_t dst) const {
+  if (src == dst) return fault::kNoRoute;
   // The Theorem 3 path is fixed per SD pair; every vertex appears on it
   // at most once, so at most one path channel leaves `vertex`.
-  const auto path = fabric_->route(
-      {LeafId{packet.src_terminal}, LeafId{packet.dst_terminal}});
-  for (const auto c : path) {
+  for (const auto c : fabric_->route({LeafId{src}, LeafId{dst}})) {
     if (net_->channel_src(c) == vertex) return c;
   }
   return fault::kNoRoute;
-}
-
-void CachedShardRouter::attach_views(
-    std::span<const std::uint32_t> vertex_begin) {
-  NBCLOS_REQUIRE(vertex_begin.size() >= 2, "partition needs >= 1 shard");
-  views_.clear();
-  vertex_begin_.assign(vertex_begin.begin(), vertex_begin.end());
-  const auto shards = static_cast<std::uint32_t>(vertex_begin.size() - 1);
-  views_.reserve(shards);
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    views_.emplace_back(*cache_, vertex_begin, s);
-  }
-}
-
-std::uint32_t CachedShardRouter::next_channel(std::uint32_t vertex,
-                                              const Packet& packet) const {
-  if (views_.empty()) {
-    return cache_->next_channel_from(vertex, packet.src_terminal,
-                                     packet.dst_terminal);
-  }
-  // Owner of `vertex` in the contiguous partition: the last boundary <=
-  // vertex.  The partition covers every vertex, so the search is total.
-  std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(vertex_begin_.size()) - 1;
-  while (hi - lo > 1) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (vertex_begin_[mid] <= vertex) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return views_[lo].next_channel_from(vertex, packet.src_terminal,
-                                      packet.dst_terminal);
 }
 
 }  // namespace nbclos::sim

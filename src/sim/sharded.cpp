@@ -79,15 +79,16 @@ struct ShardedSim::Shard {
   explicit Shard(std::uint64_t latency_max) : latency_hist(latency_max) {}
 };
 
-ShardedSim::ShardedSim(const Network& net, const ShardRouter& router,
+ShardedSim::ShardedSim(const routing::NextHop& router,
                        const TrafficPattern& traffic, SimConfig config,
                        std::uint32_t shards,
                        const fault::DegradedView* degraded,
                        std::vector<fault::FaultEvent> fault_events)
-    : net_(&net), router_(&router), traffic_(&traffic), config_(config),
-      fault_events_(std::move(fault_events)),
+    : net_(&router.network()), router_(&router), traffic_(&traffic),
+      config_(config), fault_events_(std::move(fault_events)),
       packet_rate_(config.injection_rate /
                    static_cast<double>(config.packet_size)) {
+  const Network& net = *net_;
   NBCLOS_REQUIRE(net.finalized(), "network must be finalized");
   NBCLOS_REQUIRE(degraded == nullptr || &degraded->network() == &net,
                  "degraded view was built over a different network");
@@ -361,7 +362,8 @@ void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
       continue;
     }
     const std::uint32_t at = sh.channel_dst[li];
-    const auto next = router_->next_channel(at, fl.packet);
+    const auto next = router_->next_channel_from(at, fl.packet.src_terminal,
+                                                 fl.packet.dst_terminal);
     if (next == fault::kNoRoute || !channel_usable(sh, next)) {
       ++sh.dropped;
       fl.valid = false;
@@ -511,7 +513,8 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
     packet.size_flits = config_.packet_size;
     packet.injected_cycle = now;
     packet.flow_sequence = sh.flow_sequence[t - sh.term_lo]++;
-    const auto channel = router_->next_channel(t, packet);
+    const auto channel =
+        router_->next_channel_from(t, packet.src_terminal, packet.dst_terminal);
     ++sh.injected;
     if (channel == fault::kNoRoute || !channel_usable(sh, channel)) {
       ++sh.dropped;
@@ -759,9 +762,9 @@ void ShardedSim::flush_obs(double wall_seconds) {
 }
 
 std::vector<SimResult> load_sweep_sharded(
-    const Network& net, const ShardRouter& router,
-    const TrafficPattern& traffic, const SimConfig& base,
-    const std::vector<double>& rates, std::uint32_t shards,
+    const routing::NextHop& router, const TrafficPattern& traffic,
+    const SimConfig& base, const std::vector<double>& rates,
+    std::uint32_t shards,
     const fault::DegradedView* degraded,
     const std::vector<fault::FaultEvent>& fault_events) {
   NBCLOS_REQUIRE(fault_events.empty() || degraded != nullptr,
@@ -771,8 +774,7 @@ std::vector<SimResult> load_sweep_sharded(
   for (const double rate : rates) {
     SimConfig config = base;
     config.injection_rate = rate;
-    ShardedSim sim(net, router, traffic, config, shards, degraded,
-                   fault_events);
+    ShardedSim sim(router, traffic, config, shards, degraded, fault_events);
     results.push_back(sim.run());
   }
   return results;

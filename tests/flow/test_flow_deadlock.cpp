@@ -70,22 +70,6 @@ struct RingFabric {
   std::shared_ptr<const routing::ChannelRouteCache> cache;
 };
 
-/// Flatten a FoldedClos routing for the deadlock-freedom counterpart.
-std::shared_ptr<const routing::ChannelRouteCache> ftree_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// All four terminals flood their antipode: every route crosses two ring
 /// channels, so all four ring buffers acquire claims that wait on each
 /// other in a cycle.
@@ -181,7 +165,7 @@ TEST(FlowDeadlock, FoldedClosStaysDeadlockFreeUnderTightBuffers) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = ftree_cache(ft, net, yuan);
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
   FlowSim sim(cache, traffic, wedge_config());
@@ -197,7 +181,7 @@ TEST(FlowDeadlock, WatchdogDisabledStillTerminatesWhenTrafficDrains) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
-  const auto cache = ftree_cache(ft, net, yuan);
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 1), ft.leaf_count());
   FlowConfig config = wedge_config();

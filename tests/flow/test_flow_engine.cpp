@@ -10,11 +10,8 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/engine.hpp"
-#include "nbclos/flow/route_source.hpp"
-#include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
-#include "nbclos/sim/shard_router.hpp"
 
 namespace nbclos {
 namespace {
@@ -31,21 +28,6 @@ using flow::OnOffSignal;
 using flow::PacketPool;
 using flow::Switching;
 
-std::shared_ptr<const routing::ChannelRouteCache> make_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
-
 /// Small shared fabric: ftree(2+4, 3), Yuan routing, shift permutation.
 class FlowEngine : public ::testing::Test {
  protected:
@@ -53,7 +35,7 @@ class FlowEngine : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(make_cache(ft, net, yuan)),
+        cache(routing::ChannelRouteCache::materialize(net, yuan)),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -442,42 +424,6 @@ TEST(OnOffSignalUnit, LatchesFromOccupancyWithThreshold) {
 TEST(OnOffSignalUnit, RejectsZeroThreshold) {
   FlitBufferPool pool(1, 0, 4);
   EXPECT_THROW(OnOffSignal(pool, 0), precondition_error);
-}
-
-// --- pure route sources --------------------------------------------------
-
-TEST(PureRouteSourceFlow, MatchesRouteCacheOnKaryTree) {
-  // The same flow run through the O(T^2) table and the O(1) dmodk
-  // arithmetic: identical routes must mean identical results, which is
-  // what lets the scale bench drop the table entirely.
-  const Network net = build_kary_ntree(3, 3);
-  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-  const KaryTreeRouter table_router(net, 3, 3);
-  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) { return table_router.route(sd); });
-  const auto pure = std::make_shared<const flow::PureRouteSource>(
-      net, std::make_shared<const sim::KaryDmodkRouter>(net, 3, 3));
-  EXPECT_EQ(pure->bytes(), 0U);
-  const auto traffic = sim::TrafficPattern::permutation(
-      shift_permutation(terminals, 4), terminals);
-  FlowConfig config;
-  config.injection_rate = 0.3;
-  config.warmup_cycles = 200;
-  config.measure_cycles = 800;
-  config.seed = 7;
-  config.counter_injection = true;
-
-  FlowSim cached(cache, traffic, config);
-  const auto cached_result = cached.run();
-  FlowSim arith(pure, traffic, config);
-  const auto arith_result = arith.run();
-  EXPECT_EQ(cached_result.accepted_throughput,
-            arith_result.accepted_throughput);
-  EXPECT_EQ(cached_result.delivered_packets, arith_result.delivered_packets);
-  EXPECT_EQ(cached_result.mean_latency, arith_result.mean_latency);
-  EXPECT_EQ(cached_result.credit_stall_cycles,
-            arith_result.credit_stall_cycles);
-  EXPECT_EQ(cached_result.peak_buffer_flits, arith_result.peak_buffer_flits);
 }
 
 }  // namespace

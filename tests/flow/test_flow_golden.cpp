@@ -20,7 +20,6 @@
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
 
 namespace nbclos {
 namespace {
@@ -30,23 +29,6 @@ using flow::FlowResult;
 using flow::FlowSim;
 using sim::SimConfig;
 using sim::SimResult;
-
-/// Flatten a FoldedClos routing into the channel cache both engines
-/// share (channel id == LinkId by the FtreeNetworkMap contract).
-std::shared_ptr<const routing::ChannelRouteCache> make_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
 
 void expect_equivalent(const FlowResult& f, const SimResult& s) {
   EXPECT_EQ(f.offered_load, s.offered_load);
@@ -69,7 +51,7 @@ class GoldenFlow : public ::testing::Test {
       : ft(FtreeParams{4, 16, 8}),
         net(build_network(ft)),
         yuan(ft),
-        cache(make_cache(ft, net, yuan)),
+        cache(routing::ChannelRouteCache::materialize(net, yuan)),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {}
 
@@ -80,7 +62,7 @@ class GoldenFlow : public ::testing::Test {
     SimConfig sc = SimConfig::ideal_reference(rate, kSeed);
     sc.warmup_cycles = kWarmup;
     sc.measure_cycles = kMeasure;
-    sim::ExplicitPathOracle oracle(cache);
+    sim::NextHopOracle oracle(*cache);
     sim::PacketSim psim(net, oracle, traffic, sc);
     packet_result = psim.run();
 

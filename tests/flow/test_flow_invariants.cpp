@@ -1,8 +1,10 @@
 /// \file test_flow_invariants.cpp
 /// \brief Conservation and determinism invariants: the credit identity
 ///        (credits + occupancy + in-flight + pending returns == capacity
-///        for every switch buffer) and thread-count independence of the
-///        parallel sweep drivers at 1, 2, and 4 worker threads.
+///        for every switch buffer), thread-count independence of the
+///        parallel sweep drivers at 1, 2, and 4 worker threads, and
+///        route-provider independence: a pure O(1) NextHop router and
+///        the route cache of the same routing give identical runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,8 +13,11 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/buffer_margin.hpp"
 #include "nbclos/flow/engine.hpp"
+#include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/sim/shard_router.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos {
@@ -23,21 +28,6 @@ using flow::FlowConfig;
 using flow::FlowResult;
 using flow::FlowSim;
 using flow::Switching;
-
-std::shared_ptr<const routing::ChannelRouteCache> make_cache(
-    const FoldedClos& ft, const Network& net,
-    const SinglePathRouting& routing) {
-  return std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(routing.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-}
 
 void expect_identical(const FlowResult& a, const FlowResult& b) {
   EXPECT_EQ(a.offered_load, b.offered_load);
@@ -66,7 +56,7 @@ class FlowInvariants : public ::testing::Test {
       : ft(FtreeParams{2, 4, 3}),
         net(build_network(ft)),
         yuan(ft),
-        cache(make_cache(ft, net, yuan)),
+        cache(routing::ChannelRouteCache::materialize(net, yuan)),
         traffic(sim::TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 1), ft.leaf_count())) {}
 
@@ -190,6 +180,56 @@ TEST_F(FlowInvariants, SweepMatchesIndividuallyConstructedRuns) {
     SCOPED_TRACE(::testing::Message() << "rate " << rates[i]);
     expect_identical(swept[i], direct);
   }
+}
+
+// --- pure next-hop routers -----------------------------------------------
+
+/// A small credit-backpressured wormhole run at moderate load.
+FlowConfig pure_config() {
+  FlowConfig config;
+  config.injection_rate = 0.3;
+  config.warmup_cycles = 200;
+  config.measure_cycles = 800;
+  config.seed = 7;
+  config.counter_injection = true;
+  return config;
+}
+
+TEST(PureNextHopFlow, MatchesRouteCacheOnKaryTree) {
+  // The same flow run through the O(T^2) table and the O(1) dmodk
+  // arithmetic: identical routes must mean identical results, which is
+  // what lets the scale bench drop the table entirely.
+  const Network net = build_kary_ntree(3, 3);
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const KaryTreeRouter table_router(net, 3, 3);
+  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
+      net, [&](SDPair sd) { return table_router.route(sd); });
+  const auto pure = std::make_shared<const sim::KaryDmodkRouter>(net, 3, 3);
+  EXPECT_EQ(pure->bytes(), 0U);
+  const auto traffic = sim::TrafficPattern::permutation(
+      shift_permutation(terminals, 4), terminals);
+
+  FlowSim cached(cache, traffic, pure_config());
+  FlowSim arith(pure, traffic, pure_config());
+  expect_identical(arith.run(), cached.run());
+}
+
+TEST(PureNextHopFlow, FtreeDmodkRouterMatchesDModKRouteCache) {
+  // FtreeDmodkRouter goes into FlowSim as is, with no wrapper, and walks
+  // the d-mod-k paths the materialized DModKRouting cache stores.
+  const FoldedClos ft(FtreeParams{4, 16, 8});
+  const Network net = build_network(ft);
+  const DModKRouting dmodk(ft);
+  const auto cache = routing::ChannelRouteCache::materialize(net, dmodk);
+  const auto pure = std::make_shared<const sim::FtreeDmodkRouter>(ft, net);
+  const auto traffic = sim::TrafficPattern::permutation(
+      shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
+
+  FlowSim cached(cache, traffic, pure_config());
+  FlowSim arith(pure, traffic, pure_config());
+  const auto result = arith.run();
+  EXPECT_GT(result.delivered_packets, 0U);
+  expect_identical(result, cached.run());
 }
 
 }  // namespace

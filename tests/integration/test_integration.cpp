@@ -16,9 +16,9 @@
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
 #include "nbclos/routing/infiniband.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/path_oracle.hpp"
 #include "nbclos/topology/dot.hpp"
 
 namespace nbclos {
@@ -79,8 +79,9 @@ TEST(Integration, InfinibandForwardingSustainsAllToAllPhases) {
   const FoldedClos ft(FtreeParams{2, 4, 6});
   const InfinibandFabric ib(ft);
   const auto net = build_network(ft);
-  sim::ExplicitPathOracle oracle(
-      net, [&ib](SDPair sd) { return ib.forward_path(sd); }, "ib-lft");
+  const routing::ChannelRouteCache cache(
+      net, [&ib](SDPair sd) { return ib.forward_path(sd); });
+  sim::NextHopOracle oracle(cache);
   for (const auto& phase : ring_exchange_phases(ft.leaf_count())) {
     const auto traffic =
         sim::TrafficPattern::permutation(phase, ft.leaf_count());

@@ -103,29 +103,24 @@ TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {
   const Network net = build_network(ft);
   const YuanNonblockingRouting yuan(ft);
   // channel id == LinkId by the FtreeNetworkMap contract.
-  const routing::ChannelRouteCache cache(
-      net, [&](SDPair sd) {
-        LinkId run[FoldedClos::kMaxPathLinks];
-        const auto count = ft.links_into(yuan.route(sd), run);
-        std::vector<std::uint32_t> channels;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          channels.push_back(run[i].value);
-        }
-        return channels;
-      });
-  ASSERT_EQ(cache.terminal_count(), ft.leaf_count());
+  const auto cache = routing::ChannelRouteCache::materialize(net, yuan);
+  ASSERT_EQ(cache->terminal_count(), ft.leaf_count());
+  EXPECT_EQ(cache->name(), "route-cache");
   const auto terminals = net.terminals();
-  for (std::uint32_t s = 0; s < cache.terminal_count(); ++s) {
-    for (std::uint32_t d = 0; d < cache.terminal_count(); ++d) {
+  for (std::uint32_t s = 0; s < cache->terminal_count(); ++s) {
+    for (std::uint32_t d = 0; d < cache->terminal_count(); ++d) {
+      const auto run = cache->channels(s, d);
       if (s == d) {
-        EXPECT_TRUE(cache.channels(s, d).empty());
+        EXPECT_TRUE(run.empty());
         continue;
       }
+      const auto live = live_links(yuan, SDPair{LeafId{s}, LeafId{d}});
+      EXPECT_EQ(std::vector<std::uint32_t>(run.begin(), run.end()), live);
       // Walking next_channel_from hop by hop reproduces the stored run
       // and ends at the destination terminal.
       std::uint32_t at = terminals[s];
-      for (const auto expected : cache.channels(s, d)) {
-        const auto c = cache.next_channel_from(at, terminals[s], terminals[d]);
+      for (const auto expected : run) {
+        const auto c = cache->next_channel_from(at, terminals[s], terminals[d]);
         EXPECT_EQ(c, expected);
         at = net.channel_dst(c);
       }

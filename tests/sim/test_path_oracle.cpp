@@ -1,11 +1,15 @@
-#include "nbclos/sim/path_oracle.hpp"
-
+/// NextHopOracle over a ChannelRouteCache: the packet simulator driven by
+/// explicit precomputed channel paths, on any topology with a route
+/// function (multi-level recursive fabrics, crossbars, ftrees).
 #include <gtest/gtest.h>
 
+#include "nbclos/analysis/network_audit.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
+#include "nbclos/sim/oracle.hpp"
 
 namespace nbclos::sim {
 namespace {
@@ -21,8 +25,9 @@ TEST(PathOracle, FollowsPrecomputedHops) {
     }
     return path;
   };
-  ExplicitPathOracle oracle(net, route, "yuan-paths");
-  EXPECT_EQ(oracle.name(), "yuan-paths");
+  const routing::ChannelRouteCache cache(net, route);
+  NextHopOracle oracle(cache);
+  EXPECT_EQ(oracle.name(), "route-cache");
   std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const SimView view(net, depths);
 
@@ -42,21 +47,19 @@ TEST(PathOracle, FollowsPrecomputedHops) {
 
 TEST(PathOracle, EntryCountMatchesPairsTimesHops) {
   const auto net = build_crossbar(4);
-  const auto route = [](SDPair sd) {
+  const routing::ChannelRouteCache cache(net, [](SDPair sd) {
     return ChannelPath{sd.src.value, 4 + sd.dst.value};
-  };
-  ExplicitPathOracle oracle(net, route);
-  // 12 ordered pairs x 2 hops... entries keyed by (vertex, src, dst):
-  // distinct per pair per hop = 24.
-  EXPECT_EQ(oracle.entry_count(), 24U);
+  });
+  // 12 ordered pairs x 2 hops = 24 (pair, hop) entries.
+  EXPECT_EQ(cache.entry_count(), 24U);
 }
 
 TEST(PathOracle, RejectsUnknownPacket) {
   const auto net = build_crossbar(3);
-  const auto route = [](SDPair sd) {
+  const routing::ChannelRouteCache cache(net, [](SDPair sd) {
     return ChannelPath{sd.src.value, 3 + sd.dst.value};
-  };
-  ExplicitPathOracle oracle(net, route);
+  });
+  NextHopOracle oracle(cache);
   std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const SimView view(net, depths);
   Packet p;
@@ -71,9 +74,9 @@ TEST(PathOracle, SimulatesMultiLevelFabricAtFullLoad) {
   // induction claim observed dynamically, not just by audit.
   const MultiLevelFabric fabric(2, 3);  // 24 ports
   const auto& net = fabric.network();
-  ExplicitPathOracle oracle(
-      net, [&fabric](SDPair sd) { return fabric.route(sd); },
-      "multilevel-thm3");
+  const routing::ChannelRouteCache cache(
+      net, [&fabric](SDPair sd) { return fabric.route(sd); });
+  NextHopOracle oracle(cache);
   const auto pattern = shift_permutation(fabric.port_count(), 5);
   const auto traffic =
       TrafficPattern::permutation(pattern, fabric.port_count());

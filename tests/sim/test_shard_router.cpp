@@ -1,7 +1,6 @@
-/// Path-equivalence tests for the pure shard routers: the O(1)
-/// arithmetic routers must walk exactly the paths of the table/index
-/// routers they replace, and the per-shard CSR route views must
-/// partition the full cache without losing a hop.
+/// Path-equivalence tests for the pure O(1) next-hop routers: they must
+/// walk exactly the paths of the table/index routers they replace, and
+/// refuse a network their arithmetic was not written for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +10,6 @@
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/routing/kary_updown.hpp"
-#include "nbclos/routing/route_cache.hpp"
-#include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
 #include "nbclos/topology/network.hpp"
@@ -27,12 +24,9 @@ using sim::ShardPlan;
 /// Walk `router` hop by hop from terminal `src` until the packet reaches
 /// terminal `dst`; returns the channel ids in path order.
 std::vector<std::uint32_t> walk(const Network& net,
-                                const sim::ShardRouter& router,
+                                const routing::NextHop& router,
                                 std::uint32_t src, std::uint32_t dst,
                                 std::uint32_t max_hops) {
-  sim::Packet packet;
-  packet.src_terminal = src;
-  packet.dst_terminal = dst;
   std::vector<std::uint32_t> path;
   std::uint32_t at = src;
   while (at != dst) {
@@ -40,7 +34,7 @@ std::vector<std::uint32_t> walk(const Network& net,
       ADD_FAILURE() << "no convergence " << src << "->" << dst;
       return path;
     }
-    const auto c = router.next_channel(at, packet);
+    const auto c = router.next_channel_from(at, src, dst);
     EXPECT_LT(c, net.channel_count());
     EXPECT_EQ(net.channel_src(c), at) << src << "->" << dst;
     path.push_back(c);
@@ -88,7 +82,8 @@ TEST(KaryDmodkRouter, RejectsMismatchedNetwork) {
 TEST(FtreeDmodkRouter, WalksValidMinimalPaths) {
   const FoldedClos ft(FtreeParams{3, 9, 5});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft);
+  const FtreeDmodkRouter router(ft, net);
+  EXPECT_EQ(&router.network(), &net);
   for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
     for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
       if (s == d) continue;
@@ -103,6 +98,12 @@ TEST(FtreeDmodkRouter, WalksValidMinimalPaths) {
       }
     }
   }
+  // The index arithmetic assumes build_network(ft)'s numbering: a
+  // network of another census is refused up front.
+  const FoldedClos other(FtreeParams{3, 9, 4});
+  EXPECT_THROW(FtreeDmodkRouter(other, net), precondition_error);
+  EXPECT_THROW(FtreeDmodkRouter(ft, build_kary_ntree(3, 2)),
+               precondition_error);
 }
 
 TEST(RecursiveShardRouter, MatchesFabricRouteOnEveryPair) {
@@ -130,83 +131,7 @@ TEST(RecursiveShardRouter, MatchesFabricRouteOnEveryPair) {
 TEST(RecursiveShardRouter, SelfPairHasNoRoute) {
   const MultiLevelFabric fabric(2, 2);
   const sim::RecursiveShardRouter router(fabric);
-  sim::Packet p;
-  p.src_terminal = 3;
-  p.dst_terminal = 3;
-  EXPECT_EQ(router.next_channel(3, p), fault::kNoRoute);
-}
-
-TEST(ShardRouteView, ViewsPartitionTheFullCache) {
-  const FoldedClos ft(FtreeParams{2, 4, 3});
-  const Network net = build_network(ft);
-  const YuanNonblockingRouting yuan(ft);
-  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(yuan.route(sd), run);
-    std::vector<std::uint32_t> channels;
-    for (std::uint32_t i = 0; i < count; ++i) channels.push_back(run[i].value);
-    return channels;
-  });
-
-  for (const std::uint32_t shards : {1U, 2U, 3U, 4U}) {
-    const auto plan = ShardPlan::build(net, shards);
-    std::vector<routing::ShardRouteView> views;
-    std::size_t entries = 0;
-    for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
-      views.emplace_back(cache, plan.vertex_begin, s);
-      entries += views.back().entry_count();
-    }
-    // Every (pair, hop) entry lands in exactly one shard's view...
-    EXPECT_EQ(entries, cache.entry_count());
-    // ...and concatenating the per-shard subruns in path order
-    // reproduces the full run.
-    const auto T = cache.terminal_count();
-    for (std::uint32_t s = 0; s < T; ++s) {
-      for (std::uint32_t d = 0; d < T; ++d) {
-        for (const auto c : cache.channels(s, d)) {
-          const auto owner = plan.shard_of_vertex(net.channel_src(c));
-          const auto sub = views[owner].channels(s, d);
-          EXPECT_NE(std::find(sub.begin(), sub.end(), c), sub.end());
-          // The view answers the same next hop as the full cache.
-          EXPECT_EQ(views[owner].next_channel_from(net.channel_src(c), s, d),
-                    cache.next_channel_from(net.channel_src(c), s, d));
-        }
-      }
-    }
-  }
-}
-
-TEST(CachedShardRouter, MatchesCacheWithAndWithoutViews) {
-  const FoldedClos ft(FtreeParams{2, 4, 3});
-  const Network net = build_network(ft);
-  const YuanNonblockingRouting yuan(ft);
-  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(yuan.route(sd), run);
-    std::vector<std::uint32_t> channels;
-    for (std::uint32_t i = 0; i < count; ++i) channels.push_back(run[i].value);
-    return channels;
-  });
-  sim::CachedShardRouter plain(cache);
-  sim::CachedShardRouter viewed(cache);
-  const auto plan = ShardPlan::build(net, 3);
-  viewed.attach_views(plan.vertex_begin);
-  ASSERT_EQ(viewed.views().size(), plan.shard_count);
-  const auto T = cache.terminal_count();
-  for (std::uint32_t s = 0; s < T; ++s) {
-    for (std::uint32_t d = 0; d < T; ++d) {
-      if (s == d) continue;
-      std::uint32_t at = s;
-      sim::Packet packet;
-      packet.src_terminal = s;
-      packet.dst_terminal = d;
-      while (at != d) {
-        const auto c = plain.next_channel(at, packet);
-        EXPECT_EQ(viewed.next_channel(at, packet), c);
-        at = net.channel_dst(c);
-      }
-    }
-  }
+  EXPECT_EQ(router.next_channel_from(3, 3, 3), fault::kNoRoute);
 }
 
 TEST(ShardPlan, PartitionIsContiguousBalancedAndComplete) {

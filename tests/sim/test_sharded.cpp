@@ -1,8 +1,8 @@
 /// Golden bit-identity contract of the sharded engine.
 ///
 /// ShardedSim's determinism claim is cross-engine and cross-shard-count:
-/// for any pure ShardRouter, PacketSim (counter injection, same router
-/// via ShardRouterOracle) and ShardedSim at 1, 2, 4, and 8 shards must
+/// for any pure NextHop router, PacketSim (counter injection, same router
+/// via NextHopOracle) and ShardedSim at 1, 2, 4, and 8 shards must
 /// produce the *same SimResult in every field* — integers equal, doubles
 /// bit-identical — including under a mid-run fault schedule.  These
 /// tests are what licenses the million-terminal benches to validate a
@@ -53,26 +53,27 @@ SimConfig sharded_config(double rate) {
 }
 
 /// PacketSim reference run with the identical pure router.
-SimResult reference_run(const Network& net, const ShardRouter& router,
+SimResult reference_run(const routing::NextHop& router,
                         const TrafficPattern& traffic, const SimConfig& config,
                         fault::DegradedView* degraded = nullptr,
                         std::vector<fault::FaultEvent> events = {}) {
-  ShardRouterOracle oracle(router);
-  PacketSim sim(net, oracle, traffic, config, degraded, std::move(events));
+  NextHopOracle oracle(router);
+  PacketSim sim(router.network(), oracle, traffic, config, degraded,
+                std::move(events));
   return sim.run();
 }
 
 TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft);
+  const FtreeDmodkRouter router(ft, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   for (const double rate : {0.2, 0.8}) {
     const auto config = sharded_config(rate);
-    const auto expect = reference_run(net, router, traffic, config);
+    const auto expect = reference_run(router, traffic, config);
     for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-      ShardedSim sim(net, router, traffic, config, shards);
+      ShardedSim sim(router, traffic, config, shards);
       ASSERT_EQ(sim.shard_count(), shards);
       const auto got = sim.run();
       expect_identical(got, expect,
@@ -92,9 +93,9 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnKaryTrees) {
     const auto traffic = TrafficPattern::permutation(
         shift_permutation(terminals, 7), terminals);
     const auto config = sharded_config(0.5);
-    const auto expect = reference_run(net, router, traffic, config);
+    const auto expect = reference_run(router, traffic, config);
     for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-      ShardedSim sim(net, router, traffic, config, shards);
+      ShardedSim sim(router, traffic, config, shards);
       const auto got = sim.run();
       expect_identical(got, expect,
                        (std::to_string(k) + "-ary shards=" +
@@ -107,7 +108,7 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnKaryTrees) {
 TEST(ShardedSim, BitIdenticalUnderAFaultSchedule) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft);
+  const FtreeDmodkRouter router(ft, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const auto config = sharded_config(0.6);
@@ -122,12 +123,12 @@ TEST(ShardedSim, BitIdenticalUnderAFaultSchedule) {
        FtreeNetworkMap{ft.params()}.top(TopId{1})},
   };
   fault::DegradedView reference_view(net);
-  const auto expect = reference_run(net, router, traffic, config,
-                                    &reference_view, events);
+  const auto expect =
+      reference_run(router, traffic, config, &reference_view, events);
   EXPECT_GT(expect.dropped_packets, 0U);  // the schedule must actually bite
   const fault::DegradedView pristine(net);
   for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-    ShardedSim sim(net, router, traffic, config, shards, &pristine, events);
+    ShardedSim sim(router, traffic, config, shards, &pristine, events);
     const auto got = sim.run();
     expect_identical(got, expect,
                      ("faulted shards=" + std::to_string(shards)).c_str());
@@ -139,15 +140,14 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnMultiLevelFabric) {
   // the golden contract extends beyond the formulaic tree builders to
   // the paper's §IV construction.
   const MultiLevelFabric fabric(2, 3);  // 24 ports
-  const auto& net = fabric.network();
   const RecursiveShardRouter router(fabric);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(fabric.port_count(), 5), fabric.port_count());
   const auto config = sharded_config(0.6);
-  const auto expect = reference_run(net, router, traffic, config);
+  const auto expect = reference_run(router, traffic, config);
   EXPECT_GT(expect.delivered_packets, 0U);
   for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-    ShardedSim sim(net, router, traffic, config, shards);
+    ShardedSim sim(router, traffic, config, shards);
     const auto got = sim.run();
     expect_identical(got, expect,
                      ("multilevel shards=" + std::to_string(shards)).c_str());
@@ -161,9 +161,9 @@ TEST(ShardedSim, UniformTrafficIsShardCountInvariant) {
   const auto config = sharded_config(0.7);
   // Uniform destinations draw from the per-(cycle, terminal) counter
   // stream, so the pattern itself must be shard-count invariant too.
-  const auto expect = reference_run(net, router, traffic, config);
+  const auto expect = reference_run(router, traffic, config);
   for (const std::uint32_t shards : {1U, 3U, 8U}) {
-    ShardedSim sim(net, router, traffic, config, shards);
+    ShardedSim sim(router, traffic, config, shards);
     expect_identical(sim.run(), expect,
                      ("uniform shards=" + std::to_string(shards)).c_str());
   }
@@ -172,12 +172,12 @@ TEST(ShardedSim, UniformTrafficIsShardCountInvariant) {
 TEST(ShardedSim, ConservesPacketsAndCountsCrossShardTraffic) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft);
+  const FtreeDmodkRouter router(ft, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const auto config = sharded_config(0.8);
 
-  ShardedSim single(net, router, traffic, config, 1);
+  ShardedSim single(router, traffic, config, 1);
   const auto single_result = single.run();
   // One shard has no mailboxes to cross.
   EXPECT_EQ(single.telemetry().cross_shard_flits, 0U);
@@ -185,7 +185,7 @@ TEST(ShardedSim, ConservesPacketsAndCountsCrossShardTraffic) {
             single_result.delivered_packets + single_result.dropped_packets +
                 single.telemetry().remaining_packets);
 
-  ShardedSim quad(net, router, traffic, config, 4);
+  ShardedSim quad(router, traffic, config, 4);
   const auto quad_result = quad.run();
   // A 4-shard cut of a folded-Clos necessarily routes traffic across
   // shard boundaries, and conservation must close exactly.
@@ -206,8 +206,8 @@ TEST(ShardedSim, LoadSweepShardedMatchesSingleShardSweep) {
   const auto traffic = TrafficPattern::permutation(shift_permutation(27, 4), 27);
   SimConfig base = sharded_config(0.1);
   const std::vector<double> rates = {0.2, 0.6, 1.0};
-  const auto one = load_sweep_sharded(net, router, traffic, base, rates, 1);
-  const auto four = load_sweep_sharded(net, router, traffic, base, rates, 4);
+  const auto one = load_sweep_sharded(router, traffic, base, rates, 1);
+  const auto four = load_sweep_sharded(router, traffic, base, rates, 4);
   ASSERT_EQ(one.size(), rates.size());
   ASSERT_EQ(four.size(), rates.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -220,7 +220,7 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft);
+  const FtreeDmodkRouter router(ft, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   auto config = sharded_config(0.8);
@@ -237,14 +237,14 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
     }
     return out;
   };
-  ShardRouterOracle oracle(router);
+  NextHopOracle oracle(router);
   PacketSim serial(net, oracle, traffic, config);
   const auto golden_result = serial.run();
   const auto golden = invariant(serial.recorder());
   ASSERT_GE(golden.size(), 6U);
   ASSERT_FALSE(golden[0].points.empty());
   for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-    ShardedSim sim(net, router, traffic, config, shards);
+    ShardedSim sim(router, traffic, config, shards);
     const auto got_result = sim.run();
     expect_identical(got_result, golden_result,
                      ("timeseries shards=" + std::to_string(shards)).c_str());
@@ -267,7 +267,7 @@ TEST(ShardedSim, RunIsSingleShot) {
   SimConfig config = sharded_config(0.5);
   config.warmup_cycles = 10;
   config.measure_cycles = 20;
-  ShardedSim sim(net, router, traffic, config, 2);
+  ShardedSim sim(router, traffic, config, 2);
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), precondition_error);
 }
@@ -278,11 +278,11 @@ TEST(ShardedSim, RejectsMismatchedInputs) {
   const auto traffic = TrafficPattern::uniform(4);
   SimConfig config = sharded_config(0.5);
   // Fault events without a degraded view are rejected as in PacketSim.
-  EXPECT_THROW(ShardedSim(net, router, traffic, config, 2, nullptr,
+  EXPECT_THROW(ShardedSim(router, traffic, config, 2, nullptr,
                           {{0, fault::FaultAction::kFailChannel, 0}}),
                precondition_error);
   const auto wrong_traffic = TrafficPattern::uniform(5);
-  EXPECT_THROW(ShardedSim(net, router, wrong_traffic, config, 2),
+  EXPECT_THROW(ShardedSim(router, wrong_traffic, config, 2),
                precondition_error);
 }
 

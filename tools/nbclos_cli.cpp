@@ -87,6 +87,12 @@
 
 namespace {
 
+/// A command line the tool cannot run: main() prints the reason and the
+/// usage, and exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 int usage() {
   std::cerr << "usage:\n"
             << "  nbclos design <radix> [target_ports]\n"
@@ -239,44 +245,31 @@ TopoSpec parse_topo(const std::vector<std::string>& args, std::size_t& i) {
   return topo;
 }
 
-/// Pure ShardRouter for a ShardedSim run.  `cache` receives the route
-/// cache a thm3 router replays (the caller keeps it alive); `views_plan`
-/// is the partition its per-shard CSR views are carved on.
-std::unique_ptr<nbclos::sim::ShardRouter> make_shard_router(
+/// The pure next hop a ShardedSim run (and any k-ary run) routes
+/// through: O(1) arithmetic for d-mod-k, the materialized route cache
+/// for Theorem 3.
+std::shared_ptr<const nbclos::routing::NextHop> make_next_hop(
     const TopoSpec& topo, const nbclos::FoldedClos* ft,
-    const nbclos::Network& net, const std::string& routing,
-    std::uint32_t shards,
-    std::shared_ptr<const nbclos::routing::ChannelRouteCache>& cache) {
+    const nbclos::Network& net, const std::string& routing) {
   if (topo.kary) {
     if (routing != "dmodk") {
-      throw std::invalid_argument(
-          "k-ary fabrics support only the dmodk routing");
+      throw UsageError("k-ary fabrics support only the dmodk routing");
     }
-    return std::make_unique<nbclos::sim::KaryDmodkRouter>(net, topo.k, topo.h);
+    return std::make_shared<const nbclos::sim::KaryDmodkRouter>(net, topo.k,
+                                                                topo.h);
   }
   if (routing == "dmodk") {
-    return std::make_unique<nbclos::sim::FtreeDmodkRouter>(*ft);
+    return std::make_shared<const nbclos::sim::FtreeDmodkRouter>(*ft, net);
   }
   if (routing == "thm3") {
-    const nbclos::YuanNonblockingRouting yuan(*ft);
-    cache = std::make_shared<const nbclos::routing::ChannelRouteCache>(
-        net, [&](nbclos::SDPair sd) {
-          nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-          const auto count = ft->links_into(yuan.route(sd), run);
-          std::vector<std::uint32_t> channels;
-          for (std::uint32_t j = 0; j < count; ++j) {
-            channels.push_back(run[j].value);
-          }
-          return channels;
-        });
-    auto router = std::make_unique<nbclos::sim::CachedShardRouter>(*cache);
-    const auto plan = nbclos::sim::ShardPlan::build(net, shards);
-    router->attach_views(plan.vertex_begin);
-    return router;
+    return nbclos::routing::ChannelRouteCache::materialize(
+        net, nbclos::YuanNonblockingRouting(*ft));
   }
-  throw std::invalid_argument(
-      "routing '" + routing +
-      "' consults global queue state and cannot run sharded");
+  if (routing == "random" || routing == "adaptive") {
+    throw UsageError("routing '" + routing +
+                     "' consults global queue state and cannot run sharded");
+  }
+  throw UsageError("unknown routing '" + routing + "'");
 }
 
 int cmd_design(const std::vector<std::string>& args) {
@@ -374,16 +367,13 @@ int cmd_simulate(std::vector<std::string> args) {
   config.record_timeseries = !g_timeseries_out.empty();
 
   // Sharded engine (or any k-ary run — its routing is already a pure
-  // ShardRouter, so one shard is the natural engine for it too).
+  // NextHop, so one shard is the natural engine for it too).
   if (shards.has_value() || topo.kary) {
-    std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
-    const auto router = make_shard_router(topo, ft.get(), net, routing,
-                                          shards.value_or(1), cache);
-    nbclos::sim::ShardedSim sim(net, *router, traffic, config,
-                                shards.value_or(1));
+    const auto router = make_next_hop(topo, ft.get(), net, routing);
+    nbclos::sim::ShardedSim sim(*router, traffic, config, shards.value_or(1));
     const auto result = sim.run();
     stash_recorder(sim.recorder());
-    std::cout << topo.name << ", " << router->name()
+    std::cout << topo.name << ", " << routing
               << ", shift permutation, offered " << load << ", "
               << sim.shard_count()
               << " shard(s) [results are shard-count independent]:\n"
@@ -417,13 +407,13 @@ int cmd_simulate(std::vector<std::string> args) {
     oracle = std::make_unique<nbclos::sim::FtreeOracle>(
         *ft, nbclos::sim::UplinkPolicy::kLeastQueue);
   } else {
-    return usage();
+    throw UsageError("unknown routing '" + routing + "'");
   }
 
   nbclos::sim::PacketSim sim(net, *oracle, traffic, config);
   const auto result = sim.run();
   stash_recorder(sim.recorder());
-  std::cout << topo.name << ", " << oracle->name()
+  std::cout << topo.name << ", " << routing
             << ", shift permutation, offered " << load
             << ":\n  accepted throughput: "
             << nbclos::format_double(result.accepted_throughput)
@@ -485,10 +475,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
       throw std::invalid_argument("unknown flag: " + flag);
     }
   }
-  if (const char* reason = config.invalid_reason()) {
-    std::cerr << "nbclos flow-sim: " << reason << "\n";
-    return usage();
-  }
+  if (const char* reason = config.invalid_reason()) throw UsageError(reason);
   config.counter_injection = true;  // as in cmd_simulate
 
   std::unique_ptr<nbclos::FoldedClos> ft;
@@ -498,19 +485,13 @@ int cmd_flow_sim(std::vector<std::string> args) {
         nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
     return nbclos::build_network(*ft);
   }();
-  std::shared_ptr<const nbclos::flow::RouteSource> routes;
+  std::shared_ptr<const nbclos::routing::NextHop> routes;
   std::string routing_label;
   if (topo.kary) {
-    if (routing_name != "dmodk") {
-      throw std::invalid_argument(
-          "k-ary fabrics support only the dmodk routing");
-    }
     // Pure O(1) dmodk arithmetic — no per-pair table, so k-ary fabrics
     // scale to 10^6 terminals where the O(T^2) cache cannot exist.
-    routes = std::make_shared<const nbclos::flow::PureRouteSource>(
-        net, std::make_shared<const nbclos::sim::KaryDmodkRouter>(
-                 net, topo.k, topo.h));
-    routing_label = "kary-dmodk";
+    routes = make_next_hop(topo, nullptr, net, routing_name);
+    routing_label = routes->name();
   } else {
     std::unique_ptr<nbclos::SinglePathRouting> routing;
     if (routing_name == "thm3") {
@@ -518,19 +499,9 @@ int cmd_flow_sim(std::vector<std::string> args) {
     } else if (routing_name == "dmodk") {
       routing = std::make_unique<nbclos::DModKRouting>(*ft);
     } else {
-      throw std::invalid_argument("unknown routing: " + routing_name);
+      throw UsageError("unknown routing '" + routing_name + "'");
     }
-    routes = std::make_shared<const nbclos::flow::CacheRouteSource>(
-        std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            net, [&](nbclos::SDPair sd) {
-              nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-              const auto count = ft->links_into(routing->route(sd), run);
-              std::vector<std::uint32_t> channels;
-              for (std::uint32_t k = 0; k < count; ++k) {
-                channels.push_back(run[k].value);
-              }
-              return channels;
-            }));
+    routes = nbclos::routing::ChannelRouteCache::materialize(net, *routing);
     routing_label = routing->name();
   }
   const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
@@ -628,7 +599,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
       jw.end_object();
     }
     jw.key("arena").begin_object();
-    jw.member("route_source", routes->label());
+    jw.member("route_source", routes->name());
     jw.member("route_bytes", static_cast<std::uint64_t>(routes->bytes()));
     jw.member("flit_arena_bytes",
               static_cast<std::uint64_t>(arena.flit_arena_bytes));
@@ -714,7 +685,7 @@ nbclos::sim::OracleFactory make_oracle_factory(
   } else if (routing == "adaptive") {
     policy = UplinkPolicy::kLeastQueue;
   } else {
-    throw std::invalid_argument("unknown routing: " + routing);
+    throw UsageError("unknown routing '" + routing + "'");
   }
   return [&ft, table, policy](std::uint64_t run_seed,
                               nbclos::fault::DegradedView*) {
@@ -762,11 +733,9 @@ int cmd_load_sweep(std::vector<std::string> args) {
   std::vector<nbclos::sim::SimResult> results;
   std::string engine_note;
   if (shards.has_value() || topo.kary) {
-    std::shared_ptr<const nbclos::routing::ChannelRouteCache> cache;
-    const auto router = make_shard_router(topo, ft.get(), net, routing,
-                                          shards.value_or(1), cache);
-    results = nbclos::sim::load_sweep_sharded(net, *router, traffic, config,
-                                              rates, shards.value_or(1));
+    const auto router = make_next_hop(topo, ft.get(), net, routing);
+    results = nbclos::sim::load_sweep_sharded(*router, traffic, config, rates,
+                                              shards.value_or(1));
     engine_note = std::to_string(shards.value_or(1)) +
                   " shard(s); results are shard-count independent";
   } else {
@@ -1033,16 +1002,7 @@ int cmd_metrics_serve(std::vector<std::string> args) {
     const auto net = nbclos::build_network(ft);
     const nbclos::YuanNonblockingRouting routing(ft);
     const auto cache =
-        std::make_shared<const nbclos::routing::ChannelRouteCache>(
-            net, [&](nbclos::SDPair sd) {
-              nbclos::LinkId run[nbclos::FoldedClos::kMaxPathLinks];
-              const auto count = ft.links_into(routing.route(sd), run);
-              std::vector<std::uint32_t> channels;
-              for (std::uint32_t j = 0; j < count; ++j) {
-                channels.push_back(run[j].value);
-              }
-              return channels;
-            });
+        nbclos::routing::ChannelRouteCache::materialize(net, routing);
     const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
     const auto traffic = nbclos::sim::TrafficPattern::permutation(
         nbclos::shift_permutation(terminals, 5), terminals);
@@ -1217,6 +1177,9 @@ int main(int argc, char** argv) {
       if (!known) std::cerr << "nbclos: unknown command '" << command << "'\n";
       return usage();
     }
+  } catch (const UsageError& e) {
+    std::cerr << "nbclos " << command << ": " << e.what() << "\n";
+    rc = usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     rc = 1;
