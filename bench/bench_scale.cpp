@@ -7,7 +7,7 @@
 /// radix the harness measures, on the nonblocking ftree(n + n^2, r)
 /// instance:
 ///   * route_cache — RouteCache::materialize wall time, routes/sec, and
-///     the flat-arena byte footprint;
+///     the cache's byte footprint (3 bytes per ordered pair);
 ///   * verify_random — batched verify_random_parallel (BatchLoadKernel)
 ///     permutations/sec, with the nonblocking verdict asserted;
 ///   * load_probe — batched estimate_blocking_parallel under d-mod-k

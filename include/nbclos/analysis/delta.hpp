@@ -36,7 +36,7 @@ class SwapDeltaState {
       : ftree_(&ftree), routing_(&routing), map_(ftree) {}
 
   /// Cache-backed mode: replay precomputed flat link runs instead of
-  /// calling route_into — the per-swap cost drops to four span loads
+  /// calling route_into — the per-swap cost drops to four cache lookups
   /// plus counter updates.  `cache` must outlive the state and must have
   /// been materialized from a routing over `ftree`; searches share one
   /// immutable cache across restarts (and across threads).

@@ -45,7 +45,12 @@ using PatternRouterFactory =
 /// (analysis/batch.hpp), up to BatchLoadKernel::kMaxBatch permutations
 /// per arena pass.  Same chunk seeds, same per-trial statistics, same
 /// merge order — the results are bit-identical to the factory overloads
-/// above wrapping `routing`, at a fraction of the per-trial cost.
+/// above wrapping `routing`.  They are not faster for every routing: at
+/// ftree(8+64, 64), 20000 trials on 2 threads (the verify_ftree
+/// benchmark, EXPERIMENTS.md), the batched call takes ~1.5x the factory
+/// call's time, cache build included, because Yuan's arithmetic route()
+/// costs less than any table lookup.  `nbclos verify … random` therefore
+/// stays on the factory overload.
 [[nodiscard]] BlockingEstimate estimate_blocking_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,

@@ -1,6 +1,6 @@
 /// \file route_cache.hpp
-/// \brief Precomputed flat-array (CSR) route storage shared by every
-///        engine that replays the same deterministic routing.
+/// \brief Precomputed route storage shared by every engine that replays
+///        the same deterministic routing.
 ///
 /// Single-path deterministic routings are pattern-independent, so every
 /// SD pair's path can be materialized exactly once and then replayed by
@@ -9,15 +9,20 @@
 /// degraded fabric per failure level) without ever calling route()
 /// again.  Two caches cover the library's two path vocabularies:
 ///
-///   * RouteCache        — ftree LinkId runs for FoldedClos routings;
+///   * RouteCache        — FoldedClos routings.  A single-path ftree
+///                         route is fixed by its top switch (Theorem 3),
+///                         so the cache keeps one uint16_t top id and one
+///                         flag byte per ordered pair (0.79 MB at
+///                         ftree(8+64, 64), small enough for L2) and
+///                         rebuilds the 2 or 4 link ids on lookup;
 ///   * ChannelRouteCache — Network channel runs behind the `NextHop`
 ///                         interface every simulation engine replays.
+///                         k-ary and general networks have no top-switch
+///                         shape, so it packs every pair's run into one
+///                         `uint32_t` array behind a CSR offsets table.
 ///
-/// Both use the same memory layout: one contiguous `uint32_t` link array
-/// holding every pair's run back to back, plus a CSR offsets table
-/// indexed by src-major pair id — two loads to reach any path, zero
-/// pointer chasing, and the whole structure is immutable after
-/// construction, so it is shared read-only across worker threads.
+/// Both are immutable after construction, so they are shared read-only
+/// across worker threads.
 ///
 /// Invalidation: a cache snapshots the routing it was built from.  It
 /// must be rebuilt whenever the underlying route function would answer
@@ -43,20 +48,48 @@ class SinglePathRouting;
 
 namespace nbclos::routing {
 
-/// All SD-pair link runs of a single-path routing over ftree(n+m, r),
-/// flattened: pair (s, d) occupies links()[offsets[s*L+d] ..
-/// offsets[s*L+d+1]) in one contiguous array (2 links for direct pairs,
-/// 4 for cross pairs, 0 for the diagonal and unroutable pairs).
+/// The directed links of one cached path, by value: at most
+/// FoldedClos::kMaxPathLinks ids, contiguous.  It ranges like a span and
+/// converts to std::span<const std::uint32_t> (a contiguous sized
+/// range), so LinkLoadMap::add_run(cache.links(s, d)) reads it in place;
+/// keep the run alive as long as any span taken from it.
+class LinkRun {
+ public:
+  [[nodiscard]] const std::uint32_t* begin() const noexcept { return ids_; }
+  [[nodiscard]] const std::uint32_t* end() const noexcept {
+    return ids_ + size_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::uint32_t operator[](std::size_t i) const {
+    NBCLOS_DEBUG_CHECK(i < size_, "link run index out of range");
+    return ids_[i];
+  }
+
+ private:
+  friend class RouteCache;
+  std::uint32_t ids_[FoldedClos::kMaxPathLinks];
+  std::uint32_t size_ = 0;
+};
+
+/// Every SD pair's path of a single-path routing over ftree(n+m, r),
+/// stored as the one top switch it crosses: pair (s, d) holds a uint16_t
+/// top id (src-major), kDirect for a path through the shared bottom
+/// switch, or kEmpty for the diagonal and unroutable pairs.
 class RouteCache {
  public:
   /// Per-pair flag bits (degraded fabrics; healthy routings store 0).
   static constexpr std::uint8_t kUnroutable = 1U << 0;
   static constexpr std::uint8_t kFallback = 1U << 1;
 
+  /// Top ids occupy [0, kTopLimit); the two codes above are reserved, so
+  /// a cached fabric needs m < kTopLimit top switches.
+  static constexpr std::uint32_t kTopLimit = 0xFFFE;
+
   /// Generic builder: `fn(sd, path)` fills `path` and returns flag bits
   /// for every ordered pair with sd.src != sd.dst.  When the returned
   /// flags contain kUnroutable the path is ignored and the pair gets an
-  /// empty run.
+  /// empty run.  \pre ftree.m() < kTopLimit.
   using BuildFn = std::function<std::uint8_t(SDPair, FtreePath&)>;
   RouteCache(const FoldedClos& ftree, const BuildFn& fn);
 
@@ -64,17 +97,32 @@ class RouteCache {
   [[nodiscard]] static RouteCache materialize(const SinglePathRouting& routing);
 
   [[nodiscard]] std::uint32_t leaf_count() const noexcept { return leafs_; }
-  [[nodiscard]] std::uint32_t link_count() const noexcept { return links_in_topology_; }
+  [[nodiscard]] std::uint32_t link_count() const noexcept {
+    return ftree_.link_count();
+  }
 
-  /// The link-id run of pair (s, d) — empty for s == d and for
-  /// unroutable pairs.  Two indexed loads; no per-call validation in
+  /// The link-id run of pair (s, d), exactly FoldedClos::links_into of
+  /// the cached path — empty for s == d and for unroutable pairs.  One
+  /// 2-byte load plus index arithmetic; no per-call validation in
   /// Release (the verification hot path runs through here).
-  [[nodiscard]] std::span<const std::uint32_t> links(std::uint32_t s,
-                                                     std::uint32_t d) const {
+  [[nodiscard]] LinkRun links(std::uint32_t s, std::uint32_t d) const {
     NBCLOS_DEBUG_CHECK(s < leafs_ && d < leafs_, "SD pair out of range");
-    const std::size_t pair = std::size_t{s} * leafs_ + d;
-    const std::uint32_t begin = offsets_[pair];
-    return {links_.data() + begin, offsets_[pair + 1] - begin};
+    const std::uint16_t top = tops_[std::size_t{s} * leafs_ + d];
+    LinkRun run;
+    if (top == kEmpty) return run;
+    const LeafId src{s};
+    const LeafId dst{d};
+    run.ids_[0] = ftree_.leaf_up_link(src).value;
+    if (top == kDirect) {
+      run.ids_[1] = ftree_.leaf_down_link(dst).value;
+      run.size_ = 2;
+      return run;
+    }
+    run.ids_[1] = ftree_.up_link(ftree_.switch_of(src), TopId{top}).value;
+    run.ids_[2] = ftree_.down_link(TopId{top}, ftree_.switch_of(dst)).value;
+    run.ids_[3] = ftree_.leaf_down_link(dst).value;
+    run.size_ = 4;
+    return run;
   }
 
   [[nodiscard]] std::uint8_t flags(std::uint32_t s, std::uint32_t d) const {
@@ -89,10 +137,10 @@ class RouteCache {
   [[nodiscard]] std::uint64_t pair_count() const noexcept {
     return std::uint64_t{leafs_} * leafs_;
   }
-  /// Resident size of the flattened arrays (reported as an obs gauge).
+  /// Resident size of the per-pair arrays (reported as an obs gauge):
+  /// 3 bytes a pair.
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return links_.capacity() * sizeof(std::uint32_t) +
-           offsets_.capacity() * sizeof(std::uint32_t) + flags_.capacity();
+    return tops_.capacity() * sizeof(std::uint16_t) + flags_.capacity();
   }
 
   /// Bulk-account `n` cache lookups to the obs registry.  Engines count
@@ -101,18 +149,20 @@ class RouteCache {
   static void note_lookups(std::uint64_t n);
 
  private:
+  static constexpr std::uint16_t kDirect = kTopLimit;
+  static constexpr std::uint16_t kEmpty = kTopLimit + 1;
+
+  FoldedClos ftree_;  ///< the link layout runs are rebuilt from
   std::uint32_t leafs_ = 0;
-  std::uint32_t links_in_topology_ = 0;
   bool any_unroutable_ = false;
-  std::vector<std::uint32_t> offsets_;  ///< leafs^2 + 1 entries, src-major
-  std::vector<std::uint32_t> links_;    ///< all runs, back to back
-  std::vector<std::uint8_t> flags_;     ///< leafs^2 per-pair flag bytes
+  std::vector<std::uint16_t> tops_;  ///< leafs^2 top ids / codes, src-major
+  std::vector<std::uint8_t> flags_;  ///< leafs^2 per-pair flag bytes
 };
 
-/// All terminal-pair channel runs of a Network routing, flattened with
-/// the same CSR layout — the table-backed `NextHop` every engine can
-/// replay (the O(1) routers in sim/shard_router.hpp are the table-free
-/// ones).
+/// All terminal-pair channel runs of a Network routing, flattened into
+/// one channel array behind a CSR offsets table — the table-backed
+/// `NextHop` every engine can replay (the O(1) routers in
+/// sim/shard_router.hpp are the table-free ones).
 class ChannelRouteCache final : public NextHop {
  public:
   /// Route function over terminal *indices* (positions in

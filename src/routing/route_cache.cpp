@@ -6,42 +6,33 @@
 namespace nbclos::routing {
 
 RouteCache::RouteCache(const FoldedClos& ftree, const BuildFn& fn)
-    : leafs_(ftree.leaf_count()), links_in_topology_(ftree.link_count()) {
+    : ftree_(ftree), leafs_(ftree.leaf_count()) {
+  NBCLOS_REQUIRE(ftree.m() < kTopLimit,
+                 "too many top switches for 16-bit route-cache top ids");
   const std::uint64_t pairs = pair_count();
-  // 4 links per cross pair bounds the run array; keep it addressable by
-  // the 32-bit CSR offsets.
-  NBCLOS_REQUIRE(pairs * FoldedClos::kMaxPathLinks <= UINT32_MAX,
-                 "topology too large for 32-bit route-cache offsets");
-  offsets_.reserve(pairs + 1);
+  tops_.assign(pairs, kEmpty);
   flags_.assign(pairs, 0);
-  // Cross pairs dominate; reserving the worst case avoids regrowth.
-  links_.reserve(static_cast<std::size_t>(pairs) * FoldedClos::kMaxPathLinks);
 
   std::uint64_t routed = 0;
   FtreePath path;
-  LinkId run[FoldedClos::kMaxPathLinks];
-  offsets_.push_back(0);
   for (std::uint32_t s = 0; s < leafs_; ++s) {
     for (std::uint32_t d = 0; d < leafs_; ++d) {
-      if (s != d) {
-        const SDPair sd{LeafId{s}, LeafId{d}};
-        const std::uint8_t bits = fn(sd, path);
-        flags_[std::size_t{s} * leafs_ + d] = bits;
-        if ((bits & kUnroutable) != 0) {
-          any_unroutable_ = true;
-        } else {
-          NBCLOS_ASSERT(path.sd == sd);
-          const auto count = ftree.links_into(path, run);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            links_.push_back(run[i].value);
-          }
-          ++routed;
-        }
+      if (s == d) continue;
+      const SDPair sd{LeafId{s}, LeafId{d}};
+      const std::size_t pair = std::size_t{s} * leafs_ + d;
+      const std::uint8_t bits = fn(sd, path);
+      flags_[pair] = bits;
+      if ((bits & kUnroutable) != 0) {
+        any_unroutable_ = true;
+        continue;
       }
-      offsets_.push_back(static_cast<std::uint32_t>(links_.size()));
+      NBCLOS_ASSERT(path.sd == sd);
+      NBCLOS_ASSERT(path.direct || path.top.value < ftree.m());
+      tops_[pair] =
+          path.direct ? kDirect : static_cast<std::uint16_t>(path.top.value);
+      ++routed;
     }
   }
-  links_.shrink_to_fit();
 
   auto& registry = obs::metrics();
   registry.counter("route_cache.builds").add(1);

@@ -1,9 +1,9 @@
 # CLI smoke test: `nbclos flow-sim` must print the same JSON result with
 # no --shards, --shards 1 and --shards 2, and `nbclos sim` the same
 # routing, accepted-throughput and mean-latency lines with and without
-# --shards 2.  A bad flow configuration and a routing the sharded engine
-# cannot run must be usage errors (exit 2) whose message names no source
-# file.
+# --shards 2.  A bad flow configuration, a routing the sharded engine
+# cannot run, and malformed or out-of-range `nbclos verify` arguments must
+# be usage errors (exit 2) whose message names no source file.
 #
 #   cmake -DNBCLOS=<path to the nbclos binary> -P cli_smoke.cmake
 if(NOT NBCLOS)
@@ -35,7 +35,7 @@ execute_process(COMMAND ${NBCLOS} flow-sim 4 8 0.9 --vcs 0
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "flow-sim --vcs 0 exited ${rc}, want 2: ${err}")
 endif()
-if(err MATCHES "\\.cpp:")
+if(err MATCHES "\\.(cpp|hpp):")
   message(FATAL_ERROR "flow-sim --vcs 0 leaked a source location: ${err}")
 endif()
 
@@ -67,18 +67,27 @@ if(NOT serial MATCHES ", thm3, ")
   message(FATAL_ERROR "sim does not print the requested routing:\n${serial}")
 endif()
 
-# Routings an engine cannot run are usage errors, not runtime errors.
+# Routings an engine cannot run, and verify arguments that are not
+# numbers, lack a value, describe no ftree, break the Theorem 3 condition
+# m >= n^2, name no mode, or exceed the route cache's 16-bit top ids, are
+# usage errors, not runtime errors.
 foreach(bad IN ITEMS "sim 4 8 0.9 adaptive --shards 2"
                      "sim 4 8 0.9 random --shards 2"
                      "sim kary:4,3 0.5 adaptive"
-                     "flow-sim kary:4,3 0.5 thm3")
+                     "flow-sim kary:4,3 0.5 thm3"
+                     "verify 4 8 random --trials x"
+                     "verify 4 8 random --trials"
+                     "verify 0 8 random"
+                     "verify 4 8 random --m 3"
+                     "verify 4 8 bogus"
+                     "verify 2 4 adversarial dmodk --m 65534")
   separate_arguments(args UNIX_COMMAND "${bad}")
   execute_process(COMMAND ${NBCLOS} ${args}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "nbclos ${bad} exited ${rc}, want 2: ${err}")
   endif()
-  if(err MATCHES "\\.cpp:")
+  if(err MATCHES "\\.(cpp|hpp):")
     message(FATAL_ERROR "nbclos ${bad} leaked a source location: ${err}")
   endif()
 endforeach()

@@ -1,12 +1,13 @@
-/// Golden tests for the CSR route caches: the flattened link runs must
-/// reproduce the live route() calls bit-for-bit, including degraded
-/// (flagged) fabrics and the large-radix smoke instance.
+/// Golden tests for the route caches: the cached runs must reproduce the
+/// live route() calls bit-for-bit, including degraded (flagged) fabrics
+/// and the large-radix smoke instance.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
 #include "nbclos/analysis/contention.hpp"
+#include "nbclos/fault/degraded_routing.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
@@ -89,13 +90,101 @@ TEST(RouteCache, BuildFnFlagsMarkUnroutablePairs) {
   EXPECT_FALSE(cache.links(2, 1).empty());
 }
 
-TEST(RouteCache, ReportsArenaBytes) {
+TEST(RouteCache, StoresThreeBytesPerPair) {
   const FoldedClos ft(FtreeParams{2, 4, 4});
   const DModKRouting dmodk(ft);
   const auto cache = routing::RouteCache::materialize(dmodk);
-  // At least the offsets table and the link runs must be accounted.
-  EXPECT_GE(cache.bytes(),
-            (cache.pair_count() + 1) * sizeof(std::uint32_t));
+  // One uint16_t top id plus one flag byte per ordered pair.
+  EXPECT_EQ(cache.bytes(), 3 * cache.pair_count());
+}
+
+TEST(RouteCache, RejectsTopIdsBeyondSixteenBits) {
+  // Tiny n and r: the check must fire before any per-pair array exists.
+  const FoldedClos too_wide(FtreeParams{1, routing::RouteCache::kTopLimit, 2});
+  const auto never = [](SDPair, FtreePath&) -> std::uint8_t {
+    ADD_FAILURE() << "build function called on a rejected topology";
+    return 0;
+  };
+  EXPECT_THROW(routing::RouteCache(too_wide, never), precondition_error);
+  const FoldedClos widest(
+      FtreeParams{1, routing::RouteCache::kTopLimit - 1, 2});
+  const DModKRouting dmodk(widest);
+  EXPECT_EQ(routing::RouteCache::materialize(dmodk).leaf_count(), 2U);
+}
+
+TEST(RouteCache, DegradedCacheMatchesTryRoute) {
+  // ftree(2+4, 4) with failures chosen to produce every pair encoding:
+  // direct, cross on the primary top, cross on a fallback top, and
+  // unroutable (a dead leaf link, and a bottom switch with no live up).
+  const FoldedClos ft(FtreeParams{2, 4, 4});
+  const Network net = build_network(ft);
+  fault::DegradedView view(net);
+  view.fail_channel(ft.leaf_down_link(LeafId{5}).value);
+  for (std::uint32_t t = 0; t < ft.m(); ++t) {
+    view.fail_channel(ft.up_link(BottomId{1}, TopId{t}).value);
+  }
+  view.fail_channel(ft.up_link(BottomId{2}, TopId{1}).value);
+  view.fail_channel(ft.down_link(TopId{2}, BottomId{3}).value);
+  const fault::DegradedYuanRouting degraded(ft, view);
+
+  // Built exactly the way run_fault_sweep builds its per-level cache.
+  const routing::RouteCache cache(
+      ft, [&](SDPair sd, FtreePath& path) -> std::uint8_t {
+        const auto routed = degraded.try_route(sd);
+        if (!routed.has_value()) return routing::RouteCache::kUnroutable;
+        path = *routed;
+        std::uint8_t bits = 0;
+        if (!routed->direct && degraded.uses_fallback(sd)) {
+          bits |= routing::RouteCache::kFallback;
+        }
+        return bits;
+      });
+
+  std::uint32_t direct = 0;
+  std::uint32_t cross = 0;
+  std::uint32_t fallback = 0;
+  std::uint32_t unroutable = 0;
+  for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
+    for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
+      const auto run = cache.links(s, d);
+      if (s == d) {
+        EXPECT_TRUE(run.empty());
+        EXPECT_EQ(cache.flags(s, d), 0);
+        continue;
+      }
+      const SDPair sd{LeafId{s}, LeafId{d}};
+      const auto routed = degraded.try_route(sd);
+      EXPECT_EQ(cache.unroutable(s, d), !routed.has_value())
+          << "pair " << s << "->" << d;
+      if (!routed.has_value()) {
+        EXPECT_TRUE(run.empty()) << "pair " << s << "->" << d;
+        ++unroutable;
+        continue;
+      }
+      LinkId expect[FoldedClos::kMaxPathLinks];
+      const auto count = ft.links_into(*routed, expect);
+      ASSERT_EQ(run.size(), count) << "pair " << s << "->" << d;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        EXPECT_EQ(run[i], expect[i].value) << "pair " << s << "->" << d;
+      }
+      const bool falls_back = !routed->direct && degraded.uses_fallback(sd);
+      EXPECT_EQ(cache.flags(s, d),
+                falls_back ? routing::RouteCache::kFallback : std::uint8_t{0})
+          << "pair " << s << "->" << d;
+      if (routed->direct) {
+        ++direct;
+      } else if (falls_back) {
+        ++fallback;
+      } else {
+        ++cross;
+      }
+    }
+  }
+  EXPECT_TRUE(cache.any_unroutable());
+  EXPECT_GT(direct, 0U);
+  EXPECT_GT(cross, 0U);
+  EXPECT_GT(fallback, 0U);
+  EXPECT_GT(unroutable, 0U);
 }
 
 TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {

@@ -41,6 +41,7 @@
 ///                     run and write the merged time series on exit —
 ///                     CSV when FILE ends in ".csv", else JSON
 ///                     ("-" = JSON to stdout)
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -49,6 +50,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -191,6 +193,25 @@ bool ends_with(const std::string& text, const std::string& suffix) {
 
 std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i) {
   return static_cast<std::uint32_t>(std::stoul(args.at(i)));
+}
+
+/// The whole of `text` as an unsigned decimal; anything else (empty, a
+/// sign, trailing characters, overflow) is a usage error naming `what`.
+std::uint64_t usage_u64(const std::string& text, const std::string& what) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end) {
+    throw UsageError(what + " must be an unsigned integer, not '" + text +
+                     "'");
+  }
+  return value;
+}
+
+std::uint32_t usage_u32(const std::string& text, const std::string& what) {
+  const auto value = usage_u64(text, what);
+  if (value > UINT32_MAX) throw UsageError(what + " is out of range");
+  return static_cast<std::uint32_t>(value);
 }
 
 /// Remove `name <value>` from `args` wherever it appears; returns the
@@ -866,14 +887,20 @@ int cmd_fault_sweep(const std::vector<std::string>& args) {
 /// given), whose results are thread-count independent, so --threads only
 /// changes wall-clock time, never the verdict.
 int cmd_verify(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
-  const std::string mode = args.at(2);
+  const auto n = usage_u32(args[0], "<n>");
+  const auto r = usage_u32(args[1], "<r>");
+  const std::string mode = args[2];
+  if (mode != "exhaustive" && mode != "random" && mode != "adversarial") {
+    throw UsageError("unknown verify mode '" + mode + "'");
+  }
   std::string routing_name = "thm3";
   std::size_t i = 3;
   if (i < args.size() && args[i].rfind("--", 0) != 0) routing_name = args[i++];
+  if (routing_name != "thm3" && routing_name != "dmodk") {
+    throw UsageError("unknown routing '" + routing_name + "'");
+  }
 
-  std::uint32_t m = n * n;
+  std::uint64_t m = std::uint64_t{n} * n;
   std::size_t threads = 1;
   std::uint64_t trials = 10000;
   nbclos::AdversarialOptions options;
@@ -881,35 +908,49 @@ int cmd_verify(const std::vector<std::string>& args) {
   bool json = false;
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    const auto next = [&] { return args.at(++i); };
+    const auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) throw UsageError(flag + " needs a value");
+      return args[++i];
+    };
     if (flag == "--m") {
-      m = static_cast<std::uint32_t>(std::stoul(next()));
+      m = usage_u32(next(), flag);
     } else if (flag == "--threads") {
-      threads = std::stoull(next());
+      threads = usage_u64(next(), flag);
     } else if (flag == "--trials") {
-      trials = std::stoull(next());
+      trials = usage_u64(next(), flag);
     } else if (flag == "--restarts") {
-      options.restarts = static_cast<std::uint32_t>(std::stoul(next()));
+      options.restarts = usage_u32(next(), flag);
     } else if (flag == "--steps") {
-      options.steps_per_restart =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      options.steps_per_restart = usage_u32(next(), flag);
     } else if (flag == "--seed") {
-      seed = std::stoull(next());
+      seed = usage_u64(next(), flag);
     } else if (flag == "--json") {
       json = true;
     } else {
-      throw std::invalid_argument("unknown flag: " + flag);
+      throw UsageError("unknown flag '" + flag + "'");
     }
   }
+  if (n < 1 || r < 2 || m < 1) {
+    throw UsageError("ftree(n+m, r) needs n >= 1, m >= 1 and r >= 2");
+  }
+  if (m >= nbclos::routing::RouteCache::kTopLimit) {
+    throw UsageError("m (--m, default n^2) must be below " +
+                     std::to_string(nbclos::routing::RouteCache::kTopLimit));
+  }
+  if (routing_name == "thm3" && m < std::uint64_t{n} * n) {
+    throw UsageError("thm3 routing needs m >= n^2 top switches");
+  }
+  if (mode == "exhaustive" && std::uint64_t{n} * r > 11) {
+    throw UsageError("exhaustive verification needs n * r <= 11 leaves");
+  }
 
-  const nbclos::FoldedClos ftree(nbclos::FtreeParams{n, m, r});
+  const nbclos::FoldedClos ftree(
+      nbclos::FtreeParams{n, static_cast<std::uint32_t>(m), r});
   std::unique_ptr<nbclos::SinglePathRouting> routing;
   if (routing_name == "thm3") {
     routing = std::make_unique<nbclos::YuanNonblockingRouting>(ftree);
-  } else if (routing_name == "dmodk") {
-    routing = std::make_unique<nbclos::DModKRouting>(ftree);
   } else {
-    throw std::invalid_argument("unknown routing: " + routing_name);
+    routing = std::make_unique<nbclos::DModKRouting>(ftree);
   }
 
   nbclos::ThreadPool pool(threads);
@@ -924,11 +965,9 @@ int cmd_verify(const std::vector<std::string>& args) {
   } else if (mode == "random") {
     result = nbclos::verify_random_parallel(ftree, factory, trials, seed,
                                             pool);
-  } else if (mode == "adversarial") {
+  } else {
     result = nbclos::verify_adversarial_parallel(ftree, *routing, options,
                                                  seed, pool);
-  } else {
-    throw std::invalid_argument("unknown verify mode: " + mode);
   }
 
   if (json) {
