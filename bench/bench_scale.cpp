@@ -1,5 +1,5 @@
 /// \file bench_scale.cpp
-/// \brief Large-radix scaling: route-cache build rate, batched
+/// \brief Large-radix scaling: route-cache build rate, randomized
 ///        verification throughput, and memory footprint across radix
 ///        8 / 16 / 32 / 48 fabrics.
 ///
@@ -8,18 +8,21 @@
 /// instance:
 ///   * route_cache — RouteCache::materialize wall time, routes/sec, and
 ///     the cache's byte footprint (3 bytes per ordered pair);
-///   * verify_random — batched verify_random_parallel (BatchLoadKernel)
-///     permutations/sec, with the nonblocking verdict asserted;
-///   * load_probe — batched estimate_blocking_parallel under d-mod-k
+///   * verify_random — verify_random_parallel over Theorem 3 routing
+///     (the SinglePathRouting overload, which forwards to the
+///     PatternRouter factory) permutations/sec, with the nonblocking
+///     verdict asserted;
+///   * load_probe — the factory estimate_blocking_parallel under d-mod-k
 ///     (the blocking baseline), permutations/sec;
 ///   * cache_hit_rate — obs route_cache.lookups /
 ///     (lookups + routes_materialized) over the case's work, i.e. the
 ///     fraction of path requests served from the cache instead of a
-///     route() call;
+///     route() call (0 here: the sampling drivers route every pattern
+///     directly, and only the route_cache section builds a cache);
 ///   * peak_rss_kb — getrusage high-water mark after the case ran.
 /// Results are seeded and bit-reproducible at any thread count (the
 /// drivers chunk deterministically); timings warm up once and report the
-/// best of three repetitions.  Pass --quick for CI smoke budgets,
+/// best of five repetitions.  Pass --quick for CI smoke budgets,
 /// --threads <T> to cap the worker pool.
 #include <chrono>
 #include <cstdlib>
@@ -29,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "nbclos/analysis/batch.hpp"
 #include "nbclos/analysis/parallel.hpp"
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/run_info.hpp"
@@ -132,18 +134,15 @@ int main(int argc, char** argv) {
       const auto cache = nbclos::routing::RouteCache::materialize(yuan);
       const auto routes =
           cache.pair_count() - ftree.leaf_count();  // diagonal is empty
-      const nbclos::analysis::BatchLoadKernel kernel(cache);
       json.key("route_cache").begin_object();
       json.member("build_seconds", secs);
       json.member("routes_materialized", routes);
       json.member("routes_per_sec", static_cast<double>(routes) / secs);
       json.member("cache_bytes", static_cast<std::uint64_t>(cache.bytes()));
-      json.member("kernel_arena_bytes",
-                  static_cast<std::uint64_t>(kernel.bytes()));
       json.end_object();
     }
 
-    // --- batched randomized verification (nonblocking instance) -------
+    // --- randomized verification (nonblocking instance) ---------------
     {
       nbclos::VerifyResult result;
       const double secs = best_seconds(kTimingReps, [&] {
@@ -164,12 +163,15 @@ int main(int argc, char** argv) {
       json.end_object();
     }
 
-    // --- batched load-sweep probe (blocking baseline) ------------------
+    // --- load-sweep probe (blocking baseline) --------------------------
     {
       nbclos::BlockingEstimate estimate;
       const double secs = best_seconds(kTimingReps, [&] {
-        estimate = nbclos::estimate_blocking_parallel(ftree, dmodk,
-                                                      probe_trials, 42, pool);
+        estimate = nbclos::estimate_blocking_parallel(
+            ftree, [&dmodk](std::uint64_t) {
+              return nbclos::as_pattern_router(dmodk);
+            },
+            probe_trials, 42, pool);
       });
       json.key("load_probe").begin_object();
       json.member("routing", "d-mod-k");
@@ -200,7 +202,7 @@ int main(int argc, char** argv) {
 
   manifest.wall_seconds = seconds_since(wall_start);
   // Sample the manifest's RSS high-water mark *after* every case's
-  // caches and kernel arenas have been built — sampling at startup
+  // caches have been built — sampling at startup
   // under-reported by the size of everything the bench allocated.
   manifest.peak_rss_kb = nbclos::obs::peak_rss_kb();
   json.key("manifest");

@@ -7,10 +7,14 @@
 /// pattern, so a swap of targets i and j changes at most four SD pairs:
 /// (i, old ti), (j, old tj) disappear and (i, tj), (j, ti) appear (fixed
 /// points drop out).  SwapDeltaState keeps a persistent LinkLoadMap and
-/// applies exactly those path removals/additions, making one hill-climb
-/// step O(path length) instead of O(leafs * path length) — with the
-/// colliding-pair count maintained as a running sum.
+/// replays exactly those pairs' link runs from an immutable RouteCache,
+/// making one hill-climb step four cache lookups plus counter updates
+/// instead of O(leafs * path length) — with the colliding-pair count
+/// maintained as a running sum.
 ///
+/// The verifier scores a climb one of two ways: full re-evaluation of
+/// the whole pattern through a PatternRouter (any router, and the tests'
+/// reference), or this cached delta state (single-path routings only).
 /// Invariant (checked by property tests): after any sequence of
 /// apply_swap calls, collisions() equals a from-scratch evaluation of the
 /// current pattern.  This only holds for pattern-independent routers;
@@ -23,23 +27,15 @@
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/routing/route_cache.hpp"
-#include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 
 namespace nbclos {
 
 class SwapDeltaState {
  public:
-  /// `routing` must outlive the state and route over `ftree`.  Every
-  /// path is computed on demand through route_into.
-  SwapDeltaState(const FoldedClos& ftree, const SinglePathRouting& routing)
-      : ftree_(&ftree), routing_(&routing), map_(ftree) {}
-
-  /// Cache-backed mode: replay precomputed flat link runs instead of
-  /// calling route_into — the per-swap cost drops to four cache lookups
-  /// plus counter updates.  `cache` must outlive the state and must have
-  /// been materialized from a routing over `ftree`; searches share one
-  /// immutable cache across restarts (and across threads).
+  /// `cache` must outlive the state and must have been materialized from
+  /// a routing over `ftree`; searches share one immutable cache across
+  /// restarts (and across threads).
   SwapDeltaState(const FoldedClos& ftree, const routing::RouteCache& cache)
       : ftree_(&ftree), cache_(&cache), map_(ftree) {
     NBCLOS_REQUIRE(cache.leaf_count() == ftree.leaf_count() &&
@@ -61,14 +57,12 @@ class SwapDeltaState {
                    "target vector must cover every leaf");
     map_.clear();
     target_ = target;
-    if (cache_ == nullptr) path_.resize(target_.size());
     for (std::uint32_t s = 0; s < target_.size(); ++s) add_leaf(s);
   }
 
-  /// Swap targets i and j, delta-updating the load map.  Applying the
-  /// same swap again restores the previous state exactly, so callers
-  /// revert a rejected move by re-swapping.  \pre i != j, both in range
-  /// (checked in Debug builds only — this runs once per hill-climb step).
+  /// Swap targets i and j, delta-updating the load map.  \pre i != j,
+  /// both in range (checked in Debug builds only — this runs once per
+  /// hill-climb step).
   void apply_swap(std::uint32_t i, std::uint32_t j) {
     NBCLOS_DEBUG_CHECK(i != j && i < target_.size() && j < target_.size(),
                        "invalid swap indices");
@@ -78,6 +72,10 @@ class SwapDeltaState {
     add_leaf(i);
     add_leaf(j);
   }
+
+  /// Undo apply_swap(i, j): a swap is its own inverse, so this restores
+  /// the previous targets and load map exactly.
+  void revert_swap(std::uint32_t i, std::uint32_t j) { apply_swap(i, j); }
 
   /// Colliding path pairs of the current pattern — O(1), a running sum.
   [[nodiscard]] std::uint64_t collisions() const noexcept {
@@ -94,36 +92,24 @@ class SwapDeltaState {
   }
 
  private:
-  /// Route leaf s's current pair and load its links.  In route mode the
-  /// path is stashed per leaf (the path added for (s, target[s]) is the
-  /// path to remove later — sound because paths are pattern-independent);
-  /// in cache mode both add and remove just replay the immutable run.
+  /// Load (or unload) leaf s's current pair by replaying its cached run;
+  /// paths are pattern-independent, so the run added for (s, target[s])
+  /// is the run to remove later.
   void add_leaf(std::uint32_t s) {
     if (target_[s] == s) return;
-    if (cache_ != nullptr) {
-      ++lookups_;
-      map_.add_run(cache_->links(s, target_[s]));
-      return;
-    }
-    routing_->route_into({LeafId{s}, LeafId{target_[s]}}, path_[s]);
-    map_.add_path(path_[s]);
+    ++lookups_;
+    map_.add_run(cache_->links(s, target_[s]));
   }
 
   void remove_leaf(std::uint32_t s) {
     if (target_[s] == s) return;
-    if (cache_ != nullptr) {
-      ++lookups_;
-      map_.remove_run(cache_->links(s, target_[s]));
-      return;
-    }
-    map_.remove_path(path_[s]);  // cached by the matching add_leaf
+    ++lookups_;
+    map_.remove_run(cache_->links(s, target_[s]));
   }
 
   const FoldedClos* ftree_;
-  const SinglePathRouting* routing_ = nullptr;  ///< route mode
-  const routing::RouteCache* cache_ = nullptr;  ///< cache mode
+  const routing::RouteCache* cache_;
   std::vector<std::uint32_t> target_;
-  std::vector<FtreePath> path_;  ///< per-leaf current path (route mode only)
   LinkLoadMap map_;
   std::uint64_t lookups_ = 0;  ///< local count, flushed to obs on destroy
 };

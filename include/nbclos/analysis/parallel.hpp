@@ -7,6 +7,13 @@
 /// factory; (2) results must not depend on the pool's thread count, so
 /// trials are split into a *fixed* number of chunks with seeds derived
 /// from the master seed, and partials are merged in chunk order.
+///
+/// Each question is scored one way.  Sampled permutations (blocking
+/// estimates, random and exhaustive verification) are routed by a
+/// worker-private PatternRouter and loaded into a LinkLoadMap.
+/// Adversarial and worst-case restarts climb with the cached delta
+/// evaluator (SwapDeltaState over one RouteCache, shared read-only by
+/// every worker), which is bit-identical to full re-evaluation.
 #pragma once
 
 #include <cstdint>
@@ -39,22 +46,9 @@ using PatternRouterFactory =
     std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,
     std::uint32_t chunks = 16);
 
-/// Batched overloads for single-path deterministic routings: one
-/// RouteCache is materialized per call and shared read-only by every
-/// worker; each chunk scores its trials through a private BatchLoadKernel
-/// (analysis/batch.hpp), up to BatchLoadKernel::kMaxBatch permutations
-/// per arena pass.  Same chunk seeds, same per-trial statistics, same
-/// merge order — the results are bit-identical to the factory overloads
-/// above wrapping `routing`.  They are not faster for every routing: at
-/// ftree(8+64, 64), 20000 trials on 2 threads (the verify_ftree
-/// benchmark, EXPERIMENTS.md), the batched call takes ~1.5x the factory
-/// call's time, cache build included, because Yuan's arithmetic route()
-/// costs less than any table lookup.  `nbclos verify … random` therefore
-/// stays on the factory overload.
-[[nodiscard]] BlockingEstimate estimate_blocking_parallel(
-    const FoldedClos& ftree, const SinglePathRouting& routing,
-    std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,
-    std::uint32_t chunks = 16);
+/// verify_random_parallel over a single-path routing: the factory
+/// overload above with every worker wrapping `routing` through
+/// as_pattern_router (kept for callers that hold only the routing).
 [[nodiscard]] VerifyResult verify_random_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,
@@ -81,9 +75,8 @@ using PatternRouterFactory =
 /// its own SplitMix64-derived seed and private SwapDeltaState, so the
 /// merged result (lowest failing restart index wins; permutations_checked
 /// sums restarts up to and including it) is thread-count independent.
-/// `routing` is shared read-only across workers and must be thread-safe
-/// under concurrent route() calls — true of all deterministic routings
-/// in this library.
+/// `routing` is materialized once into a RouteCache that every worker
+/// shares read-only.
 [[nodiscard]] VerifyResult verify_adversarial_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     const AdversarialOptions& options, std::uint64_t seed, ThreadPool& pool);

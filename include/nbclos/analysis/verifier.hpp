@@ -13,11 +13,16 @@
 ///
 /// The router under test is abstracted as a function from a permutation
 /// to its paths, so deterministic, adaptive, and centralized schemes all
-/// fit one interface.  Single-path deterministic routings additionally
-/// get *delta-evaluated* overloads: their hill-climb steps re-route only
-/// the <= 4 SD pairs a swap touches (see analysis/delta.hpp) instead of
-/// the whole pattern, which is what makes large adversarial budgets and
-/// the parallel drivers in analysis/parallel.hpp affordable.
+/// fit one interface.  Every sampled permutation is scored one way: its
+/// routed paths loaded into a LinkLoadMap.  A hill-climb step is scored
+/// by one of two evaluators:
+///   * full re-evaluation of the whole pattern through a PatternRouter
+///     (any router; the tests' reference);
+///   * cached delta evaluation (SwapDeltaState, analysis/delta.hpp) for
+///     single-path deterministic routings: a step replays only the <= 4
+///     SD pairs a swap touches from a RouteCache, which is what makes
+///     large adversarial budgets and the parallel drivers in
+///     analysis/parallel.hpp affordable.
 #pragma once
 
 #include <cstdint>
@@ -91,17 +96,12 @@ struct RestartResult {
                                                 std::uint64_t seed,
                                                 bool stop_on_positive);
 
-/// One delta-evaluated restart (single-path deterministic routings only:
-/// paths must not depend on the rest of the pattern).
-[[nodiscard]] RestartResult adversarial_restart(
-    const FoldedClos& ftree, const SinglePathRouting& routing,
-    std::uint32_t steps, std::uint64_t seed, bool stop_on_positive);
-
 /// One delta-evaluated restart replaying a precomputed RouteCache
-/// (routing/route_cache.hpp) instead of routing per step.  Bit-identical
-/// to the SinglePathRouting overload when the cache was materialized
-/// from that routing; the cache is immutable, so many restarts (and
-/// threads) share one.
+/// (routing/route_cache.hpp) instead of routing per step (single-path
+/// deterministic routings only: paths must not depend on the rest of
+/// the pattern).  Bit-identical to the PatternRouter overload over the
+/// routing the cache was materialized from; the cache is immutable, so
+/// many restarts (and threads) share one.
 [[nodiscard]] RestartResult adversarial_restart(
     const FoldedClos& ftree, const routing::RouteCache& cache,
     std::uint32_t steps, std::uint64_t seed, bool stop_on_positive);
@@ -111,8 +111,8 @@ struct RestartResult {
                                               const AdversarialOptions& options,
                                               Xoshiro256& rng);
 
-/// Delta-evaluated overload: O(path) per hill-climb step via a
-/// persistent LinkLoadMap instead of re-routing all leafs.
+/// Delta-evaluated overload: materializes one RouteCache and replays
+/// O(path) per hill-climb step instead of re-routing all leafs.
 [[nodiscard]] VerifyResult verify_adversarial(const FoldedClos& ftree,
                                               const SinglePathRouting& routing,
                                               const AdversarialOptions& options,

@@ -1,13 +1,10 @@
 #include "nbclos/analysis/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <optional>
 
-#include "nbclos/analysis/batch.hpp"
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/obs/metrics.hpp"
@@ -40,32 +37,6 @@ std::uint64_t obs_now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Fill up to kMaxBatch lane-major target vectors with random full
-/// permutations, consuming `rng` exactly like one random_permutation
-/// call per lane (iota + shuffle) — the batched drivers stay on the
-/// same rng stream as their one-pattern-at-a-time counterparts.
-std::uint32_t fill_random_lanes(std::uint32_t leafs, std::uint64_t remaining,
-                                Xoshiro256& rng,
-                                std::vector<std::uint32_t>& targets) {
-  const auto lanes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      analysis::BatchLoadKernel::kMaxBatch, remaining));
-  targets.resize(std::size_t{lanes} * leafs);
-  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-    const auto seg = targets.begin() + std::ptrdiff_t{lane} * leafs;
-    std::iota(seg, seg + leafs, 0U);
-    shuffle(seg, seg + leafs, rng);
-  }
-  return lanes;
-}
-
-/// The lane's target vector as a Permutation (counterexample reporting).
-Permutation lane_pattern(const std::vector<std::uint32_t>& targets,
-                         std::uint32_t lane, std::uint32_t leafs) {
-  const auto begin = targets.begin() + std::ptrdiff_t{lane} * leafs;
-  return permutation_from_targets(
-      std::vector<std::uint32_t>(begin, begin + leafs));
 }
 
 }  // namespace
@@ -161,122 +132,13 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
   return result;
 }
 
-BlockingEstimate estimate_blocking_parallel(const FoldedClos& ftree,
-                                            const SinglePathRouting& routing,
-                                            std::uint64_t trials,
-                                            std::uint64_t seed,
-                                            ThreadPool& pool,
-                                            std::uint32_t chunks) {
-  NBCLOS_REQUIRE(trials > 0, "need at least one trial");
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.blocking_estimate", "verify");
-  span.arg("trials", static_cast<double>(trials));
-  const auto cache = routing::RouteCache::materialize(routing);
-
-  struct Partial {
-    std::uint64_t blocked = 0;
-    double sum_collisions = 0.0;
-    double sum_max_load = 0.0;
-  };
-  std::vector<Partial> partials(chunks);
-
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    if (sizes[c] == 0) continue;
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      analysis::BatchLoadKernel kernel(cache);
-      std::vector<std::uint32_t> targets;
-      Partial partial;
-      std::uint64_t done = 0;
-      while (done < sizes[c]) {
-        const auto lanes =
-            fill_random_lanes(ftree.leaf_count(), sizes[c] - done, rng,
-                              targets);
-        const auto stats = kernel.score_targets(targets, lanes);
-        for (const auto& st : stats) {  // lane order == trial order
-          if (st.colliding_pairs > 0) ++partial.blocked;
-          partial.sum_collisions += static_cast<double>(st.colliding_pairs);
-          partial.sum_max_load += static_cast<double>(st.max_load);
-        }
-        done += lanes;
-      }
-      partials[c] = partial;
-    });
-  }
-  pool.wait_idle();
-
-  BlockingEstimate est;
-  est.trials = trials;
-  double sum_collisions = 0.0;
-  double sum_max_load = 0.0;
-  for (const auto& partial : partials) {  // fixed merge order
-    est.blocked += partial.blocked;
-    sum_collisions += partial.sum_collisions;
-    sum_max_load += partial.sum_max_load;
-  }
-  const auto count = static_cast<double>(trials);
-  est.blocking_probability = static_cast<double>(est.blocked) / count;
-  est.mean_colliding_pairs = sum_collisions / count;
-  est.mean_max_link_load = sum_max_load / count;
-  const double p = est.blocking_probability;
-  est.ci95_half_width = 1.96 * std::sqrt(p * (1.0 - p) / count);
-  return est;
-}
-
 VerifyResult verify_random_parallel(const FoldedClos& ftree,
                                     const SinglePathRouting& routing,
                                     std::uint64_t trials, std::uint64_t seed,
                                     ThreadPool& pool, std::uint32_t chunks) {
-  const auto sizes = chunk_sizes(trials, chunks);
-  obs::ScopedSpan span("verify.random", "verify");
-  span.arg("trials", static_cast<double>(trials));
-  const auto cache = routing::RouteCache::materialize(routing);
-  std::vector<VerifyResult> partials(chunks);
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    partials[c].nonblocking = true;
-    if (sizes[c] == 0) continue;
-    pool.submit([&, c] {
-      Xoshiro256 rng(chunk_seed(seed, c));
-      analysis::BatchLoadKernel kernel(cache);
-      std::vector<std::uint32_t> targets;
-      auto& partial = partials[c];
-      std::uint64_t done = 0;
-      while (done < sizes[c] && partial.nonblocking) {
-        const auto lanes =
-            fill_random_lanes(ftree.leaf_count(), sizes[c] - done, rng,
-                              targets);
-        const auto stats = kernel.score_targets(targets, lanes);
-        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-          ++partial.permutations_checked;
-          if (stats[lane].colliding_pairs > 0) {
-            // Same trial index, pattern, and count as the serial
-            // verify_random stopping at its first blocked permutation.
-            partial.nonblocking = false;
-            partial.counterexample =
-                lane_pattern(targets, lane, ftree.leaf_count());
-            partial.counterexample_collisions = stats[lane].colliding_pairs;
-            break;
-          }
-        }
-        done += lanes;
-      }
-    });
-  }
-  pool.wait_idle();
-
-  VerifyResult result;
-  result.nonblocking = true;
-  for (const auto& partial : partials) {  // lowest failing chunk wins
-    result.permutations_checked += partial.permutations_checked;
-    if (result.nonblocking && !partial.nonblocking) {
-      result.nonblocking = false;
-      result.counterexample = partial.counterexample;
-      result.counterexample_collisions = partial.counterexample_collisions;
-    }
-  }
-  obs::metrics().counter("verify.perms_evaluated")
-      .add(result.permutations_checked);
-  return result;
+  return verify_random_parallel(
+      ftree, [&routing](std::uint64_t) { return as_pattern_router(routing); },
+      trials, seed, pool, chunks);
 }
 
 VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
@@ -419,53 +281,11 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
   // Materialized once, shared read-only by every worker: restarts replay
   // the same flat link runs instead of re-routing on their own.
   const auto cache = routing::RouteCache::materialize(routing);
-
-  // Batch pre-score of every restart's initial pattern.  run_restart
-  // scores the shuffled start first and (stop_on_positive) returns it as
-  // the counterexample when it already collides, so such restarts are
-  // finished after one evaluation — their outcomes come straight from
-  // the kernel's lane statistics and never need a climb or a DeltaState.
-  // The generation below consumes a fresh per-restart rng exactly like
-  // run_restart's reset does, so patterns (and outcomes) are identical.
-  std::vector<char> resolved(options.restarts, 0);
   std::atomic<std::uint32_t> first_failing{UINT32_MAX};
-  {
-    analysis::BatchLoadKernel kernel(cache);
-    const std::uint32_t leafs = ftree.leaf_count();
-    std::vector<std::uint32_t> targets;
-    for (std::uint32_t base = 0; base < options.restarts;
-         base += analysis::BatchLoadKernel::kMaxBatch) {
-      const auto lanes =
-          std::min(analysis::BatchLoadKernel::kMaxBatch,
-                   options.restarts - base);
-      targets.resize(std::size_t{lanes} * leafs);
-      for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-        Xoshiro256 rng(adversarial_restart_seed(seed, base + lane));
-        const auto seg = targets.begin() + std::ptrdiff_t{lane} * leafs;
-        std::iota(seg, seg + leafs, 0U);
-        shuffle(seg, seg + leafs, rng);
-      }
-      const auto stats = kernel.score_targets(targets, lanes);
-      for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-        if (stats[lane].colliding_pairs == 0) continue;
-        const auto restart = base + lane;
-        outcomes[restart].collisions = stats[lane].colliding_pairs;
-        outcomes[restart].pattern = lane_pattern(targets, lane, leafs);
-        outcomes[restart].evaluations = 1;
-        resolved[restart] = 1;
-        auto current = first_failing.load(std::memory_order_relaxed);
-        while (restart < current &&
-               !first_failing.compare_exchange_weak(current, restart)) {
-        }
-      }
-      if (base >= first_failing.load(std::memory_order_relaxed)) break;
-    }
-  }
 
   // Restarts with an index above the lowest failing one cannot affect the
   // merged result, so they may be skipped opportunistically.
   for (std::uint32_t restart = 0; restart < options.restarts; ++restart) {
-    if (resolved[restart] != 0) continue;  // settled by the pre-score
     pool.submit([&, restart] {
       if (restart > first_failing.load(std::memory_order_relaxed)) {
         obs::metrics().counter("verify.restarts_skipped").add(1);

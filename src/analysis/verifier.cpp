@@ -71,26 +71,6 @@ class FullSwapState {
   bool dirty_ = true;
 };
 
-/// Thin adapter giving SwapDeltaState the revert_swap the core expects
-/// (a delta swap is its own inverse).
-class DeltaState {
- public:
-  DeltaState(const FoldedClos& ftree, const SinglePathRouting& routing)
-      : state_(ftree, routing) {}
-  DeltaState(const FoldedClos& ftree, const routing::RouteCache& cache)
-      : state_(ftree, cache) {}
-  void reset(const std::vector<std::uint32_t>& target) { state_.reset(target); }
-  void apply_swap(std::uint32_t i, std::uint32_t j) { state_.apply_swap(i, j); }
-  void revert_swap(std::uint32_t i, std::uint32_t j) {
-    state_.apply_swap(i, j);
-  }
-  [[nodiscard]] std::uint64_t collisions() { return state_.collisions(); }
-  [[nodiscard]] Permutation pattern() const { return state_.pattern(); }
-
- private:
-  SwapDeltaState state_;
-};
-
 /// The hill climb shared by both evaluation strategies: accept a swap
 /// when it does not decrease the colliding-pair count, revert otherwise.
 template <typename State>
@@ -233,18 +213,10 @@ RestartResult adversarial_restart(const FoldedClos& ftree,
 }
 
 RestartResult adversarial_restart(const FoldedClos& ftree,
-                                  const SinglePathRouting& routing,
-                                  std::uint32_t steps, std::uint64_t seed,
-                                  bool stop_on_positive) {
-  DeltaState state(ftree, routing);
-  return run_restart(state, ftree.leaf_count(), steps, seed, stop_on_positive);
-}
-
-RestartResult adversarial_restart(const FoldedClos& ftree,
                                   const routing::RouteCache& cache,
                                   std::uint32_t steps, std::uint64_t seed,
                                   bool stop_on_positive) {
-  DeltaState state(ftree, cache);
+  SwapDeltaState state(ftree, cache);
   return run_restart(state, ftree.leaf_count(), steps, seed, stop_on_positive);
 }
 

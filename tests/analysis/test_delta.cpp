@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -36,7 +37,8 @@ void check_delta_matches_full(const FoldedClos& ft,
                               std::uint64_t seed, std::uint32_t swaps) {
   Xoshiro256 rng(seed);
   const std::uint32_t leafs = ft.leaf_count();
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   state.reset(random_targets(leafs, rng));
   ASSERT_EQ(state.collisions(), full_collisions(ft, routing, state.targets()));
   for (std::uint32_t step = 0; step < swaps; ++step) {
@@ -87,7 +89,8 @@ TEST(SwapDelta, SwapIsSelfInverse) {
   const FoldedClos ft(FtreeParams{2, 2, 4});
   const DModKRouting routing(ft);
   Xoshiro256 rng(7);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(routing);
+  SwapDeltaState state(ft, cache);
   state.reset(random_targets(ft.leaf_count(), rng));
   const auto targets_before = state.targets();
   const auto collisions_before = state.collisions();
@@ -95,12 +98,16 @@ TEST(SwapDelta, SwapIsSelfInverse) {
   state.apply_swap(1, 5);
   EXPECT_EQ(state.targets(), targets_before);
   EXPECT_EQ(state.collisions(), collisions_before);
+  state.apply_swap(2, 6);
+  state.revert_swap(2, 6);
+  EXPECT_EQ(state.targets(), targets_before);
+  EXPECT_EQ(state.collisions(), collisions_before);
 }
 
 TEST(SwapDelta, PatternDropsFixedPoints) {
   const FoldedClos ft(FtreeParams{2, 4, 4});
-  const DModKRouting routing(ft);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(DModKRouting(ft));
+  SwapDeltaState state(ft, cache);
   std::vector<std::uint32_t> identity(ft.leaf_count());
   std::iota(identity.begin(), identity.end(), 0U);
   state.reset(identity);
@@ -112,8 +119,8 @@ TEST(SwapDelta, PatternDropsFixedPoints) {
 
 TEST(SwapDelta, RejectsBadSwaps) {
   const FoldedClos ft(FtreeParams{2, 2, 3});
-  const DModKRouting routing(ft);
-  SwapDeltaState state(ft, routing);
+  const auto cache = routing::RouteCache::materialize(DModKRouting(ft));
+  SwapDeltaState state(ft, cache);
   std::vector<std::uint32_t> identity(ft.leaf_count());
   std::iota(identity.begin(), identity.end(), 0U);
   state.reset(identity);

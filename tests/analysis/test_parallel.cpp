@@ -7,6 +7,7 @@
 
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -95,6 +96,45 @@ TEST(ParallelAnalysis, CounterexampleIsDeterministicAcrossPoolSizes) {
   EXPECT_EQ(*a.counterexample, *b.counterexample);
 }
 
+void expect_same_verify(const VerifyResult& a, const VerifyResult& b) {
+  EXPECT_EQ(a.nonblocking, b.nonblocking);
+  EXPECT_EQ(a.permutations_checked, b.permutations_checked);
+  EXPECT_EQ(a.counterexample.has_value(), b.counterexample.has_value());
+  if (a.counterexample && b.counterexample) {
+    EXPECT_EQ(*a.counterexample, *b.counterexample);
+  }
+  EXPECT_EQ(a.counterexample_collisions, b.counterexample_collisions);
+}
+
+PatternRouterFactory factory_for(const SinglePathRouting& routing) {
+  return [&routing](std::uint64_t) { return as_pattern_router(routing); };
+}
+
+TEST(ParallelAnalysis, SinglePathOverloadMatchesFactoryOnBlockingRouting) {
+  const FoldedClos ft(FtreeParams{3, 4, 5});
+  const DModKRouting dmodk(ft);
+  ThreadPool baseline_pool(1);
+  const auto expect = verify_random_parallel(ft, factory_for(dmodk), 400, 21,
+                                             baseline_pool, 8);
+  ASSERT_FALSE(expect.nonblocking);  // m < n^2 blocks under sampling
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    ThreadPool pool(threads);
+    expect_same_verify(verify_random_parallel(ft, dmodk, 400, 21, pool, 8),
+                       expect);
+  }
+}
+
+TEST(ParallelAnalysis, SinglePathOverloadMatchesFactoryOnNonblockingRouting) {
+  const FoldedClos ft(FtreeParams{2, 4, 4});
+  const YuanNonblockingRouting yuan(ft);
+  ThreadPool pool(2);
+  const auto got = verify_random_parallel(ft, yuan, 300, 5, pool, 8);
+  EXPECT_TRUE(got.nonblocking);
+  EXPECT_EQ(got.permutations_checked, 300U);
+  expect_same_verify(got, verify_random_parallel(ft, factory_for(yuan), 300, 5,
+                                                 pool, 8));
+}
+
 TEST(ParallelExhaustive, MatchesSerialOnNonblockingInstance) {
   const FoldedClos ft(FtreeParams{2, 4, 3});  // 6 leaves, 720 permutations
   const YuanNonblockingRouting routing(ft);
@@ -178,6 +218,78 @@ TEST(ParallelAdversarial, ThreadCountIndependentResults) {
           << threads << " threads";
     }
   }
+}
+
+/// The merge rule of verify_adversarial_parallel, replayed serially:
+/// restarts in index order, stopping at the first that collides.
+VerifyResult replay_restarts(const FoldedClos& ft,
+                             const routing::RouteCache& cache,
+                             const AdversarialOptions& options,
+                             std::uint64_t seed) {
+  VerifyResult result;
+  result.nonblocking = true;
+  for (std::uint32_t i = 0; i < options.restarts; ++i) {
+    auto outcome =
+        adversarial_restart(ft, cache, options.steps_per_restart,
+                            adversarial_restart_seed(seed, i), true);
+    result.permutations_checked += outcome.evaluations;
+    if (outcome.collisions > 0) {
+      result.nonblocking = false;
+      result.counterexample = std::move(outcome.pattern);
+      result.counterexample_collisions = outcome.collisions;
+      break;
+    }
+  }
+  return result;
+}
+
+/// Checks verify_adversarial_parallel against the replay at several
+/// thread counts; returns the replayed result.
+VerifyResult expect_parallel_matches_replay(const SinglePathRouting& routing,
+                                            const AdversarialOptions& options,
+                                            std::uint64_t seed) {
+  const FoldedClos& ft = routing.ftree();
+  const auto cache = routing::RouteCache::materialize(routing);
+  const auto expect = replay_restarts(ft, cache, options, seed);
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    expect_same_verify(
+        verify_adversarial_parallel(ft, routing, options, seed, pool), expect);
+  }
+  return expect;
+}
+
+TEST(ParallelAdversarial, MergedResultEqualsRestartReplay) {
+  // m < n^2 on 15 leaves: restart 0's shuffled start already collides,
+  // so the merged result is that start after one evaluation.
+  const FoldedClos blocking(FtreeParams{3, 4, 5});
+  const DModKRouting dmodk(blocking);
+  const AdversarialOptions options{.restarts = 12, .steps_per_restart = 250};
+  const auto first = adversarial_restart(
+      blocking, routing::RouteCache::materialize(dmodk),
+      options.steps_per_restart, adversarial_restart_seed(17, 0), true);
+  ASSERT_GT(first.collisions, 0U);
+  ASSERT_EQ(first.evaluations, 1U);
+  expect_parallel_matches_replay(dmodk, options, 17);
+
+  // Short climbs at m = n^2: restart 0 ends clean, so the merge must
+  // sum its evaluations (at most steps + 1 each) into the first
+  // colliding restart's.
+  const FoldedClos later(FtreeParams{3, 9, 4});
+  const AdversarialOptions short_climbs{10, 5};
+  const auto later_result =
+      expect_parallel_matches_replay(DModKRouting(later), short_climbs, 1);
+  ASSERT_FALSE(later_result.nonblocking);
+  EXPECT_GT(later_result.permutations_checked,
+            short_climbs.steps_per_restart + 1U);
+
+  // Theorem 3 routing: every restart runs its full budget, none collides.
+  const FoldedClos clean(FtreeParams{2, 4, 5});
+  const YuanNonblockingRouting yuan(clean);
+  EXPECT_TRUE(expect_parallel_matches_replay(yuan, AdversarialOptions{4, 200},
+                                             11)
+                  .nonblocking);
 }
 
 TEST(ParallelAdversarial, FindsRareBlockingAndVerifiesCounterexample) {

@@ -5,6 +5,7 @@
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -120,23 +121,37 @@ TEST(Verifier, WorstCaseSearchFindsZeroForNonblockingScheme) {
   EXPECT_GT(worst.evaluations, 0U);
 }
 
+void expect_same_restart(const RestartResult& a, const RestartResult& b) {
+  EXPECT_EQ(a.collisions, b.collisions);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.pattern, b.pattern);
+}
+
+/// The cached delta restart must follow the full re-evaluation restart's
+/// trajectory step for step, climbing or stopping at the first collision.
+void expect_cached_restart_matches_full(const SinglePathRouting& routing,
+                                        std::uint32_t steps) {
+  const FoldedClos& ft = routing.ftree();
+  const auto cache = routing::RouteCache::materialize(routing);
+  const auto full_router = as_pattern_router(routing);
+  for (const bool stop_on_positive : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", stop "
+                                      << stop_on_positive);
+      expect_same_restart(
+          adversarial_restart(ft, cache, steps, seed, stop_on_positive),
+          adversarial_restart(ft, full_router, steps, seed,
+                              stop_on_positive));
+    }
+  }
+}
+
 TEST(Verifier, DeltaRestartMatchesFullRestartExactly) {
   // Same seed -> same start pattern and same swap proposals; since delta
   // and full evaluation must agree on every collision count, the entire
   // trajectory (accepts, reverts, final pattern) is identical.
   const FoldedClos ft(FtreeParams{2, 4, 4});
-  const DModKRouting routing(ft);
-  for (const std::uint64_t seed : {3ULL, 17ULL, 99ULL}) {
-    for (const bool stop_on_positive : {false, true}) {
-      const auto full = adversarial_restart(ft, as_pattern_router(routing),
-                                            300, seed, stop_on_positive);
-      const auto delta =
-          adversarial_restart(ft, routing, 300, seed, stop_on_positive);
-      EXPECT_EQ(delta.collisions, full.collisions) << "seed " << seed;
-      EXPECT_EQ(delta.evaluations, full.evaluations) << "seed " << seed;
-      EXPECT_EQ(delta.pattern, full.pattern) << "seed " << seed;
-    }
-  }
+  expect_cached_restart_matches_full(DModKRouting(ft), 300);
 }
 
 TEST(Verifier, DeltaAdversarialOverloadMatchesPatternRouterOverload) {
@@ -209,6 +224,21 @@ TEST(Verifier, CountsPermutationsInAdversarialMode) {
   // 2 restarts x (1 initial + <= 50 steps); i == j steps don't evaluate.
   EXPECT_GE(result.permutations_checked, 2U);
   EXPECT_LE(result.permutations_checked, 102U);
+}
+
+TEST(CachedRestart, MatchesFullAndDeltaEvaluationTrajectories) {
+  const FoldedClos ft(FtreeParams{3, 4, 5});
+  expect_cached_restart_matches_full(DModKRouting(ft), 300);
+}
+
+TEST(CachedRestart, NonblockingRoutingNeverFindsCollisions) {
+  const FoldedClos ft(FtreeParams{2, 4, 4});
+  const YuanNonblockingRouting yuan(ft);
+  expect_cached_restart_matches_full(yuan, 200);
+  const auto cache = routing::RouteCache::materialize(yuan);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    EXPECT_EQ(adversarial_restart(ft, cache, 200, seed, true).collisions, 0U);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 # routing, accepted-throughput and mean-latency lines with and without
 # --shards 2.  A bad flow configuration, a routing the sharded engine
 # cannot run, and malformed or out-of-range `nbclos verify` arguments must
-# be usage errors (exit 2) whose message names no source file.
+# be usage errors (exit 2) whose message names no source file; so must a
+# malformed number or an oversized ftree on any other command, with a
+# message that names the offending argument.
 #
 #   cmake -DNBCLOS=<path to the nbclos binary> -P cli_smoke.cmake
 if(NOT NBCLOS)
@@ -89,5 +91,25 @@ foreach(bad IN ITEMS "sim 4 8 0.9 adaptive --shards 2"
   endif()
   if(err MATCHES "\\.(cpp|hpp):")
     message(FATAL_ERROR "nbclos ${bad} leaked a source location: ${err}")
+  endif()
+endforeach()
+
+# Numeric arguments of every command parse strictly: a non-number, a
+# negative count, or an ftree too large for 32-bit link ids is a usage
+# error whose message names the argument (each entry: command|pattern).
+foreach(bad IN ITEMS "certify 100000|n = 100000"
+                     "saturation 4 x thm3|<r> must be an unsigned integer"
+                     "circuit 2 3 4 -5|\\[steps\\] must be an unsigned integer")
+  string(REPLACE "|" ";" parts "${bad}")
+  list(GET parts 0 command)
+  list(GET parts 1 pattern)
+  separate_arguments(args UNIX_COMMAND "${command}")
+  execute_process(COMMAND ${NBCLOS} ${args}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "nbclos ${command} exited ${rc}, want 2: ${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "nbclos ${command} did not name the argument: ${err}")
   endif()
 endforeach()

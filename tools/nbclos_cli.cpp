@@ -42,6 +42,7 @@
 ///                     CSV when FILE ends in ".csv", else JSON
 ///                     ("-" = JSON to stdout)
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -51,6 +52,7 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -191,10 +193,6 @@ bool ends_with(const std::string& text, const std::string& suffix) {
          text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i) {
-  return static_cast<std::uint32_t>(std::stoul(args.at(i)));
-}
-
 /// The whole of `text` as an unsigned decimal; anything else (empty, a
 /// sign, trailing characters, overflow) is a usage error naming `what`.
 std::uint64_t usage_u64(const std::string& text, const std::string& what) {
@@ -214,16 +212,65 @@ std::uint32_t usage_u32(const std::string& text, const std::string& what) {
   return static_cast<std::uint32_t>(value);
 }
 
+/// The whole of `text` as a finite decimal number; anything else is a
+/// usage error naming `what`.
+double usage_double(const std::string& text, const std::string& what) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end ||
+      !std::isfinite(value)) {
+    throw UsageError(what + " must be a number, not '" + text + "'");
+  }
+  return value;
+}
+
+/// Positional argument `i` as a u32 (see usage_u32).
+std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i,
+                      const std::string& what) {
+  return usage_u32(args.at(i), what);
+}
+
+/// Reject an ftree(n+m, r) shape FoldedClos cannot hold — fewer than one
+/// leaf or top per switch, fewer than two bottom switches, or more links
+/// than its 32-bit ids cover — before anything is built.  Every command
+/// that builds an ftree runs this check.
+void check_ftree_shape(std::uint64_t n, std::uint64_t m, std::uint64_t r) {
+  if (n < 1 || m < 1 || r < 2) {
+    throw UsageError("ftree(n+m, r) needs n >= 1, m >= 1 and r >= 2");
+  }
+  // Operands stay below 2^32 before each product, so nothing wraps.
+  const bool fits = n <= UINT32_MAX && m <= UINT32_MAX && r <= UINT32_MAX &&
+                    n * r <= UINT32_MAX && m * r <= UINT32_MAX &&
+                    2 * (n * r + m * r) <= UINT32_MAX;
+  if (!fits) {
+    throw UsageError("ftree(n+m, r) with n = " + std::to_string(n) +
+                     ", m = " + std::to_string(m) + ", r = " +
+                     std::to_string(r) + " needs more than 2^32 - 1 link ids");
+  }
+}
+
+/// `<n> [r]` of the commands that build ftree(n+n^2, r) as a
+/// NonblockingFabric, whose r defaults to the switch radix n + n^2.
+std::pair<std::uint32_t, std::optional<std::uint32_t>> fabric_args(
+    const std::vector<std::string>& args) {
+  const auto n = arg_u32(args, 0, "<n>");
+  if (n < 2) throw UsageError("<n> must be at least 2");
+  std::optional<std::uint32_t> r;
+  if (args.size() >= 2) r = arg_u32(args, 1, "[r]");
+  const std::uint64_t m = std::uint64_t{n} * n;
+  check_ftree_shape(n, m, r ? *r : n + m);
+  return {n, r};
+}
+
 /// Remove `name <value>` from `args` wherever it appears; returns the
 /// parsed value, or nullopt when the flag is absent.
 std::optional<std::uint32_t> take_u32_flag(std::vector<std::string>& args,
                                            const std::string& name) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] != name) continue;
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument(name + " needs a value");
-    }
-    const auto value = static_cast<std::uint32_t>(std::stoul(args[i + 1]));
+    if (i + 1 >= args.size()) throw UsageError(name + " needs a value");
+    const auto value = usage_u32(args[i + 1], name);
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
     return value;
@@ -246,18 +293,17 @@ TopoSpec parse_topo(const std::vector<std::string>& args, std::size_t& i) {
   const std::string& first = args.at(i);
   if (first.rfind("kary:", 0) == 0) {
     const auto comma = first.find(',');
-    if (comma == std::string::npos) {
-      throw std::invalid_argument("k-ary spec is kary:K,H");
-    }
+    if (comma == std::string::npos) throw UsageError("k-ary spec is kary:K,H");
     topo.kary = true;
-    topo.k = static_cast<std::uint32_t>(std::stoul(first.substr(5, comma - 5)));
-    topo.h = static_cast<std::uint32_t>(std::stoul(first.substr(comma + 1)));
+    topo.k = usage_u32(first.substr(5, comma - 5), "K of kary:K,H");
+    topo.h = usage_u32(first.substr(comma + 1), "H of kary:K,H");
     topo.name = "kary(" + std::to_string(topo.k) + "," +
                 std::to_string(topo.h) + ")";
     i += 1;
   } else {
-    topo.n = arg_u32(args, i);
-    topo.r = arg_u32(args, i + 1);
+    topo.n = arg_u32(args, i, "<n>");
+    topo.r = arg_u32(args, i + 1, "<r>");
+    check_ftree_shape(topo.n, std::uint64_t{topo.n} * topo.n, topo.r);
     topo.name = "ftree(" + std::to_string(topo.n) + "+" +
                 std::to_string(topo.n * topo.n) + ", " +
                 std::to_string(topo.r) + ")";
@@ -294,7 +340,7 @@ std::shared_ptr<const nbclos::routing::NextHop> make_next_hop(
 }
 
 int cmd_design(const std::vector<std::string>& args) {
-  const auto radix = arg_u32(args, 0);
+  const auto radix = arg_u32(args, 0, "<radix>");
   const auto design = nbclos::design_for_radix(radix);
   if (!design) {
     std::cout << "no nonblocking design fits radix " << radix
@@ -309,7 +355,7 @@ int cmd_design(const std::vector<std::string>& args) {
             << design->switch_radix << ")\n"
             << "  links:    " << design->links << " (bidirectional)\n";
   if (args.size() >= 2) {
-    const auto target = std::stoull(args[1]);
+    const auto target = usage_u64(args[1], "[target_ports]");
     for (std::uint32_t levels = 2; levels <= 6; ++levels) {
       const auto rec = nbclos::recursive_design(design->n, levels);
       if (rec.ports >= target) {
@@ -325,9 +371,7 @@ int cmd_design(const std::vector<std::string>& args) {
 }
 
 int cmd_certify(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const std::optional<std::uint32_t> r =
-      args.size() >= 2 ? std::optional(arg_u32(args, 1)) : std::nullopt;
+  const auto [n, r] = fabric_args(args);
   const nbclos::NonblockingFabric fabric(n, r);
   std::cout << "ftree(" << n << "+" << n * n << ", " << fabric.topology().r()
             << "): " << fabric.port_count() << " ports\n"
@@ -340,8 +384,8 @@ int cmd_certify(const std::vector<std::string>& args) {
 }
 
 int cmd_schedule(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const nbclos::adaptive::AdaptiveParams params{
       n, r, nbclos::min_digit_width(r, n)};
   const nbclos::adaptive::NonblockingAdaptiveRouter router(params);
@@ -362,7 +406,7 @@ int cmd_simulate(std::vector<std::string> args) {
   const auto shards = take_u32_flag(args, "--shards");
   std::size_t i = 0;
   const auto topo = parse_topo(args, i);
-  const double load = std::stod(args.at(i++));
+  const double load = usage_double(args.at(i++), "<load>");
   const std::string routing = args.at(i++);
   g_manifest_shards = shards.value_or(0);
 
@@ -457,7 +501,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
   g_manifest_shards = shards.value_or(0);
   std::size_t i = 0;
   const auto topo = parse_topo(args, i);
-  const double load = std::stod(args.at(i++));
+  const double load = usage_double(args.at(i++), "<load>");
   std::string routing_name = topo.kary ? "dmodk" : "thm3";
   if (i < args.size() && args[i].rfind("--", 0) != 0) routing_name = args[i++];
 
@@ -466,13 +510,16 @@ int cmd_flow_sim(std::vector<std::string> args) {
   bool json = false;
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    const auto next = [&] { return args.at(++i); };
+    const auto next = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) throw UsageError(flag + " needs a value");
+      return args[++i];
+    };
     if (flag == "--packet") {
-      config.packet_flits = static_cast<std::uint32_t>(std::stoul(next()));
+      config.packet_flits = usage_u32(next(), flag);
     } else if (flag == "--buffers") {
-      config.buffer_flits = static_cast<std::uint32_t>(std::stoul(next()));
+      config.buffer_flits = usage_u32(next(), flag);
     } else if (flag == "--vcs") {
-      config.vcs = static_cast<std::uint32_t>(std::stoul(next()));
+      config.vcs = usage_u32(next(), flag);
     } else if (flag == "--switching") {
       const std::string mode = next();
       if (mode == "wormhole") {
@@ -487,9 +534,9 @@ int cmd_flow_sim(std::vector<std::string> args) {
     } else if (flag == "--onoff") {
       config.backpressure = nbclos::flow::Backpressure::kOnOff;
     } else if (flag == "--credit-delay") {
-      config.credit_delay = static_cast<std::uint32_t>(std::stoul(next()));
+      config.credit_delay = usage_u32(next(), flag);
     } else if (flag == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = usage_u64(next(), flag);
     } else if (flag == "--json") {
       json = true;
     } else {
@@ -719,7 +766,9 @@ std::vector<double> parse_rates_csv(const std::string& csv) {
   std::vector<double> rates;
   std::stringstream ss(csv);
   std::string item;
-  while (std::getline(ss, item, ',')) rates.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) {
+    rates.push_back(usage_double(item, "a rate in [rates_csv]"));
+  }
   return rates;
 }
 
@@ -731,7 +780,8 @@ int cmd_load_sweep(std::vector<std::string> args) {
   const std::vector<double> rates =
       i < args.size() ? parse_rates_csv(args[i++])
                       : std::vector<double>{0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
-  const std::size_t threads = i < args.size() ? std::stoull(args[i++]) : 0;
+  const std::size_t threads =
+      i < args.size() ? usage_u64(args[i++], "[threads]") : 0;
   g_manifest_shards = shards.value_or(0);
 
   std::unique_ptr<nbclos::FoldedClos> ft;
@@ -793,11 +843,14 @@ int cmd_load_sweep(std::vector<std::string> args) {
 }
 
 int cmd_saturation(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto r = arg_u32(args, 1);
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const std::string routing = args.at(2);
-  const std::uint32_t iterations = args.size() >= 4 ? arg_u32(args, 3) : 6;
-  const std::size_t threads = args.size() >= 5 ? std::stoull(args[4]) : 0;
+  const std::uint32_t iterations =
+      args.size() >= 4 ? arg_u32(args, 3, "[iterations]") : 6;
+  const std::size_t threads =
+      args.size() >= 5 ? usage_u64(args[4], "[threads]") : 0;
+  check_ftree_shape(n, std::uint64_t{n} * n, r);
 
   const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
   const auto net = nbclos::build_network(ft);
@@ -827,10 +880,11 @@ int cmd_saturation(const std::vector<std::string>& args) {
 }
 
 int cmd_circuit(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const auto m = arg_u32(args, 1);
-  const auto r = arg_u32(args, 2);
-  const std::uint64_t steps = args.size() >= 4 ? std::stoull(args[3]) : 20000;
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto m = arg_u32(args, 1, "<m>");
+  const auto r = arg_u32(args, 2, "<r>");
+  const std::uint64_t steps =
+      args.size() >= 4 ? usage_u64(args[3], "[steps]") : 20000;
   nbclos::circuit::ClosCircuitSwitch clos(n, m, r);
   nbclos::Xoshiro256 rng(5);
   const auto result = nbclos::circuit::run_churn(
@@ -847,11 +901,14 @@ int cmd_circuit(const std::vector<std::string>& args) {
 
 int cmd_fault_sweep(const std::vector<std::string>& args) {
   nbclos::analysis::FaultSweepConfig config;
-  config.n = arg_u32(args, 0);
-  config.r = arg_u32(args, 1);
-  config.max_failures = arg_u32(args, 2);
-  if (args.size() >= 4) config.permutations_per_level = arg_u32(args, 3);
-  if (args.size() >= 5) config.seed = std::stoull(args[4]);
+  config.n = arg_u32(args, 0, "<n>");
+  config.r = arg_u32(args, 1, "<r>");
+  config.max_failures = arg_u32(args, 2, "<max_failures>");
+  if (args.size() >= 4) {
+    config.permutations_per_level = arg_u32(args, 3, "[perms]");
+  }
+  if (args.size() >= 5) config.seed = usage_u64(args[4], "[seed]");
+  check_ftree_shape(config.n, std::uint64_t{config.n} * config.n, config.r);
 
   nbclos::ThreadPool pool;
   const auto result = nbclos::analysis::run_fault_sweep(config, pool);
@@ -887,8 +944,8 @@ int cmd_fault_sweep(const std::vector<std::string>& args) {
 /// given), whose results are thread-count independent, so --threads only
 /// changes wall-clock time, never the verdict.
 int cmd_verify(const std::vector<std::string>& args) {
-  const auto n = usage_u32(args[0], "<n>");
-  const auto r = usage_u32(args[1], "<r>");
+  const auto n = arg_u32(args, 0, "<n>");
+  const auto r = arg_u32(args, 1, "<r>");
   const std::string mode = args[2];
   if (mode != "exhaustive" && mode != "random" && mode != "adversarial") {
     throw UsageError("unknown verify mode '" + mode + "'");
@@ -930,9 +987,7 @@ int cmd_verify(const std::vector<std::string>& args) {
       throw UsageError("unknown flag '" + flag + "'");
     }
   }
-  if (n < 1 || r < 2 || m < 1) {
-    throw UsageError("ftree(n+m, r) needs n >= 1, m >= 1 and r >= 2");
-  }
+  check_ftree_shape(n, m, r);
   if (m >= nbclos::routing::RouteCache::kTopLimit) {
     throw UsageError("m (--m, default n^2) must be below " +
                      std::to_string(nbclos::routing::RouteCache::kTopLimit));
@@ -1124,9 +1179,7 @@ int cmd_metrics_serve(std::vector<std::string> args) {
 }
 
 int cmd_dot(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0);
-  const std::optional<std::uint32_t> r =
-      args.size() >= 2 ? std::optional(arg_u32(args, 1)) : std::nullopt;
+  const auto [n, r] = fabric_args(args);
   const nbclos::NonblockingFabric fabric(n, r);
   nbclos::DotOptions options;
   options.graph_name = "ftree";
