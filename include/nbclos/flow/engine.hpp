@@ -37,9 +37,9 @@
 ///
 /// Per cycle: credit returns -> wire arrivals -> transmissions ->
 /// injection -> on/off latch -> depth sample -> watchdog.  All iteration
-/// orders are fixed (active lists re-sorted by channel id per sweep, the
-/// PacketSim discipline), so runs are bit-reproducible from seeds and
-/// sweeps are thread-count independent.
+/// orders are fixed (active channels swept in ascending id, the PacketSim
+/// discipline), so runs are bit-reproducible from seeds and sweeps are
+/// thread-count independent.
 ///
 /// The deadlock watchdog is the robustness backstop: if a whole epoch
 /// passes with flits in the system but none transmitted, the run stops
@@ -61,6 +61,7 @@
 #include "nbclos/routing/next_hop.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
+#include "nbclos/util/active_set.hpp"
 #include "nbclos/util/prng.hpp"
 #include "nbclos/util/stats.hpp"
 #include "nbclos/util/thread_pool.hpp"
@@ -256,7 +257,6 @@ class FlowSim {
                                      std::uint32_t reservation) const;
   void note_blocked(std::uint32_t b, bool credit_block);
   void note_unblocked(std::uint32_t b);
-  void activate(std::uint32_t channel);
   /// True when the watchdog detects a whole epoch without forward
   /// progress while flits remain in the system.
   bool watchdog_tripped();
@@ -285,10 +285,9 @@ class FlowSim {
   std::vector<BusyWire> busy_wires_;      ///< flits in flight this cycle
   std::vector<std::uint32_t> channel_flits_;  ///< queued flits per channel
 
-  // Active-channel list: exactly the channels with queued flits, sorted
-  // by id before each transmission sweep (bit-reproducibility).
-  std::vector<std::uint32_t> active_;
-  std::vector<std::uint8_t> in_active_;
+  // Active channels: exactly those with queued flits, swept in
+  // ascending id by step_transmissions (bit-reproducibility).
+  ActiveSet active_;
 
   // Buffer id space (switch buffers first, then NIC buffers).  All
   // per-buffer *state* lives slot-sparse in pool_; only the id→channel

@@ -31,9 +31,9 @@
 ///      or eject), then send one *flit proposal* per non-empty VC of
 ///      each active channel to the channel's executor;
 ///   -- barrier 1 --
-///   B. executor role — merge local + mailbox proposals, sort by
-///      (channel, VC), and replay FlowSim::try_transmit's VC scan
-///      verbatim against local claim/credit state; emit a *transmit
+///   B. executor role — merge the ascending local + mailbox proposal
+///      runs into (channel, VC) order, and replay FlowSim::try_transmit's
+///      VC scan verbatim against local claim/credit state; emit a *transmit
 ///      grant* (winner VC + per-VC stall masks) back to the owner, a
 ///      *credit return* for every pop from a switch buffer, and a local
 ///      wire for the moved flit;
@@ -174,7 +174,7 @@ class ShardedFlowSim {
   void run_shard(std::uint32_t s);
   void init_shard_arena(std::uint32_t s);
   void phase_owner_pre(Shard& sh, std::uint64_t now, bool measuring);
-  void phase_execute(Shard& sh, std::uint64_t now);
+  void phase_execute(Shard& sh);
   void phase_owner_post(Shard& sh, std::uint64_t now);
   [[nodiscard]] bool epoch_watchdog(Shard& sh, std::uint64_t now);
   void eject_flit(Shard& sh, const sim::Packet& packet,

@@ -18,13 +18,13 @@
 /// Hot-path implementation (see DESIGN.md §"simulator performance
 /// model"): per-cycle cost scales with the number of packets in the
 /// system, not the fabric size.  Channels that hold traffic are tracked
-/// in two dense active lists (in-flight and sendable), queues live in a
+/// in two active sets (in-flight and sendable), queues live in a
 /// flat ring-buffer pool instead of per-channel deques, the mean queue
 /// depth is a maintained running sum, and latency quantiles come from a
-/// streaming histogram — no end-of-run sort.  Active lists are re-sorted
-/// by channel id before every sweep, so the visit order (and therefore
-/// every oracle/RNG consultation) is identical to a full ascending scan
-/// and results stay bit-reproducible.
+/// streaming histogram — no end-of-run sort.  The active lists are
+/// bitmap ActiveSets swept in ascending channel id, so the visit order
+/// (and therefore every oracle/RNG consultation) is identical to a full
+/// ascending scan and results stay bit-reproducible, with no sort.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,7 @@
 #include "nbclos/sim/oracle.hpp"
 #include "nbclos/sim/traffic.hpp"
 #include "nbclos/topology/network.hpp"
+#include "nbclos/util/active_set.hpp"
 #include "nbclos/util/stats.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
@@ -188,7 +189,8 @@ class PacketSim {
   void step_arrivals();
   void step_transmissions();
   void step_injection();
-  void step_injection_counter();
+  /// Route a new packet from terminal `t` to `dst` onto its NIC queue.
+  void inject_packet(std::uint32_t t, std::uint32_t dst);
   void deliver(const Packet& packet);
   /// Apply fault events due at now_; purge packets on channels that died.
   void apply_due_faults();
@@ -228,15 +230,11 @@ class PacketSim {
   std::vector<std::vector<Packet>> term_rings_;  ///< growable terminal rings
   std::vector<std::uint32_t> queue_depth_;  ///< switch queue sizes (SimView)
 
-  // Active-channel tracking: `flying_` holds exactly the channels with a
-  // valid in-flight packet (plus, transiently, channels purged by a fault
-  // since the last sweep); `sendable_` holds exactly the channels with a
-  // non-empty queue.  Both are sorted by id before each sweep so the
-  // visit order matches a full ascending channel scan.
-  std::vector<std::uint32_t> flying_;
-  std::vector<std::uint32_t> sendable_;
-  std::vector<std::uint8_t> in_flying_;     ///< membership flags
-  std::vector<std::uint8_t> in_sendable_;
+  // Active channels, swept in ascending id (a full channel scan's order):
+  // `flying_` holds those with a valid in-flight packet, `sendable_` those
+  // with a non-empty queue, each plus any a fault purged since its sweep.
+  ActiveSet flying_;
+  ActiveSet sendable_;
 
   // Per-channel precomputed topology facts (avoids graph lookups per hop).
   std::vector<std::uint32_t> channel_dst_;

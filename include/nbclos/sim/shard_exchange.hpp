@@ -56,7 +56,7 @@ struct ShardPlan {
   std::vector<std::uint8_t> channel_owner;  ///< per channel: owning shard
   /// Per channel: index into the owner's local per-channel arrays (local
   /// ids ascend with global channel id within each shard, so per-shard
-  /// sorted sweeps visit channels in global order).
+  /// ascending sweeps visit channels in global order).
   std::vector<std::uint32_t> channel_local;
   std::vector<std::vector<std::uint32_t>> shard_channels;  ///< global ids, asc
 

@@ -137,6 +137,8 @@ class ShardedSim {
   [[nodiscard]] Packet queue_pop(Shard& sh, std::uint32_t channel);
   void queue_clear(Shard& sh, std::uint32_t channel);
   void send_ack(Shard& sh, std::uint32_t from, bool accepted);
+  /// Winner: the packet left its channel; loser: it stalls there.
+  void apply_ack(Shard& sh, const Ack& ack);
   [[nodiscard]] bool channel_usable(const Shard& sh,
                                     std::uint32_t channel) const;
   [[nodiscard]] SimResult merge_results();

@@ -43,7 +43,7 @@ FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
       dst_is_terminal_(net_->channel_count(), 0),
       next_vc_(net_->channel_count(), 0),
       channel_flits_(net_->channel_count(), 0),
-      in_active_(net_->channel_count(), 0),
+      active_(net_->channel_count()),
       pool_(count_switch_source_channels(routes_->network()) * config.vcs,
             net_->channel_count() -
                 count_switch_source_channels(routes_->network()),
@@ -109,7 +109,6 @@ FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
   }
   peak_per_vc_.assign(config.vcs, 0);
   busy_wires_.reserve(net_->channel_count());
-  active_.reserve(net_->channel_count());
   link_busy_flits_.assign(net_->channel_count(), 0);
   stall_metric_ = &obs::metrics().histogram("flow.stall_cycles", kStallHistCap);
   if constexpr (obs::kEnabled) arm_recorder();
@@ -152,12 +151,6 @@ void FlowSim::sample_recorder() {
                    static_cast<std::int64_t>(injected_));
   recorder_.record(rec_delivered_, 0, now_,
                    static_cast<std::int64_t>(delivered_packets_));
-}
-
-void FlowSim::activate(std::uint32_t channel) {
-  if (in_active_[channel]) return;
-  in_active_[channel] = 1;
-  active_.push_back(channel);
 }
 
 void FlowSim::note_blocked(std::uint32_t b, bool credit_block) {
@@ -316,13 +309,16 @@ void FlowSim::eject(FlitRef flit) {
 }
 
 void FlowSim::step_arrivals() {
-  // Sorting fixes the ejection order, so the latency accumulators see
-  // deliveries in ascending channel order — the same order PacketSim's
-  // sorted flying_ sweep produces (bit-reproducibility of Welford sums).
-  std::sort(busy_wires_.begin(), busy_wires_.end(),
-            [](const BusyWire& a, const BusyWire& b) {
-              return a.channel < b.channel;
-            });
+  // The wires are in ascending channel order — the transmission sweep is
+  // ascending and each channel moves at most one flit per cycle — so the
+  // latency accumulators see deliveries in the order PacketSim's flying_
+  // sweep produces (bit-reproducibility of Welford sums).
+  NBCLOS_DEBUG_CHECK(
+      std::is_sorted(busy_wires_.begin(), busy_wires_.end(),
+                     [](const BusyWire& a, const BusyWire& b) {
+                       return a.channel < b.channel;
+                     }),
+      "busy wires must arrive in ascending channel order");
   for (const auto& w : busy_wires_) {
     if (w.target == kEject) {
       eject(w.flit);
@@ -330,7 +326,7 @@ void FlowSim::step_arrivals() {
       pool_.push(w.target, w.flit);
       const std::uint32_t oc = owner_channel_of(w.target);
       ++channel_flits_[oc];
-      activate(oc);
+      active_.insert(oc);
       if (onoff_ != nullptr) onoff_->mark_dirty(w.target);
       const std::uint32_t vc = w.target - buf_base_[oc];
       if (pool_.size(w.target) > peak_per_vc_[vc]) {
@@ -348,23 +344,11 @@ void FlowSim::step_arrivals() {
 }
 
 void FlowSim::step_transmissions() {
-  std::sort(active_.begin(), active_.end());
-  std::size_t keep = 0;
-  const std::size_t active_count = active_.size();
-  for (std::size_t i = 0; i < active_count; ++i) {
-    const auto c = active_[i];
-    if (channel_flits_[c] == 0) {  // drained since the last sweep
-      in_active_[c] = 0;
-      continue;
-    }
+  // Only try_transmit drains a channel, so every member still holds flits.
+  active_.sweep([&](std::uint32_t c) {
     (void)try_transmit(c);
-    if (channel_flits_[c] == 0) {
-      in_active_[c] = 0;
-      continue;
-    }
-    active_[keep++] = c;
-  }
-  active_.resize(keep);
+    return channel_flits_[c] != 0;
+  });
 }
 
 void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
@@ -393,7 +377,7 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
     pool_.push(b, FlitRef{slot, f});
   }
   channel_flits_[first] += config_.packet_flits;
-  activate(first);
+  active_.insert(first);
   flits_in_system_ += config_.packet_flits;
   if (packets_.live() > peak_live_packets_) {
     peak_live_packets_ = packets_.live();

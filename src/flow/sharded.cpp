@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/trace.hpp"
 #include "nbclos/sim/injection_rng.hpp"
+#include "nbclos/util/active_set.hpp"
 
 namespace nbclos::flow {
 
@@ -23,6 +25,19 @@ constexpr std::uint32_t kEject = UINT32_MAX;  ///< wire target
 constexpr std::uint32_t kClaimPending = UINT32_MAX - 1;
 constexpr std::uint64_t kNotBlocked = UINT64_MAX;
 constexpr std::uint8_t kNoWinner = 0xFF;
+
+/// Merge the ascending `run` (one sender's ascending sweep) into the
+/// ascending `merged` through `scratch`, which keeps its capacity.
+template <class T, class Less>
+void merge_run(std::vector<T>& merged, const std::vector<T>& run,
+               std::vector<T>& scratch, Less less) {
+  NBCLOS_DEBUG_CHECK(std::is_sorted(run.begin(), run.end(), less),
+                     "a proposal or grant run must arrive in order");
+  scratch.clear();
+  std::merge(merged.begin(), merged.end(), run.begin(), run.end(),
+             std::back_inserter(scratch), less);
+  merged.swap(scratch);
+}
 }  // namespace
 
 /// All mutable per-shard state — one arena per worker, allocated on the
@@ -54,12 +69,11 @@ struct ShardedFlowSim::Shard {
   std::unique_ptr<CreditLedger> ledger;
   std::unique_ptr<OnOffSignal> onoff;
 
-  // Per owned channel (plan.channel_local index), except `active` which
-  // keeps GLOBAL channel ids so its sorted sweep order equals serial's.
+  // Per owned channel (plan.channel_local index; local ids ascend with
+  // global id, so `active`'s ascending sweep visits serial's order).
   std::vector<std::uint32_t> next_vc;
   std::vector<std::uint32_t> channel_flits;
-  std::vector<std::uint8_t> in_active;
-  std::vector<std::uint32_t> active;
+  ActiveSet active;
   std::vector<std::uint32_t> channel_of_local_buf;  ///< local buf -> channel
 
   // Executor role: wires created in phase B, landed in phase A next
@@ -72,8 +86,10 @@ struct ShardedFlowSim::Shard {
   // Phase scratch (messages between a shard's own roles skip the boxes).
   std::vector<FlitProposal> local_props;
   std::vector<FlitProposal> merged_props;
+  std::vector<FlitProposal> merge_scratch_props;
   std::vector<TransmitGrant> local_grants;
   std::vector<TransmitGrant> merged_grants;
+  std::vector<TransmitGrant> merge_scratch_grants;
   std::vector<CreditReturn> local_credits;
 
   // Statistics, merged exactly after the run (see merge_results for the
@@ -315,8 +331,7 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   const auto count = static_cast<std::uint32_t>(plan_.shard_channels[s].size());
   sh.next_vc.assign(count, 0);
   sh.channel_flits.assign(count, 0);
-  sh.in_active.assign(count, 0);
-  sh.active.reserve(count);
+  sh.active = ActiveSet(count);
   sh.peak_per_vc.assign(config_.vcs, 0);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
@@ -417,10 +432,7 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
     const std::uint32_t oc = sh.channel_of_local_buf[lb];
     const std::uint32_t li = plan_.channel_local[oc];
     ++sh.channel_flits[li];
-    if (!sh.in_active[li]) {
-      sh.in_active[li] = 1;
-      sh.active.push_back(oc);
-    }
+    sh.active.insert(li);
     if (sh.onoff != nullptr) sh.onoff->mark_dirty(lb);
     const std::uint32_t vc = w.target - buf_base_[oc];
     if (sh.pool->size(lb) > sh.peak_per_vc[vc]) {
@@ -435,21 +447,14 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
   sh.wires.clear();
 
   // Proposals: one per non-empty VC of each active, usable channel, sent
-  // to the channel's executor.  Sorted sweep + compaction mirror serial
-  // step_transmissions (a drained channel leaves the list; a dead one
-  // stays, transmitting nothing).
-  std::sort(sh.active.begin(), sh.active.end());
-  std::size_t keep = 0;
-  const std::size_t active_count = sh.active.size();
-  for (std::size_t i = 0; i < active_count; ++i) {
-    const std::uint32_t c = sh.active[i];
-    const std::uint32_t li = plan_.channel_local[c];
-    if (sh.channel_flits[li] == 0) {  // drained since the last sweep
-      sh.in_active[li] = 0;
-      continue;
-    }
-    sh.active[keep++] = c;
-    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) continue;
+  // to the channel's executor.  The ascending sweep mirrors serial
+  // step_transmissions (a drained channel leaves the set; a dead one
+  // stays, transmitting nothing), so every proposal run is ascending.
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.active.sweep([&](std::uint32_t li) {
+    if (sh.channel_flits[li] == 0) return false;  // drained in phase C
+    const std::uint32_t c = owned[li];
+    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) return true;
     const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
     const auto start = static_cast<std::uint8_t>(sh.next_vc[li]);
     const std::uint32_t executor = channel_executor_[c];
@@ -471,8 +476,8 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
         ++sh.cross_flits;
       }
     }
-  }
-  sh.active.resize(keep);
+    return true;
+  });
 }
 
 std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
@@ -510,25 +515,25 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
   return kNone;
 }
 
-void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
-  (void)now;
-  // Merge this shard's own proposals with the mailboxed ones, then
-  // canonicalize: ascending (channel, vc).  Per-executor ascending
-  // channel order IS serial order for all cross-channel interaction,
-  // because claims and credit consumption only couple channels sharing a
-  // downstream vertex — which share this executor.
+void ShardedFlowSim::phase_execute(Shard& sh) {
+  // Merge this shard's own proposals with the mailboxed ones into
+  // ascending (channel, vc) order.  Per-executor ascending channel order
+  // IS serial order for all cross-channel interaction, because claims and
+  // credit consumption only couple channels sharing a downstream vertex —
+  // which share this executor.  Each run is ascending (its owner swept
+  // in ascending order), so a merge suffices.
+  const auto proposal_less = [](const FlitProposal& a, const FlitProposal& b) {
+    return a.channel != b.channel ? a.channel < b.channel : a.vc < b.vc;
+  };
   sh.merged_props.clear();
-  sh.merged_props.swap(sh.local_props);
+  merge_run(sh.merged_props, sh.local_props, sh.merge_scratch_props,
+            proposal_less);
+  sh.local_props.clear();
   proposal_box_.drain_to(
       sh.index, [&](std::uint32_t /*src*/, std::vector<FlitProposal>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        sh.merged_props.insert(sh.merged_props.end(), box.begin(), box.end());
+        merge_run(sh.merged_props, box, sh.merge_scratch_props, proposal_less);
       });
-  std::sort(sh.merged_props.begin(), sh.merged_props.end(),
-            [](const FlitProposal& a, const FlitProposal& b) {
-              return a.channel != b.channel ? a.channel < b.channel
-                                           : a.vc < b.vc;
-            });
 
   std::size_t i = 0;
   while (i < sh.merged_props.size()) {
@@ -658,21 +663,22 @@ void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
 }
 
 void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
-  // Grants: merge, sort by channel (one grant per channel), apply — the
-  // ascending order reproduces serial's sorted transmission sweep as
-  // seen by this owner's buffers.
+  // Grants: merge by channel (one grant per channel), apply — the
+  // ascending order reproduces serial's transmission sweep as seen by
+  // this owner's buffers.  Each executor emits its grants in its own
+  // ascending proposal order, so every run is ascending.
+  const auto grant_less = [](const TransmitGrant& a, const TransmitGrant& b) {
+    return a.channel < b.channel;
+  };
   sh.merged_grants.clear();
-  sh.merged_grants.swap(sh.local_grants);
+  merge_run(sh.merged_grants, sh.local_grants, sh.merge_scratch_grants,
+            grant_less);
+  sh.local_grants.clear();
   grant_box_.drain_to(
       sh.index, [&](std::uint32_t /*src*/, std::vector<TransmitGrant>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        sh.merged_grants.insert(sh.merged_grants.end(), box.begin(),
-                                box.end());
+        merge_run(sh.merged_grants, box, sh.merge_scratch_grants, grant_less);
       });
-  std::sort(sh.merged_grants.begin(), sh.merged_grants.end(),
-            [](const TransmitGrant& a, const TransmitGrant& b) {
-              return a.channel < b.channel;
-            });
   for (const TransmitGrant& g : sh.merged_grants) apply_grant(sh, g, now);
 
   // Returning credits (delay-line scheduling is commutative, so drain
@@ -726,10 +732,7 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
     }
     const std::uint32_t li = plan_.channel_local[first];
     sh.channel_flits[li] += config_.packet_flits;
-    if (!sh.in_active[li]) {
-      sh.in_active[li] = 1;
-      sh.active.push_back(first);
-    }
+    sh.active.insert(li);
     sh.flits_in_system += config_.packet_flits;
     sh.acq_by_cycle[now] += 1;
   }
@@ -834,7 +837,7 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
       const bool measuring = now >= config_.warmup_cycles;
       phase_owner_pre(sh, now, measuring);
       sync_->barrier.arrive_and_wait();
-      phase_execute(sh, now);
+      phase_execute(sh);
       sync_->barrier.arrive_and_wait();
       phase_owner_post(sh, now);
       sh.cycles_run = now + 1;

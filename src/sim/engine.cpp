@@ -36,7 +36,7 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
       q_head_(net.channel_count(), 0), q_size_(net.channel_count(), 0),
       pool_base_(net.channel_count(), 0),
       queue_depth_(net.channel_count(), 0),
-      in_flying_(net.channel_count(), 0), in_sendable_(net.channel_count(), 0),
+      flying_(net.channel_count()), sendable_(net.channel_count()),
       channel_dst_(net.channel_count(), 0),
       dst_is_terminal_(net.channel_count(), 0),
       is_terminal_source_queue_(net.channel_count(), 0),
@@ -93,8 +93,6 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
   switch_pool_.resize(std::size_t{switch_channels} * slice);
   term_rings_.resize(term_channels);
   switch_channel_count_ = switch_channels;
-  flying_.reserve(net.channel_count());
-  sendable_.reserve(net.channel_count());
   link_busy_flits_.assign(net.channel_count(), 0);
   if constexpr (obs::kEnabled) {
     busy_counter_ = &obs::metrics().counter("sim.link.busy_flit_cycles");
@@ -160,10 +158,7 @@ void PacketSim::queue_push(std::uint32_t channel, const Packet& packet) {
     ++switch_depth_sum_;
   }
   ++q_size_[channel];
-  if (!in_sendable_[channel]) {
-    in_sendable_[channel] = 1;
-    sendable_.push_back(channel);
-  }
+  sendable_.insert(channel);
 }
 
 Packet PacketSim::queue_pop(std::uint32_t channel) {
@@ -227,19 +222,19 @@ void PacketSim::apply_due_faults() {
   // simply starts accepting traffic again; nothing to purge).  Every
   // in-flight packet sits on a channel in flying_ and every queued packet
   // on one in sendable_, so the purge only touches active channels; the
-  // invalidated entries are compacted out at the next sweep.
-  for (const auto c : flying_) {
+  // invalidated entries leave the sets at the next sweep.
+  flying_.for_each([&](std::uint32_t c) {
     if (flight_[c].valid && !degraded_->channel_alive(c)) {
       ++dropped_packets_;
       flight_[c].valid = false;
     }
-  }
-  for (const auto c : sendable_) {
+  });
+  sendable_.for_each([&](std::uint32_t c) {
     if (q_size_[c] > 0 && !degraded_->channel_alive(c)) {
       dropped_packets_ += q_size_[c];
       queue_clear(c);
     }
-  }
+  });
 }
 
 void PacketSim::step_arrivals() {
@@ -250,30 +245,19 @@ void PacketSim::step_arrivals() {
   // channels whose head packet wants it; phase 2 admits them in circular
   // id order starting after the queue's previous winner.
   //
-  // Sorting restores ascending channel-id order (appends in the other
-  // steps scramble it), so oracles are consulted in the same order as a
-  // full channel scan — required for bit-reproducibility.
-  std::sort(flying_.begin(), flying_.end());
+  // The sweep visits flying channels in ascending id, so oracles are
+  // consulted in the same order as a full channel scan — required for
+  // bit-reproducibility.
   arrival_targets_.clear();
-  std::size_t keep = 0;
-  const std::size_t flying_count = flying_.size();
-  for (std::size_t i = 0; i < flying_count; ++i) {
-    const auto c = flying_[i];
+  flying_.sweep([&](std::uint32_t c) {
     auto& fl = flight_[c];
-    if (!fl.valid) {  // purged by a fault since the last sweep
-      in_flying_[c] = 0;
-      continue;
-    }
-    if (fl.arrival_cycle > now_) {
-      flying_[keep++] = c;
-      continue;
-    }
+    if (!fl.valid) return false;  // purged by a fault since the last sweep
+    if (fl.arrival_cycle > now_) return true;
     if (dst_is_terminal_[c]) {
       NBCLOS_ASSERT(channel_dst_[c] == fl.packet.dst_terminal);
       deliver(fl.packet);
       fl.valid = false;
-      in_flying_[c] = 0;
-      continue;
+      return false;
     }
     // Route at the switch; the oracle is re-consulted on every retry,
     // so adaptive policies can steer around persistent congestion.
@@ -285,16 +269,15 @@ void PacketSim::step_arrivals() {
       // picked a dead channel: the packet is lost.
       ++dropped_packets_;
       fl.valid = false;
-      in_flying_[c] = 0;
-      continue;
+      return false;
     }
     NBCLOS_ASSERT(net_->channel(next).src == at);
-    // Candidates leave the kept range; phase 2 re-appends the losers.
+    // Candidates leave the set; phase 2 re-inserts the losers.
     auto& waiting = arrival_candidates_[next];
     if (waiting.empty()) arrival_targets_.push_back(next);
     waiting.push_back(c);
-  }
-  flying_.resize(keep);
+    return false;
+  });
   for (const auto target : arrival_targets_) {
     auto& waiting = arrival_candidates_[target];
     // Serve in circular order starting after the last winner (credits
@@ -312,26 +295,18 @@ void PacketSim::step_arrivals() {
       const auto c = waiting[(start + i) % waiting.size()];
       queue_push(target, flight_[c].packet);
       flight_[c].valid = false;
-      in_flying_[c] = 0;
       rr_last_winner_[target] = c;
     }
     for (; i < waiting.size(); ++i) {
-      flying_.push_back(waiting[(start + i) % waiting.size()]);
+      flying_.insert(waiting[(start + i) % waiting.size()]);
     }
     waiting.clear();
   }
 }
 
 void PacketSim::step_transmissions() {
-  std::sort(sendable_.begin(), sendable_.end());
-  std::size_t keep = 0;
-  const std::size_t sendable_count = sendable_.size();
-  for (std::size_t i = 0; i < sendable_count; ++i) {
-    const auto c = sendable_[i];
-    if (q_size_[c] == 0) {  // drained or fault-purged since the last sweep
-      in_sendable_[c] = 0;
-      continue;
-    }
+  sendable_.sweep([&](std::uint32_t c) {
+    if (q_size_[c] == 0) return false;  // fault-purged since the last sweep
     auto& fl = flight_[c];
     if (!fl.valid && channel_usable(c)) {  // dead channels do not transmit
       fl.packet = queue_pop(c);
@@ -343,78 +318,53 @@ void PacketSim::step_transmissions() {
       // `sim.link.busy_flits` recorder series.
       link_busy_flits_[c] += fl.packet.size_flits;
       busy_flit_total_ += fl.packet.size_flits;
-      if (!in_flying_[c]) {
-        in_flying_[c] = 1;
-        flying_.push_back(c);
-      }
-      if (q_size_[c] == 0) {
-        in_sendable_[c] = 0;
-        continue;
-      }
+      flying_.insert(c);
     }
-    sendable_[keep++] = c;
+    return q_size_[c] != 0;
+  });
+}
+
+void PacketSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
+  Packet packet;
+  packet.id = next_packet_id_++;
+  packet.src_terminal = terminal_vertices_[t];
+  packet.dst_terminal = terminal_vertices_[dst];
+  packet.size_flits = config_.packet_size;
+  packet.injected_cycle = now_;
+  packet.flow_sequence = flow_sequence_[t]++;
+  ++oracle_calls_;
+  const auto channel =
+      oracle_->next_channel(view_, terminal_vertices_[t], packet);
+  ++injected_;
+  if (channel == fault::kNoRoute || !channel_usable(channel)) {
+    // Offered but lost: the terminal's uplink is dead.
+    ++dropped_packets_;
+    return;
   }
-  sendable_.resize(keep);
+  // Terminal source queues are unbounded: depth is not tracked against
+  // capacity, matching an infinite NIC send queue.
+  queue_push(channel, packet);
 }
 
 void PacketSim::step_injection() {
   if (config_.counter_injection) {
-    step_injection_counter();
+    // The engine's sequential rng_ is never touched: each terminal's draws
+    // come from a generator keyed purely by (seed, cycle, terminal) — the
+    // identical stream ShardedSim's workers produce, whichever shard owns
+    // `t`.
+    for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
+      SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
+      if (!injection_bernoulli(sm, packet_rate_)) continue;
+      Xoshiro256 dest_rng(sm.next());
+      const auto dst = traffic_->destination(t, dest_rng);
+      if (dst.has_value()) inject_packet(t, *dst);
+    }
     return;
   }
   for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
     if (!rng_.bernoulli(packet_rate_)) continue;
     const auto dst = traffic_->destination(t, rng_);
-    if (!dst.has_value()) continue;
-    Packet packet;
-    packet.id = next_packet_id_++;
-    packet.src_terminal = terminal_vertices_[t];
-    packet.dst_terminal = terminal_vertices_[*dst];
-    packet.size_flits = config_.packet_size;
-    packet.injected_cycle = now_;
-    packet.flow_sequence = flow_sequence_[t]++;
-    ++oracle_calls_;
-    const auto channel =
-        oracle_->next_channel(view_, terminal_vertices_[t], packet);
-    ++injected_;
-    if (channel == fault::kNoRoute || !channel_usable(channel)) {
-      // Offered but lost: the terminal's uplink is dead.
-      ++dropped_packets_;
-      continue;
-    }
-    // Terminal source queues are unbounded: depth is not tracked against
-    // capacity, matching an infinite NIC send queue.
-    queue_push(channel, packet);
-  }
-}
-
-void PacketSim::step_injection_counter() {
-  // Counter-based injection (SimConfig::counter_injection): the engine's
-  // sequential rng_ is never touched, and each terminal's draws come from
-  // a generator keyed purely by (seed, cycle, terminal) — the identical
-  // stream ShardedSim's workers produce, whichever shard owns `t`.
-  for (std::uint32_t t = 0; t < terminal_vertices_.size(); ++t) {
-    SplitMix64 sm(injection_counter_state(config_.seed, now_, t));
-    if (!injection_bernoulli(sm, packet_rate_)) continue;
-    Xoshiro256 dest_rng(sm.next());
-    const auto dst = traffic_->destination(t, dest_rng);
-    if (!dst.has_value()) continue;
-    Packet packet;
-    packet.id = next_packet_id_++;
-    packet.src_terminal = terminal_vertices_[t];
-    packet.dst_terminal = terminal_vertices_[*dst];
-    packet.size_flits = config_.packet_size;
-    packet.injected_cycle = now_;
-    packet.flow_sequence = flow_sequence_[t]++;
-    ++oracle_calls_;
-    const auto channel =
-        oracle_->next_channel(view_, terminal_vertices_[t], packet);
-    ++injected_;
-    if (channel == fault::kNoRoute || !channel_usable(channel)) {
-      ++dropped_packets_;
-      continue;
-    }
-    queue_push(channel, packet);
+    if (dst.has_value()) inject_packet(t, *dst);
   }
 }
 

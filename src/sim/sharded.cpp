@@ -7,6 +7,7 @@
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/injection_rng.hpp"
+#include "nbclos/util/active_set.hpp"
 
 namespace nbclos::sim {
 
@@ -15,10 +16,10 @@ constexpr std::uint32_t kTermRingInitialCapacity = 16;
 }  // namespace
 
 /// All mutable per-shard simulation state — one arena per worker, never
-/// touched by any other thread.  Per-channel arrays are locally indexed
-/// (plan.channel_local), and local ids ascend with global channel id, so
-/// sorted sweeps over `flying`/`sendable` (which store *global* ids)
-/// visit channels in the same relative order as PacketSim's global scan.
+/// touched by any other thread.  Per-channel arrays and the `flying` /
+/// `sendable` sets are locally indexed (plan.channel_local), and local ids
+/// ascend with global channel id, so ascending sweeps over the sets visit
+/// channels in the same relative order as PacketSim's global scan.
 struct ShardedSim::Shard {
   struct InFlight {
     Packet packet;
@@ -37,16 +38,14 @@ struct ShardedSim::Shard {
   std::vector<std::uint32_t> pool_base;
   std::vector<std::uint32_t> queue_depth;
   std::vector<std::uint32_t> rr_last_winner;  ///< global id of last winner
-  std::vector<std::uint8_t> in_flying;
-  std::vector<std::uint8_t> in_sendable;
   std::vector<std::uint8_t> dst_is_terminal;
   std::vector<std::uint8_t> is_terminal_source_queue;
   std::vector<std::uint32_t> channel_dst;
   std::uint32_t switch_slice_mask = 0;
   std::vector<Packet> switch_pool;               ///< the shard's queue arena
   std::vector<std::vector<Packet>> term_rings;
-  std::vector<std::uint32_t> flying;    ///< global channel ids
-  std::vector<std::uint32_t> sendable;  ///< global channel ids
+  ActiveSet flying;    ///< local channel ids
+  ActiveSet sendable;  ///< local channel ids
 
   std::optional<fault::DegradedView> degraded;
   std::size_t next_fault = 0;
@@ -203,8 +202,8 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
   sh.pool_base.assign(count, 0);
   sh.queue_depth.assign(count, 0);
   sh.rr_last_winner.assign(count, 0);
-  sh.in_flying.assign(count, 0);
-  sh.in_sendable.assign(count, 0);
+  sh.flying = ActiveSet(count);
+  sh.sendable = ActiveSet(count);
   sh.dst_is_terminal.assign(count, 0);
   sh.is_terminal_source_queue.assign(count, 0);
   sh.channel_dst.assign(count, 0);
@@ -227,8 +226,6 @@ void ShardedSim::init_shard_arena(std::uint32_t s) {
   sh.switch_pool.resize(std::size_t{switch_channels} * slice);
   sh.term_rings.resize(term_channels);
   sh.switch_channel_count = switch_channels;
-  sh.flying.reserve(count);
-  sh.sendable.reserve(count);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
   sh.depth_sum_by_cycle.assign(total, 0);
@@ -264,10 +261,7 @@ void ShardedSim::queue_push(Shard& sh, std::uint32_t channel,
     ++sh.switch_depth_sum;
   }
   ++sh.q_size[li];
-  if (!sh.in_sendable[li]) {
-    sh.in_sendable[li] = 1;
-    sh.sendable.push_back(channel);
-  }
+  sh.sendable.insert(li);
 }
 
 Packet ShardedSim::queue_pop(Shard& sh, std::uint32_t channel) {
@@ -322,44 +316,32 @@ void ShardedSim::cycle_faults(Shard& sh, std::uint64_t now) {
     applied = true;
   }
   if (!applied) return;
-  for (const auto c : sh.flying) {
-    const auto li = plan_.channel_local[c];
-    if (sh.flight[li].valid && !sh.degraded->channel_alive(c)) {
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.flying.for_each([&](std::uint32_t li) {
+    if (sh.flight[li].valid && !sh.degraded->channel_alive(owned[li])) {
       ++sh.dropped;
       sh.flight[li].valid = false;
     }
-  }
-  for (const auto c : sh.sendable) {
-    const auto li = plan_.channel_local[c];
-    if (sh.q_size[li] > 0 && !sh.degraded->channel_alive(c)) {
+  });
+  sh.sendable.for_each([&](std::uint32_t li) {
+    if (sh.q_size[li] > 0 && !sh.degraded->channel_alive(owned[li])) {
       sh.dropped += sh.q_size[li];
-      queue_clear(sh, c);
+      queue_clear(sh, owned[li]);
     }
-  }
+  });
 }
 
 void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
-  std::sort(sh.flying.begin(), sh.flying.end());
-  std::size_t keep = 0;
-  const std::size_t flying_count = sh.flying.size();
-  for (std::size_t i = 0; i < flying_count; ++i) {
-    const auto c = sh.flying[i];
-    const auto li = plan_.channel_local[c];
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.flying.sweep([&](std::uint32_t li) {
     auto& fl = sh.flight[li];
-    if (!fl.valid) {  // purged by a fault since the last sweep
-      sh.in_flying[li] = 0;
-      continue;
-    }
-    if (fl.arrival_cycle > now) {
-      sh.flying[keep++] = c;
-      continue;
-    }
+    if (!fl.valid) return false;  // purged by a fault since the last sweep
+    if (fl.arrival_cycle > now) return true;
     if (sh.dst_is_terminal[li]) {
       NBCLOS_ASSERT(sh.channel_dst[li] == fl.packet.dst_terminal);
       deliver(sh, fl.packet, now, measuring);
       fl.valid = false;
-      sh.in_flying[li] = 0;
-      continue;
+      return false;
     }
     const std::uint32_t at = sh.channel_dst[li];
     const auto next = router_->next_channel_from(at, fl.packet.src_terminal,
@@ -367,15 +349,14 @@ void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
     if (next == fault::kNoRoute || !channel_usable(sh, next)) {
       ++sh.dropped;
       fl.valid = false;
-      sh.in_flying[li] = 0;
-      continue;
+      return false;
     }
     NBCLOS_ASSERT(net_->channel_src(next) == at);
     // Propose admission to the owner of the chosen channel.  The
-    // candidate leaves the kept range but stays marked in_flying with a
-    // valid flight; the ack in phase C either clears it (winner) or
-    // re-appends it (loser — backpressure, exactly PacketSim).
-    const Proposal proposal{next, c, fl.packet};
+    // candidate leaves the set but keeps its valid flight; the ack in
+    // phase C either clears it (winner) or re-inserts it (loser —
+    // backpressure, exactly PacketSim).
+    const Proposal proposal{next, owned[li], fl.packet};
     const auto owner = plan_.channel_owner[next];
     if (owner == sh.index) {
       sh.local_props.push_back(proposal);
@@ -383,22 +364,25 @@ void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
       proposal_box_.box(sh.index, owner).push_back(proposal);
       sh.cross_flits += fl.packet.size_flits;
     }
-  }
-  sh.flying.resize(keep);
+    return false;
+  });
 }
 
 void ShardedSim::send_ack(Shard& sh, std::uint32_t from, bool accepted) {
   const auto owner = plan_.channel_owner[from];
   if (owner == sh.index) {
-    const auto li = plan_.channel_local[from];
-    if (accepted) {
-      sh.flight[li].valid = false;
-      sh.in_flying[li] = 0;
-    } else {
-      sh.flying.push_back(from);
-    }
+    apply_ack(sh, Ack{from, accepted});
   } else {
     ack_box_.box(sh.index, owner).push_back(Ack{from, accepted});
+  }
+}
+
+void ShardedSim::apply_ack(Shard& sh, const Ack& ack) {
+  const auto li = plan_.channel_local[ack.from];
+  if (ack.accepted) {
+    sh.flight[li].valid = false;
+  } else {
+    sh.flying.insert(li);
   }
 }
 
@@ -454,48 +438,25 @@ void ShardedSim::phase_resolve(Shard& sh, std::uint64_t now) {
   // Acks first: an accepted candidate frees its channel, which may load
   // a new packet in this cycle's transmissions (as in PacketSim, where
   // step_arrivals completes before step_transmissions).
-  ack_box_.drain_to(sh.index, [&](std::uint32_t,
-                                  const std::vector<Ack>& box) {
-    for (const Ack& ack : box) {
-      const auto li = plan_.channel_local[ack.from];
-      if (ack.accepted) {
-        sh.flight[li].valid = false;
-        sh.in_flying[li] = 0;
-      } else {
-        sh.flying.push_back(ack.from);
-      }
-    }
+  ack_box_.drain_to(sh.index, [&](std::uint32_t, const std::vector<Ack>& box) {
+    for (const Ack& ack : box) apply_ack(sh, ack);
   });
 
   // Transmissions (PacketSim::step_transmissions over owned channels).
-  std::sort(sh.sendable.begin(), sh.sendable.end());
-  std::size_t keep = 0;
-  const std::size_t sendable_count = sh.sendable.size();
-  for (std::size_t i = 0; i < sendable_count; ++i) {
-    const auto c = sh.sendable[i];
-    const auto li = plan_.channel_local[c];
-    if (sh.q_size[li] == 0) {
-      sh.in_sendable[li] = 0;
-      continue;
-    }
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.sendable.sweep([&](std::uint32_t li) {
+    if (sh.q_size[li] == 0) return false;  // fault-purged since the last sweep
+    const auto c = owned[li];
     auto& fl = sh.flight[li];
     if (!fl.valid && channel_usable(sh, c)) {
       fl.packet = queue_pop(sh, c);
       fl.valid = true;
       fl.arrival_cycle = now + fl.packet.size_flits;
       sh.link_busy_flits += fl.packet.size_flits;
-      if (!sh.in_flying[li]) {
-        sh.in_flying[li] = 1;
-        sh.flying.push_back(c);
-      }
-      if (sh.q_size[li] == 0) {
-        sh.in_sendable[li] = 0;
-        continue;
-      }
+      sh.flying.insert(li);
     }
-    sh.sendable[keep++] = c;
-  }
-  sh.sendable.resize(keep);
+    return sh.q_size[li] != 0;
+  });
 
   // Injection over the owned terminal range with the counter-based RNG:
   // every draw is a pure function of (seed, cycle, terminal), so the
@@ -704,11 +665,10 @@ std::size_t ShardedSim::arena_bytes() const noexcept {
     bytes += sh.flight.capacity() * sizeof(Shard::InFlight);
     bytes += (sh.q_head.capacity() + sh.q_size.capacity() +
               sh.pool_base.capacity() + sh.queue_depth.capacity() +
-              sh.rr_last_winner.capacity() + sh.channel_dst.capacity() +
-              sh.flying.capacity() + sh.sendable.capacity()) *
+              sh.rr_last_winner.capacity() + sh.channel_dst.capacity()) *
              sizeof(std::uint32_t);
-    bytes += sh.in_flying.capacity() + sh.in_sendable.capacity() +
-             sh.dst_is_terminal.capacity() +
+    bytes += sh.flying.bytes() + sh.sendable.bytes();
+    bytes += sh.dst_is_terminal.capacity() +
              sh.is_terminal_source_queue.capacity();
     bytes += (sh.delivered_per_source.capacity() +
               sh.flow_sequence.capacity() +
