@@ -1,11 +1,12 @@
 /// \file sharded.hpp
 /// \brief Shard-partitioned cycle-level flow-control simulation:
 ///        per-(channel, VC) flit buffers, credit counters, and switch
-///        state split into per-shard arenas with epoch-synchronized
-///        flit / grant / credit exchange.
+///        state split into per-shard arenas; shard-local hops execute in
+///        place and cross-shard hops exchange flit / grant / credit
+///        messages between epoch barriers.
 ///
 /// `ShardedFlowSim` splits a `FlowSim`-equivalent run across S shard
-/// workers using the same deterministic out-channel-balanced vertex cut
+/// workers using the same deterministic level-sliced vertex partition
 /// (`sim::ShardPlan`) and SPSC mailbox / barrier-epoch machinery
 /// (`sim/shard_exchange.hpp`) as `sim::ShardedSim` — refined from packet
 /// granularity down to flits, credits, and claims.
@@ -22,6 +23,8 @@
 ///     and sets claims, checks backpressure, and consumes credits.  All
 ///     of that state belongs to buffers sourced at dst(c), which the
 ///     executor owns, so decisions never touch foreign arenas.
+/// A channel whose owner and executor coincide is SHARD-LOCAL: it sends
+/// no message at all.  At one shard every channel is local.
 ///
 /// Per cycle, three phases over two barriers (plus one extra barrier at
 /// watchdog epochs):
@@ -29,24 +32,33 @@
 ///   A. owner role — apply scheduled faults to the private DegradedView
 ///      copy, advance the credit ledger, land last cycle's wires (push
 ///      or eject), then send one *flit proposal* per non-empty VC of
-///      each active channel to the channel's executor;
+///      each active cross-shard channel to the channel's executor;
 ///   -- barrier 1 --
-///   B. executor role — merge the ascending local + mailbox proposal
-///      runs into (channel, VC) order, and replay FlowSim::try_transmit's
-///      VC scan verbatim against local claim/credit state; emit a *transmit
-///      grant* (winner VC + per-VC stall masks) back to the owner, a
-///      *credit return* for every pop from a switch buffer, and a local
-///      wire for the moved flit;
+///   B. executor role — merge the mailbox proposal runs into (channel,
+///      VC) order and walk them together with this shard's active local
+///      channels in ascending channel order.  One VC scan
+///      (FlowSim::try_transmit's, against local claim/credit state)
+///      serves both.  A local channel's outcome is applied at once: pop,
+///      out_alloc, next_vc, stall bookkeeping, packet release, credit
+///      return.  A proposal's outcome goes back to its owner as a
+///      *transmit grant* (winner VC + per-VC stall masks), plus a
+///      *credit return* when a switch buffer popped.  Either way the
+///      moved flit becomes a local wire;
 ///   -- barrier 2 --
 ///   C. owner role — apply grants in ascending channel order (pop the
 ///      winning flit, update out_alloc/next_vc, book stalls), drain
-///      credit returns into the ledger's delay line (the ONLY driver of
-///      schedule_return — credits flow opposite to flits, which is why
-///      they need their own mailbox class), inject with the counter
-///      RNG over owned terminals, latch on/off, record this cycle's
-///      depth sum, and at watchdog epochs aggregate stuck-flit counts
-///      across ALL shards before deciding (per-shard verdicts would
-///      miss deadlocks whose cycle spans the cut).
+///      credit returns into the ledger's delay line (credits flow
+///      opposite to flits, which is why they need their own mailbox
+///      class), inject with the counter RNG over owned terminals, latch
+///      on/off, record this cycle's depth sum, and at watchdog epochs
+///      aggregate stuck-flit counts across ALL shards before deciding
+///      (per-shard verdicts would miss deadlocks whose cycle spans the
+///      cut).
+///
+/// Executing a local channel in phase B keeps serial order: a pop never
+/// changes the claims or credit counters a later scan in the same phase
+/// reads, credit returns become visible at least one cycle later, and
+/// on/off bits latch only at the end of the cycle.
 ///
 /// Determinism contract: routing through the shared read-only
 /// `routing::NextHop` (a `ChannelRouteCache` table or a pure arithmetic
@@ -139,9 +151,9 @@ class ShardedFlowSim {
  private:
   struct Shard;
 
-  /// Owner -> executor, one per non-empty VC of an active channel: the
-  /// VC's front flit (packet inline — flit storage never crosses the
-  /// cut) plus the owner-side state the executor's replayed VC scan
+  /// Owner -> executor, one per non-empty VC of an active cross-shard
+  /// channel: the VC's front flit (packet inline — flit storage never
+  /// crosses the cut) plus the owner-side state the executor's VC scan
   /// needs.
   struct FlitProposal {
     std::uint32_t channel = 0;
@@ -150,6 +162,15 @@ class ShardedFlowSim {
     sim::Packet packet;
     std::uint8_t vc = 0;
     std::uint8_t start_vc = 0;  ///< owner's next_vc round-robin start
+  };
+
+  /// The head-of-line flit of one VC as a scan sees it (`packet` null
+  /// for an empty VC): read from the local pool for a shard-local
+  /// channel, from a FlitProposal for a cross-shard one.
+  struct VcFront {
+    std::uint32_t flit_index = 0;
+    std::uint32_t out_alloc = 0;
+    const sim::Packet* packet = nullptr;
   };
 
   /// Executor -> owner: the arbitration outcome for one channel this
@@ -174,7 +195,7 @@ class ShardedFlowSim {
   void run_shard(std::uint32_t s);
   void init_shard_arena(std::uint32_t s);
   void phase_owner_pre(Shard& sh, std::uint64_t now, bool measuring);
-  void phase_execute(Shard& sh);
+  void phase_execute(Shard& sh, std::uint64_t now);
   void phase_owner_post(Shard& sh, std::uint64_t now);
   [[nodiscard]] bool epoch_watchdog(Shard& sh, std::uint64_t now);
   void eject_flit(Shard& sh, const sim::Packet& packet,
@@ -185,7 +206,20 @@ class ShardedFlowSim {
                                     const sim::Packet& packet,
                                     std::uint32_t at_vertex,
                                     bool* credit_block);
+  /// FlowSim::try_transmit's VC scan of channel c from `start_vc` over
+  /// `fronts` (indexed by VC), against this executor's claim and credit
+  /// state.  Shared by shard-local channels and mailbox proposals.
+  [[nodiscard]] TransmitGrant scan_channel(Shard& sh, std::uint32_t c,
+                                           std::uint32_t start_vc,
+                                           const VcFront* fronts);
+  /// Owner side of a scan outcome: stall bookkeeping, the winner's pop,
+  /// out_alloc / next_vc, packet release — in phase B for a shard-local
+  /// channel, from a TransmitGrant in phase C otherwise.
   void apply_grant(Shard& sh, const TransmitGrant& grant, std::uint64_t now);
+  /// Mark owned channel c active in the set its executor sweeps.
+  void activate(Shard& sh, std::uint32_t c);
+  /// Schedule the credit return of a popped owned switch buffer.
+  void return_credit(Shard& sh, std::uint32_t local_b, std::uint64_t now);
   void note_blocked(Shard& sh, std::uint32_t global_b, bool credit_block,
                     std::uint64_t now);
   void note_unblocked(Shard& sh, std::uint32_t global_b, std::uint64_t now);

@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #endif
 
 namespace nbclos::obs {
@@ -155,8 +156,10 @@ class Gauge {
 
 /// Sharded quantile histogram: each shard pairs a util::QuantileHistogram
 /// with a mutex that is uncontended as long as at most ~kShards threads
-/// record concurrently.  Snapshot merges shards (merge is associative and
-/// commutative — see tests/util/test_stats.cpp).
+/// record concurrently.  A shard allocates its bins on its first record,
+/// so an instrument costs memory only for the threads that use it.
+/// Snapshot merges shards (merge is associative and commutative — see
+/// tests/util/test_stats.cpp).
 class HistogramMetric {
  public:
   HistogramMetric(std::uint64_t max_value, std::size_t max_bins);
@@ -171,9 +174,7 @@ class HistogramMetric {
  private:
   struct Shard {
     mutable std::mutex mutex;
-    QuantileHistogram hist;
-    explicit Shard(std::uint64_t max_value, std::size_t max_bins)
-        : hist(max_value, max_bins) {}
+    std::optional<QuantileHistogram> hist;  ///< empty until first record
   };
   std::uint64_t max_value_;
   std::size_t max_bins_;

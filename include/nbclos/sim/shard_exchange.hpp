@@ -1,13 +1,13 @@
 /// \file shard_exchange.hpp
-/// \brief The shared shard-exchange layer: deterministic vertex
-///        partitioning (ShardPlan), SPSC epoch mailboxes (MailboxGrid),
-///        the barrier + failure latch (ShardSync), and libnuma-free NUMA
-///        node detection.
+/// \brief The shared shard-exchange layer: deterministic level-sliced
+///        vertex partitioning (ShardPlan), SPSC epoch mailboxes
+///        (MailboxGrid), the yielding epoch barrier + failure latch
+///        (ShardSync), and libnuma-free NUMA node detection.
 ///
 /// Both sharded engines — `sim::ShardedSim` (packet granularity) and
 /// `flow::ShardedFlowSim` (flit granularity, credits) — run the same
 /// epoch discipline: per cycle, each shard executes phases separated by
-/// two `std::barrier` epochs, and cross-shard messages travel in
+/// two ShardSync barriers, and cross-shard messages travel in
 /// single-producer single-consumer mailboxes indexed [src * S + dst].
 /// Box (src, dst) is written only by shard `src` and drained (read +
 /// cleared) only by shard `dst`, in disjoint epoch windows:
@@ -23,7 +23,10 @@
 /// proposals downstream, acks upstream); ShardedFlowSim uses three
 /// (transmit proposals downstream, transmit grants upstream, and credit
 /// returns upstream — credit-return messages flow opposite to flits,
-/// feeding the upstream shard's CreditLedger).
+/// feeding the upstream shard's CreditLedger).  Only hops whose ends
+/// sit on different shards exchange messages: ShardedFlowSim executes a
+/// shard-local hop in place, and ShardedSim hands a local proposal
+/// straight to its own admit phase.
 ///
 /// NUMA awareness degrades gracefully: `NumaTopology` parses
 /// /sys/devices/system/node (no libnuma dependency), and engines
@@ -32,7 +35,6 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -43,16 +45,22 @@
 
 namespace nbclos::sim {
 
-/// Deterministic contiguous vertex partition, balanced by out-channel
-/// counts (a proxy for queue + in-flight state, which is what each shard
-/// arena actually holds).  Shard s owns vertices
-/// [vertex_begin[s], vertex_begin[s+1]) and every channel whose source
-/// lies in that range.  Library builders number terminals [0, T) first,
-/// so each shard also owns a contiguous terminal range and injection is
-/// always shard-local.
+/// Deterministic level-sliced vertex partition.  Shard s owns the s-th
+/// slice of every level (`Vertex::level`): each level's vertices, in id
+/// order, are cut at equal shares of the level's out-channel count (a
+/// proxy for queue + in-flight state, which is what each shard arena
+/// actually holds, and for per-cycle work).  Every level — terminals,
+/// edge switches, each spine tier — is therefore split S ways, so no
+/// shard holds all of one tier's work.  Shard s owns every channel whose
+/// source vertex it owns.  Library builders number terminals [0, T) at
+/// level 0, so each shard owns one contiguous terminal range and
+/// injection is always shard-local.
 struct ShardPlan {
   std::uint32_t shard_count = 1;
-  std::vector<std::uint32_t> vertex_begin;  ///< shard_count + 1 boundaries
+  std::vector<std::uint8_t> vertex_owner;  ///< per vertex: owning shard
+  /// shard_count + 1 boundaries: shard s injects at terminals
+  /// [terminal_begin[s], terminal_begin[s + 1]).
+  std::vector<std::uint32_t> terminal_begin;
   std::vector<std::uint8_t> channel_owner;  ///< per channel: owning shard
   /// Per channel: index into the owner's local per-channel arrays (local
   /// ids ascend with global channel id within each shard, so per-shard
@@ -62,21 +70,12 @@ struct ShardPlan {
 
   /// Build the plan for `net` (requested shard count is clamped to
   /// [1, min(vertex_count, 64)]).  Pure function of (net, shards).
+  /// Requires the terminals to sit on one level in ascending id order.
   [[nodiscard]] static ShardPlan build(const Network& net,
                                        std::uint32_t shards);
 
   [[nodiscard]] std::uint32_t shard_of_vertex(std::uint32_t v) const {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = shard_count;
-    while (hi - lo > 1) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (vertex_begin[mid] <= v) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    return vertex_owner[v];
   }
 };
 
@@ -116,40 +115,61 @@ class MailboxGrid {
   std::vector<std::vector<T>> boxes_;
 };
 
-/// Barrier + failure latch shared by all shard workers of one run.  A
-/// worker that throws records the exception, raises `failed`, and drops
-/// from the barrier so the remaining shards never deadlock; they drain
-/// out at their next cycle boundary and the calling thread rethrows
-/// after joining.
-struct ShardSync {
-  std::barrier<> barrier;
-  std::atomic<bool> failed{false};
-  std::mutex mutex;
-  std::exception_ptr eptr;
+/// Epoch barrier + failure latch shared by all shard workers of one run.
+///
+/// The barrier is a generation counter: the last arrival of a phase
+/// resets the arrival count and bumps the generation with release
+/// ordering; every other worker polls the generation, yielding its core
+/// between polls a fixed number of times, and then parks on
+/// `std::atomic::wait`.  Phases are short (tens of microseconds), so
+/// the polls usually see the bump without a futex sleep and wake-up;
+/// yielding rather than spinning on `pause` keeps oversubscribed runs
+/// (more shards than cores) from burning the cores the laggards need.
+///
+/// A worker that throws records the exception, raises the latch, and
+/// drops from the barrier so the remaining shards never deadlock; they
+/// drain out at their next cycle boundary (`poisoned()` ->
+/// `arrive_and_drop()`) and the calling thread rethrows after joining.
+class ShardSync {
+ public:
+  explicit ShardSync(std::uint32_t participants);
 
-  explicit ShardSync(std::ptrdiff_t n) : barrier(n) {}
+  /// Arrive at the current phase and block until every participant has
+  /// arrived (or dropped).  All writes made before arriving happen-before
+  /// every read made after any participant returns.
+  void arrive_and_wait();
+
+  /// Arrive at the current phase without waiting and leave the barrier:
+  /// later phases expect one participant fewer.
+  void arrive_and_drop();
 
   /// Record the in-flight exception (first wins), raise the latch, and
   /// drop this worker from the barrier.  Call from a worker's catch-all.
-  void record_failure() {
-    {
-      const std::scoped_lock lock(mutex);
-      if (!eptr) eptr = std::current_exception();
-    }
-    failed.store(true, std::memory_order_relaxed);
-    barrier.arrive_and_drop();
-  }
+  void record_failure();
 
   /// True when some worker failed; surviving workers should
-  /// `barrier.arrive_and_drop()` and return.
+  /// `arrive_and_drop()` and return.
   [[nodiscard]] bool poisoned() const noexcept {
-    return failed.load(std::memory_order_relaxed);
+    return failed_.load(std::memory_order_relaxed);
   }
 
   /// Rethrow the recorded exception, if any.  Call after joining.
-  void rethrow_if_failed() {
-    if (eptr) std::rethrow_exception(eptr);
+  void rethrow_if_failed() const {
+    if (eptr_) std::rethrow_exception(eptr_);
   }
+
+ private:
+  /// Bump the generation and wake the parked waiters; the caller holds
+  /// the phase's last arrival, so nobody else touches `state_` now.
+  void complete_phase(std::uint32_t participants);
+
+  /// High 32 bits: participants; low 32 bits: arrivals this phase.  One
+  /// word, so an arrival and a drop can never both miss the last slot.
+  std::atomic<std::uint64_t> state_;
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex mutex_;
+  std::exception_ptr eptr_;
 };
 
 /// CPU -> NUMA node map parsed from /sys/devices/system/node (one node

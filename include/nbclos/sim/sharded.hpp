@@ -4,14 +4,14 @@
 ///
 /// `ShardedSim` splits a `PacketSim`-equivalent cycle simulation across S
 /// shard workers.  Switches (and the ring-buffer queue pools behind them)
-/// are partitioned into per-shard arenas by a deterministic, contiguous,
+/// are partitioned into per-shard arenas by a deterministic, level-sliced,
 /// out-channel-balanced vertex cut (`ShardPlan`); every channel is owned
 /// by the shard of its SOURCE vertex, so a queue, its in-flight register,
 /// and its round-robin arbitration state all live in exactly one shard's
 /// arena and are never touched by another worker.
 ///
-/// Per cycle, each shard runs three phases separated by two
-/// `std::barrier` epochs (the Graphite phase-exchange idiom):
+/// Per cycle, each shard runs three phases separated by two ShardSync
+/// barrier epochs (the Graphite phase-exchange idiom):
 ///
 ///   A. faults + arrivals: deliver terminal-bound packets, route the
 ///      rest (pure `routing::NextHop` — no shared state), and emit an

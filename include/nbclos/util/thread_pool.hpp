@@ -41,8 +41,11 @@ class ThreadPool {
   /// Block until all submitted tasks have completed.
   void wait_idle();
 
-  /// Run fn(i) for i in [begin, end), partitioned into contiguous chunks
-  /// across the pool, and block until done.  fn must be thread-safe.
+  /// Run fn(i) for i in [begin, end) across the pool and block until
+  /// done.  One task per worker claims indices one at a time from a
+  /// shared counter, so indices of uneven cost (a sweep's heavy loads)
+  /// balance across workers.  Which worker runs an index varies from run
+  /// to run: fn must be thread-safe and write only per-index results.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

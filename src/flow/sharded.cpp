@@ -70,10 +70,13 @@ struct ShardedFlowSim::Shard {
   std::unique_ptr<OnOffSignal> onoff;
 
   // Per owned channel (plan.channel_local index; local ids ascend with
-  // global id, so `active`'s ascending sweep visits serial's order).
+  // global id, so the active sets' ascending sweeps visit serial's
+  // order).  An active channel sits in `local_active` when this shard
+  // also executes it (both ends here), else in `remote_active`.
   std::vector<std::uint32_t> next_vc;
   std::vector<std::uint32_t> channel_flits;
-  ActiveSet active;
+  ActiveSet local_active;
+  ActiveSet remote_active;
   std::vector<std::uint32_t> channel_of_local_buf;  ///< local buf -> channel
 
   // Executor role: wires created in phase B, landed in phase A next
@@ -83,14 +86,11 @@ struct ShardedFlowSim::Shard {
   std::optional<fault::DegradedView> degraded;
   std::size_t next_fault = 0;
 
-  // Phase scratch (messages between a shard's own roles skip the boxes).
-  std::vector<FlitProposal> local_props;
+  // Phase scratch: the mailbox runs merged into channel order.
   std::vector<FlitProposal> merged_props;
   std::vector<FlitProposal> merge_scratch_props;
-  std::vector<TransmitGrant> local_grants;
   std::vector<TransmitGrant> merged_grants;
   std::vector<TransmitGrant> merge_scratch_grants;
-  std::vector<CreditReturn> local_credits;
 
   // Statistics, merged exactly after the run (see merge_results for the
   // replay arguments that make each merge bit-identical to serial).
@@ -123,6 +123,11 @@ struct ShardedFlowSim::Shard {
   std::uint64_t cross_flits = 0;
   std::uint64_t cross_credits = 0;
   std::uint64_t mailbox_peak = 0;
+  // Sampled phase timers (every 64th cycle with obs on): owner_pre,
+  // execute, owner_post compute, and the two epoch-barrier waits.
+  std::array<std::uint64_t, 3> phase_ns{};
+  std::uint64_t barrier_wait_ns = 0;
+  std::uint64_t timed_cycles = 0;
   std::uint64_t cycles_run = 0;
   bool deadlocked = false;
   std::uint64_t deadlock_cycle = 0;
@@ -217,8 +222,8 @@ ShardedFlowSim::ShardedFlowSim(
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>(total);
     shard->index = s;
-    shard->term_lo = std::min(plan_.vertex_begin[s], terminal_count_);
-    shard->term_hi = std::min(plan_.vertex_begin[s + 1], terminal_count_);
+    shard->term_lo = plan_.terminal_begin[s];
+    shard->term_hi = plan_.terminal_begin[s + 1];
     std::uint32_t local_switch = 0;
     std::uint32_t local_nic = 0;
     for (const auto c : plan_.shard_channels[s]) {
@@ -241,8 +246,7 @@ ShardedFlowSim::ShardedFlowSim(
   grant_box_ = sim::MailboxGrid<TransmitGrant>(shard_count);
   credit_box_ = sim::MailboxGrid<CreditReturn>(shard_count);
   epoch_stats_.assign(shard_count, EpochStat{});
-  sync_ = std::make_unique<sim::ShardSync>(
-      static_cast<std::ptrdiff_t>(shard_count));
+  sync_ = std::make_unique<sim::ShardSync>(shard_count);
   numa_ = sim::NumaTopology::detect();
   if constexpr (obs::kEnabled) arm_recorder();
 }
@@ -331,7 +335,8 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   const auto count = static_cast<std::uint32_t>(plan_.shard_channels[s].size());
   sh.next_vc.assign(count, 0);
   sh.channel_flits.assign(count, 0);
-  sh.active = ActiveSet(count);
+  sh.local_active = ActiveSet(count);
+  sh.remote_active = ActiveSet(count);
   sh.peak_per_vc.assign(config_.vcs, 0);
   sh.delivered_per_source.assign(terminal_count_, 0);
   sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
@@ -394,6 +399,21 @@ void ShardedFlowSim::eject_flit(Shard& sh, const sim::Packet& packet,
   if (tail) ++sh.rel_by_cycle[now];
 }
 
+void ShardedFlowSim::activate(Shard& sh, std::uint32_t c) {
+  const std::uint32_t li = plan_.channel_local[c];
+  if (channel_executor_[c] == sh.index) {
+    sh.local_active.insert(li);
+  } else {
+    sh.remote_active.insert(li);
+  }
+}
+
+void ShardedFlowSim::return_credit(Shard& sh, std::uint32_t local_b,
+                                   std::uint64_t now) {
+  if (sh.ledger != nullptr) sh.ledger->schedule_return(local_b, now);
+  if (sh.onoff != nullptr) sh.onoff->mark_dirty(local_b);
+}
+
 void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
                                      bool measuring) {
   // Faults first: every shard advances its PRIVATE DegradedView copy
@@ -430,9 +450,8 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
     }
     sh.pool->push(lb, FlitRef{slot, w.flit_index});
     const std::uint32_t oc = sh.channel_of_local_buf[lb];
-    const std::uint32_t li = plan_.channel_local[oc];
-    ++sh.channel_flits[li];
-    sh.active.insert(li);
+    ++sh.channel_flits[plan_.channel_local[oc]];
+    activate(sh, oc);
     if (sh.onoff != nullptr) sh.onoff->mark_dirty(lb);
     const std::uint32_t vc = w.target - buf_base_[oc];
     if (sh.pool->size(lb) > sh.peak_per_vc[vc]) {
@@ -446,18 +465,19 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
   }
   sh.wires.clear();
 
-  // Proposals: one per non-empty VC of each active, usable channel, sent
-  // to the channel's executor.  The ascending sweep mirrors serial
-  // step_transmissions (a drained channel leaves the set; a dead one
-  // stays, transmitting nothing), so every proposal run is ascending.
+  // Proposals: one per non-empty VC of each active, usable channel that
+  // another shard executes, sent to that executor.  The ascending sweep
+  // mirrors serial step_transmissions (a drained channel leaves the set;
+  // a dead one stays, transmitting nothing), so every proposal run is
+  // ascending.  Shard-local channels wait for phase B.
   const auto& owned = plan_.shard_channels[sh.index];
-  sh.active.sweep([&](std::uint32_t li) {
+  sh.remote_active.sweep([&](std::uint32_t li) {
     if (sh.channel_flits[li] == 0) return false;  // drained in phase C
     const std::uint32_t c = owned[li];
     if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) return true;
     const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
     const auto start = static_cast<std::uint8_t>(sh.next_vc[li]);
-    const std::uint32_t executor = channel_executor_[c];
+    auto& box = proposal_box_.box(sh.index, channel_executor_[c]);
     for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
       const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
       if (sh.pool->size(lb) == 0) continue;
@@ -469,12 +489,8 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
       p.packet = sh.packets.at(flit.packet_slot);
       p.vc = static_cast<std::uint8_t>(vc);
       p.start_vc = start;
-      if (executor == sh.index) {
-        sh.local_props.push_back(p);
-      } else {
-        proposal_box_.box(sh.index, executor).push_back(p);
-        ++sh.cross_flits;
-      }
+      box.push_back(p);
+      ++sh.cross_flits;
     }
     return true;
   });
@@ -515,107 +531,133 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
   return kNone;
 }
 
-void ShardedFlowSim::phase_execute(Shard& sh) {
-  // Merge this shard's own proposals with the mailboxed ones into
-  // ascending (channel, vc) order.  Per-executor ascending channel order
-  // IS serial order for all cross-channel interaction, because claims and
-  // credit consumption only couple channels sharing a downstream vertex —
-  // which share this executor.  Each run is ascending (its owner swept
-  // in ascending order), so a merge suffices.
+ShardedFlowSim::TransmitGrant ShardedFlowSim::scan_channel(
+    Shard& sh, std::uint32_t c, std::uint32_t start_vc,
+    const VcFront* fronts) {
+  // FlowSim::try_transmit's VC scan against this shard's claim and
+  // credit state; the caller applies the pop (locally or by grant).
+  TransmitGrant g;
+  g.channel = c;
+  g.new_out_alloc = kNone;
+  g.winner_vc = kNoWinner;
+  const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
+  for (std::uint32_t k = 0; k < vc_count; ++k) {
+    const std::uint32_t vc = (start_vc + k) % vc_count;
+    const VcFront& f = fronts[vc];
+    if (f.packet == nullptr) continue;  // empty VC: serial skips it too
+    std::uint32_t target;
+    if (dst_is_terminal_[c]) {
+      target = kEject;  // the terminal sink always accepts
+    } else if (f.flit_index == 0) {
+      NBCLOS_ASSERT(f.out_alloc == kNone);
+      bool credit_block = false;
+      const std::uint32_t nb = allocate_downstream(
+          sh, vc, *f.packet, channel_dst_[c], &credit_block);
+      if (nb == kNone) {
+        if (credit_block) {
+          g.credit_block_mask |= 1u << vc;
+        } else {
+          g.vc_block_mask |= 1u << vc;
+        }
+        continue;  // this VC stalls; the next may still use the channel
+      }
+      sh.pool->set_claim(buf_local_of_global_[nb], kClaimPending);
+      g.new_out_alloc = nb;
+      target = nb;
+    } else {
+      target = f.out_alloc;
+      NBCLOS_ASSERT(target != kNone);
+      // Wormhole body flits re-check backpressure every cycle; VCT
+      // reserved the whole packet at the head, so bodies stream freely.
+      if (config_.switching == Switching::kWormhole &&
+          !backpressure_ok(sh, buf_local_of_global_[target], 1)) {
+        g.credit_block_mask |= 1u << vc;
+        continue;
+      }
+    }
+    if (target != kEject && sh.ledger != nullptr) {
+      sh.ledger->consume(buf_local_of_global_[target]);
+    }
+    sh.wires.push_back(Shard::Wire{target, f.flit_index, *f.packet});
+    sh.link_busy[exec_index_[c]] += 1;
+    ++sh.flits_moved_epoch;
+    g.winner_vc = static_cast<std::uint8_t>(vc);
+    break;
+  }
+  return g;
+}
+
+void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
+  // Merge the mailboxed proposals into ascending (channel, vc) order;
+  // each box is one owner's ascending sweep, so a merge suffices.
   const auto proposal_less = [](const FlitProposal& a, const FlitProposal& b) {
     return a.channel != b.channel ? a.channel < b.channel : a.vc < b.vc;
   };
   sh.merged_props.clear();
-  merge_run(sh.merged_props, sh.local_props, sh.merge_scratch_props,
-            proposal_less);
-  sh.local_props.clear();
   proposal_box_.drain_to(
       sh.index, [&](std::uint32_t /*src*/, std::vector<FlitProposal>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
         merge_run(sh.merged_props, box, sh.merge_scratch_props, proposal_less);
       });
 
-  std::size_t i = 0;
-  while (i < sh.merged_props.size()) {
-    const std::uint32_t c = sh.merged_props[i].channel;
-    std::array<const FlitProposal*, 32> by_vc{};
-    const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-    std::uint32_t scan_start = sh.merged_props[i].start_vc;
-    for (; i < sh.merged_props.size() && sh.merged_props[i].channel == c; ++i) {
-      by_vc[sh.merged_props[i].vc] = &sh.merged_props[i];
-    }
-
-    // Replay serial try_transmit's VC scan against local state.
-    TransmitGrant g;
-    g.channel = c;
-    g.new_out_alloc = kNone;
-    g.winner_vc = kNoWinner;
-    for (std::uint32_t k = 0; k < vc_count; ++k) {
-      const std::uint32_t vc = (scan_start + k) % vc_count;
-      const FlitProposal* e = by_vc[vc];
-      if (e == nullptr) continue;  // empty VC: serial skips it too
-      std::uint32_t target;
-      if (dst_is_terminal_[c]) {
-        target = kEject;  // the terminal sink always accepts
-      } else if (e->flit_index == 0) {
-        NBCLOS_ASSERT(e->out_alloc == kNone);
-        bool credit_block = false;
-        const std::uint32_t nb = allocate_downstream(
-            sh, vc, e->packet, channel_dst_[c], &credit_block);
-        if (nb == kNone) {
-          if (credit_block) {
-            g.credit_block_mask |= 1u << vc;
-          } else {
-            g.vc_block_mask |= 1u << vc;
-          }
-          continue;  // this VC stalls; the next may still use the channel
-        }
-        sh.pool->set_claim(buf_local_of_global_[nb], kClaimPending);
-        g.new_out_alloc = nb;
-        target = nb;
-      } else {
-        target = e->out_alloc;
-        NBCLOS_ASSERT(target != kNone);
-        // Wormhole body flits re-check backpressure every cycle; VCT
-        // reserved the whole packet at the head, so bodies stream freely.
-        if (config_.switching == Switching::kWormhole &&
-            !backpressure_ok(sh, buf_local_of_global_[target], 1)) {
-          g.credit_block_mask |= 1u << vc;
-          continue;
-        }
+  // Execute every channel this shard decides in ascending channel order:
+  // the proposals interleaved with this shard's own active local
+  // channels.  Per-executor ascending order IS serial order for all
+  // cross-channel interaction, because claims and credit consumption
+  // only couple channels sharing a downstream vertex — which share this
+  // executor.  A local channel is executed in place: nothing a pop
+  // changes (FIFO, out_alloc, pending returns, dirty marks) is read by a
+  // later scan in this phase — credits return at least one cycle later
+  // and on/off bits latch at the end of the cycle.
+  std::array<VcFront, FlowConfig::kMaxVcs> fronts{};
+  std::size_t next = 0;
+  const auto execute_proposals_below = [&](std::uint32_t limit) {
+    const auto& props = sh.merged_props;
+    while (next < props.size() && props[next].channel < limit) {
+      const std::uint32_t c = props[next].channel;
+      const std::uint32_t start = props[next].start_vc;
+      const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
+      std::fill_n(fronts.begin(), vc_count, VcFront{});
+      for (; next < props.size() && props[next].channel == c; ++next) {
+        const FlitProposal& p = props[next];
+        fronts[p.vc] = VcFront{p.flit_index, p.out_alloc, &p.packet};
       }
-      if (target != kEject && sh.ledger != nullptr) {
-        sh.ledger->consume(buf_local_of_global_[target]);
-      }
-      sh.wires.push_back(Shard::Wire{target, e->flit_index, e->packet});
-      sh.link_busy[exec_index_[c]] += 1;
-      ++sh.flits_moved_epoch;
-      g.winner_vc = static_cast<std::uint8_t>(vc);
-      // The freed slot's credit flows back UPSTREAM — opposite to the
-      // flit — to the buffer's owner, through its own mailbox class.
-      if (!is_nic_[c]) {
-        const CreditReturn r{buf_base_[c] + vc};
-        const std::uint32_t owner = plan_.channel_owner[c];
-        if (owner == sh.index) {
-          sh.local_credits.push_back(r);
-        } else {
-          credit_box_.box(sh.index, owner).push_back(r);
-          ++sh.cross_credits;
-        }
-      }
-      break;
-    }
-
-    if (g.winner_vc != kNoWinner || g.credit_block_mask != 0 ||
-        g.vc_block_mask != 0) {
+      const TransmitGrant g = scan_channel(sh, c, start, fronts.data());
       const std::uint32_t owner = plan_.channel_owner[c];
-      if (owner == sh.index) {
-        sh.local_grants.push_back(g);
-      } else {
+      if (g.winner_vc != kNoWinner || g.credit_block_mask != 0 ||
+          g.vc_block_mask != 0) {
         grant_box_.box(sh.index, owner).push_back(g);
       }
+      // The freed slot's credit flows back UPSTREAM — opposite to the
+      // flit — to the buffer's owner, through its own mailbox class.
+      if (g.winner_vc != kNoWinner && !is_nic_[c]) {
+        credit_box_.box(sh.index, owner)
+            .push_back(CreditReturn{buf_base_[c] + g.winner_vc});
+        ++sh.cross_credits;
+      }
     }
-  }
+  };
+  const auto& owned = plan_.shard_channels[sh.index];
+  sh.local_active.sweep([&](std::uint32_t li) {
+    const std::uint32_t c = owned[li];
+    execute_proposals_below(c);
+    // A dead channel transmits nothing; its flits wait in place.
+    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) return true;
+    const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
+    for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
+      const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
+      if (sh.pool->size(lb) == 0) {
+        fronts[vc] = VcFront{};
+        continue;
+      }
+      const FlitRef flit = sh.pool->front(lb);
+      fronts[vc] = VcFront{flit.flit_index, sh.pool->out_alloc(lb),
+                           &sh.packets.at(flit.packet_slot)};
+    }
+    apply_grant(sh, scan_channel(sh, c, sh.next_vc[li], fronts.data()), now);
+    return sh.channel_flits[li] != 0;
+  });
+  execute_proposals_below(kNone);
 }
 
 void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
@@ -642,9 +684,12 @@ void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
   const std::uint32_t lb = buf_local_of_global_[b];
   const FlitRef flit = sh.pool->pop(lb);
   --sh.channel_flits[li];
+  // A shard-local hop schedules its credit return at the pop, as serial
+  // does; a cross-shard hop's return arrives as a CreditReturn message.
+  if (!is_nic_[c] && channel_executor_[c] == sh.index) {
+    return_credit(sh, lb, now);
+  }
   const sim::Packet packet = sh.packets.at(flit.packet_slot);
-  // (Credit return / on-off dirty for this pop arrive as CreditReturn
-  // messages in phase C — the owner does not shortcut them here.)
   if (g.new_out_alloc != kNone) {
     NBCLOS_ASSERT(flit.flit_index == 0 && sh.pool->out_alloc(lb) == kNone);
     sh.pool->set_out_alloc(lb, g.new_out_alloc);
@@ -663,17 +708,15 @@ void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
 }
 
 void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
-  // Grants: merge by channel (one grant per channel), apply — the
-  // ascending order reproduces serial's transmission sweep as seen by
-  // this owner's buffers.  Each executor emits its grants in its own
-  // ascending proposal order, so every run is ascending.
+  // Grants for the owned channels other shards executed: merge by
+  // channel (one grant per channel) and apply — the ascending order
+  // reproduces serial's transmission sweep as seen by this owner's
+  // buffers.  Each executor emits its grants in its own ascending
+  // proposal order, so every run is ascending.
   const auto grant_less = [](const TransmitGrant& a, const TransmitGrant& b) {
     return a.channel < b.channel;
   };
   sh.merged_grants.clear();
-  merge_run(sh.merged_grants, sh.local_grants, sh.merge_scratch_grants,
-            grant_less);
-  sh.local_grants.clear();
   grant_box_.drain_to(
       sh.index, [&](std::uint32_t /*src*/, std::vector<TransmitGrant>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
@@ -683,17 +726,12 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
 
   // Returning credits (delay-line scheduling is commutative, so drain
   // order across sources is free).
-  const auto apply_credit = [&](const CreditReturn& r) {
-    const std::uint32_t lb = buf_local_of_global_[r.buffer];
-    if (sh.ledger != nullptr) sh.ledger->schedule_return(lb, now);
-    if (sh.onoff != nullptr) sh.onoff->mark_dirty(lb);
-  };
-  for (const CreditReturn& r : sh.local_credits) apply_credit(r);
-  sh.local_credits.clear();
   credit_box_.drain_to(
       sh.index, [&](std::uint32_t /*src*/, std::vector<CreditReturn>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        for (const CreditReturn& r : box) apply_credit(r);
+        for (const CreditReturn& r : box) {
+          return_credit(sh, buf_local_of_global_[r.buffer], now);
+        }
       });
 
   // Injection over this shard's own terminals: every draw is a pure
@@ -730,9 +768,8 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
     for (std::uint32_t f = 0; f < config_.packet_flits; ++f) {
       sh.pool->push(lb, FlitRef{slot, f});
     }
-    const std::uint32_t li = plan_.channel_local[first];
-    sh.channel_flits[li] += config_.packet_flits;
-    sh.active.insert(li);
+    sh.channel_flits[plan_.channel_local[first]] += config_.packet_flits;
+    activate(sh, first);
     sh.flits_in_system += config_.packet_flits;
     sh.acq_by_cycle[now] += 1;
   }
@@ -759,7 +796,7 @@ bool ShardedFlowSim::epoch_watchdog(Shard& sh, std::uint64_t now) {
   // negative picture.  One extra barrier publishes every shard's slot;
   // all shards then reduce the SAME numbers to the same verdict.
   epoch_stats_[sh.index] = EpochStat{sh.flits_in_system, sh.flits_moved_epoch};
-  sync_->barrier.arrive_and_wait();
+  sync_->arrive_and_wait();
   std::int64_t in_system = 0;
   std::uint64_t moved = 0;
   for (const EpochStat& e : epoch_stats_) {
@@ -831,15 +868,47 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
     const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
     for (std::uint64_t now = 0; now < total; ++now) {
       if (sync_->poisoned()) {
-        sync_->barrier.arrive_and_drop();
+        sync_->arrive_and_drop();
         return;
       }
       const bool measuring = now >= config_.warmup_cycles;
+      // Sampled phase timing: every 64th cycle when obs is on, skipping
+      // cycle 0, whose first barrier also waits out the other workers'
+      // start-up and arena set-up.  The clock reads never touch
+      // simulation state, so the timed and untimed paths produce
+      // bit-identical results.
+      bool timed = false;
+      if constexpr (obs::kEnabled) {
+        timed = (now & 63u) == 63u && obs::enabled();
+      }
+      using clock = std::chrono::steady_clock;
+      std::array<clock::time_point, 6> t{};
+      const auto stamp = [&](std::size_t i) {
+        if (timed) t[i] = clock::now();
+      };
+      stamp(0);
       phase_owner_pre(sh, now, measuring);
-      sync_->barrier.arrive_and_wait();
-      phase_execute(sh);
-      sync_->barrier.arrive_and_wait();
+      stamp(1);
+      sync_->arrive_and_wait();
+      stamp(2);
+      phase_execute(sh, now);
+      stamp(3);
+      sync_->arrive_and_wait();
+      stamp(4);
       phase_owner_post(sh, now);
+      stamp(5);
+      if (timed) {
+        const auto ns = [](clock::duration d) {
+          return static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                  .count());
+        };
+        sh.phase_ns[0] += ns(t[1] - t[0]);
+        sh.phase_ns[1] += ns(t[3] - t[2]);
+        sh.phase_ns[2] += ns(t[5] - t[4]);
+        sh.barrier_wait_ns += ns((t[2] - t[1]) + (t[4] - t[3]));
+        ++sh.timed_cycles;
+      }
       sh.cycles_run = now + 1;
       if (epoch_watchdog(sh, now)) break;
     }
@@ -1154,10 +1223,22 @@ void ShardedFlowSim::flush_obs(double wall_seconds) {
     m.gauge("flow.vc.peak_flits." + std::to_string(v))
         .set(static_cast<std::int64_t>(peak_per_vc[v]));
   }
+  // Sampled per-shard phase costs, ns per sampled cycle: one histogram
+  // sample per shard, so the spread across samples is the load skew.
+  const std::uint64_t cap = 1'000'000;  // 1 ms/cycle ceiling per phase
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
     m.gauge("flow.sharded.shard." + std::to_string(sh.index) + ".numa_node")
         .set(static_cast<std::int64_t>(sh.numa_node));
+    if (sh.timed_cycles == 0) continue;
+    m.histogram("flow.sharded.barrier_wait_ns", cap)
+        .record(sh.barrier_wait_ns / sh.timed_cycles);
+    m.histogram("flow.phase.owner_pre_ns", cap)
+        .record(sh.phase_ns[0] / sh.timed_cycles);
+    m.histogram("flow.phase.execute_ns", cap)
+        .record(sh.phase_ns[1] / sh.timed_cycles);
+    m.histogram("flow.phase.owner_post_ns", cap)
+        .record(sh.phase_ns[2] / sh.timed_cycles);
   }
   m.counter("flow.wall_us").add(static_cast<std::uint64_t>(wall_seconds * 1e6));
 }

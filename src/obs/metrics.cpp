@@ -38,7 +38,7 @@ HistogramMetric::HistogramMetric(std::uint64_t max_value,
     : max_value_(max_value), max_bins_(max_bins) {
   shards_.reserve(detail::kShards);
   for (std::size_t s = 0; s < detail::kShards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(max_value, max_bins));
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -46,14 +46,15 @@ void HistogramMetric::record(std::uint64_t value) noexcept {
   if (!detail::runtime_enabled()) return;
   Shard& shard = *shards_[detail::shard_index()];
   const std::scoped_lock lock(shard.mutex);
-  shard.hist.add(value);
+  if (!shard.hist) shard.hist.emplace(max_value_, max_bins_);
+  shard.hist->add(value);
 }
 
 QuantileHistogram HistogramMetric::merged() const {
   QuantileHistogram merged(max_value_, max_bins_);
   for (const auto& shard : shards_) {
     const std::scoped_lock lock(shard->mutex);
-    merged.merge(shard->hist);
+    if (shard->hist) merged.merge(*shard->hist);
   }
   return merged;
 }
@@ -61,7 +62,7 @@ QuantileHistogram HistogramMetric::merged() const {
 void HistogramMetric::reset() {
   for (auto& shard : shards_) {
     const std::scoped_lock lock(shard->mutex);
-    shard->hist = QuantileHistogram(max_value_, max_bins_);
+    shard->hist.reset();
   }
 }
 

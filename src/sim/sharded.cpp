@@ -125,15 +125,14 @@ ShardedSim::ShardedSim(const routing::NextHop& router,
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     auto shard = std::make_unique<Shard>(total);
     shard->index = s;
-    shard->term_lo = std::min(plan_.vertex_begin[s], terminal_count_);
-    shard->term_hi = std::min(plan_.vertex_begin[s + 1], terminal_count_);
+    shard->term_lo = plan_.terminal_begin[s];
+    shard->term_hi = plan_.terminal_begin[s + 1];
     shards_.push_back(std::move(shard));
   }
 
   proposal_box_ = MailboxGrid<Proposal>(shard_count);
   ack_box_ = MailboxGrid<Ack>(shard_count);
-  sync_ =
-      std::make_unique<ShardSync>(static_cast<std::ptrdiff_t>(shard_count));
+  sync_ = std::make_unique<ShardSync>(shard_count);
   numa_ = NumaTopology::detect();
   if constexpr (obs::kEnabled) arm_recorder();
 }
@@ -498,24 +497,27 @@ void ShardedSim::run_shard(std::uint32_t s) {
     const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
     for (std::uint64_t now = 0; now < total; ++now) {
       if (sync_->poisoned()) {
-        sync_->barrier.arrive_and_drop();
+        sync_->arrive_and_drop();
         return;
       }
       const bool measuring = now >= config_.warmup_cycles;
       if (sh.degraded.has_value()) cycle_faults(sh, now);
+      // Sampled barrier timing: every 64th cycle when obs is on, skipping
+      // cycle 0, whose first barrier also waits out the other workers'
+      // start-up and arena set-up.
       bool timed = false;
       if constexpr (obs::kEnabled) {
-        timed = (now & 63u) == 0 && obs::enabled();
+        timed = (now & 63u) == 63u && obs::enabled();
       }
       phase_propose(sh, now, measuring);
       if (timed) {
         using clock = std::chrono::steady_clock;
         const auto t0 = clock::now();
-        sync_->barrier.arrive_and_wait();
+        sync_->arrive_and_wait();
         const auto t1 = clock::now();
         phase_admit(sh);
         const auto t2 = clock::now();
-        sync_->barrier.arrive_and_wait();
+        sync_->arrive_and_wait();
         const auto t3 = clock::now();
         sh.barrier_wait_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -523,9 +525,9 @@ void ShardedSim::run_shard(std::uint32_t s) {
                 .count());
         ++sh.barrier_samples;
       } else {
-        sync_->barrier.arrive_and_wait();
+        sync_->arrive_and_wait();
         phase_admit(sh);
-        sync_->barrier.arrive_and_wait();
+        sync_->arrive_and_wait();
       }
       phase_resolve(sh, now);
       sh.depth_sum_by_cycle[now] = sh.switch_depth_sum;

@@ -43,10 +43,21 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_chunks(begin, end,
-                  [&fn](std::size_t, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) fn(i);
-                  });
+  if (begin >= end) return;
+  // One task per worker, each claiming the next unclaimed index, so a
+  // worker that drew a cheap index moves on to the next one instead of
+  // idling behind a fixed chunk.
+  std::atomic<std::size_t> next{begin};
+  const std::size_t tasks = std::min(end - begin, thread_count());
+  for (std::size_t t = 0; t < tasks; ++t) {
+    submit([&next, &fn, end] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < end; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+    });
+  }
+  wait_idle();
 }
 
 void ThreadPool::parallel_chunks(

@@ -1,13 +1,15 @@
 /// \file test_flow_sharded.cpp
 /// \brief ShardedFlowSim determinism: bit-identical FlowResults against
-///        serial FlowSim (counter injection) at 1/2/4/8 shards — for
+///        serial FlowSim (counter injection) at 1/2/3/4/8 shards — for
 ///        wormhole and virtual cut-through, credit and on/off
 ///        backpressure, under mid-run fault schedules, and through a
 ///        genuine cross-shard deadlock where the watchdog verdict must
 ///        come from epoch totals aggregated over ALL shards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
@@ -15,6 +17,7 @@
 #include "nbclos/flow/engine.hpp"
 #include "nbclos/flow/sharded.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
@@ -90,7 +93,7 @@ class FlowSharded : public ::testing::Test {
     FlowSim serial(cache, traffic, config, degraded, events);
     const FlowResult golden = serial.run();
     const auto serial_busy = serial.link_busy_flits();
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
       ShardedFlowSim sharded(cache, traffic, config, shards, degraded, events);
       const FlowResult got = sharded.run();
       expect_identical(golden, got, shards);
@@ -256,7 +259,7 @@ TEST(FlowShardedWatchdog, VerdictMatchesSerialAcrossShardCuts) {
   const FlowResult golden = serial.run();
   ASSERT_TRUE(golden.deadlocked);
   ASSERT_GT(golden.stuck_flits, 0U);
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     ShardedFlowSim sharded(fab.cache, traffic, wedge_config(), shards);
     const FlowResult got = sharded.run();
     expect_identical(golden, got, shards);
@@ -284,7 +287,7 @@ TEST(FlowShardedWatchdog, FaultInducedTripMatchesSerial) {
   ASSERT_TRUE(golden.deadlocked);
   EXPECT_GE(golden.deadlock_cycle, 600U);
   EXPECT_GT(golden.dropped_packets, 0U);
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     ShardedFlowSim sharded(fab.cache, traffic, config, shards, &view, events);
     const FlowResult got = sharded.run();
     expect_identical(golden, got, shards);
@@ -333,12 +336,38 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
   const auto golden = invariant_series(serial.recorder());
   ASSERT_GE(golden.size(), 7U);
   ASSERT_FALSE(golden[0].points.empty());
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     ShardedFlowSim sharded(cache, traffic, config, shards);
     const FlowResult got = sharded.run();
     expect_identical(golden_result, got, shards);
     expect_identical_series(golden, invariant_series(sharded.recorder()),
                             shards);
+  }
+}
+
+TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
+  // Every 64th cycle each shard times its three phases and its two
+  // barrier waits; flush_obs records one mean per shard.  Obs-off builds
+  // compile the timers out, so nothing is recorded there.
+  auto& registry = obs::metrics();
+  registry.reset();
+  ShardedFlowSim sharded(cache, traffic, base_config(), 2);
+  ASSERT_EQ(sharded.shard_count(), 2U);
+  (void)sharded.run();
+  const auto snapshot = registry.snapshot();
+  for (const std::string name :
+       {"flow.sharded.barrier_wait_ns", "flow.phase.owner_pre_ns",
+        "flow.phase.execute_ns", "flow.phase.owner_post_ns"}) {
+    const auto it = std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [&](const obs::MetricSample& m) { return m.name == name; });
+    if constexpr (obs::kEnabled) {
+      ASSERT_NE(it, snapshot.end()) << name;
+      EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
+      EXPECT_EQ(it->count, 2U) << name;  // one sample per shard
+    } else {
+      EXPECT_EQ(it, snapshot.end()) << name;
+    }
   }
 }
 
@@ -384,7 +413,7 @@ TEST(FlowShardedForensics, WatchdogTripNamesTheDeadlockedFifos) {
 
   // Sharded runs reconstruct the same global-id forensics from per-shard
   // state, even when the wait cycle crosses every shard boundary.
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+  for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedFlowSim sharded(fab.cache, traffic, config, shards);
     ASSERT_TRUE(sharded.run().deadlocked);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "nbclos/core/multilevel.hpp"
@@ -134,71 +135,99 @@ TEST(RecursiveShardRouter, SelfPairHasNoRoute) {
   EXPECT_EQ(router.next_channel_from(3, 3, 3), fault::kNoRoute);
 }
 
-TEST(ShardPlan, PartitionIsContiguousBalancedAndComplete) {
-  const Network net = build_kary_ntree(3, 3);
-  for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-    const auto plan = ShardPlan::build(net, shards);
-    ASSERT_EQ(plan.shard_count, shards);
-    ASSERT_EQ(plan.vertex_begin.size(), shards + 1);
-    EXPECT_EQ(plan.vertex_begin.front(), 0U);
-    EXPECT_EQ(plan.vertex_begin.back(), net.vertex_count());
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      EXPECT_LE(plan.vertex_begin[s], plan.vertex_begin[s + 1]);
-    }
-    // Every channel is owned by the shard of its source vertex, with
-    // local ids ascending in global id order.
-    std::size_t covered = 0;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      std::uint32_t prev_local = 0;
-      for (std::size_t i = 0; i < plan.shard_channels[s].size(); ++i) {
-        const auto c = plan.shard_channels[s][i];
-        EXPECT_EQ(plan.channel_owner[c], s);
-        EXPECT_EQ(plan.channel_local[c], i);
-        const auto src = net.channel_src(c);
-        EXPECT_GE(src, plan.vertex_begin[s]);
-        EXPECT_LT(src, plan.vertex_begin[s + 1]);
-        if (i > 0) {
-          EXPECT_GT(plan.channel_local[c], prev_local);
-        }
-        prev_local = plan.channel_local[c];
-      }
-      covered += plan.shard_channels[s].size();
-    }
-    EXPECT_EQ(covered, net.channel_count());
-  }
-  // Requested counts beyond the vertex count are clamped, never fatal.
-  const auto clamped = ShardPlan::build(build_crossbar(2), 64);
-  EXPECT_LE(clamped.shard_count, build_crossbar(2).vertex_count());
-}
-
-TEST(ShardPlan, CutIsOutChannelBalancedOnTreeAndRecursiveFabrics) {
-  // The plan cuts the contiguous vertex range at equal out-channel
-  // prefix shares, so no shard's owned-channel count can drift from the
-  // ideal C/S share by more than one vertex's out-degree — on the k-ary
-  // tree AND on the recursive multi-level construction, whose out-degree
-  // profile (leaves of degree 1 next to bottom switches of degree
-  // n + n^2) is exactly the skew that a vertex-count cut gets wrong.
+TEST(ShardPlan, EveryVertexHasOneOwnerAndChannelsFollowTheirSource) {
   const MultiLevelFabric fabric(2, 3);
   const Network kary = build_kary_ntree(3, 3);
   for (const Network* net : {&kary, &fabric.network()}) {
-    std::uint64_t max_degree = 0;
+    const auto terminals = static_cast<std::uint32_t>(net->terminals().size());
+    for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      const auto plan = ShardPlan::build(*net, shards);
+      ASSERT_EQ(plan.shard_count, shards);
+      // Exactly one owner per vertex.
+      ASSERT_EQ(plan.vertex_owner.size(), net->vertex_count());
+      for (std::uint32_t v = 0; v < net->vertex_count(); ++v) {
+        EXPECT_LT(plan.shard_of_vertex(v), shards);
+      }
+      // Terminal ranges are contiguous, in shard order, and cover [0, T);
+      // each range holds exactly the terminals its shard owns.
+      ASSERT_EQ(plan.terminal_begin.size(), shards + 1);
+      EXPECT_EQ(plan.terminal_begin.front(), 0U);
+      EXPECT_EQ(plan.terminal_begin.back(), terminals);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        EXPECT_LE(plan.terminal_begin[s], plan.terminal_begin[s + 1]);
+        for (std::uint32_t t = plan.terminal_begin[s];
+             t < plan.terminal_begin[s + 1]; ++t) {
+          EXPECT_EQ(plan.shard_of_vertex(t), s);
+        }
+      }
+      // Every channel is owned by the shard of its source vertex, with
+      // local ids ascending in global id order.
+      std::size_t covered = 0;
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        const auto& owned = plan.shard_channels[s];
+        for (std::size_t i = 0; i < owned.size(); ++i) {
+          const auto c = owned[i];
+          EXPECT_EQ(plan.channel_owner[c], s);
+          EXPECT_EQ(plan.shard_of_vertex(net->channel_src(c)), s);
+          EXPECT_EQ(plan.channel_local[c], i);
+          if (i > 0) {
+            EXPECT_GT(c, owned[i - 1]);
+          }
+        }
+        covered += owned.size();
+      }
+      EXPECT_EQ(covered, net->channel_count());
+    }
+  }
+  // Requested counts beyond the vertex count are clamped, never fatal.
+  const Network crossbar = build_crossbar(2);
+  const auto clamped = ShardPlan::build(crossbar, 64);
+  EXPECT_LE(clamped.shard_count, crossbar.vertex_count());
+  EXPECT_EQ(clamped.terminal_begin.back(), crossbar.terminals().size());
+}
+
+TEST(ShardPlan, EveryLevelIsCutAtEqualOutChannelShares) {
+  // Shard s owns the s-th slice of every level, cut at equal out-channel
+  // prefix shares, so within each level no shard's owned-channel count
+  // drifts from the level's C/S share by more than one vertex's
+  // out-degree — on the k-ary tree AND on the recursive multi-level
+  // construction, whose levels mix degree-1 leaves with bottom switches
+  // of degree n + n^2.
+  const MultiLevelFabric fabric(2, 3);
+  const Network kary = build_kary_ntree(3, 3);
+  for (const Network* net : {&kary, &fabric.network()}) {
+    std::uint32_t levels = 0;
     for (std::uint32_t v = 0; v < net->vertex_count(); ++v) {
-      max_degree = std::max<std::uint64_t>(max_degree,
-                                           net->out_channels(v).size());
+      levels = std::max(levels, net->vertex(v).level + 1);
+    }
+    std::vector<std::uint64_t> level_channels(levels, 0);
+    std::vector<std::uint64_t> level_max_degree(levels, 0);
+    for (std::uint32_t v = 0; v < net->vertex_count(); ++v) {
+      const auto level = net->vertex(v).level;
+      const auto degree = net->out_channels(v).size();
+      level_channels[level] += degree;
+      level_max_degree[level] =
+          std::max<std::uint64_t>(level_max_degree[level], degree);
     }
     for (const std::uint32_t shards : {2U, 4U, 8U}) {
       const auto plan = ShardPlan::build(*net, shards);
       ASSERT_EQ(plan.shard_count, shards);
-      EXPECT_EQ(plan.vertex_begin.front(), 0U);
-      EXPECT_EQ(plan.vertex_begin.back(), net->vertex_count());
-      const double ideal =
-          static_cast<double>(net->channel_count()) / shards;
-      for (std::uint32_t s = 0; s < shards; ++s) {
-        EXPECT_LE(plan.vertex_begin[s], plan.vertex_begin[s + 1]);
-        const auto owned =
-            static_cast<double>(plan.shard_channels[s].size());
-        EXPECT_LE(std::abs(owned - ideal), static_cast<double>(max_degree))
-            << "shards=" << shards << " s=" << s;
+      // owned[level][shard]: out-channels of the shard's slice.
+      std::vector<std::vector<std::uint64_t>> owned(
+          levels, std::vector<std::uint64_t>(shards, 0));
+      for (std::uint32_t v = 0; v < net->vertex_count(); ++v) {
+        owned[net->vertex(v).level][plan.shard_of_vertex(v)] +=
+            net->out_channels(v).size();
+      }
+      for (std::uint32_t level = 0; level < levels; ++level) {
+        const double ideal =
+            static_cast<double>(level_channels[level]) / shards;
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          EXPECT_LE(std::abs(static_cast<double>(owned[level][s]) - ideal),
+                    static_cast<double>(level_max_degree[level]))
+              << "shards=" << shards << " level=" << level << " s=" << s;
+        }
       }
     }
   }

@@ -72,7 +72,7 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
   for (const double rate : {0.2, 0.8}) {
     const auto config = sharded_config(rate);
     const auto expect = reference_run(router, traffic, config);
-    for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
+    for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
       ShardedSim sim(router, traffic, config, shards);
       ASSERT_EQ(sim.shard_count(), shards);
       const auto got = sim.run();
@@ -94,7 +94,7 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnKaryTrees) {
         shift_permutation(terminals, 7), terminals);
     const auto config = sharded_config(0.5);
     const auto expect = reference_run(router, traffic, config);
-    for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
+    for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
       ShardedSim sim(router, traffic, config, shards);
       const auto got = sim.run();
       expect_identical(got, expect,
@@ -127,7 +127,7 @@ TEST(ShardedSim, BitIdenticalUnderAFaultSchedule) {
       reference_run(router, traffic, config, &reference_view, events);
   EXPECT_GT(expect.dropped_packets, 0U);  // the schedule must actually bite
   const fault::DegradedView pristine(net);
-  for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
+  for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
     ShardedSim sim(router, traffic, config, shards, &pristine, events);
     const auto got = sim.run();
     expect_identical(got, expect,
@@ -146,7 +146,7 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnMultiLevelFabric) {
   const auto config = sharded_config(0.6);
   const auto expect = reference_run(router, traffic, config);
   EXPECT_GT(expect.delivered_packets, 0U);
-  for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
+  for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
     ShardedSim sim(router, traffic, config, shards);
     const auto got = sim.run();
     expect_identical(got, expect,
@@ -243,7 +243,7 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
   const auto golden = invariant(serial.recorder());
   ASSERT_GE(golden.size(), 6U);
   ASSERT_FALSE(golden[0].points.empty());
-  for (const std::uint32_t shards : {1U, 2U, 4U, 8U}) {
+  for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
     ShardedSim sim(router, traffic, config, shards);
     const auto got_result = sim.run();
     expect_identical(got_result, golden_result,

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -35,6 +37,29 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   std::atomic<int> counter{0};
   pool.parallel_for(5, 5, [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 0);
+}
+
+TEST(ThreadPool, ParallelForDoesNotStrandIndicesBehindASlowOne) {
+  // Index 0 holds its worker until indices 1..3 have run.  Contiguous
+  // chunks on 2 workers would queue index 1 behind index 0; claiming one
+  // index at a time lets the other worker take 1, 2 and 3.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int done = 0;
+  bool released = false;
+  pool.parallel_for(0, 4, [&](std::size_t i) {
+    std::unique_lock lock(mu);
+    if (i == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return done == 3; });
+      return;
+    }
+    ++done;
+    cv.notify_all();
+  });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(done, 3);
 }
 
 TEST(ThreadPool, ParallelChunksPartitionIsContiguousAndComplete) {
