@@ -3,10 +3,17 @@
 ///
 /// Contention (paper §III): a communication pattern causes contention
 /// under a routing when two of its SD pairs are routed through one
-/// directed link.  LinkLoadMap counts per-link path loads; the audit
-/// utilities check Lemma 1's iff-condition — "every link carries traffic
-/// either from one source or to one destination" — over *all* SD pairs a
-/// routing can ever produce.
+/// directed link.  Two counters measure it:
+///   * PermutationLoad scores one permutation in one pass over its SD
+///     pairs, counting only the up- and down-links (the only links a
+///     permutation can share, by Lemma 1).  The verifier drivers score
+///     every sampled or enumerated permutation with it.
+///   * LinkLoadMap counts every directed link and keeps its collision
+///     statistics incrementally, for hill-climb state that adds and
+///     removes paths (analysis/delta.hpp) and for arbitrary path sets.
+/// The audit utilities check Lemma 1's iff-condition — "every link
+/// carries traffic either from one source or to one destination" — over
+/// *all* SD pairs a routing can ever produce.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "nbclos/analysis/permutations.hpp"
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 
@@ -34,9 +42,6 @@ class LinkLoadMap {
 
   void add_path(const FtreePath& path);
   void add_paths(const std::vector<FtreePath>& paths);
-  /// Undo a previous add_path of the same path.  \pre every link of the
-  /// path currently has load >= 1.
-  void remove_path(const FtreePath& path);
   /// Zero every counter (O(link_count)).
   void clear();
 
@@ -82,13 +87,53 @@ class LinkLoadMap {
     if (l-- == 2) --contended_links_;
     colliding_pairs_ -= l;
   }
-  void bump(LinkId link) { bump_index(link.value); }
-  void drop(LinkId link) { drop_index(link.value); }
 
   const FoldedClos* ftree_;
   std::vector<std::uint32_t> load_;
   std::uint64_t colliding_pairs_ = 0;
   std::uint32_t contended_links_ = 0;
+};
+
+/// Up/down-link loads of one routed permutation, scored in one pass.
+///
+/// In a permutation every leaf link carries at most one path (each leaf
+/// sends and receives at most once), so by Lemma 1 only the r*m up-links
+/// and r*m down-links can be shared.  PermutationLoad keeps one counter
+/// per such link (up-link (v, t) at v*m + t, down-link (t, w) at
+/// r*m + t*r + w: FoldedClos's link ids less leaf_count()), and each
+/// load() zeroes them and walks the pattern once, with no per-pair
+/// allocation.  Over the same paths, colliding_pairs() and max_load()
+/// equal LinkLoadMap's (max_load() is 1 for a nonempty pattern that
+/// shares no link, 0 for an empty one).
+/// \pre every loaded pattern is a permutation (validate_permutation).
+class PermutationLoad {
+ public:
+  explicit PermutationLoad(const FoldedClos& ftree);
+
+  /// Route every pair of `pattern` through `routing` and load the paths
+  /// (SinglePathRouting::route_into per pair; no path vector).
+  void load(const Permutation& pattern, const SinglePathRouting& routing);
+  /// Load a pattern router's paths: \pre paths[i] routes pattern[i]
+  /// (checked in Debug builds).
+  void load(const Permutation& pattern, const std::vector<FtreePath>& paths);
+
+  /// Number of colliding path pairs, summed over links: sum C(load, 2).
+  [[nodiscard]] std::uint64_t colliding_pairs() const noexcept {
+    return colliding_pairs_;
+  }
+  /// Most paths on any one directed link.
+  [[nodiscard]] std::uint32_t max_load() const noexcept { return max_load_; }
+
+ private:
+  /// Zero the counters and load path_of(item) for every item of the
+  /// range (an SD pair to route, or a routed path).
+  template <typename Item, typename PathOf>
+  void load_paths(const std::vector<Item>& items, const PathOf& path_of);
+
+  const FoldedClos* ftree_;
+  std::vector<std::uint32_t> load_;
+  std::uint64_t colliding_pairs_ = 0;
+  std::uint32_t max_load_ = 0;
 };
 
 /// Convenience: does this pattern cause contention under these paths?

@@ -8,12 +8,17 @@
 /// trials are split into a *fixed* number of chunks with seeds derived
 /// from the master seed, and partials are merged in chunk order.
 ///
-/// Each question is scored one way.  Sampled permutations (blocking
-/// estimates, random and exhaustive verification) are routed by a
-/// worker-private PatternRouter and loaded into a LinkLoadMap.
-/// Adversarial and worst-case restarts climb with the cached delta
-/// evaluator (SwapDeltaState over one RouteCache, shared read-only by
-/// every worker), which is bit-identical to full re-evaluation.
+/// Each question is scored one way.  Sampled and enumerated permutations
+/// (blocking estimates, random and exhaustive verification) are scored
+/// by a chunk- or shard-private PatternScorer over a worker-private
+/// PatternRouter: one pass per permutation into a PermutationLoad, pair
+/// by pair through the routing when the router came from
+/// as_pattern_router.  estimate_blocking_parallel's chunks run the same
+/// body as estimate_blocking (sample_blocking), and
+/// verify_random_parallel's run verify_random.  Adversarial and
+/// worst-case restarts climb with the cached delta evaluator
+/// (SwapDeltaState over one RouteCache, shared read-only by every
+/// worker), which is bit-identical to full re-evaluation.
 #pragma once
 
 #include <cstdint>

@@ -33,6 +33,11 @@ void validate_permutation(const Permutation& pattern,
 [[nodiscard]] Permutation random_permutation(std::uint32_t leaf_count,
                                              Xoshiro256& rng);
 
+/// random_permutation into reused buffers: the same draw from the same
+/// rng state, with `target` left holding leaf s's destination at s.
+void random_permutation(std::uint32_t leaf_count, Xoshiro256& rng,
+                        std::vector<std::uint32_t>& target, Permutation& out);
+
 /// Random partial permutation using `pairs` distinct sources and
 /// destinations.  \pre pairs <= leaf_count.
 [[nodiscard]] Permutation random_partial_permutation(std::uint32_t leaf_count,

@@ -13,10 +13,13 @@
 ///
 /// The router under test is abstracted as a function from a permutation
 /// to its paths, so deterministic, adaptive, and centralized schemes all
-/// fit one interface.  Every sampled permutation is scored one way: its
-/// routed paths loaded into a LinkLoadMap.  A hill-climb step is scored
-/// by one of two evaluators:
-///   * full re-evaluation of the whole pattern through a PatternRouter
+/// fit one interface.  Every sampled or enumerated permutation is scored
+/// one way: a PatternScorer loads it into a PermutationLoad
+/// (analysis/contention.hpp) in one pass over its SD pairs, routing pair
+/// by pair when the router wraps a SinglePathRouting (as_pattern_router)
+/// and through the router's path vector otherwise.  A hill-climb step is
+/// scored by one of two evaluators:
+///   * full re-evaluation of the whole pattern through a PatternScorer
 ///     (any router; the tests' reference);
 ///   * cached delta evaluation (SwapDeltaState, analysis/delta.hpp) for
 ///     single-path deterministic routings: a step replays only the <= 4
@@ -29,6 +32,7 @@
 #include <functional>
 #include <optional>
 
+#include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 
@@ -38,14 +42,42 @@ class RouteCache;
 
 namespace nbclos {
 
-class SinglePathRouting;
-
 /// Route a whole pattern at once (adaptive routers need the pattern).
 using PatternRouter =
     std::function<std::vector<FtreePath>(const Permutation&)>;
 
-/// Wrap a SinglePathRouting as a PatternRouter.
+/// The callable as_pattern_router wraps: route_all through one
+/// SinglePathRouting.  PatternScorer recognizes it
+/// (PatternRouter::target) and routes pair by pair instead of calling it.
+struct SinglePathPatternRouter {
+  const SinglePathRouting* routing;
+
+  [[nodiscard]] std::vector<FtreePath> operator()(
+      const Permutation& pattern) const {
+    return routing->route_all(pattern);
+  }
+};
+
+/// Wrap a SinglePathRouting as a PatternRouter (a SinglePathPatternRouter).
 [[nodiscard]] PatternRouter as_pattern_router(const SinglePathRouting& routing);
+
+/// Scores permutations under one PatternRouter into a reused
+/// PermutationLoad: pair by pair through the wrapped routing when the
+/// router is a SinglePathPatternRouter, through router(pattern)
+/// otherwise.  Holds a pointer to `router`, which must outlive it.
+class PatternScorer {
+ public:
+  PatternScorer(const FoldedClos& ftree, const PatternRouter& router);
+
+  /// Route and score one permutation; the loads stay valid until the
+  /// next call.
+  const PermutationLoad& score(const Permutation& pattern);
+
+ private:
+  const PatternRouter* router_;
+  const SinglePathRouting* single_path_ = nullptr;
+  PermutationLoad load_;
+};
 
 struct VerifyResult {
   bool nonblocking = false;  ///< no counterexample found within the budget

@@ -37,8 +37,9 @@ class SinglePathRouting {
   }
 
   /// Allocation-free route: writes the fixed path into caller scratch.
-  /// The verification engine's delta evaluator re-routes <= 4 SD pairs
-  /// per hill-climb step through this.  \pre sd.src != sd.dst.
+  /// The verifier scores every pair of a sampled permutation through
+  /// this (PermutationLoad), and RouteCache::materialize every pair of
+  /// the fabric.  \pre sd.src != sd.dst.
   void route_into(SDPair sd, FtreePath& out) const {
     NBCLOS_DEBUG_CHECK(sd.src != sd.dst, "self-loop SD pair");
     if (!ftree_->needs_top(sd)) {
@@ -55,19 +56,6 @@ class SinglePathRouting {
     paths.reserve(pattern.size());
     for (const auto sd : pattern) paths.push_back(route(sd));
     return paths;
-  }
-
-  /// route_all into a reused buffer (cleared first) — no allocation once
-  /// the buffer has grown to pattern size.
-  void route_all_into(const std::vector<SDPair>& pattern,
-                      std::vector<FtreePath>& out) const {
-    out.clear();
-    out.reserve(pattern.size());
-    for (const auto sd : pattern) {
-      FtreePath path;
-      route_into(sd, path);
-      out.push_back(path);
-    }
   }
 
  protected:

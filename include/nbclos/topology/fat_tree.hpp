@@ -79,14 +79,16 @@ class FoldedClos {
     NBCLOS_DEBUG_CHECK(v.value < r() && k < n(), "leaf coordinates out of range");
     return LeafId{v.value * n() + k};
   }
+  /// leaf / n, as a multiply-high by the stored reciprocal (no division).
   [[nodiscard]] BottomId switch_of(LeafId leaf) const {
     NBCLOS_DEBUG_CHECK(leaf.value < leaf_count(), "leaf id out of range");
-    return BottomId{leaf.value / n()};
+    return BottomId{divide_by_n(leaf.value)};
   }
-  /// Local node number within its bottom switch (the paper's `p`).
+  /// Local node number within its bottom switch (the paper's `p`):
+  /// leaf % n, as a multiply-subtract.
   [[nodiscard]] std::uint32_t local_of(LeafId leaf) const {
     NBCLOS_DEBUG_CHECK(leaf.value < leaf_count(), "leaf id out of range");
-    return leaf.value % n();
+    return leaf.value - divide_by_n(leaf.value) * n();
   }
 
   // --- directed link ids ----------------------------------------------
@@ -114,10 +116,18 @@ class FoldedClos {
 
   // --- paths -----------------------------------------------------------
   /// A direct path (valid only when src and dst share a bottom switch).
-  [[nodiscard]] FtreePath direct_path(SDPair sd) const;
+  [[nodiscard]] FtreePath direct_path(SDPair sd) const {
+    NBCLOS_DEBUG_CHECK(!needs_top(sd), "direct path requires same bottom switch");
+    NBCLOS_DEBUG_CHECK(sd.src != sd.dst, "self-loop SD pair");
+    return FtreePath{sd, /*direct=*/true, TopId{0}};
+  }
   /// A cross path through the given top switch (src and dst must be in
   /// different bottom switches).
-  [[nodiscard]] FtreePath cross_path(SDPair sd, TopId top) const;
+  [[nodiscard]] FtreePath cross_path(SDPair sd, TopId top) const {
+    NBCLOS_DEBUG_CHECK(needs_top(sd), "cross path requires different switches");
+    NBCLOS_DEBUG_CHECK(top.value < m(), "top switch out of range");
+    return FtreePath{sd, /*direct=*/false, top};
+  }
   /// Whether an SD pair needs a top-level switch.
   [[nodiscard]] bool needs_top(SDPair sd) const {
     return switch_of(sd.src) != switch_of(sd.dst);
@@ -159,7 +169,25 @@ class FoldedClos {
   void validate() const;
 
  private:
+  /// x / n for any 32-bit x.  For n >= 2, n_reciprocal_ = ceil(2^64 / n)
+  /// and the high word of the 64x32-bit product is exact (Lemire, Kaser
+  /// and Kurz, "Faster remainder by direct computation", 2019).  For
+  /// n = 1 the reciprocal 2^64 does not fit, so it is 0 and n_is_one_
+  /// (all ones) adds x back.
+  [[nodiscard]] std::uint32_t divide_by_n(std::uint32_t x) const noexcept {
+#ifdef __SIZEOF_INT128__
+    __extension__ using uint128 = unsigned __int128;
+#else
+#error "FoldedClos leaf arithmetic requires a 128-bit multiply"
+#endif
+    const auto high = static_cast<std::uint32_t>(
+        (static_cast<uint128>(n_reciprocal_) * x) >> 64);
+    return high + (x & n_is_one_);
+  }
+
   FtreeParams params_;
+  std::uint64_t n_reciprocal_ = 0;
+  std::uint32_t n_is_one_ = 0;
 };
 
 }  // namespace nbclos

@@ -9,17 +9,11 @@ namespace nbclos {
 void LinkLoadMap::add_path(const FtreePath& path) {
   LinkId links[FoldedClos::kMaxPathLinks];
   const auto count = ftree_->links_into(path, links);
-  for (std::uint32_t i = 0; i < count; ++i) bump(links[i]);
+  for (std::uint32_t i = 0; i < count; ++i) bump_index(links[i].value);
 }
 
 void LinkLoadMap::add_paths(const std::vector<FtreePath>& paths) {
   for (const auto& path : paths) add_path(path);
-}
-
-void LinkLoadMap::remove_path(const FtreePath& path) {
-  LinkId links[FoldedClos::kMaxPathLinks];
-  const auto count = ftree_->links_into(path, links);
-  for (std::uint32_t i = 0; i < count; ++i) drop(links[i]);
 }
 
 void LinkLoadMap::clear() {
@@ -32,6 +26,61 @@ std::uint32_t LinkLoadMap::max_load() const {
   std::uint32_t max_load = 0;
   for (const auto l : load_) max_load = std::max(max_load, l);
   return max_load;
+}
+
+PermutationLoad::PermutationLoad(const FoldedClos& ftree)
+    : ftree_(&ftree), load_(2 * std::size_t{ftree.r()} * ftree.m(), 0) {}
+
+template <typename Item, typename PathOf>
+void PermutationLoad::load_paths(const std::vector<Item>& items,
+                                 const PathOf& path_of) {
+  std::fill(load_.begin(), load_.end(), 0U);
+  // Locals, not members: the counter stores below cannot alias them, so
+  // they stay in registers across the routing's virtual calls.
+  const FoldedClos& ft = *ftree_;
+  const std::uint32_t m = ft.m();
+  const std::uint32_t r = ft.r();
+  std::uint32_t* const up = load_.data();
+  std::uint32_t* const down = up + std::size_t{r} * m;
+  std::uint64_t colliding_pairs = 0;
+  // Every path loads its two leaf links once; a permutation shares none.
+  std::uint32_t max_load = items.empty() ? 0 : 1;
+  const auto bump = [&](std::uint32_t& load) {
+    const std::uint32_t resident = load++;
+    colliding_pairs += resident;  // the new path collides with each one
+    max_load = std::max(max_load, resident + 1);
+  };
+  for (const Item& item : items) {
+    const FtreePath path = path_of(item);
+    if (path.direct) continue;  // leaf links only: never shared
+    NBCLOS_DEBUG_CHECK(path.top.value < m, "top switch out of range");
+    bump(up[ft.switch_of(path.sd.src).value * m + path.top.value]);
+    bump(down[path.top.value * r + ft.switch_of(path.sd.dst).value]);
+  }
+  colliding_pairs_ = colliding_pairs;
+  max_load_ = max_load;
+}
+
+void PermutationLoad::load(const Permutation& pattern,
+                           const SinglePathRouting& routing) {
+  load_paths(pattern, [&routing](SDPair sd) {
+    FtreePath path;
+    routing.route_into(sd, path);
+    return path;
+  });
+}
+
+void PermutationLoad::load([[maybe_unused]] const Permutation& pattern,
+                           const std::vector<FtreePath>& paths) {
+  NBCLOS_DEBUG_CHECK(paths.size() == pattern.size(),
+                     "router returned a path count unlike the pattern's");
+  if constexpr (kDebugChecksEnabled) {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      NBCLOS_DEBUG_CHECK(paths[i].sd == pattern[i],
+                         "router path does not match its pattern pair");
+    }
+  }
+  load_paths(paths, [](const FtreePath& path) { return path; });
 }
 
 bool has_contention(const FoldedClos& ftree,

@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <optional>
 
-#include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/trace.hpp"
@@ -50,50 +48,20 @@ BlockingEstimate estimate_blocking_parallel(
   obs::ScopedSpan span("verify.blocking_estimate", "verify");
   span.arg("trials", static_cast<double>(trials));
 
-  struct Partial {
-    std::uint64_t blocked = 0;
-    double sum_collisions = 0.0;
-    double sum_max_load = 0.0;
-  };
-  std::vector<Partial> partials(chunks);
-
+  std::vector<BlockingSums> partials(chunks);
   for (std::uint32_t c = 0; c < chunks; ++c) {
     if (sizes[c] == 0) continue;
     pool.submit([&, c] {
       Xoshiro256 rng(chunk_seed(seed, c));
       const auto router = make_router(chunk_seed(seed, c) ^ 0xC0FFEE);
-      Partial partial;
-      LinkLoadMap map(ftree);
-      for (std::uint64_t t = 0; t < sizes[c]; ++t) {
-        const auto pattern = random_permutation(ftree.leaf_count(), rng);
-        map.clear();
-        map.add_paths(router(pattern));
-        const auto collisions = map.colliding_pairs();
-        if (collisions > 0) ++partial.blocked;
-        partial.sum_collisions += static_cast<double>(collisions);
-        partial.sum_max_load += static_cast<double>(map.max_load());
-      }
-      partials[c] = partial;
+      partials[c] = sample_blocking(ftree, router, sizes[c], rng);
     });
   }
   pool.wait_idle();
 
-  BlockingEstimate est;
-  est.trials = trials;
-  double sum_collisions = 0.0;
-  double sum_max_load = 0.0;
-  for (const auto& partial : partials) {  // fixed merge order
-    est.blocked += partial.blocked;
-    sum_collisions += partial.sum_collisions;
-    sum_max_load += partial.sum_max_load;
-  }
-  const auto count = static_cast<double>(trials);
-  est.blocking_probability = static_cast<double>(est.blocked) / count;
-  est.mean_colliding_pairs = sum_collisions / count;
-  est.mean_max_link_load = sum_max_load / count;
-  const double p = est.blocking_probability;
-  est.ci95_half_width = 1.96 * std::sqrt(p * (1.0 - p) / count);
-  return est;
+  BlockingSums sums;
+  for (const auto& partial : partials) sums += partial;  // fixed merge order
+  return sums.estimate();
 }
 
 VerifyResult verify_random_parallel(const FoldedClos& ftree,
@@ -195,7 +163,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
       std::uint64_t evaluated = 0;
       bool early_exit = false;
       const auto router = make_router(chunk_seed(0, shard));
-      LinkLoadMap map(ftree);
+      PatternScorer scorer(ftree, router);
       std::uint64_t rank = shard_begin;
       for_each_permutation_in_range(
           ftree.leaf_count(), shard_begin, end,
@@ -205,10 +173,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
               return false;  // a lower-rank counterexample already exists
             }
             ++evaluated;
-            const auto paths = router(pattern);
-            map.add_paths(paths);
-            const auto collisions = map.colliding_pairs();
-            for (const auto& path : paths) map.remove_path(path);
+            const auto collisions = scorer.score(pattern).colliding_pairs();
             if (collisions > 0) {
               hits[shard] = ShardHit{rank, pattern, collisions};
               auto current = best_rank.load(std::memory_order_relaxed);

@@ -25,11 +25,18 @@ void validate_permutation(const Permutation& pattern,
 
 void permutation_from_targets(const std::vector<std::uint32_t>& target,
                               Permutation& out) {
-  out.clear();
-  out.reserve(target.size());
-  for (std::uint32_t s = 0; s < target.size(); ++s) {
-    if (target[s] != s) out.push_back({LeafId{s}, LeafId{target[s]}});
+  // Write every pair but keep only the non-fixed points: no per-pair
+  // branch or capacity check on the samplers' hot path.
+  const auto leafs = static_cast<std::uint32_t>(target.size());
+  out.resize(leafs);
+  SDPair* const pairs = out.data();
+  std::size_t count = 0;
+  for (std::uint32_t s = 0; s < leafs; ++s) {
+    const std::uint32_t d = target[s];
+    pairs[count] = {LeafId{s}, LeafId{d}};
+    count += d != s ? 1U : 0U;
   }
+  out.resize(count);
 }
 
 Permutation permutation_from_targets(const std::vector<std::uint32_t>& target) {
@@ -39,10 +46,18 @@ Permutation permutation_from_targets(const std::vector<std::uint32_t>& target) {
 }
 
 Permutation random_permutation(std::uint32_t leaf_count, Xoshiro256& rng) {
-  std::vector<std::uint32_t> target(leaf_count);
+  std::vector<std::uint32_t> target;
+  Permutation out;
+  random_permutation(leaf_count, rng, target, out);
+  return out;
+}
+
+void random_permutation(std::uint32_t leaf_count, Xoshiro256& rng,
+                        std::vector<std::uint32_t>& target, Permutation& out) {
+  target.resize(leaf_count);
   std::iota(target.begin(), target.end(), 0U);
   shuffle(target.begin(), target.end(), rng);
-  return permutation_from_targets(target);
+  permutation_from_targets(target, out);
 }
 
 Permutation random_partial_permutation(std::uint32_t leaf_count,

@@ -13,21 +13,37 @@
 namespace nbclos {
 
 PatternRouter as_pattern_router(const SinglePathRouting& routing) {
-  return [&routing](const Permutation& pattern) {
-    return routing.route_all(pattern);
-  };
+  return SinglePathPatternRouter{&routing};
+}
+
+PatternScorer::PatternScorer(const FoldedClos& ftree,
+                             const PatternRouter& router)
+    : router_(&router), load_(ftree) {
+  if (const auto* single = router.target<SinglePathPatternRouter>()) {
+    single_path_ = single->routing;
+  }
+}
+
+const PermutationLoad& PatternScorer::score(const Permutation& pattern) {
+  if (single_path_ != nullptr) {
+    load_.load(pattern, *single_path_);
+  } else {
+    load_.load(pattern, (*router_)(pattern));
+  }
+  return load_;
 }
 
 namespace {
 
 /// Full-re-evaluation counterpart of SwapDeltaState: same interface, but
-/// collisions() scores the whole pattern through the router.  Evaluation
-/// is lazy so that a revert_swap never pays for scoring, matching the
-/// cost profile of the pre-delta hill climb while reusing its buffers.
+/// collisions() scores the whole pattern through a PatternScorer.
+/// Evaluation is lazy so that a revert_swap never pays for scoring,
+/// matching the cost profile of the pre-delta hill climb while reusing
+/// its buffers.
 class FullSwapState {
  public:
   FullSwapState(const FoldedClos& ftree, const PatternRouter& router)
-      : router_(&router), map_(ftree) {}
+      : scorer_(ftree, router) {}
 
   void reset(const std::vector<std::uint32_t>& target) {
     target_ = target;
@@ -49,9 +65,7 @@ class FullSwapState {
   [[nodiscard]] std::uint64_t collisions() {
     if (dirty_) {
       permutation_from_targets(target_, pattern_);
-      map_.clear();
-      map_.add_paths((*router_)(pattern_));
-      collisions_ = map_.colliding_pairs();
+      collisions_ = scorer_.score(pattern_).colliding_pairs();
       dirty_ = false;
     }
     return collisions_;
@@ -62,8 +76,7 @@ class FullSwapState {
   }
 
  private:
-  const PatternRouter* router_;
-  LinkLoadMap map_;
+  PatternScorer scorer_;
   std::vector<std::uint32_t> target_;
   Permutation pattern_;
   std::uint64_t collisions_ = 0;
@@ -161,14 +174,11 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
   VerifyResult result;
   result.nonblocking = true;
   obs::ScopedSpan span("verify.exhaustive", "verify");
-  LinkLoadMap map(ftree);
+  PatternScorer scorer(ftree, router);
   result.permutations_checked = for_each_permutation_in_range(
       ftree.leaf_count(), 0, factorial(ftree.leaf_count()),
       [&](const Permutation& pattern) {
-        const auto paths = router(pattern);
-        map.add_paths(paths);
-        const auto collisions = map.colliding_pairs();
-        for (const auto& path : paths) map.remove_path(path);  // keep map zero
+        const auto collisions = scorer.score(pattern).colliding_pairs();
         if (collisions > 0) {
           result.nonblocking = false;
           result.counterexample = pattern;
@@ -187,13 +197,13 @@ VerifyResult verify_random(const FoldedClos& ftree,
                            Xoshiro256& rng) {
   VerifyResult result;
   result.nonblocking = true;
-  LinkLoadMap map(ftree);
+  PatternScorer scorer(ftree, router);
+  std::vector<std::uint32_t> target;
+  Permutation pattern;
   for (std::uint64_t t = 0; t < trials; ++t) {
-    const auto pattern = random_permutation(ftree.leaf_count(), rng);
+    random_permutation(ftree.leaf_count(), rng, target, pattern);
     ++result.permutations_checked;
-    map.clear();
-    map.add_paths(router(pattern));
-    const auto collisions = map.colliding_pairs();
+    const auto collisions = scorer.score(pattern).colliding_pairs();
     if (collisions > 0) {
       result.nonblocking = false;
       result.counterexample = pattern;

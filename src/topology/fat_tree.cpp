@@ -10,6 +10,11 @@ FoldedClos::FoldedClos(FtreeParams params) : params_(params) {
   const std::uint64_t leafs = std::uint64_t{params.r} * params.n;
   const std::uint64_t links = 2 * leafs + 2 * std::uint64_t{params.r} * params.m;
   NBCLOS_REQUIRE(links <= UINT32_MAX, "topology too large for 32-bit ids");
+  if (params.n == 1) {
+    n_is_one_ = UINT32_MAX;
+  } else {
+    n_reciprocal_ = UINT64_MAX / params.n + 1;
+  }
 }
 
 LinkKind FoldedClos::kind_of(LinkId link) const {
@@ -22,34 +27,10 @@ LinkKind FoldedClos::kind_of(LinkId link) const {
   return LinkKind::kLeafDown;
 }
 
-FtreePath FoldedClos::direct_path(SDPair sd) const {
-  NBCLOS_DEBUG_CHECK(!needs_top(sd), "direct path requires same bottom switch");
-  NBCLOS_DEBUG_CHECK(sd.src != sd.dst, "self-loop SD pair");
-  return FtreePath{sd, /*direct=*/true, TopId{0}};
-}
-
-FtreePath FoldedClos::cross_path(SDPair sd, TopId top) const {
-  NBCLOS_DEBUG_CHECK(needs_top(sd), "cross path requires different switches");
-  NBCLOS_DEBUG_CHECK(top.value < m(), "top switch out of range");
-  return FtreePath{sd, /*direct=*/false, top};
-}
-
 std::vector<LinkId> FoldedClos::links_of(const FtreePath& path) const {
-  std::vector<LinkId> links;
-  if (path.direct) {
-    links.reserve(2);
-    links.push_back(leaf_up_link(path.sd.src));
-    links.push_back(leaf_down_link(path.sd.dst));
-    return links;
-  }
-  const BottomId v = switch_of(path.sd.src);
-  const BottomId w = switch_of(path.sd.dst);
-  links.reserve(4);
-  links.push_back(leaf_up_link(path.sd.src));
-  links.push_back(up_link(v, path.top));
-  links.push_back(down_link(path.top, w));
-  links.push_back(leaf_down_link(path.sd.dst));
-  return links;
+  LinkId links[kMaxPathLinks];
+  const auto count = links_into(path, links);
+  return std::vector<LinkId>(links, links + count);
 }
 
 void FoldedClos::validate() const {

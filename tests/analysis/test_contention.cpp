@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/analysis/verifier.hpp"
+#include "nbclos/util/digits.hpp"
 #include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/edge_coloring.hpp"
 #include "nbclos/routing/multipath.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
@@ -61,6 +67,179 @@ TEST(LinkLoadMap, DirectPathsOnlyTouchLeafLinks) {
       EXPECT_EQ(map.load(ft.down_link(TopId{t}, BottomId{b})), 0U);
     }
   }
+}
+
+// --- PermutationLoad: differential against LinkLoadMap ---------------
+
+/// The ftree shapes of the differential tests: ftree(2+3,5), ftree(3+9,5)
+/// and ftree(4+16,8).
+const FtreeParams kLoadShapes[] = {{2, 3, 5}, {3, 9, 5}, {4, 16, 8}};
+
+/// Seeded full and partial random permutations (including an empty one).
+std::vector<Permutation> sample_patterns(const FoldedClos& ft,
+                                         std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Permutation> patterns{Permutation{}};
+  for (int i = 0; i < 40; ++i) {
+    patterns.push_back(random_permutation(ft.leaf_count(), rng));
+    const auto pairs = static_cast<std::uint32_t>(rng.below(ft.leaf_count() + 1));
+    patterns.push_back(random_partial_permutation(ft.leaf_count(), pairs, rng));
+  }
+  return patterns;
+}
+
+/// Adaptive test router: each cross pair takes the first of the n lowest
+/// top switches whose up- and down-link this pattern has not used yet,
+/// else top dst % n, so it collides on some patterns and not on others.
+PatternRouter first_fit_router(const FoldedClos& ft) {
+  return [&ft](const Permutation& pattern) {
+    std::vector<FtreePath> paths;
+    paths.reserve(pattern.size());
+    std::vector<std::uint8_t> up(std::size_t{ft.r()} * ft.m());
+    std::vector<std::uint8_t> down(up.size());
+    for (const auto sd : pattern) {
+      if (!ft.needs_top(sd)) {
+        paths.push_back(ft.direct_path(sd));
+        continue;
+      }
+      const auto v = ft.switch_of(sd.src).value;
+      const auto w = ft.switch_of(sd.dst).value;
+      std::uint32_t t = 0;
+      while (t < ft.n() && (up[v * ft.m() + t] != 0 || down[t * ft.r() + w] != 0)) {
+        ++t;
+      }
+      if (t == ft.n()) t = sd.dst.value % ft.n();
+      up[v * ft.m() + t] = 1;
+      down[t * ft.r() + w] = 1;
+      paths.push_back(ft.cross_path(sd, TopId{t}));
+    }
+    return paths;
+  };
+}
+
+/// PermutationLoad over `paths` (and, through a PatternScorer, over
+/// `router`) must report LinkLoadMap's colliding pairs and max load.
+void expect_loads_match(const FoldedClos& ft, const Permutation& pattern,
+                        const std::vector<FtreePath>& paths,
+                        const PatternRouter& router, const char* what) {
+  LinkLoadMap map(ft);
+  map.add_paths(paths);
+  PermutationLoad load(ft);
+  load.load(pattern, paths);
+  EXPECT_EQ(load.colliding_pairs(), map.colliding_pairs()) << what;
+  EXPECT_EQ(load.max_load(), map.max_load()) << what;
+  PatternScorer scorer(ft, router);
+  const auto& scored = scorer.score(pattern);
+  EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs()) << what;
+  EXPECT_EQ(scored.max_load(), map.max_load()) << what;
+}
+
+TEST(PermutationLoad, MatchesLinkLoadMapOnSinglePathRoutings) {
+  std::uint64_t colliding = 0;
+  for (const auto& params : kLoadShapes) {
+    const FoldedClos ft(params);
+    const DModKRouting dmodk(ft);
+    const SModKRouting smodk(ft);
+    const RandomFixedRouting random_fixed(ft, 31);
+    std::vector<const SinglePathRouting*> routings{&dmodk, &smodk,
+                                                   &random_fixed};
+    std::optional<YuanNonblockingRouting> yuan;
+    if (ft.m() >= ft.n() * ft.n()) routings.push_back(&yuan.emplace(ft));
+    for (const auto* routing : routings) {
+      const auto router = as_pattern_router(*routing);
+      for (const auto& pattern : sample_patterns(ft, 32)) {
+        const auto paths = routing->route_all(pattern);
+        expect_loads_match(ft, pattern, paths, router,
+                           routing->name().c_str());
+        // The pair-by-pair walk (no path vector) agrees too.
+        PermutationLoad walk(ft);
+        walk.load(pattern, *routing);
+        LinkLoadMap map(ft);
+        map.add_paths(paths);
+        EXPECT_EQ(walk.colliding_pairs(), map.colliding_pairs());
+        EXPECT_EQ(walk.max_load(), map.max_load());
+        colliding += map.colliding_pairs();
+      }
+    }
+  }
+  EXPECT_GT(colliding, 0U);  // the blocking routings did collide
+}
+
+TEST(PermutationLoad, MatchesLinkLoadMapOnPatternRouters) {
+  std::uint64_t colliding = 0;
+  for (const auto& params : kLoadShapes) {
+    const FoldedClos ft(params);
+    const auto first_fit = first_fit_router(ft);
+    const CentralizedRearrangeableRouter central(ft);
+    const PatternRouter central_router = [&central](const Permutation& p) {
+      return central.route(p);
+    };
+    for (const auto& pattern : sample_patterns(ft, 33)) {
+      const auto paths = first_fit(pattern);
+      expect_loads_match(ft, pattern, paths, first_fit, "first-fit");
+      expect_loads_match(ft, pattern, central.route(pattern), central_router,
+                         "centralized");
+      LinkLoadMap map(ft);
+      map.add_paths(paths);
+      colliding += map.colliding_pairs();
+    }
+  }
+  EXPECT_GT(colliding, 0U);
+}
+
+TEST(PermutationLoad, MatchesLinkLoadMapOnTheAdaptiveRouter) {
+  for (const auto& params : kLoadShapes) {
+    const adaptive::AdaptiveParams adaptive_params{
+        params.n, params.r, min_digit_width(params.r, params.n)};
+    const FoldedClos ft(FtreeParams{
+        params.n, adaptive_params.worst_case_top_switches(), params.r});
+    const adaptive::NonblockingAdaptiveRouter router(adaptive_params);
+    const PatternRouter pattern_router = [&](const Permutation& p) {
+      return router.route(p).to_paths(ft);
+    };
+    for (const auto& pattern : sample_patterns(ft, 34)) {
+      expect_loads_match(ft, pattern, pattern_router(pattern), pattern_router,
+                         "adaptive");
+    }
+  }
+}
+
+TEST(PermutationLoad, EmptyAndDirectPatternsLoadNoSharedLink) {
+  const FoldedClos ft(FtreeParams{3, 2, 2});
+  const DModKRouting routing(ft);
+  PermutationLoad load(ft);
+  load.load(Permutation{}, routing);
+  EXPECT_EQ(load.colliding_pairs(), 0U);
+  EXPECT_EQ(load.max_load(), 0U);
+  // Same-switch pairs load only their leaf links.
+  const Permutation direct{{LeafId{0}, LeafId{1}}, {LeafId{1}, LeafId{2}},
+                           {LeafId{3}, LeafId{5}}};
+  load.load(direct, routing);
+  EXPECT_EQ(load.colliding_pairs(), 0U);
+  EXPECT_EQ(load.max_load(), 1U);
+  // A reload starts from zero: two colliding cross pairs, then none.
+  const Permutation shared{{LeafId{0}, LeafId{3}}, {LeafId{1}, LeafId{4}}};
+  const std::vector<FtreePath> both_top0{
+      ft.cross_path(shared[0], TopId{0}), ft.cross_path(shared[1], TopId{0})};
+  load.load(shared, both_top0);
+  EXPECT_EQ(load.colliding_pairs(), 2U);  // shared up-link and down-link
+  EXPECT_EQ(load.max_load(), 2U);
+  load.load(direct, routing);
+  EXPECT_EQ(load.colliding_pairs(), 0U);
+  EXPECT_EQ(load.max_load(), 1U);
+}
+
+TEST(PermutationLoad, DebugBuildsRejectMismatchedRouterPaths) {
+  if (!kDebugChecksEnabled) GTEST_SKIP() << "debug checks compiled out";
+  const FoldedClos ft(FtreeParams{2, 2, 3});
+  const DModKRouting routing(ft);
+  const Permutation pattern{{LeafId{0}, LeafId{2}}, {LeafId{2}, LeafId{4}}};
+  auto paths = routing.route_all(pattern);
+  PermutationLoad load(ft);
+  EXPECT_THROW(load.load(pattern, std::vector<FtreePath>{paths[0]}),
+               precondition_error);
+  std::swap(paths[0], paths[1]);
+  EXPECT_THROW(load.load(pattern, paths), precondition_error);
 }
 
 TEST(Lemma1Audit, PassesForTheoremThreeRouting) {

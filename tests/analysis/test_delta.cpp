@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
@@ -131,6 +132,17 @@ TEST(SwapDelta, RejectsBadSwaps) {
   EXPECT_THROW(state.reset({0, 1, 2}), precondition_error);
 }
 
+/// Unload a path's links from the map (the delta evaluator's remove_run
+/// over the path's link ids).
+void remove_path(LinkLoadMap& map, const FoldedClos& ft,
+                 const FtreePath& path) {
+  LinkId links[FoldedClos::kMaxPathLinks];
+  const auto count = ft.links_into(path, links);
+  std::uint32_t run[FoldedClos::kMaxPathLinks];
+  for (std::uint32_t i = 0; i < count; ++i) run[i] = links[i].value;
+  map.remove_run(std::span<const std::uint32_t>(run, count));
+}
+
 TEST(LinkLoadMapIncremental, RemovePathInvertsAddPath) {
   const FoldedClos ft(FtreeParams{3, 2, 6});
   const DModKRouting routing(ft);
@@ -145,13 +157,13 @@ TEST(LinkLoadMapIncremental, RemovePathInvertsAddPath) {
   EXPECT_EQ(map.colliding_pairs(), fresh.colliding_pairs());
   EXPECT_EQ(map.contended_links(), fresh.contended_links());
   // Removing every path returns the map to empty.
-  for (const auto& path : paths) map.remove_path(path);
+  for (const auto& path : paths) remove_path(map, ft, path);
   EXPECT_EQ(map.colliding_pairs(), 0U);
   EXPECT_EQ(map.contended_links(), 0U);
   EXPECT_EQ(map.max_load(), 0U);
   // Underflow is a precondition error (checked in Debug builds only).
   if (kDebugChecksEnabled) {
-    EXPECT_THROW(map.remove_path(paths.front()), precondition_error);
+    EXPECT_THROW(remove_path(map, ft, paths.front()), precondition_error);
   }
 }
 
@@ -173,7 +185,7 @@ TEST(LinkLoadMapIncremental, RunningSumsMatchDirectRecount) {
       map.add_path(resident.back());
     } else {
       const auto pick = rng.below(resident.size());
-      map.remove_path(resident[pick]);
+      remove_path(map, ft, resident[pick]);
       resident[pick] = resident.back();
       resident.pop_back();
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -342,6 +343,58 @@ TEST(ParallelAdversarial, RestartSeedsAreDistinct) {
     }
   }
   EXPECT_EQ(seeds.size(), 3U * 64U);
+}
+
+/// FNV-1a over a pattern's (src, dst) ids.
+std::uint64_t pattern_digest(const Permutation& pattern) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto sd : pattern) {
+    h = (h ^ sd.src.value) * 1099511628211ULL;
+    h = (h ^ sd.dst.value) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Pinned: values recorded from the LinkLoadMap scorer this replaced.
+// Both the pair-by-pair walk (as_pattern_router) and a path-vector
+// router (dmodk_factory) must reproduce them at any thread count.
+TEST(ParallelPinned, VerifyRandomDmodkCounterexample) {
+  const FoldedClos ft(FtreeParams{4, 16, 8});
+  const DModKRouting routing(ft);
+  for (const std::size_t threads : {1U, 3U}) {
+    ThreadPool pool(threads);
+    for (const auto& factory : {factory_for(routing), dmodk_factory(ft)}) {
+      const auto result = verify_random_parallel(ft, factory, 5000, 2026, pool);
+      EXPECT_FALSE(result.nonblocking);
+      EXPECT_EQ(result.permutations_checked, 22U);
+      EXPECT_EQ(result.counterexample_collisions, 1U);
+      ASSERT_TRUE(result.counterexample.has_value());
+      const auto& pattern = *result.counterexample;
+      ASSERT_EQ(pattern.size(), 31U);
+      const Permutation head{{LeafId{0}, LeafId{29}}, {LeafId{1}, LeafId{8}},
+                             {LeafId{2}, LeafId{11}}, {LeafId{3}, LeafId{13}},
+                             {LeafId{4}, LeafId{2}},  {LeafId{6}, LeafId{21}}};
+      EXPECT_TRUE(std::equal(head.begin(), head.end(), pattern.begin()));
+      EXPECT_EQ(pattern_digest(pattern), 7578682495924082801ULL);
+    }
+  }
+}
+
+TEST(ParallelPinned, EstimateBlockingDmodk) {
+  const FoldedClos ft(FtreeParams{4, 16, 8});
+  const DModKRouting routing(ft);
+  for (const std::size_t threads : {1U, 3U}) {
+    ThreadPool pool(threads);
+    for (const auto& factory : {factory_for(routing), dmodk_factory(ft)}) {
+      const auto est = estimate_blocking_parallel(ft, factory, 3000, 77, pool, 7);
+      EXPECT_EQ(est.trials, 3000U);
+      EXPECT_EQ(est.blocked, 2116U);
+      EXPECT_EQ(est.blocking_probability, 0.70533333333333337);
+      EXPECT_EQ(est.mean_colliding_pairs, 1.1916666666666667);
+      EXPECT_EQ(est.mean_max_link_load, 1.7053333333333334);
+      EXPECT_EQ(est.ci95_half_width, 0.016313913432904326);
+    }
+  }
 }
 
 TEST(ParallelAnalysis, RejectsZeroTrials) {

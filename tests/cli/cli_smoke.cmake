@@ -95,9 +95,11 @@ foreach(bad IN ITEMS "sim 4 8 0.9 adaptive --shards 2"
 endforeach()
 
 # Numeric arguments of every command parse strictly: a non-number, a
-# negative count, or an ftree too large for 32-bit link ids is a usage
-# error whose message names the argument (each entry: command|pattern).
+# negative count, a zero `verify --trials`, or an ftree too large for
+# 32-bit link ids is a usage error whose message names the argument (each
+# entry: command|pattern).
 foreach(bad IN ITEMS "certify 100000|n = 100000"
+                     "verify 8 64 random thm3 --trials 0|--trials"
                      "saturation 4 x thm3|<r> must be an unsigned integer"
                      "circuit 2 3 4 -5|\\[steps\\] must be an unsigned integer")
   string(REPLACE "|" ";" parts "${bad}")

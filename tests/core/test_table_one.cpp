@@ -23,7 +23,8 @@ TEST(TableOne, Row20MatchesPaperExactly) {
 }
 
 TEST(TableOne, Row30MatchesPaperExactly) {
-  const auto& row = table_one_published()[1];
+  const auto rows = table_one_published();  // the rows outlive `row`
+  const auto& row = rows[1];
   EXPECT_EQ(row.switch_radix, 30U);
   EXPECT_EQ(row.nb_switches, 55U);
   EXPECT_EQ(row.nb_ports, 150U);
@@ -37,7 +38,8 @@ TEST(TableOne, Row42ExposesThePaperTypos) {
   // The published table prints 88 switches and 884 FT ports; the paper's
   // own formulas give 2*36+6 = 78 and 42^2/2 = 882.  We must reproduce
   // the formulas, not the typos — and record the difference.
-  const auto& row = table_one_published()[2];
+  const auto rows = table_one_published();  // the rows outlive `row`
+  const auto& row = rows[2];
   EXPECT_EQ(row.switch_radix, 42U);
   EXPECT_EQ(row.nb_switches, 78U);
   EXPECT_EQ(row.paper_nb_switches, 88U);

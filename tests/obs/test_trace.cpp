@@ -28,7 +28,20 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
-TEST(ObsTrace, InactiveSessionRecordsNothing) {
+/// Every trace test starts from an empty, inactive collector: the
+/// collector is process-wide, so an earlier test in the same binary
+/// (e.g. ObsSimInvariance) may have left events or an open session.
+/// stop() first so that start() clears the buffers.
+class ObsTrace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TraceSession::stop();
+    TraceSession::start();
+    TraceSession::stop();
+  }
+};
+
+TEST_F(ObsTrace, InactiveSessionRecordsNothing) {
   TraceSession::stop();
   EXPECT_FALSE(TraceSession::active());
   {
@@ -40,7 +53,7 @@ TEST(ObsTrace, InactiveSessionRecordsNothing) {
   EXPECT_EQ(TraceSession::event_count(), 0U);
 }
 
-TEST(ObsTrace, CollectsSpansInstantsAndCounters) {
+TEST_F(ObsTrace, CollectsSpansInstantsAndCounters) {
   if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
   TraceSession::start();
   EXPECT_TRUE(TraceSession::active());
@@ -67,7 +80,7 @@ TEST(ObsTrace, CollectsSpansInstantsAndCounters) {
   EXPECT_NE(text.find("\"depth\":42"), std::string::npos);
 }
 
-TEST(ObsTrace, JsonlEmitsOneObjectPerLineSortedByTimestamp) {
+TEST_F(ObsTrace, JsonlEmitsOneObjectPerLineSortedByTimestamp) {
   if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
   TraceSession::start();
   trace_instant("test.first", "test");
@@ -92,7 +105,7 @@ TEST(ObsTrace, JsonlEmitsOneObjectPerLineSortedByTimestamp) {
   }
 }
 
-TEST(ObsTrace, StartClearsThePreviousSession) {
+TEST_F(ObsTrace, StartClearsThePreviousSession) {
   if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
   TraceSession::start();
   trace_instant("test.stale", "test");
@@ -103,7 +116,7 @@ TEST(ObsTrace, StartClearsThePreviousSession) {
   EXPECT_EQ(TraceSession::event_count(), 0U);
 }
 
-TEST(ObsTrace, WorkerThreadsGetDistinctTids) {
+TEST_F(ObsTrace, WorkerThreadsGetDistinctTids) {
   if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
   TraceSession::start();
   ThreadPool pool(4);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nbclos/util/prng.hpp"
+
 namespace nbclos {
 namespace {
 
@@ -111,6 +113,78 @@ TEST(FoldedClos, CrossPairCountFormula) {
   const auto ft = make(3, 9, 7);
   // r(r-1)n^2 = 7*6*9 = 378.
   EXPECT_EQ(ft.cross_pair_count(), 378U);
+}
+
+/// switch_of / local_of (a multiply-high by a stored reciprocal of n)
+/// must equal leaf / n and leaf % n exactly.
+void expect_division_exact(const FoldedClos& ft, std::uint32_t leaf) {
+  const std::uint32_t n = ft.n();
+  ASSERT_EQ(ft.switch_of(LeafId{leaf}).value, leaf / n)
+      << "leaf " << leaf << ", n " << n;
+  ASSERT_EQ(ft.local_of(LeafId{leaf}), leaf % n)
+      << "leaf " << leaf << ", n " << n;
+}
+
+TEST(FoldedClos, ReciprocalDivisionMatchesEveryLeafOfSmallShapes) {
+  for (std::uint32_t n = 1; n <= 17; ++n) {
+    for (std::uint32_t r = 2; r <= 9; ++r) {
+      const auto ft = make(n, 1, r);
+      for (std::uint32_t leaf = 0; leaf < ft.leaf_count(); ++leaf) {
+        expect_division_exact(ft, leaf);
+      }
+    }
+  }
+}
+
+TEST(FoldedClos, ReciprocalDivisionMatchesAtBoundaryIds) {
+  for (const std::uint32_t n : {1U, 2U, 3U, 7U, 8U, 63U, 64U, 255U, 65535U}) {
+    for (const std::uint32_t r : {2U, 3U, 1000U}) {
+      const auto ft = make(n, 1, r);
+      for (const std::uint32_t leaf :
+           {0U, n - 1, n, 2 * n - 1, ft.leaf_count() - 1}) {
+        expect_division_exact(ft, leaf);
+      }
+    }
+  }
+}
+
+TEST(FoldedClos, ReciprocalDivisionMatchesNearTheIdLimit) {
+  // Shapes whose 2*r*(n+m) link ids just fit in 32 bits, so leaf ids
+  // reach 2^30 to 2^31.  Constructing a FoldedClos allocates nothing.
+  const FtreeParams shapes[] = {
+      {1, 1, 1073741823},   // n = 1: no 64-bit reciprocal exists
+      {2, 1, 715827882},    {3, 1, 536870911},
+      {65535, 1, 32767},    {65521, 7, 32763},
+      {1073741822, 1, 2},   {715827880, 2, 3},
+  };
+  Xoshiro256 rng(20);
+  for (const auto& params : shapes) {
+    const FoldedClos ft(params);
+    ASSERT_GT(ft.link_count(), 0xF0000000U);
+    const std::uint32_t leafs = ft.leaf_count();
+    const std::uint32_t n = ft.n();
+    for (const std::uint32_t leaf :
+         {0U, n - 1, n, leafs - n - 1, leafs - n, leafs - 2, leafs - 1}) {
+      expect_division_exact(ft, leaf);
+    }
+    for (int i = 0; i < 20000; ++i) {
+      expect_division_exact(ft, static_cast<std::uint32_t>(rng.below(leafs)));
+    }
+  }
+}
+
+TEST(FoldedClos, ReciprocalDivisionMatchesRandomDivisors) {
+  Xoshiro256 rng(21);
+  for (int i = 0; i < 2000; ++i) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.below(1U << 20));
+    const auto r = static_cast<std::uint32_t>(2 + rng.below(1000));
+    const auto ft = make(n, 1, r);
+    for (int j = 0; j < 50; ++j) {
+      expect_division_exact(
+          ft, static_cast<std::uint32_t>(rng.below(ft.leaf_count())));
+    }
+    expect_division_exact(ft, ft.leaf_count() - 1);
+  }
 }
 
 class FoldedClosParamTest

@@ -975,6 +975,7 @@ int cmd_verify(const std::vector<std::string>& args) {
       threads = usage_u64(next(), flag);
     } else if (flag == "--trials") {
       trials = usage_u64(next(), flag);
+      if (trials == 0) throw UsageError("--trials must be at least 1");
     } else if (flag == "--restarts") {
       options.restarts = usage_u32(next(), flag);
     } else if (flag == "--steps") {
