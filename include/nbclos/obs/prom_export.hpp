@@ -31,8 +31,8 @@ namespace nbclos::obs {
 /// by name) in Prometheus text-exposition format.
 void prom_export(std::ostream& out, const std::vector<MetricSample>& snapshot);
 
-/// prom_export of the global registry, as a string (the metrics-serve
-/// response body and the --prom-out payload).
+/// prom_export of the global registry, as a string (the --prom-out
+/// payload).
 [[nodiscard]] std::string prom_export_global();
 
 }  // namespace nbclos::obs

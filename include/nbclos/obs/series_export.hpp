@@ -34,10 +34,4 @@ void write_timeseries_csv(std::ostream& out,
                           const std::vector<MergedSeries>& series,
                           const FlightRecorder::Config& config);
 
-/// Dispatch on the file extension: ".csv" writes CSV, everything else
-/// JSON.  Returns false when the file could not be opened.
-bool write_timeseries_file(const std::string& path,
-                           const std::vector<MergedSeries>& series,
-                           const FlightRecorder::Config& config);
-
 }  // namespace nbclos::obs

@@ -164,10 +164,10 @@ class PacketSim {
   }
 
   /// Per-link utilization report over the whole run.  Valid after run().
-  /// Recorder-backed: the per-link sums and the `sim.link.busy_flits`
-  /// flight-recorder series are fed by the same accumulator, and the
-  /// `sim.link.busy_flit_cycles` registry counter is flushed on the
-  /// sampling cadence, so a mid-run snapshot reports exact totals.
+  /// Recorder-backed: the per-link sums, the `sim.link.busy_flits`
+  /// flight-recorder series and the `sim.link.busy_flit_cycles` registry
+  /// counter (added at the end of the run) are fed by the same
+  /// accumulator.
   [[nodiscard]] LinkUtilization link_utilization() const;
 
   /// The per-epoch time-series recorder (inactive unless
@@ -276,20 +276,12 @@ class PacketSim {
   /// Aggregate engine telemetry into obs::metrics() + sampled per-phase
   /// timings; called once at the end of run() when obs is enabled.
   void flush_obs(double wall_seconds);
-  /// Flush busy flit-cycles accumulated since the last flush into the
-  /// `sim.link.busy_flit_cycles` counter.  Called on the 64-cycle obs
-  /// cadence *and* at end of run, so a concurrent registry snapshot
-  /// (metrics-serve, --metrics) sees exact mid-run totals instead of 0
-  /// until the run ends.
-  void flush_busy_flits();
   /// Register the flight-recorder series (constructor) and append one
   /// sample of every series at cycle `now_` into shard slot 0.
   void arm_recorder();
   void sample_recorder();
   std::vector<std::uint64_t> link_busy_flits_;  ///< per channel, whole run
-  std::uint64_t busy_flit_total_ = 0;    ///< running sum of link_busy_flits_
-  std::uint64_t busy_flits_flushed_ = 0; ///< counter-flush watermark
-  obs::Counter* busy_counter_ = nullptr; ///< resolved once, hot-path handle
+  std::uint64_t busy_flit_total_ = 0;  ///< running sum of link_busy_flits_
   obs::FlightRecorder recorder_;
   obs::FlightRecorder::SeriesId rec_queue_depth_ = 0;
   obs::FlightRecorder::SeriesId rec_active_flying_ = 0;

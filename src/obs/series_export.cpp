@@ -1,8 +1,6 @@
 #include "nbclos/obs/series_export.hpp"
 
-#include <fstream>
 #include <ostream>
-#include <string>
 
 #include "nbclos/util/json.hpp"
 
@@ -65,21 +63,6 @@ void write_timeseries_csv(std::ostream& out,
           << "\n";
     }
   }
-}
-
-bool write_timeseries_file(const std::string& path,
-                           const std::vector<MergedSeries>& series,
-                           const FlightRecorder::Config& config) {
-  std::ofstream out(path);
-  if (!out) return false;
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    write_timeseries_csv(out, series, config);
-  } else {
-    write_timeseries_json(out, series, config);
-  }
-  return static_cast<bool>(out);
 }
 
 }  // namespace nbclos::obs

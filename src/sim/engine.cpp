@@ -94,10 +94,7 @@ PacketSim::PacketSim(const Network& net, RoutingOracle& oracle,
   term_rings_.resize(term_channels);
   switch_channel_count_ = switch_channels;
   link_busy_flits_.assign(net.channel_count(), 0);
-  if constexpr (obs::kEnabled) {
-    busy_counter_ = &obs::metrics().counter("sim.link.busy_flit_cycles");
-    arm_recorder();
-  }
+  if constexpr (obs::kEnabled) arm_recorder();
 }
 
 void PacketSim::arm_recorder() {
@@ -407,11 +404,6 @@ SimResult PacketSim::run() {
     if constexpr (obs::kEnabled) {
       active_flying_sum_ += flying_.size();
       active_sendable_sum_ += sendable_.size();
-      // Exact mid-run busy-flit totals: flush the running sum into the
-      // registry counter on the same 64-cycle cadence as the phase
-      // timers, so a concurrent snapshot (metrics-serve) is never a full
-      // run stale.
-      if ((now_ & 63u) == 0 && obs::enabled()) flush_busy_flits();
       if (recorder_.want(now_)) sample_recorder();
     }
     if (measuring_ && switch_channel_count_ > 0) {
@@ -500,17 +492,6 @@ LinkUtilization PacketSim::link_utilization() const {
   return report;
 }
 
-void PacketSim::flush_busy_flits() {
-  if (busy_counter_ == nullptr) return;  // NBCLOS_OBS=OFF build
-  const std::uint64_t delta = busy_flit_total_ - busy_flits_flushed_;
-  if (delta == 0) return;
-  busy_counter_->add(delta);
-  // The watermark only advances when the counter actually recorded the
-  // delta; while recording is paused the add above is dropped and the
-  // flits stay pending for the next enabled flush.
-  if (obs::enabled()) busy_flits_flushed_ = busy_flit_total_;
-}
-
 void PacketSim::flush_obs(double wall_seconds) {
   if (!obs::enabled()) return;
   auto& m = obs::metrics();
@@ -528,10 +509,7 @@ void PacketSim::flush_obs(double wall_seconds) {
   // Queue depth at end of run plus the high-water over runs (gauge max).
   m.gauge("sim.queue.switch_depth_sum")
       .set(static_cast<std::int64_t>(switch_depth_sum_));
-  // Link utilization: the busy flit-cycle counter is flushed on the
-  // 64-cycle cadence during the run; this final flush drains whatever
-  // accumulated since the last cadence boundary.
-  flush_busy_flits();
+  m.counter("sim.link.busy_flit_cycles").add(busy_flit_total_);
   const auto util = link_utilization();
   m.gauge("sim.link.max_util_ppm")
       .set(static_cast<std::int64_t>(util.max * 1e6));

@@ -96,22 +96,55 @@ endforeach()
 
 # Numeric arguments of every command parse strictly: a non-number, a
 # negative count, a zero `verify --trials`, or an ftree too large for
-# 32-bit link ids is a usage error whose message names the argument (each
-# entry: command|pattern).
+# 32-bit link ids is a usage error whose message names the argument.  So
+# is every value out of its declared range, a topology shape the library
+# cannot build (an offset the shift permutation cannot use, a k-ary tree
+# past 32-bit ids, a schedule, circuit or fault sweep its library code
+# would reject), an unknown flag or switching mode, an extra word, and a
+# global option with no value.  None of them runs anything: stdout stays
+# empty (each entry: command|pattern).
 foreach(bad IN ITEMS "certify 100000|n = 100000"
                      "verify 8 64 random thm3 --trials 0|--trials"
                      "saturation 4 x thm3|<r> must be an unsigned integer"
-                     "circuit 2 3 4 -5|\\[steps\\] must be an unsigned integer")
+                     "circuit 2 3 4 -5|\\[steps\\] must be an unsigned integer"
+                     "sim 4 8 1.5 dmodk|<load>"
+                     "load-sweep 4 8 dmodk 2.0|\\[rates_csv\\]"
+                     "sim 1 2 0.5 dmodk|<n> \\+ 1"
+                     "sim kary:2,1 0.5 dmodk|K \\+ 1"
+                     "sim kary:1,3 0.5 dmodk|K of kary:K,H"
+                     "sim kary:100,100 0.5 dmodk|kary:100,100"
+                     "sim 4 8 0.5 dmodk --shards 0|--shards"
+                     "flow-sim 4 8 0.5 --shards 0|--shards"
+                     "schedule 0 0|<n>"
+                     "schedule 1 4|<n>"
+                     "circuit 3 2 1|<r>"
+                     "fault-sweep 4 8 1000|<max_failures>"
+                     "fault-sweep 4 8 2 0|\\[perms\\]"
+                     "flow-sim 4 8 0.5 --switching foo|--switching"
+                     "flow-sim 4 8 0.5 --bogus|--bogus"
+                     "certify 4 8 extra|extra"
+                     "load-sweep 4 8 dmodk 0.5 2 junk|junk"
+                     "sim 4 8 0.5 dmodk --seed 3|--seed"
+                     "certify 4 --metrics|--metrics"
+                     "design 10 x|\\[target_ports\\]")
   string(REPLACE "|" ";" parts "${bad}")
   list(GET parts 0 command)
   list(GET parts 1 pattern)
   separate_arguments(args UNIX_COMMAND "${command}")
   execute_process(COMMAND ${NBCLOS} ${args}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "nbclos ${command} exited ${rc}, want 2: ${err}")
   endif()
-  if(NOT err MATCHES "${pattern}")
+  # The reason is the first line; the usage text follows it.
+  string(REGEX MATCH "^[^\n]*" reason "${err}")
+  if(NOT reason MATCHES "${pattern}")
     message(FATAL_ERROR "nbclos ${command} did not name the argument: ${err}")
+  endif()
+  if(err MATCHES "\\.(cpp|hpp):" OR err MATCHES "precondition failed")
+    message(FATAL_ERROR "nbclos ${command} leaked a precondition: ${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "nbclos ${command} printed before rejecting:\n${out}")
   endif()
 endforeach()

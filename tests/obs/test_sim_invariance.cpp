@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/trace.hpp"
@@ -78,9 +79,17 @@ TEST(ObsSimInvariance, LinkUtilizationReportIsConsistent) {
   config.warmup_cycles = 100;
   config.measure_cycles = 1000;
   config.seed = 5;
+  auto& busy_counter = obs::metrics().counter("sim.link.busy_flit_cycles");
+  busy_counter.reset();
   PacketSim sim(net, oracle, traffic, config);
   const auto result = sim.run();
   ASSERT_GT(result.delivered_packets, 0U);
+  if constexpr (obs::kEnabled) {
+    const auto& busy = sim.link_busy_flits();
+    EXPECT_EQ(busy_counter.value(),
+              std::accumulate(busy.begin(), busy.end(), std::uint64_t{0}))
+        << "the registry counter must carry the run's busy flit-cycles";
+  }
 
   const auto util = sim.link_utilization();
   ASSERT_EQ(util.busy_fraction.size(), net.channel_count());

@@ -1,65 +1,17 @@
 /// \file nbclos_cli.cpp
 /// \brief Command-line front end for the library: design, certify,
 ///        schedule, simulate, and circuit-switch — the operations a
-///        cluster architect actually runs.
-///
-/// Usage:
-///   nbclos design <radix> [target_ports]
-///   nbclos certify <n> [r]
-///   nbclos schedule <n> <r>
-///   nbclos simulate <topo> <load> <routing: thm3|dmodk|random|adaptive>
-///                   [--shards N]
-///   nbclos flow-sim <n> <r> <load> [thm3|dmodk] [--packet F] [--buffers F]
-///                   [--vcs V] [--switching wormhole|vct] [--credit|--onoff]
-///                   [--credit-delay D] [--seed S] [--json]
-///   nbclos load-sweep <topo> <routing> [rates_csv] [threads] [--shards N]
-///
-/// `<topo>` is either `<n> <r>` (two tokens, the ftree(n + n^2, r)
-/// fabric) or `kary:K,H` (one token, the K-ary H-tree from
-/// build_kary_ntree).  `--shards N` routes the run through the
-/// switch-partitioned `ShardedSim` engine — results are bit-identical at
-/// any shard count, and only pure routings (thm3, dmodk) qualify;
-/// `random` and `adaptive` consult global queue state and are rejected.
-///   nbclos saturation <n> <r> <routing> [iterations] [threads]
-///   nbclos circuit <n> <m> <r> [steps]
-///   nbclos fault-sweep <n> <r> <max_failures> [perms] [seed]
-///   nbclos verify <n> <r> <exhaustive|random|adversarial> [thm3|dmodk]
-///                 [--m M] [--threads T] [--trials N] [--restarts R]
-///                 [--steps S] [--seed S] [--json]
-///   nbclos --version
-///
-/// Global options (any subcommand):
-///   --metrics FILE    dump the merged metrics snapshot as JSON after the
-///                     command finishes ("-" = stdout)
-///   --trace-out FILE  collect a span/event trace during the command and
-///                     write it on exit — Chrome trace_event JSON, or
-///                     JSONL when FILE ends in ".jsonl"
-///   --prom-out FILE   write the metrics snapshot in Prometheus text
-///                     exposition format on exit ("-" = stdout)
-///   --timeseries-out FILE
-///                     arm the flight recorder for the command's engine
-///                     run and write the merged time series on exit —
-///                     CSV when FILE ends in ".csv", else JSON
-///                     ("-" = JSON to stdout)
-#include <charconv>
-#include <cmath>
-#include <cstdint>
+///        cluster architect actually runs.  The commands, their arguments
+///        and the usage text are declared in cli_args.cpp; `nbclos` with
+///        no arguments prints the usage.
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <sstream>
-#include <stdexcept>
 #include <string>
-#include <system_error>
-#include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
+#include "cli_args.hpp"
 
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/metrics.hpp"
@@ -79,7 +31,6 @@
 #include "nbclos/fault/sweep.hpp"
 #include "nbclos/flow/engine.hpp"
 #include "nbclos/flow/sharded.hpp"
-#include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
@@ -91,51 +42,12 @@
 
 namespace {
 
-/// A command line the tool cannot run: main() prints the reason and the
-/// usage, and exits 2.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-int usage() {
-  std::cerr << "usage:\n"
-            << "  nbclos design <radix> [target_ports]\n"
-            << "  nbclos certify <n> [r]\n"
-            << "  nbclos schedule <n> <r>\n"
-            << "  nbclos sim|simulate <topo> <load> "
-               "<thm3|dmodk|random|adaptive> [--shards N]\n"
-            << "  nbclos flow-sim <topo> <load> [thm3|dmodk] [--shards N]\n"
-               "                  [--packet F] [--buffers F] [--vcs V] "
-               "[--switching wormhole|vct]\n"
-               "                  [--credit|--onoff] [--credit-delay D] "
-               "[--seed S] [--json]\n"
-            << "  nbclos load-sweep <topo> <routing> [rates_csv] [threads] "
-               "[--shards N]\n"
-            << "  (<topo> = <n> <r> for ftree(n+n^2, r), or kary:K,H)\n"
-            << "  nbclos saturation <n> <r> <routing> [iterations] [threads]\n"
-            << "  nbclos circuit <n> <m> <r> [steps]\n"
-            << "  nbclos dot <n> [r]           (Graphviz to stdout)\n"
-            << "  nbclos fault-sweep <n> <r> <max_failures> [perms] [seed]\n"
-            << "  nbclos verify <n> <r> <exhaustive|random|adversarial> "
-               "[thm3|dmodk]\n"
-            << "                [--m M] [--threads T] [--trials N] "
-               "[--restarts R] [--steps S]\n"
-            << "                [--seed S] [--json]\n"
-            << "  nbclos metrics-serve [--port P] [--max-requests N]\n"
-            << "  nbclos --version\n"
-            << "global options: --metrics FILE|-   --trace-out FILE[.jsonl]\n"
-            << "                --prom-out FILE|-  --timeseries-out "
-               "FILE[.csv]|-\n";
-  return 2;
-}
+using nbclos::cli::Args;
+using nbclos::cli::Topo;
 
 /// Shard count of the command that ran (0 = not a sharded run) —
 /// recorded in the manifest of the --metrics dump.
 std::uint32_t g_manifest_shards = 0;
-
-/// --timeseries-out destination; non-empty arms the flight recorder in
-/// the single-run engine commands (simulate, flow-sim).
-std::string g_timeseries_out;
 
 /// Recorder output stashed by the command that ran, written by main()
 /// on exit (empty when the command has no recorder or recording was
@@ -151,27 +63,20 @@ void stash_recorder(const nbclos::obs::FlightRecorder& recorder) {
 /// Merged metrics snapshot as a JSON document (empty array in an
 /// NBCLOS_OBS=OFF build) with the build manifest attached.
 void write_metrics_json(std::ostream& out) {
-  const auto samples = nbclos::obs::metrics().snapshot();
   nbclos::JsonWriter json(out);
-  json.begin_object();
-  json.key("metrics").begin_array();
-  for (const auto& sample : samples) {
-    json.begin_object();
-    json.member("name", sample.name);
+  json.begin_object().key("metrics").begin_array();
+  for (const auto& sample : nbclos::obs::metrics().snapshot()) {
+    json.begin_object().member("name", sample.name);
     switch (sample.kind) {
       case nbclos::obs::MetricSample::Kind::kCounter:
-        json.member("kind", "counter");
-        json.member("count", sample.count);
+        json.member("kind", "counter").member("count", sample.count);
         break;
       case nbclos::obs::MetricSample::Kind::kGauge:
-        json.member("kind", "gauge");
-        json.member("value", sample.gauge);
+        json.member("kind", "gauge").member("value", sample.gauge);
         break;
       case nbclos::obs::MetricSample::Kind::kHistogram:
-        json.member("kind", "histogram");
-        json.member("count", sample.count);
-        json.member("p50", sample.p50);
-        json.member("p99", sample.p99);
+        json.member("kind", "histogram").member("count", sample.count);
+        json.member("p50", sample.p50).member("p99", sample.p99);
         json.member("p999", sample.p999);
         json.member("bucket_width", sample.hist_bucket_width);
         break;
@@ -188,159 +93,79 @@ void write_metrics_json(std::ostream& out) {
   out << "\n";
 }
 
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// The whole of `text` as an unsigned decimal; anything else (empty, a
-/// sign, trailing characters, overflow) is a usage error naming `what`.
-std::uint64_t usage_u64(const std::string& text, const std::string& what) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || stop != end) {
-    throw UsageError(what + " must be an unsigned integer, not '" + text +
-                     "'");
-  }
-  return value;
-}
-
-std::uint32_t usage_u32(const std::string& text, const std::string& what) {
-  const auto value = usage_u64(text, what);
-  if (value > UINT32_MAX) throw UsageError(what + " is out of range");
-  return static_cast<std::uint32_t>(value);
-}
-
-/// The whole of `text` as a finite decimal number; anything else is a
-/// usage error naming `what`.
-double usage_double(const std::string& text, const std::string& what) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || stop != end ||
-      !std::isfinite(value)) {
-    throw UsageError(what + " must be a number, not '" + text + "'");
-  }
-  return value;
-}
-
-/// Positional argument `i` as a u32 (see usage_u32).
-std::uint32_t arg_u32(const std::vector<std::string>& args, std::size_t i,
-                      const std::string& what) {
-  return usage_u32(args.at(i), what);
-}
-
-/// Reject an ftree(n+m, r) shape FoldedClos cannot hold — fewer than one
-/// leaf or top per switch, fewer than two bottom switches, or more links
-/// than its 32-bit ids cover — before anything is built.  Every command
-/// that builds an ftree runs this check.
-void check_ftree_shape(std::uint64_t n, std::uint64_t m, std::uint64_t r) {
-  if (n < 1 || m < 1 || r < 2) {
-    throw UsageError("ftree(n+m, r) needs n >= 1, m >= 1 and r >= 2");
-  }
-  // Operands stay below 2^32 before each product, so nothing wraps.
-  const bool fits = n <= UINT32_MAX && m <= UINT32_MAX && r <= UINT32_MAX &&
-                    n * r <= UINT32_MAX && m * r <= UINT32_MAX &&
-                    2 * (n * r + m * r) <= UINT32_MAX;
-  if (!fits) {
-    throw UsageError("ftree(n+m, r) with n = " + std::to_string(n) +
-                     ", m = " + std::to_string(m) + ", r = " +
-                     std::to_string(r) + " needs more than 2^32 - 1 link ids");
-  }
-}
-
-/// `<n> [r]` of the commands that build ftree(n+n^2, r) as a
-/// NonblockingFabric, whose r defaults to the switch radix n + n^2.
-std::pair<std::uint32_t, std::optional<std::uint32_t>> fabric_args(
-    const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0, "<n>");
-  if (n < 2) throw UsageError("<n> must be at least 2");
-  std::optional<std::uint32_t> r;
-  if (args.size() >= 2) r = arg_u32(args, 1, "[r]");
-  const std::uint64_t m = std::uint64_t{n} * n;
-  check_ftree_shape(n, m, r ? *r : n + m);
-  return {n, r};
-}
-
-/// Remove `name <value>` from `args` wherever it appears; returns the
-/// parsed value, or nullopt when the flag is absent.
-std::optional<std::uint32_t> take_u32_flag(std::vector<std::string>& args,
-                                           const std::string& name) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != name) continue;
-    if (i + 1 >= args.size()) throw UsageError(name + " needs a value");
-    const auto value = usage_u32(args[i + 1], name);
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return value;
-  }
-  return std::nullopt;
-}
-
-/// A simulated fabric: ftree(n + n^2, r) from two positional tokens, or
-/// a K-ary H-tree from one "kary:K,H" token.  Advances `i` past what it
-/// consumed.
-struct TopoSpec {
-  bool kary = false;
-  std::uint32_t n = 0, r = 0;  // ftree, when !kary
-  std::uint32_t k = 0, h = 0;  // k-ary h-tree, when kary
-  std::string name;
+/// The fabric a `<topo>` names, and the shift permutation every
+/// simulation command drives over it.
+struct Fabric {
+  std::unique_ptr<nbclos::FoldedClos> ft;  ///< null for a k-ary tree
+  nbclos::Network net;
+  nbclos::sim::TrafficPattern traffic;
 };
 
-TopoSpec parse_topo(const std::vector<std::string>& args, std::size_t& i) {
-  TopoSpec topo;
-  const std::string& first = args.at(i);
-  if (first.rfind("kary:", 0) == 0) {
-    const auto comma = first.find(',');
-    if (comma == std::string::npos) throw UsageError("k-ary spec is kary:K,H");
-    topo.kary = true;
-    topo.k = usage_u32(first.substr(5, comma - 5), "K of kary:K,H");
-    topo.h = usage_u32(first.substr(comma + 1), "H of kary:K,H");
-    topo.name = "kary(" + std::to_string(topo.k) + "," +
-                std::to_string(topo.h) + ")";
-    i += 1;
+Fabric build_fabric(const Topo& topo) {
+  Fabric fabric;
+  if (topo.kary) {
+    fabric.net = nbclos::build_kary_ntree(topo.k, topo.h);
   } else {
-    topo.n = arg_u32(args, i, "<n>");
-    topo.r = arg_u32(args, i + 1, "<r>");
-    check_ftree_shape(topo.n, std::uint64_t{topo.n} * topo.n, topo.r);
-    topo.name = "ftree(" + std::to_string(topo.n) + "+" +
-                std::to_string(topo.n * topo.n) + ", " +
-                std::to_string(topo.r) + ")";
-    i += 2;
+    fabric.ft = std::make_unique<nbclos::FoldedClos>(
+        nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
+    fabric.net = nbclos::build_network(*fabric.ft);
   }
-  return topo;
+  const auto terminals =
+      static_cast<std::uint32_t>(fabric.net.terminals().size());
+  fabric.traffic = nbclos::sim::TrafficPattern::permutation(
+      nbclos::shift_permutation(terminals, topo.shift()), terminals);
+  return fabric;
 }
 
 /// The pure next hop a ShardedSim run (and any k-ary run) routes
 /// through: O(1) arithmetic for d-mod-k, the materialized route cache
 /// for Theorem 3.
 std::shared_ptr<const nbclos::routing::NextHop> make_next_hop(
-    const TopoSpec& topo, const nbclos::FoldedClos* ft,
-    const nbclos::Network& net, const std::string& routing) {
+    const Topo& topo, const Fabric& fabric, const std::string& routing) {
   if (topo.kary) {
-    if (routing != "dmodk") {
-      throw UsageError("k-ary fabrics support only the dmodk routing");
-    }
-    return std::make_shared<const nbclos::sim::KaryDmodkRouter>(net, topo.k,
-                                                                topo.h);
+    return std::make_shared<const nbclos::sim::KaryDmodkRouter>(
+        fabric.net, topo.k, topo.h);
   }
   if (routing == "dmodk") {
-    return std::make_shared<const nbclos::sim::FtreeDmodkRouter>(*ft, net);
+    return std::make_shared<const nbclos::sim::FtreeDmodkRouter>(*fabric.ft,
+                                                                 fabric.net);
   }
-  if (routing == "thm3") {
-    return nbclos::routing::ChannelRouteCache::materialize(
-        net, nbclos::YuanNonblockingRouting(*ft));
-  }
-  if (routing == "random" || routing == "adaptive") {
-    throw UsageError("routing '" + routing +
-                     "' consults global queue state and cannot run sharded");
-  }
-  throw UsageError("unknown routing '" + routing + "'");
+  return nbclos::routing::ChannelRouteCache::materialize(
+      fabric.net, nbclos::YuanNonblockingRouting(*fabric.ft));
 }
 
-int cmd_design(const std::vector<std::string>& args) {
-  const auto radix = arg_u32(args, 0, "<radix>");
+/// The single-path routing `routing` names on `ft`: thm3 or dmodk.
+std::unique_ptr<nbclos::SinglePathRouting> single_path(
+    const nbclos::FoldedClos& ft, const std::string& routing) {
+  if (routing == "dmodk") return std::make_unique<nbclos::DModKRouting>(ft);
+  return std::make_unique<nbclos::YuanNonblockingRouting>(ft);
+}
+
+/// Routing-policy name -> oracle factory for the packet engine.  thm3
+/// routes from a materialized Theorem 3 table the factory keeps alive;
+/// `ft` must outlive every oracle the factory makes.
+nbclos::sim::OracleFactory make_oracle_factory(const nbclos::FoldedClos& ft,
+                                               const std::string& routing) {
+  using nbclos::sim::UplinkPolicy;
+  const UplinkPolicy policy = routing == "thm3"    ? UplinkPolicy::kTable
+                              : routing == "dmodk" ? UplinkPolicy::kDModK
+                              : routing == "random"
+                                  ? UplinkPolicy::kRandom
+                                  : UplinkPolicy::kLeastQueue;
+  std::shared_ptr<const nbclos::RoutingTable> table;
+  if (policy == UplinkPolicy::kTable) {
+    table = std::make_shared<const nbclos::RoutingTable>(
+        nbclos::RoutingTable::materialize(nbclos::YuanNonblockingRouting(ft)));
+  }
+  return [&ft, table, policy](std::uint64_t run_seed,
+                              nbclos::fault::DegradedView*) {
+    return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy, table.get(),
+                                                      run_seed);
+  };
+}
+
+int cmd_design(const Args& args) {
+  const auto radix = args["<radix>"].u32();
   const auto design = nbclos::design_for_radix(radix);
   if (!design) {
     std::cout << "no nonblocking design fits radix " << radix
@@ -354,8 +179,8 @@ int cmd_design(const std::vector<std::string>& args) {
             << "  switches: " << design->switches << " (radix "
             << design->switch_radix << ")\n"
             << "  links:    " << design->links << " (bidirectional)\n";
-  if (args.size() >= 2) {
-    const auto target = usage_u64(args[1], "[target_ports]");
+  if (args["[target_ports]"].set) {
+    const auto target = args["[target_ports]"].number;
     for (std::uint32_t levels = 2; levels <= 6; ++levels) {
       const auto rec = nbclos::recursive_design(design->n, levels);
       if (rec.ports >= target) {
@@ -370,9 +195,17 @@ int cmd_design(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_certify(const std::vector<std::string>& args) {
-  const auto [n, r] = fabric_args(args);
-  const nbclos::NonblockingFabric fabric(n, r);
+/// The NonblockingFabric of `<n> [r]`, whose r defaults to the switch
+/// radix n + n^2.
+nbclos::NonblockingFabric fabric_of(const Args& args) {
+  const auto n = args["<n>"].u32();
+  return nbclos::NonblockingFabric(n, args["[r]"].set ? args["[r]"].u32()
+                                                      : n + n * n);
+}
+
+int cmd_certify(const Args& args) {
+  const auto n = args["<n>"].u32();
+  const auto fabric = fabric_of(args);
   std::cout << "ftree(" << n << "+" << n * n << ", " << fabric.topology().r()
             << "): " << fabric.port_count() << " ports\n"
             << "Lemma 1 audit over "
@@ -383,9 +216,9 @@ int cmd_certify(const std::vector<std::string>& args) {
   return ok ? 0 : 1;
 }
 
-int cmd_schedule(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0, "<n>");
-  const auto r = arg_u32(args, 1, "<r>");
+int cmd_schedule(const Args& args) {
+  const auto n = args["<n>"].u32();
+  const auto r = args["<r>"].u32();
   const nbclos::adaptive::AdaptiveParams params{
       n, r, nbclos::min_digit_width(r, n)};
   const nbclos::adaptive::NonblockingAdaptiveRouter router(params);
@@ -402,89 +235,49 @@ int cmd_schedule(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_simulate(std::vector<std::string> args) {
-  const auto shards = take_u32_flag(args, "--shards");
-  std::size_t i = 0;
-  const auto topo = parse_topo(args, i);
-  const double load = usage_double(args.at(i++), "<load>");
-  const std::string routing = args.at(i++);
-  g_manifest_shards = shards.value_or(0);
-
-  std::unique_ptr<nbclos::FoldedClos> ft;
-  nbclos::Network net = [&] {
-    if (topo.kary) return nbclos::build_kary_ntree(topo.k, topo.h);
-    ft = std::make_unique<nbclos::FoldedClos>(
-        nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
-    return nbclos::build_network(*ft);
-  }();
-  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-  const auto shift = topo.kary ? topo.k + 1 : topo.n + 1;
-  const auto traffic = nbclos::sim::TrafficPattern::permutation(
-      nbclos::shift_permutation(terminals, shift), terminals);
+int cmd_simulate(const Args& args) {
+  const Topo& topo = args["<topo>"].topo;
+  const double load = args["<load>"].real;
+  const std::string& routing = args["<routing>"].text;
+  const bool sharded = args["--shards"].set;
+  g_manifest_shards = args["--shards"].u32();
+  const Fabric fabric = build_fabric(topo);
 
   nbclos::sim::SimConfig config;
   config.injection_rate = load;
-  config.warmup_cycles = 2000;
-  config.measure_cycles = 8000;
   // The sharded engine's only mode; using it on the serial path too keeps
   // the output independent of --shards.
   config.counter_injection = true;
-  config.record_timeseries = !g_timeseries_out.empty();
+  config.record_timeseries = !args["--timeseries-out"].text.empty();
 
   // Sharded engine (or any k-ary run — its routing is already a pure
   // NextHop, so one shard is the natural engine for it too).
-  if (shards.has_value() || topo.kary) {
-    const auto router = make_next_hop(topo, ft.get(), net, routing);
-    nbclos::sim::ShardedSim sim(*router, traffic, config, shards.value_or(1));
-    const auto result = sim.run();
+  nbclos::sim::SimResult result;
+  std::string shard_note;
+  std::string cross_shard;
+  if (sharded || topo.kary) {
+    const auto router = make_next_hop(topo, fabric, routing);
+    nbclos::sim::ShardedSim sim(*router, fabric.traffic, config,
+                                sharded ? args["--shards"].u32() : 1);
+    result = sim.run();
     stash_recorder(sim.recorder());
-    std::cout << topo.name << ", " << routing
-              << ", shift permutation, offered " << load << ", "
-              << sim.shard_count()
-              << " shard(s) [results are shard-count independent]:\n"
-              << "  accepted throughput: "
-              << nbclos::format_double(result.accepted_throughput)
-              << " flits/cycle/terminal\n  mean latency:        "
-              << nbclos::format_double(result.mean_latency, 1) << " cycles\n"
-              << "  cross-shard flits:   "
-              << sim.telemetry().cross_shard_flits << "\n"
-              << "  saturated:           "
-              << (result.saturated() ? "yes" : "no") << "\n";
-    return 0;
-  }
-
-  std::unique_ptr<nbclos::sim::RoutingOracle> oracle;
-  std::unique_ptr<nbclos::RoutingTable> table;
-  std::unique_ptr<nbclos::YuanNonblockingRouting> yuan;
-  if (routing == "thm3") {
-    yuan = std::make_unique<nbclos::YuanNonblockingRouting>(*ft);
-    table = std::make_unique<nbclos::RoutingTable>(
-        nbclos::RoutingTable::materialize(*yuan));
-    oracle = std::make_unique<nbclos::sim::FtreeOracle>(
-        *ft, nbclos::sim::UplinkPolicy::kTable, table.get());
-  } else if (routing == "dmodk") {
-    oracle = std::make_unique<nbclos::sim::FtreeOracle>(
-        *ft, nbclos::sim::UplinkPolicy::kDModK);
-  } else if (routing == "random") {
-    oracle = std::make_unique<nbclos::sim::FtreeOracle>(
-        *ft, nbclos::sim::UplinkPolicy::kRandom);
-  } else if (routing == "adaptive") {
-    oracle = std::make_unique<nbclos::sim::FtreeOracle>(
-        *ft, nbclos::sim::UplinkPolicy::kLeastQueue);
+    shard_note = ", " + std::to_string(sim.shard_count()) +
+                 " shard(s) [results are shard-count independent]";
+    cross_shard = "  cross-shard flits:   " +
+                  std::to_string(sim.telemetry().cross_shard_flits) + "\n";
   } else {
-    throw UsageError("unknown routing '" + routing + "'");
+    const auto factory = make_oracle_factory(*fabric.ft, routing);
+    const auto oracle = factory(7, nullptr);  // FtreeOracle's default seed
+    nbclos::sim::PacketSim sim(fabric.net, *oracle, fabric.traffic, config);
+    result = sim.run();
+    stash_recorder(sim.recorder());
   }
-
-  nbclos::sim::PacketSim sim(net, *oracle, traffic, config);
-  const auto result = sim.run();
-  stash_recorder(sim.recorder());
-  std::cout << topo.name << ", " << routing
-            << ", shift permutation, offered " << load
-            << ":\n  accepted throughput: "
+  std::cout << topo.name << ", " << routing << ", shift permutation, offered "
+            << load << shard_note << ":\n  accepted throughput: "
             << nbclos::format_double(result.accepted_throughput)
             << " flits/cycle/terminal\n  mean latency:        "
             << nbclos::format_double(result.mean_latency, 1) << " cycles\n"
-            << "  saturated:           "
+            << cross_shard << "  saturated:           "
             << (result.saturated() ? "yes" : "no") << "\n";
   return 0;
 }
@@ -496,129 +289,63 @@ int cmd_simulate(std::vector<std::string> args) {
 /// `--shards N` routes the run through flow::ShardedFlowSim (counter
 /// injection; results are shard-count independent); `kary:K,H` fabrics
 /// route destination-based up/down (the d-mod-k analogue).
-int cmd_flow_sim(std::vector<std::string> args) {
-  const auto shards = take_u32_flag(args, "--shards");
-  g_manifest_shards = shards.value_or(0);
-  std::size_t i = 0;
-  const auto topo = parse_topo(args, i);
-  const double load = usage_double(args.at(i++), "<load>");
-  std::string routing_name = topo.kary ? "dmodk" : "thm3";
-  if (i < args.size() && args[i].rfind("--", 0) != 0) routing_name = args[i++];
+int cmd_flow_sim(const Args& args) {
+  const Topo& topo = args["<topo>"].topo;
+  const bool sharded = args["--shards"].set;
+  const auto shards = args["--shards"].u32();
+  g_manifest_shards = shards;
+  auto config = nbclos::cli::flow_config(args);
+  config.record_timeseries = !args["--timeseries-out"].text.empty();
+  const Fabric fabric = build_fabric(topo);
 
-  nbclos::flow::FlowConfig config;
-  config.injection_rate = load;
-  bool json = false;
-  for (; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) throw UsageError(flag + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--packet") {
-      config.packet_flits = usage_u32(next(), flag);
-    } else if (flag == "--buffers") {
-      config.buffer_flits = usage_u32(next(), flag);
-    } else if (flag == "--vcs") {
-      config.vcs = usage_u32(next(), flag);
-    } else if (flag == "--switching") {
-      const std::string mode = next();
-      if (mode == "wormhole") {
-        config.switching = nbclos::flow::Switching::kWormhole;
-      } else if (mode == "vct") {
-        config.switching = nbclos::flow::Switching::kVirtualCutThrough;
-      } else {
-        throw std::invalid_argument("unknown switching mode: " + mode);
-      }
-    } else if (flag == "--credit") {
-      config.backpressure = nbclos::flow::Backpressure::kCredit;
-    } else if (flag == "--onoff") {
-      config.backpressure = nbclos::flow::Backpressure::kOnOff;
-    } else if (flag == "--credit-delay") {
-      config.credit_delay = usage_u32(next(), flag);
-    } else if (flag == "--seed") {
-      config.seed = usage_u64(next(), flag);
-    } else if (flag == "--json") {
-      json = true;
-    } else {
-      throw std::invalid_argument("unknown flag: " + flag);
-    }
-  }
-  if (const char* reason = config.invalid_reason()) throw UsageError(reason);
-  config.counter_injection = true;  // as in cmd_simulate
-
-  std::unique_ptr<nbclos::FoldedClos> ft;
-  const nbclos::Network net = [&] {
-    if (topo.kary) return nbclos::build_kary_ntree(topo.k, topo.h);
-    ft = std::make_unique<nbclos::FoldedClos>(
-        nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
-    return nbclos::build_network(*ft);
-  }();
   std::shared_ptr<const nbclos::routing::NextHop> routes;
   std::string routing_label;
   if (topo.kary) {
     // Pure O(1) dmodk arithmetic — no per-pair table, so k-ary fabrics
     // scale to 10^6 terminals where the O(T^2) cache cannot exist.
-    routes = make_next_hop(topo, nullptr, net, routing_name);
+    routes = make_next_hop(topo, fabric, "dmodk");
     routing_label = routes->name();
   } else {
-    std::unique_ptr<nbclos::SinglePathRouting> routing;
-    if (routing_name == "thm3") {
-      routing = std::make_unique<nbclos::YuanNonblockingRouting>(*ft);
-    } else if (routing_name == "dmodk") {
-      routing = std::make_unique<nbclos::DModKRouting>(*ft);
-    } else {
-      throw UsageError("unknown routing '" + routing_name + "'");
-    }
-    routes = nbclos::routing::ChannelRouteCache::materialize(net, *routing);
+    const auto routing = single_path(*fabric.ft, args["[routing]"].text);
+    routes = nbclos::routing::ChannelRouteCache::materialize(fabric.net,
+                                                             *routing);
     routing_label = routing->name();
   }
-  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-  const auto shift = topo.kary ? topo.k + 1 : topo.n + 1;
-  const auto traffic = nbclos::sim::TrafficPattern::permutation(
-      nbclos::shift_permutation(terminals, shift), terminals);
 
-  config.record_timeseries = !g_timeseries_out.empty();
   nbclos::flow::FlowResult result;
   nbclos::flow::DeadlockForensics forensics;
   nbclos::flow::ArenaStats arena{};
-  if (shards.has_value()) {
-    nbclos::flow::ShardedFlowSim sim(routes, traffic, config, *shards);
+  const auto run = [&](auto& sim) {
     result = sim.run();
     stash_recorder(sim.recorder());
     forensics = sim.forensics();
     arena = sim.arena_stats();
+  };
+  if (sharded) {
+    nbclos::flow::ShardedFlowSim sim(routes, fabric.traffic, config, shards);
+    run(sim);
   } else {
-    nbclos::flow::FlowSim sim(routes, traffic, config);
-    result = sim.run();
-    stash_recorder(sim.recorder());
-    forensics = sim.forensics();
-    arena = sim.arena_stats();
+    nbclos::flow::FlowSim sim(routes, fabric.traffic, config);
+    run(sim);
   }
 
-  const bool vct =
-      config.switching == nbclos::flow::Switching::kVirtualCutThrough;
-  const bool onoff =
-      config.backpressure == nbclos::flow::Backpressure::kOnOff;
+  const bool vct = args["--switching"].text == "vct";
+  const bool onoff = args["--onoff"].set;
 
-  if (json) {
+  if (args["--json"].set) {
     nbclos::JsonWriter jw(std::cout);
-    jw.begin_object();
-    jw.member("topology", topo.name);
-    jw.member("routing", routing_label);
-    jw.member("traffic", "shift_permutation");
-    jw.key("config").begin_object();
-    jw.member("shards", static_cast<std::uint64_t>(shards.value_or(0)));
+    jw.begin_object().member("topology", topo.name);
+    jw.member("routing", routing_label).member("traffic", "shift_permutation");
+    jw.key("config").begin_object().member("shards", shards);
     jw.member("injection_rate", config.injection_rate);
     jw.member("packet_flits", config.packet_flits);
-    jw.member("buffer_flits", config.buffer_flits);
-    jw.member("vcs", config.vcs);
+    jw.member("buffer_flits", config.buffer_flits).member("vcs", config.vcs);
     jw.member("switching", vct ? "vct" : "wormhole");
     jw.member("backpressure", onoff ? "onoff" : "credit");
     jw.member("credit_delay", config.credit_delay);
     jw.member("warmup_cycles", config.warmup_cycles);
     jw.member("measure_cycles", config.measure_cycles);
-    jw.member("seed", config.seed);
-    jw.end_object();
+    jw.member("seed", config.seed).end_object();
     jw.key("result").begin_object();
     jw.member("offered_load", result.offered_load);
     jw.member("accepted_throughput", result.accepted_throughput);
@@ -648,8 +375,7 @@ int cmd_flow_sim(std::vector<std::string> args) {
       jw.member("stuck_flits", forensics.stuck_flits);
       jw.key("blocked").begin_array();
       for (const auto& report : forensics.blocked) {
-        jw.begin_object();
-        jw.member("buffer", report.buffer);
+        jw.begin_object().member("buffer", report.buffer);
         jw.member("channel", report.channel);
         jw.member("occupancy", report.occupancy);
         if (report.waiting_for !=
@@ -657,28 +383,23 @@ int cmd_flow_sim(std::vector<std::string> args) {
           jw.member("waiting_for", report.waiting_for);
         }
         jw.member("blocked_since", report.blocked_since);
-        jw.member("on_cycle", report.on_cycle);
-        jw.end_object();
+        jw.member("on_cycle", report.on_cycle).end_object();
       }
-      jw.end_array();
-      jw.key("wait_cycle").begin_array();
+      jw.end_array().key("wait_cycle").begin_array();
       for (const auto buffer : forensics.wait_cycle) jw.value(buffer);
-      jw.end_array();
-      jw.end_object();
+      jw.end_array().end_object();
     }
-    jw.key("arena").begin_object();
-    jw.member("route_source", routes->name());
+    jw.key("arena").begin_object().member("route_source", routes->name());
     jw.member("route_bytes", static_cast<std::uint64_t>(routes->bytes()));
     jw.member("flit_arena_bytes",
               static_cast<std::uint64_t>(arena.flit_arena_bytes));
     jw.member("packet_arena_bytes",
               static_cast<std::uint64_t>(arena.packet_arena_bytes));
     jw.member("resident_slab_slots", arena.resident_slots);
-    jw.member("peak_slab_slots", arena.peak_slots);
-    jw.end_object();
+    jw.member("peak_slab_slots", arena.peak_slots).end_object();
     jw.key("manifest");
     auto manifest = nbclos::obs::RunInfo::current();
-    manifest.shards = shards.value_or(0);
+    manifest.shards = shards;
     manifest.write_json(jw);
     jw.end_object();
     std::cout << "\n";
@@ -686,9 +407,9 @@ int cmd_flow_sim(std::vector<std::string> args) {
   }
 
   std::cout << topo.name << ", " << routing_label
-            << ", shift permutation, offered " << load;
-  if (shards.has_value()) {
-    std::cout << ", " << *shards
+            << ", shift permutation, offered " << config.injection_rate;
+  if (sharded) {
+    std::cout << ", " << shards
               << " shard(s) [results are shard-count independent]";
   }
   std::cout << ":\n"
@@ -737,89 +458,29 @@ int cmd_flow_sim(std::vector<std::string> args) {
   return result.deadlocked ? 1 : 0;
 }
 
-/// Routing-policy name -> oracle factory for the parallel sweep drivers.
-/// `table` (when non-null) must outlive every run the factory seeds.
-nbclos::sim::OracleFactory make_oracle_factory(
-    const nbclos::FoldedClos& ft, const nbclos::RoutingTable* table,
-    const std::string& routing) {
-  using nbclos::sim::UplinkPolicy;
-  UplinkPolicy policy;
-  if (routing == "thm3") {
-    policy = UplinkPolicy::kTable;
-  } else if (routing == "dmodk") {
-    policy = UplinkPolicy::kDModK;
-  } else if (routing == "random") {
-    policy = UplinkPolicy::kRandom;
-  } else if (routing == "adaptive") {
-    policy = UplinkPolicy::kLeastQueue;
-  } else {
-    throw UsageError("unknown routing '" + routing + "'");
-  }
-  return [&ft, table, policy](std::uint64_t run_seed,
-                              nbclos::fault::DegradedView*) {
-    return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy, table,
-                                                      run_seed);
-  };
-}
-
-std::vector<double> parse_rates_csv(const std::string& csv) {
-  std::vector<double> rates;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    rates.push_back(usage_double(item, "a rate in [rates_csv]"));
-  }
-  return rates;
-}
-
-int cmd_load_sweep(std::vector<std::string> args) {
-  const auto shards = take_u32_flag(args, "--shards");
-  std::size_t i = 0;
-  const auto topo = parse_topo(args, i);
-  const std::string routing = args.at(i++);
-  const std::vector<double> rates =
-      i < args.size() ? parse_rates_csv(args[i++])
-                      : std::vector<double>{0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
-  const std::size_t threads =
-      i < args.size() ? usage_u64(args[i++], "[threads]") : 0;
-  g_manifest_shards = shards.value_or(0);
-
-  std::unique_ptr<nbclos::FoldedClos> ft;
-  nbclos::Network net = [&] {
-    if (topo.kary) return nbclos::build_kary_ntree(topo.k, topo.h);
-    ft = std::make_unique<nbclos::FoldedClos>(
-        nbclos::FtreeParams{topo.n, topo.n * topo.n, topo.r});
-    return nbclos::build_network(*ft);
-  }();
-  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-  const auto shift = topo.kary ? topo.k + 1 : topo.n + 1;
-  const auto traffic = nbclos::sim::TrafficPattern::permutation(
-      nbclos::shift_permutation(terminals, shift), terminals);
-
+int cmd_load_sweep(const Args& args) {
+  const Topo& topo = args["<topo>"].topo;
+  const std::string& routing = args["<routing>"].text;
+  const bool sharded = args["--shards"].set;
+  const std::uint32_t shards = sharded ? args["--shards"].u32() : 1;
+  g_manifest_shards = args["--shards"].u32();
+  const Fabric fabric = build_fabric(topo);
   nbclos::sim::SimConfig config;
-  config.warmup_cycles = 2000;
-  config.measure_cycles = 8000;
   config.counter_injection = true;  // as in cmd_simulate
 
   std::vector<nbclos::sim::SimResult> results;
   std::string engine_note;
-  if (shards.has_value() || topo.kary) {
-    const auto router = make_next_hop(topo, ft.get(), net, routing);
-    results = nbclos::sim::load_sweep_sharded(*router, traffic, config, rates,
-                                              shards.value_or(1));
-    engine_note = std::to_string(shards.value_or(1)) +
+  if (sharded || topo.kary) {
+    const auto router = make_next_hop(topo, fabric, routing);
+    results = nbclos::sim::load_sweep_sharded(
+        *router, fabric.traffic, config, args["[rates_csv]"].list, shards);
+    engine_note = std::to_string(shards) +
                   " shard(s); results are shard-count independent";
   } else {
-    std::unique_ptr<nbclos::RoutingTable> table;
-    if (routing == "thm3") {
-      const nbclos::YuanNonblockingRouting yuan(*ft);
-      table = std::make_unique<nbclos::RoutingTable>(
-          nbclos::RoutingTable::materialize(yuan));
-    }
-    const auto factory = make_oracle_factory(*ft, table.get(), routing);
-    nbclos::ThreadPool pool(threads);
-    results = nbclos::sim::load_sweep(net, factory, traffic, config, rates,
-                                      &pool);
+    const auto factory = make_oracle_factory(*fabric.ft, routing);
+    nbclos::ThreadPool pool(args["[threads]"].number);
+    results = nbclos::sim::load_sweep(fabric.net, factory, fabric.traffic,
+                                      config, args["[rates_csv]"].list, &pool);
     engine_note = std::to_string(pool.thread_count()) +
                   " threads; results are thread-count independent";
   }
@@ -842,35 +503,17 @@ int cmd_load_sweep(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_saturation(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0, "<n>");
-  const auto r = arg_u32(args, 1, "<r>");
-  const std::string routing = args.at(2);
-  const std::uint32_t iterations =
-      args.size() >= 4 ? arg_u32(args, 3, "[iterations]") : 6;
-  const std::size_t threads =
-      args.size() >= 5 ? usage_u64(args[4], "[threads]") : 0;
-  check_ftree_shape(n, std::uint64_t{n} * n, r);
+int cmd_saturation(const Args& args) {
+  const auto n = args["<n>"].u32();
+  const auto r = args["<r>"].u32();
+  const std::string& routing = args["<routing>"].text;
+  const auto iterations = args["[iterations]"].u32();
+  const Fabric fabric = build_fabric(Topo{false, n, r, 0, 0, {}});
+  const auto factory = make_oracle_factory(*fabric.ft, routing);
 
-  const nbclos::FoldedClos ft(nbclos::FtreeParams{n, n * n, r});
-  const auto net = nbclos::build_network(ft);
-  const auto pattern = nbclos::shift_permutation(ft.leaf_count(), n + 1);
-  const auto traffic =
-      nbclos::sim::TrafficPattern::permutation(pattern, ft.leaf_count());
-  std::unique_ptr<nbclos::RoutingTable> table;
-  if (routing == "thm3") {
-    const nbclos::YuanNonblockingRouting yuan(ft);
-    table = std::make_unique<nbclos::RoutingTable>(
-        nbclos::RoutingTable::materialize(yuan));
-  }
-  const auto factory = make_oracle_factory(ft, table.get(), routing);
-
-  nbclos::sim::SimConfig config;
-  config.warmup_cycles = 2000;
-  config.measure_cycles = 8000;
-  nbclos::ThreadPool pool(threads);
+  nbclos::ThreadPool pool(args["[threads]"].number);
   const double sat = nbclos::sim::find_saturation_load(
-      net, factory, traffic, config, iterations, &pool);
+      fabric.net, factory, fabric.traffic, {}, iterations, &pool);  // defaults
   std::cout << "ftree(" << n << "+" << n * n << ", " << r << "), " << routing
             << ", shift permutation:\n  saturation load: "
             << nbclos::format_double(sat)
@@ -879,12 +522,11 @@ int cmd_saturation(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_circuit(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0, "<n>");
-  const auto m = arg_u32(args, 1, "<m>");
-  const auto r = arg_u32(args, 2, "<r>");
-  const std::uint64_t steps =
-      args.size() >= 4 ? usage_u64(args[3], "[steps]") : 20000;
+int cmd_circuit(const Args& args) {
+  const auto n = args["<n>"].u32();
+  const auto m = args["<m>"].u32();
+  const auto r = args["<r>"].u32();
+  const auto steps = args["[steps]"].number;
   nbclos::circuit::ClosCircuitSwitch clos(n, m, r);
   nbclos::Xoshiro256 rng(5);
   const auto result = nbclos::circuit::run_churn(
@@ -899,16 +541,14 @@ int cmd_circuit(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_fault_sweep(const std::vector<std::string>& args) {
+int cmd_fault_sweep(const Args& args) {
   nbclos::analysis::FaultSweepConfig config;
-  config.n = arg_u32(args, 0, "<n>");
-  config.r = arg_u32(args, 1, "<r>");
-  config.max_failures = arg_u32(args, 2, "<max_failures>");
-  if (args.size() >= 4) {
-    config.permutations_per_level = arg_u32(args, 3, "[perms]");
-  }
-  if (args.size() >= 5) config.seed = usage_u64(args[4], "[seed]");
-  check_ftree_shape(config.n, std::uint64_t{config.n} * config.n, config.r);
+  config.n = args["<n>"].u32();
+  config.r = args["<r>"].u32();
+  config.max_failures = args["<max_failures>"].u32();
+  const auto& perms = args["[perms]"];
+  if (perms.set) config.permutations_per_level = perms.u32();
+  if (args["[seed]"].set) config.seed = args["[seed]"].number;
 
   nbclos::ThreadPool pool;
   const auto result = nbclos::analysis::run_fault_sweep(config, pool);
@@ -943,73 +583,20 @@ int cmd_fault_sweep(const std::vector<std::string>& args) {
 /// drives the parallel engines (a 1-thread pool when --threads is not
 /// given), whose results are thread-count independent, so --threads only
 /// changes wall-clock time, never the verdict.
-int cmd_verify(const std::vector<std::string>& args) {
-  const auto n = arg_u32(args, 0, "<n>");
-  const auto r = arg_u32(args, 1, "<r>");
-  const std::string mode = args[2];
-  if (mode != "exhaustive" && mode != "random" && mode != "adversarial") {
-    throw UsageError("unknown verify mode '" + mode + "'");
-  }
-  std::string routing_name = "thm3";
-  std::size_t i = 3;
-  if (i < args.size() && args[i].rfind("--", 0) != 0) routing_name = args[i++];
-  if (routing_name != "thm3" && routing_name != "dmodk") {
-    throw UsageError("unknown routing '" + routing_name + "'");
-  }
-
-  std::uint64_t m = std::uint64_t{n} * n;
-  std::size_t threads = 1;
-  std::uint64_t trials = 10000;
+int cmd_verify(const Args& args) {
+  const auto n = args["<n>"].u32();
+  const auto r = args["<r>"].u32();
+  const auto m = args["--m"].set ? args["--m"].u32() : n * n;
+  const std::string& mode = args["<mode>"].text;
+  const auto seed = args["--seed"].number;
   nbclos::AdversarialOptions options;
-  std::uint64_t seed = 1;
-  bool json = false;
-  for (; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) throw UsageError(flag + " needs a value");
-      return args[++i];
-    };
-    if (flag == "--m") {
-      m = usage_u32(next(), flag);
-    } else if (flag == "--threads") {
-      threads = usage_u64(next(), flag);
-    } else if (flag == "--trials") {
-      trials = usage_u64(next(), flag);
-      if (trials == 0) throw UsageError("--trials must be at least 1");
-    } else if (flag == "--restarts") {
-      options.restarts = usage_u32(next(), flag);
-    } else if (flag == "--steps") {
-      options.steps_per_restart = usage_u32(next(), flag);
-    } else if (flag == "--seed") {
-      seed = usage_u64(next(), flag);
-    } else if (flag == "--json") {
-      json = true;
-    } else {
-      throw UsageError("unknown flag '" + flag + "'");
-    }
-  }
-  check_ftree_shape(n, m, r);
-  if (m >= nbclos::routing::RouteCache::kTopLimit) {
-    throw UsageError("m (--m, default n^2) must be below " +
-                     std::to_string(nbclos::routing::RouteCache::kTopLimit));
-  }
-  if (routing_name == "thm3" && m < std::uint64_t{n} * n) {
-    throw UsageError("thm3 routing needs m >= n^2 top switches");
-  }
-  if (mode == "exhaustive" && std::uint64_t{n} * r > 11) {
-    throw UsageError("exhaustive verification needs n * r <= 11 leaves");
-  }
+  if (args["--restarts"].set) options.restarts = args["--restarts"].u32();
+  if (args["--steps"].set) options.steps_per_restart = args["--steps"].u32();
 
-  const nbclos::FoldedClos ftree(
-      nbclos::FtreeParams{n, static_cast<std::uint32_t>(m), r});
-  std::unique_ptr<nbclos::SinglePathRouting> routing;
-  if (routing_name == "thm3") {
-    routing = std::make_unique<nbclos::YuanNonblockingRouting>(ftree);
-  } else {
-    routing = std::make_unique<nbclos::DModKRouting>(ftree);
-  }
+  const nbclos::FoldedClos ftree(nbclos::FtreeParams{n, m, r});
+  const auto routing = single_path(ftree, args["[routing]"].text);
 
-  nbclos::ThreadPool pool(threads);
+  nbclos::ThreadPool pool(args["--threads"].number);
   const auto factory = [&routing](std::uint64_t) {
     return nbclos::as_pattern_router(*routing);
   };
@@ -1019,40 +606,41 @@ int cmd_verify(const std::vector<std::string>& args) {
     space = nbclos::factorial(ftree.leaf_count());
     result = nbclos::verify_exhaustive_parallel(ftree, factory, pool);
   } else if (mode == "random") {
-    result = nbclos::verify_random_parallel(ftree, factory, trials, seed,
-                                            pool);
+    result = nbclos::verify_random_parallel(
+        ftree, factory, args["--trials"].number, seed, pool);
   } else {
     result = nbclos::verify_adversarial_parallel(ftree, *routing, options,
                                                  seed, pool);
   }
 
-  if (json) {
-    std::cout << "{\"mode\": \"" << mode << "\", \"topology\": \"ftree(" << n
-              << "+" << m << ", " << r << ")\", \"routing\": \""
-              << routing->name() << "\", \"threads\": " << pool.thread_count()
-              << ",\n \"nonblocking\": " << (result.nonblocking ? "true"
-                                                                : "false")
-              << ", \"permutations_checked\": " << result.permutations_checked;
-    if (space > 0) std::cout << ", \"permutation_space\": " << space;
+  const std::string topology = "ftree(" + std::to_string(n) + "+" +
+                               std::to_string(m) + ", " + std::to_string(r) +
+                               ")";
+  if (args["--json"].set) {
+    nbclos::JsonWriter json(std::cout);
+    json.begin_object().member("mode", mode).member("topology", topology);
+    json.member("routing", routing->name());
+    json.member("threads", static_cast<std::uint64_t>(pool.thread_count()));
+    json.member("nonblocking", result.nonblocking);
+    json.member("permutations_checked", result.permutations_checked);
+    if (space > 0) json.member("permutation_space", space);
     if (result.counterexample.has_value()) {
-      std::cout << ",\n \"counterexample_collisions\": "
-                << result.counterexample_collisions
-                << ", \"counterexample\": [";
-      bool first = true;
+      json.member("counterexample_collisions",
+                  result.counterexample_collisions);
+      json.key("counterexample").begin_array();
       for (const auto sd : *result.counterexample) {
-        if (!first) std::cout << ", ";
-        first = false;
-        std::cout << "[" << sd.src.value << ", " << sd.dst.value << "]";
+        json.begin_array().value(sd.src.value).value(sd.dst.value).end_array();
       }
-      std::cout << "]";
+      json.end_array();
     }
-    std::cout << "}\n";
+    json.end_object();
+    std::cout << "\n";
     return result.nonblocking ? 0 : 1;
   }
 
-  std::cout << "ftree(" << n << "+" << m << ", " << r << "), "
-            << routing->name() << ", " << mode << " verification ("
-            << pool.thread_count() << " threads):\n  permutations checked: "
+  std::cout << topology << ", " << routing->name() << ", " << mode
+            << " verification (" << pool.thread_count()
+            << " threads):\n  permutations checked: "
             << result.permutations_checked;
   if (space > 0) std::cout << " of " << space;
   std::cout << "\n  verdict: ";
@@ -1075,155 +663,63 @@ int cmd_verify(const std::vector<std::string>& args) {
   return result.nonblocking ? 0 : 1;
 }
 
-/// Minimal Prometheus scrape endpoint: warm the registry with one small
-/// deterministic flow run (so a standalone scrape sees real content),
-/// then serve the text exposition on 127.0.0.1.  `--max-requests N`
-/// exits cleanly after N responses — what the CI smoke uses; the
-/// default serves until killed.
-int cmd_metrics_serve(std::vector<std::string> args) {
-  std::uint32_t port = 9464;  // the Prometheus-convention exporter range
-  std::uint64_t max_requests = 0;
-  if (const auto p = take_u32_flag(args, "--port")) port = *p;
-  if (const auto n = take_u32_flag(args, "--max-requests")) max_requests = *n;
-  if (!args.empty()) {
-    throw std::invalid_argument("unknown flag: " + args.front());
-  }
-#if !(defined(__unix__) || defined(__APPLE__))
-  std::cerr << "metrics-serve needs POSIX sockets on this platform\n";
-  return 1;
-#else
-  {
-    nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 8});
-    const auto net = nbclos::build_network(ft);
-    const nbclos::YuanNonblockingRouting routing(ft);
-    const auto cache =
-        nbclos::routing::ChannelRouteCache::materialize(net, routing);
-    const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-    const auto traffic = nbclos::sim::TrafficPattern::permutation(
-        nbclos::shift_permutation(terminals, 5), terminals);
-    nbclos::flow::FlowConfig config;
-    config.injection_rate = 0.2;
-    config.warmup_cycles = 256;
-    config.measure_cycles = 1024;
-    config.record_timeseries = true;
-    nbclos::flow::FlowSim sim(cache, traffic, config);
-    (void)sim.run();
-    stash_recorder(sim.recorder());
-  }
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::cerr << "metrics-serve: socket() failed\n";
-    return 1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    std::cerr << "metrics-serve: cannot listen on 127.0.0.1:" << port << "\n";
-    ::close(fd);
-    return 1;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  std::cout << "serving metrics on http://127.0.0.1:" << ntohs(addr.sin_port)
-            << "/metrics" << std::endl;
-
-#ifdef MSG_NOSIGNAL
-  constexpr int kSendFlags = MSG_NOSIGNAL;  // no SIGPIPE on a closed peer
-#else
-  constexpr int kSendFlags = 0;
-#endif
-  std::uint64_t served = 0;
-  while (max_requests == 0 || served < max_requests) {
-    const int client = ::accept(fd, nullptr, nullptr);
-    if (client < 0) continue;
-    char buf[2048];
-    const auto got = ::recv(client, buf, sizeof(buf) - 1, 0);
-    const std::string request(buf, got > 0 ? static_cast<std::size_t>(got)
-                                           : 0);
-    const bool want_metrics = request.rfind("GET /metrics", 0) == 0 ||
-                              request.rfind("GET / ", 0) == 0;
-    std::string body;
-    std::string head;
-    if (want_metrics) {
-      body = nbclos::obs::prom_export_global();
-      head =
-          "HTTP/1.1 200 OK\r\n"
-          "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n";
-    } else {
-      body = "not found\n";
-      head =
-          "HTTP/1.1 404 Not Found\r\n"
-          "Content-Type: text/plain; charset=utf-8\r\n";
-    }
-    const std::string response = head + "Content-Length: " +
-                                 std::to_string(body.size()) +
-                                 "\r\nConnection: close\r\n\r\n" + body;
-    std::size_t off = 0;
-    while (off < response.size()) {
-      const auto sent = ::send(client, response.data() + off,
-                               response.size() - off, kSendFlags);
-      if (sent <= 0) break;
-      off += static_cast<std::size_t>(sent);
-    }
-    ::close(client);
-    ++served;
-  }
-  ::close(fd);
-  return 0;
-#endif
-}
-
-int cmd_dot(const std::vector<std::string>& args) {
-  const auto [n, r] = fabric_args(args);
-  const nbclos::NonblockingFabric fabric(n, r);
+int cmd_dot(const Args& args) {
   nbclos::DotOptions options;
   options.graph_name = "ftree";
-  nbclos::write_dot(std::cout, fabric.to_network(), options);
+  nbclos::write_dot(std::cout, fabric_of(args).to_network(), options);
   return 0;
+}
+
+int run_command(const Args& args) {
+  using nbclos::cli::CommandId;
+  switch (args.command().id) {
+    case CommandId::kDesign: return cmd_design(args);
+    case CommandId::kCertify: return cmd_certify(args);
+    case CommandId::kSchedule: return cmd_schedule(args);
+    case CommandId::kSimulate: return cmd_simulate(args);
+    case CommandId::kFlowSim: return cmd_flow_sim(args);
+    case CommandId::kLoadSweep: return cmd_load_sweep(args);
+    case CommandId::kSaturation: return cmd_saturation(args);
+    case CommandId::kCircuit: return cmd_circuit(args);
+    case CommandId::kFaultSweep: return cmd_fault_sweep(args);
+    case CommandId::kVerify: return cmd_verify(args);
+    case CommandId::kDot: return cmd_dot(args);
+    case CommandId::kVersion:
+      std::cout << nbclos::obs::RunInfo::current().summary() << "\n";
+      return 0;
+  }
+  return 2;
+}
+
+/// Write `body` to `path` ("-" = stdout, "" = not asked for); false,
+/// with an error on stderr, when the file cannot be opened.
+bool write_output(const std::string& path, const char* what,
+                  const std::function<void(std::ostream&)>& body) {
+  if (path.empty()) return true;
+  std::ofstream file;
+  if (path != "-") file.open(path);
+  if (path != "-" && !file) {
+    std::cerr << "error: cannot write " << what << " to '" << path << "'\n";
+    return false;
+  }
+  body(path == "-" ? std::cout : file);
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global observability flags may appear anywhere on the line; strip
-  // them before dispatch so every subcommand supports them uniformly.
-  std::string metrics_out;
-  std::string trace_out;
-  std::string prom_out;
-  std::vector<std::string> words;
-  for (int i = 1; i < argc; ++i) {
-    const std::string word = argv[i];
-    if (word == "--metrics" && i + 1 < argc) {
-      metrics_out = argv[++i];
-      continue;
-    }
-    if (word == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-      continue;
-    }
-    if (word == "--prom-out" && i + 1 < argc) {
-      prom_out = argv[++i];
-      continue;
-    }
-    if (word == "--timeseries-out" && i + 1 < argc) {
-      g_timeseries_out = argv[++i];
-      continue;
-    }
-    words.push_back(word);
+  const std::vector<std::string> words(argv + 1, argv + argc);
+  Args args;
+  try {
+    args = nbclos::cli::parse(words);
+  } catch (const nbclos::cli::UsageError& e) {
+    if (!words.empty()) std::cerr << e.what() << "\n";
+    std::cerr << nbclos::cli::usage();
+    return 2;
   }
-  if (words.empty()) return usage();
-  const std::string command = words.front();
-  if (command == "--version" || command == "version") {
-    std::cout << nbclos::obs::RunInfo::current().summary() << "\n";
-    return 0;
-  }
-  const std::vector<std::string> args(words.begin() + 1, words.end());
+  const std::string& trace_out = args["--trace-out"].text;
+  const std::string& timeseries_out = args["--timeseries-out"].text;
 
   if (!trace_out.empty()) {
     if (!nbclos::obs::kEnabled) {
@@ -1234,98 +730,27 @@ int main(int argc, char** argv) {
   }
   int rc;
   try {
-    if (command == "design" && args.size() >= 1) {
-      rc = cmd_design(args);
-    } else if (command == "certify" && args.size() >= 1) {
-      rc = cmd_certify(args);
-    } else if (command == "schedule" && args.size() >= 2) {
-      rc = cmd_schedule(args);
-    } else if ((command == "simulate" || command == "sim") &&
-               args.size() >= 3) {
-      rc = cmd_simulate(args);
-    } else if (command == "flow-sim" && args.size() >= 3) {
-      rc = cmd_flow_sim(args);
-    } else if (command == "load-sweep" && args.size() >= 2) {
-      rc = cmd_load_sweep(args);
-    } else if (command == "saturation" && args.size() >= 3) {
-      rc = cmd_saturation(args);
-    } else if (command == "circuit" && args.size() >= 3) {
-      rc = cmd_circuit(args);
-    } else if (command == "fault-sweep" && args.size() >= 3) {
-      rc = cmd_fault_sweep(args);
-    } else if (command == "verify" && args.size() >= 3) {
-      rc = cmd_verify(args);
-    } else if (command == "dot" && args.size() >= 1) {
-      rc = cmd_dot(args);
-    } else if (command == "metrics-serve") {
-      rc = cmd_metrics_serve(args);
-    } else {
-      const bool known =
-          command == "design" || command == "certify" ||
-          command == "schedule" || command == "simulate" || command == "sim" ||
-          command == "flow-sim" || command == "load-sweep" ||
-          command == "saturation" ||
-          command == "circuit" || command == "fault-sweep" ||
-          command == "verify" || command == "dot";
-      if (!known) std::cerr << "nbclos: unknown command '" << command << "'\n";
-      return usage();
-    }
-  } catch (const UsageError& e) {
-    std::cerr << "nbclos " << command << ": " << e.what() << "\n";
-    rc = usage();
+    rc = run_command(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     rc = 1;
   }
+  if (!trace_out.empty()) nbclos::obs::TraceSession::stop();
 
-  if (!trace_out.empty()) {
-    nbclos::obs::TraceSession::stop();
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "error: cannot write trace to '" << trace_out << "'\n";
-      return rc != 0 ? rc : 1;
-    }
-    if (ends_with(trace_out, ".jsonl")) {
-      nbclos::obs::TraceSession::write_jsonl(out);
-    } else {
-      nbclos::obs::TraceSession::write_chrome(out);
-    }
-  }
-  if (!metrics_out.empty()) {
-    if (metrics_out == "-") {
-      write_metrics_json(std::cout);
-    } else {
-      std::ofstream out(metrics_out);
-      if (!out) {
-        std::cerr << "error: cannot write metrics to '" << metrics_out
-                  << "'\n";
-        return rc != 0 ? rc : 1;
-      }
-      write_metrics_json(out);
-    }
-  }
-  if (!prom_out.empty()) {
-    const auto body = nbclos::obs::prom_export_global();
-    if (prom_out == "-") {
-      std::cout << body;
-    } else {
-      std::ofstream out(prom_out);
-      if (!out) {
-        std::cerr << "error: cannot write metrics to '" << prom_out << "'\n";
-        return rc != 0 ? rc : 1;
-      }
-      out << body;
-    }
-  }
-  if (!g_timeseries_out.empty()) {
-    if (g_timeseries_out == "-") {
-      nbclos::obs::write_timeseries_json(std::cout, g_series, g_series_config);
-    } else if (!nbclos::obs::write_timeseries_file(g_timeseries_out, g_series,
-                                                   g_series_config)) {
-      std::cerr << "error: cannot write timeseries to '" << g_timeseries_out
-                << "'\n";
-      return rc != 0 ? rc : 1;
-    }
-  }
-  return rc;
+  namespace obs = nbclos::obs;
+  const auto trace = trace_out.ends_with(".jsonl")
+                         ? obs::TraceSession::write_jsonl
+                         : obs::TraceSession::write_chrome;
+  const auto prom = [](std::ostream& out) { out << obs::prom_export_global(); };
+  const auto series = [&](std::ostream& out) {
+    (timeseries_out.ends_with(".csv") ? obs::write_timeseries_csv
+                                      : obs::write_timeseries_json)(
+        out, g_series, g_series_config);
+  };
+  const bool written =
+      write_output(trace_out, "trace", trace) &&
+      write_output(args["--metrics"].text, "metrics", write_metrics_json) &&
+      write_output(args["--prom-out"].text, "metrics", prom) &&
+      write_output(timeseries_out, "timeseries", series);
+  return written || rc != 0 ? rc : 1;
 }
