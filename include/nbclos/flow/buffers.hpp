@@ -17,10 +17,16 @@
 /// `maybe_release`, so steady-state residency tracks the live flit
 /// front, not the fabric size.
 ///
+/// Engines resolve a buffer's slot once per flit move and then read and
+/// write the slot's fields directly; the id→slot map is consulted once
+/// per buffer touched, not once per field.
+///
 /// Ring layout per slot follows the old scheme (slice = capacity
 /// rounded up to a power of two, wrap-around is a mask).  Unbounded
 /// terminal NIC buffers keep growable power-of-two rings on the side,
-/// lazily allocated the same way.
+/// lazily allocated the same way, holding one 4-byte packet slot per
+/// queued *packet*: the front flit is (front packet, `nic_sent`), and
+/// only the pop that sends a packet's tail advances the ring.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +46,8 @@ struct FlitRef {
   std::uint32_t flit_index = 0;
 };
 
-/// Sentinel buffer id: "no buffer" (matches the engines' kNone).  The
-/// sharded engine additionally stores its kClaimPending placeholder
-/// (kNoBuffer - 1) in the claim field; the pool only cares that both
-/// differ from kNoBuffer, the releasable default.
+/// Sentinel buffer id: "no buffer" (matches the engines' kNone); also
+/// the releasable default of the out_alloc and claim fields.
 inline constexpr std::uint32_t kNoBuffer = 0xFFFFFFFFu;
 
 /// Sentinel for "buffer has never blocked" in blocked-since queries.
@@ -134,85 +138,159 @@ class PacketPool {
 /// terminal NIC send queues.  The flow-control protocol — not this
 /// container — keeps switch occupancy within capacity; push asserts it.
 ///
-/// Storage is slot-sparse (see the file comment).  Engines touch state
-/// through accessors keyed by buffer id; any write of a non-default
-/// value lazily binds the buffer to a slot, and engines call
-/// `maybe_release` at transaction boundaries to recycle drained slots.
+/// Storage is slot-sparse (see the file comment).  Engines resolve a
+/// buffer's slot once per transaction — `slot_id` to look, `bind` to
+/// bind on first touch — and then work on the `BufferSlot` and the
+/// slot-keyed FIFO operations (`front_at`, `pop_at`, `push_at`,
+/// `maybe_release_at`).  A bind may grow the slab, so a `BufferSlot&`
+/// taken before a bind must be fetched again after it; slot ids stay
+/// valid.  The id-keyed accessors resolve the slot per call; the
+/// engines do not use them.
 class FlitBufferPool {
  public:
   /// Per-live-buffer record.  All defaults together mean "releasable":
   /// empty, unallocated, unclaimed, never/no-longer blocked, full
-  /// credits, nothing pending, stop bit clear, not queued dirty.
+  /// credits, nothing pending, stop bit clear, not queued dirty, no
+  /// partly sent NIC packet.
   struct BufferSlot {
     std::uint32_t buffer = 0;  ///< owning buffer id (back-pointer)
-    std::uint32_t head = 0;
-    std::uint32_t size = 0;
+    std::uint32_t head = 0;    ///< ring index of the front entry
+    std::uint32_t size = 0;    ///< flits queued (NIC buffers too)
     std::uint32_t out_alloc = kNoBuffer;
     std::uint32_t claim = kNoBuffer;
     std::uint32_t credits_used = 0;
     std::uint32_t pending_returns = 0;
+    /// NIC buffers: flits of the front packet already sent.
+    std::uint32_t nic_sent = 0;
     /// Cycle the buffer became blocked, plus one; 0 = not blocked.
     std::uint64_t blocked_since_plus1 = 0;
     std::uint8_t off = 0;
     std::uint8_t in_dirty = 0;
   };
+  static_assert(sizeof(BufferSlot) == 48, "BufferSlot must stay 48 bytes");
 
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// \param packet_flits flits per packet; a NIC queue holds one entry
+  ///        per packet and hands its flits out one pop at a time.
   FlitBufferPool(std::uint32_t switch_buffers, std::uint32_t nic_buffers,
-                 std::uint32_t capacity_flits);
+                 std::uint32_t capacity_flits, std::uint32_t packet_flits = 1);
 
-  // --- FIFO operations -------------------------------------------------
+  // --- slot resolution -------------------------------------------------
 
-  void push(std::uint32_t b, FlitRef flit) {
-    const std::uint32_t s = ensure_slot(b);
-    BufferSlot& sl = slot(s);
-    if (b < switch_count_) {
-      NBCLOS_ASSERT(sl.size < capacity_);  // flow-control protocol bound
-      ring_slab_[ring_index(s, (sl.head + sl.size) & slice_mask_)] = flit;
-      ++switch_flits_total_;
-      if (++sl.size > peak_switch_flits_) peak_switch_flits_ = sl.size;
-      return;
-    }
-    auto& ring = nic_rings_[b - switch_count_];
-    if (sl.size == ring.size()) {
-      // Full (or first use): double and relinearize so head lands at 0.
-      std::vector<FlitRef> bigger(ring.empty() ? kNicRingInitialCapacity
-                                               : ring.size() * 2);
-      for (std::uint32_t i = 0; i < sl.size; ++i) {
-        bigger[i] = ring[(sl.head + i) & (ring.size() - 1)];
-      }
-      ring = std::move(bigger);
-      sl.head = 0;
-    }
-    ring[(sl.head + sl.size) & (ring.size() - 1)] = flit;
-    ++sl.size;
+  /// Slot bound to `b`, or kNoSlot.
+  [[nodiscard]] std::uint32_t slot_id(std::uint32_t b) const {
+    NBCLOS_DEBUG_CHECK(b < slot_of_.size(), "buffer id out of range");
+    return slot_of_[b];
   }
 
-  FlitRef pop(std::uint32_t b) {
-    const std::uint32_t s = slot_id(b);
-    NBCLOS_ASSERT(s != kNoSlot);
+  /// Slot bound to `b`, binding a recycled or fresh one on first touch.
+  /// May grow the slab: re-fetch any BufferSlot reference afterwards.
+  std::uint32_t bind(std::uint32_t b) {
+    std::uint32_t s = slot_id(b);
+    if (s != kNoSlot) return s;
+    if (!free_slots_.empty()) {
+      s = free_slots_.back();
+      free_slots_.pop_back();
+      slot(s) = BufferSlot{};
+    } else {
+      s = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(BufferSlot{});
+      ring_slab_.resize(slots_.size() * slice_);
+    }
+    slot(s).buffer = b;
+    slot_of_[b] = s;
+    ++resident_slots_;
+    return s;
+  }
+
+  [[nodiscard]] BufferSlot& slot(std::uint32_t s) {
+    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
+    return slots_[s];
+  }
+  [[nodiscard]] const BufferSlot& slot(std::uint32_t s) const {
+    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
+    return slots_[s];
+  }
+
+  // --- FIFO operations on a bound slot ----------------------------------
+
+  /// Append one flit to switch buffer slot `s`.
+  void push_at(std::uint32_t s, FlitRef flit) {
+    BufferSlot& sl = slot(s);
+    NBCLOS_DEBUG_CHECK(sl.buffer < switch_count_, "flit push into a NIC queue");
+    NBCLOS_ASSERT(sl.size < capacity_);  // flow-control protocol bound
+    ring_slab_[ring_index(s, (sl.head + sl.size) & slice_mask_)] = flit;
+    ++switch_flits_total_;
+    if (++sl.size > peak_switch_flits_) peak_switch_flits_ = sl.size;
+  }
+
+  [[nodiscard]] FlitRef front_at(std::uint32_t s) const {
+    const BufferSlot& sl = slot(s);
+    NBCLOS_ASSERT(sl.size > 0);
+    if (sl.buffer < switch_count_) return ring_slab_[ring_index(s, sl.head)];
+    return FlitRef{nic_rings_[sl.buffer - switch_count_][sl.head],
+                   sl.nic_sent};
+  }
+
+  /// Remove the front flit.  A NIC queue advances to its next packet
+  /// only when the pop sends the front packet's tail.
+  FlitRef pop_at(std::uint32_t s) {
     BufferSlot& sl = slot(s);
     NBCLOS_ASSERT(sl.size > 0);
     FlitRef flit;
-    if (b < switch_count_) {
+    if (sl.buffer < switch_count_) {
       flit = ring_slab_[ring_index(s, sl.head)];
       sl.head = (sl.head + 1) & slice_mask_;
       --switch_flits_total_;
     } else {
-      const auto& ring = nic_rings_[b - switch_count_];
-      flit = ring[sl.head];
-      sl.head = (sl.head + 1) & (static_cast<std::uint32_t>(ring.size()) - 1);
+      const auto& ring = nic_rings_[sl.buffer - switch_count_];
+      flit = FlitRef{ring[sl.head], sl.nic_sent};
+      if (++sl.nic_sent == packet_flits_) {
+        sl.nic_sent = 0;
+        sl.head =
+            (sl.head + 1) & (static_cast<std::uint32_t>(ring.size()) - 1);
+      }
     }
     --sl.size;
     return flit;
   }
 
+  /// Queue one whole packet (packet_flits flits) on NIC buffer `b`.
+  void push_packet(std::uint32_t b, std::uint32_t packet_slot);
+
+  /// Recycle slot `s` if every field is back at its default.  Engines
+  /// call this at transaction boundaries (after a pop completes its
+  /// credit/claim bookkeeping); a missed call costs memory, never
+  /// correctness.
+  void maybe_release_at(std::uint32_t s) {
+    const BufferSlot& sl = slot(s);
+    if (sl.size != 0 || sl.out_alloc != kNoBuffer || sl.claim != kNoBuffer ||
+        sl.credits_used != 0 || sl.pending_returns != 0 ||
+        sl.nic_sent != 0 || sl.blocked_since_plus1 != 0 || sl.off != 0 ||
+        sl.in_dirty != 0) {
+      return;
+    }
+    slot_of_[sl.buffer] = kNoSlot;
+    free_slots_.push_back(s);
+    --resident_slots_;
+  }
+
+  // --- id-keyed access (one lookup per call) ---------------------------
+
+  /// Append one flit to switch buffer `b`, binding it if needed.
+  void push(std::uint32_t b, FlitRef flit) { push_at(bind(b), flit); }
+
+  FlitRef pop(std::uint32_t b) {
+    const std::uint32_t s = slot_id(b);
+    NBCLOS_ASSERT(s != kNoSlot);
+    return pop_at(s);
+  }
+
   [[nodiscard]] FlitRef front(std::uint32_t b) const {
     const std::uint32_t s = slot_id(b);
     NBCLOS_ASSERT(s != kNoSlot);
-    const BufferSlot& sl = slot(s);
-    NBCLOS_ASSERT(sl.size > 0);
-    if (b < switch_count_) return ring_slab_[ring_index(s, sl.head)];
-    return nic_rings_[b - switch_count_][sl.head];
+    return front_at(s);
   }
 
   [[nodiscard]] std::uint32_t size(std::uint32_t b) const {
@@ -220,15 +298,9 @@ class FlitBufferPool {
     return s == kNoSlot ? 0 : slot(s).size;
   }
 
-  // --- per-buffer side state (engine-owned semantics) ------------------
-
   [[nodiscard]] std::uint32_t out_alloc(std::uint32_t b) const {
     const std::uint32_t s = slot_id(b);
     return s == kNoSlot ? kNoBuffer : slot(s).out_alloc;
-  }
-  void set_out_alloc(std::uint32_t b, std::uint32_t value) {
-    if (value == kNoBuffer && slot_id(b) == kNoSlot) return;
-    slot(ensure_slot(b)).out_alloc = value;
   }
 
   [[nodiscard]] std::uint32_t claim(std::uint32_t b) const {
@@ -237,7 +309,7 @@ class FlitBufferPool {
   }
   void set_claim(std::uint32_t b, std::uint32_t value) {
     if (value == kNoBuffer && slot_id(b) == kNoSlot) return;
-    slot(ensure_slot(b)).claim = value;
+    slot(bind(b)).claim = value;
   }
 
   [[nodiscard]] std::uint64_t blocked_since(std::uint32_t b) const {
@@ -247,85 +319,11 @@ class FlitBufferPool {
     }
     return slot(s).blocked_since_plus1 - 1;
   }
-  void set_blocked_since(std::uint32_t b, std::uint64_t cycle) {
-    slot(ensure_slot(b)).blocked_since_plus1 = cycle + 1;
-  }
-  void clear_blocked_since(std::uint32_t b) {
-    const std::uint32_t s = slot_id(b);
-    if (s != kNoSlot) slot(s).blocked_since_plus1 = 0;
-  }
 
-  // --- credit counters (driven by CreditLedger) ------------------------
-
-  [[nodiscard]] std::uint32_t credits(std::uint32_t b) const {
-    const std::uint32_t s = slot_id(b);
-    return capacity_ - (s == kNoSlot ? 0 : slot(s).credits_used);
-  }
-  void consume_credit(std::uint32_t b) {
-    BufferSlot& sl = slot(ensure_slot(b));
-    NBCLOS_ASSERT(sl.credits_used < capacity_);
-    ++sl.credits_used;
-  }
-  void note_pending_return(std::uint32_t b) {
-    ++slot(ensure_slot(b)).pending_returns;
-  }
-  void apply_credit_return(std::uint32_t b) {
-    const std::uint32_t s = slot_id(b);
-    NBCLOS_ASSERT(s != kNoSlot);  // pending_returns pins the slot
-    BufferSlot& sl = slot(s);
-    NBCLOS_ASSERT(sl.credits_used > 0);
-    NBCLOS_ASSERT(sl.pending_returns > 0);
-    --sl.credits_used;
-    --sl.pending_returns;
-    maybe_release(b);
-  }
-  [[nodiscard]] std::uint64_t pending_returns(std::uint32_t b) const {
-    const std::uint32_t s = slot_id(b);
-    return s == kNoSlot ? 0 : slot(s).pending_returns;
-  }
-
-  // --- on/off stop bits (driven by OnOffSignal) ------------------------
-
-  [[nodiscard]] bool off_bit(std::uint32_t b) const {
-    const std::uint32_t s = slot_id(b);
-    return s != kNoSlot && slot(s).off != 0;
-  }
-  /// Returns true when the buffer was not already queued dirty.
-  [[nodiscard]] bool test_and_set_dirty(std::uint32_t b) {
-    BufferSlot& sl = slot(ensure_slot(b));
-    if (sl.in_dirty != 0) return false;
-    sl.in_dirty = 1;
-    return true;
-  }
-  /// Latch the stop bit from current occupancy, clear the dirty flag,
-  /// and recycle the slot if that left it fully default.
-  void latch_off_bit(std::uint32_t b, std::uint32_t threshold) {
-    const std::uint32_t s = slot_id(b);
-    NBCLOS_ASSERT(s != kNoSlot);  // in_dirty pins the slot
-    BufferSlot& sl = slot(s);
-    sl.off = sl.size >= threshold ? 1 : 0;
-    sl.in_dirty = 0;
-    maybe_release(b);
-  }
-
-  // --- slot lifecycle --------------------------------------------------
-
-  /// Recycle `b`'s slot if every field is back at its default.  Safe to
-  /// call on buffers without a slot.  Engines call this at transaction
-  /// boundaries (after a pop completes its credit/claim bookkeeping);
-  /// a missed call costs memory, never correctness.
+  /// Recycle `b`'s slot if it is all-default; safe on unbound buffers.
   void maybe_release(std::uint32_t b) {
     const std::uint32_t s = slot_id(b);
-    if (s == kNoSlot) return;
-    const BufferSlot& sl = slot(s);
-    if (sl.size != 0 || sl.out_alloc != kNoBuffer || sl.claim != kNoBuffer ||
-        sl.credits_used != 0 || sl.pending_returns != 0 ||
-        sl.blocked_since_plus1 != 0 || sl.off != 0 || sl.in_dirty != 0) {
-      return;
-    }
-    slot_of_[b] = kNoSlot;
-    free_slots_.push_back(s);
-    --resident_slots_;
+    if (s != kNoSlot) maybe_release_at(s);
   }
 
   [[nodiscard]] bool has_slot(std::uint32_t b) const {
@@ -344,14 +342,6 @@ class FlitBufferPool {
       if (slot_id(sl.buffer) == s) fn(sl.buffer, s, sl);
     }
   }
-
-  /// Slot id bound to `b`, or kNoSlot.  Audit paths use this to index
-  /// slot-sized scratch arrays.
-  [[nodiscard]] std::uint32_t slot_id(std::uint32_t b) const {
-    NBCLOS_DEBUG_CHECK(b < slot_of_.size(), "buffer id out of range");
-    return slot_of_[b];
-  }
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   // --- capacities & stats ----------------------------------------------
 
@@ -386,15 +376,6 @@ class FlitBufferPool {
  private:
   static constexpr std::uint32_t kNicRingInitialCapacity = 16;
 
-  [[nodiscard]] BufferSlot& slot(std::uint32_t s) {
-    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
-    return slots_[s];
-  }
-  [[nodiscard]] const BufferSlot& slot(std::uint32_t s) const {
-    NBCLOS_DEBUG_CHECK(s < slots_.size(), "buffer slot out of range");
-    return slots_[s];
-  }
-
   /// ring_slab_ index of entry `pos` in switch slot `s`'s ring slice.
   [[nodiscard]] std::size_t ring_index(std::uint32_t s,
                                        std::uint32_t pos) const {
@@ -403,27 +384,9 @@ class FlitBufferPool {
     return i;
   }
 
-  /// Slot bound to `b`, binding a recycled or fresh one on first touch.
-  std::uint32_t ensure_slot(std::uint32_t b) {
-    std::uint32_t s = slot_id(b);
-    if (s != kNoSlot) return s;
-    if (!free_slots_.empty()) {
-      s = free_slots_.back();
-      free_slots_.pop_back();
-      slot(s) = BufferSlot{};
-    } else {
-      s = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(BufferSlot{});
-      ring_slab_.resize(slots_.size() * slice_);
-    }
-    slot(s).buffer = b;
-    slot_of_[b] = s;
-    ++resident_slots_;
-    return s;
-  }
-
   std::uint32_t switch_count_ = 0;
   std::uint32_t capacity_ = 0;
+  std::uint32_t packet_flits_ = 1;
   std::uint32_t slice_ = 0;       ///< bit_ceil(capacity)
   std::uint32_t slice_mask_ = 0;  ///< slice - 1
   std::uint32_t resident_slots_ = 0;
@@ -434,9 +397,10 @@ class FlitBufferPool {
   /// NIC slots leave them idle and use nic_rings_).
   std::vector<FlitRef> ring_slab_;
   std::vector<std::uint32_t> free_slots_;
-  /// Growable per-NIC rings, lazily sized on first push and retained
-  /// across slot recycling.
-  std::vector<std::vector<FlitRef>> nic_rings_;
+  /// Growable per-NIC rings of packet slots, one entry per queued
+  /// packet, lazily sized on first push and retained across slot
+  /// recycling.
+  std::vector<std::vector<std::uint32_t>> nic_rings_;
   std::uint64_t switch_flits_total_ = 0;
   std::uint32_t peak_switch_flits_ = 0;
 };

@@ -38,7 +38,8 @@ namespace nbclos::flow {
 
 /// Credit counters for every switch buffer, plus the delay line that
 /// models the upstream credit wire.  The pool reference must outlive
-/// the ledger.
+/// the ledger.  Engines hand it the pool slots they already hold; the
+/// id-keyed members resolve the slot per call.
 class CreditLedger {
  public:
   /// \param delay cycles between a downstream pop and the credit being
@@ -50,24 +51,36 @@ class CreditLedger {
   /// every cycle, before transmissions read the counters.
   void advance(std::uint64_t now);
 
+  /// A flit started toward the buffer bound to slot `s` this cycle.
+  void consume_at(std::uint32_t s) {
+    FlitBufferPool::BufferSlot& sl = pool_->slot(s);
+    NBCLOS_ASSERT(sl.credits_used < pool_->capacity());
+    ++sl.credits_used;
+  }
+
+  /// A flit left the buffer bound to slot `s` this cycle; its credit
+  /// becomes visible at now + delay.  The pending return pins the slot
+  /// until advance() applies it, so the delay line holds slot ids.
+  void schedule_return_at(std::uint32_t s, std::uint64_t now) {
+    ++pool_->slot(s).pending_returns;
+    delay_line_[(now + delay_) & delay_mask_].push_back(s);
+  }
+
+  // --- by buffer id (one slot lookup per call) --------------------------
+
   [[nodiscard]] std::uint32_t credits(std::uint32_t b) const {
-    return pool_->credits(b);
+    const std::uint32_t s = pool_->slot_id(b);
+    return pool_->capacity() -
+           (s == FlitBufferPool::kNoSlot ? 0 : pool_->slot(s).credits_used);
   }
-
-  /// A flit started toward buffer `b` this cycle.
-  void consume(std::uint32_t b) { pool_->consume_credit(b); }
-
-  /// A flit left buffer `b` this cycle; its credit becomes visible at
-  /// now + delay.
+  void consume(std::uint32_t b) { consume_at(pool_->bind(b)); }
   void schedule_return(std::uint32_t b, std::uint64_t now) {
-    pool_->note_pending_return(b);
-    delay_line_[(now + delay_) % delay_line_.size()].push_back(b);
+    schedule_return_at(pool_->bind(b), now);
   }
-
-  /// Returns scheduled but not yet applied for `b` (O(1) — the slot
-  /// carries the counter).
+  /// Returns scheduled but not yet applied for `b`.
   [[nodiscard]] std::uint64_t pending_returns(std::uint32_t b) const {
-    return pool_->pending_returns(b);
+    const std::uint32_t s = pool_->slot_id(b);
+    return s == FlitBufferPool::kNoSlot ? 0 : pool_->slot(s).pending_returns;
   }
 
   [[nodiscard]] std::uint32_t capacity() const noexcept {
@@ -77,15 +90,32 @@ class CreditLedger {
  private:
   FlitBufferPool* pool_;
   std::uint32_t delay_ = 1;
-  /// delay + 1 buckets of buffer ids, indexed by cycle mod size; a
-  /// bucket is drained by advance() before the cycle that refills it.
+  /// Buckets of slot ids indexed by cycle & delay_mask_: a power of two
+  /// > delay, so a bucket is drained by advance() before the cycle that
+  /// refills it.
+  std::uint64_t delay_mask_ = 0;
   std::vector<std::vector<std::uint32_t>> delay_line_;
 };
 
-/// On/off stop bits for every switch buffer.  Senders read off() during
-/// the cycle; occupancy changes mark buffers dirty, and latch() recomputes
-/// the dirty bits at the end of the cycle — so a bit read at cycle t
-/// always reflects occupancy at the end of cycle t-1.
+/// Whether the buffer bound to pool slot `s` admits `reservation` more
+/// flits: that many free credits in credit mode, a clear stop bit in
+/// on/off mode (whose threshold already encodes the reservation).
+/// kNoSlot is an idle buffer — full credits, bit clear — which admits
+/// every reservation FlowConfig::validate() allows.
+[[nodiscard]] inline bool backpressure_admits(const FlitBufferPool& pool,
+                                              std::uint32_t s,
+                                              std::uint32_t reservation,
+                                              bool credit_mode) {
+  if (s == FlitBufferPool::kNoSlot) return true;
+  const FlitBufferPool::BufferSlot& sl = pool.slot(s);
+  if (credit_mode) return pool.capacity() - sl.credits_used >= reservation;
+  return sl.off == 0;
+}
+
+/// On/off stop bits for every switch buffer.  Senders read the slot's
+/// `off` bit during the cycle; occupancy changes mark buffers dirty, and
+/// latch() recomputes the dirty bits at the end of the cycle — so a bit
+/// read at cycle t always reflects occupancy at the end of cycle t-1.
 class OnOffSignal {
  public:
   /// \param off_threshold occupancy at which the stop bit asserts
@@ -93,12 +123,23 @@ class OnOffSignal {
   ///        empty buffer always reads "on".
   OnOffSignal(FlitBufferPool& pool, std::uint32_t off_threshold);
 
-  [[nodiscard]] bool off(std::uint32_t b) const { return pool_->off_bit(b); }
-
-  /// Occupancy of `b` changed this cycle; recompute its bit at latch().
-  void mark_dirty(std::uint32_t b) {
-    if (pool_->test_and_set_dirty(b)) dirty_.push_back(b);
+  [[nodiscard]] bool off(std::uint32_t b) const {
+    const std::uint32_t s = pool_->slot_id(b);
+    return s != FlitBufferPool::kNoSlot && pool_->slot(s).off != 0;
   }
+
+  /// Occupancy of the buffer bound to slot `s` changed this cycle;
+  /// recompute its bit at latch().  The dirty flag pins the slot until
+  /// then, so the dirty list holds slot ids.
+  void mark_dirty_at(std::uint32_t s) {
+    FlitBufferPool::BufferSlot& sl = pool_->slot(s);
+    if (sl.in_dirty != 0) return;
+    sl.in_dirty = 1;
+    dirty_.push_back(s);
+  }
+
+  /// mark_dirty_at by buffer id.
+  void mark_dirty(std::uint32_t b) { mark_dirty_at(pool_->bind(b)); }
 
   /// End-of-cycle: latch the stop bits of dirty buffers from current
   /// occupancy.  Cost is O(buffers touched this cycle), not O(all).

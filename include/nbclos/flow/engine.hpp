@@ -47,6 +47,7 @@
 /// cyclic channel dependencies *should* trip it (see tests/flow).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -160,6 +161,16 @@ namespace detail {
 /// waiting_for edges, mark its members, and cap the list keeping chain
 /// members preferentially.
 void finalize_forensics(DeadlockForensics& forensics);
+
+/// The `flow.stall_cycles` histogram both engines record every stall
+/// episode into (a registry lookup: resolve it once per engine).
+[[nodiscard]] obs::HistogramMetric& stall_metric();
+
+/// Round-robin successor of VC `vc` among `count` (compare, no division).
+[[nodiscard]] constexpr std::uint32_t next_vc(std::uint32_t vc,
+                                              std::uint32_t count) noexcept {
+  return vc + 1 == count ? 0u : vc + 1;
+}
 }  // namespace detail
 
 class FlowSim {
@@ -217,7 +228,6 @@ class FlowSim {
  private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
   static constexpr std::uint32_t kEject = UINT32_MAX;  ///< wire target
-  static constexpr std::uint64_t kNotBlocked = UINT64_MAX;
 
   /// The flit a channel transmitted last cycle, landing this cycle.  At
   /// most one per channel (one flit per channel per cycle), and at most
@@ -227,6 +237,8 @@ class FlowSim {
   struct BusyWire {
     std::uint32_t channel = 0;
     std::uint32_t target = 0;  ///< downstream buffer id, or kEject
+    /// target's pool slot: the claim pins it until the tail lands.
+    std::uint32_t target_slot = 0;
     FlitRef flit;
   };
 
@@ -248,15 +260,18 @@ class FlowSim {
   /// Try to move one flit on channel `c` (VC round-robin); returns true
   /// if a flit was transmitted.
   bool try_transmit(std::uint32_t c);
-  /// Head-flit downstream (channel, VC) allocation; returns the claimed
-  /// buffer id or kNone (stall reasons accumulated into the counters).
+  /// Head-flit downstream (channel, VC) allocation; returns the chosen
+  /// buffer id (its slot, or kNoSlot if unbound, in *slot) or kNone.
   std::uint32_t allocate_downstream(std::uint32_t from_vc,
                                     const sim::Packet& packet,
-                                    std::uint32_t at_vertex, bool* credit_block);
-  [[nodiscard]] bool backpressure_ok(std::uint32_t b,
-                                     std::uint32_t reservation) const;
-  void note_blocked(std::uint32_t b, bool credit_block);
-  void note_unblocked(std::uint32_t b);
+                                    std::uint32_t at_vertex, bool* credit_block,
+                                    std::uint32_t* slot);
+  /// Stall bookkeeping on the pool slot of the buffer whose head stalled
+  /// or moved.
+  void note_blocked(std::uint32_t s, bool credit_block);
+  void note_unblocked(std::uint32_t s);
+  /// One simulated cycle's four phases, timed when `timed`.
+  void step_phases(bool timed);
   /// True when the watchdog detects a whole epoch without forward
   /// progress while flits remain in the system.
   bool watchdog_tripped();
@@ -298,9 +313,10 @@ class FlowSim {
   std::uint64_t switch_channel_count_ = 0;
 
   [[nodiscard]] std::uint32_t owner_channel_of(std::uint32_t b) const {
-    return b < switch_buffer_count_
-               ? channel_of_switch_idx_[b / config_.vcs]
-               : channel_of_nic_idx_[b - switch_buffer_count_];
+    if (b >= switch_buffer_count_) {
+      return channel_of_nic_idx_[b - switch_buffer_count_];
+    }
+    return channel_of_switch_idx_[config_.vcs == 1 ? b : b / config_.vcs];
   }
 
   FlitBufferPool pool_;
@@ -357,6 +373,11 @@ class FlowSim {
   /// Stall-latency histogram handle, resolved once at construction (the
   /// registry lookup never runs on the hot path).
   obs::HistogramMetric* stall_metric_ = nullptr;
+  /// Sampled phase timers (every 64th cycle with obs on): credit
+  /// returns, arrivals, transmissions, injection — ns summed over the
+  /// sampled cycles.
+  std::array<std::uint64_t, 4> phase_ns_{};
+  std::uint64_t phase_samples_ = 0;
   /// FIFOs currently inside a stall episode (blocked_since_ set) — the
   /// flight recorder's blocked-head series; partitions additively across
   /// shards because every buffer has exactly one owner.

@@ -39,11 +39,11 @@
 ///      channels in ascending channel order.  One VC scan
 ///      (FlowSim::try_transmit's, against local claim/credit state)
 ///      serves both.  A local channel's outcome is applied at once: pop,
-///      out_alloc, next_vc, stall bookkeeping, packet release, credit
-///      return.  A proposal's outcome goes back to its owner as a
-///      *transmit grant* (winner VC + per-VC stall masks), plus a
-///      *credit return* when a switch buffer popped.  Either way the
-///      moved flit becomes a local wire;
+///      out_alloc, next_vc, stall bookkeeping, credit return.  A
+///      proposal's outcome goes back to its owner as a *transmit grant*
+///      (winner VC + per-VC stall masks), plus a *credit return* when a
+///      switch buffer popped.  Either way the moved flit becomes a local
+///      wire;
 ///   -- barrier 2 --
 ///   C. owner role — apply grants in ascending channel order (pop the
 ///      winning flit, update out_alloc/next_vc, book stalls), drain
@@ -54,6 +54,17 @@
 ///      aggregate stuck-flit counts across ALL shards before deciding
 ///      (per-shard verdicts would miss deadlocks whose cycle spans the
 ///      cut).
+///
+/// Wires carry packet slots, not packets.  The executor owns every
+/// buffer and terminal its wires land in, so a wire names a slot of the
+/// executor's own PacketPool.  A shard-local hop moves the FIFO's slot
+/// with the flit (no copy, no acquire at landing, no release at the
+/// tail pop); a cross-shard head gets the executor's copy of the
+/// proposal's packet when it is granted, and that slot is the claim it
+/// sets downstream, so its body flits find the copy through the claim.
+/// The owner frees its own copy when the tail is granted; a cross-shard
+/// ejection copies per flit.  Every buffer is reached through its pool
+/// slot once per flit move (see buffers.hpp).
 ///
 /// Executing a local channel in phase B keeps serial order: a pop never
 /// changes the claims or credit counters a later scan in the same phase
@@ -171,6 +182,11 @@ class ShardedFlowSim {
     std::uint32_t flit_index = 0;
     std::uint32_t out_alloc = 0;
     const sim::Packet* packet = nullptr;
+    /// The packet's slot in the executor's PacketPool: the FIFO's own
+    /// for a shard-local channel, none yet (kNone) for a proposal.
+    std::uint32_t packet_slot = 0;
+    /// Shard-local channel: the VC buffer's pool slot, for the pop.
+    std::uint32_t buffer_slot = 0;
   };
 
   /// Executor -> owner: the arbitration outcome for one channel this
@@ -198,14 +214,18 @@ class ShardedFlowSim {
   void phase_execute(Shard& sh, std::uint64_t now);
   void phase_owner_post(Shard& sh, std::uint64_t now);
   [[nodiscard]] bool epoch_watchdog(Shard& sh, std::uint64_t now);
-  void eject_flit(Shard& sh, const sim::Packet& packet,
-                  std::uint32_t flit_index, std::uint64_t now, bool measuring);
+  /// Land one flit at a terminal this shard owns; releases the wire's
+  /// packet slot on the tail (or at once for a one-flit copy).
+  void eject_flit(Shard& sh, std::uint32_t packet_slot,
+                  std::uint32_t flit_index, bool flit_copy, std::uint64_t now,
+                  bool measuring);
   /// Executor-side head-flit downstream (channel, VC) allocation against
-  /// local claim/backpressure state; FlowSim::allocate_downstream replica.
+  /// local claim/backpressure state; FlowSim::allocate_downstream replica
+  /// (the chosen buffer's local pool slot, or kNoSlot, goes to *slot).
   std::uint32_t allocate_downstream(Shard& sh, std::uint32_t from_vc,
                                     const sim::Packet& packet,
                                     std::uint32_t at_vertex,
-                                    bool* credit_block);
+                                    bool* credit_block, std::uint32_t* slot);
   /// FlowSim::try_transmit's VC scan of channel c from `start_vc` over
   /// `fronts` (indexed by VC), against this executor's claim and credit
   /// state.  Shared by shard-local channels and mailbox proposals.
@@ -213,18 +233,21 @@ class ShardedFlowSim {
                                            std::uint32_t start_vc,
                                            const VcFront* fronts);
   /// Owner side of a scan outcome: stall bookkeeping, the winner's pop,
-  /// out_alloc / next_vc, packet release — in phase B for a shard-local
-  /// channel, from a TransmitGrant in phase C otherwise.
-  void apply_grant(Shard& sh, const TransmitGrant& grant, std::uint64_t now);
+  /// out_alloc / next_vc, release of the owner's packet copy when the
+  /// tail leaves the shard — in phase B for a shard-local channel (with
+  /// the scan's `fronts`, which carry the VC buffers' pool slots), from
+  /// a TransmitGrant in phase C otherwise (`fronts` null).
+  void apply_grant(Shard& sh, const TransmitGrant& grant,
+                   const VcFront* fronts, std::uint64_t now);
   /// Mark owned channel c active in the set its executor sweeps.
   void activate(Shard& sh, std::uint32_t c);
-  /// Schedule the credit return of a popped owned switch buffer.
-  void return_credit(Shard& sh, std::uint32_t local_b, std::uint64_t now);
-  void note_blocked(Shard& sh, std::uint32_t global_b, bool credit_block,
+  /// Schedule the credit return of the popped owned switch buffer bound
+  /// to pool slot `s`.
+  void return_credit(Shard& sh, std::uint32_t s, std::uint64_t now);
+  /// Stall bookkeeping on the pool slot of an owned buffer.
+  void note_blocked(Shard& sh, std::uint32_t s, bool credit_block,
                     std::uint64_t now);
-  void note_unblocked(Shard& sh, std::uint32_t global_b, std::uint64_t now);
-  [[nodiscard]] bool backpressure_ok(const Shard& sh, std::uint32_t local_b,
-                                     std::uint32_t reservation) const;
+  void note_unblocked(Shard& sh, std::uint32_t s, std::uint64_t now);
   /// Audits live slots only (never-activated buffers hold full credits
   /// trivially); uses the shard's hoisted audit scratch, hence non-const.
   [[nodiscard]] bool local_credit_conservation_holds(Shard& sh) const;
@@ -246,6 +269,9 @@ class ShardedFlowSim {
   std::uint32_t terminal_count_ = 0;
   double packet_rate_ = 0.0;
   std::uint32_t head_reservation_ = 1;
+  /// Stall-latency histogram handle, resolved once at construction and
+  /// recorded into by every worker (FlowSim parity).
+  obs::HistogramMetric* stall_metric_ = nullptr;
 
   // Shared read-only per-channel / per-buffer facts, computed once in
   // the constructor (the GLOBAL buffer id space is exactly serial

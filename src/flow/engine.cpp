@@ -22,10 +22,6 @@ std::uint32_t count_switch_source_channels(const Network& net) {
   return count;
 }
 
-/// Fixed geometry for the shared stall-latency histogram: the registry
-/// requires one geometry per name, so the cap cannot follow run length.
-constexpr std::uint64_t kStallHistCap = 1u << 20;
-
 }  // namespace
 
 FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
@@ -47,7 +43,7 @@ FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
       pool_(count_switch_source_channels(routes_->network()) * config.vcs,
             net_->channel_count() -
                 count_switch_source_channels(routes_->network()),
-            config.buffer_flits),
+            config.buffer_flits, config.packet_flits),
       rng_(config.seed),
       latency_hist_(config.warmup_cycles + config.measure_cycles),
       stall_hist_(config.warmup_cycles + config.measure_cycles) {
@@ -110,7 +106,7 @@ FlowSim::FlowSim(std::shared_ptr<const routing::NextHop> routes,
   peak_per_vc_.assign(config.vcs, 0);
   busy_wires_.reserve(net_->channel_count());
   link_busy_flits_.assign(net_->channel_count(), 0);
-  stall_metric_ = &obs::metrics().histogram("flow.stall_cycles", kStallHistCap);
+  stall_metric_ = &detail::stall_metric();
   if constexpr (obs::kEnabled) arm_recorder();
 }
 
@@ -153,23 +149,24 @@ void FlowSim::sample_recorder() {
                    static_cast<std::int64_t>(delivered_packets_));
 }
 
-void FlowSim::note_blocked(std::uint32_t b, bool credit_block) {
+void FlowSim::note_blocked(std::uint32_t s, bool credit_block) {
   if (credit_block) {
     ++credit_stall_cycles_;
   } else {
     ++vc_stall_cycles_;
   }
-  if (pool_.blocked_since(b) == kNotBlocked) {
-    pool_.set_blocked_since(b, now_);
+  FlitBufferPool::BufferSlot& sl = pool_.slot(s);
+  if (sl.blocked_since_plus1 == 0) {
+    sl.blocked_since_plus1 = now_ + 1;
     ++blocked_heads_;
   }
 }
 
-void FlowSim::note_unblocked(std::uint32_t b) {
-  const std::uint64_t since = pool_.blocked_since(b);
-  if (since == kNotBlocked) return;
-  const std::uint64_t duration = now_ - since;
-  pool_.clear_blocked_since(b);
+void FlowSim::note_unblocked(std::uint32_t s) {
+  FlitBufferPool::BufferSlot& sl = pool_.slot(s);
+  if (sl.blocked_since_plus1 == 0) return;
+  const std::uint64_t duration = now_ - (sl.blocked_since_plus1 - 1);
+  sl.blocked_since_plus1 = 0;
   --blocked_heads_;
   stall_stats_.add(static_cast<double>(duration));
   stall_duration_sum_ += duration;
@@ -186,18 +183,11 @@ void FlowSim::apply_due_faults() {
   }
 }
 
-bool FlowSim::backpressure_ok(std::uint32_t b,
-                              std::uint32_t reservation) const {
-  // On/off encodes the reservation in its latched threshold; credits
-  // compare against it directly.
-  if (ledger_ != nullptr) return ledger_->credits(b) >= reservation;
-  return !onoff_->off(b);
-}
-
 std::uint32_t FlowSim::allocate_downstream(std::uint32_t from_vc,
                                            const sim::Packet& packet,
                                            std::uint32_t at_vertex,
-                                           bool* credit_block) {
+                                           bool* credit_block,
+                                           std::uint32_t* slot) {
   ++route_lookups_;
   const std::uint32_t nc = routes_->next_channel_from(
       at_vertex, packet.src_terminal, packet.dst_terminal);
@@ -213,14 +203,18 @@ std::uint32_t FlowSim::allocate_downstream(std::uint32_t from_vc,
   // lane when possible"); a VC is usable when no other packet holds its
   // write claim and backpressure admits the head reservation.
   bool saw_credit_block = false;
-  for (std::uint32_t j = 0; j < config_.vcs; ++j) {
-    const std::uint32_t nv = (from_vc + j) % config_.vcs;
+  std::uint32_t nv = from_vc;
+  for (std::uint32_t j = 0; j < config_.vcs;
+       ++j, nv = detail::next_vc(nv, config_.vcs)) {
     const std::uint32_t nb = buf_base_[nc] + nv;
-    if (pool_.claim(nb) != kNone) continue;
-    if (!backpressure_ok(nb, head_reservation_)) {
+    const std::uint32_t s = pool_.slot_id(nb);
+    if (s != FlitBufferPool::kNoSlot && pool_.slot(s).claim != kNone) continue;
+    if (!backpressure_admits(pool_, s, head_reservation_,
+                             ledger_ != nullptr)) {
       saw_credit_block = true;
       continue;
     }
+    *slot = s;
     return nb;
   }
   *credit_block = saw_credit_block;
@@ -231,56 +225,65 @@ bool FlowSim::try_transmit(std::uint32_t c) {
   // A dead channel transmits nothing: its queued flits wait in place
   // (and eventually trip the watchdog if nothing recovers them).
   if (!channel_usable(c)) return false;
+  constexpr std::uint32_t kNoSlot = FlitBufferPool::kNoSlot;
   const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-  const std::uint32_t start = next_vc_[c];
-  for (std::uint32_t k = 0; k < vc_count; ++k) {
-    const std::uint32_t vc = (start + k) % vc_count;
+  std::uint32_t vc = next_vc_[c];
+  for (std::uint32_t k = 0; k < vc_count;
+       ++k, vc = detail::next_vc(vc, vc_count)) {
+    // Each buffer's slot is resolved once; a bind (the downstream claim)
+    // may grow the slab, so slot references are re-fetched after it.
     const std::uint32_t b = buf_base_[c] + vc;
-    if (pool_.size(b) == 0) continue;
-    const FlitRef flit = pool_.front(b);
-    const sim::Packet& packet = packets_.at(flit.packet_slot);
-    std::uint32_t target;
+    const std::uint32_t s = pool_.slot_id(b);
+    if (s == kNoSlot || pool_.slot(s).size == 0) continue;
+    const FlitRef flit = pool_.front_at(s);
+    std::uint32_t target = kEject;
+    std::uint32_t target_slot = kNoSlot;
     if (dst_is_terminal_[c]) {
-      target = kEject;  // the terminal sink always accepts
+      // The terminal sink always accepts.
     } else if (flit.flit_index == 0) {
-      NBCLOS_ASSERT(pool_.out_alloc(b) == kNone);
+      NBCLOS_ASSERT(pool_.slot(s).out_alloc == kNone);
       bool credit_block = false;
-      const std::uint32_t nb =
-          allocate_downstream(vc, packet, channel_dst_[c], &credit_block);
-      if (nb == kNone) {
-        note_blocked(b, credit_block);
+      target = allocate_downstream(vc, packets_.at(flit.packet_slot),
+                                   channel_dst_[c], &credit_block,
+                                   &target_slot);
+      if (target == kNone) {
+        note_blocked(s, credit_block);
         continue;  // this VC stalls; the next may still use the channel
       }
-      pool_.set_claim(nb, flit.packet_slot);
-      pool_.set_out_alloc(b, nb);
-      target = nb;
+      if (target_slot == kNoSlot) target_slot = pool_.bind(target);
+      pool_.slot(target_slot).claim = flit.packet_slot;
+      pool_.slot(s).out_alloc = target;
     } else {
-      target = pool_.out_alloc(b);
+      target = pool_.slot(s).out_alloc;
       NBCLOS_ASSERT(target != kNone);
+      target_slot = pool_.slot_id(target);
+      NBCLOS_ASSERT(target_slot != kNoSlot);  // the worm's claim pins it
       // Wormhole body flits re-check backpressure every cycle; VCT
       // reserved the whole packet at the head, so bodies stream freely.
       if (config_.switching == Switching::kWormhole &&
-          !backpressure_ok(target, 1)) {
-        note_blocked(b, true);
+          !backpressure_admits(pool_, target_slot, 1, ledger_ != nullptr)) {
+        note_blocked(s, true);
         continue;
       }
     }
-    pool_.pop(b);
+    pool_.pop_at(s);
     --channel_flits_[c];
     if (b < switch_buffer_count_) {
-      if (ledger_ != nullptr) ledger_->schedule_return(b, now_);
-      if (onoff_ != nullptr) onoff_->mark_dirty(b);
+      if (ledger_ != nullptr) ledger_->schedule_return_at(s, now_);
+      if (onoff_ != nullptr) onoff_->mark_dirty_at(s);
     }
-    if (target != kEject && ledger_ != nullptr) ledger_->consume(target);
-    if (flit.flit_index + 1 == packet.size_flits) {
-      pool_.set_out_alloc(b, kNone);
+    if (target != kEject && ledger_ != nullptr) {
+      ledger_->consume_at(target_slot);
     }
-    busy_wires_.push_back(BusyWire{c, target, flit});
+    if (flit.flit_index + 1 == config_.packet_flits) {
+      pool_.slot(s).out_alloc = kNone;
+    }
+    busy_wires_.push_back(BusyWire{c, target, target_slot, flit});
     link_busy_flits_[c] += 1;
     ++flits_moved_epoch_;
-    note_unblocked(b);
-    pool_.maybe_release(b);  // drained + unblocked: recycle the slot
-    next_vc_[c] = (vc + 1) % vc_count;
+    note_unblocked(s);
+    pool_.maybe_release_at(s);  // drained + unblocked: recycle the slot
+    next_vc_[c] = detail::next_vc(vc, vc_count);
     return true;
   }
   return false;
@@ -289,7 +292,7 @@ bool FlowSim::try_transmit(std::uint32_t c) {
 void FlowSim::eject(FlitRef flit) {
   const sim::Packet& packet = packets_.at(flit.packet_slot);
   --flits_in_system_;
-  const bool tail = flit.flit_index + 1 == packet.size_flits;
+  const bool tail = flit.flit_index + 1 == config_.packet_flits;
   if (tail) ++delivered_packets_;
   if (measuring_) {
     // Flit-level accrual: throughput counts every flit ejected inside
@@ -322,22 +325,22 @@ void FlowSim::step_arrivals() {
   for (const auto& w : busy_wires_) {
     if (w.target == kEject) {
       eject(w.flit);
-    } else {
-      pool_.push(w.target, w.flit);
-      const std::uint32_t oc = owner_channel_of(w.target);
-      ++channel_flits_[oc];
-      active_.insert(oc);
-      if (onoff_ != nullptr) onoff_->mark_dirty(w.target);
-      const std::uint32_t vc = w.target - buf_base_[oc];
-      if (pool_.size(w.target) > peak_per_vc_[vc]) {
-        peak_per_vc_[vc] = pool_.size(w.target);
-      }
-      const sim::Packet& packet = packets_.at(w.flit.packet_slot);
-      if (w.flit.flit_index + 1 == packet.size_flits) {
-        // Tail landed: the VC is whole again and accepts a new claimant.
-        NBCLOS_ASSERT(pool_.claim(w.target) == w.flit.packet_slot);
-        pool_.set_claim(w.target, kNone);
-      }
+      continue;
+    }
+    NBCLOS_DEBUG_CHECK(pool_.slot_id(w.target) == w.target_slot,
+                       "a wire's target slot must stay bound until landing");
+    pool_.push_at(w.target_slot, w.flit);
+    const std::uint32_t oc = owner_channel_of(w.target);
+    ++channel_flits_[oc];
+    active_.insert(oc);
+    if (onoff_ != nullptr) onoff_->mark_dirty_at(w.target_slot);
+    FlitBufferPool::BufferSlot& sl = pool_.slot(w.target_slot);
+    const std::uint32_t vc = w.target - buf_base_[oc];
+    if (sl.size > peak_per_vc_[vc]) peak_per_vc_[vc] = sl.size;
+    if (w.flit.flit_index + 1 == config_.packet_flits) {
+      // Tail landed: the VC is whole again and accepts a new claimant.
+      NBCLOS_ASSERT(sl.claim == w.flit.packet_slot);
+      sl.claim = kNone;
     }
   }
   busy_wires_.clear();
@@ -371,11 +374,7 @@ void FlowSim::inject_packet(std::uint32_t t, std::uint32_t dst) {
     ++dropped_;
     return;
   }
-  const std::uint32_t slot = packets_.acquire(packet);
-  const std::uint32_t b = buf_base_[first];
-  for (std::uint32_t f = 0; f < config_.packet_flits; ++f) {
-    pool_.push(b, FlitRef{slot, f});
-  }
+  pool_.push_packet(buf_base_[first], packets_.acquire(packet));
   channel_flits_[first] += config_.packet_flits;
   active_.insert(first);
   flits_in_system_ += config_.packet_flits;
@@ -443,6 +442,13 @@ void FlowSim::fill_deadlock_diag(FlowResult& result) const {
 
 namespace detail {
 
+obs::HistogramMetric& stall_metric() {
+  // Fixed geometry: the registry requires one geometry per name, so the
+  // cap cannot follow run length.
+  constexpr std::uint64_t kStallHistCap = 1u << 20;
+  return obs::metrics().histogram("flow.stall_cycles", kStallHistCap);
+}
+
 void finalize_forensics(DeadlockForensics& forensics) {
   auto& blocked = forensics.blocked;
   std::sort(blocked.begin(), blocked.end(),
@@ -504,7 +510,7 @@ void FlowSim::capture_forensics() {
   // Blocked FIFOs are exactly the live slots with blocked_since set;
   // collection order is allocation order, which is fine because
   // finalize_forensics sorts by buffer id.
-  pool_.for_each_live([&](std::uint32_t b, std::uint32_t,
+  pool_.for_each_live([&](std::uint32_t b, std::uint32_t s,
                           const FlitBufferPool::BufferSlot& sl) {
     if (sl.blocked_since_plus1 == 0) return;
     BlockedBufferReport report;
@@ -513,7 +519,7 @@ void FlowSim::capture_forensics() {
     report.occupancy = sl.size;
     report.blocked_since = sl.blocked_since_plus1 - 1;
     if (sl.size > 0) {
-      const FlitRef head = pool_.front(b);
+      const FlitRef head = pool_.front_at(s);
       const std::uint32_t c = report.channel;
       if (head.flit_index > 0) {
         // Body flit: the worm already holds its downstream allocation —
@@ -548,9 +554,8 @@ bool FlowSim::credit_conservation_holds() const {
   audit_in_flight_.assign(pool_.peak_slots(), 0);
   for (const auto& w : busy_wires_) {
     if (w.target == kEject) continue;
-    const std::uint32_t s = pool_.slot_id(w.target);
-    NBCLOS_ASSERT(s != FlitBufferPool::kNoSlot);
-    ++audit_in_flight_[s];
+    NBCLOS_ASSERT(pool_.slot_id(w.target) == w.target_slot);
+    ++audit_in_flight_[w.target_slot];
   }
   bool holds = true;
   pool_.for_each_live([&](std::uint32_t b, std::uint32_t s,
@@ -564,6 +569,28 @@ bool FlowSim::credit_conservation_holds() const {
   return holds;
 }
 
+void FlowSim::step_phases(bool timed) {
+  using clock = std::chrono::steady_clock;
+  auto last = timed ? clock::now() : clock::time_point{};
+  const auto lap = [&](std::size_t phase) {
+    if (!timed) return;
+    const auto t = clock::now();
+    phase_ns_[phase] += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - last)
+            .count());
+    last = t;
+  };
+  if (ledger_ != nullptr) ledger_->advance(now_);
+  lap(0);
+  step_arrivals();
+  lap(1);
+  step_transmissions();
+  lap(2);
+  step_injection();
+  lap(3);
+  if (timed) ++phase_samples_;
+}
+
 FlowResult FlowSim::run() {
   obs::ScopedSpan span("flow.run", "flow");
   const auto wall_start = std::chrono::steady_clock::now();
@@ -571,10 +598,14 @@ FlowResult FlowSim::run() {
   for (now_ = 0; now_ < total; ++now_) {
     measuring_ = now_ >= config_.warmup_cycles;
     if (degraded_.has_value()) apply_due_faults();
-    if (ledger_ != nullptr) ledger_->advance(now_);
-    step_arrivals();
-    step_transmissions();
-    step_injection();
+    // Sampled per-phase timing: every 64th cycle when obs is on.  The
+    // clock reads never touch simulation state, so the timed and untimed
+    // paths produce bit-identical results.
+    bool timed = false;
+    if constexpr (obs::kEnabled) {
+      timed = (now_ & 63u) == 0 && obs::enabled();
+    }
+    step_phases(timed);
     if (onoff_ != nullptr) onoff_->latch();
     if (measuring_ && switch_channel_count_ > 0) {
       // Same arithmetic as PacketSim's sample: total flits across switch
@@ -683,6 +714,15 @@ void FlowSim::flush_obs(double wall_seconds) {
   for (std::uint32_t v = 0; v < config_.vcs; ++v) {
     m.gauge("flow.vc.peak_flits." + std::to_string(v))
         .set(static_cast<std::int64_t>(peak_per_vc_[v]));
+  }
+  // Sampled per-phase cycle cost, nanoseconds per sampled cycle — the
+  // serial counterparts of ShardedFlowSim's flow.phase.* histograms.
+  static constexpr std::array<const char*, 4> kPhases = {
+      "flow.phase.credit_returns_ns", "flow.phase.arrivals_ns",
+      "flow.phase.transmissions_ns", "flow.phase.injection_ns"};
+  const std::uint64_t cap = 1'000'000;  // 1 ms/cycle ceiling per phase
+  for (std::size_t i = 0; i < kPhases.size() && phase_samples_ > 0; ++i) {
+    m.histogram(kPhases[i], cap).record(phase_ns_[i] / phase_samples_);
   }
   m.counter("flow.wall_us")
       .add(static_cast<std::uint64_t>(wall_seconds * 1e6));

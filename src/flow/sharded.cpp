@@ -18,12 +18,7 @@ namespace nbclos::flow {
 namespace {
 constexpr std::uint32_t kNone = UINT32_MAX;
 constexpr std::uint32_t kEject = UINT32_MAX;  ///< wire target
-/// Claim placeholder between the executor's allocation (phase B) and the
-/// head flit's arrival (phase A next cycle), when the owner-local packet
-/// slot becomes known.  Anything != kNone blocks other claimants —
-/// exactly the window serial FlowSim covers with the upstream slot id.
-constexpr std::uint32_t kClaimPending = UINT32_MAX - 1;
-constexpr std::uint64_t kNotBlocked = UINT64_MAX;
+constexpr std::uint32_t kNoSlot = FlitBufferPool::kNoSlot;
 constexpr std::uint8_t kNoWinner = 0xFF;
 
 /// Merge the ascending `run` (one sender's ascending sweep) into the
@@ -46,12 +41,20 @@ void merge_run(std::vector<T>& merged, const std::vector<T>& run,
 struct ShardedFlowSim::Shard {
   /// A flit in flight on a channel this shard executes, landing next
   /// cycle in one of this shard's own buffers (or ejecting at one of its
-  /// terminals).  The packet rides inline: flit storage never crosses
-  /// the cut, so slot ids stay pool-local.
+  /// terminals).  The packet travels as a slot of this shard's own
+  /// PacketPool: a shard-local hop moves the FIFO's slot along, a
+  /// cross-shard head gets a copy of its proposal's packet at the grant
+  /// and its body flits reuse that copy through the downstream claim.
   struct Wire {
     std::uint32_t target = 0;  ///< global downstream buffer id, or kEject
+    /// target's local pool slot (kNoSlot for kEject); the claim pins it
+    /// until the tail lands.
+    std::uint32_t target_slot = 0;
+    std::uint32_t packet_slot = 0;
     std::uint32_t flit_index = 0;
-    sim::Packet packet;
+    /// Cross-shard ejection: packet_slot is this flit's own copy, freed
+    /// when the flit ejects (shared slots are freed by the tail).
+    bool flit_copy = false;
   };
 
   std::uint32_t index = 0;
@@ -248,6 +251,7 @@ ShardedFlowSim::ShardedFlowSim(
   epoch_stats_.assign(shard_count, EpochStat{});
   sync_ = std::make_unique<sim::ShardSync>(shard_count);
   numa_ = sim::NumaTopology::detect();
+  stall_metric_ = &detail::stall_metric();
   if constexpr (obs::kEnabled) arm_recorder();
 }
 
@@ -315,7 +319,8 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   Shard& sh = *shards_[s];
   const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
   sh.pool = std::make_unique<FlitBufferPool>(
-      sh.local_switch_buffers, sh.local_nic_buffers, config_.buffer_flits);
+      sh.local_switch_buffers, sh.local_nic_buffers, config_.buffer_flits,
+      config_.packet_flits);
   if (config_.backpressure == Backpressure::kCredit) {
     sh.ledger =
         std::make_unique<CreditLedger>(*sh.pool, config_.credit_delay);
@@ -347,44 +352,39 @@ void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   if (degraded_ != nullptr) sh.degraded.emplace(*degraded_);
 }
 
-bool ShardedFlowSim::backpressure_ok(const Shard& sh, std::uint32_t local_b,
-                                     std::uint32_t reservation) const {
-  if (sh.ledger != nullptr) return sh.ledger->credits(local_b) >= reservation;
-  return !sh.onoff->off(local_b);
-}
-
-void ShardedFlowSim::note_blocked(Shard& sh, std::uint32_t global_b,
+void ShardedFlowSim::note_blocked(Shard& sh, std::uint32_t s,
                                   bool credit_block, std::uint64_t now) {
   if (credit_block) {
     ++sh.credit_stall_cycles;
   } else {
     ++sh.vc_stall_cycles;
   }
-  const std::uint32_t lb = buf_local_of_global_[global_b];
-  if (sh.pool->blocked_since(lb) == kNotBlocked) {
-    sh.pool->set_blocked_since(lb, now);
+  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
+  if (sl.blocked_since_plus1 == 0) {
+    sl.blocked_since_plus1 = now + 1;
     ++sh.blocked_heads;
   }
 }
 
-void ShardedFlowSim::note_unblocked(Shard& sh, std::uint32_t global_b,
+void ShardedFlowSim::note_unblocked(Shard& sh, std::uint32_t s,
                                     std::uint64_t now) {
-  const std::uint32_t lb = buf_local_of_global_[global_b];
-  const std::uint64_t since = sh.pool->blocked_since(lb);
-  if (since == kNotBlocked) return;
-  const std::uint64_t duration = now - since;
-  sh.pool->clear_blocked_since(lb);
+  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
+  if (sl.blocked_since_plus1 == 0) return;
+  const std::uint64_t duration = now - (sl.blocked_since_plus1 - 1);
+  sl.blocked_since_plus1 = 0;
   --sh.blocked_heads;
   sh.stall_duration_sum += duration;
   ++sh.stall_episode_count;
   sh.stall_hist.add(duration);
+  stall_metric_->record(duration);
 }
 
-void ShardedFlowSim::eject_flit(Shard& sh, const sim::Packet& packet,
-                                std::uint32_t flit_index, std::uint64_t now,
-                                bool measuring) {
+void ShardedFlowSim::eject_flit(Shard& sh, std::uint32_t packet_slot,
+                                std::uint32_t flit_index, bool flit_copy,
+                                std::uint64_t now, bool measuring) {
+  const sim::Packet& packet = sh.packets.at(packet_slot);
   --sh.flits_in_system;
-  const bool tail = flit_index + 1 == packet.size_flits;
+  const bool tail = flit_index + 1 == config_.packet_flits;
   if (tail) ++sh.delivered_packets;
   if (measuring) {
     ++sh.delivered_measured_flits;
@@ -397,6 +397,7 @@ void ShardedFlowSim::eject_flit(Shard& sh, const sim::Packet& packet,
     }
   }
   if (tail) ++sh.rel_by_cycle[now];
+  if (tail || flit_copy) sh.packets.release(packet_slot);
 }
 
 void ShardedFlowSim::activate(Shard& sh, std::uint32_t c) {
@@ -408,10 +409,10 @@ void ShardedFlowSim::activate(Shard& sh, std::uint32_t c) {
   }
 }
 
-void ShardedFlowSim::return_credit(Shard& sh, std::uint32_t local_b,
+void ShardedFlowSim::return_credit(Shard& sh, std::uint32_t s,
                                    std::uint64_t now) {
-  if (sh.ledger != nullptr) sh.ledger->schedule_return(local_b, now);
-  if (sh.onoff != nullptr) sh.onoff->mark_dirty(local_b);
+  if (sh.ledger != nullptr) sh.ledger->schedule_return_at(s, now);
+  if (sh.onoff != nullptr) sh.onoff->mark_dirty_at(s);
 }
 
 void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
@@ -433,34 +434,25 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
   // writers), so landing order never affects merged results.
   for (const Shard::Wire& w : sh.wires) {
     if (w.target == kEject) {
-      eject_flit(sh, w.packet, w.flit_index, now, measuring);
+      eject_flit(sh, w.packet_slot, w.flit_index, w.flit_copy, now,
+                 measuring);
       continue;
     }
     const std::uint32_t lb = buf_local_of_global_[w.target];
-    std::uint32_t slot;
-    if (w.flit_index == 0) {
-      // Head landed: the packet gets its owner-local slot now, replacing
-      // the kClaimPending placeholder set at allocation time.
-      slot = sh.packets.acquire(w.packet);
-      NBCLOS_ASSERT(sh.pool->claim(lb) == kClaimPending);
-      sh.pool->set_claim(lb, slot);
-    } else {
-      slot = sh.pool->claim(lb);
-      NBCLOS_ASSERT(slot != kNone && slot != kClaimPending);
-    }
-    sh.pool->push(lb, FlitRef{slot, w.flit_index});
+    NBCLOS_DEBUG_CHECK(sh.pool->slot_id(lb) == w.target_slot,
+                       "a wire's target slot must stay bound until landing");
+    sh.pool->push_at(w.target_slot, FlitRef{w.packet_slot, w.flit_index});
     const std::uint32_t oc = sh.channel_of_local_buf[lb];
     ++sh.channel_flits[plan_.channel_local[oc]];
     activate(sh, oc);
-    if (sh.onoff != nullptr) sh.onoff->mark_dirty(lb);
+    if (sh.onoff != nullptr) sh.onoff->mark_dirty_at(w.target_slot);
+    FlitBufferPool::BufferSlot& sl = sh.pool->slot(w.target_slot);
     const std::uint32_t vc = w.target - buf_base_[oc];
-    if (sh.pool->size(lb) > sh.peak_per_vc[vc]) {
-      sh.peak_per_vc[vc] = sh.pool->size(lb);
-    }
-    if (w.flit_index + 1 == w.packet.size_flits) {
+    if (sl.size > sh.peak_per_vc[vc]) sh.peak_per_vc[vc] = sl.size;
+    if (w.flit_index + 1 == config_.packet_flits) {
       // Tail landed: the VC is whole again and accepts a new claimant.
-      NBCLOS_ASSERT(sh.pool->claim(lb) == slot);
-      sh.pool->set_claim(lb, kNone);
+      NBCLOS_ASSERT(sl.claim == w.packet_slot);
+      sl.claim = kNone;
     }
   }
   sh.wires.clear();
@@ -480,12 +472,13 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
     auto& box = proposal_box_.box(sh.index, channel_executor_[c]);
     for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
       const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
-      if (sh.pool->size(lb) == 0) continue;
-      const FlitRef flit = sh.pool->front(lb);
+      const std::uint32_t bs = sh.pool->slot_id(lb);
+      if (bs == kNoSlot || sh.pool->slot(bs).size == 0) continue;
+      const FlitRef flit = sh.pool->front_at(bs);
       FlitProposal p;
       p.channel = c;
       p.flit_index = flit.flit_index;
-      p.out_alloc = sh.pool->out_alloc(lb);
+      p.out_alloc = sh.pool->slot(bs).out_alloc;
       p.packet = sh.packets.at(flit.packet_slot);
       p.vc = static_cast<std::uint8_t>(vc);
       p.start_vc = start;
@@ -500,7 +493,8 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
                                                   std::uint32_t from_vc,
                                                   const sim::Packet& packet,
                                                   std::uint32_t at_vertex,
-                                                  bool* credit_block) {
+                                                  bool* credit_block,
+                                                  std::uint32_t* slot) {
   ++sh.route_lookups;
   const std::uint32_t nc = routes_->next_channel_from(
       at_vertex, packet.src_terminal, packet.dst_terminal);
@@ -516,15 +510,18 @@ std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
   // leaves at_vertex = dst(c), so its buffers belong to THIS shard (the
   // executor of c) — claims and credits are read and set locally.
   bool saw_credit_block = false;
-  for (std::uint32_t j = 0; j < config_.vcs; ++j) {
-    const std::uint32_t nv = (from_vc + j) % config_.vcs;
+  std::uint32_t nv = from_vc;
+  for (std::uint32_t j = 0; j < config_.vcs;
+       ++j, nv = detail::next_vc(nv, config_.vcs)) {
     const std::uint32_t nb = buf_base_[nc] + nv;
-    const std::uint32_t lnb = buf_local_of_global_[nb];
-    if (sh.pool->claim(lnb) != kNone) continue;
-    if (!backpressure_ok(sh, lnb, head_reservation_)) {
+    const std::uint32_t s = sh.pool->slot_id(buf_local_of_global_[nb]);
+    if (s != kNoSlot && sh.pool->slot(s).claim != kNone) continue;
+    if (!backpressure_admits(*sh.pool, s, head_reservation_,
+                             sh.ledger != nullptr)) {
       saw_credit_block = true;
       continue;
     }
+    *slot = s;
     return nb;
   }
   *credit_block = saw_credit_block;
@@ -541,19 +538,21 @@ ShardedFlowSim::TransmitGrant ShardedFlowSim::scan_channel(
   g.new_out_alloc = kNone;
   g.winner_vc = kNoWinner;
   const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-  for (std::uint32_t k = 0; k < vc_count; ++k) {
-    const std::uint32_t vc = (start_vc + k) % vc_count;
+  std::uint32_t vc = start_vc;
+  for (std::uint32_t k = 0; k < vc_count;
+       ++k, vc = detail::next_vc(vc, vc_count)) {
     const VcFront& f = fronts[vc];
     if (f.packet == nullptr) continue;  // empty VC: serial skips it too
-    std::uint32_t target;
+    std::uint32_t target = kEject;
+    std::uint32_t target_slot = kNoSlot;
     if (dst_is_terminal_[c]) {
-      target = kEject;  // the terminal sink always accepts
+      // The terminal sink always accepts.
     } else if (f.flit_index == 0) {
       NBCLOS_ASSERT(f.out_alloc == kNone);
       bool credit_block = false;
-      const std::uint32_t nb = allocate_downstream(
-          sh, vc, *f.packet, channel_dst_[c], &credit_block);
-      if (nb == kNone) {
+      target = allocate_downstream(sh, vc, *f.packet, channel_dst_[c],
+                                   &credit_block, &target_slot);
+      if (target == kNone) {
         if (credit_block) {
           g.credit_block_mask |= 1u << vc;
         } else {
@@ -561,24 +560,50 @@ ShardedFlowSim::TransmitGrant ShardedFlowSim::scan_channel(
         }
         continue;  // this VC stalls; the next may still use the channel
       }
-      sh.pool->set_claim(buf_local_of_global_[nb], kClaimPending);
-      g.new_out_alloc = nb;
-      target = nb;
+      if (target_slot == kNoSlot) {
+        target_slot = sh.pool->bind(buf_local_of_global_[target]);
+      }
+      g.new_out_alloc = target;
     } else {
       target = f.out_alloc;
       NBCLOS_ASSERT(target != kNone);
+      target_slot = sh.pool->slot_id(buf_local_of_global_[target]);
+      NBCLOS_ASSERT(target_slot != kNoSlot);  // the worm's claim pins it
       // Wormhole body flits re-check backpressure every cycle; VCT
       // reserved the whole packet at the head, so bodies stream freely.
       if (config_.switching == Switching::kWormhole &&
-          !backpressure_ok(sh, buf_local_of_global_[target], 1)) {
+          !backpressure_admits(*sh.pool, target_slot, 1,
+                               sh.ledger != nullptr)) {
         g.credit_block_mask |= 1u << vc;
         continue;
       }
     }
-    if (target != kEject && sh.ledger != nullptr) {
-      sh.ledger->consume(buf_local_of_global_[target]);
+    // The winner rides its wire as a slot of this shard's PacketPool.  A
+    // local front brings its FIFO's slot.  A proposal (f.packet points
+    // into the mailbox copy, never into sh.packets, so an acquire cannot
+    // move it) gets a copy at the head grant; its body flits find that
+    // copy through the downstream claim, and a cross-shard ejection
+    // copies per flit.
+    std::uint32_t packet_slot = f.packet_slot;
+    bool flit_copy = false;
+    if (target == kEject) {
+      if (packet_slot == kNone) {
+        packet_slot = sh.packets.acquire(*f.packet);
+        flit_copy = true;
+      }
+    } else {
+      FlitBufferPool::BufferSlot& t = sh.pool->slot(target_slot);
+      if (f.flit_index == 0) {
+        if (packet_slot == kNone) packet_slot = sh.packets.acquire(*f.packet);
+        t.claim = packet_slot;
+      } else if (packet_slot == kNone) {
+        packet_slot = t.claim;
+      }
+      NBCLOS_ASSERT(t.claim == packet_slot);
+      if (sh.ledger != nullptr) sh.ledger->consume_at(target_slot);
     }
-    sh.wires.push_back(Shard::Wire{target, f.flit_index, *f.packet});
+    sh.wires.push_back(
+        Shard::Wire{target, target_slot, packet_slot, f.flit_index, flit_copy});
     sh.link_busy[exec_index_[c]] += 1;
     ++sh.flits_moved_epoch;
     g.winner_vc = static_cast<std::uint8_t>(vc);
@@ -620,7 +645,8 @@ void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
       std::fill_n(fronts.begin(), vc_count, VcFront{});
       for (; next < props.size() && props[next].channel == c; ++next) {
         const FlitProposal& p = props[next];
-        fronts[p.vc] = VcFront{p.flit_index, p.out_alloc, &p.packet};
+        fronts[p.vc] =
+            VcFront{p.flit_index, p.out_alloc, &p.packet, kNone, kNoSlot};
       }
       const TransmitGrant g = scan_channel(sh, c, start, fronts.data());
       const std::uint32_t owner = plan_.channel_owner[c];
@@ -646,65 +672,76 @@ void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
     const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
     for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
       const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
-      if (sh.pool->size(lb) == 0) {
+      const std::uint32_t bs = sh.pool->slot_id(lb);
+      if (bs == kNoSlot || sh.pool->slot(bs).size == 0) {
         fronts[vc] = VcFront{};
         continue;
       }
-      const FlitRef flit = sh.pool->front(lb);
-      fronts[vc] = VcFront{flit.flit_index, sh.pool->out_alloc(lb),
-                           &sh.packets.at(flit.packet_slot)};
+      const FlitRef flit = sh.pool->front_at(bs);
+      fronts[vc] = VcFront{flit.flit_index, sh.pool->slot(bs).out_alloc,
+                           &sh.packets.at(flit.packet_slot), flit.packet_slot,
+                           bs};
     }
-    apply_grant(sh, scan_channel(sh, c, sh.next_vc[li], fronts.data()), now);
+    apply_grant(sh, scan_channel(sh, c, sh.next_vc[li], fronts.data()),
+                fronts.data(), now);
     return sh.channel_flits[li] != 0;
   });
   execute_proposals_below(kNone);
 }
 
 void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
-                                 std::uint64_t now) {
+                                 const VcFront* fronts, std::uint64_t now) {
   const std::uint32_t c = g.channel;
   const std::uint32_t li = plan_.channel_local[c];
   const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-  const std::uint32_t start = sh.next_vc[li];
+  // A VC the scan attempted holds a flit, so its buffer is bound.
+  const auto slot_of = [&](std::uint32_t vc) {
+    if (fronts != nullptr) return fronts[vc].buffer_slot;
+    const std::uint32_t s =
+        sh.pool->slot_id(buf_local_of_global_[buf_base_[c] + vc]);
+    NBCLOS_ASSERT(s != kNoSlot);
+    return s;
+  };
   // Replay the executor's scan outcome in scan order: stall bookkeeping
   // for the attempted-and-blocked VCs, then the winner's pop.
-  for (std::uint32_t k = 0; k < vc_count; ++k) {
-    const std::uint32_t vc = (start + k) % vc_count;
+  std::uint32_t vc = sh.next_vc[li];
+  for (std::uint32_t k = 0; k < vc_count;
+       ++k, vc = detail::next_vc(vc, vc_count)) {
     if (vc == g.winner_vc) break;  // masks only cover pre-winner VCs
-    const std::uint32_t b = buf_base_[c] + vc;
     if ((g.credit_block_mask >> vc) & 1u) {
-      note_blocked(sh, b, true, now);
+      note_blocked(sh, slot_of(vc), true, now);
     } else if ((g.vc_block_mask >> vc) & 1u) {
-      note_blocked(sh, b, false, now);
+      note_blocked(sh, slot_of(vc), false, now);
     }
   }
   if (g.winner_vc == kNoWinner) return;
-  const std::uint32_t vc = g.winner_vc;
-  const std::uint32_t b = buf_base_[c] + vc;
-  const std::uint32_t lb = buf_local_of_global_[b];
-  const FlitRef flit = sh.pool->pop(lb);
+  vc = g.winner_vc;
+  const std::uint32_t s = slot_of(vc);
+  const FlitRef flit = sh.pool->pop_at(s);
   --sh.channel_flits[li];
+  const bool local = channel_executor_[c] == sh.index;
   // A shard-local hop schedules its credit return at the pop, as serial
   // does; a cross-shard hop's return arrives as a CreditReturn message.
-  if (!is_nic_[c] && channel_executor_[c] == sh.index) {
-    return_credit(sh, lb, now);
-  }
-  const sim::Packet packet = sh.packets.at(flit.packet_slot);
+  if (!is_nic_[c] && local) return_credit(sh, s, now);
+  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
   if (g.new_out_alloc != kNone) {
-    NBCLOS_ASSERT(flit.flit_index == 0 && sh.pool->out_alloc(lb) == kNone);
-    sh.pool->set_out_alloc(lb, g.new_out_alloc);
+    NBCLOS_ASSERT(flit.flit_index == 0 && sl.out_alloc == kNone);
+    sl.out_alloc = g.new_out_alloc;
   }
-  if (flit.flit_index + 1 == packet.size_flits) {
-    sh.pool->set_out_alloc(lb, kNone);
-    // Tail left this hop: the packet's local slot dies with it (FIFO
-    // order plus the no-interleave claim guarantee the tail pops last).
-    sh.packets.release(flit.packet_slot);
+  if (flit.flit_index + 1 == config_.packet_flits) {
+    sl.out_alloc = kNone;
+    // Tail left this shard: the owner's copy dies with it (FIFO order
+    // plus the no-interleave claim guarantee the tail pops last).  A
+    // shard-local hop moved the slot onto the wire instead.
+    if (!local) sh.packets.release(flit.packet_slot);
   }
-  note_unblocked(sh, b, now);
+  note_unblocked(sh, s, now);
   // Drained and unblocked: recycle the slot (pending credit returns or
-  // a live claim keep it pinned — a skipped release is only memory).
-  sh.pool->maybe_release(lb);
-  sh.next_vc[li] = (vc + 1) % vc_count;
+  // a live claim keep it pinned — a skipped release is only memory).  A
+  // cross-shard switch pop skips it: its CreditReturn arrives later in
+  // this phase and pins the slot again.
+  if (local || is_nic_[c]) sh.pool->maybe_release_at(s);
+  sh.next_vc[li] = detail::next_vc(vc, vc_count);
 }
 
 void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
@@ -722,7 +759,9 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
         merge_run(sh.merged_grants, box, sh.merge_scratch_grants, grant_less);
       });
-  for (const TransmitGrant& g : sh.merged_grants) apply_grant(sh, g, now);
+  for (const TransmitGrant& g : sh.merged_grants) {
+    apply_grant(sh, g, nullptr, now);
+  }
 
   // Returning credits (delay-line scheduling is commutative, so drain
   // order across sources is free).
@@ -730,7 +769,9 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
       sh.index, [&](std::uint32_t /*src*/, std::vector<CreditReturn>& box) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
         for (const CreditReturn& r : box) {
-          return_credit(sh, buf_local_of_global_[r.buffer], now);
+          // The pop may have released the slot; the return re-binds it.
+          return_credit(sh, sh.pool->bind(buf_local_of_global_[r.buffer]),
+                        now);
         }
       });
 
@@ -763,11 +804,8 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
       ++sh.dropped;
       continue;
     }
-    const std::uint32_t slot = sh.packets.acquire(packet);
-    const std::uint32_t lb = buf_local_of_global_[buf_base_[first]];
-    for (std::uint32_t f = 0; f < config_.packet_flits; ++f) {
-      sh.pool->push(lb, FlitRef{slot, f});
-    }
+    sh.pool->push_packet(buf_local_of_global_[buf_base_[first]],
+                         sh.packets.acquire(packet));
     sh.channel_flits[plan_.channel_local[first]] += config_.packet_flits;
     activate(sh, first);
     sh.flits_in_system += config_.packet_flits;
@@ -839,12 +877,9 @@ bool ShardedFlowSim::local_credit_conservation_holds(Shard& sh) const {
   sh.audit_in_flight.assign(sh.pool->peak_slots(), 0);
   for (const Shard::Wire& w : sh.wires) {
     if (w.target == kEject) continue;
-    if (w.target < switch_buffer_count_) {
-      const std::uint32_t s =
-          sh.pool->slot_id(buf_local_of_global_[w.target]);
-      NBCLOS_ASSERT(s != FlitBufferPool::kNoSlot);  // consume pinned it
-      ++sh.audit_in_flight[s];
-    }
+    NBCLOS_ASSERT(sh.pool->slot_id(buf_local_of_global_[w.target]) ==
+                  w.target_slot);  // the claim pinned it
+    ++sh.audit_in_flight[w.target_slot];
   }
   bool ok = true;
   sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t slot,
@@ -1112,7 +1147,7 @@ void ShardedFlowSim::capture_forensics() {
   // reports, erasing the allocation-order walk.
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
-    sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t /*slot*/,
+    sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t slot,
                                const FlitBufferPool::BufferSlot& sl) {
       if (sl.blocked_since_plus1 == 0) return;
       const std::uint32_t c = sh.channel_of_local_buf[lb];
@@ -1124,7 +1159,7 @@ void ShardedFlowSim::capture_forensics() {
       report.occupancy = sl.size;
       report.blocked_since = sl.blocked_since_plus1 - 1;
       if (sl.size > 0) {
-        const FlitRef head = sh.pool->front(lb);
+        const FlitRef head = sh.pool->front_at(slot);
         if (head.flit_index > 0) {
           report.waiting_for = sl.out_alloc;  // global id already
         } else if (!dst_is_terminal_[c]) {

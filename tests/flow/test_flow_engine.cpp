@@ -5,11 +5,15 @@
 ///        storage substrate (FlitBufferPool / CreditLedger / OnOffSignal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/engine.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
@@ -247,10 +251,83 @@ TEST_F(FlowEngine, LinkBusyFlitsAccountEveryDeliveredFlit) {
   EXPECT_GE(total, result.delivered_packets * 2 * config.packet_flits);
 }
 
+TEST_F(FlowEngine, SerialRunRecordsPhaseTimers) {
+  // Every 64th cycle the serial engine times its four phases; flush_obs
+  // records one ns-per-sampled-cycle mean each.  Obs-off builds compile
+  // the timers out, so nothing is recorded there.
+  auto& registry = obs::metrics();
+  registry.reset();
+  FlowSim sim(cache, traffic, short_config());
+  (void)sim.run();
+  const auto snapshot = registry.snapshot();
+  for (const std::string name :
+       {"flow.phase.credit_returns_ns", "flow.phase.arrivals_ns",
+        "flow.phase.transmissions_ns", "flow.phase.injection_ns"}) {
+    const auto it = std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [&](const obs::MetricSample& m) { return m.name == name; });
+    if constexpr (obs::kEnabled) {
+      ASSERT_NE(it, snapshot.end()) << name;
+      EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
+      EXPECT_EQ(it->count, 1U) << name;  // one mean per run
+    } else {
+      EXPECT_EQ(it, snapshot.end()) << name;
+    }
+  }
+}
+
+/// NIC send queues hold one 4-byte entry per queued packet.  One flow
+/// whose ejection channel is dead from the start piles every packet it
+/// injects into its NIC, 16 flits each; the arena must stay within the
+/// idle fabric's bytes plus the resident switch slots plus 4 bytes per
+/// packet (each array at most doubled by growth).
+TEST_F(FlowEngine, SaturatedNicQueuesCostBytesPerPacketNotPerFlit) {
+  const std::uint32_t dst = ft.leaf_count() - 1;
+  const auto one_flow = sim::TrafficPattern::permutation(
+      Permutation{SDPair{LeafId{0}, LeafId{dst}}}, ft.leaf_count());
+  fault::DegradedView view(net);
+  for (std::uint32_t c = 0; c < net.channel_count(); ++c) {
+    if (net.channel_dst(c) == dst) view.fail_channel(c);
+  }
+  FlowConfig config = short_config();
+  config.packet_flits = 16;
+  config.buffer_flits = 16;
+  config.watchdog_epoch = 0;  // the stall is the point
+
+  config.injection_rate = 0.0;
+  const std::size_t idle_bytes =
+      FlowSim(cache, one_flow, config).arena_stats().flit_arena_bytes;
+  config.injection_rate = 1.0;
+  FlowSim sim(cache, one_flow, config, &view);
+  const auto result = sim.run();
+  ASSERT_TRUE(result.saturated());
+  ASSERT_EQ(result.delivered_packets, 0U);
+  const std::uint64_t packets = result.injected_packets;
+  ASSERT_GT(packets, 64U);
+
+  const auto arena = sim.arena_stats();
+  const std::size_t per_slot =
+      sizeof(FlitBufferPool::BufferSlot) +
+      std::bit_ceil(config.buffer_flits) * sizeof(FlitRef) +
+      sizeof(std::uint32_t);
+  const std::size_t bound =
+      idle_bytes + 2 * arena.peak_slots * per_slot +
+      2 * sizeof(std::uint32_t) * std::max<std::uint64_t>(16, packets);
+  EXPECT_LE(arena.flit_arena_bytes, bound);
+  // The bound has teeth: the flits still queued at the NIC (all but
+  // those in switch FIFOs or on a wire) would overflow it at one
+  // FlitRef each.
+  const std::uint64_t nic_flits =
+      packets * config.packet_flits -
+      arena.peak_slots * config.buffer_flits - net.channel_count();
+  EXPECT_GT(nic_flits * sizeof(FlitRef), bound);
+}
+
 // --- storage substrate ---------------------------------------------------
 
 TEST(FlitBufferPool, SwitchSlicesBoundAndNicRingsGrow) {
-  FlitBufferPool pool(2, 1, 2);
+  constexpr std::uint32_t kFlits = 3;  // flits per packet
+  FlitBufferPool pool(2, 1, 2, kFlits);
   EXPECT_EQ(pool.switch_buffer_count(), 2U);
   EXPECT_EQ(pool.buffer_count(), 3U);
   EXPECT_EQ(pool.capacity(), 2U);
@@ -267,34 +344,104 @@ TEST(FlitBufferPool, SwitchSlicesBoundAndNicRingsGrow) {
   EXPECT_EQ(pool.pop(0).flit_index, 1U);
   EXPECT_EQ(pool.switch_flits_total(), 0U);
 
-  // The NIC ring grows past the switch capacity and past its initial
-  // allocation, preserving FIFO order across relinearization.
-  for (std::uint32_t i = 0; i < 100; ++i) pool.push(2, FlitRef{i, 0});
-  EXPECT_EQ(pool.size(2), 100U);
+  // The NIC ring holds one entry per packet but counts flits; it grows
+  // past the switch capacity and past its initial allocation, and hands
+  // out each packet's flits 0..P-1 before the next packet, in FIFO order
+  // across relinearization.
+  for (std::uint32_t i = 0; i < 100; ++i) pool.push_packet(2, i);
+  EXPECT_EQ(pool.size(2), 100U * kFlits);
+  EXPECT_EQ(pool.switch_flits_total(), 0U);  // NIC flits are not switch flits
   for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(pool.pop(2).packet_slot, i);
+    for (std::uint32_t f = 0; f < kFlits; ++f) {
+      const FlitRef front = pool.front(2);
+      EXPECT_EQ(front.packet_slot, i);
+      EXPECT_EQ(front.flit_index, f);
+      const FlitRef popped = pool.pop(2);
+      EXPECT_EQ(popped.packet_slot, i);
+      EXPECT_EQ(popped.flit_index, f);
+    }
   }
+  EXPECT_EQ(pool.size(2), 0U);
   EXPECT_GT(pool.bytes(), 0U);
 }
 
 TEST(FlitBufferPool, NicRingWrapsAroundAcrossGrowth) {
-  FlitBufferPool pool(0, 1, 2);
+  constexpr std::uint32_t kFlits = 2;
+  FlitBufferPool pool(0, 1, 2, kFlits);
   // Interleave pushes and pops so the head cursor wraps inside the
-  // initial 16-entry ring, then force growth mid-wrap: relinearization
-  // must preserve FIFO order from an arbitrary head offset.
+  // initial 16-entry ring, then force growth mid-wrap — and mid-packet,
+  // with the front packet partly sent: relinearization must preserve
+  // FIFO order and the sent count from an arbitrary head offset.
   std::uint32_t next_push = 0;
   std::uint32_t next_pop = 0;
-  for (std::uint32_t round = 0; round < 10; ++round) {
-    for (std::uint32_t i = 0; i < 12; ++i) pool.push(0, FlitRef{next_push++, 0});
-    for (std::uint32_t i = 0; i < 12; ++i) {
-      EXPECT_EQ(pool.pop(0).packet_slot, next_pop++);
+  const auto pop_packet = [&] {
+    for (std::uint32_t f = 0; f < kFlits; ++f) {
+      const FlitRef flit = pool.pop(0);
+      EXPECT_EQ(flit.packet_slot, next_pop);
+      EXPECT_EQ(flit.flit_index, f);
     }
+    ++next_pop;
+  };
+  for (std::uint32_t round = 0; round < 10; ++round) {
+    for (std::uint32_t i = 0; i < 12; ++i) pool.push_packet(0, next_push++);
+    for (std::uint32_t i = 0; i < 12; ++i) pop_packet();
   }
-  for (std::uint32_t i = 0; i < 200; ++i) pool.push(0, FlitRef{next_push++, 0});
-  while (next_pop < next_push) {
-    EXPECT_EQ(pool.pop(0).packet_slot, next_pop++);
-  }
+  pool.push_packet(0, next_push++);
+  const FlitRef first = pool.pop(0);  // leave the front packet half sent
+  EXPECT_EQ(first.packet_slot, next_pop);
+  EXPECT_EQ(first.flit_index, 0U);
+  for (std::uint32_t i = 0; i < 200; ++i) pool.push_packet(0, next_push++);
+  EXPECT_EQ(pool.size(0), 201U * kFlits - 1);
+  const FlitRef second = pool.pop(0);
+  EXPECT_EQ(second.packet_slot, next_pop);
+  EXPECT_EQ(second.flit_index, 1U);
+  ++next_pop;
+  while (next_pop < next_push) pop_packet();
   EXPECT_EQ(pool.size(0), 0U);
+}
+
+TEST(FlitBufferPool, NicSlotReleasesOnlyWhenNoPacketIsPartlySent) {
+  FlitBufferPool pool(0, 1, 2, 2);
+  pool.push_packet(0, 5);
+  (void)pool.pop(0);  // head flit sent, tail still queued
+  const std::uint32_t s = pool.slot_id(0);
+  ASSERT_NE(s, FlitBufferPool::kNoSlot);
+  EXPECT_EQ(pool.slot(s).nic_sent, 1U);
+  pool.maybe_release(0);
+  EXPECT_TRUE(pool.has_slot(0));  // the tail is still queued
+  (void)pool.pop(0);  // the tail pop resets the sent count
+  EXPECT_EQ(pool.slot(s).nic_sent, 0U);
+  pool.maybe_release(0);
+  EXPECT_FALSE(pool.has_slot(0));
+  EXPECT_EQ(pool.resident_slots(), 0U);
+}
+
+TEST(FlitBufferPool, SlotReleasesOnlyWhenEveryFieldIsDefault) {
+  FlitBufferPool pool(1, 0, 4);
+  // Pin the slot with each non-default field in turn; with any one of
+  // them set maybe_release must keep it, with all cleared it must go.
+  using Slot = FlitBufferPool::BufferSlot;
+  const std::vector<void (*)(Slot&, bool)> fields = {
+      [](Slot& sl, bool set) { sl.size = set ? 1 : 0; },
+      [](Slot& sl, bool set) { sl.out_alloc = set ? 3 : kNoBuffer; },
+      [](Slot& sl, bool set) { sl.claim = set ? 3 : kNoBuffer; },
+      [](Slot& sl, bool set) { sl.credits_used = set ? 1 : 0; },
+      [](Slot& sl, bool set) { sl.pending_returns = set ? 1 : 0; },
+      [](Slot& sl, bool set) { sl.nic_sent = set ? 1 : 0; },
+      [](Slot& sl, bool set) { sl.blocked_since_plus1 = set ? 9 : 0; },
+      [](Slot& sl, bool set) { sl.off = set ? 1 : 0; },
+      [](Slot& sl, bool set) { sl.in_dirty = set ? 1 : 0; },
+  };
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const std::uint32_t s = pool.bind(0);
+    fields[i](pool.slot(s), true);
+    pool.maybe_release_at(s);
+    EXPECT_TRUE(pool.has_slot(0)) << "field " << i;
+    fields[i](pool.slot(s), false);
+    pool.maybe_release_at(s);
+    EXPECT_FALSE(pool.has_slot(0)) << "field " << i;
+  }
+  EXPECT_EQ(pool.peak_slots(), 1U);  // one slot, recycled every time
 }
 
 TEST(FlitBufferPool, SlotsRecycleWhenStateReturnsToDefault) {

@@ -140,6 +140,26 @@ TEST_F(FlowSharded, BitIdenticalMultiVcUniformTraffic) {
   check_all_shard_counts(config);
 }
 
+/// Three VCs: the round-robin and first-free scans wrap at a count that
+/// is not a power of two.
+TEST_F(FlowSharded, BitIdenticalThreeVcWormholeCredit) {
+  traffic = sim::TrafficPattern::uniform(ft.leaf_count());
+  FlowConfig config = base_config();
+  config.vcs = 3;
+  config.injection_rate = 0.8;
+  check_all_shard_counts(config);
+}
+
+TEST_F(FlowSharded, BitIdenticalThreeVcVctOnOff) {
+  traffic = sim::TrafficPattern::uniform(ft.leaf_count());
+  FlowConfig config = base_config();
+  config.vcs = 3;
+  config.injection_rate = 0.8;
+  config.switching = Switching::kVirtualCutThrough;
+  config.backpressure = Backpressure::kOnOff;
+  check_all_shard_counts(config);
+}
+
 /// Both engines share one VC limit: 32, the width of the sharded
 /// engine's stall masks.
 TEST_F(FlowSharded, BothEnginesShareTheVcLimit) {
@@ -368,6 +388,41 @@ TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
     } else {
       EXPECT_EQ(it, snapshot.end()) << name;
     }
+  }
+}
+
+/// The flow.stall_cycles obs histogram gets every stall episode from
+/// either engine: its merged count and quantiles must not depend on the
+/// shard count.
+TEST_F(FlowSharded, StallHistogramMatchesSerialAtAnyShardCount) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  auto& registry = obs::metrics();
+  const auto stall_histogram = [&] {
+    const auto snapshot = registry.snapshot();
+    const auto it = std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [](const obs::MetricSample& m) { return m.name == "flow.stall_cycles"; });
+    return it == snapshot.end() ? obs::MetricSample{} : *it;
+  };
+  FlowConfig config = base_config();
+  config.buffer_flits = 1;  // wormhole at depth 1: many stall episodes
+  registry.reset();
+  const FlowResult golden_result = FlowSim(cache, traffic, config).run();
+  const obs::MetricSample golden = stall_histogram();
+  ASSERT_EQ(golden.kind, obs::MetricSample::Kind::kHistogram);
+  ASSERT_GT(golden.count, 0U);
+  for (const std::uint32_t shards : {1u, 2u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    registry.reset();
+    ShardedFlowSim sharded(cache, traffic, config, shards);
+    expect_identical(golden_result, sharded.run(), shards);
+    const obs::MetricSample got = stall_histogram();
+    EXPECT_EQ(got.kind, golden.kind);
+    EXPECT_EQ(got.count, golden.count);
+    EXPECT_EQ(got.p50, golden.p50);
+    EXPECT_EQ(got.p99, golden.p99);
+    EXPECT_EQ(got.p999, golden.p999);
+    EXPECT_EQ(got.hist_bucket_width, golden.hist_bucket_width);
   }
 }
 
