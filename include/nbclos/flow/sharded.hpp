@@ -2,14 +2,16 @@
 /// \brief Shard-partitioned cycle-level flow-control simulation:
 ///        per-(channel, VC) flit buffers, credit counters, and switch
 ///        state split into per-shard arenas; shard-local hops execute in
-///        place and cross-shard hops exchange flit / grant / credit
-///        messages between epoch barriers.
+///        place and cross-shard hops exchange proposal / grant messages
+///        between epoch barriers.
 ///
 /// `ShardedFlowSim` splits a `FlowSim`-equivalent run across S shard
 /// workers using the same deterministic level-sliced vertex partition
 /// (`sim::ShardPlan`) and SPSC mailbox / barrier-epoch machinery
 /// (`sim/shard_exchange.hpp`) as `sim::ShardedSim` — refined from packet
-/// granularity down to flits, credits, and claims.
+/// granularity down to flits, credits, and claims.  Every shard runs the
+/// flit-move kernel serial FlowSim runs (kernel.hpp) over its own arena;
+/// the engines differ only in the map from global ids to arena ids.
 ///
 /// State placement (two roles per shard):
 ///   * the OWNER of channel c — shard_of(src(c)) — holds every buffer of
@@ -27,7 +29,7 @@
 /// no message at all.  At one shard every channel is local.
 ///
 /// Per cycle, three phases over two barriers (plus one extra barrier at
-/// watchdog epochs):
+/// watchdog epochs), and two message classes:
 ///
 ///   A. owner role — apply scheduled faults to the private DegradedView
 ///      copy, advance the credit ledger, land last cycle's wires (push
@@ -36,20 +38,18 @@
 ///   -- barrier 1 --
 ///   B. executor role — merge the mailbox proposal runs into (channel,
 ///      VC) order and walk them together with this shard's active local
-///      channels in ascending channel order.  One VC scan
-///      (FlowSim::try_transmit's, against local claim/credit state)
-///      serves both.  A local channel's outcome is applied at once: pop,
-///      out_alloc, next_vc, stall bookkeeping, credit return.  A
-///      proposal's outcome goes back to its owner as a *transmit grant*
-///      (winner VC + per-VC stall masks), plus a *credit return* when a
-///      switch buffer popped.  Either way the moved flit becomes a local
-///      wire;
+///      channels in ascending channel order.  A local channel runs the
+///      kernel's one-pass `transmit` in place.  A proposed channel runs
+///      the kernel's VC scan (`downstream` + `send`) over the proposals
+///      and sends the outcome back to its owner as a *transmit grant*
+///      (winner VC + per-VC stall masks).  Either way the moved flit
+///      becomes a local wire;
 ///   -- barrier 2 --
-///   C. owner role — apply grants in ascending channel order (pop the
-///      winning flit, update out_alloc/next_vc, book stalls), drain
-///      credit returns into the ledger's delay line (credits flow
-///      opposite to flits, which is why they need their own mailbox
-///      class), inject with the counter RNG over owned terminals, latch
+///   C. owner role — merge the grants and apply them in ascending
+///      channel order: stall bookkeeping, then the kernel's `pop` of the
+///      winner, which schedules the credit return right there (the owner
+///      holds the ledger, so credits never cross the cut as messages);
+///      then inject with the counter RNG over owned terminals, latch
 ///      on/off, record this cycle's depth sum, and at watchdog epochs
 ///      aggregate stuck-flit counts across ALL shards before deciding
 ///      (per-shard verdicts would miss deadlocks whose cycle spans the
@@ -69,7 +69,9 @@
 /// Executing a local channel in phase B keeps serial order: a pop never
 /// changes the claims or credit counters a later scan in the same phase
 /// reads, credit returns become visible at least one cycle later, and
-/// on/off bits latch only at the end of the cycle.
+/// on/off bits latch only at the end of the cycle.  For the same reason
+/// a cross-shard pop may schedule its return in phase C of the cycle:
+/// the delay line and the dirty list do not depend on order.
 ///
 /// Determinism contract: routing through the shared read-only
 /// `routing::NextHop` (a `ChannelRouteCache` table or a pure arithmetic
@@ -101,8 +103,9 @@ class ShardedFlowSim {
  public:
   /// Engine-health telemetry for one run (valid after run()).
   struct Telemetry {
-    std::uint64_t cross_shard_flits = 0;    ///< flit proposals via mailboxes
-    std::uint64_t cross_shard_credits = 0;  ///< credit returns via mailboxes
+    std::uint64_t cross_shard_flits = 0;  ///< flit proposals via mailboxes
+    /// Credit returns an owner scheduled for pops another shard granted.
+    std::uint64_t cross_shard_credits = 0;
     std::uint64_t mailbox_peak = 0;  ///< max messages in one box drain
   };
 
@@ -175,23 +178,10 @@ class ShardedFlowSim {
     std::uint8_t start_vc = 0;  ///< owner's next_vc round-robin start
   };
 
-  /// The head-of-line flit of one VC as a scan sees it (`packet` null
-  /// for an empty VC): read from the local pool for a shard-local
-  /// channel, from a FlitProposal for a cross-shard one.
-  struct VcFront {
-    std::uint32_t flit_index = 0;
-    std::uint32_t out_alloc = 0;
-    const sim::Packet* packet = nullptr;
-    /// The packet's slot in the executor's PacketPool: the FIFO's own
-    /// for a shard-local channel, none yet (kNone) for a proposal.
-    std::uint32_t packet_slot = 0;
-    /// Shard-local channel: the VC buffer's pool slot, for the pop.
-    std::uint32_t buffer_slot = 0;
-  };
-
   /// Executor -> owner: the arbitration outcome for one channel this
   /// cycle — which VC won (if any) and which attempted VCs stalled, and
-  /// why (masks indexed by VC).
+  /// why (masks indexed by VC).  The owner pops the winner and schedules
+  /// its credit return.
   struct TransmitGrant {
     std::uint32_t channel = 0;
     std::uint32_t new_out_alloc = 0;  ///< head transmit: claimed buffer
@@ -200,57 +190,26 @@ class ShardedFlowSim {
     std::uint8_t winner_vc = 0;  ///< kNoWinner when every VC stalled
   };
 
-  /// Executor -> owner, one per flit popped from a switch buffer: the
-  /// freed slot's credit flows back upstream — opposite to the flit —
-  /// and is the ONLY driver of the owner's CreditLedger::schedule_return
-  /// (and OnOffSignal::mark_dirty in on/off mode).
-  struct CreditReturn {
-    std::uint32_t buffer = 0;  ///< global buffer id
-  };
-
   void run_shard(std::uint32_t s);
   void init_shard_arena(std::uint32_t s);
   void phase_owner_pre(Shard& sh, std::uint64_t now, bool measuring);
+  /// Merge the mailbox proposal runs into ascending (channel, VC) order.
+  void merge_proposals(Shard& sh);
   void phase_execute(Shard& sh, std::uint64_t now);
+  /// The kernel's VC scan of cross-shard channel c from `start_vc` over
+  /// its proposals (`fronts`, indexed by VC): the winner goes on the wire
+  /// here, the outcome goes back to the owner.
+  [[nodiscard]] TransmitGrant execute_proposals(
+      Shard& sh, std::uint32_t c, std::uint32_t start_vc,
+      const detail::FlitFront* fronts);
+  /// Merge the mailbox grant runs into ascending channel order.
+  void merge_grants(Shard& sh);
   void phase_owner_post(Shard& sh, std::uint64_t now);
+  /// Owner side of a grant: stall bookkeeping in scan order, then the
+  /// kernel's pop of the winner; the owner's packet copy dies with the
+  /// tail.
+  void apply_grant(Shard& sh, const TransmitGrant& grant, std::uint64_t now);
   [[nodiscard]] bool epoch_watchdog(Shard& sh, std::uint64_t now);
-  /// Land one flit at a terminal this shard owns; releases the wire's
-  /// packet slot on the tail (or at once for a one-flit copy).
-  void eject_flit(Shard& sh, std::uint32_t packet_slot,
-                  std::uint32_t flit_index, bool flit_copy, std::uint64_t now,
-                  bool measuring);
-  /// Executor-side head-flit downstream (channel, VC) allocation against
-  /// local claim/backpressure state; FlowSim::allocate_downstream replica
-  /// (the chosen buffer's local pool slot, or kNoSlot, goes to *slot).
-  std::uint32_t allocate_downstream(Shard& sh, std::uint32_t from_vc,
-                                    const sim::Packet& packet,
-                                    std::uint32_t at_vertex,
-                                    bool* credit_block, std::uint32_t* slot);
-  /// FlowSim::try_transmit's VC scan of channel c from `start_vc` over
-  /// `fronts` (indexed by VC), against this executor's claim and credit
-  /// state.  Shared by shard-local channels and mailbox proposals.
-  [[nodiscard]] TransmitGrant scan_channel(Shard& sh, std::uint32_t c,
-                                           std::uint32_t start_vc,
-                                           const VcFront* fronts);
-  /// Owner side of a scan outcome: stall bookkeeping, the winner's pop,
-  /// out_alloc / next_vc, release of the owner's packet copy when the
-  /// tail leaves the shard — in phase B for a shard-local channel (with
-  /// the scan's `fronts`, which carry the VC buffers' pool slots), from
-  /// a TransmitGrant in phase C otherwise (`fronts` null).
-  void apply_grant(Shard& sh, const TransmitGrant& grant,
-                   const VcFront* fronts, std::uint64_t now);
-  /// Mark owned channel c active in the set its executor sweeps.
-  void activate(Shard& sh, std::uint32_t c);
-  /// Schedule the credit return of the popped owned switch buffer bound
-  /// to pool slot `s`.
-  void return_credit(Shard& sh, std::uint32_t s, std::uint64_t now);
-  /// Stall bookkeeping on the pool slot of an owned buffer.
-  void note_blocked(Shard& sh, std::uint32_t s, bool credit_block,
-                    std::uint64_t now);
-  void note_unblocked(Shard& sh, std::uint32_t s, std::uint64_t now);
-  /// Audits live slots only (never-activated buffers hold full credits
-  /// trivially); uses the shard's hoisted audit scratch, hence non-const.
-  [[nodiscard]] bool local_credit_conservation_holds(Shard& sh) const;
   [[nodiscard]] FlowResult merge_results();
   void flush_obs(double wall_seconds);
   void arm_recorder();
@@ -268,31 +227,21 @@ class ShardedFlowSim {
   sim::ShardPlan plan_;
   std::uint32_t terminal_count_ = 0;
   double packet_rate_ = 0.0;
-  std::uint32_t head_reservation_ = 1;
-  /// Stall-latency histogram handle, resolved once at construction and
-  /// recorded into by every worker (FlowSim parity).
-  obs::HistogramMetric* stall_metric_ = nullptr;
 
   // Shared read-only per-channel / per-buffer facts, computed once in
   // the constructor (the GLOBAL buffer id space is exactly serial
   // FlowSim's assignment, so diagnostics and messages agree with it).
-  std::vector<std::uint32_t> buf_base_;
-  std::vector<std::uint8_t> is_nic_;
-  std::vector<std::uint32_t> channel_dst_;
-  std::vector<std::uint8_t> dst_is_terminal_;
+  std::shared_ptr<const detail::ChannelFacts> facts_;
   std::vector<std::uint8_t> channel_executor_;  ///< shard_of(dst(c))
   /// Dense index of c among its executor's executed channels (ascending
   /// c) — per-shard link-busy tallies are executor-local so their size
   /// tracks channels / S, not S full copies of the fabric.
   std::vector<std::uint32_t> exec_index_;
   std::vector<std::uint32_t> buf_local_of_global_;
-  std::uint32_t switch_buffer_count_ = 0;
-  std::uint64_t switch_channel_count_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   sim::MailboxGrid<FlitProposal> proposal_box_;
   sim::MailboxGrid<TransmitGrant> grant_box_;
-  sim::MailboxGrid<CreditReturn> credit_box_;
 
   /// Watchdog epoch aggregation slots: shard s writes its local
   /// {flits in system, flits moved} here, one extra barrier makes them

@@ -19,14 +19,14 @@
 ///     the next write in B(n + 1) via barrier 1 of cycle n + 1.
 ///
 /// Two barriers therefore suffice for box reuse regardless of how many
-/// mailbox *classes* an engine exchanges: ShardedSim uses two (admission
-/// proposals downstream, acks upstream); ShardedFlowSim uses three
-/// (transmit proposals downstream, transmit grants upstream, and credit
-/// returns upstream — credit-return messages flow opposite to flits,
-/// feeding the upstream shard's CreditLedger).  Only hops whose ends
-/// sit on different shards exchange messages: ShardedFlowSim executes a
-/// shard-local hop in place, and ShardedSim hands a local proposal
-/// straight to its own admit phase.
+/// mailbox *classes* an engine exchanges.  Both engines use two:
+/// ShardedSim sends admission proposals downstream and acks upstream;
+/// ShardedFlowSim sends transmit proposals downstream and transmit
+/// grants upstream (the owner that applies a grant pops the flit and
+/// schedules its credit return in its own ledger, so credits need no
+/// message).  Only hops whose ends sit on different shards exchange
+/// messages: ShardedFlowSim executes a shard-local hop in place, and
+/// ShardedSim hands a local proposal straight to its own admit phase.
 ///
 /// NUMA awareness degrades gracefully: `NumaTopology` parses
 /// /sys/devices/system/node (no libnuma dependency), and engines
@@ -82,9 +82,13 @@ struct ShardPlan {
 /// SPSC epoch mailboxes for one message class: box(src, dst) is written
 /// only by shard src and drained only by shard dst (see file comment for
 /// the reuse proof).  One grid per message class an engine exchanges.
+/// Each box header sits on its own cache line: boxes (a, b) and (b, a)
+/// are written and drained by two shards in the same phase.
 template <typename T>
 class MailboxGrid {
  public:
+  static constexpr std::size_t kLineBytes = 64;
+
   MailboxGrid() = default;
   explicit MailboxGrid(std::uint32_t shards)
       : shards_(shards), boxes_(std::size_t{shards} * shards) {}
@@ -92,7 +96,7 @@ class MailboxGrid {
   [[nodiscard]] std::vector<T>& box(std::uint32_t src, std::uint32_t dst) {
     NBCLOS_DEBUG_CHECK(src < shards_ && dst < shards_,
                        "mailbox shard index out of range");
-    return boxes_[std::size_t{src} * shards_ + dst];
+    return boxes_[std::size_t{src} * shards_ + dst].items;
   }
 
   /// Drain every box addressed to `dst` in ascending src order, calling
@@ -101,7 +105,7 @@ class MailboxGrid {
   template <typename Fn>
   void drain_to(std::uint32_t dst, Fn&& fn) {
     for (std::uint32_t src = 0; src < shards_; ++src) {
-      auto& b = boxes_[std::size_t{src} * shards_ + dst];
+      auto& b = boxes_[std::size_t{src} * shards_ + dst].items;
       if (b.empty()) continue;
       fn(src, b);
       b.clear();
@@ -111,8 +115,11 @@ class MailboxGrid {
   [[nodiscard]] std::uint32_t shard_count() const noexcept { return shards_; }
 
  private:
+  struct alignas(kLineBytes) Box {
+    std::vector<T> items;
+  };
   std::uint32_t shards_ = 0;
-  std::vector<std::vector<T>> boxes_;
+  std::vector<Box> boxes_;
 };
 
 /// Epoch barrier + failure latch shared by all shard workers of one run.

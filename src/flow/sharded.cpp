@@ -4,13 +4,11 @@
 #include <array>
 #include <chrono>
 #include <iterator>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/trace.hpp"
-#include "nbclos/sim/injection_rng.hpp"
 #include "nbclos/util/active_set.hpp"
 
 namespace nbclos::flow {
@@ -35,59 +33,52 @@ void merge_run(std::vector<T>& merged, const std::vector<T>& run,
 }
 }  // namespace
 
-/// All mutable per-shard state — one arena per worker, allocated on the
-/// worker's own thread (first touch) and never touched by another until
-/// the merge after join.
-struct ShardedFlowSim::Shard {
-  /// A flit in flight on a channel this shard executes, landing next
-  /// cycle in one of this shard's own buffers (or ejecting at one of its
-  /// terminals).  The packet travels as a slot of this shard's own
-  /// PacketPool: a shard-local hop moves the FIFO's slot along, a
-  /// cross-shard head gets a copy of its proposal's packet at the grant
-  /// and its body flits reuse that copy through the downstream claim.
-  struct Wire {
-    std::uint32_t target = 0;  ///< global downstream buffer id, or kEject
-    /// target's local pool slot (kNoSlot for kEject); the claim pins it
-    /// until the tail lands.
-    std::uint32_t target_slot = 0;
-    std::uint32_t packet_slot = 0;
-    std::uint32_t flit_index = 0;
-    /// Cross-shard ejection: packet_slot is this flit's own copy, freed
-    /// when the flit ejects (shared slots are freed by the tail).
-    bool flit_copy = false;
-  };
+/// All mutable per-shard state — one kernel arena per worker, allocated
+/// on the worker's own thread (first touch) and never touched by another
+/// until the merge after join.  Wires land in this shard's own buffers,
+/// so the kernel's wire list is the executor role's output.
+struct ShardedFlowSim::Shard : detail::FlitKernel<Shard> {
+  Shard(const ShardedFlowSim& engine, std::uint32_t shard)
+      : FlitKernel(engine.facts_, *engine.routes_, engine.config_),
+        index(shard),
+        buf_local(engine.buf_local_of_global_.data()),
+        channel_local(engine.plan_.channel_local.data()),
+        channel_owner(engine.plan_.channel_owner.data()),
+        executor(engine.channel_executor_.data()),
+        exec_index(engine.exec_index_.data()) {}
+
+  // The kernel's id map: owned buffers and channels by local id (local
+  // ids ascend with global id, so the active sets' ascending sweeps
+  // visit serial's order), executed channels' link-busy tallies by the
+  // executor-local index.
+  std::uint32_t buffer(std::uint32_t b) const { return buf_local[b]; }
+  std::uint32_t channel(std::uint32_t c) const {
+    NBCLOS_DEBUG_CHECK(channel_owner[c] == index, "channel of another shard");
+    return channel_local[c];
+  }
+  std::uint32_t global_buffer(std::uint32_t lb) const {
+    return global_of_local[lb];
+  }
+  std::uint32_t busy(std::uint32_t c) const { return exec_index[c]; }
+  /// An active owned channel sits in `active` when this shard also
+  /// executes it (both ends here), else in `remote_active`.
+  void activate(std::uint32_t c) {
+    (executor[c] == index ? active : remote_active).insert(channel_local[c]);
+  }
+  void packet_entered(std::uint64_t now) { ++acq_by_cycle[now]; }
+  void packet_left(std::uint64_t now) { ++rel_by_cycle[now]; }
 
   std::uint32_t index = 0;
-  std::uint32_t term_lo = 0;  ///< owned terminal range [term_lo, term_hi)
-  std::uint32_t term_hi = 0;
   std::uint32_t local_switch_buffers = 0;
   std::uint32_t local_nic_buffers = 0;
-
-  // Arena (owner role): flit storage, packets, backpressure state for
-  // every buffer this shard owns, locally indexed.  Per-buffer side
-  // state (out_alloc -> GLOBAL nb, claim, blocked_since) lives in the
-  // pool's sparse slots, so resident bytes track the live flit front.
-  std::unique_ptr<FlitBufferPool> pool;
-  PacketPool packets;
-  std::unique_ptr<CreditLedger> ledger;
-  std::unique_ptr<OnOffSignal> onoff;
-
-  // Per owned channel (plan.channel_local index; local ids ascend with
-  // global id, so the active sets' ascending sweeps visit serial's
-  // order).  An active channel sits in `local_active` when this shard
-  // also executes it (both ends here), else in `remote_active`.
-  std::vector<std::uint32_t> next_vc;
-  std::vector<std::uint32_t> channel_flits;
-  ActiveSet local_active;
+  // The engine's read-only id tables (global id -> shard-local id).
+  const std::uint32_t* buf_local;
+  const std::uint32_t* channel_local;
+  const std::uint8_t* channel_owner;
+  const std::uint8_t* executor;
+  const std::uint32_t* exec_index;
+  std::vector<std::uint32_t> global_of_local;  ///< local buf -> global id
   ActiveSet remote_active;
-  std::vector<std::uint32_t> channel_of_local_buf;  ///< local buf -> channel
-
-  // Executor role: wires created in phase B, landed in phase A next
-  // cycle (executor(c) owns the landing buffer, so this stays local).
-  std::vector<Wire> wires;
-
-  std::optional<fault::DegradedView> degraded;
-  std::size_t next_fault = 0;
 
   // Phase scratch: the mailbox runs merged into channel order.
   std::vector<FlitProposal> merged_props;
@@ -95,40 +86,20 @@ struct ShardedFlowSim::Shard {
   std::vector<TransmitGrant> merged_grants;
   std::vector<TransmitGrant> merge_scratch_grants;
 
-  // Statistics, merged exactly after the run (see merge_results for the
-  // replay arguments that make each merge bit-identical to serial).
-  std::uint64_t injected = 0;
-  std::uint64_t delivered_packets = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t delivered_measured_flits = 0;
-  std::uint64_t latency_sum = 0;
-  std::uint64_t latency_count = 0;
-  QuantileHistogram latency_hist;
-  QuantileHistogram stall_hist;
-  std::vector<std::uint64_t> delivered_per_source;  ///< all T terminals
-  std::vector<std::uint64_t> flow_sequence;         ///< owned range only
-  std::uint64_t next_packet_id = 0;
-  std::uint64_t credit_stall_cycles = 0;
-  std::uint64_t vc_stall_cycles = 0;
-  std::uint64_t stall_duration_sum = 0;
-  std::uint64_t stall_episode_count = 0;
-  std::uint64_t blocked_heads = 0;  ///< owned FIFOs inside a stall episode
-  std::vector<std::uint32_t> peak_per_vc;         ///< per VC index
+  // Statistics beyond the kernel's, merged exactly after the run (see
+  // merge_results for the replay arguments that make each merge
+  // bit-identical to serial).
   std::vector<std::uint64_t> depth_sum_by_cycle;  ///< end-of-cycle total
   std::vector<std::uint32_t> acq_by_cycle;  ///< packets entering network
   std::vector<std::uint32_t> rel_by_cycle;  ///< tail ejections
-  std::int64_t flits_in_system = 0;  ///< negative when ejecting for others
-  std::uint64_t flits_moved_epoch = 0;
-  std::uint32_t executed_channels = 0;   ///< channels with executor == index
-  std::vector<std::uint64_t> link_busy;  ///< per EXECUTED channel (exec_index_)
-  std::vector<std::uint64_t> audit_in_flight;  ///< conservation scratch, slots
-  std::uint64_t route_lookups = 0;
+  std::uint32_t executed_channels = 0;      ///< channels with executor == index
   std::uint64_t cross_flits = 0;
   std::uint64_t cross_credits = 0;
   std::uint64_t mailbox_peak = 0;
   // Sampled phase timers (every 64th cycle with obs on): owner_pre,
-  // execute, owner_post compute, and the two epoch-barrier waits.
-  std::array<std::uint64_t, 3> phase_ns{};
+  // execute, owner_post compute, the two mailbox merges, and the two
+  // epoch-barrier waits.
+  std::array<std::uint64_t, 4> phase_ns{};
   std::uint64_t barrier_wait_ns = 0;
   std::uint64_t timed_cycles = 0;
   std::uint64_t cycles_run = 0;
@@ -137,9 +108,6 @@ struct ShardedFlowSim::Shard {
   std::uint64_t stuck_total = 0;
   std::vector<std::uint32_t> stuck_buffers;  ///< 8 smallest occupied, global
   std::uint32_t numa_node = 0;
-
-  explicit Shard(std::uint64_t hist_max)
-      : latency_hist(hist_max), stall_hist(hist_max) {}
 };
 
 ShardedFlowSim::ShardedFlowSim(
@@ -162,7 +130,6 @@ ShardedFlowSim::ShardedFlowSim(
                    [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
                      return a.cycle < b.cycle;
                    });
-  head_reservation_ = config.head_reservation_flits();
   packet_rate_ =
       config.injection_rate / static_cast<double>(config.packet_flits);
   const auto terminal_vertices = net_->terminals();
@@ -180,64 +147,43 @@ ShardedFlowSim::ShardedFlowSim(
   const std::uint32_t shard_count = plan_.shard_count;
   const std::uint32_t channels = net_->channel_count();
 
-  // Global buffer id assignment — serial FlowSim's, verbatim: switch
-  // channels take `vcs` consecutive ids in channel order, NIC channels
-  // one id each after all switch buffers.  Keeping the global id space
-  // identical makes claims, credit messages, and deadlock diagnostics
-  // field-for-field comparable with the serial engine.
-  buf_base_.assign(channels, 0);
-  is_nic_.assign(channels, 0);
-  channel_dst_.assign(channels, 0);
-  dst_is_terminal_.assign(channels, 0);
+  // Global buffer id assignment — serial FlowSim's, verbatim, so claims,
+  // messages, and deadlock diagnostics are field-for-field comparable
+  // with the serial engine.
+  facts_ = std::make_shared<const detail::ChannelFacts>(*net_, config.vcs);
+  const detail::ChannelFacts& facts = *facts_;
   channel_executor_.assign(channels, 0);
   exec_index_.assign(channels, 0);
   std::vector<std::uint32_t> exec_counts(shard_count, 0);
-  std::uint32_t switch_idx = 0;
-  std::uint32_t nic_count = 0;
   for (std::uint32_t c = 0; c < channels; ++c) {
-    channel_dst_[c] = net_->channel_dst(c);
-    dst_is_terminal_[c] =
-        net_->vertex(channel_dst_[c]).kind == VertexKind::kTerminal;
     channel_executor_[c] =
-        static_cast<std::uint8_t>(plan_.shard_of_vertex(channel_dst_[c]));
+        static_cast<std::uint8_t>(plan_.shard_of_vertex(facts.dst[c]));
     exec_index_[c] = exec_counts[channel_executor_[c]]++;
-    if (net_->vertex(net_->channel_src(c)).kind == VertexKind::kTerminal) {
-      is_nic_[c] = 1;
-      ++nic_count;
-    } else {
-      buf_base_[c] = switch_idx * config.vcs;
-      ++switch_idx;
-    }
-  }
-  switch_channel_count_ = switch_idx;
-  switch_buffer_count_ = switch_idx * config.vcs;
-  std::uint32_t nic_idx = 0;
-  for (std::uint32_t c = 0; c < channels; ++c) {
-    if (is_nic_[c]) buf_base_[c] = switch_buffer_count_ + nic_idx++;
   }
 
   // Local buffer numbering per shard: owned switch buffers first (`vcs`
   // consecutive per channel, channels ascending — the shard_channels
   // order), then owned NIC buffers.  Read-only after this loop.
-  buf_local_of_global_.assign(switch_buffer_count_ + nic_count, 0);
+  buf_local_of_global_.assign(facts.buffer_count(), 0);
   shards_.reserve(shard_count);
-  const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
   for (std::uint32_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(total);
-    shard->index = s;
-    shard->term_lo = plan_.terminal_begin[s];
-    shard->term_hi = plan_.terminal_begin[s + 1];
+    auto shard = std::make_unique<Shard>(*this, s);
+    // Injection is shard-local: the shard injecting at t owns t's NIC.
+    for (std::uint32_t t = plan_.terminal_begin[s];
+         t < plan_.terminal_begin[s + 1]; ++t) {
+      NBCLOS_ASSERT(plan_.shard_of_vertex(t) == s);
+    }
     std::uint32_t local_switch = 0;
     std::uint32_t local_nic = 0;
     for (const auto c : plan_.shard_channels[s]) {
-      if (is_nic_[c]) continue;
+      if (facts.is_nic[c]) continue;
       for (std::uint32_t v = 0; v < config_.vcs; ++v) {
-        buf_local_of_global_[buf_base_[c] + v] = local_switch++;
+        buf_local_of_global_[facts.buf_base[c] + v] = local_switch++;
       }
     }
     for (const auto c : plan_.shard_channels[s]) {
-      if (!is_nic_[c]) continue;
-      buf_local_of_global_[buf_base_[c]] = local_switch + local_nic++;
+      if (!facts.is_nic[c]) continue;
+      buf_local_of_global_[facts.buf_base[c]] = local_switch + local_nic++;
     }
     shard->local_switch_buffers = local_switch;
     shard->local_nic_buffers = local_nic;
@@ -247,11 +193,9 @@ ShardedFlowSim::ShardedFlowSim(
 
   proposal_box_ = sim::MailboxGrid<FlitProposal>(shard_count);
   grant_box_ = sim::MailboxGrid<TransmitGrant>(shard_count);
-  credit_box_ = sim::MailboxGrid<CreditReturn>(shard_count);
   epoch_stats_.assign(shard_count, EpochStat{});
   sync_ = std::make_unique<sim::ShardSync>(shard_count);
   numa_ = sim::NumaTopology::detect();
-  stall_metric_ = &detail::stall_metric();
   if constexpr (obs::kEnabled) arm_recorder();
 }
 
@@ -318,161 +262,49 @@ ShardedFlowSim::~ShardedFlowSim() = default;
 void ShardedFlowSim::init_shard_arena(std::uint32_t s) {
   Shard& sh = *shards_[s];
   const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
-  sh.pool = std::make_unique<FlitBufferPool>(
-      sh.local_switch_buffers, sh.local_nic_buffers, config_.buffer_flits,
-      config_.packet_flits);
-  if (config_.backpressure == Backpressure::kCredit) {
-    sh.ledger =
-        std::make_unique<CreditLedger>(*sh.pool, config_.credit_delay);
-  } else {
-    sh.onoff =
-        std::make_unique<OnOffSignal>(*sh.pool, config_.onoff_off_threshold());
-  }
-  const std::uint32_t local_buffers =
-      sh.local_switch_buffers + sh.local_nic_buffers;
-  sh.channel_of_local_buf.assign(local_buffers, 0);
+  const auto count = static_cast<std::uint32_t>(plan_.shard_channels[s].size());
+  sh.init_arena(sh.local_switch_buffers, sh.local_nic_buffers, count,
+                sh.executed_channels, terminal_count_,
+                plan_.terminal_begin[s], plan_.terminal_begin[s + 1],
+                degraded_);
+  sh.global_of_local.assign(sh.local_switch_buffers + sh.local_nic_buffers, 0);
   for (const auto c : plan_.shard_channels[s]) {
-    const std::uint32_t vcs = is_nic_[c] ? 1u : config_.vcs;
-    for (std::uint32_t v = 0; v < vcs; ++v) {
-      sh.channel_of_local_buf[buf_local_of_global_[buf_base_[c] + v]] = c;
+    for (std::uint32_t v = 0; v < facts_->vc_count(c); ++v) {
+      const std::uint32_t b = facts_->buf_base[c] + v;
+      sh.global_of_local[buf_local_of_global_[b]] = b;
     }
   }
-  const auto count = static_cast<std::uint32_t>(plan_.shard_channels[s].size());
-  sh.next_vc.assign(count, 0);
-  sh.channel_flits.assign(count, 0);
-  sh.local_active = ActiveSet(count);
   sh.remote_active = ActiveSet(count);
-  sh.peak_per_vc.assign(config_.vcs, 0);
-  sh.delivered_per_source.assign(terminal_count_, 0);
-  sh.flow_sequence.assign(sh.term_hi - sh.term_lo, 0);
   sh.depth_sum_by_cycle.assign(total, 0);
   sh.acq_by_cycle.assign(total, 0);
   sh.rel_by_cycle.assign(total, 0);
-  sh.link_busy.assign(sh.executed_channels, 0);
-  if (degraded_ != nullptr) sh.degraded.emplace(*degraded_);
-}
-
-void ShardedFlowSim::note_blocked(Shard& sh, std::uint32_t s,
-                                  bool credit_block, std::uint64_t now) {
-  if (credit_block) {
-    ++sh.credit_stall_cycles;
-  } else {
-    ++sh.vc_stall_cycles;
-  }
-  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
-  if (sl.blocked_since_plus1 == 0) {
-    sl.blocked_since_plus1 = now + 1;
-    ++sh.blocked_heads;
-  }
-}
-
-void ShardedFlowSim::note_unblocked(Shard& sh, std::uint32_t s,
-                                    std::uint64_t now) {
-  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
-  if (sl.blocked_since_plus1 == 0) return;
-  const std::uint64_t duration = now - (sl.blocked_since_plus1 - 1);
-  sl.blocked_since_plus1 = 0;
-  --sh.blocked_heads;
-  sh.stall_duration_sum += duration;
-  ++sh.stall_episode_count;
-  sh.stall_hist.add(duration);
-  stall_metric_->record(duration);
-}
-
-void ShardedFlowSim::eject_flit(Shard& sh, std::uint32_t packet_slot,
-                                std::uint32_t flit_index, bool flit_copy,
-                                std::uint64_t now, bool measuring) {
-  const sim::Packet& packet = sh.packets.at(packet_slot);
-  --sh.flits_in_system;
-  const bool tail = flit_index + 1 == config_.packet_flits;
-  if (tail) ++sh.delivered_packets;
-  if (measuring) {
-    ++sh.delivered_measured_flits;
-    ++sh.delivered_per_source[packet.src_terminal];
-    if (tail && packet.injected_cycle >= config_.warmup_cycles) {
-      const std::uint64_t latency = now - packet.injected_cycle;
-      sh.latency_sum += latency;
-      ++sh.latency_count;
-      sh.latency_hist.add(latency);
-    }
-  }
-  if (tail) ++sh.rel_by_cycle[now];
-  if (tail || flit_copy) sh.packets.release(packet_slot);
-}
-
-void ShardedFlowSim::activate(Shard& sh, std::uint32_t c) {
-  const std::uint32_t li = plan_.channel_local[c];
-  if (channel_executor_[c] == sh.index) {
-    sh.local_active.insert(li);
-  } else {
-    sh.remote_active.insert(li);
-  }
-}
-
-void ShardedFlowSim::return_credit(Shard& sh, std::uint32_t s,
-                                   std::uint64_t now) {
-  if (sh.ledger != nullptr) sh.ledger->schedule_return_at(s, now);
-  if (sh.onoff != nullptr) sh.onoff->mark_dirty_at(s);
 }
 
 void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
                                      bool measuring) {
   // Faults first: every shard advances its PRIVATE DegradedView copy
   // through the same sorted schedule, so the copies never diverge.
-  if (sh.degraded.has_value()) {
-    while (sh.next_fault < fault_events_.size() &&
-           fault_events_[sh.next_fault].cycle <= now) {
-      sh.degraded->apply(fault_events_[sh.next_fault]);
-      ++sh.next_fault;
-    }
-  }
+  sh.apply_due_faults(fault_events_, now);
   if (sh.ledger != nullptr) sh.ledger->advance(now);
-
   // Arrivals: land the wires this shard created in its executor role
-  // last cycle.  Every target is a buffer (or terminal) this shard owns,
-  // and at most one wire per buffer per cycle (the claim serializes
-  // writers), so landing order never affects merged results.
-  for (const Shard::Wire& w : sh.wires) {
-    if (w.target == kEject) {
-      eject_flit(sh, w.packet_slot, w.flit_index, w.flit_copy, now,
-                 measuring);
-      continue;
-    }
-    const std::uint32_t lb = buf_local_of_global_[w.target];
-    NBCLOS_DEBUG_CHECK(sh.pool->slot_id(lb) == w.target_slot,
-                       "a wire's target slot must stay bound until landing");
-    sh.pool->push_at(w.target_slot, FlitRef{w.packet_slot, w.flit_index});
-    const std::uint32_t oc = sh.channel_of_local_buf[lb];
-    ++sh.channel_flits[plan_.channel_local[oc]];
-    activate(sh, oc);
-    if (sh.onoff != nullptr) sh.onoff->mark_dirty_at(w.target_slot);
-    FlitBufferPool::BufferSlot& sl = sh.pool->slot(w.target_slot);
-    const std::uint32_t vc = w.target - buf_base_[oc];
-    if (sl.size > sh.peak_per_vc[vc]) sh.peak_per_vc[vc] = sl.size;
-    if (w.flit_index + 1 == config_.packet_flits) {
-      // Tail landed: the VC is whole again and accepts a new claimant.
-      NBCLOS_ASSERT(sl.claim == w.packet_slot);
-      sl.claim = kNone;
-    }
-  }
-  sh.wires.clear();
+  // last cycle.  Every target is a buffer (or terminal) this shard owns.
+  sh.land(now, measuring);
 
   // Proposals: one per non-empty VC of each active, usable channel that
   // another shard executes, sent to that executor.  The ascending sweep
-  // mirrors serial step_transmissions (a drained channel leaves the set;
-  // a dead one stays, transmitting nothing), so every proposal run is
-  // ascending.  Shard-local channels wait for phase B.
+  // mirrors serial's transmission sweep (a drained channel leaves the
+  // set; a dead one stays, transmitting nothing), so every proposal run
+  // is ascending.  Shard-local channels wait for phase B.
   const auto& owned = plan_.shard_channels[sh.index];
   sh.remote_active.sweep([&](std::uint32_t li) {
     if (sh.channel_flits[li] == 0) return false;  // drained in phase C
     const std::uint32_t c = owned[li];
-    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) return true;
-    const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
+    if (!sh.usable(c)) return true;
     const auto start = static_cast<std::uint8_t>(sh.next_vc[li]);
     auto& box = proposal_box_.box(sh.index, channel_executor_[c]);
-    for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
-      const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
-      const std::uint32_t bs = sh.pool->slot_id(lb);
+    for (std::uint32_t vc = 0; vc < facts_->vc_count(c); ++vc) {
+      const std::uint32_t bs =
+          sh.pool->slot_id(sh.buffer(facts_->buf_base[c] + vc));
       if (bs == kNoSlot || sh.pool->slot(bs).size == 0) continue;
       const FlitRef flit = sh.pool->front_at(bs);
       FlitProposal p;
@@ -489,132 +321,8 @@ void ShardedFlowSim::phase_owner_pre(Shard& sh, std::uint64_t now,
   });
 }
 
-std::uint32_t ShardedFlowSim::allocate_downstream(Shard& sh,
-                                                  std::uint32_t from_vc,
-                                                  const sim::Packet& packet,
-                                                  std::uint32_t at_vertex,
-                                                  bool* credit_block,
-                                                  std::uint32_t* slot) {
-  ++sh.route_lookups;
-  const std::uint32_t nc = routes_->next_channel_from(
-      at_vertex, packet.src_terminal, packet.dst_terminal);
-  NBCLOS_DEBUG_CHECK(net_->channel_src(nc) == at_vertex,
-                     "route cache returned a foreign channel");
-  // A dead next channel blocks the head in place (fail-stop: the worm
-  // waits, it is never purged) — accounted as a credit stall.
-  if (sh.degraded.has_value() && !sh.degraded->channel_alive(nc)) {
-    *credit_block = true;
-    return kNone;
-  }
-  // First-free VC scan starting at the packet's current VC.  Channel nc
-  // leaves at_vertex = dst(c), so its buffers belong to THIS shard (the
-  // executor of c) — claims and credits are read and set locally.
-  bool saw_credit_block = false;
-  std::uint32_t nv = from_vc;
-  for (std::uint32_t j = 0; j < config_.vcs;
-       ++j, nv = detail::next_vc(nv, config_.vcs)) {
-    const std::uint32_t nb = buf_base_[nc] + nv;
-    const std::uint32_t s = sh.pool->slot_id(buf_local_of_global_[nb]);
-    if (s != kNoSlot && sh.pool->slot(s).claim != kNone) continue;
-    if (!backpressure_admits(*sh.pool, s, head_reservation_,
-                             sh.ledger != nullptr)) {
-      saw_credit_block = true;
-      continue;
-    }
-    *slot = s;
-    return nb;
-  }
-  *credit_block = saw_credit_block;
-  return kNone;
-}
-
-ShardedFlowSim::TransmitGrant ShardedFlowSim::scan_channel(
-    Shard& sh, std::uint32_t c, std::uint32_t start_vc,
-    const VcFront* fronts) {
-  // FlowSim::try_transmit's VC scan against this shard's claim and
-  // credit state; the caller applies the pop (locally or by grant).
-  TransmitGrant g;
-  g.channel = c;
-  g.new_out_alloc = kNone;
-  g.winner_vc = kNoWinner;
-  const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-  std::uint32_t vc = start_vc;
-  for (std::uint32_t k = 0; k < vc_count;
-       ++k, vc = detail::next_vc(vc, vc_count)) {
-    const VcFront& f = fronts[vc];
-    if (f.packet == nullptr) continue;  // empty VC: serial skips it too
-    std::uint32_t target = kEject;
-    std::uint32_t target_slot = kNoSlot;
-    if (dst_is_terminal_[c]) {
-      // The terminal sink always accepts.
-    } else if (f.flit_index == 0) {
-      NBCLOS_ASSERT(f.out_alloc == kNone);
-      bool credit_block = false;
-      target = allocate_downstream(sh, vc, *f.packet, channel_dst_[c],
-                                   &credit_block, &target_slot);
-      if (target == kNone) {
-        if (credit_block) {
-          g.credit_block_mask |= 1u << vc;
-        } else {
-          g.vc_block_mask |= 1u << vc;
-        }
-        continue;  // this VC stalls; the next may still use the channel
-      }
-      if (target_slot == kNoSlot) {
-        target_slot = sh.pool->bind(buf_local_of_global_[target]);
-      }
-      g.new_out_alloc = target;
-    } else {
-      target = f.out_alloc;
-      NBCLOS_ASSERT(target != kNone);
-      target_slot = sh.pool->slot_id(buf_local_of_global_[target]);
-      NBCLOS_ASSERT(target_slot != kNoSlot);  // the worm's claim pins it
-      // Wormhole body flits re-check backpressure every cycle; VCT
-      // reserved the whole packet at the head, so bodies stream freely.
-      if (config_.switching == Switching::kWormhole &&
-          !backpressure_admits(*sh.pool, target_slot, 1,
-                               sh.ledger != nullptr)) {
-        g.credit_block_mask |= 1u << vc;
-        continue;
-      }
-    }
-    // The winner rides its wire as a slot of this shard's PacketPool.  A
-    // local front brings its FIFO's slot.  A proposal (f.packet points
-    // into the mailbox copy, never into sh.packets, so an acquire cannot
-    // move it) gets a copy at the head grant; its body flits find that
-    // copy through the downstream claim, and a cross-shard ejection
-    // copies per flit.
-    std::uint32_t packet_slot = f.packet_slot;
-    bool flit_copy = false;
-    if (target == kEject) {
-      if (packet_slot == kNone) {
-        packet_slot = sh.packets.acquire(*f.packet);
-        flit_copy = true;
-      }
-    } else {
-      FlitBufferPool::BufferSlot& t = sh.pool->slot(target_slot);
-      if (f.flit_index == 0) {
-        if (packet_slot == kNone) packet_slot = sh.packets.acquire(*f.packet);
-        t.claim = packet_slot;
-      } else if (packet_slot == kNone) {
-        packet_slot = t.claim;
-      }
-      NBCLOS_ASSERT(t.claim == packet_slot);
-      if (sh.ledger != nullptr) sh.ledger->consume_at(target_slot);
-    }
-    sh.wires.push_back(
-        Shard::Wire{target, target_slot, packet_slot, f.flit_index, flit_copy});
-    sh.link_busy[exec_index_[c]] += 1;
-    ++sh.flits_moved_epoch;
-    g.winner_vc = static_cast<std::uint8_t>(vc);
-    break;
-  }
-  return g;
-}
-
-void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
-  // Merge the mailboxed proposals into ascending (channel, vc) order;
-  // each box is one owner's ascending sweep, so a merge suffices.
+void ShardedFlowSim::merge_proposals(Shard& sh) {
+  // Each box is one owner's ascending sweep, so a merge suffices.
   const auto proposal_less = [](const FlitProposal& a, const FlitProposal& b) {
     return a.channel != b.channel ? a.channel < b.channel : a.vc < b.vc;
   };
@@ -624,132 +332,88 @@ void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
         merge_run(sh.merged_props, box, sh.merge_scratch_props, proposal_less);
       });
+}
 
+ShardedFlowSim::TransmitGrant ShardedFlowSim::execute_proposals(
+    Shard& sh, std::uint32_t c, std::uint32_t start_vc,
+    const detail::FlitFront* fronts) {
+  TransmitGrant g;
+  g.channel = c;
+  g.new_out_alloc = kNone;
+  g.winner_vc = kNoWinner;
+  const std::uint32_t vc_count = facts_->vc_count(c);
+  std::uint32_t vc = start_vc;
+  for (std::uint32_t k = 0; k < vc_count;
+       ++k, vc = detail::next_vc(vc, vc_count)) {
+    const detail::FlitFront& f = fronts[vc];
+    if (f.packet == nullptr) continue;  // empty VC: serial skips it too
+    detail::Hop hop;
+    bool credit_block = false;
+    if (!sh.downstream(c, vc, f, &hop, &credit_block)) {
+      (credit_block ? g.credit_block_mask : g.vc_block_mask) |= 1u << vc;
+      continue;  // this VC stalls; the next may still use the channel
+    }
+    // The winner rides its wire as a slot of this shard's PacketPool.
+    // f.packet points into the mailbox copy, never into sh.packets, so
+    // an acquire cannot move it.  A head gets a copy, which its claim
+    // names downstream, so its body flits find it there; an ejecting
+    // flit gets its own copy.
+    const bool flit_copy = hop.target == kEject;
+    const std::uint32_t packet_slot =
+        f.flit_index > 0 && !flit_copy
+            ? sh.pool->slot(hop.slot).claim
+            : sh.packets.acquire(*f.packet);
+    sh.send(c, hop, FlitRef{packet_slot, f.flit_index}, flit_copy);
+    if (f.flit_index == 0) g.new_out_alloc = hop.target;
+    g.winner_vc = static_cast<std::uint8_t>(vc);
+    break;
+  }
+  return g;
+}
+
+void ShardedFlowSim::phase_execute(Shard& sh, std::uint64_t now) {
   // Execute every channel this shard decides in ascending channel order:
   // the proposals interleaved with this shard's own active local
   // channels.  Per-executor ascending order IS serial order for all
   // cross-channel interaction, because claims and credit consumption
   // only couple channels sharing a downstream vertex — which share this
-  // executor.  A local channel is executed in place: nothing a pop
-  // changes (FIFO, out_alloc, pending returns, dirty marks) is read by a
-  // later scan in this phase — credits return at least one cycle later
-  // and on/off bits latch at the end of the cycle.
-  std::array<VcFront, FlowConfig::kMaxVcs> fronts{};
+  // executor.  A local channel runs the kernel's one-pass transmit in
+  // place: nothing a pop changes (FIFO, out_alloc, pending returns,
+  // dirty marks) is read by a later scan in this phase — credits return
+  // at least one cycle later and on/off bits latch at the end of the
+  // cycle.
+  std::array<detail::FlitFront, FlowConfig::kMaxVcs> fronts{};
   std::size_t next = 0;
   const auto execute_proposals_below = [&](std::uint32_t limit) {
     const auto& props = sh.merged_props;
     while (next < props.size() && props[next].channel < limit) {
       const std::uint32_t c = props[next].channel;
       const std::uint32_t start = props[next].start_vc;
-      const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-      std::fill_n(fronts.begin(), vc_count, VcFront{});
+      std::fill_n(fronts.begin(), facts_->vc_count(c), detail::FlitFront{});
       for (; next < props.size() && props[next].channel == c; ++next) {
         const FlitProposal& p = props[next];
-        fronts[p.vc] =
-            VcFront{p.flit_index, p.out_alloc, &p.packet, kNone, kNoSlot};
+        fronts[p.vc] = detail::FlitFront{p.flit_index, p.out_alloc, &p.packet};
       }
-      const TransmitGrant g = scan_channel(sh, c, start, fronts.data());
-      const std::uint32_t owner = plan_.channel_owner[c];
+      const TransmitGrant g = execute_proposals(sh, c, start, fronts.data());
       if (g.winner_vc != kNoWinner || g.credit_block_mask != 0 ||
           g.vc_block_mask != 0) {
-        grant_box_.box(sh.index, owner).push_back(g);
-      }
-      // The freed slot's credit flows back UPSTREAM — opposite to the
-      // flit — to the buffer's owner, through its own mailbox class.
-      if (g.winner_vc != kNoWinner && !is_nic_[c]) {
-        credit_box_.box(sh.index, owner)
-            .push_back(CreditReturn{buf_base_[c] + g.winner_vc});
-        ++sh.cross_credits;
+        grant_box_.box(sh.index, plan_.channel_owner[c]).push_back(g);
       }
     }
   };
   const auto& owned = plan_.shard_channels[sh.index];
-  sh.local_active.sweep([&](std::uint32_t li) {
+  sh.active.sweep([&](std::uint32_t li) {
     const std::uint32_t c = owned[li];
     execute_proposals_below(c);
-    // A dead channel transmits nothing; its flits wait in place.
-    if (sh.degraded.has_value() && !sh.degraded->channel_alive(c)) return true;
-    const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-    for (std::uint32_t vc = 0; vc < vc_count; ++vc) {
-      const std::uint32_t lb = buf_local_of_global_[buf_base_[c] + vc];
-      const std::uint32_t bs = sh.pool->slot_id(lb);
-      if (bs == kNoSlot || sh.pool->slot(bs).size == 0) {
-        fronts[vc] = VcFront{};
-        continue;
-      }
-      const FlitRef flit = sh.pool->front_at(bs);
-      fronts[vc] = VcFront{flit.flit_index, sh.pool->slot(bs).out_alloc,
-                           &sh.packets.at(flit.packet_slot), flit.packet_slot,
-                           bs};
-    }
-    apply_grant(sh, scan_channel(sh, c, sh.next_vc[li], fronts.data()),
-                fronts.data(), now);
+    (void)sh.transmit(c, now);
     return sh.channel_flits[li] != 0;
   });
   execute_proposals_below(kNone);
 }
 
-void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
-                                 const VcFront* fronts, std::uint64_t now) {
-  const std::uint32_t c = g.channel;
-  const std::uint32_t li = plan_.channel_local[c];
-  const std::uint32_t vc_count = is_nic_[c] ? 1u : config_.vcs;
-  // A VC the scan attempted holds a flit, so its buffer is bound.
-  const auto slot_of = [&](std::uint32_t vc) {
-    if (fronts != nullptr) return fronts[vc].buffer_slot;
-    const std::uint32_t s =
-        sh.pool->slot_id(buf_local_of_global_[buf_base_[c] + vc]);
-    NBCLOS_ASSERT(s != kNoSlot);
-    return s;
-  };
-  // Replay the executor's scan outcome in scan order: stall bookkeeping
-  // for the attempted-and-blocked VCs, then the winner's pop.
-  std::uint32_t vc = sh.next_vc[li];
-  for (std::uint32_t k = 0; k < vc_count;
-       ++k, vc = detail::next_vc(vc, vc_count)) {
-    if (vc == g.winner_vc) break;  // masks only cover pre-winner VCs
-    if ((g.credit_block_mask >> vc) & 1u) {
-      note_blocked(sh, slot_of(vc), true, now);
-    } else if ((g.vc_block_mask >> vc) & 1u) {
-      note_blocked(sh, slot_of(vc), false, now);
-    }
-  }
-  if (g.winner_vc == kNoWinner) return;
-  vc = g.winner_vc;
-  const std::uint32_t s = slot_of(vc);
-  const FlitRef flit = sh.pool->pop_at(s);
-  --sh.channel_flits[li];
-  const bool local = channel_executor_[c] == sh.index;
-  // A shard-local hop schedules its credit return at the pop, as serial
-  // does; a cross-shard hop's return arrives as a CreditReturn message.
-  if (!is_nic_[c] && local) return_credit(sh, s, now);
-  FlitBufferPool::BufferSlot& sl = sh.pool->slot(s);
-  if (g.new_out_alloc != kNone) {
-    NBCLOS_ASSERT(flit.flit_index == 0 && sl.out_alloc == kNone);
-    sl.out_alloc = g.new_out_alloc;
-  }
-  if (flit.flit_index + 1 == config_.packet_flits) {
-    sl.out_alloc = kNone;
-    // Tail left this shard: the owner's copy dies with it (FIFO order
-    // plus the no-interleave claim guarantee the tail pops last).  A
-    // shard-local hop moved the slot onto the wire instead.
-    if (!local) sh.packets.release(flit.packet_slot);
-  }
-  note_unblocked(sh, s, now);
-  // Drained and unblocked: recycle the slot (pending credit returns or
-  // a live claim keep it pinned — a skipped release is only memory).  A
-  // cross-shard switch pop skips it: its CreditReturn arrives later in
-  // this phase and pins the slot again.
-  if (local || is_nic_[c]) sh.pool->maybe_release_at(s);
-  sh.next_vc[li] = detail::next_vc(vc, vc_count);
-}
-
-void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
-  // Grants for the owned channels other shards executed: merge by
-  // channel (one grant per channel) and apply — the ascending order
-  // reproduces serial's transmission sweep as seen by this owner's
-  // buffers.  Each executor emits its grants in its own ascending
-  // proposal order, so every run is ascending.
+void ShardedFlowSim::merge_grants(Shard& sh) {
+  // One grant per channel; each executor emits its grants in its own
+  // ascending proposal order, so every run is ascending.
   const auto grant_less = [](const TransmitGrant& a, const TransmitGrant& b) {
     return a.channel < b.channel;
   };
@@ -759,59 +423,48 @@ void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
         sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
         merge_run(sh.merged_grants, box, sh.merge_scratch_grants, grant_less);
       });
-  for (const TransmitGrant& g : sh.merged_grants) {
-    apply_grant(sh, g, nullptr, now);
-  }
+}
 
-  // Returning credits (delay-line scheduling is commutative, so drain
-  // order across sources is free).
-  credit_box_.drain_to(
-      sh.index, [&](std::uint32_t /*src*/, std::vector<CreditReturn>& box) {
-        sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-        for (const CreditReturn& r : box) {
-          // The pop may have released the slot; the return re-binds it.
-          return_credit(sh, sh.pool->bind(buf_local_of_global_[r.buffer]),
-                        now);
-        }
-      });
-
-  // Injection over this shard's own terminals: every draw is a pure
-  // function of (seed, cycle, terminal), so the partition cannot change
-  // the stream.
-  for (std::uint32_t t = sh.term_lo; t < sh.term_hi; ++t) {
-    SplitMix64 sm(sim::injection_counter_state(config_.seed, now, t));
-    if (!sim::injection_bernoulli(sm, packet_rate_)) continue;
-    Xoshiro256 dest_rng(sm.next());
-    const auto dst = traffic_->destination(t, dest_rng);
-    if (!dst.has_value()) continue;
-    sim::Packet packet;
-    packet.id = sh.next_packet_id++;
-    packet.src_terminal = t;
-    packet.dst_terminal = *dst;
-    packet.size_flits = config_.packet_flits;
-    packet.injected_cycle = now;
-    packet.flow_sequence = sh.flow_sequence[t - sh.term_lo]++;
-    ++sh.route_lookups;
-    const std::uint32_t first =
-        routes_->next_channel_from(t, packet.src_terminal, packet.dst_terminal);
-    NBCLOS_DEBUG_CHECK(is_nic_[first] != 0,
-                       "first hop must leave through the source NIC");
-    NBCLOS_ASSERT(plan_.channel_owner[first] == sh.index);
-    ++sh.injected;
-    // A dead NIC uplink is the one place a packet is dropped: it never
-    // entered the network, so there is nothing to purge or conserve.
-    if (sh.degraded.has_value() && !sh.degraded->channel_alive(first)) {
-      ++sh.dropped;
-      continue;
+void ShardedFlowSim::apply_grant(Shard& sh, const TransmitGrant& g,
+                                 std::uint64_t now) {
+  const std::uint32_t c = g.channel;
+  const std::uint32_t vc_count = facts_->vc_count(c);
+  // A VC the scan attempted holds a flit, so its buffer is bound.
+  const auto slot_of = [&](std::uint32_t vc) {
+    const std::uint32_t s =
+        sh.pool->slot_id(sh.buffer(facts_->buf_base[c] + vc));
+    NBCLOS_ASSERT(s != kNoSlot);
+    return s;
+  };
+  // Replay the executor's scan outcome in scan order: stall bookkeeping
+  // for the attempted-and-blocked VCs, then the winner's pop.
+  std::uint32_t vc = sh.next_vc[sh.channel(c)];
+  for (std::uint32_t k = 0; k < vc_count;
+       ++k, vc = detail::next_vc(vc, vc_count)) {
+    if (vc == g.winner_vc) break;  // masks only cover pre-winner VCs
+    if (((g.credit_block_mask | g.vc_block_mask) >> vc) & 1u) {
+      sh.note_blocked(slot_of(vc), ((g.credit_block_mask >> vc) & 1u) != 0,
+                      now);
     }
-    sh.pool->push_packet(buf_local_of_global_[buf_base_[first]],
-                         sh.packets.acquire(packet));
-    sh.channel_flits[plan_.channel_local[first]] += config_.packet_flits;
-    activate(sh, first);
-    sh.flits_in_system += config_.packet_flits;
-    sh.acq_by_cycle[now] += 1;
   }
+  if (g.winner_vc == kNoWinner) return;
+  const FlitRef flit =
+      sh.pop(c, g.winner_vc, slot_of(g.winner_vc), g.new_out_alloc, now);
+  // The pop scheduled a credit return for a flit another shard moved.
+  if (!facts_->is_nic[c]) ++sh.cross_credits;
+  // Tail left this shard: the owner's copy dies with it (FIFO order plus
+  // the no-interleave claim guarantee the tail pops last).
+  if (flit.flit_index + 1 == config_.packet_flits) {
+    sh.packets.release(flit.packet_slot);
+  }
+}
 
+void ShardedFlowSim::phase_owner_post(Shard& sh, std::uint64_t now) {
+  // Grants for the owned channels other shards executed, in ascending
+  // channel order — serial's transmission sweep as seen by this owner's
+  // buffers.
+  for (const TransmitGrant& g : sh.merged_grants) apply_grant(sh, g, now);
+  sh.inject_counter(*traffic_, packet_rate_, now);
   if (sh.onoff != nullptr) sh.onoff->latch();
   sh.depth_sum_by_cycle[now] = sh.pool->switch_flits_total();
   // End-of-cycle sample, the same point serial FlowSim samples at — all
@@ -826,9 +479,7 @@ bool ShardedFlowSim::epoch_watchdog(Shard& sh, std::uint64_t now) {
   if ((now + 1) % config_.watchdog_epoch != 0) return false;
   // Piggyback the credit-conservation audit on the epoch boundary, as
   // serial does — each shard closes its own identity locally.
-  if (sh.ledger != nullptr) {
-    NBCLOS_ASSERT(local_credit_conservation_holds(sh));
-  }
+  if (sh.ledger != nullptr) NBCLOS_ASSERT(sh.credit_conservation_holds());
   // The verdict needs GLOBAL totals: a shard whose owned flits all wait
   // on a neighbor (or that only ejects) sees a locally-stuck or even
   // negative picture.  One extra barrier publishes every shard's slot;
@@ -846,51 +497,12 @@ bool ShardedFlowSim::epoch_watchdog(Shard& sh, std::uint64_t now) {
     sh.deadlock_cycle = now;
     sh.stuck_total = static_cast<std::uint64_t>(in_system);
     // This shard's candidates for the global 8-smallest occupied buffer
-    // sample.  The pool is sparse, so walk live slots (allocation
-    // order), recover global ids, and sort ascending — the same sample
-    // the old dense ascending-global-id channel scan produced.
-    constexpr std::size_t kMaxSample = 8;
-    const auto global_of = [&](std::uint32_t lb) {
-      const std::uint32_t c = sh.channel_of_local_buf[lb];
-      if (is_nic_[c]) return buf_base_[c];
-      return buf_base_[c] + (lb - buf_local_of_global_[buf_base_[c]]);
-    };
-    std::vector<std::uint32_t> occupied;
-    sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t /*slot*/,
-                               const FlitBufferPool::BufferSlot& sl) {
-      if (sl.size > 0) occupied.push_back(global_of(lb));
-    });
-    std::sort(occupied.begin(), occupied.end());
-    if (occupied.size() > kMaxSample) occupied.resize(kMaxSample);
-    sh.stuck_buffers = std::move(occupied);
+    // sample.
+    sh.stuck_buffers = sh.occupied_buffers(8);
     return true;
   }
   sh.flits_moved_epoch = 0;
   return false;
-}
-
-bool ShardedFlowSim::local_credit_conservation_holds(Shard& sh) const {
-  // Audit live slots only: a never-activated buffer holds full credits,
-  // no flits, and nothing in flight (consuming a credit for an in-flight
-  // wire pins the target's slot), so it satisfies the identity
-  // trivially.  The slot-indexed scratch is hoisted into the shard.
-  sh.audit_in_flight.assign(sh.pool->peak_slots(), 0);
-  for (const Shard::Wire& w : sh.wires) {
-    if (w.target == kEject) continue;
-    NBCLOS_ASSERT(sh.pool->slot_id(buf_local_of_global_[w.target]) ==
-                  w.target_slot);  // the claim pinned it
-    ++sh.audit_in_flight[w.target_slot];
-  }
-  bool ok = true;
-  sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t slot,
-                             const FlitBufferPool::BufferSlot& sl) {
-    if (lb >= sh.local_switch_buffers) return;  // NICs are uncredited
-    const std::uint64_t sum = (config_.buffer_flits - sl.credits_used) +
-                              sl.size + sh.audit_in_flight[slot] +
-                              sl.pending_returns;
-    if (sum != config_.buffer_flits) ok = false;
-  });
-  return ok;
 }
 
 void ShardedFlowSim::run_shard(std::uint32_t s) {
@@ -917,7 +529,7 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
         timed = (now & 63u) == 63u && obs::enabled();
       }
       using clock = std::chrono::steady_clock;
-      std::array<clock::time_point, 6> t{};
+      std::array<clock::time_point, 8> t{};
       const auto stamp = [&](std::size_t i) {
         if (timed) t[i] = clock::now();
       };
@@ -926,12 +538,16 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
       stamp(1);
       sync_->arrive_and_wait();
       stamp(2);
-      phase_execute(sh, now);
+      merge_proposals(sh);
       stamp(3);
-      sync_->arrive_and_wait();
+      phase_execute(sh, now);
       stamp(4);
-      phase_owner_post(sh, now);
+      sync_->arrive_and_wait();
       stamp(5);
+      merge_grants(sh);
+      stamp(6);
+      phase_owner_post(sh, now);
+      stamp(7);
       if (timed) {
         const auto ns = [](clock::duration d) {
           return static_cast<std::uint64_t>(
@@ -939,9 +555,10 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
                   .count());
         };
         sh.phase_ns[0] += ns(t[1] - t[0]);
-        sh.phase_ns[1] += ns(t[3] - t[2]);
-        sh.phase_ns[2] += ns(t[5] - t[4]);
-        sh.barrier_wait_ns += ns((t[2] - t[1]) + (t[4] - t[3]));
+        sh.phase_ns[1] += ns(t[4] - t[3]);
+        sh.phase_ns[2] += ns(t[7] - t[6]);
+        sh.phase_ns[3] += ns((t[3] - t[2]) + (t[6] - t[5]));
+        sh.barrier_wait_ns += ns((t[2] - t[1]) + (t[5] - t[4]));
         ++sh.timed_cycles;
       }
       sh.cycles_run = now + 1;
@@ -949,9 +566,7 @@ void ShardedFlowSim::run_shard(std::uint32_t s) {
     }
     // End-of-run conservation audit: wires and delay lines still hold
     // whatever was in flight when the loop ended (serial parity).
-    if (sh.ledger != nullptr) {
-      NBCLOS_ASSERT(local_credit_conservation_holds(sh));
-    }
+    if (sh.ledger != nullptr) NBCLOS_ASSERT(sh.credit_conservation_holds());
   } catch (...) {
     sync_->record_failure();
   }
@@ -1042,7 +657,8 @@ FlowResult ShardedFlowSim::merge_results() {
   // Mean switch queue depth: replay serial's per-cycle Welford stream —
   // each cycle's sample is the summed end-of-cycle occupancy over the
   // global switch channel count, added in cycle order.
-  if (switch_channel_count_ > 0) {
+  const std::uint64_t switch_channels = facts_->channel_of_switch.size();
+  if (switch_channels > 0) {
     RunningStats depth;
     for (std::uint64_t cyc = config_.warmup_cycles; cyc < cycles_run; ++cyc) {
       std::uint64_t total_flits = 0;
@@ -1050,7 +666,7 @@ FlowResult ShardedFlowSim::merge_results() {
         total_flits += shp->depth_sum_by_cycle[cyc];
       }
       depth.add(static_cast<double>(total_flits) /
-                static_cast<double>(switch_channel_count_));
+                static_cast<double>(switch_channels));
     }
     result.mean_switch_queue_depth = depth.mean();
   }
@@ -1142,37 +758,7 @@ void ShardedFlowSim::capture_forensics() {
   // reports use serial FlowSim's global buffer ids, so the merged walk
   // (finalize_forensics sorts and follows cross-shard waiting_for edges)
   // names the same chain a serial run would.
-  // A blocked buffer's blocked_since field pins its slot, so walking
-  // live slots sees every blocked FIFO; finalize_forensics sorts the
-  // reports, erasing the allocation-order walk.
-  for (const auto& shp : shards_) {
-    const Shard& sh = *shp;
-    sh.pool->for_each_live([&](std::uint32_t lb, std::uint32_t slot,
-                               const FlitBufferPool::BufferSlot& sl) {
-      if (sl.blocked_since_plus1 == 0) return;
-      const std::uint32_t c = sh.channel_of_local_buf[lb];
-      const std::uint32_t v =
-          is_nic_[c] ? 0u : lb - buf_local_of_global_[buf_base_[c]];
-      BlockedBufferReport report;
-      report.buffer = buf_base_[c] + v;
-      report.channel = c;
-      report.occupancy = sl.size;
-      report.blocked_since = sl.blocked_since_plus1 - 1;
-      if (sl.size > 0) {
-        const FlitRef head = sh.pool->front_at(slot);
-        if (head.flit_index > 0) {
-          report.waiting_for = sl.out_alloc;  // global id already
-        } else if (!dst_is_terminal_[c]) {
-          const sim::Packet& packet = sh.packets.at(head.packet_slot);
-          const std::uint32_t nc = routes_->next_channel_from(
-              channel_dst_[c], packet.src_terminal, packet.dst_terminal);
-          report.waiting_for =
-              buf_base_[nc] + (is_nic_[nc] ? 0u : v % config_.vcs);
-        }
-      }
-      forensics_.blocked.push_back(report);
-    });
-  }
+  for (const auto& shp : shards_) shp->collect_blocked(forensics_.blocked);
   forensics_.tail = recorder_.tail(DeadlockForensics::kTailPoints);
   detail::finalize_forensics(forensics_);
 }
@@ -1181,7 +767,7 @@ std::size_t ShardedFlowSim::arena_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
-    if (sh.pool != nullptr) bytes += sh.pool->bytes();
+    if (sh.pool.has_value()) bytes += sh.pool->bytes();
     bytes += sh.packets.bytes();
     bytes += sh.channel_flits.capacity() * sizeof(std::uint32_t);
     bytes += sh.depth_sum_by_cycle.capacity() * sizeof(std::uint64_t);
@@ -1196,7 +782,7 @@ ArenaStats ShardedFlowSim::arena_stats() const noexcept {
   ArenaStats stats;
   for (const auto& shp : shards_) {
     const Shard& sh = *shp;
-    if (sh.pool != nullptr) {
+    if (sh.pool.has_value()) {
       stats.flit_arena_bytes += sh.pool->bytes();
       stats.resident_slots += sh.pool->resident_slots();
       stats.peak_slots += sh.pool->peak_slots();
@@ -1274,6 +860,8 @@ void ShardedFlowSim::flush_obs(double wall_seconds) {
         .record(sh.phase_ns[1] / sh.timed_cycles);
     m.histogram("flow.phase.owner_post_ns", cap)
         .record(sh.phase_ns[2] / sh.timed_cycles);
+    m.histogram("flow.phase.mailbox_ns", cap)
+        .record(sh.phase_ns[3] / sh.timed_cycles);
   }
   m.counter("flow.wall_us").add(static_cast<std::uint64_t>(wall_seconds * 1e6));
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/util/prng.hpp"
 
 namespace nbclos {
 namespace {
@@ -61,7 +63,7 @@ void expect_identical(const FlowResult& a, const FlowResult& b,
   EXPECT_EQ(a.stuck_buffers, b.stuck_buffers);
 }
 
-/// ftree(2+4, 3): 16 terminals, enough levels for multi-hop worms, small
+/// ftree(2+4, 3): 6 terminals, enough levels for multi-hop worms, small
 /// enough that 4 engines x 4 shard counts stay fast.
 class FlowSharded : public ::testing::Test {
  protected:
@@ -87,19 +89,36 @@ class FlowSharded : public ::testing::Test {
     return config;
   }
 
-  void check_all_shard_counts(const FlowConfig& config,
-                              const fault::DegradedView* degraded = nullptr,
-                              std::vector<fault::FaultEvent> events = {}) {
-    FlowSim serial(cache, traffic, config, degraded, events);
+  /// Serial FlowSim against ShardedFlowSim at each of `shard_counts`:
+  /// every FlowResult field and the per-channel link_busy tallies.
+  /// Returns each sharded run's cross-shard credit count.
+  static std::vector<std::uint64_t> check_shard_counts(
+      const std::shared_ptr<const routing::NextHop>& routes,
+      const sim::TrafficPattern& pattern, const FlowConfig& config,
+      const std::vector<std::uint32_t>& shard_counts,
+      const fault::DegradedView* degraded = nullptr,
+      const std::vector<fault::FaultEvent>& events = {}) {
+    FlowSim serial(routes, pattern, config, degraded, events);
     const FlowResult golden = serial.run();
     const auto serial_busy = serial.link_busy_flits();
-    for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
-      ShardedFlowSim sharded(cache, traffic, config, shards, degraded, events);
+    std::vector<std::uint64_t> credits;
+    for (const std::uint32_t shards : shard_counts) {
+      ShardedFlowSim sharded(routes, pattern, config, shards, degraded,
+                             events);
       const FlowResult got = sharded.run();
       expect_identical(golden, got, shards);
       EXPECT_EQ(serial_busy, sharded.link_busy_flits())
           << "link_busy diverged at " << shards << " shards";
+      credits.push_back(sharded.telemetry().cross_shard_credits);
     }
+    return credits;
+  }
+
+  void check_all_shard_counts(const FlowConfig& config,
+                              const fault::DegradedView* degraded = nullptr,
+                              std::vector<fault::FaultEvent> events = {}) {
+    (void)check_shard_counts(cache, traffic, config, {1, 2, 3, 4, 8},
+                             degraded, events);
   }
 
   FoldedClos ft;
@@ -208,6 +227,54 @@ TEST_F(FlowSharded, BitIdenticalUnderFaultSchedule) {
   // drop counter engaged (regression against a silently dead schedule).
   FlowSim probe(cache, traffic, config, &view, events);
   EXPECT_GT(probe.run().dropped_packets, 0U);
+}
+
+/// The flow benchmark's own margin probes: ftree(4+16, 32) (512
+/// terminals) under Theorem 3 routes, a seeded derangement, load 0.9 and
+/// 4-flit packets.  Both are saturated and stall across every shard cut:
+/// at the benchmark's 500 + 1500 cycles wormhole at depth 1 accepts 0.5
+/// with 127,581 credit-stall cycles, VCT at depth 4 accepts 0.799 with
+/// 50,162.  Here they run a quarter as long (still saturated: 31,581
+/// and 11,867 credit-stall cycles).  The cross-shard credit counts are
+/// the ones recorded when executors still mailed credits back.
+TEST_F(FlowSharded, BitIdenticalOnBenchmarkMarginProbes) {
+  const FoldedClos probe_ft(FtreeParams{4, 16, 32});
+  const Network probe_net = build_network(probe_ft);
+  const YuanNonblockingRouting probe_yuan(probe_ft);
+  const auto probe_cache =
+      routing::ChannelRouteCache::materialize(probe_net, probe_yuan);
+  // Sattolo's shuffle, seed 1: one random cycle through every terminal.
+  const std::uint32_t terminals = probe_ft.leaf_count();
+  std::vector<std::uint32_t> target(terminals);
+  std::iota(target.begin(), target.end(), 0u);
+  Xoshiro256 rng(1);
+  for (std::uint32_t i = terminals - 1; i > 0; --i) {
+    std::swap(target[i], target[rng.below(i)]);
+  }
+  const auto pattern = sim::TrafficPattern::permutation(
+      permutation_from_targets(target), terminals);
+
+  struct Probe {
+    Switching switching;
+    std::uint32_t depth;
+    std::vector<std::uint64_t> cross_credits;  ///< at 1, 2, 3 shards
+  };
+  for (const Probe& probe :
+       {Probe{Switching::kWormhole, 1, {0, 30603, 40968}},
+        Probe{Switching::kVirtualCutThrough, 4, {0, 47973, 64157}}}) {
+    SCOPED_TRACE("depth=" + std::to_string(probe.depth));
+    FlowConfig config;
+    config.injection_rate = 0.9;
+    config.packet_flits = 4;
+    config.buffer_flits = probe.depth;
+    config.switching = probe.switching;
+    config.warmup_cycles = 100;
+    config.measure_cycles = 400;
+    config.seed = 1;
+    config.counter_injection = true;
+    EXPECT_EQ(check_shard_counts(probe_cache, pattern, config, {1, 2, 3}),
+              probe.cross_credits);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,9 +433,10 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
 }
 
 TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
-  // Every 64th cycle each shard times its three phases and its two
-  // barrier waits; flush_obs records one mean per shard.  Obs-off builds
-  // compile the timers out, so nothing is recorded there.
+  // Every 64th cycle each shard times its three phases, its two mailbox
+  // merges and its two barrier waits; flush_obs records one mean per
+  // shard.  Obs-off builds compile the timers out, so nothing is
+  // recorded there.
   auto& registry = obs::metrics();
   registry.reset();
   ShardedFlowSim sharded(cache, traffic, base_config(), 2);
@@ -377,7 +445,8 @@ TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
   const auto snapshot = registry.snapshot();
   for (const std::string name :
        {"flow.sharded.barrier_wait_ns", "flow.phase.owner_pre_ns",
-        "flow.phase.execute_ns", "flow.phase.owner_post_ns"}) {
+        "flow.phase.execute_ns", "flow.phase.owner_post_ns",
+        "flow.phase.mailbox_ns"}) {
     const auto it = std::find_if(
         snapshot.begin(), snapshot.end(),
         [&](const obs::MetricSample& m) { return m.name == name; });

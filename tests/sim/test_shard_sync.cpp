@@ -2,12 +2,14 @@
 /// \brief ShardSync, the sharded engines' epoch barrier and failure
 ///        latch: every epoch publishes every worker's writes, a failing
 ///        worker releases the survivors, and oversubscribed runs finish.
+///        MailboxGrid keeps every box header on its own cache line.
 #include "nbclos/sim/shard_exchange.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -98,6 +100,25 @@ TEST(ShardSync, OversubscribedWorkersFinish) {
   const std::uint32_t threads =
       2 * std::max(1U, std::thread::hardware_concurrency());
   EXPECT_EQ(stale_slots_over_epochs(threads, 1'000), 0U);
+}
+
+/// Two shards push into boxes (0, 1) and (1, 0) in the same phase, so no
+/// two box headers may share a cache line.
+TEST(MailboxGrid, NoTwoBoxesShareACacheLine) {
+  for (const std::uint32_t shards : {2u, 3u}) {
+    MailboxGrid<std::uint32_t> grid(shards);
+    std::set<std::uintptr_t> lines;
+    for (std::uint32_t src = 0; src < shards; ++src) {
+      for (std::uint32_t dst = 0; dst < shards; ++dst) {
+        const auto first =
+            reinterpret_cast<std::uintptr_t>(&grid.box(src, dst));
+        const auto last = first + sizeof(std::vector<std::uint32_t>) - 1;
+        EXPECT_EQ(first / 64, last / 64) << "box straddles two lines";
+        EXPECT_TRUE(lines.insert(first / 64).second)
+            << "box (" << src << ", " << dst << ") shares a line";
+      }
+    }
+  }
 }
 
 }  // namespace
