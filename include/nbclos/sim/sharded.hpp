@@ -10,25 +10,31 @@
 /// and its round-robin arbitration state all live in exactly one shard's
 /// arena and are never touched by another worker.
 ///
-/// Per cycle, each shard runs three phases separated by two ShardSync
-/// barrier epochs (the Graphite phase-exchange idiom):
+/// Every shard is a PacketKernel (kernel.hpp) over the channels it owns,
+/// so the packet rules are PacketSim's own code.  Per cycle, each shard
+/// runs three phases separated by two ShardSync barrier epochs (the
+/// Graphite phase-exchange idiom):
 ///
-///   A. faults + arrivals: deliver terminal-bound packets, route the
-///      rest (pure `routing::NextHop` — no shared state), and emit an
-///      admission *proposal* per candidate to the owner of the chosen
-///      next channel: a local list when the owner is this shard, else a
-///      per-(src, dst)-shard SPSC mailbox;
+///   A. propose: `apply_due_faults`, then `arrive` — deliver
+///      terminal-bound packets, route the rest (pure `routing::NextHop` —
+///      no shared state), and emit an admission *proposal* per candidate
+///      to the owner of the chosen next channel: a local list when the
+///      owner is this shard, else a per-(src, dst)-shard SPSC mailbox;
 ///   -- barrier 1 (every proposal is visible to its target's owner) --
-///   B. admission: merge local + mailbox proposals, sort by
-///      (target, proposing channel), and run PacketSim's per-queue
-///      round-robin arbitration verbatim; winners enter the target
-///      queue, and every proposer gets an accept/reject *ack* (local or
-///      via the reverse mailboxes);
+///   B. admit: merge local + mailbox proposals, sort by (target,
+///      proposing channel), and run the kernel's `admit` per target;
+///      winners enter the target queue, and every proposer gets an
+///      accept/reject *ack* (local or via the reverse mailboxes);
 ///   -- barrier 2 (every ack is visible to its proposer's owner) --
-///   C. resolve acks (losers stall on their channel, exactly
-///      PacketSim's backpressure), start transmissions, inject new
-///      packets with the counter-based RNG (injection_rng.hpp), and
-///      record this cycle's switch-queue depth sum.
+///   C. resolve: apply the acks (losers stall on their channel, exactly
+///      PacketSim's backpressure), then `transmit`, `inject_counter`
+///      (injection_rng.hpp), and record this cycle's switch-queue depth
+///      sum.
+///
+/// With obs on, every 64th cycle (63, 127, ...) each shard times its
+/// three phases, its two mailbox drains and its two barrier waits, and
+/// records one mean per shard into `sim.phase.{propose,admit,resolve}_ns`,
+/// `sim.phase.mailbox_ns` and `sim.sharded.barrier_wait_ns`.
 ///
 /// Mailbox safety needs no third barrier: a proposal box written in
 /// A(n) is drained by its reader in B(n), which happens-before the
@@ -48,16 +54,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "nbclos/fault/degraded_view.hpp"
-#include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/shard_exchange.hpp"
 #include "nbclos/routing/next_hop.hpp"
-#include "nbclos/sim/traffic.hpp"
-#include "nbclos/topology/network.hpp"
-#include "nbclos/util/stats.hpp"
+#include "nbclos/sim/engine.hpp"
+#include "nbclos/sim/kernel.hpp"
+#include "nbclos/sim/shard_exchange.hpp"
 
 namespace nbclos::sim {
 
@@ -126,35 +129,24 @@ class ShardedSim {
   };
 
   void run_shard(std::uint32_t s);
-  void init_shard_arena(std::uint32_t s);  ///< called on the worker thread
-  void cycle_faults(Shard& sh, std::uint64_t now);
   void phase_propose(Shard& sh, std::uint64_t now, bool measuring);
+  /// Gather this cycle's proposals for `sh` (local + mailboxes).
+  void merge_proposals(Shard& sh);
   void phase_admit(Shard& sh);
+  void drain_acks(Shard& sh);
   void phase_resolve(Shard& sh, std::uint64_t now);
-  void deliver(Shard& sh, const Packet& packet, std::uint64_t now,
-               bool measuring);
-  void queue_push(Shard& sh, std::uint32_t channel, const Packet& packet);
-  [[nodiscard]] Packet queue_pop(Shard& sh, std::uint32_t channel);
-  void queue_clear(Shard& sh, std::uint32_t channel);
   void send_ack(Shard& sh, std::uint32_t from, bool accepted);
   /// Winner: the packet left its channel; loser: it stalls there.
   void apply_ack(Shard& sh, const Ack& ack);
-  [[nodiscard]] bool channel_usable(const Shard& sh,
-                                    std::uint32_t channel) const;
   [[nodiscard]] SimResult merge_results();
   void flush_obs(double wall_seconds);
-  void arm_recorder();
-  void sample_recorder(Shard& sh, std::uint64_t now);
 
-  const Network* net_;
   const routing::NextHop* router_;
   const TrafficPattern* traffic_;
   SimConfig config_;
   std::vector<fault::FaultEvent> fault_events_;  ///< sorted by cycle
   const fault::DegradedView* degraded_ = nullptr;  ///< copied per shard
   ShardPlan plan_;
-  std::uint32_t terminal_count_ = 0;
-  double packet_rate_ = 0.0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// SPSC mailboxes (shard_exchange.hpp): written in disjoint epoch
@@ -166,12 +158,7 @@ class ShardedSim {
   NumaTopology numa_;
   Telemetry telemetry_;
   obs::FlightRecorder recorder_;
-  obs::FlightRecorder::SeriesId rec_queue_depth_ = 0;
-  obs::FlightRecorder::SeriesId rec_active_flying_ = 0;
-  obs::FlightRecorder::SeriesId rec_active_sendable_ = 0;
-  obs::FlightRecorder::SeriesId rec_busy_flits_ = 0;
-  obs::FlightRecorder::SeriesId rec_injected_ = 0;
-  obs::FlightRecorder::SeriesId rec_delivered_ = 0;
+  detail::PacketSeries series_;
   obs::FlightRecorder::SeriesId rec_mailbox_flits_ = 0;
   obs::FlightRecorder::SeriesId rec_mailbox_peak_ = 0;
   bool ran_ = false;

@@ -4,6 +4,7 @@
 ///        confidence intervals, and a fixed-bin histogram.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -111,6 +112,31 @@ class QuantileHistogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
+
+/// Per-source fairness: set `result.{min,max}_flow_throughput` to the
+/// extremes of delivered(t) / cycles (flits per cycle) over the terminals
+/// t that sent anything, folded in ascending t (left as they are, 0 in a
+/// fresh result, when none sent).  Every engine reports fairness through
+/// this one fold, so the doubles agree bit for bit.
+template <class Result, class Sent, class Delivered>
+void set_flow_extremes(Result& result, std::uint32_t terminals,
+                       std::uint64_t cycles, Sent&& sent,
+                       Delivered&& delivered) {
+  bool first = true;
+  for (std::uint32_t t = 0; t < terminals; ++t) {
+    if (!sent(t)) continue;
+    const double rate = static_cast<double>(delivered(t)) /
+                        static_cast<double>(cycles);
+    if (first) {
+      result.min_flow_throughput = rate;
+      result.max_flow_throughput = rate;
+      first = false;
+    } else {
+      result.min_flow_throughput = std::min(result.min_flow_throughput, rate);
+      result.max_flow_throughput = std::max(result.max_flow_throughput, rate);
+    }
+  }
+}
 
 /// Least-squares fit of y = a * x^b through points (x_i, y_i) in log space.
 /// Returns {a, b}.  Used to measure the empirical exponent in Theorem 5.

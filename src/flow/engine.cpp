@@ -283,20 +283,10 @@ FlowResult FlowSim::run() {
     result.p999_latency = latency_hist.quantile(0.999);
   }
   result.mean_switch_queue_depth = queue_depth_samples_.mean();
-  bool first_flow = true;
-  for (std::uint32_t t = 0; t < terminal_count_; ++t) {
-    if (flow_sequence[t] == 0) continue;
-    const double rate = static_cast<double>(delivered_per_source[t]) /
-                        static_cast<double>(config.measure_cycles);
-    if (first_flow) {
-      result.min_flow_throughput = rate;
-      result.max_flow_throughput = rate;
-      first_flow = false;
-    } else {
-      result.min_flow_throughput = std::min(result.min_flow_throughput, rate);
-      result.max_flow_throughput = std::max(result.max_flow_throughput, rate);
-    }
-  }
+  set_flow_extremes(
+      result, terminal_count_, config.measure_cycles,
+      [&](std::uint32_t t) { return flow_sequence[t] != 0; },
+      [&](std::uint32_t t) { return delivered_per_source[t]; });
   result.credit_stall_cycles = credit_stall_cycles;
   result.vc_stall_cycles = vc_stall_cycles;
   result.mean_stall_cycles =

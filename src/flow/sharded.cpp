@@ -698,24 +698,21 @@ FlowResult ShardedFlowSim::merge_results() {
   }
   result.peak_live_packets = peak_live;
 
-  // Flow fairness: ascending terminals, same min/max fold as serial.
-  bool first_flow = true;
-  for (std::uint32_t t = 0; t < terminal_count_; ++t) {
-    const Shard& owner = *shards_[plan_.shard_of_vertex(t)];
-    if (owner.flow_sequence[t - owner.term_lo] == 0) continue;
-    std::uint64_t delivered = 0;
-    for (const auto& shp : shards_) delivered += shp->delivered_per_source[t];
-    const double rate = static_cast<double>(delivered) /
-                        static_cast<double>(config_.measure_cycles);
-    if (first_flow) {
-      result.min_flow_throughput = rate;
-      result.max_flow_throughput = rate;
-      first_flow = false;
-    } else {
-      result.min_flow_throughput = std::min(result.min_flow_throughput, rate);
-      result.max_flow_throughput = std::max(result.max_flow_throughput, rate);
-    }
-  }
+  // Flow fairness: flow_sequence lives with the injecting shard;
+  // deliveries are summed across all shards.
+  set_flow_extremes(
+      result, terminal_count_, config_.measure_cycles,
+      [&](std::uint32_t t) {
+        const Shard& owner = *shards_[plan_.shard_of_vertex(t)];
+        return owner.flow_sequence[t - owner.term_lo] != 0;
+      },
+      [&](std::uint32_t t) {
+        std::uint64_t delivered = 0;
+        for (const auto& shp : shards_) {
+          delivered += shp->delivered_per_source[t];
+        }
+        return delivered;
+      });
 
   // Deadlock diagnostics (every shard reduced the same epoch totals, so
   // the flags agree; the stuck-buffer sample is the global 8 smallest).

@@ -88,11 +88,13 @@ TEST(Engine, ThroughputScalesWithOfferedLoadBelowSaturation) {
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
   const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  const OracleFactory factory = [&](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kTable, &table);
+  };
   const auto pattern = shift_permutation(ft.leaf_count(), 2);
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
-  const auto results =
-      load_sweep(net, oracle, traffic, quick_config(0.0), {0.2, 0.5, 0.8});
+  const auto results = load_sweep(net, factory, traffic, quick_config(0.0),
+                                  {0.2, 0.5, 0.8}, nullptr);
   ASSERT_EQ(results.size(), 3U);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_NEAR(results[i].accepted_throughput, results[i].offered_load,
@@ -212,12 +214,15 @@ TEST(Engine, FairnessGapWidensUnderDModKFunnel) {
 
 TEST(Engine, SaturationFinderReportsFullLoadForCrossbar) {
   const auto net = build_crossbar(8);
-  CrossbarOracle oracle(8);
+  const OracleFactory factory = [](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<CrossbarOracle>(8);
+  };
   const auto traffic =
       TrafficPattern::permutation(shift_permutation(8, 3), 8);
   SimConfig config = quick_config(0.0);
   config.measure_cycles = 2000;
-  EXPECT_DOUBLE_EQ(find_saturation_load(net, oracle, traffic, config), 1.0);
+  EXPECT_DOUBLE_EQ(
+      find_saturation_load(net, factory, traffic, config, 6, nullptr), 1.0);
 }
 
 TEST(Engine, SaturationFinderLocatesDModKCollapse) {
@@ -225,11 +230,14 @@ TEST(Engine, SaturationFinderLocatesDModKCollapse) {
   // must land in that neighbourhood.
   const FoldedClos ft(FtreeParams{4, 4, 8});
   const auto net = build_network(ft);
-  FtreeOracle oracle(ft, UplinkPolicy::kDModK);
+  const OracleFactory factory = [&](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kDModK);
+  };
   const auto traffic = TrafficPattern::permutation(dmodk_uplink_funnel(), 32);
   SimConfig config = quick_config(0.0);
   config.measure_cycles = 2000;
-  const double sat = find_saturation_load(net, oracle, traffic, config, 6);
+  const double sat =
+      find_saturation_load(net, factory, traffic, config, 6, nullptr);
   EXPECT_GT(sat, 0.10);
   EXPECT_LT(sat, 0.40);
 }

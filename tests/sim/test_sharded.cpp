@@ -9,11 +9,14 @@
 /// multi-shard run against a single shard instead of a serial rerun.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
@@ -102,6 +105,29 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnKaryTrees) {
                         std::to_string(shards))
                            .c_str());
     }
+  }
+}
+
+TEST(ShardedSim, BitIdenticalWithMultiFlitPacketsAndOddQueueCapacity) {
+  // 4-flit packets and a 3-packet queue (a 4-slot ring slice) on a
+  // saturated d-mod-k shift: switch queues fill and wrap, losers stall,
+  // and the NIC backlog grows the rings past their first 16 slots.
+  const Network net = build_kary_ntree(4, 3);
+  const KaryDmodkRouter router(net, 4, 3);
+  const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
+  const auto traffic = TrafficPattern::permutation(
+      shift_permutation(terminals, 5), terminals);
+  auto config = sharded_config(0.9);
+  config.packet_size = 4;
+  config.queue_capacity = 3;
+  const auto expect = reference_run(router, traffic, config);
+  EXPECT_TRUE(expect.saturated());
+  EXPECT_GT(expect.injected_packets - expect.delivered_packets,
+            16U * terminals);
+  for (const std::uint32_t shards : {1U, 2U, 3U, 4U}) {
+    ShardedSim sim(router, traffic, config, shards);
+    expect_identical(sim.run(), expect,
+                     ("multi-flit shards=" + std::to_string(shards)).c_str());
   }
 }
 
@@ -258,6 +284,43 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
       EXPECT_EQ(got[i].points, golden[i].points);
     }
   }
+}
+
+TEST(ShardedSim, TwoShardRunRecordsPhaseTimersPerShard) {
+  // Every 64th cycle each shard times its three phases, its two mailbox
+  // drains and its two barrier waits; flush_obs records one mean per
+  // shard.  Obs-off runs take no clock reads, so nothing is recorded.
+  const Network net = build_kary_ntree(3, 3);
+  const KaryDmodkRouter router(net, 3, 3);
+  const auto traffic =
+      TrafficPattern::permutation(shift_permutation(27, 4), 27);
+  const auto config = sharded_config(0.6);
+  const std::vector<std::string> names = {
+      "sim.sharded.barrier_wait_ns", "sim.phase.propose_ns",
+      "sim.phase.admit_ns", "sim.phase.resolve_ns", "sim.phase.mailbox_ns"};
+  auto& registry = obs::metrics();
+  const bool was_enabled = obs::enabled();
+  for (const bool on : {true, false}) {
+    obs::set_enabled(on);
+    registry.reset();
+    ShardedSim sharded(router, traffic, config, 2);
+    ASSERT_EQ(sharded.shard_count(), 2U);
+    (void)sharded.run();
+    const auto snapshot = registry.snapshot();
+    for (const std::string& name : names) {
+      const auto it = std::find_if(
+          snapshot.begin(), snapshot.end(),
+          [&](const obs::MetricSample& m) { return m.name == name; });
+      if (obs::kEnabled && on) {
+        ASSERT_NE(it, snapshot.end()) << name;
+        EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
+        EXPECT_EQ(it->count, 2U) << name;  // one sample per shard
+      } else {
+        EXPECT_TRUE(it == snapshot.end() || it->count == 0) << name;
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(ShardedSim, RunIsSingleShot) {

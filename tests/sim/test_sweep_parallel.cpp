@@ -103,6 +103,22 @@ TEST_F(ParallelSweep, LoadSweepWithFaultsMatchesSerial) {
   const auto parallel =
       load_sweep(net, factory, traffic, config, rates, &pool, &view, events);
   expect_identical(serial, parallel);
+  // Every run starts from the caller's fault mask, so two runs at one rate
+  // drop the same packets.  d-mod-k keys on dst mod m: terminal 0 -> 5
+  // crosses bottom 0 via top 5, so this uplink carries traffic and its
+  // mid-run death must drop packets.
+  const OracleFactory dmodk = [this](std::uint64_t, fault::DegradedView*) {
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kDModK);
+  };
+  const fault::DegradedView pristine(net);
+  const auto dead = ft.up_link(BottomId{0}, TopId{5}).value;
+  const std::vector<fault::FaultEvent> death{
+      {300, fault::FaultAction::kFailChannel, dead},
+  };
+  const auto twice = load_sweep(net, dmodk, traffic, config, {0.5, 0.5},
+                                nullptr, &pristine, death);
+  EXPECT_EQ(twice[0].dropped_packets, twice[1].dropped_packets);
+  EXPECT_GT(twice[0].dropped_packets, 0u);
 }
 
 TEST_F(ParallelSweep, SaturationSearchMatchesSerialAtAnyThreadCount) {
@@ -114,24 +130,6 @@ TEST_F(ParallelSweep, SaturationSearchMatchesSerialAtAnyThreadCount) {
     EXPECT_EQ(serial,
               find_saturation_load(net, factory, traffic, config, 5, &pool));
   }
-}
-
-TEST_F(ParallelSweep, LegacySerialOverloadRestoresDegradedView) {
-  fault::DegradedView view(net);
-  // d-mod-k keys on dst mod m: terminal 0 -> 5 crosses bottom 0 via top 5,
-  // so this uplink carries traffic and its death must drop packets.
-  const auto dead = ft.up_link(BottomId{0}, TopId{5}).value;
-  const std::vector<fault::FaultEvent> events{
-      {300, fault::FaultAction::kFailChannel, dead},
-  };
-  FtreeOracle oracle(ft, UplinkPolicy::kDModK);
-  const auto results =
-      load_sweep(net, oracle, traffic, config, {0.5, 0.5}, &view, events);
-  // The event killed `dead` mid-run, but the caller's view must come back
-  // in its entry state, and both runs must have seen identical faults.
-  EXPECT_TRUE(view.channel_alive(dead));
-  EXPECT_EQ(results[0].dropped_packets, results[1].dropped_packets);
-  EXPECT_GT(results[0].dropped_packets, 0u);
 }
 
 TEST_F(ParallelSweep, FaultThroughputSweepIsThreadCountIndependent) {
