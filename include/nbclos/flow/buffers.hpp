@@ -132,7 +132,7 @@ class PacketPool {
   std::vector<std::uint8_t> freed_;
 };
 
-/// All flit FIFOs of one FlowSim, addressed by dense buffer id: ids
+/// All flit FIFOs of one arena, addressed by dense buffer id: ids
 /// [0, switch_buffers) are finite switch FIFOs (capacity_flits each),
 /// ids [switch_buffers, switch_buffers + nic_buffers) are unbounded
 /// terminal NIC send queues.  The flow-control protocol — not this

@@ -56,8 +56,8 @@ struct FlowConfig {
   /// Draw injection randomness from the counter-based discipline
   /// (sim/injection_rng.hpp) instead of the sequential Xoshiro stream:
   /// every (cycle, terminal) draw becomes a pure function of the seed,
-  /// which is what lets ShardedFlowSim reproduce FlowSim bit-identically
-  /// at any shard count.  Also switches mean latency / mean stall to
+  /// which is what makes a run bit-identical at any shard count (two or
+  /// more shards force it on).  Also switches mean latency / mean stall to
   /// exact integer accumulators (order-independent, shard-mergeable).
   /// Off by default — the legacy stream is part of the recorded golden
   /// results.

@@ -30,19 +30,19 @@
 ///   * backpressure is credit-based (conservative counters, delayed
 ///     returns) or on/off (stop bit, 1-cycle signal delay) — see
 ///     credits.hpp for the occupancy-bound arguments;
-///   * terminal NIC send queues stay unbounded and injection mirrors
-///     PacketSim's RNG call sequence exactly, which is what makes the
-///     cross-engine golden equivalence test possible (see
+///   * terminal NIC send queues stay unbounded and, without
+///     `FlowConfig::counter_injection`, injection mirrors PacketSim's
+///     RNG call sequence exactly, which is what makes the cross-engine
+///     golden equivalence test possible (see
 ///     FlowConfig::ideal_reference).
 ///
-/// The rules of one flit move live in one kernel (kernel.hpp) that
-/// ShardedFlowSim's shards run too; FlowSim is the kernel over one arena
-/// indexed by global ids.  Per cycle: credit returns -> wire arrivals
-/// (FlitKernel::land) -> transmissions (FlitKernel::transmit per active
-/// channel) -> injection -> on/off latch -> depth sample -> watchdog.
-/// All iteration orders are fixed (active channels swept in ascending
-/// id, the PacketSim discipline), so runs are bit-reproducible from
-/// seeds and sweeps are thread-count independent.
+/// FlowSim has no driver of its own: it is ShardedFlowSim (sharded.hpp)
+/// at one shard, whose kernel arena (kernel.hpp) holds the whole fabric
+/// by global id.  Per cycle: credit returns -> wire arrivals -> one
+/// transmit per active channel -> injection -> on/off latch -> depth
+/// sample -> watchdog.  All iteration orders are fixed (active channels
+/// swept in ascending id, the PacketSim discipline), so runs are
+/// bit-reproducible from seeds and sweeps are thread-count independent.
 ///
 /// The deadlock watchdog is the robustness backstop: if a whole epoch
 /// passes with flits in the system but none transmitted, the run stops
@@ -50,131 +50,27 @@
 /// cyclic channel dependencies *should* trip it (see tests/flow).
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/flow/buffers.hpp"
-#include "nbclos/flow/config.hpp"
-#include "nbclos/flow/kernel.hpp"
-#include "nbclos/flow/result.hpp"
-#include "nbclos/obs/flight_recorder.hpp"
-#include "nbclos/routing/next_hop.hpp"
-#include "nbclos/sim/traffic.hpp"
-#include "nbclos/util/prng.hpp"
-#include "nbclos/util/stats.hpp"
+#include "nbclos/flow/credits.hpp"
+#include "nbclos/flow/sharded.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos::flow {
 
-class FlowSim : private detail::FlitKernel<FlowSim> {
+/// The one-shard flow engine: same contract as ShardedFlowSim, plus the
+/// legacy injection stream when `config.counter_injection` is false.
+class FlowSim : public ShardedFlowSim {
  public:
-  /// `routes` pins the Network and the routing; it is shared read-only
-  /// across the sweep workers, so it arrives as a shared_ptr.  A
-  /// `ChannelRouteCache` works at any size its O(T^2) table fits; a pure
-  /// router (e.g. `sim::KaryDmodkRouter`) builds no pair table, which is
-  /// the only way a 10^6-terminal run fits.
-  ///
-  /// Optional faults: `degraded` seeds a PRIVATE copy of the liveness
-  /// mask (the caller's view is never mutated — unlike PacketSim) and
-  /// `fault_events` are applied to the copy at their scheduled cycles.
-  /// Semantics are fail-stop blocking: a dead channel transmits nothing
-  /// (its flits wait in place — deadlock territory, by design), a head
-  /// flit whose route leads into a dead channel stalls as a credit
-  /// block, and only injection onto a dead NIC uplink drops the packet
-  /// (FlowResult::dropped_packets).
   FlowSim(std::shared_ptr<const routing::NextHop> routes,
           const sim::TrafficPattern& traffic, FlowConfig config,
           const fault::DegradedView* degraded = nullptr,
-          std::vector<fault::FaultEvent> fault_events = {});
-
-  /// Run warmup + measurement; returns aggregate results.  Stops early
-  /// (with result.deadlocked set) if the watchdog trips.
-  [[nodiscard]] FlowResult run();
-
-  /// Flits transmitted per channel over the whole run.  Valid after run().
-  [[nodiscard]] const std::vector<std::uint64_t>& link_busy_flits() const {
-    return link_busy;
-  }
-
-  /// Credit-conservation audit over every switch buffer (see
-  /// FlitKernel::credit_conservation_holds).  Checked internally at
-  /// every watchdog epoch and at end of run; public so tests can probe
-  /// it mid-run too.  \pre credit backpressure mode.
-  using FlitKernel::credit_conservation_holds;
-
-  /// The per-epoch time-series recorder (inactive unless
-  /// FlowConfig::record_timeseries).  Valid after run().
-  [[nodiscard]] const obs::FlightRecorder& recorder() const {
-    return recorder_;
-  }
-
-  /// Deadlock forensics — valid (forensics().valid) only when the
-  /// watchdog tripped.  Valid after run().
-  [[nodiscard]] const DeadlockForensics& forensics() const {
-    return forensics_;
-  }
-
-  /// Flit/packet arena accounting (bytes, slab residency) — valid any
-  /// time; benches and the CLI manifest read it after run().
-  [[nodiscard]] ArenaStats arena_stats() const;
-
- private:
-  friend FlitKernel;
-
-  // The kernel's id map: the one serial arena is indexed by global ids.
-  static std::uint32_t buffer(std::uint32_t b) { return b; }
-  static std::uint32_t channel(std::uint32_t c) { return c; }
-  static std::uint32_t global_buffer(std::uint32_t b) { return b; }
-  static std::uint32_t busy(std::uint32_t c) { return c; }
-  void activate(std::uint32_t c) { active.insert(c); }
-  void packet_entered(std::uint64_t /*now*/) {
-    if (packets.live() > peak_live_packets_) {
-      peak_live_packets_ = packets.live();
-    }
-  }
-  void packet_left(std::uint64_t /*now*/) {}
-
-  void step_injection();
-  /// One simulated cycle's four phases, timed when `timed`.
-  void step_phases(bool timed);
-  /// True when the watchdog detects a whole epoch without forward
-  /// progress while flits remain in the system.
-  bool watchdog_tripped();
-  void flush_obs(double wall_seconds);
-  void arm_recorder();
-  void sample_recorder();
-
-  std::shared_ptr<const routing::NextHop> routes_;
-  const sim::TrafficPattern* traffic_;
-  std::vector<fault::FaultEvent> fault_events_;  ///< sorted by cycle
-  std::uint32_t terminal_count_ = 0;
-
-  Xoshiro256 rng_;  ///< legacy injection stream
-  std::uint64_t now_ = 0;
-  double packet_rate_ = 0.0;  ///< injection_rate / packet_flits
-  bool measuring_ = false;
-  std::uint64_t peak_live_packets_ = 0;
-  RunningStats queue_depth_samples_;
-  bool deadlocked_ = false;
-
-  // Observability (never feeds back into simulation state).
-  /// Sampled phase timers (every 64th cycle with obs on): credit
-  /// returns, arrivals, transmissions, injection — ns summed over the
-  /// sampled cycles.
-  std::array<std::uint64_t, 4> phase_ns_{};
-  std::uint64_t phase_samples_ = 0;
-  obs::FlightRecorder recorder_;
-  obs::FlightRecorder::SeriesId rec_in_system_ = 0;
-  obs::FlightRecorder::SeriesId rec_buffer_occupancy_ = 0;
-  obs::FlightRecorder::SeriesId rec_credit_stalls_ = 0;
-  obs::FlightRecorder::SeriesId rec_vc_stalls_ = 0;
-  obs::FlightRecorder::SeriesId rec_blocked_heads_ = 0;
-  obs::FlightRecorder::SeriesId rec_injected_ = 0;
-  obs::FlightRecorder::SeriesId rec_delivered_ = 0;
-  DeadlockForensics forensics_;
+          std::vector<fault::FaultEvent> fault_events = {})
+      : ShardedFlowSim(std::move(routes), traffic, config, 1, degraded,
+                       std::move(fault_events)) {}
 };
 
 /// Run one FlowSim per injection rate over `pool` (nullptr = serial).

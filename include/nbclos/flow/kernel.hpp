@@ -1,7 +1,7 @@
 /// \file kernel.hpp
 /// \brief The flit-move kernel: the rules of one flit crossing one
-///        channel, run by serial FlowSim and by every ShardedFlowSim
-///        shard.
+///        channel, run by every shard of the flow-engine driver
+///        (sharded.hpp).
 ///
 /// A kernel instance owns one arena: the flit FIFOs and packets of the
 /// buffers it owns, their credit or on/off state, each owned channel's
@@ -17,21 +17,20 @@
 ///   * `land` — last cycle's wires push into their FIFOs or `eject`;
 ///   * `inject` — build a packet and queue it on its source NIC.
 ///
-/// Serial FlowSim calls `transmit` for every active channel.  A shard
-/// calls it for the channels it both owns and executes; for a channel
-/// whose ends sit on two shards the executor runs `downstream` + `send`
-/// on a mailed proposal and the owner runs `pop` on the returned grant
-/// (see sharded.hpp).
+/// A shard calls `transmit` for the channels it both owns and executes
+/// — at one shard, every active channel; for a channel whose ends sit
+/// on two shards the executor runs `downstream` + `send` on a mailed
+/// proposal and the owner runs `pop` on the returned grant.
 ///
-/// The engines differ only in how a global id reaches the arena.  An
-/// engine derives from FlitKernel<Engine> and supplies, at compile time:
+/// Shards differ only in how a global id reaches the arena.  A shard
+/// derives from FlitKernel<Shard> and supplies, at compile time:
 ///   buffer(b), channel(c)   global buffer / channel id -> arena index
 ///   global_buffer(lb)       arena buffer index -> global buffer id
 ///   busy(c)                 channel -> its link-busy tally
 ///   activate(c)             channel c holds flits: add it to the set
 ///                           whose sweep moves them
-///   packet_entered(now), packet_left(now)   live-packet accounting
-/// FlowSim maps by identity; a shard maps through ShardPlan's local ids.
+/// The one-shard arena maps by identity; a shard of a cut maps through
+/// ShardPlan's local ids.
 #pragma once
 
 #include <algorithm>
@@ -175,6 +174,8 @@ struct FlitKernel {
     delivered_per_source.assign(terminals, 0);
     term_lo = lo;
     flow_sequence.assign(hi - lo, 0);
+    acq_by_cycle.assign(config.warmup_cycles + config.measure_cycles, 0);
+    rel_by_cycle.assign(acq_by_cycle.size(), 0);
   }
 
   [[nodiscard]] bool usable(std::uint32_t c) const {
@@ -398,7 +399,7 @@ struct FlitKernel {
         latency_hist.add(latency);
       }
     }
-    if (tail) self().packet_left(now);
+    if (tail) ++rel_by_cycle[now];
     if (tail || w.flit_copy) packets.release(w.flit.packet_slot);
   }
 
@@ -443,7 +444,7 @@ struct FlitKernel {
     channel_flits[self().channel(first)] += config.packet_flits;
     self().activate(first);
     flits_in_system += config.packet_flits;
-    self().packet_entered(now);
+    ++acq_by_cycle[now];
   }
 
   /// Credit-conservation audit over the arena's switch buffers:
@@ -552,9 +553,13 @@ struct FlitKernel {
   std::vector<std::uint64_t> link_busy;  ///< flits sent, by busy(c)
 
   // Statistics.  The integer ones merge exactly across shards; the
-  // Welford streams serve FlowSim's legacy injection mode only.
+  // Welford streams serve the one-shard legacy injection mode only.
   std::uint32_t term_lo = 0;  ///< first terminal this arena injects at
   std::vector<std::uint64_t> flow_sequence;  ///< per injecting terminal
+  /// Per cycle: packets injected, tails ejected — the live-packet peak
+  /// replays from them in cycle order, summed over arenas.
+  std::vector<std::uint32_t> acq_by_cycle;
+  std::vector<std::uint32_t> rel_by_cycle;
   std::uint64_t next_packet_id = 0;
   std::uint64_t injected = 0;
   std::uint64_t dropped = 0;  ///< packets refused at a dead NIC uplink

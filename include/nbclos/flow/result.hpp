@@ -1,8 +1,7 @@
 /// \file result.hpp
 /// \brief What a flow-engine run reports: the aggregate FlowResult and,
-///        when the deadlock watchdog trips, the stall forensics.  Both
-///        engines fill the same structures in serial FlowSim's global
-///        buffer id space.
+///        when the deadlock watchdog trips, the stall forensics, in the
+///        global buffer id space at any shard count.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +64,7 @@ struct BlockedBufferReport {
   /// terminal-bound head, which never blocks downstream).
   static constexpr std::uint32_t kWaitsOnNone = UINT32_MAX;
 
-  std::uint32_t buffer = 0;   ///< global buffer id (serial FlowSim's space)
+  std::uint32_t buffer = 0;   ///< global buffer id (ChannelFacts' space)
   std::uint32_t channel = 0;  ///< channel owning the buffer
   std::uint32_t occupancy = 0;  ///< flits queued in the FIFO at the trip
   /// The downstream buffer the head flit needs space in: the worm's
@@ -100,7 +99,7 @@ struct DeadlockForensics {
 };
 
 namespace detail {
-/// Shared forensics finisher (serial + sharded engines): sort the raw
+/// Forensics finisher, run once over every shard's report: sort the raw
 /// blocked list by buffer id, find a circular wait by following the
 /// waiting_for edges, mark its members, and cap the list keeping chain
 /// members preferentially.

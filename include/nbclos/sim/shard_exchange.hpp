@@ -34,9 +34,11 @@
 /// touch), so each arena's pages land on the node its worker runs on.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -121,6 +123,20 @@ class MailboxGrid {
   std::uint32_t shards_ = 0;
   std::vector<Box> boxes_;
 };
+
+/// Merge the ascending `run` (one sender's ascending sweep) into the
+/// ascending `merged` through `scratch`, which keeps its capacity: how a
+/// shard orders the mailbox runs it drains without sorting.
+template <class T, class Less>
+void merge_run(std::vector<T>& merged, const std::vector<T>& run,
+               std::vector<T>& scratch, Less less) {
+  NBCLOS_DEBUG_CHECK(std::is_sorted(run.begin(), run.end(), less),
+                     "a mailbox run must arrive in order");
+  scratch.clear();
+  std::merge(merged.begin(), merged.end(), run.begin(), run.end(),
+             std::back_inserter(scratch), less);
+  merged.swap(scratch);
+}
 
 /// Epoch barrier + failure latch shared by all shard workers of one run.
 ///

@@ -21,8 +21,9 @@
 ///      to the owner of the chosen next channel: a local list when the
 ///      owner is this shard, else a per-(src, dst)-shard SPSC mailbox;
 ///   -- barrier 1 (every proposal is visible to its target's owner) --
-///   B. admit: merge local + mailbox proposals, sort by (target,
-///      proposing channel), and run the kernel's `admit` per target;
+///   B. admit: merge the local and mailbox proposal runs (each ascends
+///      by proposing channel), bucket them per target as PacketSim
+///      does, and run the kernel's `admit` per target;
 ///      winners enter the target queue, and every proposer gets an
 ///      accept/reject *ack* (local or via the reverse mailboxes);
 ///   -- barrier 2 (every ack is visible to its proposer's owner) --
@@ -43,7 +44,7 @@
 /// write in B(n+1) via barrier 1 of cycle n+1.
 ///
 /// Determinism contract: because the cut is deterministic, proposals are
-/// merged in sorted order, round-robin state transfers verbatim, and all
+/// merged in proposing-channel order, round-robin state transfers verbatim, and all
 /// merged statistics use exact integer arithmetic (replayed in cycle
 /// order where PacketSim streams doubles), a run is **bit-identical at
 /// any shard count** and bit-identical to `PacketSim` run with

@@ -50,7 +50,13 @@ struct ShardedSim::Shard : detail::PacketKernel<Shard> {
 
   // Phase scratch.
   std::vector<Proposal> local_props;  ///< proposals targeting this shard
-  std::vector<Proposal> merged;
+  std::vector<Proposal> merged;       ///< all of them, ascending `from`
+  std::vector<Proposal> merge_scratch;
+  /// Per owned channel (local id): indices into `merged` of the
+  /// candidates for it, ascending `from`; `targets` lists the channels
+  /// with candidates in first-appearance order.
+  std::vector<std::vector<std::uint32_t>> candidates;
+  std::vector<std::uint32_t> targets;
 
   std::vector<std::uint64_t> depth_sum_by_cycle;  ///< per cycle, replayed
   std::uint64_t cross_flits = 0;
@@ -128,14 +134,18 @@ void ShardedSim::phase_propose(Shard& sh, std::uint64_t now, bool measuring) {
 }
 
 void ShardedSim::merge_proposals(Shard& sh) {
-  auto& merged = sh.merged;
-  merged.clear();
-  merged.insert(merged.end(), sh.local_props.begin(), sh.local_props.end());
+  // Every run ascends by proposing channel — this shard's own arrival
+  // sweep and each owner's box — so merging them keeps `merged` in the
+  // order PacketSim's global ascending sweep produces.
+  const auto by_from = [](const Proposal& a, const Proposal& b) {
+    return a.from < b.from;
+  };
+  sh.merged.swap(sh.local_props);
   sh.local_props.clear();
   proposal_box_.drain_to(sh.index, [&](std::uint32_t,
                                        const std::vector<Proposal>& box) {
     sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak, box.size());
-    merged.insert(merged.end(), box.begin(), box.end());
+    merge_run(sh.merged, box, sh.merge_scratch, by_from);
   });
 }
 
@@ -158,30 +168,27 @@ void ShardedSim::apply_ack(Shard& sh, const Ack& ack) {
 }
 
 void ShardedSim::phase_admit(Shard& sh) {
-  // Sorted by (target, from): per target the candidates are then in
-  // ascending proposing-channel order — the order PacketSim's global
-  // ascending sweep produces.
-  auto& merged = sh.merged;
-  std::sort(merged.begin(), merged.end(),
-            [](const Proposal& a, const Proposal& b) {
-              return a.target < b.target ||
-                     (a.target == b.target && a.from < b.from);
-            });
-  std::size_t g = 0;
-  while (g < merged.size()) {
-    const std::uint32_t target = merged[g].target;
-    std::size_t end = g + 1;
-    while (end < merged.size() && merged[end].target == target) ++end;
-    const Proposal* group = merged.data() + g;
-    sh.admit(
-        target, end - g, [&](std::size_t k) { return group[k].from; },
-        [&](std::size_t k) -> const Packet& {
-          send_ack(sh, group[k].from, true);
-          return group[k].packet;
-        },
-        [&](std::size_t k) { send_ack(sh, group[k].from, false); });
-    g = end;
+  // Bucket the candidates per target, as PacketSim::step_arrivals does:
+  // each bucket keeps `merged`'s ascending proposing-channel order.
+  const auto& merged = sh.merged;
+  for (std::uint32_t k = 0; k < merged.size(); ++k) {
+    auto& waiting = sh.candidates[sh.channel(merged[k].target)];
+    if (waiting.empty()) sh.targets.push_back(merged[k].target);
+    waiting.push_back(k);
   }
+  for (const auto target : sh.targets) {
+    auto& waiting = sh.candidates[sh.channel(target)];
+    sh.admit(
+        target, waiting.size(),
+        [&](std::size_t k) { return merged[waiting[k]].from; },
+        [&](std::size_t k) -> const Packet& {
+          send_ack(sh, merged[waiting[k]].from, true);
+          return merged[waiting[k]].packet;
+        },
+        [&](std::size_t k) { send_ack(sh, merged[waiting[k]].from, false); });
+    waiting.clear();
+  }
+  sh.targets.clear();
 }
 
 void ShardedSim::drain_acks(Shard& sh) {
@@ -205,8 +212,10 @@ void ShardedSim::run_shard(std::uint32_t s) {
     const std::uint64_t total = config_.warmup_cycles + config_.measure_cycles;
     // First-touch: the arena vectors are allocated here, on the worker's
     // own thread, so their pages land on the node the worker runs on.
-    sh.carve(static_cast<std::uint32_t>(plan_.shard_channels[s].size()),
-             plan_.terminal_begin[s], plan_.terminal_begin[s + 1]);
+    const auto owned =
+        static_cast<std::uint32_t>(plan_.shard_channels[s].size());
+    sh.carve(owned, plan_.terminal_begin[s], plan_.terminal_begin[s + 1]);
+    sh.candidates.resize(owned);
     sh.depth_sum_by_cycle.assign(total, 0);
     if (degraded_ != nullptr) sh.degraded = &sh.view.emplace(*degraded_);
     sh.numa_node = current_numa_node(numa_);

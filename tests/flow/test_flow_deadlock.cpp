@@ -14,6 +14,8 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/flow/engine.hpp"
+#include "nbclos/flow/sharded.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
@@ -23,6 +25,7 @@ namespace {
 using flow::Backpressure;
 using flow::FlowConfig;
 using flow::FlowSim;
+using flow::ShardedFlowSim;
 using flow::Switching;
 
 constexpr std::uint32_t kRing = 4;
@@ -125,6 +128,28 @@ TEST(FlowDeadlock, DeadlockedRunStillSatisfiesCreditConservation) {
   const auto result = sim.run();
   ASSERT_TRUE(result.deadlocked);
   EXPECT_TRUE(sim.credit_conservation_holds());
+}
+
+TEST(FlowDeadlock, CycleCounterIncludesTheTripCycle) {
+  // The run executes cycles 0..deadlock_cycle, so flow.cycles counts
+  // deadlock_cycle + 1 of them, at one shard (the legacy stream) and
+  // under a cut (the counter stream) alike.
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  RingFabric fab;
+  const auto traffic =
+      sim::TrafficPattern::permutation(shift_permutation(kRing, 2), kRing);
+  auto& registry = obs::metrics();
+  const auto expect_trip_cycle_counted = [&](auto& sim) {
+    registry.reset();
+    const auto result = sim.run();
+    ASSERT_TRUE(result.deadlocked);
+    EXPECT_EQ(registry.counter("flow.cycles").value(),
+              result.deadlock_cycle + 1);
+  };
+  FlowSim serial(fab.cache, traffic, wedge_config());
+  expect_trip_cycle_counted(serial);
+  ShardedFlowSim cut(fab.cache, traffic, wedge_config(), 2);
+  expect_trip_cycle_counted(cut);
 }
 
 TEST(FlowDeadlock, WatchdogAlsoDetectsVirtualCutThroughWedge) {

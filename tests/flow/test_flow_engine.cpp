@@ -252,9 +252,10 @@ TEST_F(FlowEngine, LinkBusyFlitsAccountEveryDeliveredFlit) {
 }
 
 TEST_F(FlowEngine, SerialRunRecordsPhaseTimers) {
-  // Every 64th cycle the serial engine times its four phases; flush_obs
-  // records one ns-per-sampled-cycle mean each.  Obs-off builds compile
-  // the timers out, so nothing is recorded there.
+  // Every 64th cycle the one-shard engine times its four phases;
+  // flush_obs records one ns-per-sampled-cycle mean each.  With no cut
+  // there is no mailbox to time.  Obs-off builds compile the timers out,
+  // so nothing is recorded there.
   auto& registry = obs::metrics();
   registry.reset();
   FlowSim sim(cache, traffic, short_config());
@@ -273,6 +274,13 @@ TEST_F(FlowEngine, SerialRunRecordsPhaseTimers) {
     } else {
       EXPECT_EQ(it, snapshot.end()) << name;
     }
+  }
+  for (const std::string name :
+       {"flow.phase.mailbox_ns", "flow.sharded.barrier_wait_ns"}) {
+    EXPECT_TRUE(std::none_of(
+        snapshot.begin(), snapshot.end(),
+        [&](const obs::MetricSample& m) { return m.name == name; }))
+        << name;
   }
 }
 

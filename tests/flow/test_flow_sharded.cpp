@@ -433,9 +433,9 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
 }
 
 TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
-  // Every 64th cycle each shard times its three phases, its two mailbox
-  // merges and its two barrier waits; flush_obs records one mean per
-  // shard.  Obs-off builds compile the timers out, so nothing is
+  // Every 64th cycle each shard times the four one-shard phases, its two
+  // mailbox merges and its two barrier waits; flush_obs records one mean
+  // per shard.  Obs-off builds compile the timers out, so nothing is
   // recorded there.
   auto& registry = obs::metrics();
   registry.reset();
@@ -444,9 +444,9 @@ TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
   (void)sharded.run();
   const auto snapshot = registry.snapshot();
   for (const std::string name :
-       {"flow.sharded.barrier_wait_ns", "flow.phase.owner_pre_ns",
-        "flow.phase.execute_ns", "flow.phase.owner_post_ns",
-        "flow.phase.mailbox_ns"}) {
+       {"flow.sharded.barrier_wait_ns", "flow.phase.credit_returns_ns",
+        "flow.phase.arrivals_ns", "flow.phase.transmissions_ns",
+        "flow.phase.injection_ns", "flow.phase.mailbox_ns"}) {
     const auto it = std::find_if(
         snapshot.begin(), snapshot.end(),
         [&](const obs::MetricSample& m) { return m.name == name; });
@@ -457,6 +457,22 @@ TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
     } else {
       EXPECT_EQ(it, snapshot.end()) << name;
     }
+  }
+}
+
+/// flow.buffer.pool_bytes is the flit pool, summed over shards: what
+/// arena_stats() reports as flit_arena_bytes.
+TEST_F(FlowSharded, PoolBytesGaugeIsTheFlitArena) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  auto& registry = obs::metrics();
+  for (const std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    registry.reset();
+    ShardedFlowSim sharded(cache, traffic, base_config(), shards);
+    (void)sharded.run();
+    EXPECT_EQ(registry.gauge("flow.buffer.pool_bytes").value(),
+              static_cast<std::int64_t>(
+                  sharded.arena_stats().flit_arena_bytes));
   }
 }
 
