@@ -1,5 +1,6 @@
 /// \file engine.hpp
-/// \brief Cycle-driven packet simulator over a Network.
+/// \brief Cycle-driven packet simulator over a Network, and the load
+///        sweeps built on it.
 ///
 /// Model (BookSim-style store-and-forward at packet granularity):
 ///   * every channel moves one flit per cycle, so a packet of S flits
@@ -12,75 +13,29 @@
 ///     distributed control, as the paper requires;
 ///   * when a packet finishes a hop but the chosen next queue is full it
 ///     stalls on the channel (credit-style backpressure).
-/// The rules live in one kernel (kernel.hpp) that ShardedSim's shards
-/// run too; PacketSim is the kernel over one arena indexed by global
-/// ids.  Per cycle: faults -> arrivals (`arrive`, then `admit` per
-/// target) -> transmissions (`transmit`) -> injection.  Active channels
-/// sit in bitmap sets swept in ascending id (see DESIGN.md "PacketSim
-/// performance model"), so per-cycle cost scales with the packets in
-/// the system, and every oracle/RNG consultation happens in a full
-/// scan's order: runs are bit-reproducible from seeds.
+/// PacketSim is ShardedSim (sharded.hpp) at one shard: one arena over
+/// the whole fabric by global id, running the packet-move kernel
+/// (kernel.hpp).  Active channels are swept in ascending id, so per-cycle
+/// cost scales with the packets in the system and every oracle/RNG
+/// consultation happens in a full scan's order: runs are
+/// bit-reproducible from seeds.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "nbclos/fault/degraded_view.hpp"
-#include "nbclos/obs/flight_recorder.hpp"
-#include "nbclos/obs/trace.hpp"
-#include "nbclos/sim/config.hpp"
-#include "nbclos/sim/kernel.hpp"
-#include "nbclos/sim/oracle.hpp"
-#include "nbclos/sim/traffic.hpp"
-#include "nbclos/topology/network.hpp"
-#include "nbclos/util/stats.hpp"
+#include "nbclos/sim/sharded.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos::sim {
 
-struct SimResult {
-  double offered_load = 0.0;          ///< config injection rate
-  double accepted_throughput = 0.0;   ///< delivered flits/terminal/cycle
-  double mean_latency = 0.0;          ///< cycles, measured packets only
-  /// Latency quantiles from the streaming histogram; each is exact to
-  /// within `latency_bucket_width` cycles (see QuantileHistogram).
-  double p50_latency = 0.0;
-  double p99_latency = 0.0;
-  double p999_latency = 0.0;
-  double latency_bucket_width = 1.0;  ///< quantile resolution, cycles
-  std::uint64_t injected_packets = 0;
-  std::uint64_t delivered_packets = 0;
-  /// Packets lost to failed channels/switches over the whole run (zero on
-  /// a pristine fabric): dropped at injection because the leaf uplink was
-  /// dead, purged from queues when their channel died, or discarded when
-  /// the oracle found no live route (fault::kNoRoute).
-  std::uint64_t dropped_packets = 0;
-  double mean_switch_queue_depth = 0.0;  ///< time-average over switch queues
-  /// Fairness: per-SOURCE-terminal accepted throughput extremes over the
-  /// measurement window (flits/cycle).  A big min/max gap means some
-  /// flows starve — typical for static routings on funnel patterns.
-  double min_flow_throughput = 0.0;
-  double max_flow_throughput = 0.0;
-  /// accepted < 95% of offered — the network is saturated at this load.
-  [[nodiscard]] bool saturated() const {
-    return accepted_throughput < 0.95 * offered_load;
-  }
-};
-
-/// Per-channel link utilization over one simulation run: the fraction of
-/// cycles each channel spent transmitting flits.  This is the telemetry
-/// resource-centric analyses need (see PAPERS.md) and what the paper's
-/// Lemma 1 artifacts compute internally but never exposed before.
-struct LinkUtilization {
-  std::vector<double> busy_fraction;  ///< per channel, [0, 1]
-  double mean = 0.0;                  ///< over all channels
-  double max = 0.0;
-  std::uint32_t max_channel = 0;      ///< argmax channel id
-};
-
-class PacketSim : private detail::PacketKernel<PacketSim> {
+/// The one-shard packet engine over a stateful RoutingOracle: same
+/// contract as ShardedSim, plus the legacy injection stream when
+/// `config.counter_injection` is false.
+class PacketSim : public ShardedSim {
  public:
   /// All references must outlive the simulator.
   ///
@@ -94,80 +49,9 @@ class PacketSim : private detail::PacketKernel<PacketSim> {
   PacketSim(const Network& net, RoutingOracle& oracle,
             const TrafficPattern& traffic, SimConfig config,
             fault::DegradedView* degraded = nullptr,
-            std::vector<fault::FaultEvent> fault_events = {});
-
-  /// Run warmup + measurement; returns aggregate results.
-  [[nodiscard]] SimResult run();
-
-  /// Flits transmitted per channel over the whole run (busy cycles, since
-  /// a channel moves one flit per cycle).  Valid after run().
-  [[nodiscard]] const std::vector<std::uint64_t>& link_busy_flits() const {
-    return link_busy_flits_;
-  }
-
-  /// Per-link utilization report over the whole run.  Valid after run().
-  /// Recorder-backed: the per-link sums, the `sim.link.busy_flits`
-  /// flight-recorder series and the `sim.link.busy_flit_cycles` registry
-  /// counter (added at the end of the run) are fed by the same
-  /// transmissions.
-  [[nodiscard]] LinkUtilization link_utilization() const;
-
-  /// The per-epoch time-series recorder (inactive unless
-  /// SimConfig::record_timeseries).  Series are stable after run().
-  [[nodiscard]] const obs::FlightRecorder& recorder() const {
-    return recorder_;
-  }
-
- private:
-  friend PacketKernel;
-
-  // The kernel's hooks: the one arena is indexed by global ids, and
-  // routes come from the oracle over the hoisted SimView.
-  static std::uint32_t channel(std::uint32_t c) { return c; }
-  static std::uint32_t global(std::uint32_t c) { return c; }
-  std::uint32_t route(std::uint32_t at, const Packet& packet) {
-    ++oracle_calls_;
-    return oracle_->next_channel(view_, at, packet);
-  }
-  void busy(std::uint32_t c, std::uint32_t flits) {
-    link_busy_flits_[c] += flits;
-  }
-  void measured_latency(std::uint64_t latency) {
-    latency_.add(static_cast<double>(latency));
-  }
-
-  void step_arrivals();
-  void step_injection();
-  /// Aggregate engine telemetry into obs::metrics() + sampled per-phase
-  /// timings; called once at the end of run() when obs is enabled.
-  void flush_obs(double wall_seconds);
-
-  RoutingOracle* oracle_;
-  std::vector<fault::FaultEvent> fault_events_;  ///< sorted by cycle
-  /// Per target queue, the channels whose head packet wants it this
-  /// cycle (ascending: the arrival sweep is ascending).
-  std::vector<std::vector<std::uint32_t>> arrival_candidates_;
-  std::vector<std::uint32_t> arrival_targets_;
-
-  Xoshiro256 rng_;  ///< legacy injection stream
-  std::uint64_t now_ = 0;
-  bool measuring_ = false;
-  SimView view_;  ///< stable oracle view, hoisted out of steps
-  RunningStats latency_;  ///< the legacy mode's Welford latency mean
-  RunningStats queue_depth_samples_;
-
-  // --- observability (none of it feeds back into simulation state, so
-  // --- results are bit-identical with obs compiled out or disabled) ----
-  std::vector<std::uint64_t> link_busy_flits_;  ///< per channel, whole run
-  obs::FlightRecorder recorder_;
-  detail::PacketSeries series_;
-  std::uint64_t oracle_calls_ = 0;
-  std::uint64_t active_flying_sum_ = 0;    ///< per-cycle |flying| summed
-  std::uint64_t active_sendable_sum_ = 0;  ///< per-cycle |sendable| summed
-  /// Sampled per-phase wall time (arrivals / transmissions / injection),
-  /// measured every 64th cycle so the clock reads stay off the hot path.
-  std::uint64_t phase_ns_[3] = {0, 0, 0};
-  std::uint64_t phase_samples_ = 0;
+            std::vector<fault::FaultEvent> fault_events = {})
+      : ShardedSim(net, oracle, traffic, config, degraded,
+                   std::move(fault_events)) {}
 };
 
 // --- sweep drivers ----------------------------------------------------

@@ -1,35 +1,33 @@
 /// \file kernel.hpp
 /// \brief The packet-move kernel: the rules of the packet model, run by
-///        serial PacketSim and by every ShardedSim shard.
+///        every arena of the one packet-engine driver (sharded.hpp).
 ///
 /// A kernel instance owns one arena: per owned channel the packet in
 /// flight, the output-queue ring (a slice of one switch pool, or a
-/// growable NIC ring) and that queue's round-robin arbiter, the `flying`
-/// / `sendable` active sets, and every run statistic.  Its steps are the
-/// whole packet model:
+/// growable NIC ring), that queue's round-robin arbiter and its link-busy
+/// tally, the `flying` / `sendable` active sets, and every run statistic.
+/// Its steps are the whole packet model:
 ///   * `apply_due_faults` / `purge_dead` — liveness changes, and the drop
 ///     of every packet queued or in flight on a dead channel;
 ///   * `arrive` — deliver landed packets at terminals, route the rest and
 ///     hand each to `propose` as a candidate for its next channel;
-///   * `admit` — per target queue, round-robin admission of the
-///     candidates while the queue has room; losers stall (backpressure);
+///   * `bucket` / `admit` — per target queue, round-robin admission of
+///     the candidates while the queue has room; losers stall
+///     (backpressure);
 ///   * `transmit` — an idle live channel starts sending its head packet;
 ///   * `inject` / `inject_counter` — queue a new packet on its NIC;
 ///   * `sample` — the six kInvariant flight-recorder series.
-/// PacketSim buckets each target's candidates itself; a shard mails them
-/// to the target's owner as proposals (see sharded.hpp).
 ///
-/// The engines differ only in compile-time hooks.  An engine derives
+/// The arenas differ only in compile-time hooks.  An engine derives
 /// from PacketKernel<Engine> and supplies:
 ///   channel(c)          global channel id -> arena index
 ///   global(li)          arena index -> global channel id
 ///   route(at, packet)   the next channel of `packet` at vertex `at`
-///   busy(c, flits)      channel c (global) starts a packet of `flits`
 ///   measured_latency(l) a measured packet was delivered after l cycles
-/// PacketSim maps by identity, routes through its RoutingOracle and keeps
-/// the per-link tally and the Welford latency stream its legacy mode
-/// reports; a shard maps through ShardPlan's local ids, routes through a
-/// pure routing::NextHop and keeps neither.
+/// At one shard the arena maps by identity, routes through a
+/// RoutingOracle and keeps the Welford latency stream the legacy
+/// injection mode reports; under a cut each shard maps through
+/// ShardPlan's local ids and routes through a pure routing::NextHop.
 #pragma once
 
 #include <array>
@@ -114,6 +112,8 @@ struct PacketKernel {
     channel_dst.assign(count, 0);
     dst_is_terminal.assign(count, 0);
     is_nic.assign(count, 0);
+    link_busy.assign(count, 0);
+    candidates.resize(count);
     flying = ActiveSet(count);
     sendable = ActiveSet(count);
     std::uint32_t switch_channels = 0;
@@ -281,30 +281,44 @@ struct PacketKernel {
     });
   }
 
-  /// Round-robin admission of `n` candidates, in ascending order of their
-  /// proposing channel `from(k)` (global id), into the queue of global
-  /// channel `target`.  Service starts after the queue's previous winner
-  /// (a fixed order would starve all but the lowest-id input).  While the
-  /// queue has room, `win(k)` releases candidate k and returns its packet,
-  /// which enters the queue; the rest get `lose(k)` and stall.
+  /// Queue `candidate` for global channel `target`.  Candidates must be
+  /// bucketed in ascending order of their proposing channel.
+  void bucket(std::uint32_t target, std::uint32_t candidate) {
+    auto& waiting = candidates[self().channel(target)];
+    if (waiting.empty()) targets.push_back(target);
+    waiting.push_back(candidate);
+  }
+
+  /// Per target queue, in first-bucketed order, round-robin admission of
+  /// its candidates: service starts after the proposing channel
+  /// `from(candidate)` (global id) that won last (a fixed order would
+  /// starve all but the lowest-id input).  While the queue has room,
+  /// `win(candidate)` releases the candidate and returns its packet,
+  /// which enters the queue; the rest get `lose(candidate)` and stall.
+  /// Empties every bucket.
   template <class From, class Win, class Lose>
-  void admit(std::uint32_t target, std::size_t n, From&& from, Win&& win,
-             Lose&& lose) {
-    const std::uint32_t li = self().channel(target);
-    std::size_t start = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (from(k) > rr_last_winner[li]) {
-        start = k;
-        break;
+  void admit(From&& from, Win&& win, Lose&& lose) {
+    for (const std::uint32_t target : targets) {
+      const std::uint32_t li = self().channel(target);
+      auto& waiting = candidates[li];
+      const std::size_t n = waiting.size();
+      std::size_t start = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (from(waiting[k]) > rr_last_winner[li]) {
+          start = k;
+          break;
+        }
       }
+      std::size_t i = 0;
+      for (; i < n && queue_depth[li] < config.queue_capacity; ++i) {
+        const std::uint32_t candidate = waiting[(start + i) % n];
+        push(li, win(candidate));
+        rr_last_winner[li] = from(candidate);
+      }
+      for (; i < n; ++i) lose(waiting[(start + i) % n]);
+      waiting.clear();
     }
-    std::size_t i = 0;
-    for (; i < n && queue_depth[li] < config.queue_capacity; ++i) {
-      const std::size_t k = (start + i) % n;
-      push(li, win(k));
-      rr_last_winner[li] = from(k);
-    }
-    for (; i < n; ++i) lose((start + i) % n);
+    targets.clear();
   }
 
   /// Sweep the channels with queued packets in ascending id: an idle
@@ -319,7 +333,7 @@ struct PacketKernel {
         fl.valid = true;
         fl.arrival_cycle = now + fl.packet.size_flits;
         busy_flits += fl.packet.size_flits;
-        self().busy(self().global(li), fl.packet.size_flits);
+        link_busy[li] += fl.packet.size_flits;
         flying.insert(li);
       }
       return q_size[li] != 0;
@@ -391,7 +405,7 @@ struct PacketKernel {
   }
 
   /// Resident bytes of the arena: queue pools, flight registers,
-  /// per-channel state and the per-terminal tallies.
+  /// per-channel state and tallies, and the per-terminal tallies.
   [[nodiscard]] std::size_t arena_bytes() const {
     std::size_t bytes = switch_pool.capacity() * sizeof(Packet);
     for (const auto& ring : nic_rings) {
@@ -405,20 +419,20 @@ struct PacketKernel {
              sizeof(std::uint32_t);
     bytes += flying.bytes() + sendable.bytes();
     bytes += dst_is_terminal.capacity() + is_nic.capacity();
-    bytes += (delivered_per_source.capacity() + flow_sequence.capacity()) *
+    bytes += (delivered_per_source.capacity() + flow_sequence.capacity() +
+              link_busy.capacity()) *
              sizeof(std::uint64_t);
     return bytes;
   }
 
   Engine& self() { return static_cast<Engine&>(*this); }
-  const Engine& self() const { return static_cast<const Engine&>(*this); }
 
   const Network* net;
   const TrafficPattern* traffic;
   SimConfig config;
   double packet_rate = 0.0;  ///< injection_rate / packet_size, hoisted
   /// Liveness mask the arena reads and applies faults to (null when
-  /// pristine): the caller's view in PacketSim, a private copy in a shard.
+  /// pristine): PacketSim's caller's view, else a private copy.
   fault::DegradedView* degraded = nullptr;
   std::size_t next_fault = 0;
 
@@ -434,6 +448,11 @@ struct PacketKernel {
   std::vector<std::uint32_t> channel_dst;     ///< destination vertex
   std::vector<std::uint8_t> dst_is_terminal;
   std::vector<std::uint8_t> is_nic;  ///< source vertex is a terminal
+  std::vector<std::uint64_t> link_busy;  ///< flits sent, whole run
+  /// Per target: its admission candidates, ascending proposing channel;
+  /// `targets` lists the global ids of targets with candidates.
+  std::vector<std::vector<std::uint32_t>> candidates;
+  std::vector<std::uint32_t> targets;
   std::uint32_t switch_slice_mask = 0;  ///< slice size - 1
   std::vector<Packet> switch_pool;      ///< all switch queues, contiguous
   std::vector<std::vector<Packet>> nic_rings;  ///< growable NIC rings

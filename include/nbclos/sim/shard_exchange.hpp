@@ -40,6 +40,7 @@
 #include <exception>
 #include <iterator>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "nbclos/topology/network.hpp"
@@ -179,6 +180,27 @@ class ShardSync {
   /// Rethrow the recorded exception, if any.  Call after joining.
   void rethrow_if_failed() const {
     if (eptr_) std::rethrow_exception(eptr_);
+  }
+
+  /// Run `work(s)` for every shard s in [0, shards): shard 0 on the
+  /// calling thread, each other shard on a thread of its own.  A worker
+  /// that throws records the failure; the first one is rethrown after
+  /// the join.
+  template <class Work>
+  void run(std::uint32_t shards, Work&& work) {
+    const auto guarded = [&](std::uint32_t s) {
+      try {
+        work(s);
+      } catch (...) {
+        record_failure();
+      }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(shards);
+    for (std::uint32_t s = 1; s < shards; ++s) workers.emplace_back(guarded, s);
+    guarded(0);
+    for (auto& worker : workers) worker.join();
+    rethrow_if_failed();
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "nbclos/flow/kernel.hpp"
 #include "nbclos/obs/trace.hpp"
@@ -47,32 +48,33 @@ void finalize_forensics(DeadlockForensics& forensics) {
             [](const BlockedBufferReport& a, const BlockedBufferReport& b) {
               return a.buffer < b.buffer;
             });
-  const auto find = [&](std::uint32_t buffer) -> std::ptrdiff_t {
+  constexpr std::size_t kNotBlocked = SIZE_MAX;
+  const auto find = [&](std::uint32_t buffer) -> std::size_t {
     const auto it = std::lower_bound(
         blocked.begin(), blocked.end(), buffer,
         [](const BlockedBufferReport& r, std::uint32_t key) {
           return r.buffer < key;
         });
-    if (it == blocked.end() || it->buffer != buffer) return -1;
-    return it - blocked.begin();
+    if (it == blocked.end() || it->buffer != buffer) return kNotBlocked;
+    return static_cast<std::size_t>(it - blocked.begin());
   };
   // Walk the waiting_for edges (each node has out-degree <= 1, so the
   // reachable set from any start is a rho shape: tail + at most one
   // cycle).  Three-state marking keeps the whole pass O(n).
   std::vector<std::uint8_t> state(blocked.size(), 0);  // 0 new, 1 path, 2 done
-  std::vector<std::ptrdiff_t> path;
+  std::vector<std::size_t> path;
   for (std::size_t s = 0; s < blocked.size() && forensics.wait_cycle.empty();
        ++s) {
     if (state[s] != 0) continue;
     path.clear();
-    std::ptrdiff_t i = static_cast<std::ptrdiff_t>(s);
-    while (i >= 0 && state[i] == 0) {
+    std::size_t i = s;
+    while (i != kNotBlocked && state[i] == 0) {
       state[i] = 1;
       path.push_back(i);
       const std::uint32_t next = blocked[i].waiting_for;
-      i = next == BlockedBufferReport::kWaitsOnNone ? -1 : find(next);
+      i = next == BlockedBufferReport::kWaitsOnNone ? kNotBlocked : find(next);
     }
-    if (i >= 0 && state[i] == 1) {
+    if (i != kNotBlocked && state[i] == 1) {
       const auto start = std::find(path.begin(), path.end(), i);
       for (auto it = start; it != path.end(); ++it) {
         blocked[*it].on_cycle = true;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <numeric>
 #include <string>
-#include <thread>
 
 #include "nbclos/flow/kernel.hpp"
 #include "nbclos/obs/metrics.hpp"
@@ -364,14 +363,14 @@ class Driver final : public detail::FlowDriver {
     obs::ScopedSpan span(kCut ? "flow.sharded.run" : "flow.run", "flow");
     const auto wall_start = std::chrono::steady_clock::now();
     if constexpr (kCut) {
-      std::vector<std::thread> workers;
-      workers.reserve(shard_count);
-      for (std::uint32_t s = 1; s < shard_count; ++s) {
-        workers.emplace_back([this, s] { run_shard(s); });
-      }
-      run_shard(0);
-      for (auto& worker : workers) worker.join();
-      sync_->rethrow_if_failed();
+      // Each worker builds its arena on its own thread (first touch, so
+      // the pages land on the node the worker runs on).
+      sync_->run(shard_count, [this](std::uint32_t s) {
+        ShardT& sh = *shards_[s];
+        init_arena(sh);
+        sh.numa_node = sim::current_numa_node(numa_);
+        run_cycles(sh);
+      });
     } else {
       run_cycles(*shards_[0]);
     }
@@ -452,21 +451,6 @@ class Driver final : public detail::FlowDriver {
       sh.remote_active = ActiveSet(sh.owned_channels);
     }
     sh.depth_sum_by_cycle.assign(sh.acq_by_cycle.size(), 0);
-  }
-
-  /// A cut's worker: build the arena on its own thread (first touch),
-  /// then run the cycles; a failure poisons the barriers.
-  void run_shard(std::uint32_t s) {
-    try {
-      ShardT& sh = *shards_[s];
-      // First touch: the arena is allocated here, on the worker's own
-      // thread, so its pages land on the node the worker runs on.
-      init_arena(sh);
-      sh.numa_node = sim::current_numa_node(numa_);
-      run_cycles(sh);
-    } catch (...) {
-      sync_->record_failure();
-    }
   }
 
   void run_cycles(ShardT& sh) {

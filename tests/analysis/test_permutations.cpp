@@ -180,7 +180,7 @@ TEST(Permutations, RangeEnumerationCoversShardsExactly) {
                                 });
   ASSERT_EQ(full_ranks.size(), 720U);
   std::vector<std::uint64_t> sharded;
-  for (const auto [begin, end] :
+  for (const auto& [begin, end] :
        std::vector<std::pair<std::uint64_t, std::uint64_t>>{
            {0, 1}, {1, 100}, {100, 477}, {477, 720}}) {
     const auto visited = for_each_permutation_in_range(

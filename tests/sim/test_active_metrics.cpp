@@ -1,6 +1,6 @@
 /// Pinned active-channel telemetry of the packet engines.
 ///
-/// PacketSim's `sim.active.flying_channel_cycles` and
+/// The `sim.active.flying_channel_cycles` and
 /// `sim.active.sendable_channel_cycles` counters, and the
 /// `sim.active.flying` / `sim.active.sendable` flight-recorder series of
 /// PacketSim and ShardedSim, count the channels on the engines' active
@@ -111,20 +111,38 @@ TEST(ActiveMetrics, PacketSimCountersAndSeriesArePinned) {
 
 TEST(ActiveMetrics, ShardedSimSeriesArePinned) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  obs::set_enabled(true);
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
   const FtreeDmodkRouter router(ft, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const fault::DegradedView pristine(net);
+  auto& flying = obs::metrics().counter("sim.active.flying_channel_cycles");
+  auto& sendable =
+      obs::metrics().counter("sim.active.sendable_channel_cycles");
+  std::uint64_t flying_before = flying.value();
+  std::uint64_t sendable_before = sendable.value();
   ShardedSim sim(router, traffic, pinned_config(true), 2, &pristine,
                  pinned_faults(ft));
   const auto result = sim.run();
   EXPECT_GT(result.dropped_packets, 0U);
+  const std::uint64_t flying_cycles = flying.value() - flying_before;
+  const std::uint64_t sendable_cycles = sendable.value() - sendable_before;
   const auto fly = digest(sim.recorder(), "sim.active.flying");
   const auto send = digest(sim.recorder(), "sim.active.sendable");
   expect_digest(fly, SeriesDigest{125, 13944, 893075}, "sim.active.flying");
   expect_digest(send, SeriesDigest{125, 3273, 208585}, "sim.active.sendable");
+  // The active-channel counters partition additively across shards, so
+  // the two-shard run counts what one shard counts.
+  flying_before = flying.value();
+  sendable_before = sendable.value();
+  ShardedSim single(router, traffic, pinned_config(true), 1, &pristine,
+                    pinned_faults(ft));
+  (void)single.run();
+  EXPECT_GT(flying_cycles, 0U);
+  EXPECT_EQ(flying_cycles, flying.value() - flying_before);
+  EXPECT_EQ(sendable_cycles, sendable.value() - sendable_before);
 }
 
 }  // namespace

@@ -55,15 +55,19 @@ SimConfig sharded_config(double rate) {
   return config;
 }
 
-/// PacketSim reference run with the identical pure router.
+/// PacketSim reference run with the identical pure router; `busy`, when
+/// set, receives its per-link busy tallies.
 SimResult reference_run(const routing::NextHop& router,
                         const TrafficPattern& traffic, const SimConfig& config,
                         fault::DegradedView* degraded = nullptr,
-                        std::vector<fault::FaultEvent> events = {}) {
+                        std::vector<fault::FaultEvent> events = {},
+                        std::vector<std::uint64_t>* busy = nullptr) {
   NextHopOracle oracle(router);
   PacketSim sim(router.network(), oracle, traffic, config, degraded,
                 std::move(events));
-  return sim.run();
+  const SimResult result = sim.run();
+  if (busy != nullptr) *busy = sim.link_busy_flits();
+  return result;
 }
 
 TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
@@ -74,15 +78,19 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   for (const double rate : {0.2, 0.8}) {
     const auto config = sharded_config(rate);
-    const auto expect = reference_run(router, traffic, config);
+    std::vector<std::uint64_t> expect_busy;
+    const auto expect =
+        reference_run(router, traffic, config, nullptr, {}, &expect_busy);
+    ASSERT_EQ(expect_busy.size(), net.channel_count());
     for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
       ShardedSim sim(router, traffic, config, shards);
       ASSERT_EQ(sim.shard_count(), shards);
       const auto got = sim.run();
-      expect_identical(got, expect,
-                       (std::string("ftree shards=") + std::to_string(shards) +
-                        " rate=" + std::to_string(rate))
-                           .c_str());
+      const std::string label = std::string("ftree shards=") +
+                                std::to_string(shards) +
+                                " rate=" + std::to_string(rate);
+      expect_identical(got, expect, label.c_str());
+      EXPECT_EQ(sim.link_busy_flits(), expect_busy) << label;
     }
   }
 }
@@ -296,8 +304,9 @@ TEST(ShardedSim, TwoShardRunRecordsPhaseTimersPerShard) {
       TrafficPattern::permutation(shift_permutation(27, 4), 27);
   const auto config = sharded_config(0.6);
   const std::vector<std::string> names = {
-      "sim.sharded.barrier_wait_ns", "sim.phase.propose_ns",
-      "sim.phase.admit_ns", "sim.phase.resolve_ns", "sim.phase.mailbox_ns"};
+      "sim.sharded.barrier_wait_ns", "sim.phase.arrivals_ns",
+      "sim.phase.transmissions_ns", "sim.phase.injection_ns",
+      "sim.phase.mailbox_ns"};
   auto& registry = obs::metrics();
   const bool was_enabled = obs::enabled();
   for (const bool on : {true, false}) {

@@ -51,7 +51,9 @@ TEST(Dot, FtreeExportMentionsEveryVertex) {
   write_dot(os, net);
   const std::string out = os.str();
   for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {
-    EXPECT_NE(out.find("v" + std::to_string(v) + " ["), std::string::npos)
+    std::ostringstream vertex;
+    vertex << 'v' << v << " [";
+    EXPECT_NE(out.find(vertex.str()), std::string::npos)
         << "vertex " << v << " missing";
   }
 }
