@@ -34,7 +34,6 @@ int main() {
   const auto traffic =
       nbclos::sim::TrafficPattern::permutation(pattern, ftree.leaf_count());
   const nbclos::YuanNonblockingRouting yuan(ftree);
-  const auto table = nbclos::RoutingTable::materialize(yuan);
 
   nbclos::sim::SimConfig config;
   config.injection_rate = kLoad;
@@ -48,7 +47,7 @@ int main() {
   const auto wall_start = std::chrono::steady_clock::now();
   nbclos::ThreadPool pool;
   const auto results = nbclos::analysis::run_fault_throughput_sweep(
-      ftree, net, table, traffic, config, levels, kFaultSeed, &pool);
+      ftree, net, yuan, traffic, config, levels, kFaultSeed, &pool);
 
   auto manifest = nbclos::obs::RunInfo::current();
   manifest.seed = kFaultSeed;

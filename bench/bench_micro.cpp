@@ -9,6 +9,7 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/analysis/verifier.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
 
@@ -86,22 +87,26 @@ void BM_VerifyRandomPermutations(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyRandomPermutations);
 
-void BM_RoutingTableLookup(benchmark::State& state) {
+/// One uplink choice of the Theorem 3 routing, through the adapter the
+/// engines route by: a cross pair at its source's bottom switch.
+void BM_TopChoiceNextHop(benchmark::State& state) {
   const nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 8});
-  const nbclos::YuanNonblockingRouting routing(ft);
-  const auto table = nbclos::RoutingTable::materialize(routing);
+  const auto net = nbclos::build_network(ft);
+  const nbclos::routing::TopChoiceNextHop next_hop(
+      std::make_shared<const nbclos::YuanNonblockingRouting>(ft), net);
+  const nbclos::FtreeNetworkMap map{ft.params()};
   std::uint32_t s = 0;
   std::uint32_t d = ft.n();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        table.lookup({nbclos::LeafId{s}, nbclos::LeafId{d}}));
+    benchmark::DoNotOptimize(next_hop.next_channel_from(
+        map.bottom(ft.switch_of(nbclos::LeafId{s})), s, d));
     s = (s + 1) % ft.leaf_count();
     d = (d + ft.n() + 1) % ft.leaf_count();
     if (s / ft.n() == d / ft.n()) d = (d + ft.n()) % ft.leaf_count();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RoutingTableLookup);
+BENCHMARK(BM_TopChoiceNextHop);
 
 void BM_QuantileHistogramAdd(benchmark::State& state) {
   nbclos::QuantileHistogram hist(100000);
@@ -118,13 +123,12 @@ void BM_SimulatorCycles(benchmark::State& state) {
   const nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 8});
   const auto net = nbclos::build_network(ft);
   const nbclos::YuanNonblockingRouting routing(ft);
-  const auto table = nbclos::RoutingTable::materialize(routing);
   const auto pattern = nbclos::shift_permutation(ft.leaf_count(), 5);
   const auto traffic =
       nbclos::sim::TrafficPattern::permutation(pattern, ft.leaf_count());
   for (auto _ : state) {
     nbclos::sim::FtreeOracle oracle(ft, nbclos::sim::UplinkPolicy::kTable,
-                                    &table);
+                                    &routing);
     nbclos::sim::SimConfig config;
     config.injection_rate = 0.8;
     config.warmup_cycles = 100;
@@ -142,13 +146,12 @@ void BM_SimulatorCyclesLowLoad(benchmark::State& state) {
   const nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 8});
   const auto net = nbclos::build_network(ft);
   const nbclos::YuanNonblockingRouting routing(ft);
-  const auto table = nbclos::RoutingTable::materialize(routing);
   const auto pattern = nbclos::shift_permutation(ft.leaf_count(), 5);
   const auto traffic =
       nbclos::sim::TrafficPattern::permutation(pattern, ft.leaf_count());
   for (auto _ : state) {
     nbclos::sim::FtreeOracle oracle(ft, nbclos::sim::UplinkPolicy::kTable,
-                                    &table);
+                                    &routing);
     nbclos::sim::SimConfig config;
     config.injection_rate = 0.1;
     config.warmup_cycles = 100;

@@ -34,6 +34,7 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/obs/run_info.hpp"
+#include "nbclos/routing/baselines.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
@@ -124,7 +125,8 @@ int main(int argc, char** argv) {
     }();
     std::unique_ptr<routing::NextHop> router;
     if (is_ftree) {
-      router = std::make_unique<FtreeDmodkRouter>(*ftree, net);
+      router = std::make_unique<routing::TopChoiceNextHop>(
+          std::make_shared<const DModKRouting>(*ftree), net);
     } else {
       router = std::make_unique<KaryDmodkRouter>(net, c.kary_k, c.kary_h);
     }

@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   const nbclos::FoldedClos ftree(nbclos::FtreeParams{kN, kN * kN, kR});
   const auto net = nbclos::build_network(ftree);
   const nbclos::YuanNonblockingRouting yuan(ftree);
-  const auto table = nbclos::RoutingTable::materialize(yuan);
   const auto pattern = nbclos::shift_permutation(ftree.leaf_count(), 5);
   const auto traffic =
       nbclos::sim::TrafficPattern::permutation(pattern, ftree.leaf_count());
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
     config.measure_cycles = cycles;
     config.seed = kSeed;
     nbclos::sim::FtreeOracle oracle(ftree, nbclos::sim::UplinkPolicy::kTable,
-                                    &table);
+                                    &yuan);
     nbclos::sim::PacketSim sim(net, oracle, traffic, config);
     return sim.run();
   };
@@ -180,7 +179,7 @@ int main(int argc, char** argv) {
       config.seed = kSeed;
       config.record_timeseries = true;
       nbclos::sim::FtreeOracle oracle(ftree, nbclos::sim::UplinkPolicy::kTable,
-                                      &table);
+                                      &yuan);
       nbclos::sim::PacketSim sim(net, oracle, traffic, config);
       const auto result = sim.run();
       std::size_t points = 0;

@@ -106,19 +106,18 @@ int main(int argc, char** argv) {
   const auto xbar_net = nbclos::build_crossbar(kN * kR);
 
   const nbclos::YuanNonblockingRouting yuan(nb_ft);
-  const auto yuan_table = nbclos::RoutingTable::materialize(yuan);
 
   const std::vector<double> loads{0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
 
   using nbclos::sim::UplinkPolicy;
   const auto ftree_factory = [&](const nbclos::FoldedClos& ft,
                                  UplinkPolicy policy,
-                                 const nbclos::RoutingTable* table) {
+                                 const nbclos::SinglePathRouting* routing) {
     return nbclos::sim::OracleFactory(
-        [&ft, policy, table](std::uint64_t run_seed,
-                             nbclos::fault::DegradedView*) {
-          return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy, table,
-                                                            run_seed);
+        [&ft, policy, routing](std::uint64_t run_seed,
+                               nbclos::fault::DegradedView*) {
+          return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy,
+                                                            routing, run_seed);
         });
   };
 
@@ -134,7 +133,7 @@ int main(int argc, char** argv) {
          return std::make_unique<nbclos::sim::CrossbarOracle>(kN * kR);
        }},
       {"nonblocking ftree (m=n^2, Thm 3)", &nb_net,
-       ftree_factory(nb_ft, UplinkPolicy::kTable, &yuan_table)},
+       ftree_factory(nb_ft, UplinkPolicy::kTable, &yuan)},
       {"d-mod-k ftree (m=n^2)", &nb_net,
        ftree_factory(nb_ft, UplinkPolicy::kDModK, nullptr)},
       {"d-mod-k ftree (m=n)", &budget_net,

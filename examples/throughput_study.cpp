@@ -66,9 +66,8 @@ int main(int argc, char** argv) {
     const nbclos::FoldedClos ft(nbclos::FtreeParams{kN, kN * kN, kR});
     const auto net = nbclos::build_network(ft);
     const nbclos::YuanNonblockingRouting routing(ft);
-    const auto routes = nbclos::RoutingTable::materialize(routing);
     nbclos::sim::FtreeOracle oracle(ft, nbclos::sim::UplinkPolicy::kTable,
-                                    &routes);
+                                    &routing);
     nbclos::sim::PacketSim sim(net, oracle, traffic, config);
     report("nonblocking ftree (Theorem 3, m=n^2)", sim.run());
   }

@@ -22,13 +22,13 @@ namespace nbclos::fault {
 
 class FaultTolerantOracle final : public sim::RoutingOracle {
  public:
-  /// \param table required iff policy == UplinkPolicy::kTable (not owned;
-  ///        must outlive).  The table supplies the *primary* assignment;
-  ///        when its top switch is unreachable the oracle falls back to
-  ///        the least-loaded live alternative.
+  /// \param routing required iff policy == UplinkPolicy::kTable (not
+  ///        owned; must outlive).  Its top_for is the *primary*
+  ///        assignment; when that top switch is unreachable the oracle
+  ///        falls back to the least-loaded live alternative.
   FaultTolerantOracle(const FoldedClos& ftree, const DegradedView& view,
                       sim::UplinkPolicy policy,
-                      const RoutingTable* table = nullptr,
+                      const SinglePathRouting* routing = nullptr,
                       std::uint64_t seed = 7);
 
   [[nodiscard]] std::string name() const override;
@@ -53,7 +53,7 @@ class FaultTolerantOracle final : public sim::RoutingOracle {
   FtreeLiveness liveness_;
   FtreeNetworkMap map_;
   sim::UplinkPolicy policy_;
-  const RoutingTable* table_;
+  const SinglePathRouting* routing_;
   Xoshiro256 rng_;
   std::uint64_t reroutes_ = 0;
   std::uint64_t no_routes_ = 0;

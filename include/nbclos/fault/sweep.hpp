@@ -21,7 +21,7 @@
 #include <optional>
 #include <vector>
 
-#include "nbclos/routing/table.hpp"
+#include "nbclos/routing/single_path.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
@@ -69,13 +69,15 @@ struct FaultThroughputLevel {
 /// Simulated accepted throughput as uplink failures accumulate: for each
 /// entry of `levels`, fail that many seed-fixed uplink pairs (nested
 /// sets, as in run_fault_sweep), route with the fault-tolerant table
-/// oracle (primary assignment from `table`, least-loaded live fallback),
+/// oracle (primary assignment from `routing`, least-loaded live
+/// fallback),
 /// and run the packet simulator.  Levels are independent — each owns its
 /// DegradedView, oracle, and simulator seeded only by (fault_seed,
 /// sim_config.seed) — so they evaluate concurrently over `pool`
 /// (nullptr = serial) with results bit-identical at any thread count.
 [[nodiscard]] std::vector<FaultThroughputLevel> run_fault_throughput_sweep(
-    const FoldedClos& ftree, const Network& net, const RoutingTable& table,
+    const FoldedClos& ftree, const Network& net,
+    const SinglePathRouting& routing,
     const sim::TrafficPattern& traffic, const sim::SimConfig& sim_config,
     const std::vector<std::uint32_t>& levels, std::uint64_t fault_seed,
     ThreadPool* pool = nullptr);

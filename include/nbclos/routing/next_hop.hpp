@@ -1,22 +1,34 @@
 /// \file next_hop.hpp
-/// \brief The one pure next-hop interface every engine routes through.
+/// \brief The one pure next-hop interface every engine routes through,
+///        and its one adapter for single-path ftree routings.
 ///
-/// Under a deterministic single-path routing (Theorem 3, d-mod-k) each
-/// SD pair owns one fixed path, so every engine asks the same question:
-/// "which channel does the (src, dst) flow take out of `vertex`?"
-/// `NextHop` is that question.  The materialized `ChannelRouteCache` and
-/// the O(1) arithmetic routers (sim/shard_router.hpp) answer it; the
-/// flow engines, `ShardedSim`, and — through `sim::NextHopOracle` —
-/// `PacketSim` ask it, each the same way.
+/// Under a deterministic single-path routing each SD pair owns one fixed
+/// path, so every engine asks the same question: "which channel does the
+/// (src, dst) flow take out of `vertex`?"  `NextHop` is that question.
+/// The flow engines and `ShardedSim` ask it directly, `PacketSim` through
+/// `sim::NextHopOracle`.  Four classes answer it:
+///
+///   * `TopChoiceNextHop` (below) — any `SinglePathRouting` on
+///     `build_network(ftree)`: the paper's routing is one top switch per
+///     SD pair (§IV-A), so the next hop is index arithmetic around
+///     `top_for`, with no table;
+///   * `sim::KaryDmodkRouter` and `sim::RecursiveShardRouter`
+///     (sim/shard_router.hpp) — digit arithmetic on k-ary n-trees and
+///     multi-level Theorem 3 fabrics;
+///   * `ChannelRouteCache` (route_cache.hpp) — a materialized table, for
+///     routings that are tables: per-pattern schedules and forwarding
+///     tables.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
-namespace nbclos {
-class Network;
-}
+#include "nbclos/routing/single_path.hpp"
+#include "nbclos/topology/network.hpp"
+#include "nbclos/util/check.hpp"
 
 namespace nbclos::routing {
 
@@ -35,6 +47,53 @@ class NextHop {
   /// Resident bytes of routing state (0 for pure arithmetic routers).
   [[nodiscard]] virtual std::size_t bytes() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
+};
+
+/// A single-path ftree routing as a next hop, in O(1) per hop with no
+/// table: a terminal takes its leaf uplink, a top switch descends, and a
+/// bottom switch delivers locally or climbs to `routing.top_for(sd)`.
+/// Shares ownership of the routing; `net` and the routing's ftree must
+/// outlive the adapter.
+class TopChoiceNextHop final : public NextHop {
+ public:
+  /// \param net must have been produced by build_network(routing.ftree())
+  ///        (channel id == LinkId value); the constructor checks the
+  ///        vertex/channel census so a mismatch fails up front.
+  TopChoiceNextHop(std::shared_ptr<const SinglePathRouting> routing,
+                   const Network& net)
+      : routing_(std::move(routing)), net_(&net),
+        map_{routing_->ftree().params()} {
+    const FoldedClos& ft = routing_->ftree();
+    NBCLOS_REQUIRE(net.finalized(), "network must be finalized");
+    NBCLOS_REQUIRE(
+        net.vertex_count() == std::uint64_t{ft.leaf_count()} + ft.r() + ft.m(),
+        "network is not build_network(ftree): vertex count mismatch");
+    NBCLOS_REQUIRE(net.channel_count() == ft.link_count(),
+                   "network is not build_network(ftree): channel count "
+                   "mismatch");
+  }
+
+  [[nodiscard]] const Network& network() const override { return *net_; }
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override {
+    const FoldedClos& ft = routing_->ftree();
+    const LeafId leaf{dst};
+    if (map_.is_terminal(vertex)) return ft.leaf_up_link(LeafId{vertex}).value;
+    if (map_.is_top(vertex)) {
+      return ft.down_link(map_.top_of(vertex), ft.switch_of(leaf)).value;
+    }
+    const BottomId here = map_.bottom_of(vertex);
+    if (ft.switch_of(leaf) == here) return ft.leaf_down_link(leaf).value;
+    return ft.up_link(here, routing_->top_for({LeafId{src}, leaf})).value;
+  }
+  [[nodiscard]] std::size_t bytes() const override { return 0; }
+  [[nodiscard]] std::string name() const override { return routing_->name(); }
+
+ private:
+  std::shared_ptr<const SinglePathRouting> routing_;
+  const Network* net_;
+  FtreeNetworkMap map_;
 };
 
 }  // namespace nbclos::routing

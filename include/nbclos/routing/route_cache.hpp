@@ -1,25 +1,24 @@
 /// \file route_cache.hpp
-/// \brief Precomputed route storage shared by every engine that replays
-///        the same deterministic routing.
+/// \brief The library's two route tables, each with its own consumer.
 ///
-/// Single-path deterministic routings are pattern-independent, so every
-/// SD pair's path can be materialized exactly once and then replayed by
-/// the verification engines (thousands of hill-climb restarts), the
-/// sweep drivers (dozens of load probes), and the fault machinery (one
-/// degraded fabric per failure level) without ever calling route()
-/// again.  Two caches cover the library's two path vocabularies:
-///
-///   * RouteCache        — FoldedClos routings.  A single-path ftree
-///                         route is fixed by its top switch (Theorem 3),
-///                         so the cache keeps one uint16_t top id and one
-///                         flag byte per ordered pair (0.79 MB at
-///                         ftree(8+64, 64), small enough for L2) and
-///                         rebuilds the 2 or 4 link ids on lookup;
-///   * ChannelRouteCache — Network channel runs behind the `NextHop`
-///                         interface every simulation engine replays.
-///                         k-ary and general networks have no top-switch
-///                         shape, so it packs every pair's run into one
-///                         `uint32_t` array behind a CSR offsets table.
+///   * RouteCache        — the verifier's table.  Every SD pair of a
+///                         single-path ftree routing, materialized once
+///                         and replayed across thousands of hill-climb
+///                         restarts and one degraded fabric per failure
+///                         level without calling route() again.  A route
+///                         is fixed by its top switch (Theorem 3), so the
+///                         cache keeps one uint16_t top id and one flag
+///                         byte per ordered pair (0.79 MB at ftree(8+64,
+///                         64), small enough for L2) and rebuilds the 2
+///                         or 4 link ids on lookup;
+///   * ChannelRouteCache — the engines' table, for routings that ARE
+///                         tables: per-pattern adaptive schedules and
+///                         forwarding tables on any Network.  It packs
+///                         every pair's channel run into one `uint32_t`
+///                         array behind a CSR offsets table, O(T^2)
+///                         bytes.  A single-path ftree routing does not
+///                         need it: `TopChoiceNextHop` (next_hop.hpp)
+///                         answers the same next hops by arithmetic.
 ///
 /// Both are immutable after construction, so they are shared read-only
 /// across worker threads.
@@ -41,10 +40,6 @@
 #include "nbclos/topology/fat_tree.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/check.hpp"
-
-namespace nbclos {
-class SinglePathRouting;
-}
 
 namespace nbclos::routing {
 
@@ -161,8 +156,8 @@ class RouteCache {
 
 /// All terminal-pair channel runs of a Network routing, flattened into
 /// one channel array behind a CSR offsets table — the table-backed
-/// `NextHop` every engine can replay (the O(1) routers in
-/// sim/shard_router.hpp are the table-free ones).
+/// `NextHop` every engine can replay (TopChoiceNextHop and the routers
+/// in sim/shard_router.hpp are the table-free ones).
 class ChannelRouteCache final : public NextHop {
  public:
   /// Route function over terminal *indices* (positions in

@@ -58,8 +58,9 @@ class SinglePathRouting {
     return paths;
   }
 
- protected:
-  /// Choose the top-level switch for a cross-switch SD pair.
+  /// The top-level switch a cross-switch SD pair crosses — the whole
+  /// routing (routing::TopChoiceNextHop walks the engines' networks by
+  /// it).  Implementations are const and pure.  \pre ftree().needs_top(sd).
   [[nodiscard]] virtual TopId top_for(SDPair sd) const = 0;
 
  private:

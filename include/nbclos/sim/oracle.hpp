@@ -1,11 +1,14 @@
 /// \file oracle.hpp
-/// \brief Per-hop routing decisions for the packet simulator.
+/// \brief Stateful per-hop routing decisions for the packet simulator.
 ///
 /// An oracle answers: "this packet sits at this vertex — which outgoing
 /// channel next?"  Oracles only see the SimView (local queue occupancy),
 /// which is exactly the information a distributed switch has; this is how
 /// the simulator stays faithful to the paper's "computer communication
-/// environment".
+/// environment".  `FtreeOracle` and `fault::FaultTolerantOracle` keep the
+/// policies that need such state (random and least-queue uplinks, fault
+/// rerouting); a pure routing is a `routing::NextHop` (next_hop.hpp),
+/// which `NextHopOracle` runs here unchanged.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +16,7 @@
 #include <string>
 
 #include "nbclos/routing/next_hop.hpp"
-#include "nbclos/routing/table.hpp"
+#include "nbclos/routing/single_path.hpp"
 #include "nbclos/sim/packet.hpp"
 #include "nbclos/topology/network.hpp"
 #include "nbclos/util/prng.hpp"
@@ -51,7 +54,7 @@ class RoutingOracle {
 
 /// How a fat-tree oracle picks the uplink for cross-switch packets.
 enum class UplinkPolicy : std::uint8_t {
-  kTable,       ///< per-SD fixed top switch from a RoutingTable
+  kTable,       ///< per-SD fixed top switch from a SinglePathRouting
   kRandom,      ///< uniform random top switch per packet (oblivious)
   kLeastQueue,  ///< top switch whose uplink queue is shortest (local adaptive)
   kDModK,       ///< dst leaf id mod m (computed on the fly, no table)
@@ -61,9 +64,11 @@ enum class UplinkPolicy : std::uint8_t {
 /// up at the bottom switch (policy-dependent), down is forced.
 class FtreeOracle final : public RoutingOracle {
  public:
-  /// \param table required iff policy == kTable (not owned; must outlive).
+  /// \param routing required iff policy == kTable (not owned; must
+  ///        outlive): its top_for is the uplink of every cross pair.
   FtreeOracle(const FoldedClos& ftree, UplinkPolicy policy,
-              const RoutingTable* table = nullptr, std::uint64_t seed = 7);
+              const SinglePathRouting* routing = nullptr,
+              std::uint64_t seed = 7);
   ~FtreeOracle() override;
 
   [[nodiscard]] std::string name() const override;
@@ -81,7 +86,7 @@ class FtreeOracle final : public RoutingOracle {
   const FoldedClos* ftree_;
   FtreeNetworkMap map_;
   UplinkPolicy policy_;
-  const RoutingTable* table_;
+  const SinglePathRouting* routing_;
   Xoshiro256 rng_;
   // Accumulated locally (one plain increment on the hot path) and flushed
   // to the obs registry once, on destruction.

@@ -1,20 +1,20 @@
 /// \file shard_router.hpp
-/// \brief O(1) pure `routing::NextHop` routers: no per-pair state.
+/// \brief O(1) pure `routing::NextHop` routers for the fabrics that are
+///        not `build_network(ftree)`: no per-pair state.
 ///
 /// Every sharded worker consults its router concurrently, so routing
 /// must be a pure function of (vertex, src, dst): no SimView, no
 /// internal RNG, no mutation.  That rules out the adaptive and random
 /// `RoutingOracle` policies by design — a distributed simulation can
 /// only be bit-identical to a serial one when per-hop decisions do not
-/// depend on global queue state.  Beside the table-backed
-/// `routing::ChannelRouteCache`, three arithmetic routers cover the
-/// library's deterministic policies without materializing any table
-/// (the per-pair cache is O(T^2) and cannot exist at 10^6 terminals):
+/// depend on global queue state.  Single-path routings on an ftree reach
+/// the engines through `routing::TopChoiceNextHop` (next_hop.hpp); the
+/// two other fabric families have their own arithmetic here, and neither
+/// materializes a table (the per-pair cache is O(T^2) and cannot exist
+/// at 10^6 terminals):
 ///
-///   * `KaryDmodkRouter`  — digit arithmetic on `build_kary_ntree`
+///   * `KaryDmodkRouter`      — digit arithmetic on `build_kary_ntree`
 ///     networks, reproducing `KaryTreeRouter::route` paths;
-///   * `FtreeDmodkRouter` — index arithmetic on `build_network` ftree
-///     fabrics (d-mod-k uplinks, forced descent);
 ///   * `RecursiveShardRouter` — the recursive Theorem 3 rule on a
 ///     `MultiLevelFabric`.
 ///
@@ -71,29 +71,6 @@ class KaryDmodkRouter final : public routing::NextHop {
   std::uint32_t per_level_ = 0;      ///< k^(h-1)
   std::uint32_t inter_base_ = 0;     ///< first inter-switch channel id (2T)
   std::vector<std::uint64_t> powk_;  ///< k^0 .. k^(h-1)
-};
-
-/// d-mod-k on `build_network(FoldedClos)` fabrics in O(1) per hop: the
-/// uplink at a bottom switch is `dst mod m`, descent is forced.  Same
-/// paths as FtreeOracle's kDModK policy, without its decision counter
-/// (which would be a data race across shards).
-class FtreeDmodkRouter final : public routing::NextHop {
- public:
-  /// \param net must have been produced by build_network(ftree); the
-  ///        constructor checks the vertex/channel census.
-  FtreeDmodkRouter(const FoldedClos& ftree, const Network& net);
-
-  [[nodiscard]] const Network& network() const override { return *net_; }
-  [[nodiscard]] std::uint32_t next_channel_from(
-      std::uint32_t vertex, std::uint32_t src,
-      std::uint32_t dst) const override;
-  [[nodiscard]] std::size_t bytes() const override { return 0; }
-  [[nodiscard]] std::string name() const override { return "ftree-dmodk"; }
-
- private:
-  const FoldedClos* ftree_;
-  const Network* net_;
-  FtreeNetworkMap map_;
 };
 
 /// The recursive Theorem 3 (i, j) rule on a `MultiLevelFabric`, as a

@@ -68,7 +68,7 @@ namespace detail {
 //
 // NBCLOS_REQUIRE stays on the construction/API boundary, where a check
 // runs once per object.  Index arithmetic that runs once per routed pair
-// or per simulated flit (FoldedClos link accessors, RoutingTable::lookup,
+// or per simulated flit (FoldedClos link accessors, RouteCache::links,
 // Network::channel_src) instead uses NBCLOS_DEBUG_CHECK: identical to
 // NBCLOS_REQUIRE in Debug builds, compiled out entirely when NDEBUG is
 // defined (Release / RelWithDebInfo).  The ids these accessors consume

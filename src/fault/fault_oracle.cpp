@@ -5,12 +5,12 @@ namespace nbclos::fault {
 FaultTolerantOracle::FaultTolerantOracle(const FoldedClos& ftree,
                                          const DegradedView& view,
                                          sim::UplinkPolicy policy,
-                                         const RoutingTable* table,
+                                         const SinglePathRouting* routing,
                                          std::uint64_t seed)
     : liveness_(ftree, view), map_{ftree.params()}, policy_(policy),
-      table_(table), rng_(seed) {
+      routing_(routing), rng_(seed) {
   if (policy == sim::UplinkPolicy::kTable) {
-    NBCLOS_REQUIRE(table != nullptr, "table policy needs a routing table");
+    NBCLOS_REQUIRE(routing != nullptr, "table policy needs a routing");
   }
   candidates_.reserve(ftree.m());
 }
@@ -57,10 +57,9 @@ std::uint32_t FaultTolerantOracle::pick_uplink(const sim::SimView& view,
   std::uint32_t chosen = 0;
   switch (policy_) {
     case sim::UplinkPolicy::kTable: {
-      const auto top = table_->lookup(sd);
-      NBCLOS_REQUIRE(top.has_value(), "routing table missing an SD pair");
-      if (usable(top->value)) {
-        chosen = top->value;
+      const TopId top = routing_->top_for(sd);
+      if (usable(top.value)) {
+        chosen = top.value;
       } else {
         ++reroutes_;
         chosen = least_queue();

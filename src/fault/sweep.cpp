@@ -167,7 +167,8 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
 }
 
 std::vector<FaultThroughputLevel> run_fault_throughput_sweep(
-    const FoldedClos& ftree, const Network& net, const RoutingTable& table,
+    const FoldedClos& ftree, const Network& net,
+    const SinglePathRouting& routing,
     const sim::TrafficPattern& traffic, const sim::SimConfig& sim_config,
     const std::vector<std::uint32_t>& levels, std::uint64_t fault_seed,
     ThreadPool* pool) {
@@ -182,7 +183,7 @@ std::vector<FaultThroughputLevel> run_fault_throughput_sweep(
     model.inject_random_uplink_failures(ftree, levels[i], fault_seed);
     model.apply_static(view);
     fault::FaultTolerantOracle oracle(ftree, view, sim::UplinkPolicy::kTable,
-                                      &table);
+                                      &routing);
     sim::PacketSim simulation(net, oracle, traffic, sim_config, &view);
     auto& level = results[i];
     level.failures = levels[i];

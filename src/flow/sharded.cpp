@@ -997,20 +997,27 @@ class Driver final : public detail::FlowDriver {
     }
     // Sampled per-shard phase costs, ns per sampled cycle: one histogram
     // sample per shard, so the spread across samples is the load skew.
+    // The histograms clamp at their cap; the exact ns, summed over shards
+    // and timed cycles, go to a "<phase>_total" counter beside each, with
+    // the timed shard-cycles in flow.phase.timed_cycles.
     const std::uint64_t cap = 1'000'000;  // 1 ms/cycle ceiling per phase
     const std::size_t phases = kCut ? kPhaseCount : kMailbox;
+    std::uint64_t timed_cycles = 0;
     for (const auto& shp : shards_) {
       const ShardT& sh = *shp;
       if constexpr (kCut) {
         m.gauge("flow.sharded.shard." + std::to_string(sh.index) + ".numa_node")
             .set(static_cast<std::int64_t>(sh.numa_node));
       }
-      if (sh.timed_cycles == 0) continue;
+      timed_cycles += sh.timed_cycles;
       for (std::size_t p = 0; p < phases; ++p) {
+        m.counter(std::string(kPhaseMetric[p]) + "_total").add(sh.phase_ns[p]);
+        if (sh.timed_cycles == 0) continue;
         m.histogram(kPhaseMetric[p], cap)
             .record(sh.phase_ns[p] / sh.timed_cycles);
       }
     }
+    m.counter("flow.phase.timed_cycles").add(timed_cycles);
     m.counter("flow.wall_us")
         .add(static_cast<std::uint64_t>(wall_seconds * 1e6));
   }

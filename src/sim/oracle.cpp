@@ -5,11 +5,12 @@
 namespace nbclos::sim {
 
 FtreeOracle::FtreeOracle(const FoldedClos& ftree, UplinkPolicy policy,
-                         const RoutingTable* table, std::uint64_t seed)
-    : ftree_(&ftree), map_{ftree.params()}, policy_(policy), table_(table),
-      rng_(seed) {
+                         const SinglePathRouting* routing,
+                         std::uint64_t seed)
+    : ftree_(&ftree), map_{ftree.params()}, policy_(policy),
+      routing_(routing), rng_(seed) {
   if (policy == UplinkPolicy::kTable) {
-    NBCLOS_REQUIRE(table != nullptr, "table policy needs a routing table");
+    NBCLOS_REQUIRE(routing != nullptr, "table policy needs a routing");
   }
 }
 
@@ -57,11 +58,8 @@ std::uint32_t FtreeOracle::next_channel(const SimView& view,
   ++uplink_decisions_;
   const SDPair sd{LeafId{packet.src_terminal}, dst};
   switch (policy_) {
-    case UplinkPolicy::kTable: {
-      const auto top = table_->lookup(sd);
-      NBCLOS_REQUIRE(top.has_value(), "routing table missing an SD pair");
-      return ft.up_link(here, *top).value;
-    }
+    case UplinkPolicy::kTable:
+      return ft.up_link(here, routing_->top_for(sd)).value;
     case UplinkPolicy::kRandom: {
       const auto top = static_cast<std::uint32_t>(rng_.below(ft.m()));
       return ft.up_link(here, TopId{top}).value;

@@ -69,35 +69,6 @@ std::uint32_t KaryDmodkRouter::next_channel_from(std::uint32_t vertex,
   return inter_base_ + 2 * ((level * per_level_ + w) * k_ + d);
 }
 
-FtreeDmodkRouter::FtreeDmodkRouter(const FoldedClos& ftree, const Network& net)
-    : ftree_(&ftree), net_(&net), map_{ftree.params()} {
-  // The index arithmetic assumes build_network's numbering (channel id
-  // == LinkId value); verify the census so a mismatch fails up front.
-  NBCLOS_REQUIRE(net.finalized(), "network must be finalized");
-  NBCLOS_REQUIRE(net.vertex_count() ==
-                     std::uint64_t{ftree.leaf_count()} + ftree.r() + ftree.m(),
-                 "network is not build_network(ftree): vertex count mismatch");
-  NBCLOS_REQUIRE(net.channel_count() == ftree.link_count(),
-                 "network is not build_network(ftree): channel count "
-                 "mismatch");
-}
-
-std::uint32_t FtreeDmodkRouter::next_channel_from(std::uint32_t vertex,
-                                                  std::uint32_t /*src*/,
-                                                  std::uint32_t dst) const {
-  const auto& ft = *ftree_;
-  const LeafId leaf{dst};
-  if (map_.is_terminal(vertex)) {
-    return ft.leaf_up_link(LeafId{vertex}).value;
-  }
-  if (map_.is_top(vertex)) {
-    return ft.down_link(map_.top_of(vertex), ft.switch_of(leaf)).value;
-  }
-  const BottomId here = map_.bottom_of(vertex);
-  if (ft.switch_of(leaf) == here) return ft.leaf_down_link(leaf).value;
-  return ft.up_link(here, TopId{dst % ft.m()}).value;
-}
-
 RecursiveShardRouter::RecursiveShardRouter(const MultiLevelFabric& fabric)
     : fabric_(&fabric), net_(&fabric.network()) {
   NBCLOS_REQUIRE(net_->finalized(), "fabric network must be finalized");

@@ -103,8 +103,7 @@ TEST(FaultTolerantOracle, AvoidsDeadUplinkAtBottomSwitch) {
   const auto net = build_network(ft);
   DegradedView view(net);
   const YuanNonblockingRouting yuan(ft);
-  const auto table = RoutingTable::materialize(yuan);
-  FaultTolerantOracle oracle(ft, view, sim::UplinkPolicy::kTable, &table);
+  FaultTolerantOracle oracle(ft, view, sim::UplinkPolicy::kTable, &yuan);
 
   const std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const sim::SimView sim_view(net, depths);
@@ -158,10 +157,9 @@ TEST(FaultTolerantOracle, PristineTablePolicyMatchesPlainOracle) {
   const auto net = build_network(ft);
   const DegradedView view(net);
   const YuanNonblockingRouting yuan(ft);
-  const auto table = RoutingTable::materialize(yuan);
   FaultTolerantOracle fault_oracle(ft, view, sim::UplinkPolicy::kTable,
-                                   &table);
-  sim::FtreeOracle plain(ft, sim::UplinkPolicy::kTable, &table);
+                                   &yuan);
+  sim::FtreeOracle plain(ft, sim::UplinkPolicy::kTable, &yuan);
   const std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const sim::SimView sim_view(net, depths);
   for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {

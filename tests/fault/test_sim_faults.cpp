@@ -16,7 +16,6 @@ struct Harness {
   sim::TrafficPattern traffic =
       sim::TrafficPattern::permutation(pattern, ftree.leaf_count());
   YuanNonblockingRouting yuan{ftree};
-  RoutingTable table = RoutingTable::materialize(yuan);
 };
 
 sim::SimConfig quick_config() {
@@ -32,7 +31,7 @@ TEST(SimFaults, PristineRunDropsNothing) {
   Harness s;
   DegradedView view(s.net);
   FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.table);
+                             &s.yuan);
   sim::PacketSim sim(s.net, oracle, s.traffic, quick_config(), &view);
   const auto result = sim.run();
   EXPECT_EQ(result.dropped_packets, 0U);
@@ -46,7 +45,7 @@ TEST(SimFaults, MidMeasurementFailureDegradesButCompletes) {
 
   DegradedView pristine_view(s.net);
   FaultTolerantOracle pristine_oracle(s.ftree, pristine_view,
-                                      sim::UplinkPolicy::kTable, &s.table);
+                                      sim::UplinkPolicy::kTable, &s.yuan);
   sim::PacketSim pristine_sim(s.net, pristine_oracle, s.traffic, config,
                               &pristine_view);
   const auto pristine = pristine_sim.run();
@@ -59,7 +58,7 @@ TEST(SimFaults, MidMeasurementFailureDegradesButCompletes) {
   model.fail_top_switch(s.ftree, TopId{1},
                         config.warmup_cycles + config.measure_cycles / 2);
   FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.table);
+                             &s.yuan);
   sim::PacketSim sim(s.net, oracle, s.traffic, config, &view,
                      model.schedule());
   const auto degraded = sim.run();
@@ -87,7 +86,7 @@ TEST(SimFaults, RunsAreBitReproducible) {
     model.inject_random_uplink_failures(s.ftree, 2, 5, 0);
     model.fail_top_switch(s.ftree, TopId{2}, 800);
     FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                               &s.table);
+                               &s.yuan);
     sim::PacketSim sim(s.net, oracle, s.traffic, config, &view,
                        model.schedule());
     return sim.run();
@@ -106,7 +105,7 @@ TEST(SimFaults, DeadLeafUplinkDropsAtInjection) {
   DegradedView view(s.net);
   view.fail_channel(s.ftree.leaf_up_link(LeafId{0}).value);
   FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.table);
+                             &s.yuan);
   sim::PacketSim sim(s.net, oracle, s.traffic, quick_config(), &view);
   const auto result = sim.run();
   // Leaf 0's offered packets are all lost; everyone else still delivers.
@@ -120,7 +119,7 @@ TEST(SimFaults, DeadLeafUplinkDropsAtInjection) {
 
 TEST(SimFaults, FaultEventsRequireDegradedView) {
   Harness s;
-  sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.table);
+  sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.yuan);
   EXPECT_THROW(sim::PacketSim(s.net, oracle, s.traffic, quick_config(),
                               nullptr, {{0, FaultAction::kFailChannel, 0}}),
                precondition_error);

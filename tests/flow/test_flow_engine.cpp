@@ -253,30 +253,48 @@ TEST_F(FlowEngine, LinkBusyFlitsAccountEveryDeliveredFlit) {
 
 TEST_F(FlowEngine, SerialRunRecordsPhaseTimers) {
   // Every 64th cycle the one-shard engine times its four phases;
-  // flush_obs records one ns-per-sampled-cycle mean each.  With no cut
-  // there is no mailbox to time.  Obs-off builds compile the timers out,
-  // so nothing is recorded there.
+  // flush_obs records one ns-per-sampled-cycle mean each, and beside it
+  // a "_total" counter of the exact ns over the timed cycles, whose count
+  // is flow.phase.timed_cycles.  With no cut there is no mailbox to time.
+  // Obs-off builds compile the timers out, so nothing is recorded there.
   auto& registry = obs::metrics();
   registry.reset();
   FlowSim sim(cache, traffic, short_config());
   (void)sim.run();
   const auto snapshot = registry.snapshot();
+  const auto find = [&](const std::string& name) {
+    return std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [&](const obs::MetricSample& m) { return m.name == name; });
+  };
   for (const std::string name :
        {"flow.phase.credit_returns_ns", "flow.phase.arrivals_ns",
         "flow.phase.transmissions_ns", "flow.phase.injection_ns"}) {
-    const auto it = std::find_if(
-        snapshot.begin(), snapshot.end(),
-        [&](const obs::MetricSample& m) { return m.name == name; });
+    const auto it = find(name);
+    const auto total = find(name + "_total");
     if constexpr (obs::kEnabled) {
       ASSERT_NE(it, snapshot.end()) << name;
       EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
       EXPECT_EQ(it->count, 1U) << name;  // one mean per run
+      ASSERT_NE(total, snapshot.end()) << name;
+      EXPECT_EQ(total->kind, obs::MetricSample::Kind::kCounter) << name;
     } else {
       EXPECT_EQ(it, snapshot.end()) << name;
+      EXPECT_EQ(total, snapshot.end()) << name;
     }
   }
+  if constexpr (obs::kEnabled) {
+    // One shard, timed on every cycle = 63 (mod 64).
+    const auto timed = find("flow.phase.timed_cycles");
+    ASSERT_NE(timed, snapshot.end());
+    ASSERT_NE(find("flow.cycles"), snapshot.end());
+    EXPECT_GT(timed->count, 0U);
+    EXPECT_EQ(timed->count, find("flow.cycles")->count / 64);
+  }
   for (const std::string name :
-       {"flow.phase.mailbox_ns", "flow.sharded.barrier_wait_ns"}) {
+       {"flow.phase.mailbox_ns", "flow.sharded.barrier_wait_ns",
+        "flow.phase.mailbox_ns_total",
+        "flow.sharded.barrier_wait_ns_total"}) {
     EXPECT_TRUE(std::none_of(
         snapshot.begin(), snapshot.end(),
         [&](const obs::MetricSample& m) { return m.name == name; }))

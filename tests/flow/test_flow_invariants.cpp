@@ -214,14 +214,16 @@ TEST(PureNextHopFlow, MatchesRouteCacheOnKaryTree) {
   expect_identical(arith.run(), cached.run());
 }
 
-TEST(PureNextHopFlow, FtreeDmodkRouterMatchesDModKRouteCache) {
-  // FtreeDmodkRouter goes into FlowSim as is, with no wrapper, and walks
-  // the d-mod-k paths the materialized DModKRouting cache stores.
+TEST(PureNextHopFlow, TopChoiceDModKMatchesDModKRouteCache) {
+  // TopChoiceNextHop goes into FlowSim as is and walks the d-mod-k paths
+  // the materialized DModKRouting cache stores.
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const DModKRouting dmodk(ft);
-  const auto cache = routing::ChannelRouteCache::materialize(net, dmodk);
-  const auto pure = std::make_shared<const sim::FtreeDmodkRouter>(ft, net);
+  const auto dmodk = std::make_shared<const DModKRouting>(ft);
+  const auto cache = routing::ChannelRouteCache::materialize(net, *dmodk);
+  const auto pure =
+      std::make_shared<const routing::TopChoiceNextHop>(dmodk, net);
+  EXPECT_EQ(pure->bytes(), 0U);
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
 

@@ -435,28 +435,44 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
 TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
   // Every 64th cycle each shard times the four one-shard phases, its two
   // mailbox merges and its two barrier waits; flush_obs records one mean
-  // per shard.  Obs-off builds compile the timers out, so nothing is
-  // recorded there.
+  // per shard, and beside it a "_total" counter of the exact ns summed
+  // over shards and timed cycles.  Obs-off builds compile the timers out,
+  // so nothing is recorded there.
   auto& registry = obs::metrics();
   registry.reset();
   ShardedFlowSim sharded(cache, traffic, base_config(), 2);
   ASSERT_EQ(sharded.shard_count(), 2U);
   (void)sharded.run();
   const auto snapshot = registry.snapshot();
+  const auto find = [&](const std::string& name) {
+    return std::find_if(
+        snapshot.begin(), snapshot.end(),
+        [&](const obs::MetricSample& m) { return m.name == name; });
+  };
   for (const std::string name :
        {"flow.sharded.barrier_wait_ns", "flow.phase.credit_returns_ns",
         "flow.phase.arrivals_ns", "flow.phase.transmissions_ns",
         "flow.phase.injection_ns", "flow.phase.mailbox_ns"}) {
-    const auto it = std::find_if(
-        snapshot.begin(), snapshot.end(),
-        [&](const obs::MetricSample& m) { return m.name == name; });
+    const auto it = find(name);
+    const auto total = find(name + "_total");
     if constexpr (obs::kEnabled) {
       ASSERT_NE(it, snapshot.end()) << name;
       EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
       EXPECT_EQ(it->count, 2U) << name;  // one sample per shard
+      ASSERT_NE(total, snapshot.end()) << name;
+      EXPECT_EQ(total->kind, obs::MetricSample::Kind::kCounter) << name;
     } else {
       EXPECT_EQ(it, snapshot.end()) << name;
+      EXPECT_EQ(total, snapshot.end()) << name;
     }
+  }
+  if constexpr (obs::kEnabled) {
+    // Two shards, each timed on every cycle = 63 (mod 64).
+    const auto timed = find("flow.phase.timed_cycles");
+    ASSERT_NE(timed, snapshot.end());
+    ASSERT_NE(find("flow.cycles"), snapshot.end());
+    EXPECT_GT(timed->count, 0U);
+    EXPECT_EQ(timed->count, 2 * (find("flow.cycles")->count / 64));
   }
 }
 

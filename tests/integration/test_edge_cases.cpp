@@ -64,8 +64,7 @@ TEST(EdgeCases, SimulatorQueueCapacityOneStillDelivers) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
-  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kTable, &table);
+  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kTable, &routing);
   const auto pattern = shift_permutation(ft.leaf_count(), 3);
   const auto traffic =
       sim::TrafficPattern::permutation(pattern, ft.leaf_count());

@@ -3,6 +3,7 @@
 /// to end rather than module by module.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -48,19 +49,31 @@ TEST(Integration, CentralizedUsesFewerTopsThanDistributedNeedsButOnlyWithGlobalK
 }
 
 TEST(Integration, AdaptiveScheduleDrivesTheSimulatorAtFullLoad) {
-  // NONBLOCKINGADAPTIVE output -> routing table -> packet simulator:
-  // the scheduled permutation sustains load 1.0.
+  // NONBLOCKINGADAPTIVE output -> route cache -> packet simulator: the
+  // scheduled permutation sustains load 1.0.  The schedule is a function
+  // of the pattern, so it is a table; pairs outside the pattern carry no
+  // traffic and keep their d-mod-k paths.
   const adaptive::AdaptiveParams params{3, 9, 2};
   const FoldedClos ft(
       FtreeParams{3, params.worst_case_top_switches(), 9});
   const adaptive::NonblockingAdaptiveRouter router(params);
   const auto pattern = shift_permutation(ft.leaf_count(), 4);
   const auto schedule = router.route(pattern);
-  const auto table =
-      RoutingTable::from_paths(ft, schedule.to_paths(ft));
+  std::map<SDPair, FtreePath> scheduled;
+  for (const auto& path : schedule.to_paths(ft)) scheduled[path.sd] = path;
 
   const auto net = build_network(ft);
-  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kTable, &table);
+  const DModKRouting dmodk(ft);
+  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
+    const auto hit = scheduled.find(sd);
+    LinkId run[FoldedClos::kMaxPathLinks];
+    const auto count = ft.links_into(
+        hit != scheduled.end() ? hit->second : dmodk.route(sd), run);
+    std::vector<std::uint32_t> channels(count);
+    for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
+    return channels;
+  });
+  sim::NextHopOracle oracle(cache);
   const auto traffic =
       sim::TrafficPattern::permutation(pattern, ft.leaf_count());
   sim::SimConfig config;

@@ -18,7 +18,8 @@
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/sim/engine.hpp"
-#include "nbclos/sim/shard_router.hpp"
+#include "nbclos/routing/baselines.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/sim/sharded.hpp"
 
 namespace nbclos::sim {
@@ -114,7 +115,8 @@ TEST(ActiveMetrics, ShardedSimSeriesArePinned) {
   obs::set_enabled(true);
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const routing::TopChoiceNextHop router(
+      std::make_shared<const DModKRouting>(ft), net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const fault::DegradedView pristine(net);

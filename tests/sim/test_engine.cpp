@@ -37,8 +37,7 @@ TEST(Engine, NonblockingFtreeSustainsFullPermutationLoad) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &routing);
   const auto pattern = shift_permutation(ft.leaf_count(), 3);
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
   PacketSim sim(net, oracle, traffic, quick_config(1.0));
@@ -87,9 +86,8 @@ TEST(Engine, ThroughputScalesWithOfferedLoadBelowSaturation) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
   const OracleFactory factory = [&](std::uint64_t, fault::DegradedView*) {
-    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kTable, &table);
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kTable, &routing);
   };
   const auto pattern = shift_permutation(ft.leaf_count(), 2);
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
@@ -107,8 +105,7 @@ TEST(Engine, LatencyIsAtLeastTheHopSerializationFloor) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &routing);
   const auto pattern = shift_permutation(ft.leaf_count(), ft.n());
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
   PacketSim sim(net, oracle, traffic, quick_config(0.05));
@@ -189,8 +186,7 @@ TEST(Engine, FairnessExtremesAreTightWhenContentionFree) {
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const auto net = build_network(ft);
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &routing);
   const auto pattern = shift_permutation(ft.leaf_count(), 3);
   const auto traffic = TrafficPattern::permutation(pattern, ft.leaf_count());
   PacketSim sim(net, oracle, traffic, quick_config(0.8));

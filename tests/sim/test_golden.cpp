@@ -66,19 +66,17 @@ class GoldenSim : public ::testing::Test {
  protected:
   GoldenSim()
       : ft(FtreeParams{4, 16, 8}), net(build_network(ft)), yuan(ft),
-        table(RoutingTable::materialize(yuan)),
         traffic(TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {}
 
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  RoutingTable table;
   TrafficPattern traffic;
 };
 
 TEST_F(GoldenSim, TableRoutingLowLoad) {
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &yuan);
   PacketSim sim(net, oracle, traffic, golden_config(0.1));
   expect_matches(sim.run(),
                  {0x1.999999999999ap-4, 0x1.9c3ece2a53491p-4, 0x1.4p+2,
@@ -107,7 +105,7 @@ TEST_F(GoldenSim, DModKNearSaturation) {
 
 TEST_F(GoldenSim, FaultTolerantOracleWithMidRunEvents) {
   fault::DegradedView view(net);
-  fault::FaultTolerantOracle oracle(ft, view, UplinkPolicy::kTable, &table);
+  fault::FaultTolerantOracle oracle(ft, view, UplinkPolicy::kTable, &yuan);
   std::vector<fault::FaultEvent> events{
       {600, fault::FaultAction::kFailChannel,
        ft.up_link(BottomId{0}, TopId{3}).value},

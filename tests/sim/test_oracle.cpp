@@ -46,10 +46,9 @@ TEST_F(OracleFixture, TopSwitchDescendsTowardDestination) {
   EXPECT_EQ(ch, ft.down_link(TopId{2}, ft.switch_of(LeafId{9})).value);
 }
 
-TEST_F(OracleFixture, TablePolicyFollowsRoutingTable) {
+TEST_F(OracleFixture, TablePolicyFollowsSinglePathRouting) {
   const YuanNonblockingRouting routing(ft);
-  const auto table = RoutingTable::materialize(routing);
-  FtreeOracle oracle(ft, UplinkPolicy::kTable, &table);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &routing);
   const SimView view(net, depths);
   const SDPair sd{LeafId{1}, LeafId{8}};
   const auto expected_top = routing.route(sd).top;

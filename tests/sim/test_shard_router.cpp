@@ -1,6 +1,7 @@
 /// Path-equivalence tests for the pure O(1) next-hop routers: they must
 /// walk exactly the paths of the table/index routers they replace, and
-/// refuse a network their arithmetic was not written for.
+/// refuse a network their arithmetic was not written for.  Covers the
+/// fabric routers of sim/shard_router.hpp and routing::TopChoiceNextHop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,10 @@
 
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/fault/degraded_view.hpp"
+#include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/kary_updown.hpp"
+#include "nbclos/routing/route_cache.hpp"
+#include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
 #include "nbclos/topology/network.hpp"
@@ -18,7 +22,6 @@
 namespace nbclos {
 namespace {
 
-using sim::FtreeDmodkRouter;
 using sim::KaryDmodkRouter;
 using sim::ShardPlan;
 
@@ -80,10 +83,11 @@ TEST(KaryDmodkRouter, RejectsMismatchedNetwork) {
   EXPECT_THROW(KaryDmodkRouter(net, 2, 2), precondition_error);
 }
 
-TEST(FtreeDmodkRouter, WalksValidMinimalPaths) {
+TEST(TopChoiceNextHop, DModKWalksValidMinimalPaths) {
   const FoldedClos ft(FtreeParams{3, 9, 5});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const auto dmodk = std::make_shared<const DModKRouting>(ft);
+  const routing::TopChoiceNextHop router(dmodk, net);
   EXPECT_EQ(&router.network(), &net);
   for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
     for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
@@ -99,12 +103,54 @@ TEST(FtreeDmodkRouter, WalksValidMinimalPaths) {
       }
     }
   }
-  // The index arithmetic assumes build_network(ft)'s numbering: a
-  // network of another census is refused up front.
-  const FoldedClos other(FtreeParams{3, 9, 4});
-  EXPECT_THROW(FtreeDmodkRouter(other, net), precondition_error);
-  EXPECT_THROW(FtreeDmodkRouter(ft, build_kary_ntree(3, 2)),
-               precondition_error);
+}
+
+/// Every single-path routing, through the adapter, answers each vertex of
+/// each SD pair's path with the channel its materialized cache stores —
+/// and a network not built from the routing's ftree is refused.
+TEST(TopChoiceNextHop, MatchesChannelRouteCacheOnEveryVertexOfEveryPath) {
+  for (const auto params : {FtreeParams{2, 4, 5}, FtreeParams{3, 9, 4},
+                            FtreeParams{4, 16, 8}}) {
+    const FoldedClos ft(params);
+    const Network net = build_network(ft);
+    const std::vector<std::shared_ptr<const SinglePathRouting>> routings = {
+        std::make_shared<const YuanNonblockingRouting>(ft),
+        std::make_shared<const DModKRouting>(ft),
+        std::make_shared<const DModKSwitchRouting>(ft),
+        std::make_shared<const SModKRouting>(ft),
+        std::make_shared<const RandomFixedRouting>(ft, 11)};
+    for (const auto& routing : routings) {
+      const std::string label = routing->name() + " on r=" +
+                                std::to_string(ft.r()) + ", n=" +
+                                std::to_string(ft.n());
+      const routing::TopChoiceNextHop adapter(routing, net);
+      EXPECT_EQ(&adapter.network(), &net) << label;
+      EXPECT_EQ(adapter.bytes(), 0U) << label;
+      EXPECT_EQ(adapter.name(), routing->name()) << label;
+      const auto cache = routing::ChannelRouteCache::materialize(net, *routing);
+      for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
+        for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
+          if (s == d) continue;
+          const auto run = cache->channels(s, d);
+          ASSERT_FALSE(run.empty()) << label;
+          for (const auto c : run) {
+            ASSERT_EQ(adapter.next_channel_from(net.channel_src(c), s, d), c)
+                << label << ": " << s << "->" << d << " at vertex "
+                << net.channel_src(c);
+          }
+        }
+      }
+      // The index arithmetic assumes build_network(ft)'s numbering: a
+      // network of another census is refused up front.
+      const FoldedClos other(FtreeParams{ft.n(), ft.m(), ft.r() + 1});
+      EXPECT_THROW(routing::TopChoiceNextHop(routing, build_network(other)),
+                   precondition_error)
+          << label;
+      EXPECT_THROW(routing::TopChoiceNextHop(routing, build_kary_ntree(3, 2)),
+                   precondition_error)
+          << label;
+    }
+  }
 }
 
 TEST(RecursiveShardRouter, MatchesFabricRouteOnEveryPair) {

@@ -2,7 +2,8 @@
 ///
 /// ShardedSim's determinism claim is cross-engine and cross-shard-count:
 /// for any pure NextHop router, PacketSim (counter injection, same router
-/// via NextHopOracle) and ShardedSim at 1, 2, 4, and 8 shards must
+/// via NextHopOracle, or on an ftree the stateful FtreeOracle that
+/// takes the same paths) and ShardedSim at 1, 2, 4, and 8 shards must
 /// produce the *same SimResult in every field* — integers equal, doubles
 /// bit-identical — including under a mid-run fault schedule.  These
 /// tests are what licenses the million-terminal benches to validate a
@@ -17,6 +18,7 @@
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/metrics.hpp"
+#include "nbclos/routing/baselines.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
 #include "nbclos/sim/sharded.hpp"
@@ -73,7 +75,8 @@ SimResult reference_run(const routing::NextHop& router,
 TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const auto dmodk = std::make_shared<const DModKRouting>(ft);
+  const routing::TopChoiceNextHop router(dmodk, net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   for (const double rate : {0.2, 0.8}) {
@@ -82,6 +85,15 @@ TEST(ShardedSim, BitIdenticalToPacketSimOnFtreeAtEveryShardCount) {
     const auto expect =
         reference_run(router, traffic, config, nullptr, {}, &expect_busy);
     ASSERT_EQ(expect_busy.size(), net.channel_count());
+    // The stateful FtreeOracle the parallel load sweeps run takes the
+    // same paths, by its own d-mod-k arithmetic and by the top choice.
+    for (const auto policy : {UplinkPolicy::kDModK, UplinkPolicy::kTable}) {
+      FtreeOracle oracle(ft, policy, dmodk.get());
+      PacketSim sim(net, oracle, traffic, config);
+      const std::string label = oracle.name() + " rate=" + std::to_string(rate);
+      expect_identical(sim.run(), expect, label.c_str());
+      EXPECT_EQ(sim.link_busy_flits(), expect_busy) << label;
+    }
     for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
       ShardedSim sim(router, traffic, config, shards);
       ASSERT_EQ(sim.shard_count(), shards);
@@ -142,7 +154,8 @@ TEST(ShardedSim, BitIdenticalWithMultiFlitPacketsAndOddQueueCapacity) {
 TEST(ShardedSim, BitIdenticalUnderAFaultSchedule) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const routing::TopChoiceNextHop router(
+      std::make_shared<const DModKRouting>(ft), net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const auto config = sharded_config(0.6);
@@ -206,7 +219,8 @@ TEST(ShardedSim, UniformTrafficIsShardCountInvariant) {
 TEST(ShardedSim, ConservesPacketsAndCountsCrossShardTraffic) {
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const routing::TopChoiceNextHop router(
+      std::make_shared<const DModKRouting>(ft), net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   const auto config = sharded_config(0.8);
@@ -254,7 +268,8 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   const FoldedClos ft(FtreeParams{4, 16, 8});
   const Network net = build_network(ft);
-  const FtreeDmodkRouter router(ft, net);
+  const routing::TopChoiceNextHop router(
+      std::make_shared<const DModKRouting>(ft), net);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(ft.leaf_count(), 5), ft.leaf_count());
   auto config = sharded_config(0.8);
@@ -297,7 +312,9 @@ TEST(ShardedSim, MergedTimeseriesBitIdenticalAcrossShardCounts) {
 TEST(ShardedSim, TwoShardRunRecordsPhaseTimersPerShard) {
   // Every 64th cycle each shard times its three phases, its two mailbox
   // drains and its two barrier waits; flush_obs records one mean per
-  // shard.  Obs-off runs take no clock reads, so nothing is recorded.
+  // shard, and beside it a "_total" counter of the exact ns summed over
+  // shards and timed cycles.  Obs-off runs take no clock reads, so
+  // nothing is recorded.
   const Network net = build_kary_ntree(3, 3);
   const KaryDmodkRouter router(net, 3, 3);
   const auto traffic =
@@ -316,17 +333,32 @@ TEST(ShardedSim, TwoShardRunRecordsPhaseTimersPerShard) {
     ASSERT_EQ(sharded.shard_count(), 2U);
     (void)sharded.run();
     const auto snapshot = registry.snapshot();
-    for (const std::string& name : names) {
-      const auto it = std::find_if(
+    const auto find = [&](const std::string& name) {
+      return std::find_if(
           snapshot.begin(), snapshot.end(),
           [&](const obs::MetricSample& m) { return m.name == name; });
+    };
+    for (const std::string& name : names) {
+      const auto it = find(name);
+      const auto total = find(name + "_total");
       if (obs::kEnabled && on) {
         ASSERT_NE(it, snapshot.end()) << name;
         EXPECT_EQ(it->kind, obs::MetricSample::Kind::kHistogram) << name;
         EXPECT_EQ(it->count, 2U) << name;  // one sample per shard
+        ASSERT_NE(total, snapshot.end()) << name;
+        EXPECT_EQ(total->kind, obs::MetricSample::Kind::kCounter) << name;
       } else {
         EXPECT_TRUE(it == snapshot.end() || it->count == 0) << name;
+        EXPECT_TRUE(total == snapshot.end() || total->count == 0) << name;
       }
+    }
+    if (obs::kEnabled && on) {
+      // Two shards, each timed on every cycle = 63 (mod 64).
+      const auto timed = find("sim.phase.timed_cycles");
+      ASSERT_NE(timed, snapshot.end());
+      ASSERT_NE(find("sim.cycles"), snapshot.end());
+      EXPECT_GT(timed->count, 0U);
+      EXPECT_EQ(timed->count, 2 * (find("sim.cycles")->count / 64));
     }
   }
   obs::set_enabled(was_enabled);

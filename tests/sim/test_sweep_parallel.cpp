@@ -46,7 +46,6 @@ class ParallelSweep : public ::testing::Test {
  protected:
   ParallelSweep()
       : ft(FtreeParams{4, 16, 8}), net(build_network(ft)), yuan(ft),
-        table(RoutingTable::materialize(yuan)),
         traffic(TrafficPattern::permutation(
             shift_permutation(ft.leaf_count(), 5), ft.leaf_count())) {
     config.warmup_cycles = 200;
@@ -64,7 +63,6 @@ class ParallelSweep : public ::testing::Test {
   FoldedClos ft;
   Network net;
   YuanNonblockingRouting yuan;
-  RoutingTable table;
   TrafficPattern traffic;
   SimConfig config;
   std::vector<double> rates{0.2, 0.4, 0.6, 0.8, 1.0};
@@ -95,7 +93,7 @@ TEST_F(ParallelSweep, LoadSweepWithFaultsMatchesSerial) {
   const OracleFactory factory = [this](std::uint64_t,
                                        fault::DegradedView* degraded) {
     return std::make_unique<fault::FaultTolerantOracle>(
-        ft, *degraded, UplinkPolicy::kTable, &table);
+        ft, *degraded, UplinkPolicy::kTable, &yuan);
   };
   const auto serial =
       load_sweep(net, factory, traffic, config, rates, nullptr, &view, events);
@@ -137,10 +135,10 @@ TEST_F(ParallelSweep, FaultThroughputSweepIsThreadCountIndependent) {
   sim_config.injection_rate = 0.9;
   const std::vector<std::uint32_t> levels{0, 8, 32};
   const auto serial = analysis::run_fault_throughput_sweep(
-      ft, net, table, traffic, sim_config, levels, 97, nullptr);
+      ft, net, yuan, traffic, sim_config, levels, 97, nullptr);
   ThreadPool pool(4);
   const auto parallel = analysis::run_fault_throughput_sweep(
-      ft, net, table, traffic, sim_config, levels, 97, &pool);
+      ft, net, yuan, traffic, sim_config, levels, 97, &pool);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].failures, parallel[i].failures);

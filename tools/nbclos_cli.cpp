@@ -29,9 +29,8 @@
 #include "nbclos/core/designer.hpp"
 #include "nbclos/core/fabric.hpp"
 #include "nbclos/fault/sweep.hpp"
-#include "nbclos/flow/engine.hpp"
 #include "nbclos/flow/sharded.hpp"
-#include "nbclos/routing/route_cache.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
 #include "nbclos/sim/shard_router.hpp"
@@ -117,23 +116,6 @@ Fabric build_fabric(const Topo& topo) {
   return fabric;
 }
 
-/// The pure next hop a ShardedSim run (and any k-ary run) routes
-/// through: O(1) arithmetic for d-mod-k, the materialized route cache
-/// for Theorem 3.
-std::shared_ptr<const nbclos::routing::NextHop> make_next_hop(
-    const Topo& topo, const Fabric& fabric, const std::string& routing) {
-  if (topo.kary) {
-    return std::make_shared<const nbclos::sim::KaryDmodkRouter>(
-        fabric.net, topo.k, topo.h);
-  }
-  if (routing == "dmodk") {
-    return std::make_shared<const nbclos::sim::FtreeDmodkRouter>(*fabric.ft,
-                                                                 fabric.net);
-  }
-  return nbclos::routing::ChannelRouteCache::materialize(
-      fabric.net, nbclos::YuanNonblockingRouting(*fabric.ft));
-}
-
 /// The single-path routing `routing` names on `ft`: thm3 or dmodk.
 std::unique_ptr<nbclos::SinglePathRouting> single_path(
     const nbclos::FoldedClos& ft, const std::string& routing) {
@@ -141,9 +123,22 @@ std::unique_ptr<nbclos::SinglePathRouting> single_path(
   return std::make_unique<nbclos::YuanNonblockingRouting>(ft);
 }
 
-/// Routing-policy name -> oracle factory for the packet engine.  thm3
-/// routes from a materialized Theorem 3 table the factory keeps alive;
-/// `ft` must outlive every oracle the factory makes.
+/// The pure next hop of a single-path routing (thm3 or dmodk), by
+/// arithmetic and with no per-pair table: d-mod-k digits on a k-ary
+/// tree, the routing's top choice on an ftree.
+std::shared_ptr<const nbclos::routing::NextHop> make_next_hop(
+    const Topo& topo, const Fabric& fabric, const std::string& routing) {
+  if (topo.kary) {
+    return std::make_shared<const nbclos::sim::KaryDmodkRouter>(
+        fabric.net, topo.k, topo.h);
+  }
+  return std::make_shared<const nbclos::routing::TopChoiceNextHop>(
+      single_path(*fabric.ft, routing), fabric.net);
+}
+
+/// Routing-policy name -> stateful oracle factory for the packet engine.
+/// thm3 reads the Theorem 3 routing the factory keeps alive; `ft` must
+/// outlive every oracle the factory makes.
 nbclos::sim::OracleFactory make_oracle_factory(const nbclos::FoldedClos& ft,
                                                const std::string& routing) {
   using nbclos::sim::UplinkPolicy;
@@ -152,14 +147,13 @@ nbclos::sim::OracleFactory make_oracle_factory(const nbclos::FoldedClos& ft,
                               : routing == "random"
                                   ? UplinkPolicy::kRandom
                                   : UplinkPolicy::kLeastQueue;
-  std::shared_ptr<const nbclos::RoutingTable> table;
+  std::shared_ptr<const nbclos::SinglePathRouting> thm3;
   if (policy == UplinkPolicy::kTable) {
-    table = std::make_shared<const nbclos::RoutingTable>(
-        nbclos::RoutingTable::materialize(nbclos::YuanNonblockingRouting(ft)));
+    thm3 = std::make_shared<const nbclos::YuanNonblockingRouting>(ft);
   }
-  return [&ft, table, policy](std::uint64_t run_seed,
-                              nbclos::fault::DegradedView*) {
-    return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy, table.get(),
+  return [&ft, thm3, policy](std::uint64_t run_seed,
+                             nbclos::fault::DegradedView*) {
+    return std::make_unique<nbclos::sim::FtreeOracle>(ft, policy, thm3.get(),
                                                       run_seed);
   };
 }
@@ -250,12 +244,13 @@ int cmd_simulate(const Args& args) {
   config.counter_injection = true;
   config.record_timeseries = !args["--timeseries-out"].text.empty();
 
-  // Sharded engine (or any k-ary run — its routing is already a pure
-  // NextHop, so one shard is the natural engine for it too).
+  // A single-path routing is a pure NextHop, run on ShardedSim at any
+  // shard count (one without --shards); only the random and adaptive
+  // uplinks (ftree, no --shards) need a stateful oracle.
   nbclos::sim::SimResult result;
   std::string shard_note;
   std::string cross_shard;
-  if (sharded || topo.kary) {
+  if (routing == "thm3" || routing == "dmodk") {
     const auto router = make_next_hop(topo, fabric, routing);
     nbclos::sim::ShardedSim sim(*router, fabric.traffic, config,
                                 sharded ? args["--shards"].u32() : 1);
@@ -285,10 +280,10 @@ int cmd_simulate(const Args& args) {
 /// Cycle-level flow-control run: finite buffers, credits/on-off, wormhole
 /// or virtual cut-through — the effects `simulate` (ideal switches)
 /// abstracts away.  Only deterministic single-path routings make sense
-/// here, because the flit engine consumes a materialized channel cache.
-/// `--shards N` routes the run through flow::ShardedFlowSim (counter
-/// injection; results are shard-count independent); `kary:K,H` fabrics
-/// route destination-based up/down (the d-mod-k analogue).
+/// here, because the flit engine asks a pure NextHop.  The run is one
+/// flow::ShardedFlowSim on `--shards N` shards (one when not given;
+/// results are shard-count independent); `kary:K,H` fabrics route
+/// destination-based up/down (the d-mod-k analogue).
 int cmd_flow_sim(const Args& args) {
   const Topo& topo = args["<topo>"].topo;
   const bool sharded = args["--shards"].set;
@@ -298,36 +293,16 @@ int cmd_flow_sim(const Args& args) {
   config.record_timeseries = !args["--timeseries-out"].text.empty();
   const Fabric fabric = build_fabric(topo);
 
-  std::shared_ptr<const nbclos::routing::NextHop> routes;
-  std::string routing_label;
-  if (topo.kary) {
-    // Pure O(1) dmodk arithmetic — no per-pair table, so k-ary fabrics
-    // scale to 10^6 terminals where the O(T^2) cache cannot exist.
-    routes = make_next_hop(topo, fabric, "dmodk");
-    routing_label = routes->name();
-  } else {
-    const auto routing = single_path(*fabric.ft, args["[routing]"].text);
-    routes = nbclos::routing::ChannelRouteCache::materialize(fabric.net,
-                                                             *routing);
-    routing_label = routing->name();
-  }
-
-  nbclos::flow::FlowResult result;
-  nbclos::flow::DeadlockForensics forensics;
-  nbclos::flow::ArenaStats arena{};
-  const auto run = [&](auto& sim) {
-    result = sim.run();
-    stash_recorder(sim.recorder());
-    forensics = sim.forensics();
-    arena = sim.arena_stats();
-  };
-  if (sharded) {
-    nbclos::flow::ShardedFlowSim sim(routes, fabric.traffic, config, shards);
-    run(sim);
-  } else {
-    nbclos::flow::FlowSim sim(routes, fabric.traffic, config);
-    run(sim);
-  }
+  // O(1) arithmetic with no per-pair table, so the run scales to 10^6
+  // terminals where an O(T^2) route cache cannot exist.
+  const auto routes = make_next_hop(topo, fabric, args["[routing]"].text);
+  const std::string routing_label = routes->name();
+  nbclos::flow::ShardedFlowSim sim(routes, fabric.traffic, config,
+                                   sharded ? shards : 1);
+  const auto result = sim.run();
+  stash_recorder(sim.recorder());
+  const auto& forensics = sim.forensics();
+  const auto arena = sim.arena_stats();
 
   const bool vct = args["--switching"].text == "vct";
   const bool onoff = args["--onoff"].set;
