@@ -176,6 +176,15 @@ class ChannelRouteCache final : public NextHop {
   [[nodiscard]] static std::shared_ptr<const ChannelRouteCache> materialize(
       const Network& net, const SinglePathRouting& routing);
 
+  /// Snapshot a per-pattern schedule (e.g. AdaptiveSchedule::to_paths)
+  /// over `net` = build_network(base.ftree()): each cross pair in `paths`
+  /// crosses the top its path names, and every other pair keeps `base`'s
+  /// path.  Direct paths are skipped — a same-switch pair has one path,
+  /// which `base` already gives.  \pre no pair appears twice in `paths`.
+  [[nodiscard]] static std::shared_ptr<const ChannelRouteCache> from_paths(
+      const Network& net, const SinglePathRouting& base,
+      std::span<const FtreePath> paths);
+
   [[nodiscard]] const Network& network() const noexcept override {
     return *net_;
   }

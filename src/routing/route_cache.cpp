@@ -1,5 +1,7 @@
 #include "nbclos/routing/route_cache.hpp"
 
+#include <map>
+
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/single_path.hpp"
 
@@ -96,15 +98,44 @@ ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
   registry.gauge("route_cache.bytes").add(static_cast<std::int64_t>(bytes()));
 }
 
+namespace {
+
+/// The link-id run of `path`, as a ChannelRouteCache route answer.
+std::vector<std::uint32_t> link_channels(const FoldedClos& ftree,
+                                         const FtreePath& path) {
+  LinkId run[FoldedClos::kMaxPathLinks];
+  const auto count = ftree.links_into(path, run);
+  std::vector<std::uint32_t> channels(count);
+  for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
+  return channels;
+}
+
+}  // namespace
+
 std::shared_ptr<const ChannelRouteCache> ChannelRouteCache::materialize(
     const Network& net, const SinglePathRouting& routing) {
   const FoldedClos& ftree = routing.ftree();
   return std::make_shared<const ChannelRouteCache>(net, [&](SDPair sd) {
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ftree.links_into(routing.route(sd), run);
-    std::vector<std::uint32_t> channels(count);
-    for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
-    return channels;
+    return link_channels(ftree, routing.route(sd));
+  });
+}
+
+std::shared_ptr<const ChannelRouteCache> ChannelRouteCache::from_paths(
+    const Network& net, const SinglePathRouting& base,
+    std::span<const FtreePath> paths) {
+  const FoldedClos& ftree = base.ftree();
+  std::map<SDPair, FtreePath> scheduled;
+  for (const auto& path : paths) {
+    if (path.direct) continue;
+    NBCLOS_REQUIRE(ftree.needs_top(path.sd) && path.top.value < ftree.m(),
+                   "scheduled path is not a valid cross path");
+    NBCLOS_REQUIRE(scheduled.emplace(path.sd, path).second,
+                   "pair scheduled twice");
+  }
+  return std::make_shared<const ChannelRouteCache>(net, [&](SDPair sd) {
+    const auto hit = scheduled.find(sd);
+    return link_channels(ftree,
+                         hit != scheduled.end() ? hit->second : base.route(sd));
   });
 }
 

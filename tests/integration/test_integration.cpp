@@ -3,7 +3,6 @@
 /// to end rather than module by module.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -59,21 +58,11 @@ TEST(Integration, AdaptiveScheduleDrivesTheSimulatorAtFullLoad) {
   const adaptive::NonblockingAdaptiveRouter router(params);
   const auto pattern = shift_permutation(ft.leaf_count(), 4);
   const auto schedule = router.route(pattern);
-  std::map<SDPair, FtreePath> scheduled;
-  for (const auto& path : schedule.to_paths(ft)) scheduled[path.sd] = path;
-
   const auto net = build_network(ft);
   const DModKRouting dmodk(ft);
-  const routing::ChannelRouteCache cache(net, [&](SDPair sd) {
-    const auto hit = scheduled.find(sd);
-    LinkId run[FoldedClos::kMaxPathLinks];
-    const auto count = ft.links_into(
-        hit != scheduled.end() ? hit->second : dmodk.route(sd), run);
-    std::vector<std::uint32_t> channels(count);
-    for (std::uint32_t i = 0; i < count; ++i) channels[i] = run[i].value;
-    return channels;
-  });
-  sim::NextHopOracle oracle(cache);
+  const auto cache = routing::ChannelRouteCache::from_paths(
+      net, dmodk, schedule.to_paths(ft));
+  sim::NextHopOracle oracle(*cache);
   const auto traffic =
       sim::TrafficPattern::permutation(pattern, ft.leaf_count());
   sim::SimConfig config;

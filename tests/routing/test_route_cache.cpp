@@ -237,6 +237,40 @@ TEST(ChannelRouteCache, RejectsBrokenChains) {
 
 // --- large-radix smoke: ftree(8+64, 48) ---------------------------------
 
+TEST(RoutingTable, FromPathsSkipsDirect) {
+  // A schedule overrides the base routing on its cross pairs only: the
+  // direct path in the list changes nothing, and unlisted pairs keep d-mod-k.
+  const FoldedClos ft(FtreeParams{2, 3, 4});
+  const auto net = build_network(ft);
+  const DModKRouting dmodk(ft);
+  const SDPair cross{LeafId{0}, LeafId{5}};
+  const TopId other{(dmodk.route(cross).top.value + 1) % ft.m()};
+  const std::vector<FtreePath> paths{ft.cross_path(cross, other),
+                                     ft.direct_path({LeafId{0}, LeafId{1}})};
+  const auto cache = routing::ChannelRouteCache::from_paths(net, dmodk, paths);
+
+  auto run = [&](std::uint32_t s, std::uint32_t d) {
+    const auto span = cache->channels(s, d);
+    return std::vector<std::uint32_t>(span.begin(), span.end());
+  };
+  EXPECT_EQ(run(0, 5),
+            (std::vector<std::uint32_t>{
+                ft.leaf_up_link(LeafId{0}).value,
+                ft.up_link(ft.switch_of(LeafId{0}), other).value,
+                ft.down_link(other, ft.switch_of(LeafId{5})).value,
+                ft.leaf_down_link(LeafId{5}).value}));
+  EXPECT_NE(run(0, 5), live_links(dmodk, cross));
+  for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
+    for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
+      if (s == d || (s == 0 && d == 5)) continue;
+      EXPECT_EQ(run(s, d), live_links(dmodk, {LeafId{s}, LeafId{d}}));
+    }
+  }
+  EXPECT_THROW((void)routing::ChannelRouteCache::from_paths(
+                   net, dmodk, std::vector<FtreePath>{paths[0], paths[0]}),
+               precondition_error);
+}
+
 TEST(RouteCacheScale, Radix48RoutesAndAuditAgree) {
   const FoldedClos ft(FtreeParams{8, 64, 48});  // 384 leafs, 48 switches
   const YuanNonblockingRouting yuan(ft);
