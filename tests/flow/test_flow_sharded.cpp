@@ -151,6 +151,26 @@ TEST_F(FlowSharded, BitIdenticalVctOnOff) {
   check_all_shard_counts(config);
 }
 
+/// Credits that return three cycles after the pop: every return from a
+/// channel whose ends sit on two shards crosses the cut, lands in the
+/// writer's delay line and must still come due in the one-shard cycle.
+/// The ledger closes its conservation identity after every cut.
+TEST_F(FlowSharded, BitIdenticalDelayedCredits) {
+  for (const Switching switching :
+       {Switching::kWormhole, Switching::kVirtualCutThrough}) {
+    SCOPED_TRACE(switching == Switching::kWormhole ? "wormhole" : "vct");
+    FlowConfig config = base_config();
+    config.switching = switching;
+    config.credit_delay = 3;
+    check_all_shard_counts(config);
+    for (const std::uint32_t shards : {2u, 3u, 4u, 8u}) {
+      ShardedFlowSim sharded(cache, traffic, config, shards);
+      (void)sharded.run();
+      EXPECT_TRUE(sharded.credit_conservation_holds()) << shards << " shards";
+    }
+  }
+}
+
 TEST_F(FlowSharded, BitIdenticalMultiVcUniformTraffic) {
   traffic = sim::TrafficPattern::uniform(ft.leaf_count());
   FlowConfig config = base_config();
