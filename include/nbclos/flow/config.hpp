@@ -78,9 +78,13 @@ struct FlowConfig {
   /// rather than packets because flow buffers hold flits.
   static constexpr std::uint32_t kEffectivelyInfiniteBufferFlits = 1024;
 
-  /// Most virtual channels per physical channel: the sharded engine's
-  /// per-channel VC stall masks are 32 bits wide.
+  /// Most virtual channels per physical channel.
   static constexpr std::uint32_t kMaxVcs = 32;
+
+  /// Deepest FIFO and longest credit return: a bound buffer slot holds
+  /// bit_ceil(buffer_flits) flits, a delay line bit_ceil(delay + 1) lists.
+  static constexpr std::uint32_t kMaxBufferFlits = 1u << 16;
+  static constexpr std::uint32_t kMaxCreditDelay = 1024;
 
   /// The documented single-flit / effectively-infinite-buffer reference
   /// configuration: with it, wormhole == VCT == store-and-forward and no
@@ -130,6 +134,14 @@ struct FlowConfig {
     }
     if (packet_flits < 1) return "packets need at least one flit";
     if (vcs < 1 || vcs > kMaxVcs) return "virtual channels must be in 1..32";
+    if (buffer_flits < 1 || buffer_flits > kMaxBufferFlits) {
+      return "switch buffers must hold 1..65536 flits";
+    }
+    // A same-cycle credit return would make transmissions depend on the
+    // channel visit order, and could not cross a shard cut in time.
+    if (credit_delay < 1 || credit_delay > kMaxCreditDelay) {
+      return "credit return delay must be in 1..1024 cycles";
+    }
     if (switching == Switching::kVirtualCutThrough &&
         buffer_flits < packet_flits) {
       return "virtual cut-through buffers a whole packet per FIFO: "

@@ -142,8 +142,26 @@ class OnOffSignal {
   void mark_dirty(std::uint32_t b) { mark_dirty_at(pool_->bind(b)); }
 
   /// End-of-cycle: latch the stop bits of dirty buffers from current
-  /// occupancy.  Cost is O(buffers touched this cycle), not O(all).
-  void latch();
+  /// occupancy, calling `changed(slot, bit)` for each bit that flips (a
+  /// shard cut forwards it to the buffer's writer).  Cost is O(buffers
+  /// touched this cycle), not O(all).
+  template <class Changed>
+  void latch(Changed&& changed) {
+    for (const auto s : dirty_) {
+      FlitBufferPool::BufferSlot& sl = pool_->slot(s);
+      const std::uint8_t off = sl.size >= threshold_ ? 1 : 0;
+      sl.in_dirty = 0;
+      if (off != sl.off) {
+        sl.off = off;
+        changed(s, off);
+      }
+      pool_->maybe_release_at(s);
+    }
+    dirty_.clear();
+  }
+  void latch() {
+    latch([](std::uint32_t, std::uint8_t) {});
+  }
 
  private:
   FlitBufferPool* pool_;

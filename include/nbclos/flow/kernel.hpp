@@ -3,10 +3,18 @@
 ///        channel, run by every shard of the flow-engine driver
 ///        (sharded.hpp).
 ///
-/// A kernel instance owns one arena: the flit FIFOs and packets of the
-/// buffers it owns, their credit or on/off state, each owned channel's
-/// VC arbiter, the wires landing next cycle, and the run statistics.
-/// Its steps are the whole flit model:
+/// A switch buffer has two sides.  The READ side (flits, the worm's
+/// out_alloc, the stall episode) sits with the channel's destination
+/// vertex, which decides every send on the channel, together with the
+/// channel's VC arbiter, activity bit and link-busy tally.  The WRITE
+/// side (claim, credit counters, the on/off bit senders read) sits with
+/// the source vertex.  Both share one pool slot unless a shard cut
+/// separates the channel's ends.  A NIC queue has only a read side.
+///
+/// A kernel instance owns one arena: the slots of the sides it holds,
+/// the packets its flits name, its credit or on/off state, the wires it
+/// sent this cycle, and the run statistics.  Its steps are the whole
+/// flit model:
 ///   * `transmit` — one pass over a channel: VC round-robin from the
 ///     arbiter's start, and for the first VC that can move, `downstream`
 ///     (head routing, first-free VC claim scan, backpressure admission;
@@ -15,22 +23,20 @@
 ///     out_alloc, end of the stall episode, arbiter advance).  A VC
 ///     that cannot move opens or extends a stall episode;
 ///   * `land` — last cycle's wires push into their FIFOs or `eject`;
-///   * `inject` — build a packet and queue it on its source NIC.
-///
-/// A shard calls `transmit` for the channels it both owns and executes
-/// — at one shard, every active channel; for a channel whose ends sit
-/// on two shards the executor runs `downstream` + `send` on a mailed
-/// proposal and the owner runs `pop` on the returned grant.
+///   * `inject` — build a packet and queue it on its source NIC;
+///   * `latch` — the end-of-cycle on/off bits;
+///   * `receive` — under a cut, one `Mail` another shard posted last
+///     cycle: what a move changed on this shard's side of a buffer.
 ///
 /// Shards differ only in how a global id reaches the arena.  A shard
 /// derives from FlitKernel<Shard> and supplies, at compile time:
-///   buffer(b), channel(c)   global buffer / channel id -> arena index
-///   global_buffer(lb)       arena buffer index -> global buffer id
-///   busy(c)                 channel -> its link-busy tally
-///   activate(c)             channel c holds flits: add it to the set
-///                           whose sweep moves them
-/// The one-shard arena maps by identity; a shard of a cut maps through
-/// ShardPlan's local ids.
+///   read_side(b), write_side(b)  global buffer id -> arena index
+///   channel(c)              channel -> index among those it reads
+///   global_buffer(lb), global_channel(li)  the inverses
+///   kCut                    whether it is a shard of a cut, and then
+///   index, reader(c), writer(c), post(to, now, mail),
+///   for_each_unreceived(fn), other_side(b, c)  (see sharded.cpp)
+/// The one-shard arena maps by identity.
 #pragma once
 
 #include <algorithm>
@@ -83,9 +89,6 @@ struct ChannelFacts {
   std::vector<std::uint32_t> channel_of_nic;     ///< NIC index -> c
   std::uint32_t switch_buffers = 0;  ///< global switch buffer count
 
-  [[nodiscard]] std::uint32_t vc_count(std::uint32_t c) const {
-    return is_nic[c] ? 1u : vcs;
-  }
   [[nodiscard]] std::uint32_t buffer_count() const {
     return switch_buffers + static_cast<std::uint32_t>(channel_of_nic.size());
   }
@@ -96,28 +99,30 @@ struct ChannelFacts {
   }
 };
 
-/// A flit on a channel an arena executes, landing next cycle in one of
-/// the arena's own FIFOs or ejecting at one of its terminals.  At most
-/// one wire per channel per cycle, and at most one targets any buffer
-/// (the claim serializes writers).
+/// A flit this arena sent this cycle, landing next cycle.  At most one
+/// wire per channel per cycle, and at most one targets any buffer (the
+/// claim serializes writers).
 struct Wire {
   std::uint32_t channel = 0;
   std::uint32_t target = 0;  ///< global downstream buffer id, or kEject
-  /// target's pool slot (kNoSlot for kEject): the claim pins it until
-  /// the tail lands.
+  /// The pool slot of target's write side here (kNoSlot for kEject): the
+  /// claim pins it until the tail lands.
   std::uint32_t target_slot = 0;
-  FlitRef flit;  ///< packet_slot names the landing arena's PacketPool
-  /// Cross-shard ejection: the flit carries its own packet copy, freed
-  /// when it ejects (shared slots are freed by the tail).
-  bool flit_copy = false;
+  FlitRef flit;  ///< packet_slot names this arena's PacketPool
+  /// The target's read side is in another shard, which lands the flit
+  /// from its mail; here the wire only frees the claim at the tail.
+  bool mailed = false;
 };
 
-/// A VC's head-of-line flit as a scan sees it (`packet` null for an
-/// empty VC): read from the arena's FIFO, or from a mailed proposal.
-struct FlitFront {
-  std::uint32_t flit_index = 0;
-  std::uint32_t out_alloc = kNoBuffer;  ///< body flits: the worm's buffer
-  const sim::Packet* packet = nullptr;
+/// What crosses a shard cut: the effect of a move on the far side of a
+/// buffer, posted in one cycle and received before the next cycle's
+/// transmissions (see sharded.hpp for why that is soon enough).
+struct Mail {
+  enum Kind : std::uint8_t { kFlit, kCredit, kOnOff, kInject };
+  std::uint32_t buffer = 0;  ///< global buffer id it acts on
+  std::uint32_t value = 0;   ///< kFlit: the flit index; kOnOff: the bit
+  Kind kind = kFlit;
+  sim::Packet packet;  ///< kFlit heads and kInject: the packet
 };
 
 /// Where a moving flit goes: a downstream buffer (global id) and its
@@ -150,12 +155,12 @@ struct FlitKernel {
   }
 
   /// Build the arena on the calling thread (first touch): `switch_bufs`
-  /// finite FIFOs and `nic_bufs` NIC queues, arbiters for `channels`
-  /// owned channels, `executed` link-busy tallies, injection at
+  /// finite FIFO sides and `nic_bufs` NIC queues, arbiters and link-busy
+  /// tallies for the `channels` channels it reads, injection at
   /// terminals [lo, hi) of `terminals`, and a private copy of `faults`.
   void init_arena(std::uint32_t switch_bufs, std::uint32_t nic_bufs,
-                  std::uint32_t channels, std::uint32_t executed,
-                  std::uint32_t terminals, std::uint32_t lo, std::uint32_t hi,
+                  std::uint32_t channels, std::uint32_t terminals,
+                  std::uint32_t lo, std::uint32_t hi,
                   const fault::DegradedView* faults) {
     pool.emplace(switch_bufs, nic_bufs, config.buffer_flits,
                  config.packet_flits);
@@ -169,7 +174,7 @@ struct FlitKernel {
     next_vc.assign(channels, 0);
     channel_flits.assign(channels, 0);
     active = ActiveSet(channels);
-    link_busy.assign(executed, 0);
+    link_busy.assign(channels, 0);
     peak_per_vc.assign(config.vcs, 0);
     delivered_per_source.assign(terminals, 0);
     term_lo = lo;
@@ -221,23 +226,24 @@ struct FlitKernel {
     stall_metric->record(duration);
   }
 
-  /// Where front `f` of VC `vc` goes when it crosses channel c.  A head
-  /// routes from dst(c) and takes the first VC of the next channel,
-  /// starting at its own, that no packet claims and whose backpressure
-  /// admits the head reservation (binding the buffer's slot).  A body
-  /// flit follows the worm's out_alloc; under wormhole it re-checks
-  /// backpressure every cycle, under VCT the head reserved the packet.
-  /// A dead next channel blocks the head in place (fail-stop), booked
-  /// as a credit stall.  Returns false when the VC stalls, with
-  /// *credit_block telling why.  Every buffer read is the arena's own:
-  /// the next channel leaves dst(c), which the executor of c owns.
-  bool downstream(std::uint32_t c, std::uint32_t vc, const FlitFront& f,
-                  Hop* hop, bool* credit_block) {
+  /// Where `flit`, the front of VC `vc`, goes when it crosses channel
+  /// c.  A head routes from dst(c) and takes the first VC of the next
+  /// channel, starting at its own, that no packet claims and whose
+  /// backpressure admits the head reservation (binding the buffer's
+  /// write side).  A body flit follows the worm's `out_alloc`; under
+  /// wormhole it re-checks backpressure every cycle, under VCT the head
+  /// reserved the packet.  A dead next channel blocks the head in place
+  /// (fail-stop), booked as a credit stall.  Returns false when the VC
+  /// stalls, with *credit_block telling why.  Every write side it reads
+  /// is the arena's own: the next channel leaves dst(c), where this
+  /// arena reads c.
+  bool downstream(std::uint32_t c, std::uint32_t vc, FlitRef flit,
+                  std::uint32_t out_alloc, Hop* hop, bool* credit_block) {
     if (dst_is_terminal[c]) return true;  // the sink always accepts
-    if (f.flit_index > 0) {
-      hop->target = f.out_alloc;
+    if (flit.flit_index > 0) {
+      hop->target = out_alloc;
       NBCLOS_ASSERT(hop->target != kNone);
-      hop->slot = pool->slot_id(self().buffer(hop->target));
+      hop->slot = pool->slot_id(self().write_side(hop->target));
       NBCLOS_ASSERT(hop->slot != kNoSlot);  // the worm's claim pins it
       if (config.switching == Switching::kWormhole &&
           !backpressure_admits(*pool, hop->slot, 1, ledger != nullptr)) {
@@ -246,10 +252,11 @@ struct FlitKernel {
       }
       return true;
     }
-    NBCLOS_ASSERT(f.out_alloc == kNone);
+    NBCLOS_ASSERT(out_alloc == kNone);
     ++route_lookups;
+    const sim::Packet& packet = packets.at(flit.packet_slot);
     const std::uint32_t nc = routes->next_channel_from(
-        channel_dst[c], f.packet->src_terminal, f.packet->dst_terminal);
+        channel_dst[c], packet.src_terminal, packet.dst_terminal);
     NBCLOS_DEBUG_CHECK(routes->network().channel_src(nc) == channel_dst[c],
                        "route cache returned a foreign channel");
     if (!usable(nc)) {
@@ -261,47 +268,64 @@ struct FlitKernel {
     for (std::uint32_t j = 0; j < config.vcs;
          ++j, nv = detail::next_vc(nv, config.vcs)) {
       const std::uint32_t nb = buf_base[nc] + nv;
-      const std::uint32_t s = pool->slot_id(self().buffer(nb));
+      const std::uint32_t s = pool->slot_id(self().write_side(nb));
       if (s != kNoSlot && pool->slot(s).claim != kNone) continue;
       if (!backpressure_admits(*pool, s, head_reservation, ledger != nullptr)) {
         saw_credit_block = true;
         continue;
       }
       hop->target = nb;
-      hop->slot = s != kNoSlot ? s : pool->bind(self().buffer(nb));
+      hop->slot = s != kNoSlot ? s : pool->bind(self().write_side(nb));
       return true;
     }
     *credit_block = saw_credit_block;
     return false;
   }
 
-  /// Executor side of a moving flit: a head claims its downstream VC
+  /// The write side of a moving flit: a head claims its downstream VC
   /// for its packet, the flit consumes a downstream credit, and it goes
-  /// on channel c's wire.
-  void send(std::uint32_t c, const Hop& hop, FlitRef flit, bool flit_copy) {
+  /// on channel c's wire.  A flit whose target is read in another shard
+  /// is mailed there too, a head with its packet; a tail takes the last
+  /// use of this arena's packet copy with it.
+  void send(std::uint32_t c, const Hop& hop, FlitRef flit,
+            std::uint64_t now) {
+    bool mailed = false;
     if (hop.target != kEject) {
       FlitBufferPool::BufferSlot& t = pool->slot(hop.slot);
       if (flit.flit_index == 0) t.claim = flit.packet_slot;
       NBCLOS_ASSERT(t.claim == flit.packet_slot);
       if (ledger != nullptr) ledger->consume_at(hop.slot);
+      if constexpr (Engine::kCut) {
+        const std::uint32_t reader =
+            self().reader(facts->channel_of(hop.target));
+        if (reader != self().index) {
+          Mail mail{hop.target, flit.flit_index, Mail::kFlit, {}};
+          if (flit.flit_index == 0) mail.packet = packets.at(flit.packet_slot);
+          self().post(reader, now, mail);
+          if (flit.flit_index + 1 == config.packet_flits) {
+            packets.release(flit.packet_slot);
+          }
+          mailed = true;
+        }
+      }
     }
-    wires.push_back(Wire{c, hop.target, hop.slot, flit, flit_copy});
-    ++link_busy[self().busy(c)];
+    wires.push_back(Wire{c, hop.target, hop.slot, flit, mailed});
+    ++link_busy[self().channel(c)];
     ++flits_moved_epoch;
   }
 
-  /// Owner side of a moving flit: pop VC `vc` of channel c (pool slot
-  /// `s`), schedule the switch buffer's credit return (or on/off dirty
-  /// mark), record a head's downstream buffer `out_alloc` as the worm's
-  /// and clear it at the tail, close the FIFO's stall episode, recycle a
-  /// drained slot, and advance the arbiter past `vc`.
-  FlitRef pop(std::uint32_t c, std::uint32_t vc, std::uint32_t s,
-              std::uint32_t out_alloc, std::uint64_t now) {
+  /// The read side of a moving flit: pop VC `vc` of channel c (pool slot
+  /// `s`), return the switch buffer's credit to its writer (or mark its
+  /// on/off bit dirty), record a head's downstream buffer `out_alloc` as
+  /// the worm's and clear it at the tail, close the FIFO's stall
+  /// episode, recycle a drained slot, and advance the arbiter past `vc`.
+  void pop(std::uint32_t c, std::uint32_t vc, std::uint32_t s,
+           std::uint32_t out_alloc, std::uint64_t now) {
     const FlitRef flit = pool->pop_at(s);
     const std::uint32_t li = self().channel(c);
     --channel_flits[li];
     if (!is_nic[c]) {
-      if (ledger != nullptr) ledger->schedule_return_at(s, now);
+      if (ledger != nullptr) return_credit(c, buf_base[c] + vc, s, now);
       if (onoff != nullptr) onoff->mark_dirty_at(s);
     }
     FlitBufferPool::BufferSlot& sl = pool->slot(s);
@@ -310,14 +334,25 @@ struct FlitKernel {
     note_unblocked(s, now);
     pool->maybe_release_at(s);  // a pending return or claim keeps it
     next_vc[li] = detail::next_vc(vc, is_nic[c] ? 1u : config.vcs);
-    return flit;
   }
 
-  /// One pass over channel c, which this arena both owns and executes:
-  /// the first VC from the arbiter's start that can move sends its front
-  /// flit and pops it; each VC before it that holds a flit stalls.  A
-  /// dead channel moves nothing (its flits wait in place).  Returns
-  /// whether a flit moved.
+  /// Schedule the credit of buffer b of channel c (read side on slot
+  /// `s`) in its writer's ledger: here, or by mail.
+  void return_credit(std::uint32_t c, std::uint32_t b, std::uint32_t s,
+                     std::uint64_t now) {
+    if constexpr (Engine::kCut) {
+      if (self().writer(c) != self().index) {
+        self().post(self().writer(c), now, Mail{b, 0, Mail::kCredit, {}});
+        return;
+      }
+    }
+    ledger->schedule_return_at(s, now);
+  }
+
+  /// One pass over channel c, which this arena reads: the first VC from
+  /// the arbiter's start that can move sends its front flit and pops it;
+  /// each VC before it that holds a flit stalls.  A dead channel moves
+  /// nothing (its flits wait in place).  Returns whether a flit moved.
   bool transmit(std::uint32_t c, std::uint64_t now) {
     if (!usable(c)) return false;
     const std::uint32_t vc_count = is_nic[c] ? 1u : config.vcs;
@@ -325,29 +360,28 @@ struct FlitKernel {
     std::uint32_t vc = next_vc[self().channel(c)];
     for (std::uint32_t k = 0; k < vc_count;
          ++k, vc = detail::next_vc(vc, vc_count)) {
-      const std::uint32_t s = pool->slot_id(self().buffer(base + vc));
+      const std::uint32_t s = pool->slot_id(self().read_side(base + vc));
       if (s == kNoSlot || pool->slot(s).size == 0) continue;
       const FlitRef flit = pool->front_at(s);
-      const FlitFront f{flit.flit_index, pool->slot(s).out_alloc,
-                        &packets.at(flit.packet_slot)};
       Hop hop;
       bool credit_block = false;
-      if (!downstream(c, vc, f, &hop, &credit_block)) {
+      if (!downstream(c, vc, flit, pool->slot(s).out_alloc, &hop,
+                      &credit_block)) {
         note_blocked(s, credit_block, now);
         continue;  // this VC stalls; the next may still use the channel
       }
-      send(c, hop, flit, false);
-      (void)pop(c, vc, s, hop.target, now);
+      send(c, hop, flit, now);
+      pop(c, vc, s, hop.target, now);
       return true;
     }
     return false;
   }
 
-  /// Land last cycle's wires: push into the target FIFO (activating its
-  /// channel; a tail frees the VC's claim) or eject.  The wires are in
-  /// ascending channel order — the sweeps are ascending and a channel
-  /// moves one flit per cycle — so the latency accumulators see
-  /// deliveries in a fixed order.
+  /// Land last cycle's wires: push into the target FIFO or eject; a
+  /// mailed wire only frees its claim at the tail, as its reader lands
+  /// the flit.  The wires are in ascending channel order — the sweeps
+  /// are ascending and a channel moves one flit per cycle — so the
+  /// latency accumulators see deliveries in a fixed order.
   void land(std::uint64_t now, bool measuring) {
     NBCLOS_DEBUG_CHECK(
         std::is_sorted(wires.begin(), wires.end(),
@@ -361,23 +395,69 @@ struct FlitKernel {
         continue;
       }
       NBCLOS_DEBUG_CHECK(
-          pool->slot_id(self().buffer(w.target)) == w.target_slot,
+          pool->slot_id(self().write_side(w.target)) == w.target_slot,
           "a wire's target slot must stay bound until landing");
-      pool->push_at(w.target_slot, w.flit);
-      const std::uint32_t oc = facts->channel_of(w.target);
-      ++channel_flits[self().channel(oc)];
-      self().activate(oc);
-      if (onoff != nullptr) onoff->mark_dirty_at(w.target_slot);
-      FlitBufferPool::BufferSlot& sl = pool->slot(w.target_slot);
-      const std::uint32_t vc = w.target - buf_base[oc];
-      if (sl.size > peak_per_vc[vc]) peak_per_vc[vc] = sl.size;
-      if (w.flit.flit_index + 1 == config.packet_flits) {
-        // Tail landed: the VC is whole again and accepts a new claimant.
-        NBCLOS_ASSERT(sl.claim == w.flit.packet_slot);
-        sl.claim = kNone;
+      if (!w.mailed) {
+        push(w.target, w.target_slot, w.flit);
+        continue;
       }
+      free_claim(w.target_slot, w.flit);
+      pool->maybe_release_at(w.target_slot);
     }
     wires.clear();
+  }
+
+  /// Push `flit` into the FIFO of buffer b, whose read side is on pool
+  /// slot `s`, and activate its channel.
+  void push(std::uint32_t b, std::uint32_t s, FlitRef flit) {
+    pool->push_at(s, flit);
+    const std::uint32_t oc = facts->channel_of(b);
+    const std::uint32_t li = self().channel(oc);
+    ++channel_flits[li];
+    active.insert(li);
+    if (onoff != nullptr) onoff->mark_dirty_at(s);
+    const std::uint32_t vc = b - buf_base[oc];
+    peak_per_vc[vc] = std::max(peak_per_vc[vc], pool->slot(s).size);
+    free_claim(s, flit);
+  }
+
+  /// A tail landed: the VC on slot `s` is whole again and accepts a new
+  /// claimant.
+  void free_claim(std::uint32_t s, FlitRef flit) {
+    if (flit.flit_index + 1 != config.packet_flits) return;
+    FlitBufferPool::BufferSlot& sl = pool->slot(s);
+    NBCLOS_ASSERT(sl.claim == flit.packet_slot);
+    sl.claim = kNone;
+  }
+
+  /// Apply one mail another shard posted last cycle (`now` - 1).  A
+  /// landing flit's read side keeps this arena's copy of the worm's
+  /// packet in its claim: the head makes it, the body flits find it, the
+  /// tail frees the claim.
+  void receive(const Mail& mail, std::uint64_t now) {
+    switch (mail.kind) {
+      case Mail::kFlit: {
+        const std::uint32_t s = pool->bind(self().read_side(mail.buffer));
+        if (mail.value == 0) pool->slot(s).claim = packets.acquire(mail.packet);
+        push(mail.buffer, s, FlitRef{pool->slot(s).claim, mail.value});
+        return;
+      }
+      case Mail::kCredit: {
+        const std::uint32_t s = pool->slot_id(self().write_side(mail.buffer));
+        NBCLOS_ASSERT(s != kNoSlot);  // the unreturned credit pins it
+        ledger->schedule_return_at(s, now - 1);
+        return;
+      }
+      case Mail::kOnOff: {
+        const std::uint32_t s = pool->bind(self().write_side(mail.buffer));
+        pool->slot(s).off = static_cast<std::uint8_t>(mail.value);
+        pool->maybe_release_at(s);
+        return;
+      }
+      case Mail::kInject:
+        queue(mail.buffer, mail.packet);
+        return;
+    }
   }
 
   /// Deliver one flit at its destination terminal.  Throughput accrues
@@ -400,7 +480,7 @@ struct FlitKernel {
       }
     }
     if (tail) ++rel_by_cycle[now];
-    if (tail || w.flit_copy) packets.release(w.flit.packet_slot);
+    if (tail) packets.release(w.flit.packet_slot);
   }
 
   /// Counter-RNG injection at terminals [term_lo, term_lo + owned): every
@@ -419,9 +499,10 @@ struct FlitKernel {
     }
   }
 
-  /// Build the packet t -> dst and queue it on t's NIC.  A dead NIC
-  /// uplink is the one place a packet is dropped: it never entered the
-  /// network, so there is nothing to purge or conserve.
+  /// Build the packet t -> dst and queue it on t's NIC, by mail when
+  /// the NIC channel's leaf is read in another shard.  A dead NIC uplink
+  /// is the one place a packet is dropped: it never entered the network,
+  /// so there is nothing to purge or conserve.
   void inject(std::uint32_t t, std::uint32_t dst, std::uint64_t now) {
     sim::Packet packet;
     packet.id = next_packet_id++;
@@ -439,18 +520,50 @@ struct FlitKernel {
       ++dropped;
       return;
     }
-    pool->push_packet(self().buffer(buf_base[first]),
-                      packets.acquire(packet));
-    channel_flits[self().channel(first)] += config.packet_flits;
-    self().activate(first);
     flits_in_system += config.packet_flits;
     ++acq_by_cycle[now];
+    if constexpr (Engine::kCut) {
+      if (self().reader(first) != self().index) {
+        self().post(self().reader(first), now,
+                    Mail{buf_base[first], 0, Mail::kInject, packet});
+        return;
+      }
+    }
+    queue(buf_base[first], packet);
   }
 
-  /// Credit-conservation audit over the arena's switch buffers:
-  /// credits + occupancy + in-flight + pending returns == capacity.  Only
-  /// live slots are walked: a never-activated buffer holds full credits
-  /// and nothing else, and an in-flight flit's credit pinned its target.
+  /// Queue `packet` on NIC buffer b, whose read side is here.
+  void queue(std::uint32_t b, const sim::Packet& packet) {
+    pool->push_packet(self().read_side(b), packets.acquire(packet));
+    const std::uint32_t li = self().channel(facts->channel_of(b));
+    channel_flits[li] += config.packet_flits;
+    active.insert(li);
+  }
+
+  /// End of cycle: latch the on/off bits of the FIFOs whose occupancy
+  /// changed, mailing each flip on a cut buffer to its writer.
+  void latch(std::uint64_t now) {
+    if constexpr (!Engine::kCut) {
+      onoff->latch();
+    } else {
+      onoff->latch([&](std::uint32_t s, std::uint8_t off) {
+        const std::uint32_t b = self().global_buffer(pool->slot(s).buffer);
+        const std::uint32_t writer = self().writer(facts->channel_of(b));
+        if (writer != self().index) {
+          self().post(writer, now, Mail{b, off, Mail::kOnOff, {}});
+        }
+      });
+    }
+  }
+
+  /// Credit-conservation audit over the switch buffers this arena
+  /// writes: credits + occupancy + flits in flight + credits in flight +
+  /// pending returns == capacity.  Under a cut the occupancy of a buffer
+  /// read in another shard is that shard's, and the credits in flight
+  /// are the unreceived kCredit mail; a FIFO read here that holds flits
+  /// needs its writer's slot, which holds their credits.  Only live slots
+  /// are walked: a never-activated buffer holds full credits and nothing
+  /// else, and an in-flight flit's credit pinned its target.
   /// \pre credit backpressure mode.
   [[nodiscard]] bool credit_conservation_holds() const {
     NBCLOS_REQUIRE(ledger != nullptr,
@@ -458,15 +571,42 @@ struct FlitKernel {
     audit_in_flight.assign(pool->peak_slots(), 0);
     for (const Wire& w : wires) {
       if (w.target == kEject) continue;
-      NBCLOS_ASSERT(pool->slot_id(self().buffer(w.target)) == w.target_slot);
+      NBCLOS_ASSERT(pool->slot_id(self().write_side(w.target)) ==
+                    w.target_slot);
       ++audit_in_flight[w.target_slot];
     }
     bool holds = true;
+    if constexpr (Engine::kCut) {
+      self().for_each_unreceived([&](const Mail& mail) {
+        if (mail.kind != Mail::kCredit) return;
+        const std::uint32_t s = pool->slot_id(self().write_side(mail.buffer));
+        if (s == kNoSlot) {
+          holds = false;
+        } else {
+          ++audit_in_flight[s];
+        }
+      });
+    }
     pool->for_each_live([&](std::uint32_t lb, std::uint32_t s,
                             const FlitBufferPool::BufferSlot& sl) {
       if (lb >= pool->switch_buffer_count()) return;  // NICs are uncredited
+      std::uint64_t occupancy = sl.size;
+      if constexpr (Engine::kCut) {
+        const std::uint32_t b = self().global_buffer(lb);
+        const std::uint32_t c = facts->channel_of(b);
+        if (self().writer(c) != self().index) {  // the read side only
+          if (sl.size > 0 && self().other_side(b, c) == nullptr) {
+            holds = false;
+          }
+          return;
+        }
+        if (self().reader(c) != self().index) {
+          const FlitBufferPool::BufferSlot* read = self().other_side(b, c);
+          occupancy = read == nullptr ? 0 : read->size;
+        }
+      }
       const std::uint64_t sum = (config.buffer_flits - sl.credits_used) +
-                                sl.size + audit_in_flight[s] +
+                                occupancy + audit_in_flight[s] +
                                 sl.pending_returns;
       if (sum != config.buffer_flits) holds = false;
     });
@@ -474,8 +614,9 @@ struct FlitKernel {
   }
 
   /// The `max` smallest global ids of occupied buffers (the deadlock
-  /// diagnostic sample).  Live slots iterate in allocation order, so
-  /// collect, sort and truncate.
+  /// diagnostic sample).  Under a cut a NIC queue whose packet is still
+  /// in the mail counts: at one shard it already holds the packet.  Live
+  /// slots iterate in allocation order, so collect, sort and truncate.
   [[nodiscard]] std::vector<std::uint32_t> occupied_buffers(
       std::size_t max) const {
     std::vector<std::uint32_t> occupied;
@@ -483,7 +624,14 @@ struct FlitKernel {
                             const FlitBufferPool::BufferSlot& sl) {
       if (sl.size > 0) occupied.push_back(self().global_buffer(lb));
     });
+    if constexpr (Engine::kCut) {
+      self().for_each_unreceived([&](const Mail& mail) {
+        if (mail.kind == Mail::kInject) occupied.push_back(mail.buffer);
+      });
+    }
     std::sort(occupied.begin(), occupied.end());
+    occupied.erase(std::unique(occupied.begin(), occupied.end()),
+                   occupied.end());
     if (occupied.size() > max) occupied.resize(max);
     return occupied;
   }
@@ -535,7 +683,8 @@ struct FlitKernel {
 
   // Arena: every per-buffer field (out_alloc -> GLOBAL buffer id, claim
   // -> packet slot, blocked_since, credits, stop bit) lives in the pool's
-  // sparse slots, so resident bytes track the live flit front.
+  // sparse slots, so resident bytes track the live flit front.  A slot
+  // holds whichever sides of its buffer are here.
   std::optional<FlitBufferPool> pool;
   PacketPool packets;
   std::unique_ptr<CreditLedger> ledger;  ///< credit mode only
@@ -543,14 +692,14 @@ struct FlitKernel {
   std::optional<fault::DegradedView> degraded;  ///< private copy
   std::size_t next_fault = 0;
 
-  // Per owned channel, indexed by channel(c).
+  // Per channel this arena reads, indexed by channel(c).
   std::vector<std::uint32_t> next_vc;        ///< VC round-robin start
   std::vector<std::uint32_t> channel_flits;  ///< queued flits
-  /// Owned channels this arena also executes that hold flits, swept in
-  /// ascending id (bit-reproducibility).
+  /// The channels that hold flits, swept in ascending id
+  /// (bit-reproducibility).
   ActiveSet active;
+  std::vector<std::uint64_t> link_busy;  ///< flits sent
   std::vector<Wire> wires;               ///< flits landing next cycle
-  std::vector<std::uint64_t> link_busy;  ///< flits sent, by busy(c)
 
   // Statistics.  The integer ones merge exactly across shards; the
   // Welford streams serve the one-shard legacy injection mode only.
@@ -580,7 +729,7 @@ struct FlitKernel {
   /// never runs on the hot path).
   obs::HistogramMetric* stall_metric = nullptr;
   /// FIFOs inside a stall episode — the recorder's blocked-head series;
-  /// partitions additively across shards (each buffer has one owner).
+  /// partitions additively across shards (each FIFO has one reader).
   std::uint64_t blocked_heads = 0;
   std::vector<std::uint32_t> peak_per_vc;  ///< per VC index, switch FIFOs
   /// Negative in a shard that ejects packets injected elsewhere.

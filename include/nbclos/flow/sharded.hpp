@@ -1,8 +1,7 @@
 /// \file sharded.hpp
-/// \brief The flow-engine driver: per-(channel, VC) flit buffers, credit
-///        counters, and switch state in one kernel arena per shard;
-///        shard-local hops execute in place and cross-shard hops
-///        exchange proposal / grant messages between epoch barriers.
+/// \brief The flow-engine driver: one kernel arena per shard; every hop
+///        runs the kernel's one `transmit`, and what a hop changes on
+///        the far side of a shard cut crosses in one exchange per cycle.
 ///
 /// `ShardedFlowSim` is the only driver of the flit-move kernel
 /// (kernel.hpp): run loop, watchdog, flight recorder, obs flush and the
@@ -10,74 +9,58 @@
 /// one-shard form.  The shard count picks the kernel's id map when the
 /// engine is built:
 ///   * one shard — the arena holds the whole fabric and indexes it by
-///     global id, exactly as the id tables would at S=1 but without
-///     them: no ShardPlan, no mailboxes, no barriers.  The arena is
+///     global id: no ShardPlan, no mailboxes, no barrier.  The arena is
 ///     built at construction, so it can be probed before run().  Only
 ///     here may `FlowConfig::counter_injection` be false: the legacy
 ///     sequential injection stream with its Welford latency and stall
 ///     means, which PacketSim's golden equivalence needs;
-///   * S >= 2 shards — the deterministic level-sliced vertex partition
-///     (`sim::ShardPlan`) and SPSC mailbox / barrier-epoch machinery
-///     (`sim/shard_exchange.hpp`) of `sim::ShardedSim`, with each arena
-///     indexed by its shard's local ids and built on its worker thread
-///     (first touch).  Injection always uses the counter-based RNG.
+///   * S >= 2 shards — the level-sliced vertex partition
+///     (`sim::ShardPlan`), SPSC mailboxes and the barrier
+///     (`sim/shard_exchange.hpp`); each arena is indexed by its shard's
+///     local ids and built on its worker thread (first touch).
+///     Injection always uses the counter-based RNG.
 ///
-/// State placement under a cut (two roles per shard):
-///   * the OWNER of channel c — shard_of(src(c)) — holds every buffer of
-///     c: flit storage, claim and credit-ledger entries, on/off signal,
-///     out_alloc, next_vc, and stall bookkeeping.  Arrival pushes into a
-///     buffer of c are made by whoever transmitted on the upstream
-///     channel c' with dst(c') = src(c) — and that transmitter runs on
-///     shard_of(dst(c')) = owner(c), so pushes are owner-local too;
-///   * the EXECUTOR of channel c — shard_of(dst(c)) — makes c's
-///     transmission decisions: it routes, scans downstream VCs, checks
-///     and sets claims, checks backpressure, and consumes credits.  All
-///     of that state belongs to buffers sourced at dst(c), which the
-///     executor owns, so decisions never touch foreign arenas.
-/// A channel whose owner and executor coincide is SHARD-LOCAL: it sends
-/// no message at all.  At one shard every channel is local.
+/// Under a cut the READER of channel c, shard_of(dst(c)), holds the read
+/// sides of c's buffers (kernel.hpp) and runs `transmit` on c; the
+/// write sides it reads and changes there belong to channels leaving
+/// dst(c), so they are its own.  The WRITER, shard_of(src(c)), holds the
+/// write sides: claims, credit counters with their delay line, on/off
+/// bits.  A channel with both ends on one shard sends no mail.
 ///
-/// Per cycle, with the sampled phase timers each step is booked under:
+/// Per cycle, with the phase timer each step is booked under:
+///   mailbox — (cut) receive last cycle's mail: flits (a head with its
+///      packet), credit returns, on/off bits, injected packets;
 ///   credit_returns — apply scheduled faults to the private DegradedView
 ///      copy, advance the credit ledger;
-///   arrivals — land last cycle's wires (push or eject);
-///   transmissions — (cut) send one *flit proposal* per non-empty VC of
-///      each active cross-shard channel to the channel's executor;
-///      -- barrier 1 --  then walk the merged proposals together with
-///      this shard's active local channels in ascending channel order: a
-///      local channel runs the kernel's one-pass `transmit` in place, a
-///      proposed channel runs the kernel's VC scan (`downstream` +
-///      `send`) and sends the outcome back to its owner as a *transmit
-///      grant* (winner VC + per-VC stall masks); -- barrier 2 -- then
-///      apply the merged grants in ascending channel order: stall
-///      bookkeeping, then the kernel's `pop` of the winner, which
-///      schedules the credit return right there (the owner holds the
-///      ledger, so credits never cross the cut as messages);
+///   arrivals — land last cycle's wires (a mailed wire only frees its
+///      writer's claim at the tail);
+///   transmissions — `transmit` on every active channel this shard
+///      reads, in ascending channel order, mailing what crosses;
 ///   injection — inject over owned terminals, latch on/off, record this
 ///      cycle's depth sum and recorder sample;
-///   mailbox — (cut) the proposal and grant merges;
-/// then, at watchdog epochs, aggregate stuck-flit counts across ALL
-/// shards (one extra barrier under a cut) before deciding: per-shard
-/// verdicts would miss deadlocks whose cycle spans the cut.
+///   barrier_wait — (cut) the one exchange: this cycle's mail becomes
+///      readable.
+/// At watchdog epochs every shard audits credit conservation, then the
+/// epoch barrier aggregates stuck-flit counts across ALL shards:
+/// per-shard verdicts would miss deadlocks whose cycle spans the cut.
 ///
-/// Wires carry slots of the executor's own PacketPool (it owns every
-/// buffer and terminal its wires land in).  A shard-local hop moves the
-/// FIFO's slot with the flit; a cross-shard head lands on the copy the
-/// executor makes when it wins, which its claim names for the body
-/// flits, and a cross-shard ejection copies per flit.
+/// One exchange suffices because every effect on the far side of a cut
+/// lags by at least one cycle: a flit lands the next cycle, a credit
+/// comes due `credit_delay >= 1` cycles after its pop, an on/off bit
+/// latched at the end of a cycle is read in the next one, and an
+/// injected packet first moves the next cycle.  The writer frees its
+/// claim when the tail lands, a cycle it knows from its own wire.
 ///
-/// Determinism contract: routing through the shared read-only
-/// `routing::NextHop` (a `ChannelRouteCache` table or a pure arithmetic
-/// router — both deterministic), counter-based injection, exact
-/// integer statistic merges, and per-executor ascending channel order
-/// (all cross-channel interaction within a cycle — claims, credit
-/// consumption — is confined to channels sharing a downstream vertex,
-/// i.e. one executor) make a counter-injection run **bit-identical at
-/// any shard count**, including under mid-run fault schedules, for
-/// wormhole and VCT switching and credit and on/off backpressure.
-/// tests/flow/test_flow_sharded.cpp asserts every FlowResult field,
-/// the link-busy tallies, the forensics and the recorder series against
-/// the one-shard run.
+/// Determinism contract: a shared read-only `routing::NextHop`,
+/// counter-based injection, exact integer statistic merges, and
+/// per-reader ascending channel order (all interaction between channels
+/// within a cycle — claims, credit consumption — couples channels into
+/// one vertex, i.e. one reader) make a counter-injection run
+/// **bit-identical at any shard count**, including under mid-run fault
+/// schedules, for wormhole and VCT switching and credit and on/off
+/// backpressure.  tests/flow/test_flow_sharded.cpp asserts every
+/// FlowResult field, the link-busy tallies, the forensics and the
+/// recorder series against the one-shard run.
 #pragma once
 
 #include <cstddef>
@@ -104,10 +87,13 @@ class ShardedFlowSim {
   /// Engine-health telemetry for one run (valid after run(); all zero at
   /// one shard).
   struct Telemetry {
-    std::uint64_t cross_shard_flits = 0;  ///< flit proposals via mailboxes
-    /// Credit returns an owner scheduled for pops another shard granted.
+    std::uint64_t cross_shard_flits = 0;  ///< flits mailed across the cut
+    /// Credit returns mailed to the writer of the popped buffer.
     std::uint64_t cross_shard_credits = 0;
     std::uint64_t mailbox_peak = 0;  ///< max messages in one box drain
+    /// Barrier phases the run completed: one per cycle plus one per
+    /// watchdog epoch.
+    std::uint64_t barrier_phases = 0;
   };
 
   /// `routes` pins the Network and the routing; it is shared read-only

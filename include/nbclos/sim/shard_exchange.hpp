@@ -4,28 +4,28 @@
 ///        (MailboxGrid), the yielding epoch barrier + failure latch
 ///        (ShardSync), and libnuma-free NUMA node detection.
 ///
-/// Both sharded engines — `sim::ShardedSim` (packet granularity) and
-/// `flow::ShardedFlowSim` (flit granularity, credits) — run the same
-/// epoch discipline: per cycle, each shard executes phases separated by
-/// two ShardSync barriers, and cross-shard messages travel in
-/// single-producer single-consumer mailboxes indexed [src * S + dst].
-/// Box (src, dst) is written only by shard `src` and drained (read +
-/// cleared) only by shard `dst`, in disjoint epoch windows:
+/// Cross-shard messages travel in single-producer single-consumer
+/// mailboxes indexed [src * S + dst]: box (src, dst) is written only by
+/// shard `src` and drained (read + cleared) only by shard `dst`, in
+/// epoch windows the ShardSync barriers keep disjoint.  The two engines
+/// cut differently:
 ///
-///   * a box written in phase A of cycle n is drained in phase B of
-///     cycle n, which happens-before the writer's next write in
-///     A(n + 1) via barrier 2 of cycle n;
-///   * a box written in B(n) is drained in C(n), which happens-before
-///     the next write in B(n + 1) via barrier 1 of cycle n + 1.
+///   * `sim::ShardedSim` runs each cycle in phases A, B, C separated by
+///     two barriers, with two message classes: admission proposals
+///     downstream, written in A(n) and drained in B(n), and acks
+///     upstream, written in B(n) and drained in C(n).  Barrier 2 of
+///     cycle n orders the drain of a proposal box before its next write
+///     in A(n + 1), and barrier 1 of n + 1 orders the drain of an ack
+///     box before its next write in B(n + 1);
+///   * `flow::ShardedFlowSim` has one barrier per cycle and one message
+///     class (`flow::detail::Mail`: flits, credit returns, on/off bits,
+///     injected packets), with one grid per cycle parity.  A box written
+///     in cycle n is drained in n + 1, after the barrier of n, and
+///     written again in n + 2, after the reader's barrier of n + 1.
 ///
-/// Two barriers therefore suffice for box reuse regardless of how many
-/// mailbox *classes* an engine exchanges.  Both engines use two:
-/// ShardedSim sends admission proposals downstream and acks upstream;
-/// ShardedFlowSim sends transmit proposals downstream and transmit
-/// grants upstream (the owner that applies a grant pops the flit and
-/// schedules its credit return in its own ledger, so credits need no
-/// message).  Only hops whose ends sit on different shards exchange
-/// messages: ShardedFlowSim executes a shard-local hop in place, and
+/// Only hops whose ends sit on different shards exchange messages:
+/// ShardedFlowSim runs every hop through its kernel's one `transmit`
+/// and mails only the effects on the far side of the cut, and
 /// ShardedSim hands a local proposal straight to its own admit phase.
 ///
 /// NUMA awareness degrades gracefully: `NumaTopology` parses
@@ -83,8 +83,8 @@ struct ShardPlan {
 };
 
 /// SPSC epoch mailboxes for one message class: box(src, dst) is written
-/// only by shard src and drained only by shard dst (see file comment for
-/// the reuse proof).  One grid per message class an engine exchanges.
+/// only by shard src and drained only by shard dst (see the file comment
+/// for how each engine keeps the two apart).
 /// Each box header sits on its own cache line: boxes (a, b) and (b, a)
 /// are written and drained by two shards in the same phase.
 template <typename T>
@@ -175,6 +175,11 @@ class ShardSync {
   /// `arrive_and_drop()` and return.
   [[nodiscard]] bool poisoned() const noexcept {
     return failed_.load(std::memory_order_relaxed);
+  }
+
+  /// Barrier phases completed so far (modulo 2^32).
+  [[nodiscard]] std::uint32_t phases_completed() const noexcept {
+    return generation_.load(std::memory_order_acquire);
   }
 
   /// Rethrow the recorded exception, if any.  Call after joining.

@@ -36,14 +36,4 @@ OnOffSignal::OnOffSignal(FlitBufferPool& pool, std::uint32_t off_threshold)
                  "(buffer too shallow for this switching mode)");
 }
 
-void OnOffSignal::latch() {
-  for (const auto s : dirty_) {
-    FlitBufferPool::BufferSlot& sl = pool_->slot(s);
-    sl.off = sl.size >= threshold_ ? 1 : 0;
-    sl.in_dirty = 0;
-    pool_->maybe_release_at(s);
-  }
-  dirty_.clear();
-}
-
 }  // namespace nbclos::flow

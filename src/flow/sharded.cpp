@@ -17,39 +17,11 @@
 namespace nbclos::flow {
 
 namespace {
-constexpr std::uint32_t kNone = UINT32_MAX;
-constexpr std::uint32_t kEject = UINT32_MAX;  ///< wire target
-constexpr std::uint32_t kNoSlot = FlitBufferPool::kNoSlot;
-constexpr std::uint8_t kNoWinner = 0xFF;
+using detail::Mail;
 
-/// Owner -> executor, one per non-empty VC of an active cross-shard
-/// channel: the VC's front flit (packet inline — flit storage never
-/// crosses the cut) plus the owner-side state the executor's VC scan
-/// needs.
-struct FlitProposal {
-  std::uint32_t channel = 0;
-  std::uint32_t flit_index = 0;
-  std::uint32_t out_alloc = 0;  ///< body flits: global downstream buffer
-  sim::Packet packet;
-  std::uint8_t vc = 0;
-  std::uint8_t start_vc = 0;  ///< owner's next_vc round-robin start
-};
-
-/// Executor -> owner: the arbitration outcome for one channel this
-/// cycle — which VC won (if any) and which attempted VCs stalled, and
-/// why (masks indexed by VC).  The owner pops the winner and schedules
-/// its credit return.
-struct TransmitGrant {
-  std::uint32_t channel = 0;
-  std::uint32_t new_out_alloc = kNone;  ///< head transmit: claimed buffer
-  std::uint32_t credit_block_mask = 0;
-  std::uint32_t vc_block_mask = 0;
-  std::uint8_t winner_vc = kNoWinner;  ///< kNoWinner: every VC stalled
-};
-
-/// The sampled phase timers (see sharded.hpp for what each covers): ns
-/// summed over the timed cycles, one histogram sample per shard.  The
-/// last two exist only under a cut.
+/// The phase timers (see sharded.hpp for what each covers): ns summed
+/// over the timed cycles, one histogram sample per shard.  The last two
+/// exist only under a cut.
 enum Phase : std::size_t {
   kCreditReturns,
   kArrivals,
@@ -85,52 +57,59 @@ constexpr std::array<SeriesSpec, 10> kSeries = {{
     {"flow.mailbox.cross_credits", obs::SeriesAgg::kSum},
     {"flow.mailbox.peak", obs::SeriesAgg::kMax}}};
 
-/// The kernel's id map of a one-shard run: the arena holds the whole
-/// fabric, indexed by global id.
+/// The kernel's id map of a one-shard run: the arena holds both sides
+/// of every buffer and indexes the whole fabric by global id.
 struct WholeIds {
   static constexpr bool kCut = false;
   static constexpr std::uint32_t index = 0;
-  static std::uint32_t buffer(std::uint32_t b) { return b; }
+  static std::uint32_t read_side(std::uint32_t b) { return b; }
+  static std::uint32_t write_side(std::uint32_t b) { return b; }
   static std::uint32_t channel(std::uint32_t c) { return c; }
   static std::uint32_t global_buffer(std::uint32_t lb) { return lb; }
   static std::uint32_t global_channel(std::uint32_t li) { return li; }
-  static std::uint32_t busy(std::uint32_t c) { return c; }
-  static bool executes(std::uint32_t /*c*/) { return true; }
 };
 
-/// The kernel's id map of shard `index` of a cut: owned buffers and
-/// channels by local id (local ids ascend with global id, so the active
-/// sets' ascending sweeps visit the one-shard order), executed
-/// channels' link-busy tallies by the executor-local index.  The
+/// The kernel's id map of shard `index` of a cut.  It reads the channels
+/// whose destination vertex it owns and writes those whose source vertex
+/// it owns; a buffer of a channel with both ends here has one local id
+/// for both sides.  Local channel ids ascend with global id, so the
+/// active set's ascending sweep visits the one-shard order.  The
 /// pointers are the driver's read-only tables.
 struct CutIds {
   static constexpr bool kCut = true;
   std::uint32_t index = 0;
-  const std::uint32_t* buf_local = nullptr;
-  const std::uint32_t* channel_local = nullptr;
-  const std::uint8_t* channel_owner = nullptr;
-  const std::uint8_t* executor = nullptr;
-  const std::uint32_t* exec_index = nullptr;
-  const std::uint32_t* owned = nullptr;  ///< local channel -> global id
+  const std::uint32_t* read_local = nullptr;   ///< buffer -> id at reader
+  const std::uint32_t* write_local = nullptr;  ///< buffer -> id at writer
+  const std::uint32_t* read_index = nullptr;  ///< c -> index at reader
+  const std::uint8_t* reader_of = nullptr;  ///< c -> shard of dst(c)
+  const std::uint8_t* writer_of = nullptr;  ///< c -> shard of src(c)
+  const std::uint32_t* read_channels = nullptr;  ///< local channel -> c
   std::vector<std::uint32_t> global_of_local;  ///< local buf -> global id
 
-  std::uint32_t buffer(std::uint32_t b) const { return buf_local[b]; }
+  std::uint32_t read_side(std::uint32_t b) const { return read_local[b]; }
+  std::uint32_t write_side(std::uint32_t b) const { return write_local[b]; }
+  std::uint32_t reader(std::uint32_t c) const { return reader_of[c]; }
+  std::uint32_t writer(std::uint32_t c) const { return writer_of[c]; }
   std::uint32_t channel(std::uint32_t c) const {
-    NBCLOS_DEBUG_CHECK(channel_owner[c] == index, "channel of another shard");
-    return channel_local[c];
+    NBCLOS_DEBUG_CHECK(reader_of[c] == index, "channel read elsewhere");
+    return read_index[c];
   }
   std::uint32_t global_buffer(std::uint32_t lb) const {
     return global_of_local[lb];
   }
-  std::uint32_t global_channel(std::uint32_t li) const { return owned[li]; }
-  std::uint32_t busy(std::uint32_t c) const { return exec_index[c]; }
-  bool executes(std::uint32_t c) const { return executor[c] == index; }
+  std::uint32_t global_channel(std::uint32_t li) const {
+    return read_channels[li];
+  }
 };
 
+/// Cut mailboxes: one grid per cycle parity.  A box written in cycle n
+/// is drained in cycle n + 1, after the one barrier of cycle n, and
+/// written again in cycle n + 2, after the reader's barrier of n + 1.
+using MailGrids = std::array<sim::MailboxGrid<Mail>, 2>;
+
 /// All mutable per-shard state — one kernel arena per shard, never
-/// touched by another shard until the merge after join.  Wires land in
-/// this shard's own buffers, so the kernel's wire list is the executor
-/// role's output.
+/// written by another shard.  Under a cut it reads other shards' arenas
+/// and boxes only in the credit audit, between barriers.
 template <class Ids>
 struct Shard : detail::FlitKernel<Shard<Ids>>, Ids {
   Shard(std::shared_ptr<const detail::ChannelFacts> channel_facts,
@@ -140,25 +119,44 @@ struct Shard : detail::FlitKernel<Shard<Ids>>, Ids {
                                        flow_config),
         Ids(std::move(ids)) {}
 
-  /// An active owned channel sits in `active` when this shard also
-  /// executes it (both ends here), else in `remote_active`.
-  void activate(std::uint32_t c) {
-    (this->executes(c) ? this->active : remote_active)
-        .insert(this->channel(c));
+  /// Cut: queue `mail` for shard `to` in the box of cycle `now`.
+  void post(std::uint32_t to, std::uint64_t now, const Mail& mail) {
+    (*mailboxes)[now & 1].box(this->index, to).push_back(mail);
+    if (mail.kind == Mail::kFlit) ++cross_flits;
+    if (mail.kind == Mail::kCredit) ++cross_credits;
+  }
+
+  /// Cut: every mail posted to this shard and not yet received.  The
+  /// boxes of the parity it drained this cycle are empty, so that is
+  /// every box addressed to it.
+  template <class Fn>
+  void for_each_unreceived(Fn&& fn) const {
+    for (auto& grid : *mailboxes) {
+      for (std::uint32_t src = 0; src < grid.shard_count(); ++src) {
+        for (const Mail& m : grid.box(src, this->index)) fn(m);
+      }
+    }
+  }
+
+  /// Cut: the pool slot of buffer b (of channel c) in the shard holding
+  /// its other side, or nullptr while unbound.
+  [[nodiscard]] const FlitBufferPool::BufferSlot* other_side(
+      std::uint32_t b, std::uint32_t c) const {
+    const bool reads = this->reader(c) == this->index;
+    const Shard& peer = *(*peers)[reads ? this->writer(c) : this->reader(c)];
+    const std::uint32_t s =
+        peer.pool->slot_id(reads ? this->write_side(b) : this->read_side(b));
+    return s == FlitBufferPool::kNoSlot ? nullptr : &peer.pool->slot(s);
   }
 
   // Arena geometry.
   std::uint32_t switch_buffers = 0;
   std::uint32_t nic_buffers = 0;
-  std::uint32_t owned_channels = 0;
-  std::uint32_t executed_channels = 0;
-  ActiveSet remote_active;  ///< cut only: owned channels others execute
+  std::uint32_t channels = 0;  ///< channels this arena reads
 
-  // Cut only — phase scratch: the mailbox runs merged into channel order.
-  std::vector<FlitProposal> merged_props;
-  std::vector<FlitProposal> merge_scratch_props;
-  std::vector<TransmitGrant> merged_grants;
-  std::vector<TransmitGrant> merge_scratch_grants;
+  // Cut only.
+  MailGrids* mailboxes = nullptr;
+  const std::vector<std::unique_ptr<Shard>>* peers = nullptr;
 
   // Statistics beyond the kernel's, merged exactly after the run (see
   // merge_results for the replay arguments that make each merge
@@ -277,7 +275,7 @@ namespace {
 
 /// The one flow-engine driver, over the id map `Ids`: WholeIds at one
 /// shard, CutIds under a cut.  Everything a cut alone needs — the
-/// ShardPlan and id tables, mailboxes, barriers, worker threads — is
+/// ShardPlan and id tables, mailboxes, the barrier, worker threads — is
 /// built and run only when Ids::kCut.
 template <class Ids>
 class Driver final : public detail::FlowDriver {
@@ -302,54 +300,70 @@ class Driver final : public detail::FlowDriver {
           std::make_unique<ShardT>(facts_, *routes_, config_, Ids{}));
       sh.switch_buffers = facts.switch_buffers;
       sh.nic_buffers = static_cast<std::uint32_t>(facts.channel_of_nic.size());
-      sh.owned_channels = channels;
-      sh.executed_channels = channels;
+      sh.channels = channels;
       init_arena(sh);
     } else {
       config_.counter_injection = true;  // the only stream a cut can split
       plan_ = sim::ShardPlan::build(*net_, shards);
       shard_count = plan_.shard_count;
-      channel_executor_.assign(channels, 0);
-      exec_index_.assign(channels, 0);
-      std::vector<std::uint32_t> exec_counts(shard_count, 0);
+      reader_of_.assign(channels, 0);
+      read_index_.assign(channels, 0);
+      read_channels_.assign(shard_count, {});
       for (std::uint32_t c = 0; c < channels; ++c) {
-        channel_executor_[c] =
-            static_cast<std::uint8_t>(plan_.shard_of_vertex(facts.dst[c]));
-        exec_index_[c] = exec_counts[channel_executor_[c]]++;
+        const auto r = plan_.shard_of_vertex(facts.dst[c]);
+        reader_of_[c] = static_cast<std::uint8_t>(r);
+        read_index_[c] = static_cast<std::uint32_t>(read_channels_[r].size());
+        read_channels_[r].push_back(c);
       }
-      // Local buffer numbering per shard: owned switch buffers first (`vcs`
-      // consecutive per channel, channels ascending — the shard_channels
-      // order), then owned NIC buffers.  Read-only after this loop.
-      buf_local_of_global_.assign(facts.buffer_count(), 0);
+      // Local buffer ids per shard: the switch buffers it reads (written
+      // here too when the channel's source is here), then those it only
+      // writes, then the NIC queues it reads.  Read-only after this loop.
+      // A side's local id is its index in the shard's global_of_local.
+      read_local_.assign(facts.buffer_count(), 0);
+      write_local_.assign(facts.buffer_count(), 0);
       shards_.reserve(shard_count);
       for (std::uint32_t s = 0; s < shard_count; ++s) {
-        const auto& owned = plan_.shard_channels[s];
         auto& sh = *shards_.emplace_back(std::make_unique<ShardT>(
             facts_, *routes_, config_,
             CutIds{.index = s,
-                   .buf_local = buf_local_of_global_.data(),
-                   .channel_local = plan_.channel_local.data(),
-                   .channel_owner = plan_.channel_owner.data(),
-                   .executor = channel_executor_.data(),
-                   .exec_index = exec_index_.data(),
-                   .owned = owned.data(),
+                   .read_local = read_local_.data(),
+                   .write_local = write_local_.data(),
+                   .read_index = read_index_.data(),
+                   .reader_of = reader_of_.data(),
+                   .writer_of = plan_.channel_owner.data(),
+                   .read_channels = read_channels_[s].data(),
                    .global_of_local = {}}));
-        for (const auto c : owned) {
+        auto& ids = sh.global_of_local;
+        const auto add = [&](std::uint32_t b, bool reads, bool writes) {
+          const auto lb = static_cast<std::uint32_t>(ids.size());
+          if (reads) read_local_[b] = lb;
+          if (writes) write_local_[b] = lb;
+          ids.push_back(b);
+        };
+        for (const auto c : read_channels_[s]) {
           if (facts.is_nic[c]) continue;
           for (std::uint32_t v = 0; v < config_.vcs; ++v) {
-            buf_local_of_global_[facts.buf_base[c] + v] = sh.switch_buffers++;
+            add(facts.buf_base[c] + v, true, plan_.channel_owner[c] == s);
           }
         }
-        for (const auto c : owned) {
-          if (!facts.is_nic[c]) continue;
-          buf_local_of_global_[facts.buf_base[c]] =
-              sh.switch_buffers + sh.nic_buffers++;
+        for (const auto c : plan_.shard_channels[s]) {
+          if (facts.is_nic[c] || reader_of_[c] == s) continue;
+          for (std::uint32_t v = 0; v < config_.vcs; ++v) {
+            add(facts.buf_base[c] + v, false, true);
+          }
         }
-        sh.owned_channels = static_cast<std::uint32_t>(owned.size());
-        sh.executed_channels = exec_counts[s];
+        sh.switch_buffers = static_cast<std::uint32_t>(ids.size());
+        for (const auto c : read_channels_[s]) {
+          if (facts.is_nic[c]) add(facts.buf_base[c], true, false);
+        }
+        sh.nic_buffers =
+            static_cast<std::uint32_t>(ids.size()) - sh.switch_buffers;
+        sh.channels = static_cast<std::uint32_t>(read_channels_[s].size());
+        sh.mailboxes = &mail_;
+        sh.peers = &shards_;
       }
-      proposal_box_ = sim::MailboxGrid<FlitProposal>(shard_count);
-      grant_box_ = sim::MailboxGrid<TransmitGrant>(shard_count);
+      mail_ = {sim::MailboxGrid<Mail>(shard_count),
+               sim::MailboxGrid<Mail>(shard_count)};
       epoch_stats_.assign(shard_count, EpochStat{});
       sync_ = std::make_unique<sim::ShardSync>(shard_count);
       numa_ = sim::NumaTopology::detect();
@@ -371,8 +385,15 @@ class Driver final : public detail::FlowDriver {
         sh.numa_node = sim::current_numa_node(numa_);
         run_cycles(sh);
       });
+      telemetry.barrier_phases = sync_->phases_completed();
     } else {
       run_cycles(*shards_[0]);
+    }
+    // End-of-run conservation audit: the wires, the mail and the delay
+    // lines still hold whatever was in flight when the loop ended, so the
+    // identity must close exactly here too.
+    if (config_.backpressure == Backpressure::kCredit) {
+      NBCLOS_ASSERT(credit_conservation_holds());
     }
 
     FlowResult result = merge_results();
@@ -437,19 +458,9 @@ class Driver final : public detail::FlowDriver {
       lo = plan_.terminal_begin[sh.index];
       hi = plan_.terminal_begin[sh.index + 1];
     }
-    sh.init_arena(sh.switch_buffers, sh.nic_buffers, sh.owned_channels,
-                  sh.executed_channels, terminal_count_, lo, hi, degraded_);
-    sh.wires.reserve(sh.executed_channels);
-    if constexpr (kCut) {
-      sh.global_of_local.assign(sh.switch_buffers + sh.nic_buffers, 0);
-      for (const auto c : plan_.shard_channels[sh.index]) {
-        for (std::uint32_t v = 0; v < facts_->vc_count(c); ++v) {
-          const std::uint32_t b = facts_->buf_base[c] + v;
-          sh.global_of_local[buf_local_of_global_[b]] = b;
-        }
-      }
-      sh.remote_active = ActiveSet(sh.owned_channels);
-    }
+    sh.init_arena(sh.switch_buffers, sh.nic_buffers, sh.channels,
+                  terminal_count_, lo, hi, degraded_);
+    sh.wires.reserve(sh.channels);
     sh.depth_sum_by_cycle.assign(sh.acq_by_cycle.size(), 0);
   }
 
@@ -463,15 +474,12 @@ class Driver final : public detail::FlowDriver {
         }
       }
       const bool measuring = now >= config_.warmup_cycles;
-      // Sampled phase timing: every 64th cycle when obs is on, skipping
-      // cycle 0, whose first barrier also waits out the other workers'
-      // start-up and arena set-up.
-      // The clock reads never touch simulation state, so the timed and
-      // untimed paths produce bit-identical results.
+      // Phase timing on every cycle when obs is on, except cycle 0, whose
+      // barrier also waits out the other workers' start-up and arena
+      // set-up.  The clock reads never touch simulation state, so the
+      // timed and untimed paths produce bit-identical results.
       bool timed = false;
-      if constexpr (obs::kEnabled) {
-        timed = (now & 63u) == 63u && obs::enabled();
-      }
+      if constexpr (obs::kEnabled) timed = now > 0 && obs::enabled();
       using clock = std::chrono::steady_clock;
       auto last = timed ? clock::now() : clock::time_point{};
       const auto lap = [&](Phase phase) {
@@ -482,38 +490,35 @@ class Driver final : public detail::FlowDriver {
                 .count());
         last = t;
       };
-      // Faults first: every shard advances its PRIVATE DegradedView copy
-      // through the same sorted schedule, so the copies never diverge.
+      if constexpr (kCut) {
+        // Last cycle's mail, before the ledger advances: a credit mailed
+        // then may come due now.
+        mail_[(now - 1) & 1].drain_to(
+            sh.index, [&](std::uint32_t /*src*/, std::vector<Mail>& box) {
+              sh.mailbox_peak =
+                  std::max<std::uint64_t>(sh.mailbox_peak, box.size());
+              for (const Mail& m : box) sh.receive(m, now);
+            });
+        lap(kMailbox);
+      }
+      // Every shard advances its PRIVATE DegradedView copy through the
+      // same sorted schedule, so the copies never diverge.
       sh.apply_due_faults(fault_events_, now);
       if (sh.ledger != nullptr) sh.ledger->advance(now);
       lap(kCreditReturns);
-      // Land the wires this shard created as executor last cycle.  Every
-      // target is a buffer (or terminal) this shard owns.
       sh.land(now, measuring);
       lap(kArrivals);
-      if constexpr (kCut) {
-        propose(sh);
-        lap(kTransmissions);
-        sync_->arrive_and_wait();
-        lap(kBarrierWait);
-        merge_proposals(sh);
-        lap(kMailbox);
-      }
-      execute(sh, now);
+      // Every channel this shard reads, in ascending channel order.  All
+      // interaction between channels within a cycle — claims and credit
+      // consumption — couples only channels into one vertex, which one
+      // shard reads; the ascending sweep is the one-shard order for them.
+      sh.active.sweep([&](std::uint32_t li) {
+        (void)sh.transmit(sh.global_channel(li), now);
+        return sh.channel_flits[li] != 0;
+      });
       lap(kTransmissions);
-      if constexpr (kCut) {
-        sync_->arrive_and_wait();
-        lap(kBarrierWait);
-        merge_grants(sh);
-        lap(kMailbox);
-        // Grants for the owned channels other shards executed, in
-        // ascending channel order — the one-shard transmission sweep as
-        // seen by this owner's buffers.
-        for (const TransmitGrant& g : sh.merged_grants) apply_grant(sh, g, now);
-        lap(kTransmissions);
-      }
       inject(sh, now);
-      if (sh.onoff != nullptr) sh.onoff->latch();
+      if (sh.onoff != nullptr) sh.latch(now);
       sh.depth_sum_by_cycle[now] = sh.pool->switch_flits_total();
       // End-of-cycle sample — all shards see want(now) identically (same
       // recorder geometry).
@@ -521,191 +526,14 @@ class Driver final : public detail::FlowDriver {
         if (recorder.want(now)) sample_recorder(sh, now);
       }
       lap(kInjection);
+      if constexpr (kCut) {
+        // The one exchange: this cycle's mail becomes readable.
+        sync_->arrive_and_wait();
+        lap(kBarrierWait);
+      }
       if (timed) ++sh.timed_cycles;
       sh.cycles_run = now + 1;
       if (epoch_watchdog(sh, now)) break;
-    }
-    // End-of-run conservation audit: the wires and delay line still hold
-    // whatever was in flight when the loop ended, so the identity must
-    // close exactly here too.
-    if (sh.ledger != nullptr) NBCLOS_ASSERT(sh.credit_conservation_holds());
-  }
-
-  /// Cut: one proposal per non-empty VC of each active, usable channel
-  /// another shard executes, sent to that executor.
-  void propose(ShardT& sh) {
-    // The ascending sweep mirrors the one-shard transmission sweep (a
-    // drained channel leaves the set; a dead one stays, transmitting
-    // nothing), so every proposal run is ascending.  Shard-local channels
-    // wait for execute().
-    sh.remote_active.sweep([&](std::uint32_t li) {
-      if (sh.channel_flits[li] == 0) return false;  // drained by a grant
-      const std::uint32_t c = sh.global_channel(li);
-      if (!sh.usable(c)) return true;
-      const auto start = static_cast<std::uint8_t>(sh.next_vc[li]);
-      auto& box = proposal_box_.box(sh.index, channel_executor_[c]);
-      for (std::uint32_t vc = 0; vc < facts_->vc_count(c); ++vc) {
-        const std::uint32_t bs =
-            sh.pool->slot_id(sh.buffer(facts_->buf_base[c] + vc));
-        if (bs == kNoSlot || sh.pool->slot(bs).size == 0) continue;
-        const FlitRef flit = sh.pool->front_at(bs);
-        box.push_back(FlitProposal{c, flit.flit_index,
-                                   sh.pool->slot(bs).out_alloc,
-                                   sh.packets.at(flit.packet_slot),
-                                   static_cast<std::uint8_t>(vc), start});
-        ++sh.cross_flits;
-      }
-      return true;
-    });
-  }
-
-  /// Merge the mailbox proposal runs into ascending (channel, VC) order.
-  void merge_proposals(ShardT& sh) {
-    // Each box is one owner's ascending sweep, so a merge suffices.
-    const auto proposal_less = [](const FlitProposal& a,
-                                  const FlitProposal& b) {
-      return a.channel != b.channel ? a.channel < b.channel : a.vc < b.vc;
-    };
-    sh.merged_props.clear();
-    proposal_box_.drain_to(
-        sh.index, [&](std::uint32_t /*src*/, std::vector<FlitProposal>& box) {
-          sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak,
-                                                    box.size());
-          sim::merge_run(sh.merged_props, box, sh.merge_scratch_props,
-                         proposal_less);
-        });
-  }
-
-  /// Every channel this shard executes, in ascending channel order.
-  void execute(ShardT& sh, std::uint64_t now) {
-    // Under a cut the proposals interleave with this shard's own active
-    // local channels.  Per-executor ascending order IS the one-shard order
-    // for all cross-channel interaction, because claims and credit
-    // consumption only couple channels sharing a downstream vertex —
-    // which share this executor.  A local channel runs the kernel's
-    // one-pass transmit in place: nothing a pop changes (FIFO, out_alloc,
-    // pending returns, dirty marks) is read by a later scan in this sweep
-    // — credits return at least one cycle later and on/off bits latch at
-    // the end of the cycle.
-    std::array<detail::FlitFront, FlowConfig::kMaxVcs> fronts{};
-    std::size_t next = 0;
-    const auto execute_proposals_below = [&](std::uint32_t limit) {
-      const auto& props = sh.merged_props;
-      while (next < props.size() && props[next].channel < limit) {
-        const std::uint32_t c = props[next].channel;
-        const std::uint32_t start = props[next].start_vc;
-        std::fill_n(fronts.begin(), facts_->vc_count(c), detail::FlitFront{});
-        for (; next < props.size() && props[next].channel == c; ++next) {
-          const FlitProposal& p = props[next];
-          fronts[p.vc] =
-              detail::FlitFront{p.flit_index, p.out_alloc, &p.packet};
-        }
-        const TransmitGrant g = execute_proposals(sh, c, start, fronts.data());
-        if (g.winner_vc != kNoWinner || g.credit_block_mask != 0 ||
-            g.vc_block_mask != 0) {
-          grant_box_.box(sh.index, plan_.channel_owner[c]).push_back(g);
-        }
-      }
-    };
-    sh.active.sweep([&](std::uint32_t li) {
-      const std::uint32_t c = sh.global_channel(li);
-      if constexpr (kCut) execute_proposals_below(c);
-      (void)sh.transmit(c, now);
-      return sh.channel_flits[li] != 0;
-    });
-    if constexpr (kCut) execute_proposals_below(kNone);
-  }
-
-  /// The kernel's VC scan of cross-shard channel c from `start_vc` over
-  /// its proposals (`fronts`, indexed by VC): the winner goes on the wire
-  /// here, the outcome goes back to the owner.
-  [[nodiscard]] TransmitGrant execute_proposals(ShardT& sh, std::uint32_t c,
-                                  std::uint32_t start_vc,
-                                  const detail::FlitFront* fronts) {
-    TransmitGrant g{c};
-    const std::uint32_t vc_count = facts_->vc_count(c);
-    std::uint32_t vc = start_vc;
-    for (std::uint32_t k = 0; k < vc_count;
-         ++k, vc = detail::next_vc(vc, vc_count)) {
-      const detail::FlitFront& f = fronts[vc];
-      if (f.packet == nullptr) continue;  // empty VC: transmit skips it too
-      detail::Hop hop;
-      bool credit_block = false;
-      if (!sh.downstream(c, vc, f, &hop, &credit_block)) {
-        (credit_block ? g.credit_block_mask : g.vc_block_mask) |= 1u << vc;
-        continue;  // this VC stalls; the next may still use the channel
-      }
-      // The winner rides its wire as a slot of this shard's PacketPool.
-      // f.packet points into the mailbox copy, never into sh.packets, so
-      // an acquire cannot move it.  A head gets a copy, which its claim
-      // names downstream, so its body flits find it there; an ejecting
-      // flit gets its own copy.
-      const bool flit_copy = hop.target == kEject;
-      const std::uint32_t packet_slot =
-          f.flit_index > 0 && !flit_copy
-              ? sh.pool->slot(hop.slot).claim
-              : sh.packets.acquire(*f.packet);
-      sh.send(c, hop, FlitRef{packet_slot, f.flit_index}, flit_copy);
-      if (f.flit_index == 0) g.new_out_alloc = hop.target;
-      g.winner_vc = static_cast<std::uint8_t>(vc);
-      break;
-    }
-    return g;
-  }
-
-  /// Merge the mailbox grant runs into ascending channel order.
-  void merge_grants(ShardT& sh) {
-    // One grant per channel; each executor emits its grants in its own
-    // ascending proposal order, so every run is ascending.
-    const auto grant_less = [](const TransmitGrant& a, const TransmitGrant& b) {
-      return a.channel < b.channel;
-    };
-    sh.merged_grants.clear();
-    grant_box_.drain_to(
-        sh.index, [&](std::uint32_t /*src*/, std::vector<TransmitGrant>& box) {
-          sh.mailbox_peak = std::max<std::uint64_t>(sh.mailbox_peak,
-                                                    box.size());
-          sim::merge_run(sh.merged_grants, box, sh.merge_scratch_grants,
-                         grant_less);
-        });
-  }
-
-  /// Owner side of a grant: stall bookkeeping in scan order, then the
-  /// kernel's pop of the winner; the owner's packet copy dies with the
-  /// tail.
-  void apply_grant(ShardT& sh, const TransmitGrant& g,
-                   std::uint64_t now) {
-    const std::uint32_t c = g.channel;
-    const std::uint32_t vc_count = facts_->vc_count(c);
-    // A VC the scan attempted holds a flit, so its buffer is bound.
-    const auto slot_of = [&](std::uint32_t vc) {
-      const std::uint32_t s =
-          sh.pool->slot_id(sh.buffer(facts_->buf_base[c] + vc));
-      NBCLOS_ASSERT(s != kNoSlot);
-      return s;
-    };
-    // Replay the executor's scan outcome in scan order: stall bookkeeping
-    // for the attempted-and-blocked VCs, then the winner's pop.
-    std::uint32_t vc = sh.next_vc[sh.channel(c)];
-    for (std::uint32_t k = 0; k < vc_count;
-         ++k, vc = detail::next_vc(vc, vc_count)) {
-      if (vc == g.winner_vc) break;  // masks only cover pre-winner VCs
-      if (((g.credit_block_mask | g.vc_block_mask) >> vc) & 1u) {
-        sh.note_blocked(slot_of(vc), ((g.credit_block_mask >> vc) & 1u) != 0,
-                        now);
-      }
-    }
-    if (g.winner_vc == kNoWinner) return;
-    const FlitRef flit =
-        sh.pop(c, g.winner_vc, slot_of(g.winner_vc), g.new_out_alloc, now);
-    // The pop scheduled a credit return for a flit another shard moved;
-    // after barrier 2 is soon enough, as the delay line and the dirty
-    // list do not depend on order.
-    if (!facts_->is_nic[c]) ++sh.cross_credits;
-    // Tail left this shard: the owner's copy dies with it (FIFO order plus
-    // the no-interleave claim guarantee the tail pops last).
-    if (flit.flit_index + 1 == config_.packet_flits) {
-      sh.packets.release(flit.packet_slot);
     }
   }
 
@@ -747,14 +575,17 @@ class Driver final : public detail::FlowDriver {
     if ((now + 1) % config_.watchdog_epoch != 0) return false;
     // Piggyback the credit-conservation audit on the epoch boundary: O(B)
     // every epoch cycles is invisible, and a ledger bug surfaces here long
-    // before it corrupts results.  Each shard closes its own identity.
+    // before it corrupts results.  Each shard closes the identity of the
+    // buffers it writes.  Under a cut that reads the far side of a cut
+    // buffer and this cycle's unreceived mail, which no shard changes
+    // between the cycle's barrier and the epoch barrier below.
     if (sh.ledger != nullptr) NBCLOS_ASSERT(sh.credit_conservation_holds());
     std::int64_t in_system = sh.flits_in_system;
     std::uint64_t moved = sh.flits_moved_epoch;
     if constexpr (kCut) {
       // The verdict needs GLOBAL totals: a shard whose owned flits all wait
       // on a neighbor (or that only ejects) sees a locally-stuck or even
-      // negative picture.  One extra barrier publishes every shard's slot;
+      // negative picture.  The epoch barrier publishes every shard's slot;
       // all shards then reduce the SAME numbers to the same verdict.
       epoch_stats_[sh.index] = EpochStat{in_system, moved};
       sync_->arrive_and_wait();
@@ -918,13 +749,12 @@ class Driver final : public detail::FlowDriver {
     }
 
     if constexpr (kCut) {
-      // Exactly one shard (the executor) tallies each channel, so the
-      // merge is a gather through the executor-local dense index, not a
-      // sum.
+      // Exactly one shard (the reader) tallies each channel, so the merge
+      // is a gather through the reader-local dense index, not a sum.
       merged_link_busy_.assign(net_->channel_count(), 0);
       for (std::uint32_t c = 0; c < net_->channel_count(); ++c) {
         merged_link_busy_[c] =
-            shards_[channel_executor_[c]]->link_busy[exec_index_[c]];
+            shards_[reader_of_[c]]->link_busy[read_index_[c]];
       }
       for (const auto& shp : shards_) {
         const ShardT& sh = *shp;
@@ -995,8 +825,8 @@ class Driver final : public detail::FlowDriver {
       m.gauge("flow.sharded.mailbox_peak")
           .set(static_cast<std::int64_t>(telemetry.mailbox_peak));
     }
-    // Sampled per-shard phase costs, ns per sampled cycle: one histogram
-    // sample per shard, so the spread across samples is the load skew.
+    // Per-shard phase costs, ns per timed cycle: one histogram sample per
+    // shard, so the spread across samples is the load skew.
     // The histograms clamp at their cap; the exact ns, summed over shards
     // and timed cycles, go to a "<phase>_total" counter beside each, with
     // the timed shard-cycles in flow.phase.timed_cycles.
@@ -1027,15 +857,16 @@ class Driver final : public detail::FlowDriver {
 
   // Cut only.
   sim::ShardPlan plan_;
-  std::vector<std::uint8_t> channel_executor_;  ///< shard_of(dst(c))
-  /// Dense index of c among its executor's executed channels (ascending
-  /// c) — per-shard link-busy tallies are executor-local so their size
-  /// tracks channels / S, not S full copies of the fabric.
-  std::vector<std::uint32_t> exec_index_;
-  std::vector<std::uint32_t> buf_local_of_global_;
+  std::vector<std::uint8_t> reader_of_;  ///< shard_of(dst(c))
+  /// Dense index of c among its reader's channels (ascending c): the
+  /// per-shard channel arrays and link-busy tallies track channels / S,
+  /// not S full copies of the fabric.
+  std::vector<std::uint32_t> read_index_;
+  std::vector<std::vector<std::uint32_t>> read_channels_;  ///< per shard
+  std::vector<std::uint32_t> read_local_;   ///< buffer -> reader-local id
+  std::vector<std::uint32_t> write_local_;  ///< buffer -> writer-local id
   std::vector<std::uint64_t> merged_link_busy_;  ///< gathered after join
-  sim::MailboxGrid<FlitProposal> proposal_box_;
-  sim::MailboxGrid<TransmitGrant> grant_box_;
+  MailGrids mail_;
   /// Watchdog epoch aggregation slots: shard s writes its local
   /// {flits in system, flits moved} here, one extra barrier makes them
   /// visible, and every shard reduces the SAME totals — the aggregated

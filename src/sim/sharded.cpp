@@ -29,7 +29,7 @@ struct Ack {
   bool accepted = false;
 };
 
-/// The sampled phase timers (see sharded.hpp for what each covers): ns
+/// The phase timers (see sharded.hpp for what each covers): ns
 /// summed over the timed cycles, one histogram sample per shard.  The
 /// last two exist only under a cut.
 enum Phase : std::size_t {
@@ -323,15 +323,12 @@ class Driver final : public detail::PacketDriver {
         }
       }
       const bool measuring = now >= config_.warmup_cycles;
-      // Sampled phase timing: every 64th cycle when obs is on, skipping
-      // cycle 0, whose first barrier also waits out the other workers'
-      // start-up and arena set-up.  The clock reads never touch
-      // simulation state, so the timed and untimed paths produce
-      // bit-identical results.
+      // Phase timing on every cycle when obs is on, except cycle 0, whose
+      // first barrier also waits out the other workers' start-up and
+      // arena set-up.  The clock reads never touch simulation state, so
+      // the timed and untimed paths produce bit-identical results.
       bool timed = false;
-      if constexpr (obs::kEnabled) {
-        timed = (now & 63u) == 63u && obs::enabled();
-      }
+      if constexpr (obs::kEnabled) timed = now > 0 && obs::enabled();
       using clock = std::chrono::steady_clock;
       auto last = timed ? clock::now() : clock::time_point{};
       const auto lap = [&](Phase phase) {
@@ -618,8 +615,8 @@ class Driver final : public detail::PacketDriver {
       m.gauge("sim.sharded.mailbox_peak")
           .set(static_cast<std::int64_t>(telemetry.mailbox_peak));
     }
-    // Sampled per-shard phase costs, ns per sampled cycle: one histogram
-    // sample per shard, so the spread across samples is the load skew.
+    // Per-shard phase costs, ns per timed cycle: one histogram sample per
+    // shard, so the spread across samples is the load skew.
     // The histograms clamp at their cap; the exact ns, summed over shards
     // and timed cycles, go to a "<phase>_total" counter beside each, with
     // the timed shard-cycles in sim.phase.timed_cycles.

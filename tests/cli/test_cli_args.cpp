@@ -227,6 +227,32 @@ TEST(CliArgs, ThreadAndShardCountsAreBounded) {
                      "--shards must be at least 1");
 }
 
+/// A flow config the engine would refuse, or size past memory, is a
+/// usage error at its flag: the credit delay line and the FIFO rings
+/// are sized from these two values.
+TEST(CliArgs, FlowBufferDepthAndCreditDelayAreBounded) {
+  expect_usage_error({"flow-sim", "kary:10,2", "0.05", "--credit-delay", "0"},
+                     "--credit-delay must be at least 1");
+  expect_usage_error(
+      {"flow-sim", "kary:10,2", "0.05", "--credit-delay",
+       std::to_string(flow::FlowConfig::kMaxCreditDelay + 1)},
+      "--credit-delay must be at most 1024");
+  expect_usage_error(
+      {"flow-sim", "kary:10,2", "0.05", "--credit-delay", "4294967295"},
+      "--credit-delay must be at most 1024");
+  expect_usage_error({"flow-sim", "4", "8", "0.5", "--buffers", "4294967295"},
+                     "--buffers must be at most 65536");
+  expect_usage_error(
+      {"flow-sim", "4", "8", "0.5", "--buffers",
+       std::to_string(flow::FlowConfig::kMaxBufferFlits + 1)},
+      "--buffers must be at most 65536");
+  for (const char* delay : {"1", "1024"}) {
+    EXPECT_NO_THROW((void)parse({"flow-sim", "4", "8", "0.5", "--credit-delay",
+                                 delay, "--buffers", "65536"}))
+        << delay;
+  }
+}
+
 TEST(CliArgs, UsageNamesEveryCommandAliasAndFlag) {
   const std::string text = usage();
   for (const auto& command : commands()) {

@@ -199,8 +199,7 @@ TEST_F(FlowSharded, BitIdenticalThreeVcVctOnOff) {
   check_all_shard_counts(config);
 }
 
-/// Both engines share one VC limit: 32, the width of the sharded
-/// engine's stall masks.
+/// Both engines share one VC limit: 32 (FlowConfig::kMaxVcs).
 TEST_F(FlowSharded, BothEnginesShareTheVcLimit) {
   FlowConfig config = base_config();
   config.vcs = 33;
@@ -453,8 +452,8 @@ TEST_F(FlowSharded, MergedTimeseriesBitIdenticalAcrossShardCounts) {
 }
 
 TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
-  // Every 64th cycle each shard times the four one-shard phases, its two
-  // mailbox merges and its two barrier waits; flush_obs records one mean
+  // Every cycle but the first each shard times the four one-shard
+  // phases, its mail and its barrier wait; flush_obs records one mean
   // per shard, and beside it a "_total" counter of the exact ns summed
   // over shards and timed cycles.  Obs-off builds compile the timers out,
   // so nothing is recorded there.
@@ -487,13 +486,31 @@ TEST_F(FlowSharded, TwoShardRunRecordsPhaseTimersPerShard) {
     }
   }
   if constexpr (obs::kEnabled) {
-    // Two shards, each timed on every cycle = 63 (mod 64).
+    // Two shards, each timed on every cycle but cycle 0.
     const auto timed = find("flow.phase.timed_cycles");
     ASSERT_NE(timed, snapshot.end());
     ASSERT_NE(find("flow.cycles"), snapshot.end());
     EXPECT_GT(timed->count, 0U);
-    EXPECT_EQ(timed->count, 2 * (find("flow.cycles")->count / 64));
+    EXPECT_EQ(timed->count, 2 * (find("flow.cycles")->count - 1));
   }
+}
+
+/// A cut crosses one barrier per cycle, plus the watchdog's epoch
+/// barrier in epoch cycles: everything a move changes across the cut
+/// travels in the one exchange.
+TEST_F(FlowSharded, OneBarrierPerCyclePlusOnePerEpoch) {
+  const FlowConfig config = base_config();
+  const std::uint64_t cycles = config.warmup_cycles + config.measure_cycles;
+  for (const std::uint32_t shards : {2u, 4u}) {
+    ShardedFlowSim sharded(cache, traffic, config, shards);
+    ASSERT_FALSE(sharded.run().deadlocked);
+    EXPECT_EQ(sharded.telemetry().barrier_phases,
+              cycles + cycles / config.watchdog_epoch)
+        << shards << " shards";
+  }
+  ShardedFlowSim one(cache, traffic, config, 1);
+  (void)one.run();
+  EXPECT_EQ(one.telemetry().barrier_phases, 0U);
 }
 
 /// flow.buffer.pool_bytes is the flit pool, summed over shards: what

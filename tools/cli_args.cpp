@@ -285,10 +285,12 @@ const std::vector<Command>& commands() {
        check_packet_sim},
       {CommandId::kFlowSim, "flow-sim", nullptr,
        {{"<topo>", kTopo}, {"<load>", kLoad}, choice("[routing]", "thm3|dmodk"),
-        kShards, {"--packet", kUint, 1}, {"--buffers", kUint, 1},
+        kShards, {"--packet", kUint, 1},
+        {"--buffers", kUint, 1, flow::FlowConfig::kMaxBufferFlits},
         {"--vcs", kUint, 1, flow::FlowConfig::kMaxVcs},
         choice("--switching", "wormhole|vct"), {"--credit", kBool},
-        {"--onoff", kBool}, {"--credit-delay", kUint},
+        {"--onoff", kBool},
+        {"--credit-delay", kUint, 1, flow::FlowConfig::kMaxCreditDelay},
         {"--seed", kUint, 0, UINT64_MAX}, {"--json", kBool}},
        check_flow_sim},
       {CommandId::kLoadSweep, "load-sweep", nullptr,
