@@ -49,7 +49,6 @@
 #include "nbclos/flow/sharded.hpp"
 #include "nbclos/obs/flight_recorder.hpp"
 #include "nbclos/obs/run_info.hpp"
-#include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/shard_router.hpp"
@@ -170,9 +169,13 @@ int main(int argc, char** argv) {
       cache = routing::ChannelRouteCache::materialize(net, *yuan);
       terminals = ftree->leaf_count();
     } else {
-      const KaryTreeRouter router(net, c.kary_k, c.kary_h);
+      const sim::KaryDmodkRouter router(net, c.kary_k, c.kary_h);
       cache = std::make_shared<const routing::ChannelRouteCache>(
-          net, [&](SDPair sd) { return router.route(sd); });
+          net, [&](SDPair sd) {
+            std::vector<std::uint32_t> path;
+            routing::walk_path(router, sd.src.value, sd.dst.value, path);
+            return path;
+          });
       terminals = static_cast<std::uint32_t>(net.terminals().size());
     }
     const auto traffic = [&] {

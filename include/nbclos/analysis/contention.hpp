@@ -13,7 +13,9 @@
 ///     removes paths (analysis/delta.hpp) and for arbitrary path sets.
 /// The audit utilities check Lemma 1's iff-condition — "every link
 /// carries traffic either from one source or to one destination" — over
-/// *all* SD pairs a routing can ever produce.
+/// *all* SD pairs a routing can ever produce: on an ftree from its link
+/// runs, and on any Network by walking the routing's `routing::NextHop`.
+/// Both feed one source/destination tracker.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 
@@ -155,6 +158,16 @@ struct LinkAuditViolation {
 /// (Lemma 1 is an iff).
 [[nodiscard]] std::vector<LinkAuditViolation> lemma1_audit(
     const SinglePathRouting& routing);
+
+/// Lemma 1 on any Network.  Its proof never uses fat-tree structure: with
+/// single-path deterministic routing, a network is nonblocking iff every
+/// channel carries traffic from one source or to one destination.  Walks
+/// every ordered pair of distinct terminals (routing::walk_path) and
+/// checks every channel; a violation's `link` holds the channel id and
+/// its counts are of distinct terminal vertices.  On build_network(ftree)
+/// (channel id == LinkId) it equals the ftree overload above.
+[[nodiscard]] std::vector<LinkAuditViolation> lemma1_audit(
+    const routing::NextHop& routes);
 
 /// Lemma 1 verdict for a single-path deterministic routing.
 [[nodiscard]] inline bool is_nonblocking_single_path(

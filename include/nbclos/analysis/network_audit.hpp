@@ -1,32 +1,24 @@
 /// \file network_audit.hpp
-/// \brief Topology-agnostic generalization of Lemma 1 and the contention
-///        checker, over arbitrary Network graphs.
+/// \brief Channel paths and per-channel load counting over arbitrary
+///        Network graphs.
 ///
-/// Lemma 1's proof never uses fat-tree structure: for *any* topology with
-/// single-path deterministic routing, the network is nonblocking iff
-/// every channel carries traffic from one source or to one destination
-/// (both directions of the argument only need that any two SD pairs with
-/// distinct sources and distinct destinations form a permutation).  This
-/// header provides that audit for Network graphs, plus per-channel load
-/// counting — the tools the multi-level recursive fabric (§IV) is
-/// verified with.
+/// Lemma 1's proof never uses fat-tree structure, so the audit runs on
+/// any Network: `lemma1_audit(const routing::NextHop&)` (contention.hpp)
+/// walks the routing's next hops with `routing::walk_path`, which also
+/// checks that each path chains from source to destination terminal.
+/// This header keeps the load counting the multi-level recursive fabric
+/// (§IV) samples random permutations with.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "nbclos/topology/ids.hpp"
 #include "nbclos/topology/network.hpp"
 
 namespace nbclos {
 
 /// A route through a Network: the channels a packet traverses, in order.
 using ChannelPath = std::vector<std::uint32_t>;
-
-/// Routing function over terminals of a Network (terminal *indices*, i.e.
-/// positions in net.terminals(), so callers can keep leaf numbering).
-using NetworkRouteFn = std::function<ChannelPath(SDPair)>;
 
 /// Per-channel load counting for a set of routed paths.
 class ChannelLoadMap {
@@ -54,19 +46,5 @@ class ChannelLoadMap {
 /// True when two or more of the given paths share a channel.
 [[nodiscard]] bool network_has_contention(const Network& net,
                                           const std::vector<ChannelPath>& paths);
-
-/// Generalized Lemma 1 audit: route every ordered pair of distinct
-/// terminals and check that each channel carries traffic from one source
-/// or to one destination.  Returns the violating channel ids (empty ==
-/// the routing is nonblocking on this network).
-[[nodiscard]] std::vector<std::uint32_t> network_lemma1_audit(
-    const Network& net, const NetworkRouteFn& route);
-
-/// Validate that a path is well-formed: consecutive channels chain
-/// (dst of one == src of next), it starts at the source terminal and
-/// ends at the destination terminal.  Throws on violation.
-void validate_channel_path(const Network& net, std::uint32_t src_terminal,
-                           std::uint32_t dst_terminal,
-                           const ChannelPath& path);
 
 }  // namespace nbclos

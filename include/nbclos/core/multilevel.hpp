@@ -17,28 +17,38 @@
 /// applies the Theorem 3 (i, j) rule at every level: a connection
 /// entering bottom switch q with local index i toward local index j uses
 /// sub-block i*n + j.  Every channel then carries one source (uplinks) or
-/// one destination (downlinks), so the generalized Lemma 1 audit — which
-/// this class exposes as certify() — proves the fabric nonblocking.
+/// one destination (downlinks), so the Lemma 1 audit over the fabric's
+/// walked paths — which this class exposes as certify() — proves the
+/// fabric nonblocking.
+///
+/// The fabric is its own `routing::NextHop`: the engines run it and the
+/// audit walks it directly, with no per-pair table.  Its leaf index space
+/// IS its terminal vertex id space (leaves are vertices 0..P-1), so
+/// packets address it directly.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nbclos/analysis/network_audit.hpp"
 #include "nbclos/core/designer.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/topology/network.hpp"
 
 namespace nbclos {
 
-class MultiLevelFabric {
+class MultiLevelFabric final : public routing::NextHop {
  public:
   /// \pre n >= 2, levels >= 2; total ports capped at 2^20.
   MultiLevelFabric(std::uint32_t n, std::uint32_t levels);
 
   [[nodiscard]] std::uint32_t n() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t levels() const noexcept { return levels_; }
-  [[nodiscard]] const Network& network() const noexcept { return net_; }
+  [[nodiscard]] const Network& network() const noexcept override {
+    return net_;
+  }
   [[nodiscard]] std::uint32_t port_count() const noexcept { return ports_; }
   [[nodiscard]] std::uint64_t switch_count() const noexcept {
     return switch_count_;
@@ -52,8 +62,20 @@ class MultiLevelFabric {
   /// (single-path deterministic, the recursive Theorem 3 rule).
   [[nodiscard]] ChannelPath route(SDPair sd) const;
 
-  /// Generalized Lemma 1 audit over all P(P-1) SD pairs: a proof that
-  /// this instance is nonblocking.
+  /// The route() channel leaving `vertex`: each hop re-derives the pair's
+  /// fixed path, in O(levels) digit recursion with no shared state, so
+  /// the fabric is safe from every shard worker.  fault::kNoRoute for a
+  /// self pair or a vertex off the pair's path.
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
+  [[nodiscard]] std::size_t bytes() const override { return 0; }
+  [[nodiscard]] std::string name() const override {
+    return "multilevel-thm3";
+  }
+
+  /// Lemma 1 audit over all P(P-1) walked SD pairs: a proof that this
+  /// instance is nonblocking.
   [[nodiscard]] bool certify() const;
 
   /// Statistical cross-check on random permutations.

@@ -15,15 +15,20 @@
 /// and program the LFTs so that LID lid(d, i) travels via top switch
 /// (i, j = local(d)).  A source (v, i) addressing d picks lid(d, i); the
 /// network then realizes exactly the (i, j) path with plain
-/// destination-based forwarding.  This module builds those LFTs and a
-/// forwarding engine, and the tests/benches verify the LFT-forwarded
-/// paths are *identical* to YuanNonblockingRouting's.
+/// destination-based forwarding.  This module builds those LFTs, and the
+/// fabric is a `routing::NextHop` over its own build_network(ftree)
+/// graph: a terminal answers its leaf uplink and a switch its LFT entry,
+/// so the engines run it and `routing::walk_path` forwards a packet end
+/// to end.  The tests verify the LFT-forwarded paths are *identical* to
+/// YuanNonblockingRouting's.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "nbclos/analysis/network_audit.hpp"
+#include "nbclos/routing/next_hop.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 #include "nbclos/topology/network.hpp"
 
@@ -35,9 +40,10 @@ struct Lid {
   friend constexpr auto operator<=>(Lid, Lid) = default;
 };
 
-class InfinibandFabric {
+class InfinibandFabric final : public routing::NextHop {
  public:
   /// Program LFTs for ftree(n+m, r) with m >= n^2 (Theorem 3 regime).
+  /// `ftree` must outlive the fabric.
   explicit InfinibandFabric(const FoldedClos& ftree);
 
   [[nodiscard]] const FoldedClos& ftree() const noexcept { return *ftree_; }
@@ -59,9 +65,21 @@ class InfinibandFabric {
   /// must be a switch of build_network(ftree) (channel ids == LinkIds).
   [[nodiscard]] std::uint32_t forward(std::uint32_t vertex, Lid lid) const;
 
-  /// Walk a packet from source to destination using only LFT lookups —
-  /// destination-based forwarding end to end.  Returns the channel path.
-  [[nodiscard]] ChannelPath forward_path(SDPair sd) const;
+  /// build_network(ftree), the graph the LFTs' channel ids index.
+  [[nodiscard]] const Network& network() const noexcept override {
+    return net_;
+  }
+  /// A terminal's leaf uplink, or a switch's LFT entry for the pair's
+  /// LID, lid_for({src, dst}): destination-based forwarding end to end.
+  [[nodiscard]] std::uint32_t next_channel_from(
+      std::uint32_t vertex, std::uint32_t src,
+      std::uint32_t dst) const override;
+  /// Resident bytes of every switch's LFT.
+  [[nodiscard]] std::size_t bytes() const override {
+    return (lft_bottom_.size() + lft_top_.size()) * lid_count() *
+           sizeof(std::uint32_t);
+  }
+  [[nodiscard]] std::string name() const override { return "infiniband-lft"; }
 
   /// Bytes of LFT state per bottom switch (one entry per LID) — the
   /// hardware cost of the multiple-LID trick.
@@ -71,6 +89,7 @@ class InfinibandFabric {
 
  private:
   const FoldedClos* ftree_;
+  Network net_;
   FtreeNetworkMap map_;
   // lft_bottom_[v][lid] / lft_top_[t][lid]: output channel id.
   std::vector<std::vector<std::uint32_t>> lft_bottom_;

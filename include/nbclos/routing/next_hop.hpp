@@ -1,20 +1,26 @@
 /// \file next_hop.hpp
 /// \brief The one pure next-hop interface every engine routes through,
-///        and its one adapter for single-path ftree routings.
+///        its one path walker, and its one adapter for single-path ftree
+///        routings.
 ///
 /// Under a deterministic single-path routing each SD pair owns one fixed
 /// path, so every engine asks the same question: "which channel does the
-/// (src, dst) flow take out of `vertex`?"  `NextHop` is that question.
-/// The flow engines and `ShardedSim` ask it directly, `PacketSim` through
-/// `sim::NextHopOracle`.  Four classes answer it:
+/// (src, dst) flow take out of `vertex`?"  `NextHop` is that question,
+/// and it is the only description of a route on every fabric.  The flow
+/// engines and `ShardedSim` ask it directly, `PacketSim` through
+/// `sim::NextHopOracle`, and the audits through `walk_path` (below).
+/// Five classes answer it:
 ///
 ///   * `TopChoiceNextHop` (below) — any `SinglePathRouting` on
 ///     `build_network(ftree)`: the paper's routing is one top switch per
 ///     SD pair (§IV-A), so the next hop is index arithmetic around
 ///     `top_for`, with no table;
-///   * `sim::KaryDmodkRouter` and `sim::RecursiveShardRouter`
-///     (sim/shard_router.hpp) — digit arithmetic on k-ary n-trees and
-///     multi-level Theorem 3 fabrics;
+///   * `sim::KaryDmodkRouter` (sim/shard_router.hpp) — digit arithmetic
+///     on k-ary n-trees;
+///   * `MultiLevelFabric` (core/multilevel.hpp) — the recursive
+///     Theorem 3 rule on the §IV multi-level fabric;
+///   * `InfinibandFabric` (infiniband.hpp) — LFT lookups on the
+///     multiple-LID programming of an ftree;
 ///   * `ChannelRouteCache` (route_cache.hpp) — a materialized table, for
 ///     routings that are tables: per-pattern schedules and forwarding
 ///     tables.
@@ -25,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/network.hpp"
@@ -48,6 +55,31 @@ class NextHop {
   [[nodiscard]] virtual std::size_t bytes() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 };
+
+/// The channels the (src, dst) flow crosses, in path order, found by
+/// following `routes.next_channel_from` from terminal `src` until it
+/// reaches terminal `dst`; `out` is overwritten (empty for src == dst).
+/// Throws precondition_error when an endpoint is not a terminal, a hop
+/// names a channel out of range or one that does not leave the current
+/// vertex, or the walk takes more hops than the network has vertices.
+inline void walk_path(const NextHop& routes, std::uint32_t src,
+                      std::uint32_t dst, std::vector<std::uint32_t>& out) {
+  const Network& net = routes.network();
+  NBCLOS_REQUIRE(net.vertex(src).kind == VertexKind::kTerminal &&
+                     net.vertex(dst).kind == VertexKind::kTerminal,
+                 "walk endpoints must be terminals");
+  out.clear();
+  for (std::uint32_t at = src; at != dst;) {
+    NBCLOS_REQUIRE(out.size() < net.vertex_count(),
+                   "route does not reach its destination");
+    const std::uint32_t c = routes.next_channel_from(at, src, dst);
+    NBCLOS_REQUIRE(c < net.channel_count(), "next hop channel out of range");
+    NBCLOS_REQUIRE(net.channel_src(c) == at,
+                   "next hop channel does not leave the current vertex");
+    out.push_back(c);
+    at = net.channel_dst(c);
+  }
+}
 
 /// A single-path ftree routing as a next hop, in O(1) per hop with no
 /// table: a terminal takes its leaf uplink, a top switch descends, and a

@@ -156,14 +156,12 @@ class RouteCache {
 
 /// All terminal-pair channel runs of a Network routing, flattened into
 /// one channel array behind a CSR offsets table — the table-backed
-/// `NextHop` every engine can replay (TopChoiceNextHop and the routers
-/// in sim/shard_router.hpp are the table-free ones).
+/// `NextHop` every engine can replay (next_hop.hpp lists the table-free
+/// ones).
 class ChannelRouteCache final : public NextHop {
  public:
   /// Route function over terminal *indices* (positions in
-  /// net.terminals()) — the same signature as analysis'
-  /// NetworkRouteFn, restated here so routing/ stays below analysis/ in
-  /// the library dependency order.
+  /// net.terminals()): each call returns the pair's whole channel path.
   using RouteFn = std::function<std::vector<std::uint32_t>(SDPair)>;
 
   /// Routes every ordered terminal pair through `route` (validated for

@@ -214,6 +214,22 @@ std::vector<LinkAuditViolation> lemma1_audit(const SinglePathRouting& routing) {
   });
 }
 
+std::vector<LinkAuditViolation> lemma1_audit(const routing::NextHop& routes) {
+  const Network& net = routes.network();
+  const auto terminals = net.terminals();
+  std::vector<std::uint32_t> path;
+  return audit_visits(net.channel_count(), [&](const auto& visit) {
+    for (const auto s : terminals) {
+      for (const auto d : terminals) {
+        if (s == d) continue;
+        const SDPair sd{LeafId{s}, LeafId{d}};
+        routing::walk_path(routes, s, d, path);
+        for (const auto c : path) visit(LinkId{c}, sd);
+      }
+    }
+  });
+}
+
 std::vector<LinkAuditViolation> lemma1_audit_footprints(
     const FoldedClos& ftree,
     const std::function<std::vector<LinkId>(SDPair)>& footprint) {

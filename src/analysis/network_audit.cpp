@@ -1,7 +1,5 @@
 #include "nbclos/analysis/network_audit.hpp"
 
-#include "nbclos/util/check.hpp"
-
 namespace nbclos {
 
 std::uint32_t ChannelLoadMap::contended_channels() const {
@@ -25,55 +23,6 @@ bool network_has_contention(const Network& net,
   ChannelLoadMap map(net);
   for (const auto& path : paths) map.add_path(path);
   return !map.contention_free();
-}
-
-std::vector<std::uint32_t> network_lemma1_audit(const Network& net,
-                                                const NetworkRouteFn& route) {
-  const auto terminals = net.terminals();
-  constexpr std::uint32_t kEmpty = UINT32_MAX;
-  struct ChannelState {
-    std::uint32_t src = kEmpty;
-    std::uint32_t dst = kEmpty;
-    bool src_many = false;
-    bool dst_many = false;
-  };
-  std::vector<ChannelState> state(net.channel_count());
-  for (std::uint32_t s = 0; s < terminals.size(); ++s) {
-    for (std::uint32_t d = 0; d < terminals.size(); ++d) {
-      if (s == d) continue;
-      const SDPair sd{LeafId{s}, LeafId{d}};
-      for (const auto c : route(sd)) {
-        NBCLOS_REQUIRE(c < net.channel_count(), "channel out of range");
-        auto& st = state[c];
-        if (st.src == kEmpty) {
-          st.src = s;
-          st.dst = d;
-        } else {
-          if (st.src != s) st.src_many = true;
-          if (st.dst != d) st.dst_many = true;
-        }
-      }
-    }
-  }
-  std::vector<std::uint32_t> violations;
-  for (std::uint32_t c = 0; c < state.size(); ++c) {
-    if (state[c].src_many && state[c].dst_many) violations.push_back(c);
-  }
-  return violations;
-}
-
-void validate_channel_path(const Network& net, std::uint32_t src_terminal,
-                           std::uint32_t dst_terminal,
-                           const ChannelPath& path) {
-  NBCLOS_REQUIRE(!path.empty(), "empty channel path");
-  NBCLOS_REQUIRE(net.channel(path.front()).src == src_terminal,
-                 "path does not start at the source terminal");
-  NBCLOS_REQUIRE(net.channel(path.back()).dst == dst_terminal,
-                 "path does not end at the destination terminal");
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    NBCLOS_REQUIRE(net.channel(path[i - 1]).dst == net.channel(path[i]).src,
-                   "path channels do not chain");
-  }
 }
 
 }  // namespace nbclos

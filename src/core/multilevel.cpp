@@ -1,6 +1,8 @@
 #include "nbclos/core/multilevel.hpp"
 
+#include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/util/check.hpp"
 
 namespace nbclos {
@@ -106,11 +108,19 @@ ChannelPath MultiLevelFabric::route(SDPair sd) const {
   return path;
 }
 
-bool MultiLevelFabric::certify() const {
-  const auto violations = network_lemma1_audit(
-      net_, [this](SDPair sd) { return route(sd); });
-  return violations.empty();
+std::uint32_t MultiLevelFabric::next_channel_from(std::uint32_t vertex,
+                                                  std::uint32_t src,
+                                                  std::uint32_t dst) const {
+  if (src == dst) return fault::kNoRoute;
+  // The Theorem 3 path is fixed per SD pair; every vertex appears on it
+  // at most once, so at most one path channel leaves `vertex`.
+  for (const auto c : route({LeafId{src}, LeafId{dst}})) {
+    if (net_.channel_src(c) == vertex) return c;
+  }
+  return fault::kNoRoute;
 }
+
+bool MultiLevelFabric::certify() const { return lemma1_audit(*this).empty(); }
 
 bool MultiLevelFabric::verify_random(std::uint64_t trials,
                                      std::uint64_t seed) const {

@@ -5,7 +5,7 @@
 namespace nbclos {
 
 InfinibandFabric::InfinibandFabric(const FoldedClos& ftree)
-    : ftree_(&ftree), map_{ftree.params()} {
+    : ftree_(&ftree), net_(build_network(ftree)), map_{ftree.params()} {
   NBCLOS_REQUIRE(std::uint64_t{ftree.m()} >= std::uint64_t{ftree.n()} * ftree.n(),
                  "multiple-LID Theorem 3 programming needs m >= n^2");
   const std::uint32_t n = ftree.n();
@@ -64,31 +64,13 @@ std::uint32_t InfinibandFabric::forward(std::uint32_t vertex, Lid lid) const {
   return lft_top_[map_.top_of(vertex).value][lid.value];
 }
 
-ChannelPath InfinibandFabric::forward_path(SDPair sd) const {
-  NBCLOS_REQUIRE(sd.src != sd.dst, "self-loop SD pair");
-  const Lid lid = lid_for(sd);
-  ChannelPath path;
-  path.push_back(ftree_->leaf_up_link(sd.src).value);
-  std::uint32_t vertex = map_.bottom(ftree_->switch_of(sd.src));
-  // Forward by LFT until the packet leaves on a leaf-down channel.
-  for (int hop = 0; hop < 4; ++hop) {
-    const auto channel = forward(vertex, lid);
-    path.push_back(channel);
-    if (ftree_->kind_of(LinkId{channel}) == LinkKind::kLeafDown) return path;
-    // Next vertex per the ftree channel layout.
-    const auto kind = ftree_->kind_of(LinkId{channel});
-    if (kind == LinkKind::kUp) {
-      const std::uint32_t rel = channel - ftree_->leaf_count();
-      vertex = map_.top(TopId{rel % ftree_->m()});
-    } else {
-      NBCLOS_ASSERT(kind == LinkKind::kDown);
-      const std::uint32_t rel =
-          channel - ftree_->leaf_count() - ftree_->r() * ftree_->m();
-      vertex = map_.bottom(BottomId{rel % ftree_->r()});
-    }
+std::uint32_t InfinibandFabric::next_channel_from(std::uint32_t vertex,
+                                                  std::uint32_t src,
+                                                  std::uint32_t dst) const {
+  if (map_.is_terminal(vertex)) {
+    return ftree_->leaf_up_link(LeafId{vertex}).value;
   }
-  NBCLOS_ASSERT(false);  // a well-formed LFT always delivers within 3 hops
-  return path;
+  return forward(vertex, lid_for({LeafId{src}, LeafId{dst}}));
 }
 
 }  // namespace nbclos

@@ -1,6 +1,5 @@
 #include "nbclos/sim/shard_router.hpp"
 
-#include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/util/check.hpp"
 
 namespace nbclos::sim {
@@ -64,26 +63,9 @@ std::uint32_t KaryDmodkRouter::next_channel_from(std::uint32_t vertex,
            2 * (((level - 1) * per_level_ + w_low) * k_ + d) + 1;
   }
   // Ascend, keying digit `level` to the destination's digit — the k-ary
-  // analogue of d-mod-k, and exactly KaryTreeRouter::route's ascent.
+  // analogue of d-mod-k.
   const std::uint32_t d = digit(wd, level);
   return inter_base_ + 2 * ((level * per_level_ + w) * k_ + d);
-}
-
-RecursiveShardRouter::RecursiveShardRouter(const MultiLevelFabric& fabric)
-    : fabric_(&fabric), net_(&fabric.network()) {
-  NBCLOS_REQUIRE(net_->finalized(), "fabric network must be finalized");
-}
-
-std::uint32_t RecursiveShardRouter::next_channel_from(std::uint32_t vertex,
-                                                      std::uint32_t src,
-                                                      std::uint32_t dst) const {
-  if (src == dst) return fault::kNoRoute;
-  // The Theorem 3 path is fixed per SD pair; every vertex appears on it
-  // at most once, so at most one path channel leaves `vertex`.
-  for (const auto c : fabric_->route({LeafId{src}, LeafId{dst}})) {
-    if (net_->channel_src(c) == vertex) return c;
-  }
-  return fault::kNoRoute;
 }
 
 }  // namespace nbclos::sim

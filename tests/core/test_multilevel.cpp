@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/fault/degraded_view.hpp"
+#include "nbclos/routing/route_cache.hpp"
 
 namespace nbclos {
 namespace {
@@ -37,15 +41,11 @@ TEST(MultiLevel, FourLevelMatchesClosedForm) {
 }
 
 TEST(MultiLevel, RoutesAreWellFormed) {
+  // The route cache refuses any route that does not start at its source
+  // terminal, chain channel to channel and end at its destination.
   const MultiLevelFabric fabric(2, 3);
-  const auto& net = fabric.network();
-  for (std::uint32_t s = 0; s < fabric.port_count(); ++s) {
-    for (std::uint32_t d = 0; d < fabric.port_count(); ++d) {
-      if (s == d) continue;
-      const auto path = fabric.route({LeafId{s}, LeafId{d}});
-      validate_channel_path(net, s, d, path);
-    }
-  }
+  EXPECT_NO_THROW(routing::ChannelRouteCache(
+      fabric.network(), [&fabric](SDPair sd) { return fabric.route(sd); }));
 }
 
 TEST(MultiLevel, RouteLengthReflectsLocality) {
@@ -106,6 +106,29 @@ TEST(MultiLevel, RouteRejectsBadPairs) {
                precondition_error);
   EXPECT_THROW((void)fabric.route({LeafId{0}, LeafId{99}}),
                precondition_error);
+}
+
+TEST(MultiLevelFabric, MatchesFabricRouteOnEveryPair) {
+  // The fabric as a NextHop walks exactly the paths route() derives.
+  for (const std::uint32_t levels : {2U, 3U}) {
+    const MultiLevelFabric fabric(2, levels);
+    EXPECT_EQ(fabric.name(), "multilevel-thm3");
+    EXPECT_EQ(fabric.bytes(), 0U);
+    std::vector<std::uint32_t> walked;
+    for (std::uint32_t s = 0; s < fabric.port_count(); ++s) {
+      for (std::uint32_t d = 0; d < fabric.port_count(); ++d) {
+        if (s == d) continue;
+        routing::walk_path(fabric, s, d, walked);
+        EXPECT_EQ(walked, fabric.route({LeafId{s}, LeafId{d}}))
+            << "levels=" << levels << " " << s << "->" << d;
+      }
+    }
+  }
+}
+
+TEST(MultiLevelFabric, SelfPairHasNoRoute) {
+  const MultiLevelFabric fabric(2, 2);
+  EXPECT_EQ(fabric.next_channel_from(3, 3, 3), fault::kNoRoute);
 }
 
 }  // namespace

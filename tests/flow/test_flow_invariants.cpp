@@ -14,7 +14,6 @@
 #include "nbclos/flow/buffer_margin.hpp"
 #include "nbclos/flow/engine.hpp"
 #include "nbclos/routing/baselines.hpp"
-#include "nbclos/routing/kary_updown.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/shard_router.hpp"
@@ -201,10 +200,13 @@ TEST(PureNextHopFlow, MatchesRouteCacheOnKaryTree) {
   // what lets the scale bench drop the table entirely.
   const Network net = build_kary_ntree(3, 3);
   const auto terminals = static_cast<std::uint32_t>(net.terminals().size());
-  const KaryTreeRouter table_router(net, 3, 3);
-  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
-      net, [&](SDPair sd) { return table_router.route(sd); });
   const auto pure = std::make_shared<const sim::KaryDmodkRouter>(net, 3, 3);
+  const auto cache = std::make_shared<const routing::ChannelRouteCache>(
+      net, [&](SDPair sd) {
+        std::vector<std::uint32_t> path;
+        routing::walk_path(*pure, sd.src.value, sd.dst.value, path);
+        return path;
+      });
   EXPECT_EQ(pure->bytes(), 0U);
   const auto traffic = sim::TrafficPattern::permutation(
       shift_permutation(terminals, 4), terminals);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/core/multilevel.hpp"
 #include "nbclos/fault/degraded_view.hpp"
 #include "nbclos/flow/engine.hpp"
 #include "nbclos/flow/sharded.hpp"
@@ -246,6 +247,32 @@ TEST_F(FlowSharded, BitIdenticalUnderFaultSchedule) {
   // drop counter engaged (regression against a silently dead schedule).
   FlowSim probe(cache, traffic, config, &view, events);
   EXPECT_GT(probe.run().dropped_packets, 0U);
+}
+
+/// The §IV recursive fabric as its own NextHop: the flow engine's
+/// identity contract holds off the ftree and k-ary builders too, and the
+/// credit ledger closes after every cut.
+TEST_F(FlowSharded, BitIdenticalOnMultiLevelFabric) {
+  const auto fabric = std::make_shared<const MultiLevelFabric>(2, 3);
+  const std::uint32_t ports = fabric->port_count();  // 24
+  const auto pattern = sim::TrafficPattern::permutation(
+      shift_permutation(ports, 5), ports);
+  FlowConfig config;
+  config.injection_rate = 0.6;
+  config.packet_flits = 4;  // wormhole, credit backpressure
+  config.warmup_cycles = 200;
+  config.measure_cycles = 1000;
+  config.counter_injection = true;
+  FlowSim serial(fabric, pattern, config);
+  const FlowResult golden = serial.run();
+  EXPECT_EQ(golden.accepted_throughput, 0.601375);
+  EXPECT_EQ(golden.delivered_packets, 4262U);
+  (void)check_shard_counts(fabric, pattern, config, {1, 2, 3, 4, 8});
+  for (const std::uint32_t shards : {2u, 3u, 4u, 8u}) {
+    ShardedFlowSim sharded(fabric, pattern, config, shards);
+    (void)sharded.run();
+    EXPECT_TRUE(sharded.credit_conservation_holds()) << shards << " shards";
+  }
 }
 
 /// The flow benchmark's own margin probes: ftree(4+16, 32) (512

@@ -80,10 +80,7 @@ TEST(Integration, InfinibandForwardingSustainsAllToAllPhases) {
   // runs every all-to-all phase at full load in the simulator.
   const FoldedClos ft(FtreeParams{2, 4, 6});
   const InfinibandFabric ib(ft);
-  const auto net = build_network(ft);
-  const routing::ChannelRouteCache cache(
-      net, [&ib](SDPair sd) { return ib.forward_path(sd); });
-  sim::NextHopOracle oracle(cache);
+  sim::NextHopOracle oracle(ib);
   for (const auto& phase : ring_exchange_phases(ft.leaf_count())) {
     const auto traffic =
         sim::TrafficPattern::permutation(phase, ft.leaf_count());
@@ -91,7 +88,7 @@ TEST(Integration, InfinibandForwardingSustainsAllToAllPhases) {
     config.injection_rate = 1.0;
     config.warmup_cycles = 500;
     config.measure_cycles = 2500;
-    sim::PacketSim simulator(net, oracle, traffic, config);
+    sim::PacketSim simulator(ib.network(), oracle, traffic, config);
     EXPECT_GT(simulator.run().accepted_throughput, 0.97);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -33,12 +35,13 @@ TEST(Infiniband, LftForwardingReproducesYuanPathsExactly) {
   const FoldedClos ft(FtreeParams{3, 9, 8});
   const InfinibandFabric fabric(ft);
   const YuanNonblockingRouting routing(ft);
+  std::vector<std::uint32_t> lft_path;
   for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
     for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
       if (s == d) continue;
       const SDPair sd{LeafId{s}, LeafId{d}};
-      const auto lft_path = fabric.forward_path(sd);
-      ChannelPath expected;
+      routing::walk_path(fabric, s, d, lft_path);
+      std::vector<std::uint32_t> expected;
       for (const auto link : ft.links_of(routing.route(sd))) {
         expected.push_back(link.value);
       }
@@ -48,14 +51,22 @@ TEST(Infiniband, LftForwardingReproducesYuanPathsExactly) {
 }
 
 TEST(Infiniband, ForwardedPathsAreWellFormed) {
+  // The fabric's graph is build_network(ftree), and walk_path checks that
+  // every forwarded hop leaves the vertex the packet is at and that the
+  // walk ends at the destination: 2 hops within a switch, 4 across.
   const FoldedClos ft(FtreeParams{2, 4, 5});
   const InfinibandFabric fabric(ft);
   const auto net = build_network(ft);
+  EXPECT_EQ(fabric.network().vertex_count(), net.vertex_count());
+  EXPECT_EQ(fabric.network().channel_count(), net.channel_count());
+  EXPECT_EQ(fabric.name(), "infiniband-lft");
+  std::vector<std::uint32_t> path;
   for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
     for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
       if (s == d) continue;
-      const auto path = fabric.forward_path({LeafId{s}, LeafId{d}});
-      validate_channel_path(net, s, d, path);
+      routing::walk_path(fabric, s, d, path);
+      const bool local = ft.switch_of(LeafId{s}) == ft.switch_of(LeafId{d});
+      EXPECT_EQ(path.size(), local ? 2U : 4U) << s << "->" << d;
     }
   }
 }
@@ -86,6 +97,8 @@ TEST(Infiniband, LftCostAccounting) {
   const InfinibandFabric fabric(ft);
   // n LIDs per leaf: the LMC cost is a factor-n larger LFT.
   EXPECT_EQ(fabric.lft_entries_per_switch(), 80U * 4U);
+  // Every one of the r + m switches holds a full LFT of 32-bit entries.
+  EXPECT_EQ(fabric.bytes(), (20U + 16U) * 80U * 4U * 4U);
 }
 
 }  // namespace

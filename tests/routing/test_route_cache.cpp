@@ -196,6 +196,7 @@ TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {
   ASSERT_EQ(cache->terminal_count(), ft.leaf_count());
   EXPECT_EQ(cache->name(), "route-cache");
   const auto terminals = net.terminals();
+  std::vector<std::uint32_t> walked;
   for (std::uint32_t s = 0; s < cache->terminal_count(); ++s) {
     for (std::uint32_t d = 0; d < cache->terminal_count(); ++d) {
       const auto run = cache->channels(s, d);
@@ -207,13 +208,8 @@ TEST(ChannelRouteCache, NextHopWalksThePrecomputedRun) {
       EXPECT_EQ(std::vector<std::uint32_t>(run.begin(), run.end()), live);
       // Walking next_channel_from hop by hop reproduces the stored run
       // and ends at the destination terminal.
-      std::uint32_t at = terminals[s];
-      for (const auto expected : run) {
-        const auto c = cache->next_channel_from(at, terminals[s], terminals[d]);
-        EXPECT_EQ(c, expected);
-        at = net.channel_dst(c);
-      }
-      EXPECT_EQ(at, terminals[d]);
+      routing::walk_path(*cache, terminals[s], terminals[d], walked);
+      EXPECT_EQ(walked, live);
     }
   }
 }

@@ -183,18 +183,17 @@ TEST(ShardedSim, BitIdenticalUnderAFaultSchedule) {
 }
 
 TEST(ShardedSim, BitIdenticalToPacketSimOnMultiLevelFabric) {
-  // The recursive Theorem 3 fabric through the pure RecursiveShardRouter:
-  // the golden contract extends beyond the formulaic tree builders to
-  // the paper's §IV construction.
+  // The recursive Theorem 3 fabric as its own pure NextHop: the golden
+  // contract extends beyond the formulaic tree builders to the paper's
+  // §IV construction.
   const MultiLevelFabric fabric(2, 3);  // 24 ports
-  const RecursiveShardRouter router(fabric);
   const auto traffic = TrafficPattern::permutation(
       shift_permutation(fabric.port_count(), 5), fabric.port_count());
   const auto config = sharded_config(0.6);
-  const auto expect = reference_run(router, traffic, config);
+  const auto expect = reference_run(fabric, traffic, config);
   EXPECT_GT(expect.delivered_packets, 0U);
   for (const std::uint32_t shards : {1U, 2U, 3U, 4U, 8U}) {
-    ShardedSim sim(router, traffic, config, shards);
+    ShardedSim sim(fabric, traffic, config, shards);
     const auto got = sim.run();
     expect_identical(got, expect,
                      ("multilevel shards=" + std::to_string(shards)).c_str());
