@@ -6,7 +6,7 @@
 ///
 /// One JSON document on stdout (schema "flow_mt" in EXPERIMENTS.md).
 /// For each topology case the harness:
-///   * times serial `FlowSim` (counter injection) as the reference and
+///   * times serial `FlowSim` as the reference and
 ///     reports simulated cycles/sec;
 ///   * times `ShardedFlowSim` at 1, 2, 4, and 8 shards and compares
 ///     every FlowResult field against the serial run (bit-exact,
@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
     config.warmup_cycles = c.warmup;
     config.measure_cycles = c.measure;
     config.seed = manifest.seed;
-    config.counter_injection = true;
     const double total_cycles = static_cast<double>(c.warmup + c.measure);
 
     json.begin_object();
@@ -337,7 +336,6 @@ int main(int argc, char** argv) {
       config.warmup_cycles = 20;
       config.measure_cycles = 80;
       config.seed = manifest.seed;
-      config.counter_injection = true;
       const double total_cycles =
           static_cast<double>(config.warmup_cycles + config.measure_cycles);
 
@@ -450,7 +448,6 @@ int main(int argc, char** argv) {
     config.warmup_cycles = 200;
     config.measure_cycles = quick ? 800 : 4000;
     config.seed = manifest.seed;
-    config.counter_injection = true;
     config.record_timeseries = true;
     config.record_cadence = 32;
 

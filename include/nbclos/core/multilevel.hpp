@@ -58,14 +58,15 @@ class MultiLevelFabric final : public routing::NextHop {
     return recursive_design(n_, levels_);
   }
 
-  /// Channel path for an SD pair over leaf indices.  Fixed per SD pair
-  /// (single-path deterministic, the recursive Theorem 3 rule).
+  /// Channel path for an SD pair over leaf indices: the walk of
+  /// next_channel_from.  Fixed per SD pair (single-path deterministic,
+  /// the recursive Theorem 3 rule).
   [[nodiscard]] ChannelPath route(SDPair sd) const;
 
-  /// The route() channel leaving `vertex`: each hop re-derives the pair's
-  /// fixed path, in O(levels) digit recursion with no shared state, so
-  /// the fabric is safe from every shard worker.  fault::kNoRoute for a
-  /// self pair or a vertex off the pair's path.
+  /// The channel of the pair's path leaving `vertex`: a descent of the
+  /// block recursion in O(levels) steps that allocates nothing and
+  /// shares no state, so the fabric is safe from every shard worker.
+  /// fault::kNoRoute for a self pair or a vertex off the pair's path.
   [[nodiscard]] std::uint32_t next_channel_from(
       std::uint32_t vertex, std::uint32_t src,
       std::uint32_t dst) const override;
@@ -95,9 +96,6 @@ class MultiLevelFabric final : public routing::NextHop {
     /// The vertex an external port wires to.
     [[nodiscard]] std::uint32_t attach(std::uint32_t port,
                                        std::uint32_t n) const;
-    /// Append the block-internal channels of the in->out route.
-    void route_internal(std::uint32_t in_port, std::uint32_t out_port,
-                        std::uint32_t n, ChannelPath& out) const;
   };
 
   std::unique_ptr<Block> build_block(std::uint32_t level);

@@ -46,14 +46,10 @@ class FailureModel {
   /// b and top switch t.
   void fail_uplink_pair(const FoldedClos& ftree, BottomId b, TopId t,
                         std::uint64_t cycle = 0);
-  void recover_uplink_pair(const FoldedClos& ftree, BottomId b, TopId t,
-                           std::uint64_t cycle);
-  /// Fail / recover a whole top switch (its vertex; all r link pairs die
+  /// Fail a whole top switch (its vertex; all r link pairs die
   /// implicitly through endpoint liveness).
   void fail_top_switch(const FoldedClos& ftree, TopId t,
                        std::uint64_t cycle = 0);
-  void recover_top_switch(const FoldedClos& ftree, TopId t,
-                          std::uint64_t cycle);
 
   // --- seeded random injection -----------------------------------------
   /// Fail `count` distinct bottom<->top uplink pairs chosen by `seed`
@@ -62,9 +58,6 @@ class FailureModel {
   void inject_random_uplink_failures(const FoldedClos& ftree,
                                      std::uint32_t count, std::uint64_t seed,
                                      std::uint64_t cycle = 0);
-  /// Fail `count` distinct top switches chosen by `seed` (same nesting).
-  void inject_random_top_failures(const FoldedClos& ftree, std::uint32_t count,
-                                  std::uint64_t seed, std::uint64_t cycle = 0);
 
   /// The deterministic (bottom, top) order behind
   /// inject_random_uplink_failures — exposed so sweeps can grow failure

@@ -70,11 +70,12 @@ struct BufferMarginResult {
 
 /// Early-exit bisection over the same depth grid: find the margin with
 /// O(log N) probes instead of N, each probe a `flow::ShardedFlowSim` run
-/// at `shards` workers (counter injection — verdicts are bit-identical
-/// at any shard count).  Assumes sustainability is monotone in depth at
-/// fixed load — deeper FIFOs never lose throughput — which holds for
-/// the deterministic single-path routings this harness probes; when it
-/// holds, `min_flits_nonblocking` equals the full sweep's.  Returned
+/// at `shards` workers (a run is bit-identical at any shard count, so
+/// each probe equals the full sweep's at its depth).  Assumes
+/// sustainability is monotone in depth at fixed load — deeper FIFOs
+/// never lose throughput — which holds for the deterministic
+/// single-path routings this harness probes; when it holds,
+/// `min_flits_nonblocking` equals the full sweep's.  Returned
 /// `points` holds only the depths actually probed (ascending), so past
 /// radix 16 — where one probe is minutes, not seconds — the margin of a
 /// 12-point grid costs 4 probes.

@@ -53,15 +53,14 @@ struct FlowConfig {
   /// the run aborts cleanly with a diagnostic (FlowResult::deadlocked).
   /// 0 disables the watchdog.
   std::uint64_t watchdog_epoch = 1024;
-  /// Draw injection randomness from the counter-based discipline
-  /// (sim/injection_rng.hpp) instead of the sequential Xoshiro stream:
-  /// every (cycle, terminal) draw becomes a pure function of the seed,
-  /// which is what makes a run bit-identical at any shard count (two or
-  /// more shards force it on).  Also switches mean latency / mean stall to
-  /// exact integer accumulators (order-independent, shard-mergeable).
-  /// Off by default — the legacy stream is part of the recorded golden
-  /// results.
-  bool counter_injection = false;
+  /// Injection always draws from the counter-based discipline
+  /// (sim/injection_rng.hpp): every (cycle, terminal) draw is a pure
+  /// function of the seed, so a run is bit-identical at any shard count,
+  /// and mean latency / mean stall are exact integer sums over counts.
+  /// The field is kept only because `perfbench/nbbench.cpp` assigns it
+  /// (ROADMAP item 8 removes it with the next benchmark definition);
+  /// invalid_reason() rejects `false`.
+  bool counter_injection = true;
   /// Arm the obs::FlightRecorder: sample engine-level time series
   /// (buffer occupancy, stall counters, blocked heads) every
   /// record_cadence cycles into fixed-budget rings.  Off by default and
@@ -133,6 +132,10 @@ struct FlowConfig {
       return "injection rate must be in [0, 1] flits/cycle";
     }
     if (packet_flits < 1) return "packets need at least one flit";
+    if (!counter_injection) {
+      return "injection draws only from the counter-based stream: "
+             "counter_injection must be true";
+    }
     if (vcs < 1 || vcs > kMaxVcs) return "virtual channels must be in 1..32";
     if (buffer_flits < 1 || buffer_flits > kMaxBufferFlits) {
       return "switch buffers must hold 1..65536 flits";

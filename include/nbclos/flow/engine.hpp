@@ -30,10 +30,10 @@
 ///   * backpressure is credit-based (conservative counters, delayed
 ///     returns) or on/off (stop bit, 1-cycle signal delay) — see
 ///     credits.hpp for the occupancy-bound arguments;
-///   * terminal NIC send queues stay unbounded and, without
-///     `FlowConfig::counter_injection`, injection mirrors PacketSim's
-///     RNG call sequence exactly, which is what makes the cross-engine
-///     golden equivalence test possible (see
+///   * terminal NIC send queues stay unbounded, and injection draws
+///     from the counter-based stream PacketSim runs under
+///     `SimConfig::ideal_reference`, which is what makes the
+///     cross-engine golden equivalence test possible (see
 ///     FlowConfig::ideal_reference).
 ///
 /// FlowSim has no driver of its own: it is ShardedFlowSim (sharded.hpp)
@@ -61,8 +61,8 @@
 
 namespace nbclos::flow {
 
-/// The one-shard flow engine: same contract as ShardedFlowSim, plus the
-/// legacy injection stream when `config.counter_injection` is false.
+/// The one-shard flow engine: ShardedFlowSim at one shard, with the
+/// same results.
 class FlowSim : public ShardedFlowSim {
  public:
   FlowSim(std::shared_ptr<const routing::NextHop> routes,

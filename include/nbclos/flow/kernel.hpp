@@ -219,7 +219,6 @@ struct FlitKernel {
     const std::uint64_t duration = now - (sl.blocked_since_plus1 - 1);
     sl.blocked_since_plus1 = 0;
     --blocked_heads;
-    stall_stats.add(static_cast<double>(duration));
     stall_duration_sum += duration;
     ++stall_episode_count;
     stall_hist.add(duration);
@@ -473,7 +472,6 @@ struct FlitKernel {
       ++delivered_per_source[packet.src_terminal];
       if (tail && packet.injected_cycle >= config.warmup_cycles) {
         const std::uint64_t latency = now - packet.injected_cycle;
-        latency_stats.add(static_cast<double>(latency));
         latency_sum += latency;
         ++latency_count;
         latency_hist.add(latency);
@@ -701,8 +699,8 @@ struct FlitKernel {
   std::vector<std::uint64_t> link_busy;  ///< flits sent
   std::vector<Wire> wires;               ///< flits landing next cycle
 
-  // Statistics.  The integer ones merge exactly across shards; the
-  // Welford streams serve the one-shard legacy injection mode only.
+  // Statistics: integer sums and histograms, so they merge exactly
+  // across shards.
   std::uint32_t term_lo = 0;  ///< first terminal this arena injects at
   std::vector<std::uint64_t> flow_sequence;  ///< per injecting terminal
   /// Per cycle: packets injected, tails ejected — the live-packet peak
@@ -717,13 +715,11 @@ struct FlitKernel {
   std::vector<std::uint64_t> delivered_per_source;  ///< all terminals
   std::uint64_t latency_sum = 0;
   std::uint64_t latency_count = 0;
-  RunningStats latency_stats;
   QuantileHistogram latency_hist;
   std::uint64_t credit_stall_cycles = 0;
   std::uint64_t vc_stall_cycles = 0;
   std::uint64_t stall_duration_sum = 0;
   std::uint64_t stall_episode_count = 0;
-  RunningStats stall_stats;  ///< per-episode durations
   QuantileHistogram stall_hist;
   /// Stall-latency histogram handle, resolved once (the registry lookup
   /// never runs on the hot path).

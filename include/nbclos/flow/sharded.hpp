@@ -10,15 +10,16 @@
 /// engine is built:
 ///   * one shard — the arena holds the whole fabric and indexes it by
 ///     global id: no ShardPlan, no mailboxes, no barrier.  The arena is
-///     built at construction, so it can be probed before run().  Only
-///     here may `FlowConfig::counter_injection` be false: the legacy
-///     sequential injection stream with its Welford latency and stall
-///     means, which PacketSim's golden equivalence needs;
+///     built at construction, so it can be probed before run();
 ///   * S >= 2 shards — the level-sliced vertex partition
 ///     (`sim::ShardPlan`), SPSC mailboxes and the barrier
 ///     (`sim/shard_exchange.hpp`); each arena is indexed by its shard's
 ///     local ids and built on its worker thread (first touch).
-///     Injection always uses the counter-based RNG.
+///
+/// Injection draws from the counter-based RNG (sim/injection_rng.hpp),
+/// a pure function of (seed, cycle, terminal), and every mean is an
+/// exact integer sum over a count, so a FlowConfig gives the same run
+/// at any shard count.
 ///
 /// Under a cut the READER of channel c, shard_of(dst(c)), holds the read
 /// sides of c's buffers (kernel.hpp) and runs `transmit` on c; the

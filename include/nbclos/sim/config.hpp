@@ -44,7 +44,8 @@ struct SimConfig {
   /// packets and effectively-infinite queues, i.e. the regime the paper's
   /// Theorems 1-3 assume.  flow::FlowConfig::ideal_reference mirrors this
   /// factory, and the cross-engine golden tests require FlowSim to
-  /// reproduce PacketSim bit-identically under the pair.
+  /// reproduce PacketSim bit-identically under the pair — so it runs the
+  /// counter stream, the flow engine's only one.
   [[nodiscard]] static SimConfig ideal_reference(double injection_rate,
                                                  std::uint64_t seed) {
     SimConfig config;
@@ -52,6 +53,7 @@ struct SimConfig {
     config.packet_size = 1;
     config.queue_capacity = kEffectivelyInfiniteQueueCapacity;
     config.seed = seed;
+    config.counter_injection = true;
     return config;
   }
 

@@ -1,14 +1,16 @@
 /// \file injection_rng.hpp
-/// \brief Counter-based injection randomness shared by PacketSim (opt-in)
-///        and ShardedSim (always).
+/// \brief Counter-based injection randomness: the flow engine's only
+///        stream, ShardedSim's over a NextHop, and PacketSim's opt-in
+///        (`SimConfig::counter_injection`).
 ///
-/// The legacy injection process draws from one sequential Xoshiro256
-/// stream, so every terminal's draw depends on every earlier terminal's
-/// draw — correct, but inherently serial.  The counter discipline makes
-/// the randomness for (cycle, terminal) a pure function of
-/// (seed, cycle, terminal): a SplitMix64 generator is keyed by mixing the
-/// three values, the first draw decides the Bernoulli injection, and any
-/// further randomness the traffic pattern needs (uniform/hotspot
+/// PacketSim's legacy injection process draws from one sequential
+/// Xoshiro256 stream, so every terminal's draw depends on every earlier
+/// terminal's draw — correct, but inherently serial; the packet goldens
+/// still pin it.  The counter discipline makes the randomness for
+/// (cycle, terminal) a pure function of (seed, cycle, terminal): a
+/// SplitMix64 generator is keyed by mixing the three values, the first
+/// draw decides the Bernoulli injection, and any further randomness the
+/// traffic pattern needs (uniform/hotspot
 /// destinations) comes from a Xoshiro256 seeded by the second draw.  Any
 /// engine — single-threaded or sharded, at any shard count — reproduces
 /// the identical injection stream regardless of which worker evaluates

@@ -14,26 +14,6 @@ std::uint32_t MultiLevelFabric::Block::attach(std::uint32_t port,
   return bottom[port / n];
 }
 
-void MultiLevelFabric::Block::route_internal(std::uint32_t in_port,
-                                             std::uint32_t out_port,
-                                             std::uint32_t n,
-                                             ChannelPath& out) const {
-  NBCLOS_REQUIRE(in_port < ports && out_port < ports,
-                 "block port out of range");
-  if (level == 1) return;  // straight through the single switch
-  const std::uint32_t qin = in_port / n;
-  const std::uint32_t qout = out_port / n;
-  if (qin == qout) return;  // turns around at the shared bottom switch
-  // The Theorem 3 rule, applied at this level: sub-block (i, j) where i
-  // and j are the local port indices within the bottom switches.
-  const std::uint32_t i = in_port % n;
-  const std::uint32_t j = out_port % n;
-  const std::uint32_t t = i * n + j;
-  out.push_back(up[t][qin]);
-  subs[t]->route_internal(qin, qout, n, out);
-  out.push_back(down[t][qout]);
-}
-
 MultiLevelFabric::MultiLevelFabric(std::uint32_t n, std::uint32_t levels)
     : n_(n), levels_(levels) {
   NBCLOS_REQUIRE(n >= 2, "multi-level fabric needs n >= 2");
@@ -102,9 +82,7 @@ ChannelPath MultiLevelFabric::route(SDPair sd) const {
                  "leaf id out of range");
   NBCLOS_REQUIRE(sd.src != sd.dst, "self-loop SD pair");
   ChannelPath path;
-  path.push_back(leaf_up_[sd.src.value]);
-  root_->route_internal(sd.src.value, sd.dst.value, n_, path);
-  path.push_back(leaf_down_[sd.dst.value]);
+  routing::walk_path(*this, sd.src.value, sd.dst.value, path);
   return path;
 }
 
@@ -112,12 +90,31 @@ std::uint32_t MultiLevelFabric::next_channel_from(std::uint32_t vertex,
                                                   std::uint32_t src,
                                                   std::uint32_t dst) const {
   if (src == dst) return fault::kNoRoute;
-  // The Theorem 3 path is fixed per SD pair; every vertex appears on it
-  // at most once, so at most one path channel leaves `vertex`.
-  for (const auto c : route({LeafId{src}, LeafId{dst}})) {
-    if (net_.channel_src(c) == vertex) return c;
+  NBCLOS_REQUIRE(src < ports_ && dst < ports_, "leaf id out of range");
+  if (vertex == src) return leaf_up_[src];
+  // Descend the block recursion along the pair's path, carrying the
+  // ports it enters and leaves the current block by and the channel that
+  // leaves the block's exit switch.  Every vertex appears on the path at
+  // most once, so the first match is the answer.
+  const Block* block = root_.get();
+  std::uint32_t in_port = src;
+  std::uint32_t out_port = dst;
+  std::uint32_t exit = leaf_down_[dst];
+  while (block->level > 1) {
+    const std::uint32_t qin = in_port / n_;
+    const std::uint32_t qout = out_port / n_;
+    if (vertex == block->bottom[qout]) return exit;
+    if (qin == qout) return fault::kNoRoute;  // turned at the shared switch
+    // The Theorem 3 rule, applied at this level: sub-block (i, j) where i
+    // and j are the local port indices within the bottom switches.
+    const std::uint32_t t = (in_port % n_) * n_ + out_port % n_;
+    if (vertex == block->bottom[qin]) return block->up[t][qin];
+    exit = block->down[t][qout];
+    block = block->subs[t].get();
+    in_port = qin;
+    out_port = qout;
   }
-  return fault::kNoRoute;
+  return vertex == block->switch_vertex ? exit : fault::kNoRoute;
 }
 
 bool MultiLevelFabric::certify() const { return lemma1_audit(*this).empty(); }

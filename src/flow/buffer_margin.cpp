@@ -115,7 +115,6 @@ BufferMarginResult buffer_margin_bisect(
     flow::FlowConfig probe = config.base;
     probe.buffer_flits = point.buffer_flits;
     probe.injection_rate = config.probe_load;
-    probe.counter_injection = true;
     flow::ShardedFlowSim sim(routes, traffic, probe, shards);
     const auto run = sim.run();
     point.accepted_throughput = run.accepted_throughput;

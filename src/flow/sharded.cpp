@@ -11,7 +11,6 @@
 #include "nbclos/obs/trace.hpp"
 #include "nbclos/sim/shard_exchange.hpp"
 #include "nbclos/util/active_set.hpp"
-#include "nbclos/util/prng.hpp"
 #include "nbclos/util/stats.hpp"
 
 namespace nbclos::flow {
@@ -289,8 +288,7 @@ class Driver final : public detail::FlowDriver {
          const fault::DegradedView* degraded,
          std::vector<fault::FaultEvent> fault_events)
       : FlowDriver(std::move(routes), traffic, config, degraded,
-                   std::move(fault_events)),
-        legacy_rng_(config.seed) {
+                   std::move(fault_events)) {
     const detail::ChannelFacts& facts = *facts_;
     const std::uint32_t channels = net_->channel_count();
     if constexpr (!kCut) {
@@ -303,7 +301,6 @@ class Driver final : public detail::FlowDriver {
       sh.channels = channels;
       init_arena(sh);
     } else {
-      config_.counter_injection = true;  // the only stream a cut can split
       plan_ = sim::ShardPlan::build(*net_, shards);
       shard_count = plan_.shard_count;
       reader_of_.assign(channels, 0);
@@ -517,7 +514,7 @@ class Driver final : public detail::FlowDriver {
         return sh.channel_flits[li] != 0;
       });
       lap(kTransmissions);
-      inject(sh, now);
+      sh.inject_counter(*traffic_, packet_rate_, now);
       if (sh.onoff != nullptr) sh.latch(now);
       sh.depth_sum_by_cycle[now] = sh.pool->switch_flits_total();
       // End-of-cycle sample — all shards see want(now) identically (same
@@ -534,23 +531,6 @@ class Driver final : public detail::FlowDriver {
       if (timed) ++sh.timed_cycles;
       sh.cycles_run = now + 1;
       if (epoch_watchdog(sh, now)) break;
-    }
-  }
-
-  void inject(ShardT& sh, std::uint64_t now) {
-    if (config_.counter_injection) {
-      sh.inject_counter(*traffic_, packet_rate_, now);
-      return;
-    }
-    // One shard only.  Mirrors PacketSim::step_injection draw for draw (one
-    // bernoulli, then one destination draw, terminals ascending) — the
-    // shared RNG sequence is what makes the cross-engine golden
-    // equivalence exact.
-    for (std::uint32_t t = 0; t < terminal_count_; ++t) {
-      if (!legacy_rng_.bernoulli(packet_rate_)) continue;
-      const auto dst = traffic_->destination(t, legacy_rng_);
-      if (!dst.has_value()) continue;
-      sh.inject(t, *dst, now);
     }
   }
 
@@ -636,22 +616,14 @@ class Driver final : public detail::FlowDriver {
         static_cast<double>(delivered_measured) /
         (static_cast<double>(config_.measure_cycles) *
          static_cast<double>(terminal_count_));
-    // Counter mode reports the exact integer means (order-independent, so
-    // they merge across shards).  The legacy stream runs at one shard
-    // only and keeps its Welford means.
-    if (config_.counter_injection) {
-      result.mean_latency = latency_count > 0
-                                ? static_cast<double>(latency_sum) /
-                                      static_cast<double>(latency_count)
-                                : 0.0;
-      result.mean_stall_cycles =
-          stall_episodes > 0 ? static_cast<double>(stall_sum) /
-                                   static_cast<double>(stall_episodes)
-                             : 0.0;
-    } else {
-      result.mean_latency = shards_[0]->latency_stats.mean();
-      result.mean_stall_cycles = shards_[0]->stall_stats.mean();
-    }
+    result.mean_latency = latency_count > 0
+                              ? static_cast<double>(latency_sum) /
+                                    static_cast<double>(latency_count)
+                              : 0.0;
+    result.mean_stall_cycles =
+        stall_episodes > 0 ? static_cast<double>(stall_sum) /
+                                 static_cast<double>(stall_episodes)
+                           : 0.0;
 
     // Histogram merges (identical geometry across shards by construction).
     QuantileHistogram latency_hist = shards_[0]->latency_hist;
@@ -853,7 +825,6 @@ class Driver final : public detail::FlowDriver {
   }
 
   std::vector<std::unique_ptr<ShardT>> shards_;
-  Xoshiro256 legacy_rng_;  ///< one shard, legacy injection only
 
   // Cut only.
   sim::ShardPlan plan_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
@@ -108,19 +110,82 @@ TEST(MultiLevel, RouteRejectsBadPairs) {
                precondition_error);
 }
 
-TEST(MultiLevelFabric, MatchesFabricRouteOnEveryPair) {
-  // The fabric as a NextHop walks exactly the paths route() derives.
-  for (const std::uint32_t levels : {2U, 3U}) {
-    const MultiLevelFabric fabric(2, levels);
+/// Test-local reference of the recursive (i, j) rule, over vertex ids
+/// replayed from the construction order (terminals, then each block's
+/// sub-blocks before its own bottom switches).
+struct ReferenceBlock {
+  std::uint32_t level = 1;
+  std::uint32_t switch_vertex = 0;
+  std::vector<std::uint32_t> bottom;
+  std::vector<ReferenceBlock> subs;
+
+  ReferenceBlock(std::uint32_t n, std::uint32_t lvl, std::uint32_t& next)
+      : level(lvl) {
+    if (level == 1) {
+      switch_vertex = next++;
+      return;
+    }
+    for (std::uint32_t t = 0; t < n * n; ++t) {
+      subs.emplace_back(n, lvl - 1, next);
+    }
+    const std::uint32_t sub_ports = subs.front().ports(n);
+    for (std::uint32_t q = 0; q < sub_ports; ++q) bottom.push_back(next++);
+  }
+  [[nodiscard]] std::uint32_t ports(std::uint32_t n) const {
+    return level == 1 ? n * n + n : subs.front().ports(n) * n;
+  }
+  [[nodiscard]] std::uint32_t attach(std::uint32_t port,
+                                     std::uint32_t n) const {
+    return level == 1 ? switch_vertex : bottom[port / n];
+  }
+  /// Appends the vertices after attach(in) up to attach(out): climb into
+  /// sub-block i*n + j, cross it, come down to the exit bottom switch.
+  void walk(std::uint32_t in, std::uint32_t out, std::uint32_t n,
+            std::vector<std::uint32_t>& vertices) const {
+    if (level == 1 || in / n == out / n) return;
+    const ReferenceBlock& sub = subs[(in % n) * n + out % n];
+    vertices.push_back(sub.attach(in / n, n));
+    sub.walk(in / n, out / n, n, vertices);
+    vertices.push_back(bottom[out / n]);
+  }
+};
+
+TEST(MultiLevelFabric, WalksTheRecursiveRuleOnEveryPair) {
+  // Every walked path visits the vertices the (i, j) rule names, and a
+  // vertex off the path has no next hop.
+  for (const auto& [n, levels] :
+       std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+           {2, 2}, {3, 2}, {2, 3}}) {
+    const MultiLevelFabric fabric(n, levels);
     EXPECT_EQ(fabric.name(), "multilevel-thm3");
     EXPECT_EQ(fabric.bytes(), 0U);
+    const Network& net = fabric.network();
+    const std::uint32_t ports = fabric.port_count();
+    std::uint32_t next = ports;
+    const ReferenceBlock root(n, levels, next);
+    ASSERT_EQ(next, net.vertex_count());
     std::vector<std::uint32_t> walked;
-    for (std::uint32_t s = 0; s < fabric.port_count(); ++s) {
-      for (std::uint32_t d = 0; d < fabric.port_count(); ++d) {
+    for (std::uint32_t s = 0; s < ports; ++s) {
+      for (std::uint32_t d = 0; d < ports; ++d) {
         if (s == d) continue;
+        SCOPED_TRACE(std::to_string(n) + "," + std::to_string(levels) + " " +
+                     std::to_string(s) + "->" + std::to_string(d));
+        std::vector<std::uint32_t> expected = {s, root.attach(s, n)};
+        root.walk(s, d, n, expected);
+        expected.push_back(d);
         routing::walk_path(fabric, s, d, walked);
-        EXPECT_EQ(walked, fabric.route({LeafId{s}, LeafId{d}}))
-            << "levels=" << levels << " " << s << "->" << d;
+        ASSERT_EQ(walked.size() + 1, expected.size());
+        std::vector<bool> on_path(net.vertex_count(), false);
+        for (std::size_t h = 0; h < walked.size(); ++h) {
+          EXPECT_EQ(net.channel_src(walked[h]), expected[h]);
+          EXPECT_EQ(net.channel_dst(walked[h]), expected[h + 1]);
+          on_path[expected[h]] = true;
+        }
+        EXPECT_EQ(fabric.route({LeafId{s}, LeafId{d}}), walked);
+        for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {
+          if (on_path[v]) continue;
+          EXPECT_EQ(fabric.next_channel_from(v, s, d), fault::kNoRoute) << v;
+        }
       }
     }
   }

@@ -138,12 +138,11 @@ TEST_F(BufferMargin, SingleFlitPacketsNeedOnlyShallowBuffers) {
 }
 
 TEST_F(BufferMargin, BisectionMatchesTheFullSweepAtEveryShardCount) {
-  // Same grid, same probes modulo injection mode: with counter injection
-  // in the base config the serial sweep and the sharded bisection probe
-  // identical simulations, so the margin must agree — and the bisection
-  // must get there in O(log N) probes at every shard count.
+  // Same grid, same probes: a run does not depend on the shard count, so
+  // the serial sweep and the sharded bisection probe identical
+  // simulations and the margin must agree — and the bisection must get
+  // there in O(log N) probes at every shard count.
   BufferMarginConfig config = margin_config();
-  config.base.counter_injection = true;
   const auto sweep = buffer_margin_sweep(cache, traffic, config);
   ASSERT_GT(sweep.min_flits_nonblocking, 0U);
   for (const std::uint32_t shards : {1U, 2U, 4U}) {

@@ -132,8 +132,7 @@ TEST(FlowDeadlock, DeadlockedRunStillSatisfiesCreditConservation) {
 
 TEST(FlowDeadlock, CycleCounterIncludesTheTripCycle) {
   // The run executes cycles 0..deadlock_cycle, so flow.cycles counts
-  // deadlock_cycle + 1 of them, at one shard (the legacy stream) and
-  // under a cut (the counter stream) alike.
+  // deadlock_cycle + 1 of them, at one shard and under a cut alike.
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   RingFabric fab;
   const auto traffic =

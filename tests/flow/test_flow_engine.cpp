@@ -106,6 +106,17 @@ TEST_F(FlowEngine, RejectsBufferDepthOutsideItsRange) {
   EXPECT_NO_THROW(FlowSim(cache, traffic, config));
 }
 
+TEST_F(FlowEngine, RejectsTheSequentialInjectionStream) {
+  FlowConfig config = short_config();
+  EXPECT_TRUE(config.counter_injection);
+  config.counter_injection = false;
+  EXPECT_NE(config.invalid_reason(), nullptr);
+  EXPECT_THROW(config.validate(), precondition_error);
+  EXPECT_THROW(FlowSim(cache, traffic, config), precondition_error);
+  EXPECT_THROW(flow::ShardedFlowSim(cache, traffic, config, 2),
+               precondition_error);
+}
+
 TEST_F(FlowEngine, VirtualCutThroughNeedsWholePacketBuffers) {
   FlowConfig config = short_config();
   config.switching = Switching::kVirtualCutThrough;

@@ -162,6 +162,8 @@ TEST_F(GoldenFlow, IdealReferenceFactoriesStayInSync) {
   EXPECT_EQ(fc.buffer_flits, FlowConfig::kEffectivelyInfiniteBufferFlits);
   EXPECT_EQ(sc.injection_rate, fc.injection_rate);
   EXPECT_EQ(sc.seed, fc.seed);
+  EXPECT_TRUE(sc.counter_injection);
+  EXPECT_TRUE(fc.counter_injection);
 }
 
 }  // namespace

@@ -190,7 +190,6 @@ FlowConfig pure_config() {
   config.warmup_cycles = 200;
   config.measure_cycles = 800;
   config.seed = 7;
-  config.counter_injection = true;
   return config;
 }
 

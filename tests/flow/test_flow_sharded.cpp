@@ -1,6 +1,6 @@
 /// \file test_flow_sharded.cpp
 /// \brief ShardedFlowSim determinism: bit-identical FlowResults against
-///        serial FlowSim (counter injection) at 1/2/3/4/8 shards — for
+///        serial FlowSim at 1/2/3/4/8 shards — for
 ///        wormhole and virtual cut-through, credit and on/off
 ///        backpressure, under mid-run fault schedules, and through a
 ///        genuine cross-shard deadlock where the watchdog verdict must
@@ -86,7 +86,6 @@ class FlowSharded : public ::testing::Test {
     config.measure_cycles = 1700;
     config.watchdog_epoch = 256;
     config.seed = 20260809;
-    config.counter_injection = true;
     return config;
   }
 
@@ -131,6 +130,12 @@ class FlowSharded : public ::testing::Test {
 
 TEST_F(FlowSharded, BitIdenticalWormholeCredit) {
   check_all_shard_counts(base_config());
+}
+
+TEST_F(FlowSharded, DefaultConfigIsBitIdenticalAtAnyShardCount) {
+  // No field set: the one injection stream runs at one shard and under
+  // a cut alike, so the same FlowConfig simulates the same packets.
+  (void)check_shard_counts(cache, traffic, FlowConfig{}, {2, 4});
 }
 
 TEST_F(FlowSharded, BitIdenticalWormholeOnOff) {
@@ -262,7 +267,6 @@ TEST_F(FlowSharded, BitIdenticalOnMultiLevelFabric) {
   config.packet_flits = 4;  // wormhole, credit backpressure
   config.warmup_cycles = 200;
   config.measure_cycles = 1000;
-  config.counter_injection = true;
   FlowSim serial(fabric, pattern, config);
   const FlowResult golden = serial.run();
   EXPECT_EQ(golden.accepted_throughput, 0.601375);
@@ -317,7 +321,6 @@ TEST_F(FlowSharded, BitIdenticalOnBenchmarkMarginProbes) {
     config.warmup_cycles = 100;
     config.measure_cycles = 400;
     config.seed = 1;
-    config.counter_injection = true;
     EXPECT_EQ(check_shard_counts(probe_cache, pattern, config, {1, 2, 3}),
               probe.cross_credits);
   }
@@ -380,7 +383,6 @@ FlowConfig wedge_config() {
   config.measure_cycles = 1800;
   config.watchdog_epoch = 128;
   config.seed = 99;
-  config.counter_injection = true;
   return config;
 }
 

@@ -417,9 +417,6 @@ flow::FlowConfig flow_config(const Args& args) {
     config.switching = flow::Switching::kVirtualCutThrough;
   }
   if (args["--onoff"].set) config.backpressure = flow::Backpressure::kOnOff;
-  // The sharded engine's only mode; the serial run uses it too, so the
-  // output does not depend on --shards.
-  config.counter_injection = true;
   return config;
 }
 
