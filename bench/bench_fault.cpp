@@ -11,6 +11,11 @@
 /// seeded, so output is byte-identical at any thread count.  Emits a
 /// single JSON document on stdout so downstream tooling can diff
 /// degraded-vs-pristine throughput across levels.
+///
+/// It is a check too, and exits 1 unless its claim holds: the pristine
+/// run neither reroutes nor drops and accepts >= 95% of the offered load,
+/// every faulted level reroutes and drops nothing, and with up to 32
+/// failed pairs throughput stays within 1% of pristine.
 #include <chrono>
 #include <iostream>
 #include <vector>
@@ -58,6 +63,24 @@ int main() {
           .count();
 
   const double pristine = results.front().sim.accepted_throughput;
+  const auto vs_pristine = [&](const auto& level) {
+    return pristine > 0.0 ? level.sim.accepted_throughput / pristine : 0.0;
+  };
+  bool claim_holds = true;
+  for (const auto& level : results) {
+    const bool pristine_level = level.failures == 0;
+    const bool holds =
+        level.sim.dropped_packets == 0 &&
+        (pristine_level
+             ? level.reroutes == 0 && !level.sim.saturated()
+             : level.reroutes > 0 &&
+                   (level.failures > 32 || vs_pristine(level) >= 0.99));
+    if (!holds) {
+      std::cerr << "bench_fault: claim fails at " << level.failures
+                << " failed uplink pairs\n";
+    }
+    claim_holds = claim_holds && holds;
+  }
   nbclos::JsonWriter json(std::cout);
   json.begin_object();
   json.member("experiment", "fault_degradation");
@@ -75,18 +98,17 @@ int main() {
     json.begin_object();
     json.member("failed_uplink_pairs", level.failures);
     json.member("accepted_throughput", level.sim.accepted_throughput);
-    json.member("throughput_vs_pristine",
-                pristine > 0.0 ? level.sim.accepted_throughput / pristine
-                               : 0.0);
+    json.member("throughput_vs_pristine", vs_pristine(level));
     json.member("mean_latency", level.sim.mean_latency);
     json.member("dropped_packets", level.sim.dropped_packets);
     json.member("reroutes", level.reroutes);
     json.end_object();
   }
   json.end_array();
+  json.member("claim_holds", claim_holds);
   json.key("manifest");
   manifest.write_json(json);
   json.end_object();
   std::cout << "\n";
-  return 0;
+  return claim_holds ? 0 : 1;
 }

@@ -29,21 +29,24 @@
 namespace nbclos::fault {
 
 /// Liveness queries phrased in ftree coordinates, for Networks produced by
-/// build_network() (channel id == LinkId value; vertex numbering per
-/// FtreeNetworkMap).  All queries are O(1).
+/// build_network() (channel id == LinkId value).  All queries are O(1).
+/// Header-only, like DegradedView, so that sim::FtreeOracle can route
+/// around faults without linking the fault library.
 class FtreeLiveness {
  public:
-  FtreeLiveness(const FoldedClos& ftree, const DegradedView& view);
+  FtreeLiveness(const FoldedClos& ftree, const DegradedView& view)
+      : ftree_(&ftree), view_(&view) {
+    NBCLOS_REQUIRE(
+        view.network().channel_count() == ftree.link_count() &&
+            view.network().vertex_count() ==
+                ftree.leaf_count() + ftree.switch_count(),
+        "view's network does not match this ftree (must come from "
+        "build_network)");
+  }
 
   [[nodiscard]] const FoldedClos& ftree() const noexcept { return *ftree_; }
   [[nodiscard]] const DegradedView& view() const noexcept { return *view_; }
 
-  [[nodiscard]] bool top_alive(TopId t) const {
-    return view_->vertex_alive(map_.top(t));
-  }
-  [[nodiscard]] bool bottom_alive(BottomId b) const {
-    return view_->vertex_alive(map_.bottom(b));
-  }
   [[nodiscard]] bool up_alive(BottomId b, TopId t) const {
     return view_->channel_alive(ftree_->up_link(b, t).value);
   }
@@ -66,7 +69,6 @@ class FtreeLiveness {
  private:
   const FoldedClos* ftree_;
   const DegradedView* view_;
-  FtreeNetworkMap map_;
 };
 
 class DegradedYuanRouting final : public SinglePathRouting {

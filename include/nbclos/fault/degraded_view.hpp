@@ -11,8 +11,9 @@
 ///
 /// This header is intentionally header-only: the simulator engine consults
 /// the view each cycle, and keeping it inline avoids a link-level cycle
-/// between the sim library (which applies FaultEvents) and the fault
-/// library (whose oracles are built on the sim's RoutingOracle interface).
+/// between the sim library (which applies FaultEvents and whose
+/// FtreeOracle routes around them) and the fault library (whose sweeps
+/// run the sim).
 #pragma once
 
 #include <cstdint>

@@ -81,9 +81,26 @@ inline void walk_path(const NextHop& routes, std::uint32_t src,
   }
 }
 
+/// The one hop rule of `build_network(ftree)`: a terminal takes its leaf
+/// uplink, a top switch descends to `dst`'s bottom switch, and a bottom
+/// switch delivers locally when it holds `dst`.  Those hops are forced;
+/// only a cross-switch hop out of bottom switch `here` is a choice, and
+/// it is `climb(here)`'s channel.
+template <class Climb>
+[[nodiscard]] inline std::uint32_t ftree_next_channel(
+    const FoldedClos& ft, const FtreeNetworkMap& map, std::uint32_t vertex,
+    LeafId dst, Climb&& climb) {
+  if (map.is_terminal(vertex)) return ft.leaf_up_link(LeafId{vertex}).value;
+  if (map.is_top(vertex)) {
+    return ft.down_link(map.top_of(vertex), ft.switch_of(dst)).value;
+  }
+  const BottomId here = map.bottom_of(vertex);
+  if (ft.switch_of(dst) == here) return ft.leaf_down_link(dst).value;
+  return climb(here);
+}
+
 /// A single-path ftree routing as a next hop, in O(1) per hop with no
-/// table: a terminal takes its leaf uplink, a top switch descends, and a
-/// bottom switch delivers locally or climbs to `routing.top_for(sd)`.
+/// table: `ftree_next_channel` climbing to `routing.top_for(sd)`.
 /// Shares ownership of the routing; `net` and the routing's ftree must
 /// outlive the adapter.
 class TopChoiceNextHop final : public NextHop {
@@ -111,13 +128,9 @@ class TopChoiceNextHop final : public NextHop {
       std::uint32_t dst) const override {
     const FoldedClos& ft = routing_->ftree();
     const LeafId leaf{dst};
-    if (map_.is_terminal(vertex)) return ft.leaf_up_link(LeafId{vertex}).value;
-    if (map_.is_top(vertex)) {
-      return ft.down_link(map_.top_of(vertex), ft.switch_of(leaf)).value;
-    }
-    const BottomId here = map_.bottom_of(vertex);
-    if (ft.switch_of(leaf) == here) return ft.leaf_down_link(leaf).value;
-    return ft.up_link(here, routing_->top_for({LeafId{src}, leaf})).value;
+    return ftree_next_channel(ft, map_, vertex, leaf, [&](BottomId here) {
+      return ft.up_link(here, routing_->top_for({LeafId{src}, leaf})).value;
+    });
   }
   [[nodiscard]] std::size_t bytes() const override { return 0; }
   [[nodiscard]] std::string name() const override { return routing_->name(); }

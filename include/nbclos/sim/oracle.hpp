@@ -5,16 +5,19 @@
 /// channel next?"  Oracles only see the SimView (local queue occupancy),
 /// which is exactly the information a distributed switch has; this is how
 /// the simulator stays faithful to the paper's "computer communication
-/// environment".  `FtreeOracle` and `fault::FaultTolerantOracle` keep the
-/// policies that need such state (random and least-queue uplinks, fault
-/// rerouting); a pure routing is a `routing::NextHop` (next_hop.hpp),
-/// which `NextHopOracle` runs here unchanged.
+/// environment".  `FtreeOracle` keeps the policies that need such state
+/// (random and least-queue uplinks, and with a `fault::DegradedView`,
+/// rerouting around dead links); a pure routing is a `routing::NextHop`
+/// (next_hop.hpp), which `NextHopOracle` runs here unchanged.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "nbclos/fault/degraded_routing.hpp"
 #include "nbclos/routing/next_hop.hpp"
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/sim/packet.hpp"
@@ -57,18 +60,32 @@ enum class UplinkPolicy : std::uint8_t {
   kTable,       ///< per-SD fixed top switch from a SinglePathRouting
   kRandom,      ///< uniform random top switch per packet (oblivious)
   kLeastQueue,  ///< top switch whose uplink queue is shortest (local adaptive)
-  kDModK,       ///< dst leaf id mod m (computed on the fly, no table)
+  kDModK,       ///< d-mod-k: routing::DModKRouting's top, dst leaf mod m
 };
 
 /// Oracle for ftree(n+m, r) networks built with build_network(): decides
-/// up at the bottom switch (policy-dependent), down is forced.
+/// up at the bottom switch (policy-dependent), down is forced
+/// (routing::ftree_next_channel).
+///
+/// Given a `fault::DegradedView`, the oracle routes the degraded fabric:
+/// the uplink policy picks among the top switches that can still reach
+/// the destination's bottom switch.  A fixed assignment (kTable, kDModK)
+/// that names an unusable top falls back to the least-loaded live one and
+/// counts a reroute.  With no live route, or a dead forced hop (a link can die
+/// while a packet is in flight), it returns `fault::kNoRoute` and the
+/// engine drops the packet.  Decisions stay local in the paper's
+/// distributed-control sense: which links are dead is the link state a
+/// routing protocol floods, never traffic state.
 class FtreeOracle final : public RoutingOracle {
  public:
   /// \param routing required iff policy == kTable (not owned; must
   ///        outlive): its top_for is the uplink of every cross pair.
+  /// \param view    when given (not owned; must outlive, and cover
+  ///        build_network(ftree)), the liveness the oracle routes around.
   FtreeOracle(const FoldedClos& ftree, UplinkPolicy policy,
               const SinglePathRouting* routing = nullptr,
-              std::uint64_t seed = 7);
+              std::uint64_t seed = 7,
+              const fault::DegradedView* view = nullptr);
   ~FtreeOracle() override;
 
   [[nodiscard]] std::string name() const override;
@@ -76,21 +93,33 @@ class FtreeOracle final : public RoutingOracle {
                                            std::uint32_t vertex,
                                            const Packet& packet) override;
 
-  /// Cross-switch uplink choices made so far (the policy-dependent
-  /// decisions; injections, descents, and local delivery are forced).
-  [[nodiscard]] std::uint64_t uplink_decisions() const noexcept {
-    return uplink_decisions_;
+  /// Times a packet found its fixed top switch unreachable and was
+  /// steered to a live one (0 without a DegradedView).
+  [[nodiscard]] std::uint64_t reroute_count() const noexcept {
+    return reroutes_;
+  }
+  /// Times no live route existed and kNoRoute was returned.
+  [[nodiscard]] std::uint64_t no_route_count() const noexcept {
+    return no_routes_;
   }
 
  private:
+  [[nodiscard]] std::uint32_t pick_uplink(const SimView& view,
+                                          BottomId here, SDPair sd);
+
   const FoldedClos* ftree_;
   FtreeNetworkMap map_;
   UplinkPolicy policy_;
-  const SinglePathRouting* routing_;
+  std::unique_ptr<const SinglePathRouting> dmodk_;  ///< owned for kDModK
+  const SinglePathRouting* routing_;  ///< kTable's or dmodk_; else null
   Xoshiro256 rng_;
+  std::optional<fault::FtreeLiveness> liveness_;  ///< set iff given a view
+  std::vector<std::uint32_t> candidates_;  ///< live tops; scratch
   // Accumulated locally (one plain increment on the hot path) and flushed
   // to the obs registry once, on destruction.
   std::uint64_t uplink_decisions_ = 0;
+  std::uint64_t reroutes_ = 0;
+  std::uint64_t no_routes_ = 0;
 };
 
 /// Runs any pure `routing::NextHop` — a `ChannelRouteCache` or an O(1)

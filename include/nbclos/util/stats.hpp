@@ -1,7 +1,8 @@
 /// \file stats.hpp
 /// \brief Streaming statistics used by the experiment harnesses:
 ///        Welford running moments, min/max tracking, normal-approximation
-///        confidence intervals, and a fixed-bin histogram.
+///        confidence intervals, a bounded-memory quantile histogram,
+///        per-source fairness extremes, and a power-law fit.
 #pragma once
 
 #include <algorithm>
@@ -39,32 +40,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); samples outside the range land in
-/// saturating edge bins.  Used for latency distributions in the simulator.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Value below which the given fraction of samples fall (linear
-  /// interpolation within the containing bin).  \pre 0 <= q <= 1.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Streaming quantile estimator for non-negative integer-valued samples
 /// (e.g. packet latencies in cycles) with a bounded value range known up
 /// front.  Memory is O(min(max_value, max_bins)) regardless of sample
@@ -99,9 +74,6 @@ class QuantileHistogram {
 
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t bucket_width() const noexcept { return width_; }
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return counts_.size();
-  }
 
   /// Lower edge of the bucket holding rank floor(q * (count - 1));
   /// 0 when empty.  \pre 0 <= q <= 1.

@@ -10,10 +10,8 @@
 /// then independent of scheduling order.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -55,20 +53,9 @@ class ThreadPool {
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
-  /// Workers currently executing a task (observability; racy by nature).
-  [[nodiscard]] std::size_t active_count() const noexcept {
-    return active_.load(std::memory_order_relaxed);
-  }
-  /// Tasks completed over the pool's lifetime.
-  [[nodiscard]] std::uint64_t tasks_executed() const noexcept {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-
  private:
   void worker_loop();
 
-  std::atomic<std::size_t> active_{0};
-  std::atomic<std::uint64_t> tasks_executed_{0};
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;

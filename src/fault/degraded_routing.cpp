@@ -4,16 +4,6 @@
 
 namespace nbclos::fault {
 
-FtreeLiveness::FtreeLiveness(const FoldedClos& ftree, const DegradedView& view)
-    : ftree_(&ftree), view_(&view), map_{ftree.params()} {
-  NBCLOS_REQUIRE(
-      view.network().channel_count() == ftree.link_count() &&
-          view.network().vertex_count() ==
-              ftree.leaf_count() + ftree.switch_count(),
-      "view's network does not match this ftree (must come from "
-      "build_network)");
-}
-
 DegradedYuanRouting::DegradedYuanRouting(const FoldedClos& ftree,
                                          const DegradedView& view)
     : SinglePathRouting(ftree), liveness_(ftree, view) {

@@ -6,7 +6,6 @@
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/fault/degraded_routing.hpp"
 #include "nbclos/fault/failure_model.hpp"
-#include "nbclos/fault/fault_oracle.hpp"
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/obs/trace.hpp"
 #include "nbclos/routing/route_cache.hpp"
@@ -182,8 +181,8 @@ std::vector<FaultThroughputLevel> run_fault_throughput_sweep(
     fault::FailureModel model(net);
     model.inject_random_uplink_failures(ftree, levels[i], fault_seed);
     model.apply_static(view);
-    fault::FaultTolerantOracle oracle(ftree, view, sim::UplinkPolicy::kTable,
-                                      &routing);
+    sim::FtreeOracle oracle(ftree, sim::UplinkPolicy::kTable, &routing, 7,
+                            &view);
     sim::PacketSim simulation(net, oracle, traffic, sim_config, &view);
     auto& level = results[i];
     level.failures = levels[i];

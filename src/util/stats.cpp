@@ -50,49 +50,6 @@ double RunningStats::ci95_half_width() const noexcept {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  NBCLOS_REQUIRE(hi > lo, "histogram range must be non-empty");
-  NBCLOS_REQUIRE(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-  std::size_t idx = 0;
-  if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else if (x > lo_) {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  NBCLOS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cumulative + c >= target) {
-      const double frac = c > 0.0 ? (target - cumulative) / c : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cumulative += c;
-  }
-  return hi_;
-}
-
 QuantileHistogram::QuantileHistogram(std::uint64_t max_value,
                                      std::size_t max_bins)
     : width_(max_value / max_bins + 1),

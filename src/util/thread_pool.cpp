@@ -1,6 +1,7 @@
 #include "nbclos/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "nbclos/obs/metrics.hpp"
 #include "nbclos/util/check.hpp"
@@ -97,13 +98,10 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    active_.fetch_add(1, std::memory_order_relaxed);
     occupancy.add(1);
     task();
-    active_.fetch_sub(1, std::memory_order_relaxed);
     occupancy.add(-1);
     executed.add(1);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     {
       const std::scoped_lock lock(mutex_);
       --in_flight_;

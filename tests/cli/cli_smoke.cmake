@@ -1,7 +1,8 @@
 # CLI smoke test: `nbclos flow-sim` must print the same JSON result with
 # no --shards, --shards 1 and --shards 2, and `nbclos sim` the same
 # routing, accepted-throughput and mean-latency lines with and without
-# --shards 2.  A bad flow configuration, a routing the sharded engine
+# --shards 2; `nbclos saturation` the same saturation load on 1 and 2
+# threads.  A bad flow configuration, a routing the sharded engine
 # cannot run, and malformed or out-of-range `nbclos verify` arguments must
 # be usage errors (exit 2) whose message names no source file; so must a
 # malformed number or an oversized ftree on any other command, with a
@@ -68,6 +69,29 @@ endif()
 if(NOT serial MATCHES ", thm3, ")
   message(FATAL_ERROR "sim does not print the requested routing:\n${serial}")
 endif()
+
+# `nbclos saturation` prints the same saturation load on 1 and 2 threads
+# (only the thread count in its closing parenthesis may differ).
+set(reference "")
+foreach(threads IN ITEMS 1 2)
+  execute_process(COMMAND ${NBCLOS} saturation 2 4 dmodk 1 ${threads}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "nbclos saturation 2 4 dmodk 1 ${threads} exited "
+                        "${rc}: ${err}")
+  endif()
+  string(REGEX MATCH "saturation load:[^\n]*" line "${out}")
+  string(REGEX REPLACE "[0-9]+ threads" "N threads" line "${line}")
+  if(line STREQUAL "")
+    message(FATAL_ERROR "unexpected nbclos saturation output:\n${out}")
+  endif()
+  if(reference STREQUAL "")
+    set(reference "${line}")
+  elseif(NOT line STREQUAL reference)
+    message(FATAL_ERROR "saturation changed with ${threads} threads:\n"
+                        "${line}\non 1 thread:\n${reference}")
+  endif()
+endforeach()
 
 # Routings an engine cannot run, and verify arguments that are not
 # numbers, lack a value, describe no ftree, break the Theorem 3 condition

@@ -1,5 +1,3 @@
-#include "nbclos/fault/fault_oracle.hpp"
-
 #include <gtest/gtest.h>
 
 #include "nbclos/analysis/contention.hpp"
@@ -7,6 +5,8 @@
 #include "nbclos/fault/degraded_routing.hpp"
 #include "nbclos/fault/failure_model.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
+#include "nbclos/sim/engine.hpp"
+#include "nbclos/sim/oracle.hpp"
 
 namespace nbclos::fault {
 namespace {
@@ -98,12 +98,12 @@ TEST(DegradedYuanRouting, ReportsUnroutablePairs) {
   EXPECT_TRUE(routing.try_route(local).has_value());
 }
 
-TEST(FaultTolerantOracle, AvoidsDeadUplinkAtBottomSwitch) {
+TEST(FaultedFtreeOracle, AvoidsDeadUplinkAtBottomSwitch) {
   const auto ft = nonblocking_ftree();
   const auto net = build_network(ft);
   DegradedView view(net);
   const YuanNonblockingRouting yuan(ft);
-  FaultTolerantOracle oracle(ft, view, sim::UplinkPolicy::kTable, &yuan);
+  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kTable, &yuan, 7, &view);
 
   const std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const sim::SimView sim_view(net, depths);
@@ -133,14 +133,51 @@ TEST(FaultTolerantOracle, AvoidsDeadUplinkAtBottomSwitch) {
   EXPECT_EQ(oracle.reroute_count(), 1U);
 }
 
-TEST(FaultTolerantOracle, ReturnsNoRouteWhenIsolated) {
+TEST(FaultedFtreeOracle, DModKFallsBackToLeastQueueLiveTop) {
+  const auto ft = nonblocking_ftree();
+  const auto net = build_network(ft);
+  DegradedView view(net);
+  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kDModK, nullptr, 7, &view);
+  EXPECT_EQ(oracle.name(), "ftree-fault-dmodk");
+
+  // Leaf 0 (switch 0) -> leaf 6 (switch 3): d-mod-k prefers top 6 mod 4.
+  sim::Packet packet;
+  packet.src_terminal = 0;
+  packet.dst_terminal = ft.n() * 3;
+  const TopId preferred{packet.dst_terminal % ft.m()};
+  const FtreeNetworkMap map{ft.params()};
+  const auto bottom = map.bottom(BottomId{0});
+  const auto uplink = [&](std::uint32_t t) {
+    return ft.up_link(BottomId{0}, TopId{t}).value;
+  };
+  std::vector<std::uint32_t> depths(net.channel_count(), 0);
+  depths[uplink(0)] = 5;
+  depths[uplink(1)] = 1;
+  depths[uplink(3)] = 4;
+  const sim::SimView sim_view(net, depths);
+  EXPECT_EQ(oracle.next_channel(sim_view, bottom, packet),
+            uplink(preferred.value));
+  EXPECT_EQ(oracle.reroute_count(), 0U);
+
+  // With the preferred uplink dead, the live top with the shortest uplink
+  // queue (top 1, not the next one in scan order) takes the packet, and
+  // that top still reaches bottom switch 3.
+  view.fail_channel(uplink(preferred.value));
+  EXPECT_EQ(oracle.next_channel(sim_view, bottom, packet), uplink(1));
+  EXPECT_TRUE(view.channel_alive(ft.down_link(TopId{1}, BottomId{3}).value));
+  EXPECT_EQ(oracle.reroute_count(), 1U);
+  EXPECT_EQ(oracle.no_route_count(), 0U);
+}
+
+TEST(FaultedFtreeOracle, ReturnsNoRouteWhenIsolated) {
   const auto ft = nonblocking_ftree();
   const auto net = build_network(ft);
   DegradedView view(net);
   for (std::uint32_t t = 0; t < ft.m(); ++t) {
     view.fail_channel(ft.up_link(BottomId{0}, TopId{t}).value);
   }
-  FaultTolerantOracle oracle(ft, view, sim::UplinkPolicy::kLeastQueue);
+  sim::FtreeOracle oracle(ft, sim::UplinkPolicy::kLeastQueue, nullptr, 7,
+                          &view);
   const std::vector<std::uint32_t> depths(net.channel_count(), 0);
   const sim::SimView sim_view(net, depths);
   const FtreeNetworkMap map{ft.params()};
@@ -152,27 +189,76 @@ TEST(FaultTolerantOracle, ReturnsNoRouteWhenIsolated) {
   EXPECT_EQ(oracle.no_route_count(), 1U);
 }
 
-TEST(FaultTolerantOracle, PristineTablePolicyMatchesPlainOracle) {
+// On an all-live fabric the view changes nothing: every policy takes the
+// plain oracle's hop at every vertex (random draws in step, least-queue
+// over uneven queues) and one PacketSim run reports the same result.
+TEST(FaultedFtreeOracle, PristineViewMatchesPlainOracleForEveryPolicy) {
   const auto ft = nonblocking_ftree();
   const auto net = build_network(ft);
   const DegradedView view(net);
   const YuanNonblockingRouting yuan(ft);
-  FaultTolerantOracle fault_oracle(ft, view, sim::UplinkPolicy::kTable,
-                                   &yuan);
-  sim::FtreeOracle plain(ft, sim::UplinkPolicy::kTable, &yuan);
-  const std::vector<std::uint32_t> depths(net.channel_count(), 0);
+  Xoshiro256 depth_rng(19);
+  std::vector<std::uint32_t> depths(net.channel_count());
+  for (auto& depth : depths) {
+    depth = static_cast<std::uint32_t>(depth_rng.below(4));
+  }
   const sim::SimView sim_view(net, depths);
-  for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {
-    sim::Packet packet;
-    packet.src_terminal = 0;
-    packet.dst_terminal = ft.n() * 3 + 1;
-    if (net.vertex(v).kind == VertexKind::kTerminal &&
-        v != packet.src_terminal) {
-      continue;
+  const auto traffic = sim::TrafficPattern::permutation(
+      shift_permutation(ft.leaf_count(), 3), ft.leaf_count());
+  sim::SimConfig config;
+  config.injection_rate = 0.8;
+  config.warmup_cycles = 200;
+  config.measure_cycles = 1000;
+  config.seed = 23;
+
+  for (const auto policy :
+       {sim::UplinkPolicy::kTable, sim::UplinkPolicy::kRandom,
+        sim::UplinkPolicy::kLeastQueue, sim::UplinkPolicy::kDModK}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    {
+      sim::FtreeOracle faulted(ft, policy, &yuan, 7, &view);
+      sim::FtreeOracle plain(ft, policy, &yuan);
+      for (std::uint32_t src = 0; src < ft.leaf_count(); ++src) {
+        for (std::uint32_t dst = 0; dst < ft.leaf_count(); ++dst) {
+          if (src == dst) continue;
+          sim::Packet packet;
+          packet.src_terminal = src;
+          packet.dst_terminal = dst;
+          for (std::uint32_t v = 0; v < net.vertex_count(); ++v) {
+            if (net.vertex(v).kind == VertexKind::kTerminal && v != src) {
+              continue;
+            }
+            EXPECT_EQ(faulted.next_channel(sim_view, v, packet),
+                      plain.next_channel(sim_view, v, packet))
+                << "vertex " << v << ", " << src << " -> " << dst;
+          }
+        }
+      }
+      EXPECT_EQ(faulted.reroute_count(), 0U);
+      EXPECT_EQ(faulted.no_route_count(), 0U);
     }
-    EXPECT_EQ(fault_oracle.next_channel(sim_view, v, packet),
-              plain.next_channel(sim_view, v, packet))
-        << "vertex " << v;
+
+    sim::FtreeOracle faulted(ft, policy, &yuan, 7, &view);
+    sim::FtreeOracle plain(ft, policy, &yuan);
+    DegradedView run_view(net);
+    const auto a =
+        sim::PacketSim(net, faulted, traffic, config, &run_view).run();
+    const auto b = sim::PacketSim(net, plain, traffic, config).run();
+    EXPECT_EQ(a.offered_load, b.offered_load);
+    EXPECT_EQ(a.accepted_throughput, b.accepted_throughput);
+    EXPECT_EQ(a.mean_latency, b.mean_latency);
+    EXPECT_EQ(a.p50_latency, b.p50_latency);
+    EXPECT_EQ(a.p99_latency, b.p99_latency);
+    EXPECT_EQ(a.p999_latency, b.p999_latency);
+    EXPECT_EQ(a.latency_bucket_width, b.latency_bucket_width);
+    EXPECT_EQ(a.injected_packets, b.injected_packets);
+    EXPECT_EQ(a.delivered_packets, b.delivered_packets);
+    EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+    EXPECT_EQ(a.mean_switch_queue_depth, b.mean_switch_queue_depth);
+    EXPECT_EQ(a.min_flow_throughput, b.min_flow_throughput);
+    EXPECT_EQ(a.max_flow_throughput, b.max_flow_throughput);
+    EXPECT_GT(a.delivered_packets, 0U);
+    EXPECT_EQ(faulted.reroute_count(), 0U);
   }
 }
 

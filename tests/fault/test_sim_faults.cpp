@@ -2,9 +2,9 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/fault/failure_model.hpp"
-#include "nbclos/fault/fault_oracle.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
+#include "nbclos/sim/oracle.hpp"
 
 namespace nbclos::fault {
 namespace {
@@ -30,8 +30,8 @@ sim::SimConfig quick_config() {
 TEST(SimFaults, PristineRunDropsNothing) {
   Harness s;
   DegradedView view(s.net);
-  FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.yuan);
+  sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.yuan, 7,
+                          &view);
   sim::PacketSim sim(s.net, oracle, s.traffic, quick_config(), &view);
   const auto result = sim.run();
   EXPECT_EQ(result.dropped_packets, 0U);
@@ -44,8 +44,8 @@ TEST(SimFaults, MidMeasurementFailureDegradesButCompletes) {
   const auto config = quick_config();
 
   DegradedView pristine_view(s.net);
-  FaultTolerantOracle pristine_oracle(s.ftree, pristine_view,
-                                      sim::UplinkPolicy::kTable, &s.yuan);
+  sim::FtreeOracle pristine_oracle(s.ftree, sim::UplinkPolicy::kTable,
+                                   &s.yuan, 7, &pristine_view);
   sim::PacketSim pristine_sim(s.net, pristine_oracle, s.traffic, config,
                               &pristine_view);
   const auto pristine = pristine_sim.run();
@@ -57,8 +57,8 @@ TEST(SimFaults, MidMeasurementFailureDegradesButCompletes) {
   // under Theorem 3, so kill top 1 to force actual reroutes.
   model.fail_top_switch(s.ftree, TopId{1},
                         config.warmup_cycles + config.measure_cycles / 2);
-  FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.yuan);
+  sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.yuan, 7,
+                          &view);
   sim::PacketSim sim(s.net, oracle, s.traffic, config, &view,
                      model.schedule());
   const auto degraded = sim.run();
@@ -85,8 +85,8 @@ TEST(SimFaults, RunsAreBitReproducible) {
     FailureModel model(s.net);
     model.inject_random_uplink_failures(s.ftree, 2, 5, 0);
     model.fail_top_switch(s.ftree, TopId{2}, 800);
-    FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                               &s.yuan);
+    sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.yuan, 7,
+                            &view);
     sim::PacketSim sim(s.net, oracle, s.traffic, config, &view,
                        model.schedule());
     return sim.run();
@@ -104,8 +104,8 @@ TEST(SimFaults, DeadLeafUplinkDropsAtInjection) {
   Harness s;
   DegradedView view(s.net);
   view.fail_channel(s.ftree.leaf_up_link(LeafId{0}).value);
-  FaultTolerantOracle oracle(s.ftree, view, sim::UplinkPolicy::kTable,
-                             &s.yuan);
+  sim::FtreeOracle oracle(s.ftree, sim::UplinkPolicy::kTable, &s.yuan, 7,
+                          &view);
   sim::PacketSim sim(s.net, oracle, s.traffic, quick_config(), &view);
   const auto result = sim.run();
   // Leaf 0's offered packets are all lost; everyone else still delivers.

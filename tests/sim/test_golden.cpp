@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "nbclos/analysis/permutations.hpp"
-#include "nbclos/fault/fault_oracle.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
 
@@ -103,9 +102,9 @@ TEST_F(GoldenSim, DModKNearSaturation) {
                   0x1.d29a485cd7b9p-1});
 }
 
-TEST_F(GoldenSim, FaultTolerantOracleWithMidRunEvents) {
+TEST_F(GoldenSim, FaultedFtreeOracleWithMidRunEvents) {
   fault::DegradedView view(net);
-  fault::FaultTolerantOracle oracle(ft, view, UplinkPolicy::kTable, &yuan);
+  FtreeOracle oracle(ft, UplinkPolicy::kTable, &yuan, 7, &view);
   std::vector<fault::FaultEvent> events{
       {600, fault::FaultAction::kFailChannel,
        ft.up_link(BottomId{0}, TopId{3}).value},

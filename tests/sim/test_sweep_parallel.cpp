@@ -13,7 +13,6 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/fault/failure_model.hpp"
-#include "nbclos/fault/fault_oracle.hpp"
 #include "nbclos/fault/sweep.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
@@ -92,8 +91,8 @@ TEST_F(ParallelSweep, LoadSweepWithFaultsMatchesSerial) {
   // A fault-aware factory: each run captures its run-private view copy.
   const OracleFactory factory = [this](std::uint64_t,
                                        fault::DegradedView* degraded) {
-    return std::make_unique<fault::FaultTolerantOracle>(
-        ft, *degraded, UplinkPolicy::kTable, &yuan);
+    return std::make_unique<FtreeOracle>(ft, UplinkPolicy::kTable, &yuan, 7,
+                                         degraded);
   };
   const auto serial =
       load_sweep(net, factory, traffic, config, rates, nullptr, &view, events);

@@ -82,40 +82,6 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
   EXPECT_GT(small.ci95_half_width(), large.ci95_half_width());
 }
 
-TEST(Histogram, CountsFallInCorrectBins) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  h.add(9.99);
-  EXPECT_EQ(h.bin(0), 1U);
-  EXPECT_EQ(h.bin(1), 2U);
-  EXPECT_EQ(h.bin(9), 1U);
-  EXPECT_EQ(h.total(), 4U);
-}
-
-TEST(Histogram, EdgeSamplesSaturate) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(15.0);
-  h.add(10.0);  // == hi goes to last bin
-  EXPECT_EQ(h.bin(0), 1U);
-  EXPECT_EQ(h.bin(9), 2U);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), precondition_error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), precondition_error);
-}
-
 TEST(QuantileHistogram, EmptyIsZero) {
   QuantileHistogram h(1000);
   EXPECT_EQ(h.count(), 0U);

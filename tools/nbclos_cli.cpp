@@ -485,10 +485,12 @@ int cmd_saturation(const Args& args) {
   const auto iterations = args["[iterations]"].u32();
   const Fabric fabric = build_fabric(Topo{false, n, r, 0, 0, {}});
   const auto factory = make_oracle_factory(*fabric.ft, routing);
+  nbclos::sim::SimConfig config;
+  config.counter_injection = true;  // as in cmd_simulate
 
   nbclos::ThreadPool pool(args["[threads]"].number);
   const double sat = nbclos::sim::find_saturation_load(
-      fabric.net, factory, fabric.traffic, {}, iterations, &pool);  // defaults
+      fabric.net, factory, fabric.traffic, config, iterations, &pool);
   std::cout << "ftree(" << n << "+" << n * n << ", " << r << "), " << routing
             << ", shift permutation:\n  saturation load: "
             << nbclos::format_double(sat)
