@@ -40,7 +40,7 @@ struct BlockingSums {
 /// contention: the body of estimate_blocking and of every chunk of
 /// estimate_blocking_parallel.
 [[nodiscard]] BlockingSums sample_blocking(const FoldedClos& ftree,
-                                           const PatternRouter& router,
+                                           PatternScorer& scorer,
                                            std::uint64_t trials,
                                            Xoshiro256& rng);
 

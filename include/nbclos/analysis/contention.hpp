@@ -7,7 +7,10 @@
 ///   * PermutationLoad scores one permutation in one pass over its SD
 ///     pairs, counting only the up- and down-links (the only links a
 ///     permutation can share, by Lemma 1).  The verifier drivers score
-///     every sampled or enumerated permutation with it.
+///     every sampled or enumerated permutation with it: a single-path
+///     routing from the rows of one RouteCache (routing/route_cache.hpp)
+///     per verifier call, the same table the hill climb replays, and any
+///     other router from its path vector.
 ///   * LinkLoadMap counts every directed link and keeps its collision
 ///     statistics incrementally, for hill-climb state that adds and
 ///     removes paths (analysis/delta.hpp) and for arbitrary path sets.
@@ -25,6 +28,7 @@
 
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/routing/next_hop.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/fat_tree.hpp"
 
@@ -113,9 +117,15 @@ class PermutationLoad {
  public:
   explicit PermutationLoad(const FoldedClos& ftree);
 
-  /// Route every pair of `pattern` through `routing` and load the paths
-  /// (SinglePathRouting::route_into per pair; no path vector).
-  void load(const Permutation& pattern, const SinglePathRouting& routing);
+  /// Load a single-path routing's paths for the pattern in which leaf s
+  /// sends to target[s] (nothing when target[s] == s), read from the
+  /// RouteCache materialized from that routing: per pair one top code
+  /// from row s and the two bottom switches, with no routing call and
+  /// no path.  \pre target.size() == leaf_count, its non-fixed entries
+  /// are distinct, and `cache` is over this ftree with every pair
+  /// routable.
+  void load(std::span<const std::uint32_t> target,
+            const routing::RouteCache& cache);
   /// Load a pattern router's paths: \pre paths[i] routes pattern[i]
   /// (checked in Debug builds).
   void load(const Permutation& pattern, const std::vector<FtreePath>& paths);
@@ -128,12 +138,8 @@ class PermutationLoad {
   [[nodiscard]] std::uint32_t max_load() const noexcept { return max_load_; }
 
  private:
-  /// Zero the counters and load path_of(item) for every item of the
-  /// range (an SD pair to route, or a routed path).
-  template <typename Item, typename PathOf>
-  void load_paths(const std::vector<Item>& items, const PathOf& path_of);
-
   const FoldedClos* ftree_;
+  std::vector<std::uint32_t> bottom_;  ///< switch_of, per leaf
   std::vector<std::uint32_t> load_;
   std::uint64_t colliding_pairs_ = 0;
   std::uint32_t max_load_ = 0;

@@ -10,15 +10,18 @@
 ///
 /// Each question is scored one way.  Sampled and enumerated permutations
 /// (blocking estimates, random and exhaustive verification) are scored
-/// by a chunk- or shard-private PatternScorer over a worker-private
-/// PatternRouter: one pass per permutation into a PermutationLoad, pair
-/// by pair through the routing when the router came from
-/// as_pattern_router.  estimate_blocking_parallel's chunks run the same
-/// body as estimate_blocking (sample_blocking), and
-/// verify_random_parallel's run verify_random.  Adversarial and
-/// worst-case restarts climb with the cached delta evaluator
-/// (SwapDeltaState over one RouteCache, shared read-only by every
-/// worker), which is bit-identical to full re-evaluation.
+/// by a chunk- or shard-private PatternScorer: one pass per permutation
+/// into a PermutationLoad.  Each sampler builds chunk 0's router on the
+/// calling thread; when it wraps a SinglePathRouting (as_pattern_router),
+/// the routing is materialized into one RouteCache per call, lent
+/// read-only to every chunk whose router wraps the same routing, so the
+/// factory runs once per chunk that runs and the table is built once.
+/// estimate_blocking_parallel's chunks run the same body as
+/// estimate_blocking (sample_blocking), and verify_random_parallel's run
+/// verify_random.  Adversarial and worst-case restarts climb with the
+/// cached delta evaluator (SwapDeltaState over one RouteCache, shared
+/// read-only by every worker), which is bit-identical to full
+/// re-evaluation.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +56,8 @@ using PatternRouterFactory =
 
 /// verify_random_parallel over a single-path routing: the factory
 /// overload above with every worker wrapping `routing` through
-/// as_pattern_router (kept for callers that hold only the routing).
+/// as_pattern_router, so every chunk scores from one shared RouteCache
+/// (kept for callers that hold only the routing).
 [[nodiscard]] VerifyResult verify_random_parallel(
     const FoldedClos& ftree, const SinglePathRouting& routing,
     std::uint64_t trials, std::uint64_t seed, ThreadPool& pool,

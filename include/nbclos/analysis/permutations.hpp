@@ -33,10 +33,12 @@ void validate_permutation(const Permutation& pattern,
 [[nodiscard]] Permutation random_permutation(std::uint32_t leaf_count,
                                              Xoshiro256& rng);
 
-/// random_permutation into reused buffers: the same draw from the same
-/// rng state, with `target` left holding leaf s's destination at s.
-void random_permutation(std::uint32_t leaf_count, Xoshiro256& rng,
-                        std::vector<std::uint32_t>& target, Permutation& out);
+/// The draw random_permutation makes, into a reused buffer: target[s]
+/// is leaf s's destination (fixed points included), from the same rng
+/// stream.  The samplers score this vector and build the Permutation
+/// (permutation_from_targets) only for a counterexample.
+void random_targets(std::uint32_t leaf_count, Xoshiro256& rng,
+                    std::vector<std::uint32_t>& target);
 
 /// Random partial permutation using `pairs` distinct sources and
 /// destinations.  \pre pairs <= leaf_count.
@@ -99,13 +101,20 @@ void permutation_from_targets(const std::vector<std::uint32_t>& target,
 std::uint64_t for_each_permutation(
     std::uint32_t leaf_count, const std::function<void(const Permutation&)>& fn);
 
-/// Enumerate permutations with lexicographic rank in [begin_rank,
-/// end_rank) in rank order; the callback returns false to stop early.
-/// Returns the number visited (including the one that stopped the walk).
-/// The Permutation passed to the callback lives in a reused buffer —
-/// copy it if it must outlive the call.  This is the sharding primitive
-/// for the parallel exhaustive verifier: each worker owns one contiguous
-/// rank range.  \pre leaf_count <= 20, begin <= end <= leaf_count!.
+/// Enumerate the target vectors of the permutations with lexicographic
+/// rank in [begin_rank, end_rank) in rank order; the callback returns
+/// false to stop early.  Returns the number visited (including the one
+/// that stopped the walk).  The vector passed to the callback lives in a
+/// reused buffer — copy it if it must outlive the call.  This is the
+/// sharding primitive for the parallel exhaustive verifier: each worker
+/// owns one contiguous rank range.
+/// \pre leaf_count <= 20, begin <= end <= leaf_count!.
+std::uint64_t for_each_target_in_range(
+    std::uint32_t leaf_count, std::uint64_t begin_rank, std::uint64_t end_rank,
+    const std::function<bool(const std::vector<std::uint32_t>&)>& fn);
+
+/// for_each_target_in_range, passing each target vector as its
+/// Permutation (fixed points dropped; a reused buffer too).
 std::uint64_t for_each_permutation_in_range(
     std::uint32_t leaf_count, std::uint64_t begin_rank, std::uint64_t end_rank,
     const std::function<bool(const Permutation&)>& fn);

@@ -15,10 +15,13 @@
 /// to its paths, so deterministic, adaptive, and centralized schemes all
 /// fit one interface.  Every sampled or enumerated permutation is scored
 /// one way: a PatternScorer loads it into a PermutationLoad
-/// (analysis/contention.hpp) in one pass over its SD pairs, routing pair
-/// by pair when the router wraps a SinglePathRouting (as_pattern_router)
-/// and through the router's path vector otherwise.  A hill-climb step is
-/// scored by one of two evaluators:
+/// (analysis/contention.hpp) in one pass over its SD pairs.  When the
+/// router wraps a SinglePathRouting (as_pattern_router) the pass reads
+/// the permutation's target vector against one RouteCache of the
+/// routing, materialized once per call (the parallel samplers lend one
+/// to every chunk), exactly as the hill climb does; any other router is
+/// scored through its path vector.  A hill-climb step is scored by one
+/// of two evaluators:
 ///   * full re-evaluation of the whole pattern through a PatternScorer
 ///     (any router; the tests' reference);
 ///   * cached delta evaluation (SwapDeltaState, analysis/delta.hpp) for
@@ -34,11 +37,8 @@
 
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/analysis/permutations.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/topology/fat_tree.hpp"
-
-namespace nbclos::routing {
-class RouteCache;
-}
 
 namespace nbclos {
 
@@ -48,7 +48,8 @@ using PatternRouter =
 
 /// The callable as_pattern_router wraps: route_all through one
 /// SinglePathRouting.  PatternScorer recognizes it
-/// (PatternRouter::target) and routes pair by pair instead of calling it.
+/// (PatternRouter::target) and scores from a RouteCache of the routing
+/// instead of calling it.
 struct SinglePathPatternRouter {
   const SinglePathRouting* routing;
 
@@ -61,21 +62,37 @@ struct SinglePathPatternRouter {
 /// Wrap a SinglePathRouting as a PatternRouter (a SinglePathPatternRouter).
 [[nodiscard]] PatternRouter as_pattern_router(const SinglePathRouting& routing);
 
+/// The routing a SinglePathPatternRouter wraps; null for any other router.
+[[nodiscard]] const SinglePathRouting* wrapped_single_path(
+    const PatternRouter& router);
+
 /// Scores permutations under one PatternRouter into a reused
-/// PermutationLoad: pair by pair through the wrapped routing when the
-/// router is a SinglePathPatternRouter, through router(pattern)
-/// otherwise.  Holds a pointer to `router`, which must outlive it.
+/// PermutationLoad.  A SinglePathPatternRouter is scored from a
+/// RouteCache of its routing: `cache` when given, shared read-only, else
+/// one the scorer materializes.  Any other router is scored through
+/// router(pattern).  Holds pointers to `router` and `cache`, which must
+/// outlive it.
 class PatternScorer {
  public:
-  PatternScorer(const FoldedClos& ftree, const PatternRouter& router);
+  /// \pre a given `cache` was materialized from the routing `router`
+  /// wraps, and `router` is a SinglePathPatternRouter.
+  PatternScorer(const FoldedClos& ftree, const PatternRouter& router,
+                const routing::RouteCache* cache = nullptr);
 
-  /// Route and score one permutation; the loads stay valid until the
-  /// next call.
-  const PermutationLoad& score(const Permutation& pattern);
+  PatternScorer(const PatternScorer&) = delete;
+  PatternScorer& operator=(const PatternScorer&) = delete;
+
+  /// Route and score the permutation in which leaf s sends to target[s]
+  /// (nothing when target[s] == s); the loads stay valid until the next
+  /// call.  \pre target.size() == leaf_count, and no two leaves send to
+  /// one destination.
+  const PermutationLoad& score(const std::vector<std::uint32_t>& target);
 
  private:
   const PatternRouter* router_;
-  const SinglePathRouting* single_path_ = nullptr;
+  std::optional<routing::RouteCache> own_cache_;
+  const routing::RouteCache* cache_ = nullptr;  ///< null: route the pattern
+  Permutation pattern_;  ///< reused buffer for router(pattern)
   PermutationLoad load_;
 };
 
@@ -98,6 +115,13 @@ struct VerifyResult {
 /// Check `trials` uniformly random full permutations.
 [[nodiscard]] VerifyResult verify_random(const FoldedClos& ftree,
                                          const PatternRouter& router,
+                                         std::uint64_t trials,
+                                         Xoshiro256& rng);
+
+/// verify_random through a caller's scorer: the body of the overload
+/// above and of every chunk of verify_random_parallel.
+[[nodiscard]] VerifyResult verify_random(const FoldedClos& ftree,
+                                         PatternScorer& scorer,
                                          std::uint64_t trials,
                                          Xoshiro256& rng);
 

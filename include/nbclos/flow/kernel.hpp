@@ -62,8 +62,14 @@
 
 namespace nbclos::flow::detail {
 
-/// The `flow.stall_cycles` histogram both engines record every stall
-/// episode into (a registry lookup: resolve it once per engine).
+/// Geometry of the `flow.stall_cycles` registry histogram.  Fixed: the
+/// registry requires one geometry per name, so the cap cannot follow run
+/// length.
+inline constexpr std::uint64_t kStallMetricCap = std::uint64_t{1} << 20;
+inline constexpr std::size_t kStallMetricBins = 2048;
+
+/// The `flow.stall_cycles` histogram every kernel's stall episodes are
+/// merged into once per run (a registry lookup).
 [[nodiscard]] obs::HistogramMetric& stall_metric();
 
 /// Round-robin successor of VC `vc` among `count` (compare, no division).
@@ -150,7 +156,7 @@ struct FlitKernel {
         head_reservation(flow_config.head_reservation_flits()),
         latency_hist(flow_config.warmup_cycles + flow_config.measure_cycles),
         stall_hist(flow_config.warmup_cycles + flow_config.measure_cycles),
-        stall_metric(&detail::stall_metric()) {
+        stall_obs(kStallMetricCap, kStallMetricBins) {
     config.validate();
   }
 
@@ -222,7 +228,7 @@ struct FlitKernel {
     stall_duration_sum += duration;
     ++stall_episode_count;
     stall_hist.add(duration);
-    stall_metric->record(duration);
+    if constexpr (obs::kEnabled) stall_obs.add(duration);
   }
 
   /// Where `flit`, the front of VC `vc`, goes when it crosses channel
@@ -484,12 +490,16 @@ struct FlitKernel {
   /// Counter-RNG injection at terminals [term_lo, term_lo + owned): every
   /// draw is a pure function of (seed, cycle, terminal), so how the
   /// terminals are split across arenas cannot change the stream.
-  void inject_counter(const sim::TrafficPattern& traffic, double packet_rate,
-                      std::uint64_t now) {
+  /// `threshold` is sim::injection_threshold of the packet rate.
+  void inject_counter(const sim::TrafficPattern& traffic,
+                      std::uint64_t threshold, std::uint64_t now) {
     const auto hi = term_lo + static_cast<std::uint32_t>(flow_sequence.size());
-    for (std::uint32_t t = term_lo; t < hi; ++t) {
-      SplitMix64 sm(sim::injection_counter_state(config.seed, now, t));
-      if (!sim::injection_bernoulli(sm, packet_rate)) continue;
+    std::uint64_t state =
+        sim::injection_counter_state(config.seed, now, term_lo);
+    for (std::uint32_t t = term_lo; t < hi;
+         ++t, state += sim::kInjectionTerminalStride) {
+      SplitMix64 sm(state);
+      if (!sim::injection_bernoulli(sm, threshold)) continue;
       Xoshiro256 dest_rng(sm.next());
       const auto dst = traffic.destination(t, dest_rng);
       if (!dst.has_value()) continue;
@@ -721,9 +731,9 @@ struct FlitKernel {
   std::uint64_t stall_duration_sum = 0;
   std::uint64_t stall_episode_count = 0;
   QuantileHistogram stall_hist;
-  /// Stall-latency histogram handle, resolved once (the registry lookup
-  /// never runs on the hot path).
-  obs::HistogramMetric* stall_metric = nullptr;
+  /// The same episodes at the `flow.stall_cycles` geometry, merged into
+  /// the registry once per run (no registry lock per episode).
+  QuantileHistogram stall_obs;
   /// FIFOs inside a stall episode — the recorder's blocked-head series;
   /// partitions additively across shards (each FIFO has one reader).
   std::uint64_t blocked_heads = 0;

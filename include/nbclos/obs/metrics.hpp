@@ -166,6 +166,11 @@ class HistogramMetric {
 
   void record(std::uint64_t value) noexcept;
 
+  /// Add a locally kept histogram in one step (an engine records into its
+  /// own and merges it once per run).  \pre `hist` has this metric's
+  /// geometry (max_value, max_bins); QuantileHistogram::merge checks it.
+  void merge(const QuantileHistogram& hist);
+
   /// Merged copy of all shards.
   [[nodiscard]] QuantileHistogram merged() const;
 
@@ -233,6 +238,7 @@ class Gauge {
 class HistogramMetric {
  public:
   void record(std::uint64_t) noexcept {}
+  void merge(const QuantileHistogram&) noexcept {}
   [[nodiscard]] QuantileHistogram merged() const { return QuantileHistogram(1); }
   void reset() noexcept {}
 };

@@ -3,14 +3,17 @@
 ///
 ///   * RouteCache        — the verifier's table.  Every SD pair of a
 ///                         single-path ftree routing, materialized once
-///                         and replayed across thousands of hill-climb
-///                         restarts and one degraded fabric per failure
-///                         level without calling route() again.  A route
-///                         is fixed by its top switch (Theorem 3), so the
-///                         cache keeps one uint16_t top id and one flag
-///                         byte per ordered pair (0.79 MB at ftree(8+64,
-///                         64), small enough for L2) and rebuilds the 2
-///                         or 4 link ids on lookup;
+///                         per verifier call and read by every sampled,
+///                         enumerated or hill-climbed permutation of it
+///                         (PermutationLoad reads its rows directly; the
+///                         climbs replay link runs), and one per degraded
+///                         fabric per failure level, without calling
+///                         route() again.  A route is fixed by its top
+///                         switch (Theorem 3), so the cache keeps one
+///                         uint16_t top id and one flag byte per ordered
+///                         pair (0.79 MB at ftree(8+64, 64), small enough
+///                         for L2) and rebuilds the 2 or 4 link ids on
+///                         lookup;
 ///   * ChannelRouteCache — the engines' table, for routings that ARE
 ///                         tables: per-pattern adaptive schedules and
 ///                         forwarding tables on any Network.  It packs
@@ -80,6 +83,10 @@ class RouteCache {
   /// Top ids occupy [0, kTopLimit); the two codes above are reserved, so
   /// a cached fabric needs m < kTopLimit top switches.
   static constexpr std::uint32_t kTopLimit = 0xFFFE;
+  /// The reserved codes: a path through the shared bottom switch, and
+  /// the diagonal or an unroutable pair.
+  static constexpr std::uint16_t kDirect = kTopLimit;
+  static constexpr std::uint16_t kEmpty = kTopLimit + 1;
 
   /// Generic builder: `fn(sd, path)` fills `path` and returns flag bits
   /// for every ordered pair with sd.src != sd.dst.  When the returned
@@ -88,7 +95,8 @@ class RouteCache {
   using BuildFn = std::function<std::uint8_t(SDPair, FtreePath&)>;
   RouteCache(const FoldedClos& ftree, const BuildFn& fn);
 
-  /// Snapshot a healthy routing (all pairs routable, no flags).
+  /// Snapshot a healthy routing (all pairs routable, no flags): each row
+  /// is filled straight from the routing's top_for.
   [[nodiscard]] static RouteCache materialize(const SinglePathRouting& routing);
 
   [[nodiscard]] std::uint32_t leaf_count() const noexcept { return leafs_; }
@@ -120,6 +128,13 @@ class RouteCache {
     return run;
   }
 
+  /// The packed table: pair (s, d) at s * leaf_count() + d holds its top
+  /// id, kDirect or kEmpty.  PermutationLoad scores permutations straight
+  /// from these rows.
+  [[nodiscard]] const std::uint16_t* tops() const noexcept {
+    return tops_.data();
+  }
+
   [[nodiscard]] std::uint8_t flags(std::uint32_t s, std::uint32_t d) const {
     NBCLOS_DEBUG_CHECK(s < leafs_ && d < leafs_, "SD pair out of range");
     return flags_[std::size_t{s} * leafs_ + d];
@@ -144,8 +159,10 @@ class RouteCache {
   static void note_lookups(std::uint64_t n);
 
  private:
-  static constexpr std::uint16_t kDirect = kTopLimit;
-  static constexpr std::uint16_t kEmpty = kTopLimit + 1;
+  /// Every pair kEmpty, no flags.  \pre ftree.m() < kTopLimit.
+  explicit RouteCache(const FoldedClos& ftree);
+  /// Account one finished build of `routed` pairs to the obs registry.
+  void note_build(std::uint64_t routed) const;
 
   FoldedClos ftree_;  ///< the link layout runs are rebuilt from
   std::uint32_t leafs_ = 0;

@@ -36,19 +36,6 @@ class SinglePathRouting {
     return ftree_->cross_path(sd, top);
   }
 
-  /// Allocation-free route: writes the fixed path into caller scratch.
-  /// The verifier scores every pair of a sampled permutation through
-  /// this (PermutationLoad), and RouteCache::materialize every pair of
-  /// the fabric.  \pre sd.src != sd.dst.
-  void route_into(SDPair sd, FtreePath& out) const {
-    NBCLOS_DEBUG_CHECK(sd.src != sd.dst, "self-loop SD pair");
-    if (!ftree_->needs_top(sd)) {
-      out = ftree_->direct_path(sd);
-      return;
-    }
-    out = ftree_->cross_path(sd, top_for(sd));
-  }
-
   /// Routes for a whole communication pattern, in input order.
   [[nodiscard]] std::vector<FtreePath> route_all(
       const std::vector<SDPair>& pattern) const {
@@ -60,7 +47,8 @@ class SinglePathRouting {
 
   /// The top-level switch a cross-switch SD pair crosses — the whole
   /// routing (routing::TopChoiceNextHop walks the engines' networks by
-  /// it).  Implementations are const and pure.  \pre ftree().needs_top(sd).
+  /// it, and RouteCache::materialize fills the verifier's table from it).
+  /// Implementations are const and pure.  \pre ftree().needs_top(sd).
   [[nodiscard]] virtual TopId top_for(SDPair sd) const = 0;
 
  private:

@@ -93,6 +93,7 @@ struct PacketKernel {
       : net(&network), traffic(&pattern), config(sim_config),
         packet_rate(sim_config.injection_rate /
                     static_cast<double>(sim_config.packet_size)),
+        injection_threshold(sim::injection_threshold(packet_rate)),
         latency_hist(sim_config.warmup_cycles + sim_config.measure_cycles) {}
 
   /// Build the arena on the calling thread (first touch) for `count`
@@ -364,9 +365,11 @@ struct PacketKernel {
   /// split across arenas cannot change the stream.
   void inject_counter(std::uint64_t now) {
     const auto hi = term_lo + static_cast<std::uint32_t>(flow_sequence.size());
-    for (std::uint32_t t = term_lo; t < hi; ++t) {
-      SplitMix64 sm(injection_counter_state(config.seed, now, t));
-      if (!injection_bernoulli(sm, packet_rate)) continue;
+    std::uint64_t state = injection_counter_state(config.seed, now, term_lo);
+    for (std::uint32_t t = term_lo; t < hi;
+         ++t, state += kInjectionTerminalStride) {
+      SplitMix64 sm(state);
+      if (!injection_bernoulli(sm, injection_threshold)) continue;
       Xoshiro256 dest_rng(sm.next());
       const auto dst = traffic->destination(t, dest_rng);
       if (dst.has_value()) inject(t, *dst, now);
@@ -431,6 +434,7 @@ struct PacketKernel {
   const TrafficPattern* traffic;
   SimConfig config;
   double packet_rate = 0.0;  ///< injection_rate / packet_size, hoisted
+  std::uint64_t injection_threshold = 0;  ///< of packet_rate, for counters
   /// Liveness mask the arena reads and applies faults to (null when
   /// pristine): PacketSim's caller's view, else a private copy.
   fault::DegradedView* degraded = nullptr;

@@ -27,17 +27,14 @@ BlockingEstimate BlockingSums::estimate() const {
   return est;
 }
 
-BlockingSums sample_blocking(const FoldedClos& ftree,
-                             const PatternRouter& router, std::uint64_t trials,
-                             Xoshiro256& rng) {
+BlockingSums sample_blocking(const FoldedClos& ftree, PatternScorer& scorer,
+                             std::uint64_t trials, Xoshiro256& rng) {
   BlockingSums sums;
   sums.trials = trials;
-  PatternScorer scorer(ftree, router);
   std::vector<std::uint32_t> target;
-  Permutation pattern;
   for (std::uint64_t t = 0; t < trials; ++t) {
-    random_permutation(ftree.leaf_count(), rng, target, pattern);
-    const auto& load = scorer.score(pattern);
+    random_targets(ftree.leaf_count(), rng, target);
+    const auto& load = scorer.score(target);
     if (load.colliding_pairs() > 0) ++sums.blocked;
     sums.colliding_pairs += static_cast<double>(load.colliding_pairs());
     sums.max_link_load += static_cast<double>(load.max_load());
@@ -48,7 +45,8 @@ BlockingSums sample_blocking(const FoldedClos& ftree,
 BlockingEstimate estimate_blocking(const FoldedClos& ftree,
                                    const PatternRouter& router,
                                    std::uint64_t trials, Xoshiro256& rng) {
-  return sample_blocking(ftree, router, trials, rng).estimate();
+  PatternScorer scorer(ftree, router);
+  return sample_blocking(ftree, scorer, trials, rng).estimate();
 }
 
 }  // namespace nbclos

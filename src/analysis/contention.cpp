@@ -29,45 +29,61 @@ std::uint32_t LinkLoadMap::max_load() const {
 }
 
 PermutationLoad::PermutationLoad(const FoldedClos& ftree)
-    : ftree_(&ftree), load_(2 * std::size_t{ftree.r()} * ftree.m(), 0) {}
+    : ftree_(&ftree), bottom_(ftree.leaf_count()),
+      load_(2 * std::size_t{ftree.r()} * ftree.m(), 0) {
+  for (std::uint32_t leaf = 0; leaf < ftree.leaf_count(); ++leaf) {
+    bottom_[leaf] = ftree.switch_of(LeafId{leaf}).value;
+  }
+}
 
-template <typename Item, typename PathOf>
-void PermutationLoad::load_paths(const std::vector<Item>& items,
-                                 const PathOf& path_of) {
-  std::fill(load_.begin(), load_.end(), 0U);
-  // Locals, not members: the counter stores below cannot alias them, so
-  // they stay in registers across the routing's virtual calls.
-  const FoldedClos& ft = *ftree_;
-  const std::uint32_t m = ft.m();
-  const std::uint32_t r = ft.r();
-  std::uint32_t* const up = load_.data();
-  std::uint32_t* const down = up + std::size_t{r} * m;
+namespace {
+
+/// The running sums of one load, kept in registers: the counter stores
+/// cannot alias a local.
+struct LoadSums {
   std::uint64_t colliding_pairs = 0;
-  // Every path loads its two leaf links once; a permutation shares none.
-  std::uint32_t max_load = items.empty() ? 0 : 1;
-  const auto bump = [&](std::uint32_t& load) {
+  std::uint32_t max_load = 0;
+
+  void bump(std::uint32_t& load) {
     const std::uint32_t resident = load++;
     colliding_pairs += resident;  // the new path collides with each one
     max_load = std::max(max_load, resident + 1);
-  };
-  for (const Item& item : items) {
-    const FtreePath path = path_of(item);
-    if (path.direct) continue;  // leaf links only: never shared
-    NBCLOS_DEBUG_CHECK(path.top.value < m, "top switch out of range");
-    bump(up[ft.switch_of(path.sd.src).value * m + path.top.value]);
-    bump(down[path.top.value * r + ft.switch_of(path.sd.dst).value]);
   }
-  colliding_pairs_ = colliding_pairs;
-  max_load_ = max_load;
-}
+};
 
-void PermutationLoad::load(const Permutation& pattern,
-                           const SinglePathRouting& routing) {
-  load_paths(pattern, [&routing](SDPair sd) {
-    FtreePath path;
-    routing.route_into(sd, path);
-    return path;
-  });
+}  // namespace
+
+void PermutationLoad::load(std::span<const std::uint32_t> target,
+                           const routing::RouteCache& cache) {
+  const auto leafs = static_cast<std::uint32_t>(target.size());
+  NBCLOS_DEBUG_CHECK(leafs == ftree_->leaf_count() &&
+                         cache.leaf_count() == leafs && !cache.any_unroutable(),
+                     "route cache does not fit this permutation");
+  std::fill(load_.begin(), load_.end(), 0U);
+  // Locals, not members: the counter stores below cannot alias them.
+  const std::uint32_t m = ftree_->m();
+  const std::uint32_t r = ftree_->r();
+  std::uint32_t* const up = load_.data();
+  std::uint32_t* const down = up + std::size_t{r} * m;
+  const std::uint32_t* const bottom = bottom_.data();
+  const std::uint32_t* const to = target.data();
+  const std::uint16_t* row = cache.tops();
+  LoadSums sums;
+  std::uint32_t sends = 0;  // nonzero once some leaf sends
+  for (std::uint32_t s = 0; s < leafs; ++s, row += leafs) {
+    const std::uint32_t d = to[s];
+    NBCLOS_DEBUG_CHECK(d < leafs, "target leaf out of range");
+    sends |= d ^ s;
+    const std::uint32_t top = row[d];
+    // The diagonal and same-switch pairs load leaf links only: never
+    // shared.
+    if (top >= routing::RouteCache::kTopLimit) continue;
+    sums.bump(up[bottom[s] * m + top]);
+    sums.bump(down[top * r + bottom[d]]);
+  }
+  colliding_pairs_ = sums.colliding_pairs;
+  // Every path loads its two leaf links once; a permutation shares none.
+  max_load_ = std::max(sums.max_load, sends != 0 ? 1U : 0U);
 }
 
 void PermutationLoad::load([[maybe_unused]] const Permutation& pattern,
@@ -80,7 +96,24 @@ void PermutationLoad::load([[maybe_unused]] const Permutation& pattern,
                          "router path does not match its pattern pair");
     }
   }
-  load_paths(paths, [](const FtreePath& path) { return path; });
+  std::fill(load_.begin(), load_.end(), 0U);
+  const std::uint32_t m = ftree_->m();
+  const std::uint32_t r = ftree_->r();
+  std::uint32_t* const up = load_.data();
+  std::uint32_t* const down = up + std::size_t{r} * m;
+  const std::uint32_t* const bottom = bottom_.data();
+  LoadSums sums;
+  for (const FtreePath& path : paths) {
+    if (path.direct) continue;  // leaf links only: never shared
+    NBCLOS_DEBUG_CHECK(path.top.value < m &&
+                           path.sd.src.value < bottom_.size() &&
+                           path.sd.dst.value < bottom_.size(),
+                       "path out of range");
+    sums.bump(up[bottom[path.sd.src.value] * m + path.top.value]);
+    sums.bump(down[path.top.value * r + bottom[path.sd.dst.value]]);
+  }
+  colliding_pairs_ = sums.colliding_pairs;
+  max_load_ = std::max(sums.max_load, paths.empty() ? 0U : 1U);
 }
 
 bool has_contention(const FoldedClos& ftree,

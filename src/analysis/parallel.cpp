@@ -29,6 +29,53 @@ std::uint64_t chunk_seed(std::uint64_t master, std::uint32_t chunk) {
   return sm.next();
 }
 
+/// The scoring every chunk of one sampler call shares.  Chunk 0's router
+/// is built here, on the calling thread; when it wraps a
+/// SinglePathRouting, that routing is materialized into one RouteCache,
+/// lent read-only to every chunk whose router wraps the same routing.
+/// A chunk whose router wraps another routing scores from a cache of its
+/// own, and any other router through its path vector.
+class SharedScoring {
+ public:
+  SharedScoring(const FoldedClos& ftree,
+                const PatternRouterFactory& make_router,
+                std::uint64_t first_router_seed)
+      : ftree_(&ftree), make_router_(&make_router),
+        first_(make_router(first_router_seed)),
+        routing_(wrapped_single_path(first_)) {
+    if (routing_ != nullptr) {
+      cache_.emplace(routing::RouteCache::materialize(*routing_));
+    }
+  }
+
+  /// Run `body(scorer)` over chunk `chunk`'s scorer: chunk 0 reuses the
+  /// router built above, every other chunk calls the factory with
+  /// `router_seed`.  Safe to call from any worker.
+  template <typename Body>
+  auto score_chunk(std::uint32_t chunk, std::uint64_t router_seed,
+                   const Body& body) const {
+    std::optional<PatternRouter> own;
+    const PatternRouter& router =
+        chunk == 0 ? first_ : own.emplace((*make_router_)(router_seed));
+    const bool shares = routing_ != nullptr &&
+                        wrapped_single_path(router) == routing_;
+    PatternScorer scorer(*ftree_, router, shares ? &*cache_ : nullptr);
+    return body(scorer);
+  }
+
+ private:
+  const FoldedClos* ftree_;
+  const PatternRouterFactory* make_router_;
+  PatternRouter first_;
+  const SinglePathRouting* routing_;  ///< the routing first_ wraps, or null
+  std::optional<routing::RouteCache> cache_;
+};
+
+/// The factory seed of chunk `chunk`'s router in the chunked samplers.
+std::uint64_t router_seed(std::uint64_t master, std::uint32_t chunk) {
+  return chunk_seed(master, chunk) ^ 0xC0FFEE;
+}
+
 /// Monotonic nanoseconds for coarse (per-shard) obs timing.
 std::uint64_t obs_now_ns() {
   return static_cast<std::uint64_t>(
@@ -48,13 +95,16 @@ BlockingEstimate estimate_blocking_parallel(
   obs::ScopedSpan span("verify.blocking_estimate", "verify");
   span.arg("trials", static_cast<double>(trials));
 
+  const SharedScoring shared(ftree, make_router, router_seed(seed, 0));
   std::vector<BlockingSums> partials(chunks);
   for (std::uint32_t c = 0; c < chunks; ++c) {
     if (sizes[c] == 0) continue;
     pool.submit([&, c] {
       Xoshiro256 rng(chunk_seed(seed, c));
-      const auto router = make_router(chunk_seed(seed, c) ^ 0xC0FFEE);
-      partials[c] = sample_blocking(ftree, router, sizes[c], rng);
+      partials[c] = shared.score_chunk(
+          c, router_seed(seed, c), [&](PatternScorer& scorer) {
+            return sample_blocking(ftree, scorer, sizes[c], rng);
+          });
     });
   }
   pool.wait_idle();
@@ -69,8 +119,12 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
                                     std::uint64_t trials, std::uint64_t seed,
                                     ThreadPool& pool, std::uint32_t chunks) {
   const auto sizes = chunk_sizes(trials, chunks);
+  VerifyResult result;
+  result.nonblocking = true;
+  if (trials == 0) return result;  // no chunk runs, no router is built
   obs::ScopedSpan span("verify.random", "verify");
   span.arg("trials", static_cast<double>(trials));
+  const SharedScoring shared(ftree, make_router, router_seed(seed, 0));
   std::vector<VerifyResult> partials(chunks);
   for (std::uint32_t c = 0; c < chunks; ++c) {
     if (sizes[c] == 0) {
@@ -79,14 +133,14 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
     }
     pool.submit([&, c] {
       Xoshiro256 rng(chunk_seed(seed, c));
-      const auto router = make_router(chunk_seed(seed, c) ^ 0xC0FFEE);
-      partials[c] = verify_random(ftree, router, sizes[c], rng);
+      partials[c] = shared.score_chunk(
+          c, router_seed(seed, c), [&](PatternScorer& scorer) {
+            return verify_random(ftree, scorer, sizes[c], rng);
+          });
     });
   }
   pool.wait_idle();
 
-  VerifyResult result;
-  result.nonblocking = true;
   for (const auto& partial : partials) {  // lowest failing chunk wins
     result.permutations_checked += partial.permutations_checked;
     if (result.nonblocking && !partial.nonblocking) {
@@ -120,6 +174,9 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
     shards = static_cast<std::uint32_t>(16 * pool.thread_count());
   }
   if (shards > total) shards = static_cast<std::uint32_t>(total);
+
+  // Shard 0 starts at rank 0, so it always runs.
+  const SharedScoring shared(ftree, make_router, chunk_seed(0, 0));
 
   struct ShardHit {
     std::uint64_t rank = 0;
@@ -162,35 +219,37 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
       const std::uint64_t shard_t0 = observe ? obs_now_ns() : 0;
       std::uint64_t evaluated = 0;
       bool early_exit = false;
-      const auto router = make_router(chunk_seed(0, shard));
-      PatternScorer scorer(ftree, router);
       std::uint64_t rank = shard_begin;
-      for_each_permutation_in_range(
-          ftree.leaf_count(), shard_begin, end,
-          [&](const Permutation& pattern) {
-            if (rank > best_rank.load(std::memory_order_relaxed)) {
-              early_exit = true;
-              return false;  // a lower-rank counterexample already exists
-            }
-            ++evaluated;
-            const auto collisions = scorer.score(pattern).colliding_pairs();
-            if (collisions > 0) {
-              hits[shard] = ShardHit{rank, pattern, collisions};
-              auto current = best_rank.load(std::memory_order_relaxed);
-              while (rank < current &&
-                     !best_rank.compare_exchange_weak(current, rank)) {
+      const auto walk = [&](PatternScorer& scorer) {
+        for_each_target_in_range(
+            ftree.leaf_count(), shard_begin, end,
+            [&](const std::vector<std::uint32_t>& target) {
+              if (rank > best_rank.load(std::memory_order_relaxed)) {
+                early_exit = true;
+                return false;  // a lower-rank counterexample already exists
               }
-              if (observe) {
-                // First publication wins; losers raced a lower rank in.
-                std::uint64_t expected = 0;
-                publish_ns.compare_exchange_strong(expected, obs_now_ns(),
-                                                   std::memory_order_relaxed);
+              ++evaluated;
+              const auto collisions = scorer.score(target).colliding_pairs();
+              if (collisions > 0) {
+                hits[shard] = ShardHit{rank, permutation_from_targets(target),
+                                       collisions};
+                auto current = best_rank.load(std::memory_order_relaxed);
+                while (rank < current &&
+                       !best_rank.compare_exchange_weak(current, rank)) {
+                }
+                if (observe) {
+                  // First publication wins; losers raced a lower rank in.
+                  std::uint64_t expected = 0;
+                  publish_ns.compare_exchange_strong(
+                      expected, obs_now_ns(), std::memory_order_relaxed);
+                }
+                return false;
               }
-              return false;
-            }
-            ++rank;
-            return true;
-          });
+              ++rank;
+              return true;
+            });
+      };
+      shared.score_chunk(shard, chunk_seed(0, shard), walk);
       if (observe) {
         // Per-shard rank throughput + flushed-once totals (local counts
         // keep the permutation loop free of shared-metric traffic).

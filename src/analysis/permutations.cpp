@@ -47,17 +47,15 @@ Permutation permutation_from_targets(const std::vector<std::uint32_t>& target) {
 
 Permutation random_permutation(std::uint32_t leaf_count, Xoshiro256& rng) {
   std::vector<std::uint32_t> target;
-  Permutation out;
-  random_permutation(leaf_count, rng, target, out);
-  return out;
+  random_targets(leaf_count, rng, target);
+  return permutation_from_targets(target);
 }
 
-void random_permutation(std::uint32_t leaf_count, Xoshiro256& rng,
-                        std::vector<std::uint32_t>& target, Permutation& out) {
+void random_targets(std::uint32_t leaf_count, Xoshiro256& rng,
+                    std::vector<std::uint32_t>& target) {
   target.resize(leaf_count);
   std::iota(target.begin(), target.end(), 0U);
   shuffle(target.begin(), target.end(), rng);
-  permutation_from_targets(target, out);
 }
 
 Permutation random_partial_permutation(std::uint32_t leaf_count,
@@ -214,9 +212,9 @@ std::uint64_t for_each_permutation(
                                        });
 }
 
-std::uint64_t for_each_permutation_in_range(
+std::uint64_t for_each_target_in_range(
     std::uint32_t leaf_count, std::uint64_t begin_rank, std::uint64_t end_rank,
-    const std::function<bool(const Permutation&)>& fn) {
+    const std::function<bool(const std::vector<std::uint32_t>&)>& fn) {
   NBCLOS_REQUIRE(leaf_count >= 1, "need at least one leaf");
   NBCLOS_REQUIRE(begin_rank <= end_rank && end_rank <= factorial(leaf_count),
                  "invalid rank range");
@@ -224,15 +222,25 @@ std::uint64_t for_each_permutation_in_range(
   // std::next_permutation walks lexicographic order, which is exactly
   // rank order, so one unrank seeds the whole range.
   std::vector<std::uint32_t> target = unrank_targets(leaf_count, begin_rank);
-  Permutation pattern;
   std::uint64_t visited = 0;
   for (std::uint64_t rank = begin_rank; rank < end_rank; ++rank) {
-    permutation_from_targets(target, pattern);
     ++visited;
-    if (!fn(pattern)) break;
+    if (!fn(target)) break;
     std::next_permutation(target.begin(), target.end());
   }
   return visited;
+}
+
+std::uint64_t for_each_permutation_in_range(
+    std::uint32_t leaf_count, std::uint64_t begin_rank, std::uint64_t end_rank,
+    const std::function<bool(const Permutation&)>& fn) {
+  Permutation pattern;
+  return for_each_target_in_range(
+      leaf_count, begin_rank, end_rank,
+      [&](const std::vector<std::uint32_t>& target) {
+        permutation_from_targets(target, pattern);
+        return fn(pattern);
+      });
 }
 
 }  // namespace nbclos

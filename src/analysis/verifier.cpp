@@ -16,19 +16,34 @@ PatternRouter as_pattern_router(const SinglePathRouting& routing) {
   return SinglePathPatternRouter{&routing};
 }
 
-PatternScorer::PatternScorer(const FoldedClos& ftree,
-                             const PatternRouter& router)
-    : router_(&router), load_(ftree) {
-  if (const auto* single = router.target<SinglePathPatternRouter>()) {
-    single_path_ = single->routing;
-  }
+const SinglePathRouting* wrapped_single_path(const PatternRouter& router) {
+  const auto* single = router.target<SinglePathPatternRouter>();
+  return single != nullptr ? single->routing : nullptr;
 }
 
-const PermutationLoad& PatternScorer::score(const Permutation& pattern) {
-  if (single_path_ != nullptr) {
-    load_.load(pattern, *single_path_);
+PatternScorer::PatternScorer(const FoldedClos& ftree,
+                             const PatternRouter& router,
+                             const routing::RouteCache* cache)
+    : router_(&router), cache_(cache), load_(ftree) {
+  const SinglePathRouting* single = wrapped_single_path(router);
+  NBCLOS_REQUIRE(cache == nullptr || single != nullptr,
+                 "a route cache scores only a single-path router");
+  if (single == nullptr) return;
+  if (cache_ == nullptr) {
+    cache_ = &own_cache_.emplace(routing::RouteCache::materialize(*single));
+  }
+  NBCLOS_REQUIRE(cache_->leaf_count() == ftree.leaf_count() &&
+                     !cache_->any_unroutable(),
+                 "route cache does not fit the scored fabric");
+}
+
+const PermutationLoad& PatternScorer::score(
+    const std::vector<std::uint32_t>& target) {
+  if (cache_ != nullptr) {
+    load_.load(target, *cache_);
   } else {
-    load_.load(pattern, (*router_)(pattern));
+    permutation_from_targets(target, pattern_);
+    load_.load(pattern_, (*router_)(pattern_));
   }
   return load_;
 }
@@ -64,8 +79,7 @@ class FullSwapState {
 
   [[nodiscard]] std::uint64_t collisions() {
     if (dirty_) {
-      permutation_from_targets(target_, pattern_);
-      collisions_ = scorer_.score(pattern_).colliding_pairs();
+      collisions_ = scorer_.score(target_).colliding_pairs();
       dirty_ = false;
     }
     return collisions_;
@@ -78,7 +92,6 @@ class FullSwapState {
  private:
   PatternScorer scorer_;
   std::vector<std::uint32_t> target_;
-  Permutation pattern_;
   std::uint64_t collisions_ = 0;
   std::uint64_t prev_collisions_ = 0;
   bool dirty_ = true;
@@ -175,13 +188,13 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
   result.nonblocking = true;
   obs::ScopedSpan span("verify.exhaustive", "verify");
   PatternScorer scorer(ftree, router);
-  result.permutations_checked = for_each_permutation_in_range(
+  result.permutations_checked = for_each_target_in_range(
       ftree.leaf_count(), 0, factorial(ftree.leaf_count()),
-      [&](const Permutation& pattern) {
-        const auto collisions = scorer.score(pattern).colliding_pairs();
+      [&](const std::vector<std::uint32_t>& target) {
+        const auto collisions = scorer.score(target).colliding_pairs();
         if (collisions > 0) {
           result.nonblocking = false;
-          result.counterexample = pattern;
+          result.counterexample = permutation_from_targets(target);
           result.counterexample_collisions = collisions;
           return false;
         }
@@ -195,18 +208,22 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
 VerifyResult verify_random(const FoldedClos& ftree,
                            const PatternRouter& router, std::uint64_t trials,
                            Xoshiro256& rng) {
+  PatternScorer scorer(ftree, router);
+  return verify_random(ftree, scorer, trials, rng);
+}
+
+VerifyResult verify_random(const FoldedClos& ftree, PatternScorer& scorer,
+                           std::uint64_t trials, Xoshiro256& rng) {
   VerifyResult result;
   result.nonblocking = true;
-  PatternScorer scorer(ftree, router);
   std::vector<std::uint32_t> target;
-  Permutation pattern;
   for (std::uint64_t t = 0; t < trials; ++t) {
-    random_permutation(ftree.leaf_count(), rng, target, pattern);
+    random_targets(ftree.leaf_count(), rng, target);
     ++result.permutations_checked;
-    const auto collisions = scorer.score(pattern).colliding_pairs();
+    const auto collisions = scorer.score(target).colliding_pairs();
     if (collisions > 0) {
       result.nonblocking = false;
-      result.counterexample = pattern;
+      result.counterexample = permutation_from_targets(target);
       result.counterexample_collisions = collisions;
       return result;
     }

@@ -36,10 +36,8 @@ ChannelFacts::ChannelFacts(const Network& net, std::uint32_t vc_per_channel)
 }
 
 obs::HistogramMetric& stall_metric() {
-  // Fixed geometry: the registry requires one geometry per name, so the
-  // cap cannot follow run length.
-  constexpr std::uint64_t kStallHistCap = 1u << 20;
-  return obs::metrics().histogram("flow.stall_cycles", kStallHistCap);
+  return obs::metrics().histogram("flow.stall_cycles", kStallMetricCap,
+                                  kStallMetricBins);
 }
 
 void finalize_forensics(DeadlockForensics& forensics) {

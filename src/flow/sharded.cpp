@@ -202,8 +202,8 @@ class FlowDriver {
         [](const fault::FaultEvent& a, const fault::FaultEvent& b) {
           return a.cycle < b.cycle;
         });
-    packet_rate_ =
-        config_.injection_rate / static_cast<double>(config_.packet_flits);
+    injection_threshold_ = sim::injection_threshold(
+        config_.injection_rate / static_cast<double>(config_.packet_flits));
     const auto terminal_vertices = net_->terminals();
     terminal_count_ = static_cast<std::uint32_t>(terminal_vertices.size());
     NBCLOS_REQUIRE(traffic.terminal_count() == terminal_count_,
@@ -262,7 +262,7 @@ class FlowDriver {
   std::vector<fault::FaultEvent> fault_events_;  ///< sorted by cycle
   const fault::DegradedView* degraded_ = nullptr;  ///< copied per shard
   std::uint32_t terminal_count_ = 0;
-  double packet_rate_ = 0.0;
+  std::uint64_t injection_threshold_ = 0;  ///< of the per-cycle packet rate
   std::shared_ptr<const ChannelFacts> facts_;
   std::array<obs::FlightRecorder::SeriesId, kSeries.size()> series_{};
   bool ran_ = false;
@@ -514,7 +514,7 @@ class Driver final : public detail::FlowDriver {
         return sh.channel_flits[li] != 0;
       });
       lap(kTransmissions);
-      sh.inject_counter(*traffic_, packet_rate_, now);
+      sh.inject_counter(*traffic_, injection_threshold_, now);
       if (sh.onoff != nullptr) sh.latch(now);
       sh.depth_sum_by_cycle[now] = sh.pool->switch_flits_total();
       // End-of-cycle sample — all shards see want(now) identically (same
@@ -774,6 +774,8 @@ class Driver final : public detail::FlowDriver {
     m.counter("flow.route.lookups").add(lookups);
     m.counter("flow.stall.credit_cycles").add(result.credit_stall_cycles);
     m.counter("flow.stall.vc_cycles").add(result.vc_stall_cycles);
+    auto& stalls = detail::stall_metric();
+    for (const auto& shp : shards_) stalls.merge(shp->stall_obs);
     m.counter("flow.flits.transmitted")
         .add(std::accumulate(link_busy().begin(), link_busy().end(),
                              std::uint64_t{0}));

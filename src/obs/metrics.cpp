@@ -50,6 +50,14 @@ void HistogramMetric::record(std::uint64_t value) noexcept {
   shard.hist->add(value);
 }
 
+void HistogramMetric::merge(const QuantileHistogram& hist) {
+  if (!detail::runtime_enabled()) return;
+  Shard& shard = *shards_[detail::shard_index()];
+  const std::scoped_lock lock(shard.mutex);
+  if (!shard.hist) shard.hist.emplace(max_value_, max_bins_);
+  shard.hist->merge(hist);  // checks the geometry
+}
+
 QuantileHistogram HistogramMetric::merged() const {
   QuantileHistogram merged(max_value_, max_bins_);
   for (const auto& shard : shards_) {

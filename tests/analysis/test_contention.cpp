@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <numeric>
 
 #include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/permutations.hpp"
@@ -75,17 +75,25 @@ TEST(LinkLoadMap, DirectPathsOnlyTouchLeafLinks) {
 /// and ftree(4+16,8).
 const FtreeParams kLoadShapes[] = {{2, 3, 5}, {3, 9, 5}, {4, 16, 8}};
 
-/// Seeded full and partial random permutations (including an empty one).
-std::vector<Permutation> sample_patterns(const FoldedClos& ft,
-                                         std::uint64_t seed) {
+/// Seeded full and partial random permutations as target vectors (leaf
+/// s sends to target[s], nothing when target[s] == s), the identity (an
+/// empty pattern) first.
+std::vector<std::vector<std::uint32_t>> sample_targets(const FoldedClos& ft,
+                                                       std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  std::vector<Permutation> patterns{Permutation{}};
+  std::vector<std::uint32_t> identity(ft.leaf_count());
+  std::iota(identity.begin(), identity.end(), 0U);
+  std::vector<std::vector<std::uint32_t>> targets{identity};
   for (int i = 0; i < 40; ++i) {
-    patterns.push_back(random_permutation(ft.leaf_count(), rng));
+    random_targets(ft.leaf_count(), rng, targets.emplace_back());
     const auto pairs = static_cast<std::uint32_t>(rng.below(ft.leaf_count() + 1));
-    patterns.push_back(random_partial_permutation(ft.leaf_count(), pairs, rng));
+    auto& partial = targets.emplace_back(identity);
+    for (const auto sd :
+         random_partial_permutation(ft.leaf_count(), pairs, rng)) {
+      partial[sd.src.value] = sd.dst.value;
+    }
   }
-  return patterns;
+  return targets;
 }
 
 /// Adaptive test router: each cross pair takes the first of the n lowest
@@ -119,45 +127,55 @@ PatternRouter first_fit_router(const FoldedClos& ft) {
 
 /// PermutationLoad over `paths` (and, through a PatternScorer, over
 /// `router`) must report LinkLoadMap's colliding pairs and max load.
-void expect_loads_match(const FoldedClos& ft, const Permutation& pattern,
+void expect_loads_match(const FoldedClos& ft,
+                        const std::vector<std::uint32_t>& target,
                         const std::vector<FtreePath>& paths,
                         const PatternRouter& router, const char* what) {
   LinkLoadMap map(ft);
   map.add_paths(paths);
   PermutationLoad load(ft);
-  load.load(pattern, paths);
+  load.load(permutation_from_targets(target), paths);
   EXPECT_EQ(load.colliding_pairs(), map.colliding_pairs()) << what;
   EXPECT_EQ(load.max_load(), map.max_load()) << what;
   PatternScorer scorer(ft, router);
-  const auto& scored = scorer.score(pattern);
+  const auto& scored = scorer.score(target);
   EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs()) << what;
   EXPECT_EQ(scored.max_load(), map.max_load()) << what;
 }
 
 TEST(PermutationLoad, MatchesLinkLoadMapOnSinglePathRoutings) {
+  // ftree(2+4,5), ftree(3+9,4), ftree(4+16,8): m = n^2, so Theorem 3
+  // routes every shape.
+  const FtreeParams shapes[] = {{2, 4, 5}, {3, 9, 4}, {4, 16, 8}};
   std::uint64_t colliding = 0;
-  for (const auto& params : kLoadShapes) {
+  for (const auto& params : shapes) {
     const FoldedClos ft(params);
+    const YuanNonblockingRouting yuan(ft);
     const DModKRouting dmodk(ft);
     const SModKRouting smodk(ft);
+    const DModKSwitchRouting dswitch(ft);
     const RandomFixedRouting random_fixed(ft, 31);
-    std::vector<const SinglePathRouting*> routings{&dmodk, &smodk,
-                                                   &random_fixed};
-    std::optional<YuanNonblockingRouting> yuan;
-    if (ft.m() >= ft.n() * ft.n()) routings.push_back(&yuan.emplace(ft));
+    const std::vector<const SinglePathRouting*> routings{
+        &yuan, &dmodk, &smodk, &dswitch, &random_fixed};
     for (const auto* routing : routings) {
+      SCOPED_TRACE(routing->name());
       const auto router = as_pattern_router(*routing);
-      for (const auto& pattern : sample_patterns(ft, 32)) {
-        const auto paths = routing->route_all(pattern);
-        expect_loads_match(ft, pattern, paths, router,
-                           routing->name().c_str());
-        // The pair-by-pair walk (no path vector) agrees too.
-        PermutationLoad walk(ft);
-        walk.load(pattern, *routing);
+      const auto cache = routing::RouteCache::materialize(*routing);
+      PermutationLoad cached(ft);
+      PatternScorer shared(ft, router, &cache);
+      for (const auto& target : sample_targets(ft, 32)) {
+        const auto paths = routing->route_all(permutation_from_targets(target));
+        // The path-vector load and a scorer with its own cache.
+        expect_loads_match(ft, target, paths, router, "single-path");
         LinkLoadMap map(ft);
         map.add_paths(paths);
-        EXPECT_EQ(walk.colliding_pairs(), map.colliding_pairs());
-        EXPECT_EQ(walk.max_load(), map.max_load());
+        // The cached load, straight and through a scorer lent the cache.
+        cached.load(target, cache);
+        EXPECT_EQ(cached.colliding_pairs(), map.colliding_pairs());
+        EXPECT_EQ(cached.max_load(), map.max_load());
+        const auto& scored = shared.score(target);
+        EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs());
+        EXPECT_EQ(scored.max_load(), map.max_load());
         colliding += map.colliding_pairs();
       }
     }
@@ -174,10 +192,11 @@ TEST(PermutationLoad, MatchesLinkLoadMapOnPatternRouters) {
     const PatternRouter central_router = [&central](const Permutation& p) {
       return central.route(p);
     };
-    for (const auto& pattern : sample_patterns(ft, 33)) {
+    for (const auto& target : sample_targets(ft, 33)) {
+      const auto pattern = permutation_from_targets(target);
       const auto paths = first_fit(pattern);
-      expect_loads_match(ft, pattern, paths, first_fit, "first-fit");
-      expect_loads_match(ft, pattern, central.route(pattern), central_router,
+      expect_loads_match(ft, target, paths, first_fit, "first-fit");
+      expect_loads_match(ft, target, central.route(pattern), central_router,
                          "centralized");
       LinkLoadMap map(ft);
       map.add_paths(paths);
@@ -197,9 +216,10 @@ TEST(PermutationLoad, MatchesLinkLoadMapOnTheAdaptiveRouter) {
     const PatternRouter pattern_router = [&](const Permutation& p) {
       return router.route(p).to_paths(ft);
     };
-    for (const auto& pattern : sample_patterns(ft, 34)) {
-      expect_loads_match(ft, pattern, pattern_router(pattern), pattern_router,
-                         "adaptive");
+    for (const auto& target : sample_targets(ft, 34)) {
+      expect_loads_match(ft, target,
+                         pattern_router(permutation_from_targets(target)),
+                         pattern_router, "adaptive");
     }
   }
 }
@@ -207,14 +227,15 @@ TEST(PermutationLoad, MatchesLinkLoadMapOnTheAdaptiveRouter) {
 TEST(PermutationLoad, EmptyAndDirectPatternsLoadNoSharedLink) {
   const FoldedClos ft(FtreeParams{3, 2, 2});
   const DModKRouting routing(ft);
+  const auto cache = routing::RouteCache::materialize(routing);
   PermutationLoad load(ft);
-  load.load(Permutation{}, routing);
+  const std::vector<std::uint32_t> identity{0, 1, 2, 3, 4, 5};
+  load.load(identity, cache);
   EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 0U);
   // Same-switch pairs load only their leaf links.
-  const Permutation direct{{LeafId{0}, LeafId{1}}, {LeafId{1}, LeafId{2}},
-                           {LeafId{3}, LeafId{5}}};
-  load.load(direct, routing);
+  const std::vector<std::uint32_t> direct{1, 2, 0, 5, 4, 3};
+  load.load(direct, cache);
   EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 1U);
   // A reload starts from zero: two colliding cross pairs, then none.
@@ -224,9 +245,11 @@ TEST(PermutationLoad, EmptyAndDirectPatternsLoadNoSharedLink) {
   load.load(shared, both_top0);
   EXPECT_EQ(load.colliding_pairs(), 2U);  // shared up-link and down-link
   EXPECT_EQ(load.max_load(), 2U);
-  load.load(direct, routing);
+  load.load(direct, cache);
   EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 1U);
+  load.load(Permutation{}, std::vector<FtreePath>{});
+  EXPECT_EQ(load.max_load(), 0U);
 }
 
 TEST(PermutationLoad, DebugBuildsRejectMismatchedRouterPaths) {

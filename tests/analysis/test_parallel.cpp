@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "nbclos/analysis/contention.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
@@ -394,6 +398,146 @@ TEST(ParallelPinned, EstimateBlockingDmodk) {
       EXPECT_EQ(est.mean_max_link_load, 1.7053333333333334);
       EXPECT_EQ(est.ci95_half_width, 0.016313913432904326);
     }
+  }
+}
+
+// --- one RouteCache per sampler call ------------------------------------
+
+std::uint64_t cache_builds() {
+  return obs::metrics().counter("route_cache.builds").value();
+}
+
+/// The same routing as a router PatternScorer cannot see through: scored
+/// from its path vectors, the reference for the cached scoring.
+PatternRouterFactory opaque_factory(const SinglePathRouting& routing) {
+  return [&routing](std::uint64_t) -> PatternRouter {
+    return [&routing](const Permutation& p) { return routing.route_all(p); };
+  };
+}
+
+/// Runs `call` and checks it called `factory` `calls` times and built
+/// exactly one RouteCache.
+template <typename Call>
+void expect_one_build(std::atomic<std::uint32_t>& factory_calls,
+                      std::uint32_t calls, const Call& call) {
+  factory_calls = 0;
+  const auto before = cache_builds();
+  call();
+  EXPECT_EQ(factory_calls.load(), calls);
+  EXPECT_EQ(cache_builds() - before, 1U);
+}
+
+TEST(ParallelSharedCache, SamplersCallTheFactoryOncePerChunkAndBuildOneCache) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  const FoldedClos ft(FtreeParams{3, 4, 5});  // d-mod-k blocks
+  const DModKRouting dmodk(ft);
+  const FoldedClos small(FtreeParams{2, 4, 3});  // 6 leaves, 720 ranks
+  const YuanNonblockingRouting yuan(small);
+  ThreadPool reference_pool(1);
+  const auto verify_expect = verify_random_parallel(
+      ft, opaque_factory(dmodk), 400, 21, reference_pool, 8);
+  ASSERT_FALSE(verify_expect.nonblocking);
+  const auto few_expect = verify_random_parallel(
+      ft, opaque_factory(dmodk), 5, 21, reference_pool, 8);
+  const auto blocking_expect = estimate_blocking_parallel(
+      ft, opaque_factory(dmodk), 300, 9, reference_pool, 8);
+  const auto exhaustive_expect =
+      verify_exhaustive(small, opaque_factory(yuan)(0));
+  ASSERT_TRUE(exhaustive_expect.nonblocking);  // every shard runs
+
+  std::atomic<std::uint32_t> calls{0};
+  const auto counting = [&calls](const SinglePathRouting& routing) {
+    return PatternRouterFactory([&calls, &routing](std::uint64_t) {
+      ++calls;
+      return as_pattern_router(routing);
+    });
+  };
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    expect_one_build(calls, 8, [&] {
+      expect_same_verify(
+          verify_random_parallel(ft, counting(dmodk), 400, 21, pool, 8),
+          verify_expect);
+    });
+    expect_one_build(calls, 0, [&] {  // no factory: the routing overload
+      expect_same_verify(verify_random_parallel(ft, dmodk, 400, 21, pool, 8),
+                         verify_expect);
+    });
+    expect_one_build(calls, 5, [&] {  // 5 trials: chunks 5..7 never run
+      expect_same_verify(
+          verify_random_parallel(ft, counting(dmodk), 5, 21, pool, 8),
+          few_expect);
+    });
+    expect_one_build(calls, 8, [&] {
+      const auto est =
+          estimate_blocking_parallel(ft, counting(dmodk), 300, 9, pool, 8);
+      EXPECT_EQ(est.blocked, blocking_expect.blocked);
+      EXPECT_EQ(est.mean_colliding_pairs, blocking_expect.mean_colliding_pairs);
+      EXPECT_EQ(est.mean_max_link_load, blocking_expect.mean_max_link_load);
+    });
+    const auto shards = static_cast<std::uint32_t>(16 * pool.thread_count());
+    expect_one_build(calls, shards, [&] {
+      expect_same_verify(
+          verify_exhaustive_parallel(small, counting(yuan), pool),
+          exhaustive_expect);
+    });
+  }
+}
+
+TEST(ParallelSharedCache, ChunksOfAnotherRoutingScoreFromTheirOwnCache) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  const FoldedClos ft(FtreeParams{3, 4, 5});
+  const DModKRouting dmodk(ft);
+  const SModKRouting smodk(ft);
+  // The chunk seed picks the routing, so each chunk's routing is fixed.
+  const auto pick = [&](std::uint64_t seed) -> const SinglePathRouting& {
+    return (seed & 1) != 0 ? static_cast<const SinglePathRouting&>(smodk)
+                           : dmodk;
+  };
+  const PatternRouterFactory opaque = [&](std::uint64_t seed) -> PatternRouter {
+    const SinglePathRouting& routing = pick(seed);
+    return [&routing](const Permutation& p) { return routing.route_all(p); };
+  };
+  ThreadPool reference_pool(1);
+  const auto verify_expect =
+      verify_random_parallel(ft, opaque, 400, 21, reference_pool, 8);
+  const auto blocking_expect =
+      estimate_blocking_parallel(ft, opaque, 300, 9, reference_pool, 8);
+
+  // Chunk 0's router is built first, on the calling thread: every later
+  // call that picks the other routing builds a cache of its own.
+  std::mutex mutex;
+  std::vector<const SinglePathRouting*> picked;
+  const PatternRouterFactory mixed = [&](std::uint64_t seed) {
+    const SinglePathRouting& routing = pick(seed);
+    const std::scoped_lock lock(mutex);
+    picked.push_back(&routing);
+    return as_pattern_router(routing);
+  };
+  const auto own_builds = [&] {
+    return static_cast<std::uint64_t>(
+        std::count_if(picked.begin(), picked.end(),
+                      [&](const auto* r) { return r != picked.front(); }));
+  };
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    picked.clear();
+    auto before = cache_builds();
+    expect_same_verify(verify_random_parallel(ft, mixed, 400, 21, pool, 8),
+                       verify_expect);
+    ASSERT_EQ(picked.size(), 8U);
+    EXPECT_GT(own_builds(), 0U);  // both routings occur among the chunks
+    EXPECT_EQ(cache_builds() - before, 1 + own_builds());
+
+    picked.clear();
+    before = cache_builds();
+    const auto est = estimate_blocking_parallel(ft, mixed, 300, 9, pool, 8);
+    EXPECT_EQ(cache_builds() - before, 1 + own_builds());
+    EXPECT_EQ(est.blocked, blocking_expect.blocked);
+    EXPECT_EQ(est.mean_colliding_pairs, blocking_expect.mean_colliding_pairs);
+    EXPECT_EQ(est.mean_max_link_load, blocking_expect.mean_max_link_load);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "nbclos/util/check.hpp"
 #include "nbclos/util/thread_pool.hpp"
 
 namespace nbclos::obs {
@@ -86,6 +87,28 @@ TEST(ObsMetrics, HistogramMergesShardsOnSnapshot) {
   EXPECT_EQ(merged.count(), 1000U);
   EXPECT_NEAR(merged.quantile(0.5), 500.0,
               static_cast<double>(merged.bucket_width()));
+}
+
+TEST(ObsMetrics, HistogramMergeAddsALocalHistogramOfTheSameGeometry) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  auto& hist = metrics().histogram("test.hist.merged", 1000, 64);
+  hist.reset();
+  QuantileHistogram local(1000, 64);
+  QuantileHistogram recorded(1000, 64);
+  for (std::uint64_t v = 0; v < 500; v += 3) {
+    local.add(v);
+    recorded.add(v);
+    hist.record(v);
+  }
+  hist.merge(local);  // the same samples again, in one step
+  recorded.merge(local);
+  const auto merged = hist.merged();
+  EXPECT_EQ(merged.count(), recorded.count());
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(merged.quantile(q), recorded.quantile(q)) << q;
+  }
+  EXPECT_THROW(hist.merge(QuantileHistogram(1000, 128)), precondition_error);
+  EXPECT_THROW(hist.merge(QuantileHistogram(2000, 64)), precondition_error);
 }
 
 TEST(ObsMetrics, SnapshotReportsEveryKindSortedByName) {

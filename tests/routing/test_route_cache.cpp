@@ -3,6 +3,7 @@
 /// and the large-radix smoke instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -69,6 +70,38 @@ TEST(RouteCache, RunLengthsFollowPairKind) {
   }
 }
 
+TEST(RouteCache, MaterializeMatchesTheGenericBuilder) {
+  // n = 1 makes every bottom-switch block a single leaf.
+  for (const FtreeParams params :
+       {FtreeParams{1, 1, 4}, FtreeParams{2, 4, 5}, FtreeParams{3, 9, 4}}) {
+    const FoldedClos ft(params);
+    const YuanNonblockingRouting yuan(ft);
+    const DModKRouting dmodk(ft);
+    const RandomFixedRouting random_fixed(ft, 5);
+    const std::vector<const SinglePathRouting*> routings{&yuan, &dmodk,
+                                                         &random_fixed};
+    for (const auto* routing : routings) {
+      SCOPED_TRACE(routing->name());
+      const auto fast = routing::RouteCache::materialize(*routing);
+      const routing::RouteCache generic(ft, [&](SDPair sd, FtreePath& path) {
+        path = routing->route(sd);
+        return std::uint8_t{0};
+      });
+      ASSERT_EQ(fast.bytes(), generic.bytes());
+      EXPECT_FALSE(fast.any_unroutable());
+      EXPECT_TRUE(std::equal(fast.tops(), fast.tops() + fast.pair_count(),
+                             generic.tops()));
+      for (std::uint32_t s = 0; s < ft.leaf_count(); ++s) {
+        EXPECT_EQ(fast.tops()[std::size_t{s} * ft.leaf_count() + s],
+                  routing::RouteCache::kEmpty);
+        for (std::uint32_t d = 0; d < ft.leaf_count(); ++d) {
+          EXPECT_EQ(fast.flags(s, d), 0U);
+        }
+      }
+    }
+  }
+}
+
 TEST(RouteCache, BuildFnFlagsMarkUnroutablePairs) {
   const FoldedClos ft(FtreeParams{2, 4, 3});
   const DModKRouting dmodk(ft);
@@ -76,7 +109,7 @@ TEST(RouteCache, BuildFnFlagsMarkUnroutablePairs) {
   const routing::RouteCache cache(
       ft, [&](SDPair sd, FtreePath& path) -> std::uint8_t {
         if (sd.src.value == 0) return routing::RouteCache::kUnroutable;
-        dmodk.route_into(sd, path);
+        path = dmodk.route(sd);
         return sd.dst.value == 1 ? routing::RouteCache::kFallback
                                  : std::uint8_t{0};
       });

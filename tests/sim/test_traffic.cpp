@@ -2,12 +2,54 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
+#include "nbclos/sim/injection_rng.hpp"
 #include "nbclos/util/check.hpp"
 
 namespace nbclos::sim {
 namespace {
+
+/// The double test the integer threshold replaces.
+bool double_accepts(std::uint64_t draw, double p) {
+  return static_cast<double>(draw >> 11) * 0x1.0p-53 < p;
+}
+
+TEST(InjectionRng, IntegerBernoulliAgreesWithTheDoubleTest) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;  // draw >> 11 < kTop
+  for (const double p : {0.0, 0x1.0p-53, 0.0125, 0.5, std::nextafter(1.0, 0.0),
+                         1.0}) {
+    SCOPED_TRACE(p);
+    const std::uint64_t threshold = injection_threshold(p);
+    EXPECT_LE(threshold, kTop);
+    // k = draw >> 11 on both sides of the threshold and at the ends.
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, std::uint64_t{1}, threshold - 1, threshold,
+          threshold + 1, kTop - 2, kTop - 1}) {
+      if (k >= kTop) continue;  // threshold +- 1 past either end
+      const std::uint64_t draw = (k << 11) | 0x5A5;  // low bits are dropped
+      EXPECT_EQ(draw >> 11 < threshold, double_accepts(draw, p)) << k;
+    }
+    // And along one counter stream, through injection_bernoulli itself.
+    SplitMix64 integer(injection_counter_state(7, 3, 11));
+    SplitMix64 reference(injection_counter_state(7, 3, 11));
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_EQ(injection_bernoulli(integer, threshold),
+                double_accepts(reference.next(), p));
+    }
+  }
+  EXPECT_EQ(injection_threshold(0.0), 0U);
+  EXPECT_EQ(injection_threshold(1.0), kTop);
+  EXPECT_EQ(injection_threshold(0x1.0p-53), 1U);
+}
+
+TEST(InjectionRng, TerminalStrideAdvancesTheCounterState) {
+  std::uint64_t state = injection_counter_state(99, 12, 0);
+  for (std::uint32_t t = 0; t < 64; ++t, state += kInjectionTerminalStride) {
+    EXPECT_EQ(state, injection_counter_state(99, 12, t));
+  }
+}
 
 TEST(Traffic, PermutationFixesDestinations) {
   const Permutation pattern{{LeafId{0}, LeafId{3}}, {LeafId{2}, LeafId{1}}};
