@@ -1,8 +1,12 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark micro timings for the hot paths: per-SD route
 ///        computation, full-pattern adaptive scheduling, centralized edge
-///        coloring, the Lemma 1 audit, and simulator cycle throughput.
+///        coloring, the Lemma 1 audit, permutation scoring with and
+///        without a route cache, and simulator cycle throughput.
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <vector>
 
 #include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/contention.hpp"
@@ -10,6 +14,7 @@
 #include "nbclos/analysis/verifier.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
 #include "nbclos/routing/next_hop.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 #include "nbclos/sim/engine.hpp"
 
@@ -75,17 +80,59 @@ void BM_Lemma1Audit(benchmark::State& state) {
 }
 BENCHMARK(BM_Lemma1Audit)->Arg(3)->Arg(4)->Arg(5);
 
+/// One serial verify_random call of `range(0)` trials on 80 leaves: 10
+/// trials score pair by pair from top_for, 400 pay for a RouteCache
+/// (scoring_cache_pays), built inside the call.
 void BM_VerifyRandomPermutations(benchmark::State& state) {
   const nbclos::FoldedClos ft(nbclos::FtreeParams{4, 16, 20});
   const nbclos::YuanNonblockingRouting routing(ft);
   nbclos::Xoshiro256 rng(13);
   const auto router = nbclos::as_pattern_router(routing);
+  const auto trials = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nbclos::verify_random(ft, router, 10, rng));
+    benchmark::DoNotOptimize(nbclos::verify_random(ft, router, trials, rng));
   }
-  state.SetItemsProcessed(state.iterations() * 10);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trials));
 }
-BENCHMARK(BM_VerifyRandomPermutations);
+BENCHMARK(BM_VerifyRandomPermutations)->Arg(10)->Arg(400);
+
+/// The three costs scoring_cache_pays weighs, per SD pair, on the
+/// verify_ftree fabric ftree(8+64,64) (512 leaves): building the table,
+/// and scoring a permutation pair by pair or from the table.
+void BM_RouteCacheMaterialize(benchmark::State& state) {
+  const nbclos::FoldedClos ft(nbclos::FtreeParams{8, 64, 64});
+  const nbclos::YuanNonblockingRouting routing(ft);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nbclos::routing::RouteCache::materialize(routing));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t{ft.leaf_count()} * ft.leaf_count());
+}
+BENCHMARK(BM_RouteCacheMaterialize);
+
+void BM_ScorePermutation(benchmark::State& state) {
+  const nbclos::FoldedClos ft(nbclos::FtreeParams{8, 64, 64});
+  const nbclos::YuanNonblockingRouting routing(ft);
+  const auto router = nbclos::as_pattern_router(routing);
+  const auto cache = nbclos::routing::RouteCache::materialize(routing);
+  const bool cached = state.range(0) != 0;
+  std::optional<nbclos::PatternScorer> scorer;
+  if (cached) {
+    scorer.emplace(ft, router, cache);
+  } else {
+    scorer.emplace(ft, router, /*scores=*/0);
+  }
+  nbclos::Xoshiro256 rng(17);
+  std::vector<std::uint32_t> target;
+  nbclos::random_targets(ft.leaf_count(), rng, target);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer->score(target).colliding_pairs());
+  }
+  state.SetItemsProcessed(state.iterations() * ft.leaf_count());
+  state.SetLabel(cached ? "from the table" : "pair by pair");
+}
+BENCHMARK(BM_ScorePermutation)->Arg(0)->Arg(1);
 
 /// One uplink choice of the Theorem 3 routing, through the adapter the
 /// engines route by: a cross pair at its source's bottom switch.

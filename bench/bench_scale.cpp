@@ -16,9 +16,10 @@
 ///     (the blocking baseline), permutations/sec;
 ///   * cache_hit_rate — obs route_cache.lookups /
 ///     (lookups + routes_materialized) over the case's work, i.e. the
-///     fraction of path requests served from the cache instead of a
-///     route() call (0 here: the sampling drivers route every pattern
-///     directly, and only the route_cache section builds a cache);
+///     fraction of SD pairs read from a RouteCache rather than routed
+///     into one.  Both sampling sections time one table build per call
+///     (their trials outnumber the leaves, so scoring_cache_pays), and
+///     every pair they score is a lookup;
 ///   * peak_rss_kb — getrusage high-water mark after the case ran.
 /// Results are seeded and bit-reproducible at any thread count (the
 /// drivers chunk deterministically); timings warm up once and report the

@@ -9,8 +9,9 @@
 ///     permutation can share, by Lemma 1).  The verifier drivers score
 ///     every sampled or enumerated permutation with it: a single-path
 ///     routing from the rows of one RouteCache (routing/route_cache.hpp)
-///     per verifier call, the same table the hill climb replays, and any
-///     other router from its path vector.
+///     per verifier call when the call scores enough permutations to pay
+///     for the table, else pair by pair from the routing's top_for; any
+///     other router from its path vector.  All three share one body.
 ///   * LinkLoadMap counts every directed link and keeps its collision
 ///     statistics incrementally, for hill-climb state that adds and
 ///     removes paths (analysis/delta.hpp) and for arbitrary path sets.
@@ -126,6 +127,12 @@ class PermutationLoad {
   /// routable.
   void load(std::span<const std::uint32_t> target,
             const routing::RouteCache& cache);
+  /// The same load with no table: one routing.top_for per cross pair
+  /// (same-switch pairs are told apart by their bottom switches), for a
+  /// caller that scores too few permutations to pay for a RouteCache.
+  /// \pre as above, and `routing` is over this ftree.
+  void load(std::span<const std::uint32_t> target,
+            const SinglePathRouting& routing);
   /// Load a pattern router's paths: \pre paths[i] routes pattern[i]
   /// (checked in Debug builds).
   void load(const Permutation& pattern, const std::vector<FtreePath>& paths);
@@ -138,6 +145,14 @@ class PermutationLoad {
   [[nodiscard]] std::uint32_t max_load() const noexcept { return max_load_; }
 
  private:
+  /// Zero the counters and load `count` pairs: pair_of(i, bottom) gives
+  /// pair i's source and destination leaves and the top switch it
+  /// crosses, or a top >= m for a pair that loads only its leaf links
+  /// (nothing at all when source == destination).  `bottom` is the
+  /// per-leaf switch table.  The one body of all three loads.
+  template <typename PairOf>
+  void load_pairs(std::size_t count, const PairOf& pair_of);
+
   const FoldedClos* ftree_;
   std::vector<std::uint32_t> bottom_;  ///< switch_of, per leaf
   std::vector<std::uint32_t> load_;

@@ -12,10 +12,13 @@
 /// (blocking estimates, random and exhaustive verification) are scored
 /// by a chunk- or shard-private PatternScorer: one pass per permutation
 /// into a PermutationLoad.  Each sampler builds chunk 0's router on the
-/// calling thread; when it wraps a SinglePathRouting (as_pattern_router),
-/// the routing is materialized into one RouteCache per call, lent
-/// read-only to every chunk whose router wraps the same routing, so the
-/// factory runs once per chunk that runs and the table is built once.
+/// calling thread; when it wraps a SinglePathRouting (as_pattern_router)
+/// and the call's permutations pay for a table (scoring_cache_pays: at
+/// least as many as leaves, and the table within 64 MiB), the routing is
+/// materialized into one RouteCache per call, lent read-only to every
+/// chunk whose router wraps the same routing, so the factory runs once
+/// per chunk that runs and the table is built at most once.  Otherwise
+/// the chunks score pair by pair from the routing's top_for.
 /// estimate_blocking_parallel's chunks run the same body as
 /// estimate_blocking (sample_blocking), and verify_random_parallel's run
 /// verify_random.  Adversarial and worst-case restarts climb with the

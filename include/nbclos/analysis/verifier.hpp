@@ -19,11 +19,14 @@
 /// router wraps a SinglePathRouting (as_pattern_router) the pass reads
 /// the permutation's target vector against one RouteCache of the
 /// routing, materialized once per call (the parallel samplers lend one
-/// to every chunk), exactly as the hill climb does; any other router is
-/// scored through its path vector.  A hill-climb step is scored by one
-/// of two evaluators:
+/// to every chunk), as the hill climb does, provided the call scores at
+/// least as many permutations as the fabric has leaves and the table
+/// fits kMaxScoringCacheBytes; otherwise the pass calls the routing's
+/// top_for per pair.  Any other router is scored through its path
+/// vector.  A hill-climb step is scored by one of two evaluators:
 ///   * full re-evaluation of the whole pattern through a PatternScorer
-///     (any router; the tests' reference);
+///     that builds no table (any router; the tests' reference, which
+///     reads the routing itself, not the cache the delta side replays);
 ///   * cached delta evaluation (SwapDeltaState, analysis/delta.hpp) for
 ///     single-path deterministic routings: a step replays only the <= 4
 ///     SD pairs a swap touches from a RouteCache, which is what makes
@@ -66,18 +69,36 @@ struct SinglePathPatternRouter {
 [[nodiscard]] const SinglePathRouting* wrapped_single_path(
     const PatternRouter& router);
 
+/// Whether scoring `scores` permutations of a single-path routing over
+/// `ftree` should read a RouteCache rather than call top_for per pair.
+/// Building the table costs one top_for per ordered pair (leafs^2) and
+/// saves about one per scored pair (scores * leafs), so it pays once
+/// scores >= leafs; the table (3 bytes a pair) must fit in
+/// kMaxScoringCacheBytes, so a large fabric is scored pair by pair at any
+/// trial count; and the fabric needs m < RouteCache::kTopLimit.
+inline constexpr std::uint64_t kMaxScoringCacheBytes = std::uint64_t{64} << 20;
+[[nodiscard]] bool scoring_cache_pays(const FoldedClos& ftree,
+                                      std::uint64_t scores);
+
 /// Scores permutations under one PatternRouter into a reused
 /// PermutationLoad.  A SinglePathPatternRouter is scored from a
-/// RouteCache of its routing: `cache` when given, shared read-only, else
-/// one the scorer materializes.  Any other router is scored through
-/// router(pattern).  Holds pointers to `router` and `cache`, which must
-/// outlive it.
+/// RouteCache of its routing (a lent one, or one the scorer materializes
+/// when scoring_cache_pays) or else pair by pair from its top_for; any
+/// other router through router(pattern).  Holds pointers to `router` and
+/// a lent `cache`, which must outlive it.
 class PatternScorer {
  public:
-  /// \pre a given `cache` was materialized from the routing `router`
-  /// wraps, and `router` is a SinglePathPatternRouter.
+  /// `scores`: how many permutations the caller expects to score, which
+  /// decides whether a single-path router is worth a cache of its own
+  /// (0 never builds one).
   PatternScorer(const FoldedClos& ftree, const PatternRouter& router,
-                const routing::RouteCache* cache = nullptr);
+                std::uint64_t scores);
+  /// Score a single-path router from `cache`, shared read-only.
+  /// \pre `cache` was materialized from the routing `router` wraps.
+  PatternScorer(const FoldedClos& ftree, const PatternRouter& router,
+                const routing::RouteCache& cache);
+  /// Accounts the cached scores' pair reads as route_cache.lookups.
+  ~PatternScorer();
 
   PatternScorer(const PatternScorer&) = delete;
   PatternScorer& operator=(const PatternScorer&) = delete;
@@ -88,10 +109,15 @@ class PatternScorer {
   /// one destination.
   const PermutationLoad& score(const std::vector<std::uint32_t>& target);
 
+  /// Whether score() reads a RouteCache (lent or its own).
+  [[nodiscard]] bool cached() const noexcept { return cache_ != nullptr; }
+
  private:
   const PatternRouter* router_;
+  const SinglePathRouting* single_;  ///< the routing router_ wraps, or null
   std::optional<routing::RouteCache> own_cache_;
-  const routing::RouteCache* cache_ = nullptr;  ///< null: route the pattern
+  const routing::RouteCache* cache_ = nullptr;  ///< null: no table
+  std::uint64_t cached_scores_ = 0;  ///< scores read from cache_
   Permutation pattern_;  ///< reused buffer for router(pattern)
   PermutationLoad load_;
 };

@@ -3,10 +3,14 @@
 ///
 ///   * RouteCache        — the verifier's table.  Every SD pair of a
 ///                         single-path ftree routing, materialized once
-///                         per verifier call and read by every sampled,
-///                         enumerated or hill-climbed permutation of it
-///                         (PermutationLoad reads its rows directly; the
-///                         climbs replay link runs), and one per degraded
+///                         per verifier call and read by every hill-
+///                         climbed permutation of it (the climbs replay
+///                         link runs) and by every sampled or enumerated
+///                         one when the call scores at least as many
+///                         permutations as there are leaves and the
+///                         table fits 64 MiB (scoring_cache_pays in
+///                         analysis/verifier.hpp; PermutationLoad reads
+///                         its rows directly), and one per degraded
 ///                         fabric per failure level, without calling
 ///                         route() again.  A route is fixed by its top
 ///                         switch (Theorem 3), so the cache keeps one

@@ -45,7 +45,7 @@ BlockingSums sample_blocking(const FoldedClos& ftree, PatternScorer& scorer,
 BlockingEstimate estimate_blocking(const FoldedClos& ftree,
                                    const PatternRouter& router,
                                    std::uint64_t trials, Xoshiro256& rng) {
-  PatternScorer scorer(ftree, router);
+  PatternScorer scorer(ftree, router, trials);
   return sample_blocking(ftree, scorer, trials, rng).estimate();
 }
 

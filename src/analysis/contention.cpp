@@ -38,20 +38,51 @@ PermutationLoad::PermutationLoad(const FoldedClos& ftree)
 
 namespace {
 
-/// The running sums of one load, kept in registers: the counter stores
-/// cannot alias a local.
-struct LoadSums {
+/// One pair of a load: its source and destination leaves and the top
+/// switch it crosses; a top >= m marks a pair that loads only its leaf
+/// links (a same-switch pair), or nothing when src == dst.
+struct LoadPair {
+  std::uint32_t src;
+  std::uint32_t dst;
+  std::uint32_t top;
+};
+
+constexpr std::uint32_t kNoTop = UINT32_MAX;
+
+}  // namespace
+
+template <typename PairOf>
+void PermutationLoad::load_pairs(std::size_t count, const PairOf& pair_of) {
+  std::fill(load_.begin(), load_.end(), 0U);
+  // Locals, not members: the counter stores below cannot alias them, so
+  // they stay in registers.
+  const std::uint32_t m = ftree_->m();
+  const std::uint32_t r = ftree_->r();
+  std::uint32_t* const up = load_.data();
+  std::uint32_t* const down = up + std::size_t{r} * m;
+  const std::uint32_t* const bottom = bottom_.data();
   std::uint64_t colliding_pairs = 0;
   std::uint32_t max_load = 0;
-
-  void bump(std::uint32_t& load) {
+  std::uint32_t sends = 0;  // nonzero once some leaf sends
+  const auto bump = [&](std::uint32_t& load) {
     const std::uint32_t resident = load++;
     colliding_pairs += resident;  // the new path collides with each one
     max_load = std::max(max_load, resident + 1);
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const LoadPair pair = pair_of(i, bottom);
+    sends |= pair.src ^ pair.dst;
+    NBCLOS_DEBUG_CHECK(pair.top < m ||
+                           pair.top >= routing::RouteCache::kTopLimit,
+                       "top switch out of range");
+    if (pair.top >= m) continue;  // leaf links only: never shared
+    bump(up[bottom[pair.src] * m + pair.top]);
+    bump(down[pair.top * r + bottom[pair.dst]]);
   }
-};
-
-}  // namespace
+  colliding_pairs_ = colliding_pairs;
+  // Every path loads its two leaf links once; a permutation shares none.
+  max_load_ = std::max(max_load, sends != 0 ? 1U : 0U);
+}
 
 void PermutationLoad::load(std::span<const std::uint32_t> target,
                            const routing::RouteCache& cache) {
@@ -59,61 +90,53 @@ void PermutationLoad::load(std::span<const std::uint32_t> target,
   NBCLOS_DEBUG_CHECK(leafs == ftree_->leaf_count() &&
                          cache.leaf_count() == leafs && !cache.any_unroutable(),
                      "route cache does not fit this permutation");
-  std::fill(load_.begin(), load_.end(), 0U);
-  // Locals, not members: the counter stores below cannot alias them.
-  const std::uint32_t m = ftree_->m();
-  const std::uint32_t r = ftree_->r();
-  std::uint32_t* const up = load_.data();
-  std::uint32_t* const down = up + std::size_t{r} * m;
-  const std::uint32_t* const bottom = bottom_.data();
   const std::uint32_t* const to = target.data();
-  const std::uint16_t* row = cache.tops();
-  LoadSums sums;
-  std::uint32_t sends = 0;  // nonzero once some leaf sends
-  for (std::uint32_t s = 0; s < leafs; ++s, row += leafs) {
+  const std::uint16_t* const tops = cache.tops();
+  load_pairs(leafs, [leafs, to, tops](std::size_t s, const std::uint32_t*) {
     const std::uint32_t d = to[s];
     NBCLOS_DEBUG_CHECK(d < leafs, "target leaf out of range");
-    sends |= d ^ s;
-    const std::uint32_t top = row[d];
-    // The diagonal and same-switch pairs load leaf links only: never
-    // shared.
-    if (top >= routing::RouteCache::kTopLimit) continue;
-    sums.bump(up[bottom[s] * m + top]);
-    sums.bump(down[top * r + bottom[d]]);
-  }
-  colliding_pairs_ = sums.colliding_pairs;
-  // Every path loads its two leaf links once; a permutation shares none.
-  max_load_ = std::max(sums.max_load, sends != 0 ? 1U : 0U);
+    // kEmpty (the diagonal) and kDirect lie above every top id (m <
+    // kTopLimit): both skip.
+    return LoadPair{static_cast<std::uint32_t>(s), d, tops[s * leafs + d]};
+  });
+}
+
+void PermutationLoad::load(std::span<const std::uint32_t> target,
+                           const SinglePathRouting& routing) {
+  const auto leafs = static_cast<std::uint32_t>(target.size());
+  NBCLOS_DEBUG_CHECK(leafs == ftree_->leaf_count() &&
+                         routing.ftree().leaf_count() == leafs,
+                     "routing does not fit this permutation");
+  const std::uint32_t* const to = target.data();
+  load_pairs(leafs, [leafs, to, &routing](std::size_t i,
+                                          const std::uint32_t* bottom) {
+    const auto s = static_cast<std::uint32_t>(i);
+    const std::uint32_t d = to[s];
+    NBCLOS_DEBUG_CHECK(d < leafs, "target leaf out of range");
+    if (d == s || bottom[s] == bottom[d]) return LoadPair{s, d, kNoTop};
+    const TopId top = routing.top_for(SDPair{LeafId{s}, LeafId{d}});
+    NBCLOS_DEBUG_CHECK(top.value < routing.ftree().m(),
+                       "top switch out of range");
+    return LoadPair{s, d, top.value};
+  });
 }
 
 void PermutationLoad::load([[maybe_unused]] const Permutation& pattern,
                            const std::vector<FtreePath>& paths) {
   NBCLOS_DEBUG_CHECK(paths.size() == pattern.size(),
                      "router returned a path count unlike the pattern's");
-  if constexpr (kDebugChecksEnabled) {
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      NBCLOS_DEBUG_CHECK(paths[i].sd == pattern[i],
-                         "router path does not match its pattern pair");
-    }
-  }
-  std::fill(load_.begin(), load_.end(), 0U);
-  const std::uint32_t m = ftree_->m();
-  const std::uint32_t r = ftree_->r();
-  std::uint32_t* const up = load_.data();
-  std::uint32_t* const down = up + std::size_t{r} * m;
-  const std::uint32_t* const bottom = bottom_.data();
-  LoadSums sums;
-  for (const FtreePath& path : paths) {
-    if (path.direct) continue;  // leaf links only: never shared
-    NBCLOS_DEBUG_CHECK(path.top.value < m &&
-                           path.sd.src.value < bottom_.size() &&
-                           path.sd.dst.value < bottom_.size(),
+  const FtreePath* const path = paths.data();
+  load_pairs(paths.size(), [&](std::size_t i, const std::uint32_t*) {
+    const FtreePath& p = path[i];
+    NBCLOS_DEBUG_CHECK(p.sd == pattern[i],
+                       "router path does not match its pattern pair");
+    NBCLOS_DEBUG_CHECK(p.sd.src.value < bottom_.size() &&
+                           p.sd.dst.value < bottom_.size() &&
+                           (p.direct || p.top.value < ftree_->m()),
                        "path out of range");
-    sums.bump(up[bottom[path.sd.src.value] * m + path.top.value]);
-    sums.bump(down[path.top.value * r + bottom[path.sd.dst.value]]);
-  }
-  colliding_pairs_ = sums.colliding_pairs;
-  max_load_ = std::max(sums.max_load, paths.empty() ? 0U : 1U);
+    return LoadPair{p.sd.src.value, p.sd.dst.value,
+                    p.direct ? kNoTop : p.top.value};
+  });
 }
 
 bool has_contention(const FoldedClos& ftree,

@@ -31,35 +31,38 @@ std::uint64_t chunk_seed(std::uint64_t master, std::uint32_t chunk) {
 
 /// The scoring every chunk of one sampler call shares.  Chunk 0's router
 /// is built here, on the calling thread; when it wraps a
-/// SinglePathRouting, that routing is materialized into one RouteCache,
-/// lent read-only to every chunk whose router wraps the same routing.
-/// A chunk whose router wraps another routing scores from a cache of its
-/// own, and any other router through its path vector.
+/// SinglePathRouting and the call's `scores` permutations pay for a
+/// table (scoring_cache_pays), that routing is materialized into one
+/// RouteCache, lent read-only to every chunk whose router wraps the same
+/// routing.  Any other chunk scores as a serial PatternScorer would.
 class SharedScoring {
  public:
   SharedScoring(const FoldedClos& ftree,
                 const PatternRouterFactory& make_router,
-                std::uint64_t first_router_seed)
+                std::uint64_t first_router_seed, std::uint64_t scores)
       : ftree_(&ftree), make_router_(&make_router),
         first_(make_router(first_router_seed)),
         routing_(wrapped_single_path(first_)) {
-    if (routing_ != nullptr) {
+    if (routing_ != nullptr && scoring_cache_pays(ftree, scores)) {
       cache_.emplace(routing::RouteCache::materialize(*routing_));
     }
   }
 
-  /// Run `body(scorer)` over chunk `chunk`'s scorer: chunk 0 reuses the
-  /// router built above, every other chunk calls the factory with
-  /// `router_seed`.  Safe to call from any worker.
+  /// Run `body(scorer)` over the scorer of chunk `chunk`, which scores
+  /// `scores` permutations: chunk 0 reuses the router built above, every
+  /// other chunk calls the factory with `router_seed`.  Safe to call
+  /// from any worker.
   template <typename Body>
   auto score_chunk(std::uint32_t chunk, std::uint64_t router_seed,
-                   const Body& body) const {
+                   std::uint64_t scores, const Body& body) const {
     std::optional<PatternRouter> own;
     const PatternRouter& router =
         chunk == 0 ? first_ : own.emplace((*make_router_)(router_seed));
-    const bool shares = routing_ != nullptr &&
-                        wrapped_single_path(router) == routing_;
-    PatternScorer scorer(*ftree_, router, shares ? &*cache_ : nullptr);
+    if (cache_ && wrapped_single_path(router) == routing_) {
+      PatternScorer scorer(*ftree_, router, *cache_);
+      return body(scorer);
+    }
+    PatternScorer scorer(*ftree_, router, scores);
     return body(scorer);
   }
 
@@ -95,14 +98,15 @@ BlockingEstimate estimate_blocking_parallel(
   obs::ScopedSpan span("verify.blocking_estimate", "verify");
   span.arg("trials", static_cast<double>(trials));
 
-  const SharedScoring shared(ftree, make_router, router_seed(seed, 0));
+  const SharedScoring shared(ftree, make_router, router_seed(seed, 0),
+                            trials);
   std::vector<BlockingSums> partials(chunks);
   for (std::uint32_t c = 0; c < chunks; ++c) {
     if (sizes[c] == 0) continue;
     pool.submit([&, c] {
       Xoshiro256 rng(chunk_seed(seed, c));
       partials[c] = shared.score_chunk(
-          c, router_seed(seed, c), [&](PatternScorer& scorer) {
+          c, router_seed(seed, c), sizes[c], [&](PatternScorer& scorer) {
             return sample_blocking(ftree, scorer, sizes[c], rng);
           });
     });
@@ -124,7 +128,8 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
   if (trials == 0) return result;  // no chunk runs, no router is built
   obs::ScopedSpan span("verify.random", "verify");
   span.arg("trials", static_cast<double>(trials));
-  const SharedScoring shared(ftree, make_router, router_seed(seed, 0));
+  const SharedScoring shared(ftree, make_router, router_seed(seed, 0),
+                            trials);
   std::vector<VerifyResult> partials(chunks);
   for (std::uint32_t c = 0; c < chunks; ++c) {
     if (sizes[c] == 0) {
@@ -134,7 +139,7 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
     pool.submit([&, c] {
       Xoshiro256 rng(chunk_seed(seed, c));
       partials[c] = shared.score_chunk(
-          c, router_seed(seed, c), [&](PatternScorer& scorer) {
+          c, router_seed(seed, c), sizes[c], [&](PatternScorer& scorer) {
             return verify_random(ftree, scorer, sizes[c], rng);
           });
     });
@@ -176,7 +181,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
   if (shards > total) shards = static_cast<std::uint32_t>(total);
 
   // Shard 0 starts at rank 0, so it always runs.
-  const SharedScoring shared(ftree, make_router, chunk_seed(0, 0));
+  const SharedScoring shared(ftree, make_router, chunk_seed(0, 0), total);
 
   struct ShardHit {
     std::uint64_t rank = 0;
@@ -249,7 +254,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
               return true;
             });
       };
-      shared.score_chunk(shard, chunk_seed(0, shard), walk);
+      shared.score_chunk(shard, chunk_seed(0, shard), end - shard_begin, walk);
       if (observe) {
         // Per-shard rank throughput + flushed-once totals (local counts
         // keep the permutation loop free of shared-metric traffic).

@@ -21,26 +21,45 @@ const SinglePathRouting* wrapped_single_path(const PatternRouter& router) {
   return single != nullptr ? single->routing : nullptr;
 }
 
+bool scoring_cache_pays(const FoldedClos& ftree, std::uint64_t scores) {
+  const std::uint32_t leafs = ftree.leaf_count();
+  const std::uint64_t pairs = std::uint64_t{leafs} * leafs;
+  return scores >= leafs && pairs <= kMaxScoringCacheBytes / 3 &&
+         ftree.m() < routing::RouteCache::kTopLimit;
+}
+
+PatternScorer::PatternScorer(const FoldedClos& ftree,
+                             const PatternRouter& router, std::uint64_t scores)
+    : router_(&router), single_(wrapped_single_path(router)), load_(ftree) {
+  if (single_ != nullptr && scoring_cache_pays(ftree, scores)) {
+    cache_ = &own_cache_.emplace(routing::RouteCache::materialize(*single_));
+  }
+}
+
 PatternScorer::PatternScorer(const FoldedClos& ftree,
                              const PatternRouter& router,
-                             const routing::RouteCache* cache)
-    : router_(&router), cache_(cache), load_(ftree) {
-  const SinglePathRouting* single = wrapped_single_path(router);
-  NBCLOS_REQUIRE(cache == nullptr || single != nullptr,
+                             const routing::RouteCache& cache)
+    : router_(&router), single_(wrapped_single_path(router)), cache_(&cache),
+      load_(ftree) {
+  NBCLOS_REQUIRE(single_ != nullptr,
                  "a route cache scores only a single-path router");
-  if (single == nullptr) return;
-  if (cache_ == nullptr) {
-    cache_ = &own_cache_.emplace(routing::RouteCache::materialize(*single));
-  }
-  NBCLOS_REQUIRE(cache_->leaf_count() == ftree.leaf_count() &&
-                     !cache_->any_unroutable(),
+  NBCLOS_REQUIRE(cache.leaf_count() == ftree.leaf_count() &&
+                     !cache.any_unroutable(),
                  "route cache does not fit the scored fabric");
+}
+
+PatternScorer::~PatternScorer() {
+  routing::RouteCache::note_lookups(
+      cached_scores_ * (cache_ != nullptr ? cache_->leaf_count() : 0));
 }
 
 const PermutationLoad& PatternScorer::score(
     const std::vector<std::uint32_t>& target) {
   if (cache_ != nullptr) {
     load_.load(target, *cache_);
+    ++cached_scores_;
+  } else if (single_ != nullptr) {
+    load_.load(target, *single_);
   } else {
     permutation_from_targets(target, pattern_);
     load_.load(pattern_, (*router_)(pattern_));
@@ -57,8 +76,10 @@ namespace {
 /// its buffers.
 class FullSwapState {
  public:
+  // Builds no table: a single-path routing is scored from its top_for,
+  // independently of the RouteCache the delta evaluator replays.
   FullSwapState(const FoldedClos& ftree, const PatternRouter& router)
-      : scorer_(ftree, router) {}
+      : scorer_(ftree, router, /*scores=*/0) {}
 
   void reset(const std::vector<std::uint32_t>& target) {
     target_ = target;
@@ -187,9 +208,10 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
   VerifyResult result;
   result.nonblocking = true;
   obs::ScopedSpan span("verify.exhaustive", "verify");
-  PatternScorer scorer(ftree, router);
+  const std::uint64_t total = factorial(ftree.leaf_count());
+  PatternScorer scorer(ftree, router, total);
   result.permutations_checked = for_each_target_in_range(
-      ftree.leaf_count(), 0, factorial(ftree.leaf_count()),
+      ftree.leaf_count(), 0, total,
       [&](const std::vector<std::uint32_t>& target) {
         const auto collisions = scorer.score(target).colliding_pairs();
         if (collisions > 0) {
@@ -208,7 +230,7 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
 VerifyResult verify_random(const FoldedClos& ftree,
                            const PatternRouter& router, std::uint64_t trials,
                            Xoshiro256& rng) {
-  PatternScorer scorer(ftree, router);
+  PatternScorer scorer(ftree, router, trials);
   return verify_random(ftree, scorer, trials, rng);
 }
 

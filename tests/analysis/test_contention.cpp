@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "nbclos/adaptive/router.hpp"
 #include "nbclos/analysis/permutations.hpp"
@@ -126,7 +129,10 @@ PatternRouter first_fit_router(const FoldedClos& ft) {
 }
 
 /// PermutationLoad over `paths` (and, through a PatternScorer, over
-/// `router`) must report LinkLoadMap's colliding pairs and max load.
+/// `router`) must report LinkLoadMap's colliding pairs and max load.  The
+/// scorers are built for too few scores to pay for a RouteCache and for
+/// enough to pay for one, so a single-path router is scored both pair by
+/// pair and from a cache of its own.
 void expect_loads_match(const FoldedClos& ft,
                         const std::vector<std::uint32_t>& target,
                         const std::vector<FtreePath>& paths,
@@ -137,42 +143,57 @@ void expect_loads_match(const FoldedClos& ft,
   load.load(permutation_from_targets(target), paths);
   EXPECT_EQ(load.colliding_pairs(), map.colliding_pairs()) << what;
   EXPECT_EQ(load.max_load(), map.max_load()) << what;
-  PatternScorer scorer(ft, router);
-  const auto& scored = scorer.score(target);
-  EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs()) << what;
-  EXPECT_EQ(scored.max_load(), map.max_load()) << what;
+  for (const std::uint64_t scores : {std::uint64_t{0},
+                                     std::uint64_t{ft.leaf_count()}}) {
+    PatternScorer scorer(ft, router, scores);
+    EXPECT_EQ(scorer.cached(), scores > 0 && wrapped_single_path(router))
+        << what;
+    const auto& scored = scorer.score(target);
+    EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs()) << what;
+    EXPECT_EQ(scored.max_load(), map.max_load()) << what;
+  }
 }
 
 TEST(PermutationLoad, MatchesLinkLoadMapOnSinglePathRoutings) {
-  // ftree(2+4,5), ftree(3+9,4), ftree(4+16,8): m = n^2, so Theorem 3
-  // routes every shape.
-  const FtreeParams shapes[] = {{2, 4, 5}, {3, 9, 4}, {4, 16, 8}};
+  // The shared shapes plus ftree(2+4,5) and ftree(3+9,4); Theorem 3
+  // routes only the shapes with m >= n^2.
+  std::vector<FtreeParams> shapes(std::begin(kLoadShapes),
+                                  std::end(kLoadShapes));
+  shapes.push_back({2, 4, 5});
+  shapes.push_back({3, 9, 4});
   std::uint64_t colliding = 0;
   for (const auto& params : shapes) {
     const FoldedClos ft(params);
-    const YuanNonblockingRouting yuan(ft);
     const DModKRouting dmodk(ft);
     const SModKRouting smodk(ft);
     const DModKSwitchRouting dswitch(ft);
     const RandomFixedRouting random_fixed(ft, 31);
-    const std::vector<const SinglePathRouting*> routings{
-        &yuan, &dmodk, &smodk, &dswitch, &random_fixed};
+    std::vector<const SinglePathRouting*> routings{&dmodk, &smodk, &dswitch,
+                                                   &random_fixed};
+    std::optional<YuanNonblockingRouting> yuan;
+    if (ft.m() >= ft.n() * ft.n()) routings.push_back(&yuan.emplace(ft));
     for (const auto* routing : routings) {
-      SCOPED_TRACE(routing->name());
+      SCOPED_TRACE(routing->name() + " on ftree(" + std::to_string(ft.n()) +
+                   "+" + std::to_string(ft.m()) + "," +
+                   std::to_string(ft.r()) + ")");
       const auto router = as_pattern_router(*routing);
       const auto cache = routing::RouteCache::materialize(*routing);
       PermutationLoad cached(ft);
-      PatternScorer shared(ft, router, &cache);
+      PermutationLoad pair_by_pair(ft);
+      PatternScorer shared(ft, router, cache);
       for (const auto& target : sample_targets(ft, 32)) {
         const auto paths = routing->route_all(permutation_from_targets(target));
-        // The path-vector load and a scorer with its own cache.
+        // The path-vector load and scorers with and without a cache.
         expect_loads_match(ft, target, paths, router, "single-path");
         LinkLoadMap map(ft);
         map.add_paths(paths);
-        // The cached load, straight and through a scorer lent the cache.
+        // The cached and the top_for loads, and a scorer lent the cache.
         cached.load(target, cache);
         EXPECT_EQ(cached.colliding_pairs(), map.colliding_pairs());
         EXPECT_EQ(cached.max_load(), map.max_load());
+        pair_by_pair.load(target, *routing);
+        EXPECT_EQ(pair_by_pair.colliding_pairs(), map.colliding_pairs());
+        EXPECT_EQ(pair_by_pair.max_load(), map.max_load());
         const auto& scored = shared.score(target);
         EXPECT_EQ(scored.colliding_pairs(), map.colliding_pairs());
         EXPECT_EQ(scored.max_load(), map.max_load());
@@ -249,6 +270,13 @@ TEST(PermutationLoad, EmptyAndDirectPatternsLoadNoSharedLink) {
   EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 1U);
   load.load(Permutation{}, std::vector<FtreePath>{});
+  EXPECT_EQ(load.max_load(), 0U);
+  // The same from the routing's top_for, with no table.
+  load.load(direct, routing);
+  EXPECT_EQ(load.colliding_pairs(), 0U);
+  EXPECT_EQ(load.max_load(), 1U);
+  load.load(identity, routing);
+  EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 0U);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nbclos/analysis/contention.hpp"
+#include "nbclos/obs/metrics.hpp"
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
 #include "nbclos/routing/route_cache.hpp"
@@ -238,6 +241,91 @@ TEST(CachedRestart, NonblockingRoutingNeverFindsCollisions) {
   const auto cache = routing::RouteCache::materialize(yuan);
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     EXPECT_EQ(adversarial_restart(ft, cache, 200, seed, true).collisions, 0U);
+  }
+}
+
+/// The routing as a router PatternScorer cannot see through: scored from
+/// its path vectors, with no RouteCache and no top_for shortcut.
+PatternRouter opaque_router(const SinglePathRouting& routing) {
+  return [&routing](const Permutation& p) { return routing.route_all(p); };
+}
+
+TEST(Verifier, DeltaRestartMatchesAnOpaqueRoutersFullRestart) {
+  // The delta side replays RouteCache::materialize's table; the opaque
+  // side scores the routing's own paths, so a wrong table entry shows.
+  for (const FtreeParams params : {FtreeParams{2, 4, 4}, FtreeParams{3, 4, 5}}) {
+    const FoldedClos ft(params);
+    const DModKRouting routing(ft);
+    const auto cache = routing::RouteCache::materialize(routing);
+    const auto opaque = opaque_router(routing);
+    for (const bool stop_on_positive : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        expect_same_restart(
+            adversarial_restart(ft, cache, 300, seed, stop_on_positive),
+            adversarial_restart(ft, opaque, 300, seed, stop_on_positive));
+      }
+    }
+    Xoshiro256 rng_opaque(33);
+    Xoshiro256 rng_delta(33);
+    const AdversarialOptions options{4, 400};
+    const auto full = worst_case_search(ft, opaque, options, rng_opaque);
+    const auto delta = worst_case_search(ft, routing, options, rng_delta);
+    EXPECT_EQ(delta.collisions, full.collisions);
+    EXPECT_EQ(delta.evaluations, full.evaluations);
+    EXPECT_EQ(delta.permutation, full.permutation);
+  }
+}
+
+TEST(Verifier, ScoringCachePaysOnlyForManyScoresOnABoundedTable) {
+  const FoldedClos verify_ftree(FtreeParams{8, 64, 64});  // 512 leaves
+  EXPECT_TRUE(scoring_cache_pays(verify_ftree, 20000));
+  const FoldedClos small(FtreeParams{4, 16, 20});  // 80 leaves
+  EXPECT_TRUE(scoring_cache_pays(small, 80));
+  EXPECT_FALSE(scoring_cache_pays(small, 79));
+  EXPECT_FALSE(scoring_cache_pays(small, 10));
+  EXPECT_FALSE(scoring_cache_pays(small, 0));
+  // 4729^2 pairs at 3 bytes fit 64 MiB, 4730^2 do not.
+  EXPECT_TRUE(scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 4729}), 4729));
+  EXPECT_FALSE(
+      scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 4730}), UINT64_MAX));
+  // 33,792 leaves would need a 3.4 GB table.
+  EXPECT_FALSE(
+      scoring_cache_pays(FoldedClos(FtreeParams{32, 1024, 1056}), 500));
+  // Top ids past 16 bits cannot be cached at all.
+  const FoldedClos wide(FtreeParams{2, routing::RouteCache::kTopLimit, 3});
+  EXPECT_FALSE(scoring_cache_pays(wide, 1'000'000));
+  // Such a fabric is still scored, pair by pair, at any trial count.
+  const DModKRouting dmodk(wide);
+  Xoshiro256 rng(8);
+  EXPECT_EQ(
+      verify_random(wide, as_pattern_router(dmodk), 50, rng).nonblocking,
+      true);
+}
+
+TEST(Verifier, RandomVerifyBuildsATableOnlyWhenTrialsPayForIt) {
+  const FoldedClos ft(FtreeParams{4, 16, 20});  // 80 leaves
+  const DModKRouting routing(ft);
+  const auto builds = [] {
+    return obs::metrics().counter("route_cache.builds").value();
+  };
+  for (const std::uint64_t trials : {10U, 79U, 80U, 400U}) {
+    SCOPED_TRACE(std::to_string(trials) + " trials");
+    Xoshiro256 rng_opaque(5);
+    const auto expect =
+        verify_random(ft, opaque_router(routing), trials, rng_opaque);
+    Xoshiro256 rng(5);
+    const auto before = builds();
+    const auto result =
+        verify_random(ft, as_pattern_router(routing), trials, rng);
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(builds() - before, trials >= 80 ? 1U : 0U);
+    }
+    EXPECT_EQ(result.nonblocking, expect.nonblocking);
+    EXPECT_EQ(result.permutations_checked, expect.permutations_checked);
+    EXPECT_EQ(result.counterexample, expect.counterexample);
+    EXPECT_EQ(result.counterexample_collisions,
+              expect.counterexample_collisions);
+    EXPECT_EQ(rng(), rng_opaque());  // the same draws were made
   }
 }
 
