@@ -7,7 +7,7 @@
 /// radix the harness measures, on the nonblocking ftree(n + n^2, r)
 /// instance:
 ///   * route_cache — RouteCache::materialize wall time, routes/sec, and
-///     the cache's byte footprint (3 bytes per ordered pair);
+///     the cache's byte footprint (2 bytes per ordered pair);
 ///   * verify_random — verify_random_parallel over Theorem 3 routing
 ///     (the SinglePathRouting overload, which forwards to the
 ///     PatternRouter factory) permutations/sec, with the nonblocking

@@ -4,17 +4,18 @@
 /// Contention (paper §III): a communication pattern causes contention
 /// under a routing when two of its SD pairs are routed through one
 /// directed link.  Two counters measure it:
-///   * PermutationLoad scores one permutation in one pass over its SD
-///     pairs, counting only the up- and down-links (the only links a
-///     permutation can share, by Lemma 1).  The verifier drivers score
-///     every sampled or enumerated permutation with it: a single-path
-///     routing from the rows of one RouteCache (routing/route_cache.hpp)
-///     per verifier call when the call scores enough permutations to pay
-///     for the table, else pair by pair from the routing's top_for; any
-///     other router from its path vector.  All three share one body.
-///   * LinkLoadMap counts every directed link and keeps its collision
-///     statistics incrementally, for hill-climb state that adds and
-///     removes paths (analysis/delta.hpp) and for arbitrary path sets.
+///   * PermutationLoad is the one scorer of fat-tree permutations.  It
+///     counts only the up- and down-links (the only links a permutation
+///     can share, by Lemma 1).  load() scores a whole permutation in one
+///     pass over its SD pairs: a single-path routing from the codes of
+///     a RouteCache (routing/route_cache.hpp) or from its top_for, any
+///     other router from its path vector, all through one body.
+///     add()/remove() of one cached pair keep the count as a running
+///     sum, for hill-climb state that swaps targets (analysis/delta.hpp).
+///     The verifier drivers and the fault sweep score with it.
+///   * LinkLoadMap counts every directed link of an ftree, or every
+///     channel of any Network, for arbitrary path sets: the tests'
+///     reference and has_contention().
 /// The audit utilities check Lemma 1's iff-condition — "every link
 /// carries traffic either from one source or to one destination" — over
 /// *all* SD pairs a routing can ever produce: on an ftree from its link
@@ -32,39 +33,28 @@
 #include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/single_path.hpp"
 #include "nbclos/topology/fat_tree.hpp"
+#include "nbclos/topology/network.hpp"
 
 namespace nbclos {
 
-/// Per-link path counters for one routed pattern.
-///
-/// The collision statistics are maintained *incrementally*: every
-/// add/remove updates a running sum-of-C(load, 2) and contended-link
-/// count, so `colliding_pairs()` and `contended_links()` are O(1).  That
-/// makes the map usable as persistent hill-climb state — a two-target
-/// swap removes and re-adds at most four paths instead of rebuilding the
-/// whole map (see analysis/delta.hpp).
+/// Per-link path counters for one routed pattern, over the directed
+/// links of an ftree (LinkId values) or the channels of a Network.  Each
+/// add keeps a running sum-of-C(load, 2) and contended-link count, so
+/// `colliding_pairs()` and `contended_links()` are O(1).
 class LinkLoadMap {
  public:
   explicit LinkLoadMap(const FoldedClos& ftree)
       : ftree_(&ftree), load_(ftree.link_count(), 0) {}
+  /// Channel counters: add paths with add_channels.
+  explicit LinkLoadMap(const Network& net) : load_(net.channel_count(), 0) {}
 
+  /// \pre the map counts an ftree's links.
   void add_path(const FtreePath& path);
   void add_paths(const std::vector<FtreePath>& paths);
+  /// Add one path given by its link (channel) ids.
+  void add_channels(std::span<const std::uint32_t> channels);
   /// Zero every counter (O(link_count)).
   void clear();
-
-  /// Load / unload a precomputed flat link-id run (the RouteCache
-  /// representation of a path — see routing/route_cache.hpp).  These are
-  /// the delta evaluator's hot path: a plain loop over a small span of
-  /// contiguous uint32 ids, no LinkId wrapping and no per-link branch
-  /// beyond the counter updates themselves.
-  void add_run(std::span<const std::uint32_t> run) {
-    for (const auto link : run) bump_index(link);
-  }
-  /// \pre every link of the run currently has load >= 1.
-  void remove_run(std::span<const std::uint32_t> run) {
-    for (const auto link : run) drop_index(link);
-  }
 
   [[nodiscard]] std::uint32_t load(LinkId link) const {
     NBCLOS_REQUIRE(link.value < load_.size(), "link id out of range");
@@ -83,48 +73,41 @@ class LinkLoadMap {
 
  private:
   void bump_index(std::uint32_t link) {
-    NBCLOS_DEBUG_CHECK(link < load_.size(), "link id out of range");
+    NBCLOS_REQUIRE(link < load_.size(), "link id out of range");
     auto& l = load_[link];
     colliding_pairs_ += l;  // new path collides with each resident one
     if (++l == 2) ++contended_links_;
   }
-  void drop_index(std::uint32_t link) {
-    NBCLOS_DEBUG_CHECK(link < load_.size(), "link id out of range");
-    auto& l = load_[link];
-    NBCLOS_DEBUG_CHECK(l > 0, "removing path from empty link");
-    if (l-- == 2) --contended_links_;
-    colliding_pairs_ -= l;
-  }
 
-  const FoldedClos* ftree_;
+  const FoldedClos* ftree_ = nullptr;  ///< null for a Network's channels
   std::vector<std::uint32_t> load_;
   std::uint64_t colliding_pairs_ = 0;
   std::uint32_t contended_links_ = 0;
 };
 
-/// Up/down-link loads of one routed permutation, scored in one pass.
+/// Up/down-link loads of one routed permutation.
 ///
 /// In a permutation every leaf link carries at most one path (each leaf
 /// sends and receives at most once), so by Lemma 1 only the r*m up-links
 /// and r*m down-links can be shared.  PermutationLoad keeps one counter
 /// per such link (up-link (v, t) at v*m + t, down-link (t, w) at
-/// r*m + t*r + w: FoldedClos's link ids less leaf_count()), and each
-/// load() zeroes them and walks the pattern once, with no per-pair
-/// allocation.  Over the same paths, colliding_pairs() and max_load()
-/// equal LinkLoadMap's (max_load() is 1 for a nonempty pattern that
-/// shares no link, 0 for an empty one).
+/// r*m + t*r + w: FoldedClos's link ids less leaf_count()).  load()
+/// zeroes them and walks a pattern once, with no per-pair allocation;
+/// add()/remove() change one cached pair.  Over the same paths,
+/// colliding_pairs() and max_load() equal LinkLoadMap's (max_load() is 1
+/// for a nonempty pattern that shares no link, 0 for an empty one).
 /// \pre every loaded pattern is a permutation (validate_permutation).
 class PermutationLoad {
  public:
   explicit PermutationLoad(const FoldedClos& ftree);
 
   /// Load a single-path routing's paths for the pattern in which leaf s
-  /// sends to target[s] (nothing when target[s] == s), read from the
-  /// RouteCache materialized from that routing: per pair one top code
-  /// from row s and the two bottom switches, with no routing call and
-  /// no path.  \pre target.size() == leaf_count, its non-fixed entries
-  /// are distinct, and `cache` is over this ftree with every pair
-  /// routable.
+  /// sends to target[s] (nothing when target[s] == s), read from a
+  /// RouteCache of that routing: per pair one top code from row s and
+  /// the two bottom switches, with no routing call and no path.
+  /// \pre target.size() == leaf_count, its non-fixed entries are
+  /// distinct, `cache` is over this ftree, and every pair of the pattern
+  /// is routable in it (not kEmpty).
   void load(std::span<const std::uint32_t> target,
             const routing::RouteCache& cache);
   /// The same load with no table: one routing.top_for per cross pair
@@ -137,6 +120,30 @@ class PermutationLoad {
   /// (checked in Debug builds).
   void load(const Permutation& pattern, const std::vector<FtreePath>& paths);
 
+  /// Add or remove pair (s, d)'s path from `cache` (the cache a load()
+  /// or add() of the pair read): two counter updates, and
+  /// colliding_pairs() stays a running sum.  max_load() keeps the value
+  /// of the last load().  \pre remove() only a pair the counters hold.
+  void add(const routing::RouteCache& cache, std::uint32_t s,
+           std::uint32_t d) {
+    const std::uint32_t m = ftree_->m();
+    const std::uint32_t top = cache.top(s, d);
+    if (top >= m) return;  // leaf links only: never shared
+    colliding_pairs_ += load_[up_index(bottom_[s], top, m)]++;
+    colliding_pairs_ += load_[down_index(top, bottom_[d], m, ftree_->r())]++;
+  }
+  void remove(const routing::RouteCache& cache, std::uint32_t s,
+              std::uint32_t d) {
+    const std::uint32_t m = ftree_->m();
+    const std::uint32_t top = cache.top(s, d);
+    if (top >= m) return;
+    std::uint32_t& up = load_[up_index(bottom_[s], top, m)];
+    std::uint32_t& down = load_[down_index(top, bottom_[d], m, ftree_->r())];
+    NBCLOS_DEBUG_CHECK(up > 0 && down > 0, "removing a path from an empty link");
+    colliding_pairs_ -= --up;
+    colliding_pairs_ -= --down;
+  }
+
   /// Number of colliding path pairs, summed over links: sum C(load, 2).
   [[nodiscard]] std::uint64_t colliding_pairs() const noexcept {
     return colliding_pairs_;
@@ -145,6 +152,21 @@ class PermutationLoad {
   [[nodiscard]] std::uint32_t max_load() const noexcept { return max_load_; }
 
  private:
+  /// The counters of the up-link from bottom switch `bottom` into `top`
+  /// and of the down-link from `top` to `bottom`: the one place the
+  /// layout is written.
+  [[nodiscard]] static std::size_t up_index(std::uint32_t bottom,
+                                            std::uint32_t top,
+                                            std::uint32_t m) {
+    return std::size_t{bottom} * m + top;
+  }
+  [[nodiscard]] static std::size_t down_index(std::uint32_t top,
+                                              std::uint32_t bottom,
+                                              std::uint32_t m,
+                                              std::uint32_t r) {
+    return std::size_t{r} * m + std::size_t{top} * r + bottom;
+  }
+
   /// Zero the counters and load `count` pairs: pair_of(i, bottom) gives
   /// pair i's source and destination leaves and the top switch it
   /// crosses, or a top >= m for a pair that loads only its leaf links
@@ -163,6 +185,9 @@ class PermutationLoad {
 /// Convenience: does this pattern cause contention under these paths?
 [[nodiscard]] bool has_contention(const FoldedClos& ftree,
                                   const std::vector<FtreePath>& paths);
+/// The same over channel paths of any Network.
+[[nodiscard]] bool has_contention(const Network& net,
+                                  const std::vector<ChannelPath>& paths);
 
 /// One Lemma 1 violation: a link carrying traffic from >= 2 sources AND
 /// to >= 2 destinations.  The counts are the *exact* numbers of distinct

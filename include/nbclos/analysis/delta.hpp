@@ -6,11 +6,11 @@
 /// routing each SD pair's path is fixed independently of the rest of the
 /// pattern, so a swap of targets i and j changes at most four SD pairs:
 /// (i, old ti), (j, old tj) disappear and (i, tj), (j, ti) appear (fixed
-/// points drop out).  SwapDeltaState keeps a persistent LinkLoadMap and
-/// replays exactly those pairs' link runs from an immutable RouteCache,
-/// making one hill-climb step four cache lookups plus counter updates
-/// instead of O(leafs * path length) — with the colliding-pair count
-/// maintained as a running sum.
+/// points drop out).  SwapDeltaState keeps a persistent PermutationLoad
+/// (analysis/contention.hpp) and removes and adds exactly those pairs
+/// from an immutable RouteCache: each is one top code and two counter
+/// updates, and the colliding-pair count is a running sum.  A hill-climb
+/// step therefore costs O(1) instead of O(leafs).
 ///
 /// The verifier scores a climb one of two ways: full re-evaluation of
 /// the whole pattern through a PatternRouter (any router, and the tests'
@@ -37,9 +37,9 @@ class SwapDeltaState {
   /// a routing over `ftree`; searches share one immutable cache across
   /// restarts (and across threads).
   SwapDeltaState(const FoldedClos& ftree, const routing::RouteCache& cache)
-      : ftree_(&ftree), cache_(&cache), map_(ftree) {
+      : cache_(&cache), load_(ftree) {
     NBCLOS_REQUIRE(cache.leaf_count() == ftree.leaf_count() &&
-                       cache.link_count() == ftree.link_count(),
+                       !cache.any_unroutable(),
                    "route cache does not match the topology");
   }
 
@@ -51,16 +51,19 @@ class SwapDeltaState {
   SwapDeltaState(const SwapDeltaState&) = delete;
   SwapDeltaState& operator=(const SwapDeltaState&) = delete;
 
-  /// Replace the whole target vector and rebuild the load map (O(leafs)).
+  /// Replace the whole target vector and reload the counters (O(leafs)).
+  /// \pre `target` is a permutation of the leaves.
   void reset(const std::vector<std::uint32_t>& target) {
-    NBCLOS_REQUIRE(target.size() == ftree_->leaf_count(),
+    NBCLOS_REQUIRE(target.size() == cache_->leaf_count(),
                    "target vector must cover every leaf");
-    map_.clear();
     target_ = target;
-    for (std::uint32_t s = 0; s < target_.size(); ++s) add_leaf(s);
+    load_.load(target_, *cache_);
+    for (std::uint32_t s = 0; s < target_.size(); ++s) {
+      if (target_[s] != s) ++lookups_;
+    }
   }
 
-  /// Swap targets i and j, delta-updating the load map.  \pre i != j,
+  /// Swap targets i and j, delta-updating the loads.  \pre i != j,
   /// both in range (checked in Debug builds only — this runs once per
   /// hill-climb step).
   void apply_swap(std::uint32_t i, std::uint32_t j) {
@@ -74,12 +77,12 @@ class SwapDeltaState {
   }
 
   /// Undo apply_swap(i, j): a swap is its own inverse, so this restores
-  /// the previous targets and load map exactly.
+  /// the previous targets and loads exactly.
   void revert_swap(std::uint32_t i, std::uint32_t j) { apply_swap(i, j); }
 
   /// Colliding path pairs of the current pattern — O(1), a running sum.
   [[nodiscard]] std::uint64_t collisions() const noexcept {
-    return map_.colliding_pairs();
+    return load_.colliding_pairs();
   }
 
   [[nodiscard]] const std::vector<std::uint32_t>& targets() const noexcept {
@@ -92,25 +95,24 @@ class SwapDeltaState {
   }
 
  private:
-  /// Load (or unload) leaf s's current pair by replaying its cached run;
-  /// paths are pattern-independent, so the run added for (s, target[s])
-  /// is the run to remove later.
+  /// Load (or unload) leaf s's current pair from the cache; paths are
+  /// pattern-independent, so the pair added for (s, target[s]) is the
+  /// pair to remove later.
   void add_leaf(std::uint32_t s) {
     if (target_[s] == s) return;
     ++lookups_;
-    map_.add_run(cache_->links(s, target_[s]));
+    load_.add(*cache_, s, target_[s]);
   }
 
   void remove_leaf(std::uint32_t s) {
     if (target_[s] == s) return;
     ++lookups_;
-    map_.remove_run(cache_->links(s, target_[s]));
+    load_.remove(*cache_, s, target_[s]);
   }
 
-  const FoldedClos* ftree_;
   const routing::RouteCache* cache_;
   std::vector<std::uint32_t> target_;
-  LinkLoadMap map_;
+  PermutationLoad load_;
   std::uint64_t lookups_ = 0;  ///< local count, flushed to obs on destroy
 };
 

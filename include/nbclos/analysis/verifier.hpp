@@ -28,10 +28,13 @@
 ///     that builds no table (any router; the tests' reference, which
 ///     reads the routing itself, not the cache the delta side replays);
 ///   * cached delta evaluation (SwapDeltaState, analysis/delta.hpp) for
-///     single-path deterministic routings: a step replays only the <= 4
-///     SD pairs a swap touches from a RouteCache, which is what makes
-///     large adversarial budgets and the parallel drivers in
+///     single-path deterministic routings: a step removes and adds only
+///     the <= 4 SD pairs a swap touches, each as two PermutationLoad
+///     counter updates from a RouteCache, which is what makes large
+///     adversarial budgets and the parallel drivers in
 ///     analysis/parallel.hpp affordable.
+/// Every driver adds the permutations it returns as scored to the obs
+/// counter verify.perms_evaluated, once per call.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +76,10 @@ struct SinglePathPatternRouter {
 /// `ftree` should read a RouteCache rather than call top_for per pair.
 /// Building the table costs one top_for per ordered pair (leafs^2) and
 /// saves about one per scored pair (scores * leafs), so it pays once
-/// scores >= leafs; the table (3 bytes a pair) must fit in
-/// kMaxScoringCacheBytes, so a large fabric is scored pair by pair at any
-/// trial count; and the fabric needs m < RouteCache::kTopLimit.
+/// scores >= leafs; the table (2 bytes a pair) must fit in
+/// kMaxScoringCacheBytes (5,792 leaves), so a larger fabric is scored
+/// pair by pair at any trial count; and the fabric needs
+/// m < RouteCache::kTopLimit.
 inline constexpr std::uint64_t kMaxScoringCacheBytes = std::uint64_t{64} << 20;
 [[nodiscard]] bool scoring_cache_pays(const FoldedClos& ftree,
                                       std::uint64_t scores);
@@ -121,6 +125,11 @@ class PatternScorer {
   Permutation pattern_;  ///< reused buffer for router(pattern)
   PermutationLoad load_;
 };
+
+/// Add one driver call's scored permutations to the obs counter
+/// verify.perms_evaluated.  Every driver in this header, blocking.hpp and
+/// parallel.hpp calls it once, with the count it returns.
+void note_perms_evaluated(std::uint64_t permutations);
 
 struct VerifyResult {
   bool nonblocking = false;  ///< no counterexample found within the budget

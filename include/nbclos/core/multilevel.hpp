@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "nbclos/analysis/network_audit.hpp"
 #include "nbclos/core/designer.hpp"
 #include "nbclos/routing/next_hop.hpp"
 #include "nbclos/topology/network.hpp"

@@ -90,6 +90,9 @@ class DegradedYuanRouting final : public SinglePathRouting {
   /// assignment.  \pre sd is a cross-switch pair.
   [[nodiscard]] bool uses_fallback(SDPair sd) const;
 
+  /// The pair's Theorem 3 (i, j) assignment, live or not.
+  [[nodiscard]] TopId primary_top(SDPair sd) const;
+
   [[nodiscard]] const FtreeLiveness& liveness() const noexcept {
     return liveness_;
   }
@@ -100,8 +103,6 @@ class DegradedYuanRouting final : public SinglePathRouting {
   [[nodiscard]] TopId top_for(SDPair sd) const override;
 
  private:
-  [[nodiscard]] TopId primary_top(SDPair sd) const;
-
   FtreeLiveness liveness_;
 };
 

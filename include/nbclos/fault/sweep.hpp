@@ -11,6 +11,13 @@
 /// permutation blocks (or a pair becomes unroutable) is the fabric's
 /// empirical nonblocking margin for that seed.
 ///
+/// Each level builds one RouteCache of the degraded routing (kEmpty for
+/// an unroutable pair), which every trial reads.  A trial checks its
+/// pairs in source order — the first kEmpty pair makes it unroutable,
+/// and a cross pair whose top differs from its Theorem 3 assignment is
+/// a fallback pair — and a routable trial is scored by PermutationLoad,
+/// as the verifier scores its permutations (analysis/contention.hpp).
+///
 /// Trials are parallelized over util::ThreadPool in a fixed number of
 /// chunks with chunk-derived seeds, so results are bit-identical for any
 /// thread count — the property the CLI's reproducibility contract rests

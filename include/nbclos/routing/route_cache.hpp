@@ -2,22 +2,18 @@
 /// \brief The library's two route tables, each with its own consumer.
 ///
 ///   * RouteCache        — the verifier's table.  Every SD pair of a
-///                         single-path ftree routing, materialized once
-///                         per verifier call and read by every hill-
-///                         climbed permutation of it (the climbs replay
-///                         link runs) and by every sampled or enumerated
-///                         one when the call scores at least as many
-///                         permutations as there are leaves and the
-///                         table fits 64 MiB (scoring_cache_pays in
-///                         analysis/verifier.hpp; PermutationLoad reads
-///                         its rows directly), and one per degraded
-///                         fabric per failure level, without calling
-///                         route() again.  A route is fixed by its top
-///                         switch (Theorem 3), so the cache keeps one
-///                         uint16_t top id and one flag byte per ordered
-///                         pair (0.79 MB at ftree(8+64, 64), small enough
-///                         for L2) and rebuilds the 2 or 4 link ids on
-///                         lookup;
+///                         single-path ftree routing, built once per
+///                         verifier call and read by every hill-climbed
+///                         permutation of it, by every sampled or
+///                         enumerated one when the call scores at least
+///                         as many permutations as there are leaves and
+///                         the table fits 64 MiB (scoring_cache_pays in
+///                         analysis/verifier.hpp), and one per degraded
+///                         fabric per failure level (fault/sweep.hpp).
+///                         A route is fixed by its top switch (Theorem
+///                         3), so the cache keeps one uint16_t code per
+///                         ordered pair and nothing else (0.52 MB at
+///                         ftree(8+64, 64), small enough for L2);
 ///   * ChannelRouteCache — the engines' table, for routings that ARE
 ///                         tables: per-pattern adaptive schedules and
 ///                         forwarding tables on any Network.  It packs
@@ -28,7 +24,8 @@
 ///                         answers the same next hops by arithmetic.
 ///
 /// Both are immutable after construction, so they are shared read-only
-/// across worker threads.
+/// across worker threads.  While a table lives its bytes count on the
+/// route_cache.bytes gauge, whose max() is the peak resident size.
 ///
 /// Invalidation: a cache snapshots the routing it was built from.  It
 /// must be rebuilt whenever the underlying route function would answer
@@ -41,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nbclos/routing/next_hop.hpp"
@@ -50,40 +48,15 @@
 
 namespace nbclos::routing {
 
-/// The directed links of one cached path, by value: at most
-/// FoldedClos::kMaxPathLinks ids, contiguous.  It ranges like a span and
-/// converts to std::span<const std::uint32_t> (a contiguous sized
-/// range), so LinkLoadMap::add_run(cache.links(s, d)) reads it in place;
-/// keep the run alive as long as any span taken from it.
-class LinkRun {
- public:
-  [[nodiscard]] const std::uint32_t* begin() const noexcept { return ids_; }
-  [[nodiscard]] const std::uint32_t* end() const noexcept {
-    return ids_ + size_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::uint32_t operator[](std::size_t i) const {
-    NBCLOS_DEBUG_CHECK(i < size_, "link run index out of range");
-    return ids_[i];
-  }
-
- private:
-  friend class RouteCache;
-  std::uint32_t ids_[FoldedClos::kMaxPathLinks];
-  std::uint32_t size_ = 0;
-};
-
 /// Every SD pair's path of a single-path routing over ftree(n+m, r),
 /// stored as the one top switch it crosses: pair (s, d) holds a uint16_t
 /// top id (src-major), kDirect for a path through the shared bottom
 /// switch, or kEmpty for the diagonal and unroutable pairs.
+/// PermutationLoad (analysis/contention.hpp) turns a top id into the only
+/// two links of the path a permutation can share: the up-link into the
+/// top and the down-link out of it.
 class RouteCache {
  public:
-  /// Per-pair flag bits (degraded fabrics; healthy routings store 0).
-  static constexpr std::uint8_t kUnroutable = 1U << 0;
-  static constexpr std::uint8_t kFallback = 1U << 1;
-
   /// Top ids occupy [0, kTopLimit); the two codes above are reserved, so
   /// a cached fabric needs m < kTopLimit top switches.
   static constexpr std::uint32_t kTopLimit = 0xFFFE;
@@ -92,45 +65,24 @@ class RouteCache {
   static constexpr std::uint16_t kDirect = kTopLimit;
   static constexpr std::uint16_t kEmpty = kTopLimit + 1;
 
-  /// Generic builder: `fn(sd, path)` fills `path` and returns flag bits
-  /// for every ordered pair with sd.src != sd.dst.  When the returned
-  /// flags contain kUnroutable the path is ignored and the pair gets an
-  /// empty run.  \pre ftree.m() < kTopLimit.
-  using BuildFn = std::function<std::uint8_t(SDPair, FtreePath&)>;
-  RouteCache(const FoldedClos& ftree, const BuildFn& fn);
+  /// The one builder: `code_of(sd)` returns the code of every ordered
+  /// pair with sd.src != sd.dst — a top id below m, kDirect, or kEmpty
+  /// for a pair with no live path.  \pre ftree.m() < kTopLimit.
+  template <typename CodeOf>
+  [[nodiscard]] static RouteCache build(const FoldedClos& ftree,
+                                        const CodeOf& code_of);
 
-  /// Snapshot a healthy routing (all pairs routable, no flags): each row
-  /// is filled straight from the routing's top_for.
+  /// Snapshot a healthy routing (all pairs routable): the build above
+  /// over the routing's top_for.
   [[nodiscard]] static RouteCache materialize(const SinglePathRouting& routing);
 
-  [[nodiscard]] std::uint32_t leaf_count() const noexcept { return leafs_; }
-  [[nodiscard]] std::uint32_t link_count() const noexcept {
-    return ftree_.link_count();
-  }
+  /// A moved-from table holds no bytes.
+  RouteCache(RouteCache&&) noexcept = default;
+  RouteCache& operator=(RouteCache&&) = delete;
+  /// Takes the table's bytes off the route_cache.bytes gauge.
+  ~RouteCache();
 
-  /// The link-id run of pair (s, d), exactly FoldedClos::links_into of
-  /// the cached path — empty for s == d and for unroutable pairs.  One
-  /// 2-byte load plus index arithmetic; no per-call validation in
-  /// Release (the verification hot path runs through here).
-  [[nodiscard]] LinkRun links(std::uint32_t s, std::uint32_t d) const {
-    NBCLOS_DEBUG_CHECK(s < leafs_ && d < leafs_, "SD pair out of range");
-    const std::uint16_t top = tops_[std::size_t{s} * leafs_ + d];
-    LinkRun run;
-    if (top == kEmpty) return run;
-    const LeafId src{s};
-    const LeafId dst{d};
-    run.ids_[0] = ftree_.leaf_up_link(src).value;
-    if (top == kDirect) {
-      run.ids_[1] = ftree_.leaf_down_link(dst).value;
-      run.size_ = 2;
-      return run;
-    }
-    run.ids_[1] = ftree_.up_link(ftree_.switch_of(src), TopId{top}).value;
-    run.ids_[2] = ftree_.down_link(TopId{top}, ftree_.switch_of(dst)).value;
-    run.ids_[3] = ftree_.leaf_down_link(dst).value;
-    run.size_ = 4;
-    return run;
-  }
+  [[nodiscard]] std::uint32_t leaf_count() const noexcept { return leafs_; }
 
   /// The packed table: pair (s, d) at s * leaf_count() + d holds its top
   /// id, kDirect or kEmpty.  PermutationLoad scores permutations straight
@@ -138,23 +90,22 @@ class RouteCache {
   [[nodiscard]] const std::uint16_t* tops() const noexcept {
     return tops_.data();
   }
-
-  [[nodiscard]] std::uint8_t flags(std::uint32_t s, std::uint32_t d) const {
+  /// The code of pair (s, d).
+  [[nodiscard]] std::uint16_t top(std::uint32_t s, std::uint32_t d) const {
     NBCLOS_DEBUG_CHECK(s < leafs_ && d < leafs_, "SD pair out of range");
-    return flags_[std::size_t{s} * leafs_ + d];
+    return tops_[std::size_t{s} * leafs_ + d];
   }
-  [[nodiscard]] bool unroutable(std::uint32_t s, std::uint32_t d) const {
-    return (flags(s, d) & kUnroutable) != 0;
-  }
+
+  /// Whether some off-diagonal pair is kEmpty (a degraded fabric).
   [[nodiscard]] bool any_unroutable() const noexcept { return any_unroutable_; }
 
   [[nodiscard]] std::uint64_t pair_count() const noexcept {
     return std::uint64_t{leafs_} * leafs_;
   }
-  /// Resident size of the per-pair arrays (reported as an obs gauge):
-  /// 3 bytes a pair.
+  /// Resident size of the table (reported as the route_cache.bytes
+  /// gauge while the table lives): 2 bytes a pair.
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return tops_.capacity() * sizeof(std::uint16_t) + flags_.capacity();
+    return tops_.capacity() * sizeof(std::uint16_t);
   }
 
   /// Bulk-account `n` cache lookups to the obs registry.  Engines count
@@ -163,17 +114,42 @@ class RouteCache {
   static void note_lookups(std::uint64_t n);
 
  private:
-  /// Every pair kEmpty, no flags.  \pre ftree.m() < kTopLimit.
+  /// No table yet (build fills it).  \pre ftree.m() < kTopLimit.
   explicit RouteCache(const FoldedClos& ftree);
   /// Account one finished build of `routed` pairs to the obs registry.
   void note_build(std::uint64_t routed) const;
 
-  FoldedClos ftree_;  ///< the link layout runs are rebuilt from
   std::uint32_t leafs_ = 0;
   bool any_unroutable_ = false;
   std::vector<std::uint16_t> tops_;  ///< leafs^2 top ids / codes, src-major
-  std::vector<std::uint8_t> flags_;  ///< leafs^2 per-pair flag bytes
 };
+
+template <typename CodeOf>
+RouteCache RouteCache::build(const FoldedClos& ftree, const CodeOf& code_of) {
+  RouteCache cache(ftree);
+  const std::uint32_t leafs = cache.leafs_;
+  // Filled aside and moved in at the end: a throwing code_of leaves the
+  // cache with no table, so its destructor takes nothing off the gauge.
+  std::vector<std::uint16_t> tops(cache.pair_count(), kEmpty);
+  std::uint64_t routed = 0;
+  std::uint16_t* row = tops.data();
+  for (std::uint32_t s = 0; s < leafs; ++s, row += leafs) {
+    for (std::uint32_t d = 0; d < leafs; ++d) {
+      if (s == d) continue;
+      const std::uint16_t code = code_of(SDPair{LeafId{s}, LeafId{d}});
+      NBCLOS_ASSERT(code < ftree.m() || code == kDirect || code == kEmpty);
+      row[d] = code;
+      if (code == kEmpty) {
+        cache.any_unroutable_ = true;
+      } else {
+        ++routed;
+      }
+    }
+  }
+  cache.tops_ = std::move(tops);
+  cache.note_build(routed);
+  return cache;
+}
 
 /// All terminal-pair channel runs of a Network routing, flattened into
 /// one channel array behind a CSR offsets table — the table-backed
@@ -188,6 +164,10 @@ class ChannelRouteCache final : public NextHop {
   /// Routes every ordered terminal pair through `route` (validated for
   /// chaining) and flattens the channel runs.
   ChannelRouteCache(const Network& net, const RouteFn& route);
+  /// Takes the table's bytes off the route_cache.bytes gauge.
+  ~ChannelRouteCache() override;
+  ChannelRouteCache(const ChannelRouteCache&) = delete;
+  ChannelRouteCache& operator=(const ChannelRouteCache&) = delete;
 
   /// Snapshot a healthy ftree routing over `net` = build_network(ftree):
   /// channel ids are LinkId values, so each pair's run is its link run.

@@ -32,6 +32,9 @@ struct NetChannel {
   std::uint32_t dst = 0;  ///< destination vertex
 };
 
+/// A route through a Network: the channels a packet traverses, in order.
+using ChannelPath = std::vector<std::uint32_t>;
+
 class Network {
  public:
   /// Append a vertex; returns its id.

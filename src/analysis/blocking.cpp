@@ -46,7 +46,9 @@ BlockingEstimate estimate_blocking(const FoldedClos& ftree,
                                    const PatternRouter& router,
                                    std::uint64_t trials, Xoshiro256& rng) {
   PatternScorer scorer(ftree, router, trials);
-  return sample_blocking(ftree, scorer, trials, rng).estimate();
+  const auto sums = sample_blocking(ftree, scorer, trials, rng);
+  note_perms_evaluated(sums.trials);
+  return sums.estimate();
 }
 
 }  // namespace nbclos

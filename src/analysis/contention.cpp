@@ -7,6 +7,7 @@
 namespace nbclos {
 
 void LinkLoadMap::add_path(const FtreePath& path) {
+  NBCLOS_REQUIRE(ftree_ != nullptr, "an ftree path needs an ftree's map");
   LinkId links[FoldedClos::kMaxPathLinks];
   const auto count = ftree_->links_into(path, links);
   for (std::uint32_t i = 0; i < count; ++i) bump_index(links[i].value);
@@ -14,6 +15,10 @@ void LinkLoadMap::add_path(const FtreePath& path) {
 
 void LinkLoadMap::add_paths(const std::vector<FtreePath>& paths) {
   for (const auto& path : paths) add_path(path);
+}
+
+void LinkLoadMap::add_channels(std::span<const std::uint32_t> channels) {
+  for (const auto c : channels) bump_index(c);
 }
 
 void LinkLoadMap::clear() {
@@ -58,8 +63,7 @@ void PermutationLoad::load_pairs(std::size_t count, const PairOf& pair_of) {
   // they stay in registers.
   const std::uint32_t m = ftree_->m();
   const std::uint32_t r = ftree_->r();
-  std::uint32_t* const up = load_.data();
-  std::uint32_t* const down = up + std::size_t{r} * m;
+  std::uint32_t* const counters = load_.data();
   const std::uint32_t* const bottom = bottom_.data();
   std::uint64_t colliding_pairs = 0;
   std::uint32_t max_load = 0;
@@ -76,8 +80,8 @@ void PermutationLoad::load_pairs(std::size_t count, const PairOf& pair_of) {
                            pair.top >= routing::RouteCache::kTopLimit,
                        "top switch out of range");
     if (pair.top >= m) continue;  // leaf links only: never shared
-    bump(up[bottom[pair.src] * m + pair.top]);
-    bump(down[pair.top * r + bottom[pair.dst]]);
+    bump(counters[up_index(bottom[pair.src], pair.top, m)]);
+    bump(counters[down_index(pair.top, bottom[pair.dst], m, r)]);
   }
   colliding_pairs_ = colliding_pairs;
   // Every path loads its two leaf links once; a permutation shares none.
@@ -88,13 +92,16 @@ void PermutationLoad::load(std::span<const std::uint32_t> target,
                            const routing::RouteCache& cache) {
   const auto leafs = static_cast<std::uint32_t>(target.size());
   NBCLOS_DEBUG_CHECK(leafs == ftree_->leaf_count() &&
-                         cache.leaf_count() == leafs && !cache.any_unroutable(),
+                         cache.leaf_count() == leafs,
                      "route cache does not fit this permutation");
   const std::uint32_t* const to = target.data();
   const std::uint16_t* const tops = cache.tops();
   load_pairs(leafs, [leafs, to, tops](std::size_t s, const std::uint32_t*) {
     const std::uint32_t d = to[s];
     NBCLOS_DEBUG_CHECK(d < leafs, "target leaf out of range");
+    NBCLOS_DEBUG_CHECK(d == s || tops[s * leafs + d] !=
+                                     routing::RouteCache::kEmpty,
+                       "pattern pair is unroutable in the route cache");
     // kEmpty (the diagonal) and kDirect lie above every top id (m <
     // kTopLimit): both skip.
     return LoadPair{static_cast<std::uint32_t>(s), d, tops[s * leafs + d]};
@@ -143,6 +150,12 @@ bool has_contention(const FoldedClos& ftree,
                     const std::vector<FtreePath>& paths) {
   LinkLoadMap map(ftree);
   map.add_paths(paths);
+  return !map.contention_free();
+}
+
+bool has_contention(const Network& net, const std::vector<ChannelPath>& paths) {
+  LinkLoadMap map(net);
+  for (const auto& path : paths) map.add_channels(path);
   return !map.contention_free();
 }
 

@@ -115,6 +115,7 @@ BlockingEstimate estimate_blocking_parallel(
 
   BlockingSums sums;
   for (const auto& partial : partials) sums += partial;  // fixed merge order
+  note_perms_evaluated(sums.trials);
   return sums.estimate();
 }
 
@@ -154,8 +155,7 @@ VerifyResult verify_random_parallel(const FoldedClos& ftree,
       result.counterexample_collisions = partial.counterexample_collisions;
     }
   }
-  obs::metrics().counter("verify.perms_evaluated")
-      .add(result.permutations_checked);
+  note_perms_evaluated(result.permutations_checked);
   return result;
 }
 
@@ -256,10 +256,9 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
       };
       shared.score_chunk(shard, chunk_seed(0, shard), end - shard_begin, walk);
       if (observe) {
-        // Per-shard rank throughput + flushed-once totals (local counts
-        // keep the permutation loop free of shared-metric traffic).
+        // Per-shard rank throughput (a local count keeps the
+        // permutation loop free of shared-metric traffic).
         auto& m = obs::metrics();
-        m.counter("verify.perms_evaluated").add(evaluated);
         const std::uint64_t elapsed = obs_now_ns() - shard_t0;
         if (elapsed > 0 && evaluated > 0) {
           m.histogram("verify.shard_ranks_per_s", 1'000'000'000)
@@ -286,6 +285,7 @@ VerifyResult verify_exhaustive_parallel(const FoldedClos& ftree,
       result.permutations_checked = hit->rank + 1;
     }
   }
+  note_perms_evaluated(result.permutations_checked);
   return result;
 }
 
@@ -353,6 +353,7 @@ VerifyResult verify_adversarial_parallel(const FoldedClos& ftree,
       break;  // identical to a serial run stopping at this restart
     }
   }
+  note_perms_evaluated(result.permutations_checked);
   return result;
 }
 
@@ -388,6 +389,7 @@ WorstCaseResult worst_case_search_parallel(const FoldedClos& ftree,
       result.permutation = std::move(outcome.pattern);
     }
   }
+  note_perms_evaluated(result.evaluations);
   return result;
 }
 

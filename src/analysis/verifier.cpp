@@ -21,10 +21,15 @@ const SinglePathRouting* wrapped_single_path(const PatternRouter& router) {
   return single != nullptr ? single->routing : nullptr;
 }
 
+void note_perms_evaluated(std::uint64_t permutations) {
+  obs::metrics().counter("verify.perms_evaluated").add(permutations);
+}
+
 bool scoring_cache_pays(const FoldedClos& ftree, std::uint64_t scores) {
   const std::uint32_t leafs = ftree.leaf_count();
   const std::uint64_t pairs = std::uint64_t{leafs} * leafs;
-  return scores >= leafs && pairs <= kMaxScoringCacheBytes / 3 &&
+  return scores >= leafs &&
+         pairs <= kMaxScoringCacheBytes / sizeof(std::uint16_t) &&
          ftree.m() < routing::RouteCache::kTopLimit;
 }
 
@@ -175,9 +180,10 @@ VerifyResult verify_adversarial_impl(const FoldedClos& ftree,
       result.nonblocking = false;
       result.counterexample = outcome.pattern;
       result.counterexample_collisions = outcome.collisions;
-      return result;
+      break;
     }
   }
+  note_perms_evaluated(result.permutations_checked);
   return result;
 }
 
@@ -198,6 +204,7 @@ WorstCaseResult worst_case_search_impl(const FoldedClos& ftree,
       result.permutation = std::move(outcome.pattern);
     }
   }
+  note_perms_evaluated(result.evaluations);
   return result;
 }
 
@@ -222,8 +229,7 @@ VerifyResult verify_exhaustive(const FoldedClos& ftree,
         }
         return true;
       });
-  obs::metrics().counter("verify.perms_evaluated")
-      .add(result.permutations_checked);
+  note_perms_evaluated(result.permutations_checked);
   return result;
 }
 
@@ -231,7 +237,9 @@ VerifyResult verify_random(const FoldedClos& ftree,
                            const PatternRouter& router, std::uint64_t trials,
                            Xoshiro256& rng) {
   PatternScorer scorer(ftree, router, trials);
-  return verify_random(ftree, scorer, trials, rng);
+  auto result = verify_random(ftree, scorer, trials, rng);
+  note_perms_evaluated(result.permutations_checked);
+  return result;
 }
 
 VerifyResult verify_random(const FoldedClos& ftree, PatternScorer& scorer,

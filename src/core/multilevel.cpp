@@ -122,10 +122,11 @@ bool MultiLevelFabric::certify() const { return lemma1_audit(*this).empty(); }
 bool MultiLevelFabric::verify_random(std::uint64_t trials,
                                      std::uint64_t seed) const {
   Xoshiro256 rng(seed);
+  LinkLoadMap map(net_);
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
     const auto pattern = random_permutation(ports_, rng);
-    ChannelLoadMap map(net_);
-    for (const auto sd : pattern) map.add_path(route(sd));
+    map.clear();
+    for (const auto sd : pattern) map.add_channels(route(sd));
     if (!map.contention_free()) return false;
   }
   return true;

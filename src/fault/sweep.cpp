@@ -74,21 +74,17 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
     }
     const fault::DegradedYuanRouting routing(ftree, view);
     // One degraded route cache per failure level: the level's routing is
-    // fixed, so its paths, fallback choices, and unroutable pairs are
-    // materialized once (with per-pair flags) and every trial below
-    // replays flat link runs instead of calling try_route per pair.
-    // The cache is invalid the moment the failure set grows — the next
-    // level iteration rebuilds it from the new DegradedYuanRouting.
-    const routing::RouteCache cache(
-        ftree, [&](SDPair sd, FtreePath& path) -> std::uint8_t {
+    // fixed, so its tops are built once (kEmpty for an unroutable pair)
+    // and every trial below reads them instead of calling try_route per
+    // pair.  The cache is invalid the moment the failure set grows — the
+    // next level iteration rebuilds it from the new DegradedYuanRouting.
+    const auto cache =
+        routing::RouteCache::build(ftree, [&](SDPair sd) -> std::uint16_t {
           const auto routed = routing.try_route(sd);
-          if (!routed.has_value()) return routing::RouteCache::kUnroutable;
-          path = *routed;
-          std::uint8_t bits = 0;
-          if (!routed->direct && routing.uses_fallback(sd)) {
-            bits |= routing::RouteCache::kFallback;
-          }
-          return bits;
+          if (!routed.has_value()) return routing::RouteCache::kEmpty;
+          return routed->direct
+                     ? routing::RouteCache::kDirect
+                     : static_cast<std::uint16_t>(routed->top.value);
         });
 
     // The trial split is over config.chunks *logical* chunks with
@@ -96,6 +92,7 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
     // bit-identical for any pool size.
     std::vector<ChunkCounts> partials(config.chunks);
     const auto trials = config.permutations_per_level;
+    const std::uint32_t leafs = ftree.leaf_count();
     pool.parallel_for(
         0, config.chunks,
         [&](std::size_t chunk) {
@@ -106,32 +103,34 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
           Xoshiro256 rng(chunk_seed(config.seed, failures,
                                     static_cast<std::uint32_t>(chunk)));
           auto& counts = partials[chunk];
-          LinkLoadMap load(ftree);
+          PermutationLoad load(ftree);
+          std::vector<std::uint32_t> target;
           std::uint64_t lookups = 0;
           for (std::uint32_t trial = lo; trial < hi; ++trial) {
-            const auto pattern =
-                random_permutation(ftree.leaf_count(), rng);
-            load.clear();
+            random_targets(leafs, rng, target);
             bool unroutable = false;
-            // Pair iteration order matters: fallback_pairs counts pairs
-            // seen before the first unroutable one, exactly as the
-            // per-pair try_route loop did.
-            for (const auto sd : pattern) {
-              const auto flags = cache.flags(sd.src.value, sd.dst.value);
-              if ((flags & routing::RouteCache::kUnroutable) != 0) {
+            // Source order matters: fallback_pairs counts the pairs seen
+            // before the first unroutable one.  A fallback pair is a
+            // cross pair off its Theorem 3 top.
+            for (std::uint32_t s = 0; s < leafs; ++s) {
+              const std::uint32_t d = target[s];
+              if (d == s) continue;
+              const std::uint16_t top = cache.top(s, d);
+              if (top == routing::RouteCache::kEmpty) {
                 unroutable = true;
                 break;
               }
-              if ((flags & routing::RouteCache::kFallback) != 0) {
+              ++lookups;
+              if (top != routing::RouteCache::kDirect &&
+                  top != routing.primary_top({LeafId{s}, LeafId{d}}).value) {
                 ++counts.fallback_pairs;
               }
-              ++lookups;
-              load.add_run(cache.links(sd.src.value, sd.dst.value));
             }
             if (unroutable) {
               ++counts.unroutable;
               continue;
             }
+            load.load(target, cache);
             const auto collisions = load.colliding_pairs();
             if (collisions > 0) ++counts.blocked;
             counts.worst_collisions =

@@ -1,6 +1,5 @@
 #include "nbclos/routing/route_cache.hpp"
 
-#include <algorithm>
 #include <map>
 
 #include "nbclos/obs/metrics.hpp"
@@ -8,74 +7,37 @@
 
 namespace nbclos::routing {
 
-RouteCache::RouteCache(const FoldedClos& ftree)
-    : ftree_(ftree), leafs_(ftree.leaf_count()) {
-  NBCLOS_REQUIRE(ftree.m() < kTopLimit,
-                 "too many top switches for 16-bit route-cache top ids");
-  const std::uint64_t pairs = pair_count();
-  tops_.assign(pairs, kEmpty);
-  flags_.assign(pairs, 0);
+namespace {
+
+void note_resident_bytes(std::int64_t delta) {
+  if (delta != 0) obs::metrics().gauge("route_cache.bytes").add(delta);
 }
 
-RouteCache::RouteCache(const FoldedClos& ftree, const BuildFn& fn)
-    : RouteCache(ftree) {
-  std::uint64_t routed = 0;
-  FtreePath path;
-  for (std::uint32_t s = 0; s < leafs_; ++s) {
-    for (std::uint32_t d = 0; d < leafs_; ++d) {
-      if (s == d) continue;
-      const SDPair sd{LeafId{s}, LeafId{d}};
-      const std::size_t pair = std::size_t{s} * leafs_ + d;
-      const std::uint8_t bits = fn(sd, path);
-      flags_[pair] = bits;
-      if ((bits & kUnroutable) != 0) {
-        any_unroutable_ = true;
-        continue;
-      }
-      NBCLOS_ASSERT(path.sd == sd);
-      NBCLOS_ASSERT(path.direct || path.top.value < ftree.m());
-      tops_[pair] =
-          path.direct ? kDirect : static_cast<std::uint16_t>(path.top.value);
-      ++routed;
-    }
-  }
-  note_build(routed);
+}  // namespace
+
+RouteCache::RouteCache(const FoldedClos& ftree) : leafs_(ftree.leaf_count()) {
+  NBCLOS_REQUIRE(ftree.m() < kTopLimit,
+                 "too many top switches for 16-bit route-cache top ids");
+}
+
+RouteCache::~RouteCache() {
+  note_resident_bytes(-static_cast<std::int64_t>(bytes()));
 }
 
 RouteCache RouteCache::materialize(const SinglePathRouting& routing) {
   const FoldedClos& ft = routing.ftree();
-  RouteCache cache(ft);
-  const std::uint32_t n = ft.n();
-  const std::uint32_t m = ft.m();
-  const std::uint32_t leafs = cache.leafs_;
-  // Leaf v*n + k hangs off bottom switch v: row s is r blocks of n
-  // destinations, the source's own block direct, every other block one
-  // top_for per pair.
-  std::uint16_t* row = cache.tops_.data();
-  for (std::uint32_t s = 0; s < leafs; ++s, row += leafs) {
-    const LeafId src{s};
-    const std::uint32_t own = ft.switch_of(src).value * n;
-    for (std::uint32_t d = 0; d < leafs; ++d) {
-      if (d == own) {
-        std::fill(row + d, row + d + n, kDirect);
-        d += n - 1;
-        continue;
-      }
-      const TopId top = routing.top_for(SDPair{src, LeafId{d}});
-      NBCLOS_ASSERT(top.value < m);
-      row[d] = static_cast<std::uint16_t>(top.value);
-    }
-    row[s] = kEmpty;
-  }
-  cache.note_build(std::uint64_t{leafs} * leafs - leafs);
-  return cache;
+  return build(ft, [&](SDPair sd) {
+    return ft.needs_top(sd)
+               ? static_cast<std::uint16_t>(routing.top_for(sd).value)
+               : kDirect;
+  });
 }
 
 void RouteCache::note_build(std::uint64_t routed) const {
   auto& registry = obs::metrics();
   registry.counter("route_cache.builds").add(1);
   registry.counter("route_cache.routes_materialized").add(routed);
-  registry.gauge("route_cache.bytes").add(static_cast<std::int64_t>(bytes()));
+  note_resident_bytes(static_cast<std::int64_t>(bytes()));
 }
 
 void RouteCache::note_lookups(std::uint64_t n) {
@@ -124,7 +86,11 @@ ChannelRouteCache::ChannelRouteCache(const Network& net, const RouteFn& route)
   registry.counter("route_cache.builds").add(1);
   registry.counter("route_cache.routes_materialized")
       .add(terminals_ > 0 ? pairs - terminals_ : 0);
-  registry.gauge("route_cache.bytes").add(static_cast<std::int64_t>(bytes()));
+  note_resident_bytes(static_cast<std::int64_t>(bytes()));
+}
+
+ChannelRouteCache::~ChannelRouteCache() {
+  note_resident_bytes(-static_cast<std::int64_t>(bytes()));
 }
 
 namespace {

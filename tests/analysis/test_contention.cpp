@@ -14,6 +14,7 @@
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/edge_coloring.hpp"
 #include "nbclos/routing/multipath.hpp"
+#include "nbclos/routing/route_cache.hpp"
 #include "nbclos/routing/yuan_nonblocking.hpp"
 
 namespace nbclos {
@@ -278,6 +279,62 @@ TEST(PermutationLoad, EmptyAndDirectPatternsLoadNoSharedLink) {
   load.load(identity, routing);
   EXPECT_EQ(load.colliding_pairs(), 0U);
   EXPECT_EQ(load.max_load(), 0U);
+}
+
+TEST(PermutationLoad, AddAndRemoveMatchAFreshLoad) {
+  std::uint64_t colliding = 0;
+  for (const auto& params : kLoadShapes) {
+    const FoldedClos ft(params);
+    const DModKRouting dmodk(ft);
+    const SModKRouting smodk(ft);
+    const RandomFixedRouting random_fixed(ft, 17);
+    for (const SinglePathRouting* routing :
+         std::vector<const SinglePathRouting*>{&dmodk, &smodk, &random_fixed}) {
+      SCOPED_TRACE(routing->name());
+      const auto cache = routing::RouteCache::materialize(*routing);
+      const std::uint32_t leafs = ft.leaf_count();
+      PermutationLoad fresh(ft);
+      Xoshiro256 rng(35);
+      for (auto target : sample_targets(ft, 36)) {
+        // Pair by pair from zero counters to the whole pattern.
+        PermutationLoad running(ft);
+        for (std::uint32_t s = 0; s < leafs; ++s) {
+          running.add(cache, s, target[s]);
+        }
+        fresh.load(target, cache);
+        ASSERT_EQ(running.colliding_pairs(), fresh.colliding_pairs());
+        colliding += fresh.colliding_pairs();
+        // Target swaps: remove both pairs, swap, add both back.
+        for (int step = 0; step < 20; ++step) {
+          const auto i = static_cast<std::uint32_t>(rng.below(leafs));
+          const auto j = static_cast<std::uint32_t>(rng.below(leafs));
+          running.remove(cache, i, target[i]);
+          if (j != i) running.remove(cache, j, target[j]);
+          std::swap(target[i], target[j]);
+          running.add(cache, i, target[i]);
+          if (j != i) running.add(cache, j, target[j]);
+          fresh.load(target, cache);
+          ASSERT_EQ(running.colliding_pairs(), fresh.colliding_pairs())
+              << "after swap " << step;
+        }
+        // Removing every pair returns the counters to zero.
+        for (std::uint32_t s = 0; s < leafs; ++s) {
+          running.remove(cache, s, target[s]);
+        }
+        EXPECT_EQ(running.colliding_pairs(), 0U);
+        if (kDebugChecksEnabled) {
+          for (std::uint32_t s = 0; s < leafs; ++s) {
+            if (cache.top(s, target[s]) < ft.m()) {
+              EXPECT_THROW(running.remove(cache, s, target[s]),
+                           precondition_error);
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(colliding, 0U);
 }
 
 TEST(PermutationLoad, DebugBuildsRejectMismatchedRouterPaths) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <span>
 
 #include "nbclos/routing/baselines.hpp"
 #include "nbclos/routing/route_cache.hpp"
@@ -130,75 +129,6 @@ TEST(SwapDelta, RejectsBadSwaps) {
     EXPECT_THROW(state.apply_swap(0, ft.leaf_count()), precondition_error);
   }
   EXPECT_THROW(state.reset({0, 1, 2}), precondition_error);
-}
-
-/// Unload a path's links from the map (the delta evaluator's remove_run
-/// over the path's link ids).
-void remove_path(LinkLoadMap& map, const FoldedClos& ft,
-                 const FtreePath& path) {
-  LinkId links[FoldedClos::kMaxPathLinks];
-  const auto count = ft.links_into(path, links);
-  std::uint32_t run[FoldedClos::kMaxPathLinks];
-  for (std::uint32_t i = 0; i < count; ++i) run[i] = links[i].value;
-  map.remove_run(std::span<const std::uint32_t>(run, count));
-}
-
-TEST(LinkLoadMapIncremental, RemovePathInvertsAddPath) {
-  const FoldedClos ft(FtreeParams{3, 2, 6});
-  const DModKRouting routing(ft);
-  Xoshiro256 rng(9);
-  LinkLoadMap map(ft);
-  const auto paths =
-      routing.route_all(random_permutation(ft.leaf_count(), rng));
-  map.add_paths(paths);
-  // Running sums agree with a freshly built map.
-  LinkLoadMap fresh(ft);
-  fresh.add_paths(paths);
-  EXPECT_EQ(map.colliding_pairs(), fresh.colliding_pairs());
-  EXPECT_EQ(map.contended_links(), fresh.contended_links());
-  // Removing every path returns the map to empty.
-  for (const auto& path : paths) remove_path(map, ft, path);
-  EXPECT_EQ(map.colliding_pairs(), 0U);
-  EXPECT_EQ(map.contended_links(), 0U);
-  EXPECT_EQ(map.max_load(), 0U);
-  // Underflow is a precondition error (checked in Debug builds only).
-  if (kDebugChecksEnabled) {
-    EXPECT_THROW(remove_path(map, ft, paths.front()), precondition_error);
-  }
-}
-
-TEST(LinkLoadMapIncremental, RunningSumsMatchDirectRecount) {
-  // Add and remove random subsets of paths; colliding_pairs (sum over
-  // links of C(load, 2)) and contended_links (#links with load >= 2) must
-  // always match a direct recount over link loads.
-  const FoldedClos ft(FtreeParams{2, 2, 5});
-  const DModKRouting routing(ft);
-  Xoshiro256 rng(10);
-  LinkLoadMap map(ft);
-  std::vector<FtreePath> resident;
-  for (int step = 0; step < 400; ++step) {
-    if (resident.empty() || rng.below(2) == 0) {
-      const auto src = static_cast<std::uint32_t>(rng.below(ft.leaf_count()));
-      auto dst = static_cast<std::uint32_t>(rng.below(ft.leaf_count()));
-      if (dst == src) dst = (dst + 1) % ft.leaf_count();
-      resident.push_back(routing.route({LeafId{src}, LeafId{dst}}));
-      map.add_path(resident.back());
-    } else {
-      const auto pick = rng.below(resident.size());
-      remove_path(map, ft, resident[pick]);
-      resident[pick] = resident.back();
-      resident.pop_back();
-    }
-    std::uint64_t pairs = 0;
-    std::uint64_t contended = 0;
-    for (std::uint32_t link = 0; link < ft.link_count(); ++link) {
-      const std::uint64_t load = map.load(LinkId{link});
-      pairs += load * (load - 1) / 2;
-      if (load >= 2) ++contended;
-    }
-    ASSERT_EQ(map.colliding_pairs(), pairs) << "step " << step;
-    ASSERT_EQ(map.contended_links(), contended) << "step " << step;
-  }
 }
 
 }  // namespace

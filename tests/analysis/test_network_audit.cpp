@@ -2,8 +2,6 @@
 /// reads routes with: one audit covers every fabric family the engines
 /// run — ftree routings through TopChoiceNextHop, the k-ary tree, the
 /// §IV multi-level fabric, the InfiniBand LFTs and a route table.
-#include "nbclos/analysis/network_audit.hpp"
-
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -69,20 +67,21 @@ class ScriptedNextHop final : public routing::NextHop {
 
 TEST(ChannelLoad, CountsAndCollisions) {
   const auto net = build_crossbar(4);
-  ChannelLoadMap map(net);
-  map.add_path({0, 4 + 1});
-  map.add_path({2, 4 + 1});  // shares the downlink to terminal 1
-  EXPECT_EQ(map.load(0), 1U);
-  EXPECT_EQ(map.load(5), 2U);
-  EXPECT_EQ(map.contended_channels(), 1U);
+  LinkLoadMap map(net);
+  map.add_channels(ChannelPath{0, 4 + 1});
+  map.add_channels(ChannelPath{2, 4 + 1});  // shares the downlink to terminal 1
+  EXPECT_EQ(map.load(LinkId{0}), 1U);
+  EXPECT_EQ(map.load(LinkId{5}), 2U);
+  EXPECT_EQ(map.contended_links(), 1U);
   EXPECT_EQ(map.colliding_pairs(), 1U);
   EXPECT_FALSE(map.contention_free());
+  EXPECT_THROW(map.add_channels(ChannelPath{9}), precondition_error);
 }
 
 TEST(ChannelLoad, NetworkHasContentionHelper) {
   const auto net = build_crossbar(4);
-  EXPECT_FALSE(network_has_contention(net, {{0, 5}, {1, 6}}));
-  EXPECT_TRUE(network_has_contention(net, {{0, 5}, {1, 5}}));
+  EXPECT_FALSE(has_contention(net, {{0, 5}, {1, 6}}));
+  EXPECT_TRUE(has_contention(net, {{0, 5}, {1, 5}}));
 }
 
 /// Three ftrees, each with m >= n^2 so Theorem 3 routing exists.

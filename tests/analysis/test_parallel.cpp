@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "nbclos/analysis/contention.hpp"
 #include "nbclos/obs/metrics.hpp"
@@ -541,6 +542,84 @@ TEST(ParallelSharedCache, ChunksOfAnotherRoutingScoreFromTheirOwnCache) {
     EXPECT_EQ(est.blocked, blocking_expect.blocked);
     EXPECT_EQ(est.mean_colliding_pairs, blocking_expect.mean_colliding_pairs);
     EXPECT_EQ(est.mean_max_link_load, blocking_expect.mean_max_link_load);
+  }
+}
+
+// --- verify.perms_evaluated: once per driver call -------------------------
+
+TEST(ParallelPermsEvaluated, CounterAddsEachDriversReturnedCount) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  const auto evaluated = [] {
+    return obs::metrics().counter("verify.perms_evaluated").value();
+  };
+  // Counts the calls' permutations and checks the counter moved by
+  // exactly the count the call returned.
+  const auto expect_counted = [&](const char* driver, const auto& call) {
+    const auto before = evaluated();
+    const std::uint64_t returned = call();
+    EXPECT_GT(returned, 0U) << driver;
+    EXPECT_EQ(evaluated() - before, returned) << driver;
+  };
+  const FoldedClos blocking(FtreeParams{2, 2, 4});  // 8 leaves, d-mod-k blocks
+  const FoldedClos clean(FtreeParams{2, 4, 3});     // 6 leaves, Theorem 3
+  const DModKRouting dmodk(blocking);
+  const YuanNonblockingRouting yuan(clean);
+  const AdversarialOptions options{4, 60};
+  for (const std::size_t threads : {1U, 4U}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    for (const auto* routing :
+         std::vector<const SinglePathRouting*>{&dmodk, &yuan}) {
+      SCOPED_TRACE(routing->name());
+      const FoldedClos& ft = routing->ftree();
+      const auto router = as_pattern_router(*routing);
+      const PatternRouterFactory factory = [&router](std::uint64_t) {
+        return router;
+      };
+      Xoshiro256 rng(3);
+      expect_counted("estimate_blocking", [&] {
+        return estimate_blocking(ft, router, 50, rng).trials;
+      });
+      expect_counted("estimate_blocking_parallel", [&] {
+        return estimate_blocking_parallel(ft, factory, 50, 7, pool).trials;
+      });
+      expect_counted("verify_random", [&] {
+        return verify_random(ft, router, 50, rng).permutations_checked;
+      });
+      expect_counted("verify_random_parallel", [&] {
+        return verify_random_parallel(ft, *routing, 50, 7, pool)
+            .permutations_checked;
+      });
+      expect_counted("verify_exhaustive", [&] {
+        return verify_exhaustive(ft, router).permutations_checked;
+      });
+      expect_counted("verify_exhaustive_parallel", [&] {
+        return verify_exhaustive_parallel(ft, factory, pool)
+            .permutations_checked;
+      });
+      expect_counted("verify_adversarial", [&] {
+        return verify_adversarial(ft, *routing, options, rng)
+            .permutations_checked;
+      });
+      expect_counted("verify_adversarial (router)", [&] {
+        return verify_adversarial(ft, router, options, rng)
+            .permutations_checked;
+      });
+      expect_counted("verify_adversarial_parallel", [&] {
+        return verify_adversarial_parallel(ft, *routing, options, 7, pool)
+            .permutations_checked;
+      });
+      expect_counted("worst_case_search", [&] {
+        return worst_case_search(ft, *routing, options, rng).evaluations;
+      });
+      expect_counted("worst_case_search (router)", [&] {
+        return worst_case_search(ft, router, options, rng).evaluations;
+      });
+      expect_counted("worst_case_search_parallel", [&] {
+        return worst_case_search_parallel(ft, *routing, options, 7, pool)
+            .evaluations;
+      });
+    }
   }
 }
 

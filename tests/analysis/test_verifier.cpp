@@ -284,11 +284,11 @@ TEST(Verifier, ScoringCachePaysOnlyForManyScoresOnABoundedTable) {
   EXPECT_FALSE(scoring_cache_pays(small, 79));
   EXPECT_FALSE(scoring_cache_pays(small, 10));
   EXPECT_FALSE(scoring_cache_pays(small, 0));
-  // 4729^2 pairs at 3 bytes fit 64 MiB, 4730^2 do not.
-  EXPECT_TRUE(scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 4729}), 4729));
+  // 5792^2 pairs at 2 bytes fit 64 MiB, 5793^2 do not.
+  EXPECT_TRUE(scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 5792}), 5792));
   EXPECT_FALSE(
-      scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 4730}), UINT64_MAX));
-  // 33,792 leaves would need a 3.4 GB table.
+      scoring_cache_pays(FoldedClos(FtreeParams{1, 1, 5793}), UINT64_MAX));
+  // 33,792 leaves would need a 2.3 GB table.
   EXPECT_FALSE(
       scoring_cache_pays(FoldedClos(FtreeParams{32, 1024, 1056}), 500));
   // Top ids past 16 bits cannot be cached at all.

@@ -3,7 +3,6 @@
 /// function (multi-level recursive fabrics, crossbars, ftrees).
 #include <gtest/gtest.h>
 
-#include "nbclos/analysis/network_audit.hpp"
 #include "nbclos/analysis/permutations.hpp"
 #include "nbclos/core/multilevel.hpp"
 #include "nbclos/routing/route_cache.hpp"
